@@ -481,16 +481,12 @@ fn cmd_serve(args: &Args) {
     });
     if telemetry_on {
         ides::telemetry::set_enabled(false);
-        // Query/cache-hit totals are not recorded on the query hot path
-        // (the engine's always-on ServiceStats counters are already
-        // exact); fold them into the registry so the exposition carries
-        // them without a second per-query RMW.
+        // The query total is not recorded on the query hot path (the
+        // engine's always-on ServiceStats counter is already exact);
+        // fold it into the registry so the exposition carries it without
+        // a second per-query RMW.
         let reg = ides::telemetry::global();
         reg.add(ides::telemetry::Counter::Queries, summary.stats.queries);
-        reg.add(
-            ides::telemetry::Counter::CacheHits,
-            summary.stats.cache_hits,
-        );
         // The exposition's query histogram is the load harness's own
         // merged histogram, so its `_count`/`_sum` reconcile exactly
         // with the `telemetry_query_*` keys in `--json`.
@@ -532,11 +528,10 @@ fn cmd_serve(args: &Args) {
         summary.admission.speedup
     );
     println!(
-        "queries quiescent:   p50 {:.1}us  p99 {:.1}us  ({:.0} qps, cache hit {:.0}%)",
+        "queries quiescent:   p50 {:.1}us  p99 {:.1}us  ({:.0} qps)",
         summary.quiescent_us(0.5),
         summary.quiescent_us(0.99),
-        summary.quiescent.queries_per_sec,
-        summary.quiescent.cache_hit_rate * 100.0
+        summary.quiescent.queries_per_sec
     );
     println!(
         "queries under drift: p50 {:.1}us  p99 {:.1}us  ({:.0} qps, {} epochs applied)",
@@ -571,10 +566,8 @@ fn cmd_serve(args: &Args) {
         config.shards
     );
     println!(
-        "gauges:              coalescer depth {}, pair cache {}/{} slots, snapshot chunk share {:.1}%",
+        "gauges:              coalescer depth {}, snapshot chunk share {:.1}%",
         summary.stats.coalescer_depth,
-        summary.stats.cache_occupied,
-        summary.stats.cache_slots,
         summary.stats.chunk_share_ratio() * 100.0
     );
     if config.shards > 1 {

@@ -245,6 +245,38 @@ fn eval_subcommand_reports() {
 }
 
 #[test]
+fn serve_reports_queries_without_cache_fields() {
+    // The pair cache is gone: neither the text report nor `--json` may
+    // still carry a cache field, and the fields around them survive.
+    let common = "serve --landmarks 12 --dim 4 --hosts 24 --threads 1 --duration-s 0.4";
+    let out = bin()
+        .args(common.split(' '))
+        .arg("--json")
+        .output()
+        .expect("serve --json");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = String::from_utf8_lossy(&out.stdout).to_string();
+    for key in ["quiescent_qps", "coalescer_depth", "chunk_share_ratio"] {
+        assert!(
+            json.contains(&format!("\"{key}\"")),
+            "missing {key}: {json}"
+        );
+    }
+    assert!(!json.contains("cache"), "{json}");
+
+    let out = bin().args(common.split(' ')).output().expect("serve");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(text.contains("queries quiescent:"), "{text}");
+    assert!(text.contains("gauges:"), "{text}");
+    assert!(!text.contains("cache"), "{text}");
+}
+
+#[test]
 fn unknown_command_fails_with_help() {
     let out = bin().arg("bogus").output().expect("run");
     assert!(!out.status.success());

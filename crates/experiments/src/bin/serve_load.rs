@@ -73,11 +73,10 @@ fn main() {
         summary.admission.speedup
     );
     eprintln!(
-        "# queries quiescent:   p50 {:.2}us p99 {:.2}us ({:.0} qps, cache hit {:.0}%)",
+        "# queries quiescent:   p50 {:.2}us p99 {:.2}us ({:.0} qps)",
         summary.quiescent_us(0.5),
         summary.quiescent_us(0.99),
-        summary.quiescent.queries_per_sec,
-        summary.quiescent.cache_hit_rate * 100.0
+        summary.quiescent.queries_per_sec
     );
     eprintln!(
         "# queries under drift: p50 {:.2}us p99 {:.2}us ({:.0} qps, {} epochs)",

@@ -103,8 +103,6 @@ pub struct LoadReport {
     pub epochs: u64,
     /// Join/leave pairs completed by the churn worker.
     pub churned: u64,
-    /// Fraction of queries answered from the pair cache.
-    pub cache_hit_rate: f64,
     /// Query latency split by the shard that served each query's first
     /// endpoint (one entry per shard; a single engine reports one).
     pub per_shard_latency: Vec<LatencyHistogram>,
@@ -241,21 +239,12 @@ pub fn run<S: DistanceService + ?Sized>(
     }
     let stats_after = engine.stats();
     let queries = query_latency.count();
-    let delta_q = stats_after.queries.saturating_sub(stats_before.queries);
-    let delta_hits = stats_after
-        .cache_hits
-        .saturating_sub(stats_before.cache_hits);
     Ok(LoadReport {
         elapsed,
         queries,
         queries_per_sec: queries as f64 / elapsed.as_secs_f64(),
         epochs: stats_after.epochs.saturating_sub(stats_before.epochs),
         churned,
-        cache_hit_rate: if delta_q == 0 {
-            0.0
-        } else {
-            delta_hits as f64 / delta_q as f64
-        },
         query_latency,
         per_shard_latency,
     })
@@ -720,8 +709,7 @@ pub struct ServeSummary {
     /// over shards): DAG group counts, antichain widths, critical paths.
     pub epoch_plan: EpochPlanTotals,
     /// End-of-run engine counters and gauges (summed over shards):
-    /// coalescer queue depth, pair-cache occupancy, snapshot chunk
-    /// sharing.
+    /// coalescer queue depth, snapshot chunk sharing.
     pub stats: ServiceStats,
 }
 
@@ -851,7 +839,7 @@ impl ServeSummary {
              \"admission_per_request_per_sec\": {:.1}, \"admission_speedup\": {:.3}, \
              \"admission_flushes\": {}, \
              \"quiescent_p50_us\": {:.3}, \"quiescent_p99_us\": {:.3}, \
-             \"quiescent_qps\": {:.1}, \"cache_hit_rate\": {:.4}, \
+             \"quiescent_qps\": {:.1}, \
              \"drift_p50_us\": {:.3}, \"drift_p99_us\": {:.3}, \
              \"drift_qps\": {:.1}, \"drift_epochs\": {}, \
              \"p99_drift_over_quiescent\": {:.4}, \
@@ -864,8 +852,7 @@ impl ServeSummary {
              \"epoch_plan_pruned\": {}, \"epoch_pipeline_overlap\": {:.4}, \
              \"drift_batch\": {}, \
              \"telemetry_query_count\": {}, \"telemetry_query_sum_ns\": {}, \
-             \"coalescer_depth\": {}, \"cache_occupied\": {}, \
-             \"cache_slots\": {}, \"chunk_share_ratio\": {:.4}, \
+             \"coalescer_depth\": {}, \"chunk_share_ratio\": {:.4}, \
              \"per_shard\": [{}]}}",
             self.config.landmarks,
             self.config.hosts,
@@ -885,7 +872,6 @@ impl ServeSummary {
             self.quiescent_us(0.5),
             self.quiescent_us(0.99),
             self.quiescent.queries_per_sec,
-            self.quiescent.cache_hit_rate,
             self.drift_us(0.5),
             self.drift_us(0.99),
             self.drifting.queries_per_sec,
@@ -908,8 +894,6 @@ impl ServeSummary {
             self.query_latency_merged().count(),
             self.query_latency_merged().sum_ns(),
             self.stats.coalescer_depth,
-            self.stats.cache_occupied,
-            self.stats.cache_slots,
             self.stats.chunk_share_ratio(),
             per_shard.join(", "),
         )
@@ -970,7 +954,6 @@ mod tests {
         assert!(report.epochs >= 1, "drift writer must have applied epochs");
         assert!(report.query_latency.quantile(0.99) >= report.query_latency.quantile(0.5));
         assert!(report.elapsed >= Duration::from_millis(120));
-        assert!((0.0..=1.0).contains(&report.cache_hit_rate));
     }
 
     #[test]

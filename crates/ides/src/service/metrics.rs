@@ -189,9 +189,10 @@ impl LatencyHistogram {
 /// Counter snapshot of a [`crate::service::QueryEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Pair estimates served (cache hits included).
+    /// Pair estimates served.
     pub queries: u64,
-    /// Pair estimates answered from the epoch-tagged cache.
+    /// Always 0 since PR 12 (the pair cache is gone); field kept for the
+    /// benchmark's frozen surface, dropped with `service.cache.hit_ratio`.
     pub cache_hits: u64,
     /// Hosts admitted (coalesced and direct).
     pub joins: u64,
@@ -207,12 +208,6 @@ pub struct ServiceStats {
     /// Hosts currently queued in the admission coalescer (enqueued but
     /// not yet flushed) — the queue-depth gauge; summed across shards.
     pub coalescer_depth: u64,
-    /// Pair-cache entries currently holding a value (live or stale) —
-    /// occupancy of the direct-mapped cache; summed across shards.
-    pub cache_occupied: u64,
-    /// Total pair-cache slots (`cache_occupied / cache_slots` is the
-    /// occupancy ratio); summed across shards.
-    pub cache_slots: u64,
     /// Coordinate-table chunks the latest published snapshot shares with
     /// its predecessor (copy-on-write reuse at the last publish).
     pub chunk_shared: u64,
@@ -441,8 +436,6 @@ mod tests {
             epochs: 0,
             version: 0,
             coalescer_depth: 0,
-            cache_occupied: 0,
-            cache_slots: 0,
             chunk_shared: 0,
             chunk_total: 0,
         };

@@ -9,11 +9,20 @@
 //!   [`Snapshot`]s — landmark factors, the cached join-Gram factors
 //!   (handed off through [`CachedGram::from_factor`], so the snapshot
 //!   solves joins bit-identically to the writer without refactoring), and
-//!   the admitted-host coordinate table. Readers grab an `Arc<Snapshot>`
-//!   from an [`arc_swap::ArcSwap`] cell — the read side is an atomic load
-//!   plus an `Arc` clone, with no lock a writer could hold — so queries
-//!   never block on drift maintenance and never observe a torn epoch: a
-//!   query runs start to finish against one consistent version.
+//!   the admitted-host coordinate table — through an
+//!   [`arc_swap::ArcSwap`] cell. A query **pins** the cell for the length
+//!   of one closure ([`arc_swap::ArcSwap::with`]): two atomic RMWs, no
+//!   `Arc` clone and no lock a writer could hold, so queries never block
+//!   on drift maintenance and never observe a torn epoch — a query runs
+//!   start to finish against one consistent version, and a query issued
+//!   after a publish returns sees that publish. Callers that want to
+//!   keep a version take an `Arc` ([`QueryEngine::snapshot`]).
+//! * **One read path.** A served estimate is what the paper says it is
+//!   (Eq. 10): pin, two row lookups, one `O(d)` dot product. Both
+//!   engines answer through the same private core (`ReadPath::serve`
+//!   around `pair_estimate`), which also carries the per-query RMW
+//!   budget; there is no estimate cache in front of it — at `d = 16` the
+//!   dot costs less than a cache probe.
 //! * **Chunk-tree publish.** The snapshot's coordinate table and live-set
 //!   are [`ChunkedRows`] — persistent chunk trees whose clone cost tracks
 //!   the spine length, not the row count. Publishing after a join flush
@@ -25,8 +34,9 @@
 //!   `N` single-writer engines that replicate the small global landmark
 //!   model; writes on different shards proceed concurrently, and a
 //!   cross-shard estimate reads one coordinate row from each endpoint's
-//!   shard snapshot, lock-free. The [`DistanceService`] trait abstracts
-//!   the sharded and single engines for the load/replay harnesses.
+//!   pinned shard snapshot, lock-free. The [`DistanceService`] trait
+//!   abstracts the sharded and single engines for the load/replay
+//!   harnesses.
 //! * **Request coalescing.** Concurrent [`QueryEngine::join`] calls
 //!   accumulate into a pending admission batch; the first joiner becomes
 //!   the *leader*, lingers up to [`ServiceConfig::linger`] (or until
@@ -38,12 +48,6 @@
 //!   its own measurement row, coalesced admissions are **bit-identical**
 //!   to one-at-a-time [`QueryEngine::join_direct`] calls regardless of
 //!   how requests happened to batch.
-//! * **Epoch-tagged pair cache.** Pair estimates memoize into a sharded,
-//!   direct-mapped cache tagged with the snapshot version(s) they were
-//!   computed against; publishing a new snapshot (join, leave, drift
-//!   epoch) invalidates by tag mismatch, and eviction is lazy — a stale
-//!   or colliding entry is simply overwritten in place, so no reader ever
-//!   pays a drain and the cache never allocates after construction.
 //! * **Churn.** [`QueryEngine::leave`] retires a host's row to a free
 //!   list (the table never reallocates on leave; the slot is recycled by
 //!   the next admission), and [`QueryEngine::apply_epoch`] feeds drift
@@ -94,16 +98,6 @@ pub enum NodeId {
     Host(usize),
 }
 
-impl NodeId {
-    /// Injective encoding used as the pair-cache key.
-    fn encode(self) -> u64 {
-        match self {
-            NodeId::Landmark(i) => (i as u64) << 1,
-            NodeId::Host(s) => ((s as u64) << 1) | 1,
-        }
-    }
-}
-
 /// Tuning knobs of the serving engine.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
@@ -115,12 +109,6 @@ pub struct ServiceConfig {
     /// flushes immediately — coalescing then only batches requests that
     /// were already pending.
     pub linger: Duration,
-    /// Number of independently locked pair-cache shards.
-    pub cache_shards: usize,
-    /// Direct-mapped slots per cache shard (allocated once; a colliding
-    /// or stale entry is overwritten in place — lazy eviction). Zero
-    /// disables the cache.
-    pub cache_capacity: usize,
 }
 
 impl Default for ServiceConfig {
@@ -128,16 +116,15 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_batch: 64,
             linger: Duration::from_micros(200),
-            cache_shards: 16,
-            cache_capacity: 4096,
         }
     }
 }
 
 /// One immutable, epoch-versioned view of the whole serving state:
-/// landmark factors, join solvers, and admitted-host coordinates. Readers
-/// hold it as an `Arc` for as long as they like; the writer never mutates
-/// a published snapshot.
+/// landmark factors, join solvers, and admitted-host coordinates. Queries
+/// borrow it for one pinned closure; readers that keep a version hold it
+/// as an `Arc` for as long as they like. The writer never mutates a
+/// published snapshot.
 ///
 /// The coordinate table is a persistent chunk tree ([`ChunkedRows`]):
 /// each slot's row stores `[outgoing d | incoming d]` interleaved, and
@@ -162,7 +149,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Monotonically increasing publish version (each join flush, leave,
-    /// and drift epoch bumps it). The pair cache tags entries with this.
+    /// and drift epoch bumps it).
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -241,7 +228,7 @@ impl Snapshot {
     /// and `b`'s incoming vector — Eq. 10). Pure: two queries against the
     /// same snapshot always return the same bits.
     pub fn estimate(&self, a: NodeId, b: NodeId) -> Result<f64> {
-        Ok(FactorModel::dot(self.outgoing_of(a)?, self.incoming_of(b)?))
+        pair_estimate(self, a, self, b)
     }
 
     /// Joins measurement rows against **this snapshot's** solvers — the
@@ -281,138 +268,75 @@ fn unknown_node(n: NodeId) -> IdesError {
     })
 }
 
-/// Atomic snapshot cell: an [`ArcSwap`] pointer swap. The read side is
-/// one atomic load plus an `Arc` clone with no lock a writer could hold,
-/// so there is no writer-blocks-readers window during publish — a reader
-/// that races a publish gets either the old or the new snapshot, never a
-/// wait.
-#[derive(Debug)]
-struct SnapshotCell {
-    cell: ArcSwap<Snapshot>,
+/// The served estimate (Eq. 10): `a`'s outgoing row from the snapshot
+/// holding it dotted with `b`'s incoming row from the snapshot holding
+/// that — the only place a query's answer is computed. Ids are local to
+/// their snapshot; a single engine passes the same snapshot twice.
+#[inline]
+fn pair_estimate(snap_a: &Snapshot, a: NodeId, snap_b: &Snapshot, b: NodeId) -> Result<f64> {
+    Ok(FactorModel::dot(
+        snap_a.outgoing_of(a)?,
+        snap_b.incoming_of(b)?,
+    ))
 }
 
-impl SnapshotCell {
-    fn new(s: Arc<Snapshot>) -> Self {
-        SnapshotCell {
-            cell: ArcSwap::new(s),
-        }
-    }
+/// One in this many queries records a read-side telemetry span when
+/// telemetry is enabled; every query still counts exactly via
+/// [`ReadPath`]'s always-on counter, whose pre-increment value doubles as
+/// the sampling tick (no thread-local or extra RMW on the hot path).
+/// Keeps the two clock reads a span costs off the sub-100 ns query path
+/// (the `telemetry_overhead` bench gates the residual at ≥ 0.9× disabled
+/// throughput). A power of two.
+const QUERY_SPAN_SAMPLING: u64 = 64;
 
-    fn load(&self) -> Arc<Snapshot> {
-        self.cell.load()
-    }
-
-    fn store(&self, s: Arc<Snapshot>) {
-        self.cell.store(s);
-    }
+/// True when a multiple of [`QUERY_SPAN_SAMPLING`] lies in `q .. q + n` —
+/// for a single query (`n = 1`), when `q` itself is one.
+#[inline]
+fn covers_sampling_tick(q: u64, n: u64) -> bool {
+    (q.wrapping_neg() & (QUERY_SPAN_SAMPLING - 1)) < n
 }
 
-/// One direct-mapped pair-cache entry. `key_a == EMPTY_KEY` marks an
-/// empty slot ([`NodeId::encode`] cannot produce it).
-#[derive(Debug, Clone, Copy)]
-struct CacheEntry {
-    key_a: u64,
-    key_b: u64,
-    /// Snapshot version(s) the estimate was computed against: `a`'s
-    /// endpoint snapshot and `b`'s. A single engine tags both with the
-    /// same version; [`ShardedEngine`] tags each endpoint with its own
-    /// shard's snapshot, so a publish on *either* shard invalidates.
-    ver_a: u64,
-    ver_b: u64,
-    est: f64,
+/// The read path both engines serve through: the always-on `queries`
+/// counter — alone on its cache line, since every reader thread RMWs it —
+/// and the bookkeeping around one read call.
+///
+/// **RMW budget** (atomic read-modify-writes per call; no mutex, no
+/// `Arc` clone and no allocation on any of them):
+///
+/// | call | RMWs |
+/// |---|---|
+/// | same-shard `estimate` | 3 — counter, pin, unpin |
+/// | cross-shard `estimate` | 5 — counter, two pins, two unpins |
+/// | `estimate_on` over caller-pinned snapshots | 1 — counter |
+/// | `estimate_batch` of `n` pairs | 2·shards + 1 — one `fetch_add(n)`, each shard pinned once |
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct ReadPath {
+    queries: AtomicU64,
 }
 
-const EMPTY_KEY: u64 = u64::MAX;
+impl ReadPath {
+    /// Queries counted so far.
+    fn queries(&self) -> u64 {
+        self.queries.load(Ordering::Relaxed)
+    }
 
-/// Version-tagged, sharded, direct-mapped pair-estimate cache. Each shard
-/// is a fixed array of [`CacheEntry`] slots indexed by a hash of the pair
-/// key; inserts overwrite the slot unconditionally (lazy eviction), so
-/// the cache never allocates or drains after construction — a publish
-/// invalidates by version-tag mismatch and the stale entries are simply
-/// overwritten as misses recompute them. No reader or writer ever pays
-/// more than one slot's worth of work inside the shard mutex.
-#[derive(Debug)]
-struct PairCache {
-    shards: Vec<Mutex<Box<[CacheEntry]>>>,
-    capacity: usize,
-    /// Slots currently holding an entry (live or stale) — monotone per
-    /// slot: a slot counts once when it leaves `EMPTY_KEY` and never
-    /// uncounts (lazy eviction overwrites in place). Feeds the
-    /// occupancy gauge in [`ServiceStats`] and the telemetry registry.
-    occupied: AtomicU64,
-}
-
-impl PairCache {
-    fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
-        let empty = CacheEntry {
-            key_a: EMPTY_KEY,
-            key_b: EMPTY_KEY,
-            ver_a: 0,
-            ver_b: 0,
-            est: 0.0,
-        };
-        PairCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(vec![empty; capacity].into_boxed_slice()))
-                .collect(),
-            capacity,
-            occupied: AtomicU64::new(0),
+    /// Runs one read call answering `n` pair queries: counts them with
+    /// one `fetch_add`, and — when telemetry is enabled and the call
+    /// covers a sampling tick — records a [`tm::Stage::Query`] span
+    /// around it. `read` does the pinning and calls [`pair_estimate`];
+    /// the span is recorded after it returns, so nothing that locks
+    /// ever runs under a snapshot pin (and the only allocation there is
+    /// the message of a refused id).
+    #[inline]
+    fn serve<R>(&self, n: u64, read: impl FnOnce() -> Result<R>) -> Result<R> {
+        let q = self.queries.fetch_add(n, Ordering::Relaxed);
+        let t0 = (covers_sampling_tick(q, n) && tm::enabled()).then(tm::now_ns);
+        let answer = read()?;
+        if let Some(t0) = t0 {
+            tm::record_at(tm::Stage::Query, t0);
         }
-    }
-
-    /// Slots currently holding an entry.
-    fn occupied(&self) -> u64 {
-        self.occupied.load(Ordering::Relaxed)
-    }
-
-    /// Total slots across all shards.
-    fn slots(&self) -> u64 {
-        (self.shards.len() * self.capacity) as u64
-    }
-
-    fn mix(a: u64, b: u64) -> u64 {
-        a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
-    }
-
-    /// Shard index from the mix's high bits, slot from its low bits, so
-    /// the two choices stay independent.
-    fn place(&self, mix: u64) -> (usize, usize) {
-        (
-            (mix >> 32) as usize % self.shards.len(),
-            (mix as u32) as usize % self.capacity,
-        )
-    }
-
-    fn get(&self, ver_a: u64, ver_b: u64, a: u64, b: u64) -> Option<f64> {
-        if self.capacity == 0 {
-            return None;
-        }
-        let (shard, slot) = self.place(Self::mix(a, b));
-        let e = self.shards[shard].lock()[slot];
-        (e.key_a == a && e.key_b == b && e.ver_a == ver_a && e.ver_b == ver_b).then_some(e.est)
-    }
-
-    fn insert(&self, ver_a: u64, ver_b: u64, a: u64, b: u64, est: f64) {
-        if self.capacity == 0 {
-            return;
-        }
-        let (shard, slot) = self.place(Self::mix(a, b));
-        let mut entries = self.shards[shard].lock();
-        let was_empty = entries[slot].key_a == EMPTY_KEY;
-        entries[slot] = CacheEntry {
-            key_a: a,
-            key_b: b,
-            ver_a,
-            ver_b,
-            est,
-        };
-        drop(entries);
-        if was_empty {
-            self.occupied.fetch_add(1, Ordering::Relaxed);
-            tm::gauge_add(tm::Gauge::PairCacheOccupied, 1);
-        }
+        Ok(answer)
     }
 }
 
@@ -481,16 +405,6 @@ struct GenSlot {
 /// spin budget per join.
 const FOLLOWER_SPIN: usize = 256;
 
-/// One in this many queries records a read-side telemetry span
-/// (`query` / `cache_hit`) when telemetry is enabled; every query still
-/// counts exactly via the engine's always-on [`ServiceStats`] counter,
-/// whose pre-increment value doubles as the sampling tick (no
-/// thread-local or extra RMW on the hot path). Keeps the two clock
-/// reads a span costs off the ~sub-µs cached-query hot path (the
-/// `telemetry_overhead` bench gates the residual at ≥ 0.9× disabled
-/// throughput).
-const QUERY_SPAN_SAMPLING: u64 = 64;
-
 /// Pending coalesced-admission state (see the module docs).
 struct CoalesceState {
     /// Flattened pending measurement rows (`count` rows of `k` each).
@@ -530,12 +444,10 @@ impl Coalescer {
     }
 }
 
-/// Counter block of the engine (all relaxed atomics; see
-/// [`QueryEngine::stats`]).
+/// Write-side counter block of the engine (all relaxed atomics; see
+/// [`QueryEngine::stats`]). Queries count in [`ReadPath`].
 #[derive(Debug, Default)]
 struct Counters {
-    queries: AtomicU64,
-    cache_hits: AtomicU64,
     joins: AtomicU64,
     flushes: AtomicU64,
     leaves: AtomicU64,
@@ -543,12 +455,16 @@ struct Counters {
 }
 
 /// The concurrent distance-query serving engine. See the [module
-/// docs](self) for the snapshot / coalescer / cache design.
+/// docs](self) for the snapshot / read-path / coalescer design.
 pub struct QueryEngine {
-    snapshot: SnapshotCell,
+    /// The published snapshot. Queries pin it for one closure
+    /// ([`ArcSwap::with`]); a publish is a pointer swap that never makes
+    /// a reader wait — a reader racing it gets the old or the new
+    /// snapshot.
+    snapshot: ArcSwap<Snapshot>,
+    reads: ReadPath,
     writer: Mutex<WriterState>,
     coalescer: Coalescer,
-    cache: PairCache,
     config: ServiceConfig,
     counters: Counters,
     /// Publish-latency histogram (recorded inside [`QueryEngine::publish`]
@@ -610,13 +526,11 @@ impl QueryEngine {
             join_ws: JoinWorkspace::new(),
         };
         let initial = Arc::new(Self::build_snapshot(&writer)?);
-        let cache = PairCache::new(config.cache_shards, config.cache_capacity);
-        tm::gauge_add(tm::Gauge::PairCacheSlots, cache.slots());
         Ok(QueryEngine {
-            snapshot: SnapshotCell::new(initial),
+            snapshot: ArcSwap::new(initial),
+            reads: ReadPath::default(),
             writer: Mutex::new(writer),
             coalescer: Coalescer::new(),
-            cache,
             config,
             counters: Counters::default(),
             publish_hist: Mutex::new(LatencyHistogram::new()),
@@ -637,59 +551,40 @@ impl QueryEngine {
         self.config
     }
 
-    /// The current published snapshot. Cheap (one `Arc` clone under a
-    /// read lock); hold it to answer a batch of queries against one
-    /// consistent version.
+    /// The current published snapshot as an owned `Arc` (a pin plus an
+    /// `Arc` clone, lock-free); hold it to answer many queries against
+    /// one consistent version via [`QueryEngine::estimate_on`], or to
+    /// inspect the published tables.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.snapshot.load()
     }
 
     /// Estimated distance from `a` to `b` against the current snapshot,
-    /// memoized in the epoch-tagged pair cache.
+    /// pinned for the length of the dot product.
     pub fn estimate(&self, a: NodeId, b: NodeId) -> Result<f64> {
-        let snap = self.snapshot();
-        self.estimate_on(&snap, a, b)
+        self.reads
+            .serve(1, || self.snapshot.with(|snap| snap.estimate(a, b)))
     }
 
-    /// [`QueryEngine::estimate`] against a caller-held snapshot (skips the
-    /// snapshot load; the cache still tags by that snapshot's version).
+    /// [`QueryEngine::estimate`] against a caller-held snapshot (pins
+    /// nothing).
     pub fn estimate_on(&self, snap: &Snapshot, a: NodeId, b: NodeId) -> Result<f64> {
-        // The always-on stats counter's pre-increment value is a free
-        // per-engine sequence number: span sampling keys off it, so an
-        // enabled query pays exactly one relaxed flag load beyond the
-        // disabled path (queries/cache-hits reach the exposition from
-        // these exact ServiceStats counters, folded in at export time).
-        let q = self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        // Read-side spans are 1-in-N sampled: two clock reads on a
-        // sub-microsecond cached query would be measurable overhead, a
-        // sampled timeline is not (counters still count every query).
-        let t0 = (tm::enabled() && q.is_multiple_of(QUERY_SPAN_SAMPLING)).then(tm::now_ns);
-        let (ka, kb) = (a.encode(), b.encode());
-        let v = snap.version();
-        if let Some(est) = self.cache.get(v, v, ka, kb) {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(t0) = t0 {
-                tm::record_at(tm::Stage::CacheHit, t0);
-            }
-            return Ok(est);
-        }
-        let est = snap.estimate(a, b)?;
-        self.cache.insert(v, v, ka, kb, est);
-        if let Some(t0) = t0 {
-            tm::record_at(tm::Stage::Query, t0);
-        }
-        Ok(est)
+        self.reads.serve(1, || snap.estimate(a, b))
     }
 
-    /// Answers a batch of pair queries against one snapshot, appending to
-    /// `out` (one estimate per pair, in order).
+    /// Answers a batch of pair queries against one snapshot (pinned once
+    /// for the whole batch), appending to `out` (one estimate per pair,
+    /// in order).
     pub fn estimate_batch(&self, pairs: &[(NodeId, NodeId)], out: &mut Vec<f64>) -> Result<()> {
-        let snap = self.snapshot();
         out.reserve(pairs.len());
-        for &(a, b) in pairs {
-            out.push(self.estimate_on(&snap, a, b)?);
-        }
-        Ok(())
+        self.reads.serve(pairs.len() as u64, || {
+            self.snapshot.with(|snap| {
+                for &(a, b) in pairs {
+                    out.push(snap.estimate(a, b)?);
+                }
+                Ok(())
+            })
+        })
     }
 
     /// Admits a host through the **join coalescer**: the measurements are
@@ -1082,23 +977,20 @@ impl QueryEngine {
         *self.plan_totals.lock()
     }
 
-    /// Counter snapshot (queries served, cache hits, joins, flushes,
-    /// leaves, epochs, published version) plus the instantaneous gauges
-    /// (coalescer queue depth, pair-cache occupancy, chunk-share of the
-    /// latest publish).
+    /// Counter snapshot (queries served, joins, flushes, leaves, epochs,
+    /// published version) plus the instantaneous gauges (coalescer queue
+    /// depth, chunk-share of the latest publish).
     pub fn stats(&self) -> ServiceStats {
         let coalescer_depth = self.coalescer.state.lock().expect("coalescer lock").count as u64;
         ServiceStats {
-            queries: self.counters.queries.load(Ordering::Relaxed),
-            cache_hits: self.counters.cache_hits.load(Ordering::Relaxed),
+            queries: self.reads.queries(),
+            cache_hits: 0,
             joins: self.counters.joins.load(Ordering::Relaxed),
             flushes: self.counters.flushes.load(Ordering::Relaxed),
             leaves: self.counters.leaves.load(Ordering::Relaxed),
             epochs: self.counters.epochs.load(Ordering::Relaxed),
             version: self.snapshot().version(),
             coalescer_depth,
-            cache_occupied: self.cache.occupied(),
-            cache_slots: self.cache.slots(),
             chunk_shared: self.chunk_shared.load(Ordering::Relaxed),
             chunk_total: self.chunk_total.load(Ordering::Relaxed),
         }
@@ -1401,17 +1293,37 @@ mod tests {
             .unwrap();
         let want = FactorModel::dot(snap.model().outgoing(2), snap.model().incoming(7));
         assert_eq!(est.to_bits(), want.to_bits());
-        // Cache hit returns the same bits.
-        let again = e
-            .estimate(NodeId::Landmark(2), NodeId::Landmark(7))
-            .unwrap();
-        assert_eq!(again.to_bits(), est.to_bits());
-        assert!(e.stats().cache_hits >= 1);
+        // Every read call form returns the same bits and counts its
+        // queries: live, caller-pinned, and batched.
+        let pair = (NodeId::Landmark(2), NodeId::Landmark(7));
+        let on = e.estimate_on(&snap, pair.0, pair.1).unwrap();
+        let mut batch = Vec::new();
+        e.estimate_batch(&[pair, pair, pair], &mut batch).unwrap();
+        for got in batch.iter().chain([&on]) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        assert_eq!(batch.len(), 3);
+        let stats = e.stats();
+        assert_eq!(stats.queries, 5);
+        assert_eq!(stats.cache_hits, 0, "no cache: field kept, always 0");
         // Unknown endpoints are rejected.
         assert!(e
             .estimate(NodeId::Landmark(99), NodeId::Landmark(0))
             .is_err());
         assert!(e.estimate(NodeId::Host(0), NodeId::Landmark(0)).is_err());
+        assert!(e
+            .estimate_batch(&[pair, (NodeId::Host(0), pair.1)], &mut batch)
+            .is_err());
+    }
+
+    #[test]
+    fn span_sampling_fires_once_per_period() {
+        let singles = (0..640).filter(|&q| covers_sampling_tick(q, 1)).count();
+        assert_eq!(singles, 10);
+        // A batch is sampled iff its tick range holds a multiple of 64.
+        assert!(covers_sampling_tick(0, 3) && covers_sampling_tick(62, 3));
+        assert!(!covers_sampling_tick(1, 63) && covers_sampling_tick(1, 64));
+        assert!(!covers_sampling_tick(64, 0));
     }
 
     #[test]
@@ -1456,7 +1368,6 @@ mod tests {
         let config = ServiceConfig {
             max_batch: 8,
             linger: Duration::from_millis(2),
-            ..ServiceConfig::default()
         };
         let coalesced = engine(10, 4, config);
         let direct = engine(10, 4, ServiceConfig::default());
@@ -1572,7 +1483,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_publish_invalidates_cache_and_rejoins_hosts() {
+    fn epoch_publish_rejoins_hosts_and_the_next_query_sees_it() {
         let e = engine(12, 4, ServiceConfig::default());
         let id = e.join_direct(&meas(12, 9), &meas(12, 10)).unwrap();
         let before = e.estimate(id, NodeId::Landmark(5)).unwrap();
@@ -1615,12 +1526,16 @@ mod tests {
                 fresh.outgoing(0)[j].to_bits()
             );
         }
-        // The cached pre-drift estimate is not served against the new
-        // snapshot: the fresh answer comes from the fresh model.
+        // No staleness window: the first query issued after apply_epoch
+        // returned is answered from the snapshot it published.
         let after = e.estimate(id, NodeId::Landmark(5)).unwrap();
         let want = snap.estimate(id, NodeId::Landmark(5)).unwrap();
         assert_eq!(after.to_bits(), want.to_bits());
-        let _ = before; // (values may or may not differ; the contract is tag invalidation)
+        assert_ne!(
+            before.to_bits(),
+            after.to_bits(),
+            "epoch must move the estimate for this test to bite"
+        );
         assert_eq!(e.stats().epochs, 1);
     }
 

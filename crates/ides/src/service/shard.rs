@@ -17,30 +17,27 @@
 //!   shard `g % N` at local slot `g / N`. Joins route round-robin, so
 //!   shard populations stay balanced within one host.
 //! * **Writes concurrently**: each shard owns its coalescer, writer lock,
-//!   pair cache, and snapshot cell, so joins/leaves on different shards
-//!   never contend. Drift epochs fan out across shards on scoped threads.
-//! * **Reads lock-free**: a cross-shard estimate loads each endpoint's
-//!   shard snapshot (two `ArcSwap` loads) and dots one coordinate row
-//!   from each — the same arithmetic as the single engine, hence
-//!   bit-identical answers (property-tested in
-//!   `tests/sharding_determinism.rs`).
-//!
-//! Estimates memoize in a `ShardedEngine`-level pair cache tagged with
-//! **both** endpoint snapshots' versions, so a publish on either shard
-//! invalidates exactly the entries it must.
+//!   and snapshot cell, so joins/leaves on different shards never
+//!   contend. Drift epochs fan out across shards on scoped threads.
+//! * **Reads lock-free**: an estimate pins each endpoint's shard snapshot
+//!   (one pin when both rows live on one shard, two otherwise) and dots
+//!   one coordinate row from each through the engines' shared read core
+//!   — the same arithmetic as the single engine, hence bit-identical
+//!   answers (property-tested in `tests/sharding_determinism.rs`).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ides_linalg::Matrix;
-use ides_mf::FactorModel;
 
 use crate::error::{IdesError, Result};
 use crate::streaming::{EpochOutcome, EpochUpdate, StreamingServer};
 use crate::telemetry as tm;
 
 use super::metrics::{EpochPlanTotals, LatencyHistogram, ServiceStats};
-use super::{DistanceService, NodeId, PairCache, QueryEngine, ServiceConfig, Snapshot};
+use super::{
+    pair_estimate, DistanceService, NodeId, QueryEngine, ReadPath, ServiceConfig, Snapshot,
+};
 
 /// A horizontally sharded serving engine (see the [module docs](self)).
 /// Host ids returned by its join paths are **global** (`local · N +
@@ -49,10 +46,36 @@ pub struct ShardedEngine {
     shards: Vec<QueryEngine>,
     /// Round-robin admission router.
     next: AtomicUsize,
-    /// Engine-level pair cache, tagged with both endpoint versions.
-    cache: PairCache,
-    queries: AtomicU64,
-    cache_hits: AtomicU64,
+    /// Engine-level read path: estimates pin the shards' snapshot cells
+    /// directly and count here, not on the per-shard engines.
+    reads: ReadPath,
+}
+
+/// A pair resolved to where its rows live: the shard holding `a`'s
+/// outgoing row and the shard holding `b`'s incoming row, each with the
+/// shard-local id.
+struct Resolved {
+    shard_a: usize,
+    a: NodeId,
+    shard_b: usize,
+    b: NodeId,
+}
+
+/// Every shard's snapshot pinned at once, as a stack-allocated list
+/// built by [`ShardedEngine::with_all_pinned`] (head = shard 0).
+struct PinnedShards<'a> {
+    snap: &'a Snapshot,
+    rest: Option<&'a PinnedShards<'a>>,
+}
+
+impl PinnedShards<'_> {
+    fn shard(&self, i: usize) -> &Snapshot {
+        let mut node = self;
+        for _ in 0..i {
+            node = node.rest.expect("one node per shard");
+        }
+        node.snap
+    }
 }
 
 impl std::fmt::Debug for ShardedEngine {
@@ -79,9 +102,7 @@ impl ShardedEngine {
         Ok(ShardedEngine {
             shards: engines,
             next: AtomicUsize::new(0),
-            cache: PairCache::new(config.cache_shards, config.cache_capacity),
-            queries: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
+            reads: ReadPath::default(),
         })
     }
 
@@ -130,9 +151,23 @@ impl ShardedEngine {
         }
     }
 
-    /// Pins every shard's current snapshot (one `ArcSwap` load each);
-    /// answer a batch against the returned vector via
-    /// [`ShardedEngine::estimate_on`] for one consistent cross-shard view.
+    /// Resolves a pair to the shard(s) holding its rows. Host endpoints
+    /// anchor the shard choice; a host–landmark pair resolves both rows
+    /// on the host's shard, landmark–landmark on shard 0.
+    fn resolve(&self, a: NodeId, b: NodeId) -> Resolved {
+        let shard_a = self.owner(a).or_else(|| self.owner(b)).unwrap_or(0);
+        Resolved {
+            shard_a,
+            a: self.to_local(a),
+            shard_b: self.owner(b).unwrap_or(shard_a),
+            b: self.to_local(b),
+        }
+    }
+
+    /// Every shard's current snapshot as an owned `Arc` (one `ArcSwap`
+    /// load each); answer queries against the returned vector via
+    /// [`ShardedEngine::estimate_on`] for one consistent cross-shard view
+    /// that outlives the call.
     pub fn snapshots(&self) -> Vec<Arc<Snapshot>> {
         self.shards.iter().map(|s| s.snapshot()).collect()
     }
@@ -142,71 +177,77 @@ impl ShardedEngine {
     /// same Eq. 10 arithmetic as [`Snapshot::estimate`], so answers are
     /// bit-identical to a single engine holding all hosts. A
     /// host–landmark pair reads both rows from the host's shard (one
-    /// snapshot, exactly like the single engine); only host–host pairs on
-    /// different shards touch two snapshots.
+    /// pin, exactly like the single engine); only host–host pairs on
+    /// different shards pin two snapshots.
     pub fn estimate(&self, a: NodeId, b: NodeId) -> Result<f64> {
-        self.estimate_with(a, b, |shard| self.shards[shard].snapshot())
+        let r = self.resolve(a, b);
+        self.reads.serve(1, || {
+            self.shards[r.shard_a].snapshot.with(|snap_a| {
+                if r.shard_b == r.shard_a {
+                    pair_estimate(snap_a, r.a, snap_a, r.b)
+                } else {
+                    self.shards[r.shard_b]
+                        .snapshot
+                        .with(|snap_b| pair_estimate(snap_a, r.a, snap_b, r.b))
+                }
+            })
+        })
     }
 
-    /// [`ShardedEngine::estimate`] against caller-pinned snapshots (from
-    /// [`ShardedEngine::snapshots`]); the cache still tags by the pinned
-    /// versions.
+    /// [`ShardedEngine::estimate`] against caller-held snapshots (from
+    /// [`ShardedEngine::snapshots`]); pins nothing. `snaps` must hold one
+    /// snapshot per shard.
     pub fn estimate_on(&self, snaps: &[Arc<Snapshot>], a: NodeId, b: NodeId) -> Result<f64> {
-        assert_eq!(snaps.len(), self.shards.len(), "pinned snapshot set size");
-        self.estimate_with(a, b, |shard| snaps[shard].clone())
+        if snaps.len() != self.shards.len() {
+            return Err(IdesError::InvalidInput(format!(
+                "need one pinned snapshot per shard: got {}, engine has {}",
+                snaps.len(),
+                self.shards.len()
+            )));
+        }
+        let r = self.resolve(a, b);
+        self.reads.serve(1, || {
+            pair_estimate(&snaps[r.shard_a], r.a, &snaps[r.shard_b], r.b)
+        })
     }
 
-    fn estimate_with(
-        &self,
-        a: NodeId,
-        b: NodeId,
-        snap_of: impl Fn(usize) -> Arc<Snapshot>,
-    ) -> Result<f64> {
-        // Like `QueryEngine::estimate_on`: the always-on stats counter's
-        // pre-increment value doubles as the span-sampling tick, so an
-        // enabled query costs one relaxed flag load beyond disabled.
-        let q = self.queries.fetch_add(1, Ordering::Relaxed);
-        let t0 = (tm::enabled() && q.is_multiple_of(super::QUERY_SPAN_SAMPLING)).then(tm::now_ns);
-        // Host endpoints anchor the shard choice; a host–landmark pair
-        // resolves both rows on the host's shard, landmark–landmark on
-        // shard 0.
-        let sa = self.owner(a).or_else(|| self.owner(b)).unwrap_or(0);
-        let sb = self.owner(b).unwrap_or(sa);
-        let snap_a = snap_of(sa);
-        let snap_b = if sb == sa {
-            snap_a.clone()
-        } else {
-            snap_of(sb)
-        };
-        let (ka, kb) = (a.encode(), b.encode());
-        let (va, vb) = (snap_a.version(), snap_b.version());
-        if let Some(est) = self.cache.get(va, vb, ka, kb) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(t0) = t0 {
-                tm::record_at(tm::Stage::CacheHit, t0);
+    /// Pins every shard's snapshot (last shard outermost) and runs `f`
+    /// on the resulting list.
+    fn with_all_pinned<R>(
+        shards: &[QueryEngine],
+        rest: Option<&PinnedShards<'_>>,
+        f: &mut dyn FnMut(&PinnedShards<'_>) -> R,
+    ) -> R {
+        let (last, init) = shards.split_last().expect("at least one shard");
+        last.snapshot.with(|snap| {
+            let pinned = PinnedShards { snap, rest };
+            if init.is_empty() {
+                f(&pinned)
+            } else {
+                Self::with_all_pinned(init, Some(&pinned), f)
             }
-            return Ok(est);
-        }
-        let est = FactorModel::dot(
-            snap_a.outgoing_of(self.to_local(a))?,
-            snap_b.incoming_of(self.to_local(b))?,
-        );
-        self.cache.insert(va, vb, ka, kb, est);
-        if let Some(t0) = t0 {
-            tm::record_at(tm::Stage::Query, t0);
-        }
-        Ok(est)
+        })
     }
 
-    /// Answers a batch of pair queries against one pinned cross-shard
-    /// view, appending to `out`.
+    /// Answers a batch of pair queries against one consistent cross-shard
+    /// view — every shard pinned once for the whole batch — appending to
+    /// `out`.
     pub fn estimate_batch(&self, pairs: &[(NodeId, NodeId)], out: &mut Vec<f64>) -> Result<()> {
-        let snaps = self.snapshots();
         out.reserve(pairs.len());
-        for &(a, b) in pairs {
-            out.push(self.estimate_on(&snaps, a, b)?);
-        }
-        Ok(())
+        self.reads.serve(pairs.len() as u64, || {
+            Self::with_all_pinned(&self.shards, None, &mut |pinned| {
+                for &(a, b) in pairs {
+                    let r = self.resolve(a, b);
+                    out.push(pair_estimate(
+                        pinned.shard(r.shard_a),
+                        r.a,
+                        pinned.shard(r.shard_b),
+                        r.b,
+                    )?);
+                }
+                Ok(())
+            })
+        })
     }
 
     /// Admits a host through the next shard's coalescer (round-robin).
@@ -252,13 +293,20 @@ impl ShardedEngine {
         }
         let rows = d_out.rows();
         let k = d_out.cols();
-        // Deal rows into per-shard sub-batches.
-        let mut sub_out: Vec<Matrix> = (0..n).map(|_| Matrix::zeros(0, k)).collect();
-        let mut sub_in: Vec<Matrix> = (0..n).map(|_| Matrix::zeros(0, k)).collect();
-        for r in 0..rows {
-            sub_out[r % n].push_row(&d_out.as_slice()[r * k..(r + 1) * k]);
-            sub_in[r % n].push_row(&d_in.as_slice()[r * k..(r + 1) * k]);
-        }
+        // Deal rows into per-shard sub-batches (shard `s` gets rows
+        // `s, s + n, …`), each sized once up front.
+        let deal = |d: &Matrix| -> Vec<Matrix> {
+            (0..n)
+                .map(|shard| {
+                    let mut sub = Matrix::zeros(rows.saturating_sub(shard).div_ceil(n), k);
+                    for i in 0..sub.rows() {
+                        sub.set_row(i, d.row(i * n + shard));
+                    }
+                    sub
+                })
+                .collect()
+        };
+        let (sub_out, sub_in) = (deal(d_out), deal(d_in));
         let per_shard: Vec<Result<Vec<NodeId>>> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for (shard, (so, si)) in sub_out.iter().zip(sub_in.iter()).enumerate() {
@@ -404,44 +452,40 @@ impl ShardedEngine {
         ))
     }
 
-    /// Aggregate counters: queries and cache hits are engine-level (the
-    /// sharded estimate path does not pass through the per-shard
-    /// engines); joins, flushes, and leaves sum across shards; `epochs`
-    /// is shard 0's count (every shard applies every epoch); `version`
-    /// sums shard publish counts (total publishes).
+    /// Aggregate counters: queries are engine-level (the sharded estimate
+    /// path does not pass through the per-shard engines); joins, flushes,
+    /// and leaves sum across shards; `epochs` is shard 0's count (every
+    /// shard applies every epoch); `version` sums shard publish counts
+    /// (total publishes).
     pub fn stats(&self) -> ServiceStats {
         let mut joins = 0;
         let mut flushes = 0;
         let mut leaves = 0;
         let mut version = 0;
         let mut coalescer_depth = 0;
-        let mut cache_occupied = 0;
-        let mut cache_slots = 0;
         let mut chunk_shared = 0;
         let mut chunk_total = 0;
+        let mut epochs = None;
         for s in &self.shards {
             let st = s.stats();
+            epochs.get_or_insert(st.epochs);
             joins += st.joins;
             flushes += st.flushes;
             leaves += st.leaves;
             version += st.version;
             coalescer_depth += st.coalescer_depth;
-            cache_occupied += st.cache_occupied;
-            cache_slots += st.cache_slots;
             chunk_shared += st.chunk_shared;
             chunk_total += st.chunk_total;
         }
         ServiceStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            queries: self.reads.queries(),
+            cache_hits: 0,
             joins,
             flushes,
             leaves,
-            epochs: self.shards[0].stats().epochs,
+            epochs: epochs.expect("at least one shard"),
             version,
             coalescer_depth,
-            cache_occupied,
-            cache_slots,
             chunk_shared,
             chunk_total,
         }
@@ -645,28 +689,44 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_cache_invalidates_on_either_publish() {
-        let e = ShardedEngine::new(server(10, 4), 2, ServiceConfig::default()).expect("engine");
-        let a = e.join_direct(&meas(10, 1), &meas(10, 2)).unwrap();
-        let b = e.join_direct(&meas(10, 3), &meas(10, 4)).unwrap();
-        assert_ne!(e.shard_of(a), e.shard_of(b), "pair must straddle shards");
-        let first = e.estimate(a, b).unwrap();
-        let again = e.estimate(a, b).unwrap();
-        assert_eq!(first.to_bits(), again.to_bits());
-        assert!(e.stats().cache_hits >= 1, "second read must hit the cache");
-        // A publish on b's shard (a leave of an unrelated host there)
-        // changes that shard's version; the stale entry stops matching
-        // but the answer bits (same coords) are unchanged.
-        let c = e.join_direct(&meas(10, 5), &meas(10, 6)).unwrap();
-        let hits_before = e.stats().cache_hits;
-        let d = e.join_direct(&meas(10, 7), &meas(10, 8)).unwrap();
-        let _ = (c, d);
-        let after = e.estimate(a, b).unwrap();
-        assert_eq!(first.to_bits(), after.to_bits());
-        assert_eq!(
-            e.stats().cache_hits,
-            hits_before,
-            "stale version tag must miss"
-        );
+    fn every_read_form_agrees_counts_its_queries_and_checks_its_pins() {
+        let e = ShardedEngine::new(server(10, 4), 3, ServiceConfig::default()).expect("engine");
+        let ids: Vec<NodeId> = (0..7)
+            .map(|i| e.join_direct(&meas(10, i), &meas(10, 100 + i)).unwrap())
+            .collect();
+        // Same-shard, cross-shard, host–landmark and landmark–landmark.
+        let pairs = [
+            (ids[0], ids[3]),
+            (ids[0], ids[1]),
+            (ids[5], ids[2]),
+            (ids[4], NodeId::Landmark(3)),
+            (NodeId::Landmark(9), ids[6]),
+            (NodeId::Landmark(1), NodeId::Landmark(2)),
+        ];
+        let singles: Vec<f64> = pairs
+            .iter()
+            .map(|&(a, b)| e.estimate(a, b).unwrap())
+            .collect();
+        let held = e.snapshots();
+        let mut batch = vec![f64::NAN]; // appended to, not cleared
+        e.estimate_batch(&pairs, &mut batch).unwrap();
+        assert_eq!(batch.len(), 1 + pairs.len());
+        for (i, &(a, b)) in pairs.iter().enumerate() {
+            let on = e.estimate_on(&held, a, b).unwrap();
+            assert_eq!(on.to_bits(), singles[i].to_bits(), "pair {i}: pinned");
+            assert_eq!(
+                batch[1 + i].to_bits(),
+                singles[i].to_bits(),
+                "pair {i}: batch"
+            );
+        }
+        let stats = e.stats();
+        assert_eq!(stats.queries, 3 * pairs.len() as u64);
+        assert_eq!(stats.cache_hits, 0);
+        // Reads count on the sharded engine, not on its per-shard engines.
+        assert!(e.shard_stats().iter().all(|st| st.queries == 0));
+        // A pinned set of the wrong size is refused, not a panic.
+        let err = e.estimate_on(&held[..2], ids[0], ids[1]).unwrap_err();
+        assert!(matches!(err, IdesError::InvalidInput(_)), "got {err:?}");
     }
 }

@@ -13,7 +13,7 @@
 //!   `(stage, shard, epoch, t_start, t_end)` for the write-side stages
 //!   (`plan`, `absorb_solve`, `absorb_commit`, `rejoin`, `refresh`,
 //!   `publish`, `flush`, `pipeline_handoff`) and read-side events
-//!   (`query`, `cache_hit`, `coalescer_wait`). Buffers drop-on-full
+//!   (`query`, `coalescer_wait`). Buffers drop-on-full
 //!   with an explicit [`Counter::SpansDropped`] counter, so a drain
 //!   with a zero dropped-count is provably lossless.
 //! * [`export`] — [`render_prometheus`] (cumulative
@@ -22,8 +22,8 @@
 //!   nanoseconds) and [`render_chrome_trace`] (complete-event JSON that
 //!   opens directly in Perfetto / `chrome://tracing`).
 //!
-//! Instrumented call sites live in [`crate::service`] (query, cache
-//! hit, coalescer enqueue/wait/flush, publish, pair-cache occupancy),
+//! Instrumented call sites live in [`crate::service`] (query,
+//! coalescer enqueue/wait/flush, publish),
 //! [`crate::service::shard`] (per-shard labels via [`set_shard`]),
 //! [`crate::streaming`] (per-level absorb/rejoin/refresh spans,
 //! pipeline hand-off), and the `ides-cli serve
@@ -45,8 +45,8 @@ pub use registry::{
     Registry, RegistrySnapshot, Timer, STRIPES,
 };
 pub use spans::{
-    instant, now_ns, record_at, sample_1_in, set_epoch, set_shard, span, take_spans, Span,
-    SpanEvent, Stage, DEFAULT_CAPACITY, NO_SHARD,
+    now_ns, record_at, set_epoch, set_shard, span, take_spans, Span, SpanEvent, Stage,
+    DEFAULT_CAPACITY, NO_SHARD,
 };
 
 /// Serializes tests that flip the global enable flag or assert on the

@@ -40,7 +40,7 @@ pub const STRIPES: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Pair estimates served (cache hits included). Not recorded on the
+    /// Pair estimates served. Not recorded on the
     /// query hot path: the engine's always-on [`ServiceStats`] counter
     /// is already exact, so exporters fold those totals in with
     /// [`Registry::add`] at drain time instead of paying a second RMW
@@ -48,9 +48,6 @@ pub enum Counter {
     ///
     /// [`ServiceStats`]: crate::service::ServiceStats
     Queries,
-    /// Pair estimates answered from the version-tagged pair cache.
-    /// Export-time folded, like [`Counter::Queries`].
-    CacheHits,
     /// Hosts admitted (coalesced and direct).
     Joins,
     /// Admission batch flushes (one batched solve + publish each).
@@ -72,11 +69,10 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counter slots.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
     /// Every counter, in index order (snapshot / exporter iteration).
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::Queries,
-        Counter::CacheHits,
         Counter::Joins,
         Counter::Flushes,
         Counter::Leaves,
@@ -90,7 +86,6 @@ impl Counter {
     pub fn name(self) -> &'static str {
         match self {
             Counter::Queries => "queries_total",
-            Counter::CacheHits => "cache_hits_total",
             Counter::Joins => "joins_total",
             Counter::Flushes => "flushes_total",
             Counter::Leaves => "leaves_total",
@@ -109,28 +104,18 @@ impl Counter {
 pub enum Gauge {
     /// Hosts currently enqueued in admission coalescers (all shards).
     CoalescerQueueDepth,
-    /// Pair-cache entries currently holding a value (all shards).
-    PairCacheOccupied,
-    /// Total pair-cache slots across all constructed engines.
-    PairCacheSlots,
 }
 
 impl Gauge {
     /// Number of gauge slots.
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = 1;
     /// Every gauge, in index order.
-    pub const ALL: [Gauge; Gauge::COUNT] = [
-        Gauge::CoalescerQueueDepth,
-        Gauge::PairCacheOccupied,
-        Gauge::PairCacheSlots,
-    ];
+    pub const ALL: [Gauge; Gauge::COUNT] = [Gauge::CoalescerQueueDepth];
 
     /// Prometheus metric name (without the `ides_` namespace prefix).
     pub fn name(self) -> &'static str {
         match self {
             Gauge::CoalescerQueueDepth => "coalescer_queue_depth",
-            Gauge::PairCacheOccupied => "pair_cache_occupied",
-            Gauge::PairCacheSlots => "pair_cache_slots",
         }
     }
 }

@@ -61,8 +61,6 @@ pub enum Stage {
     PipelineHandoff,
     /// One read-side pair estimate (sampled).
     Query,
-    /// A pair estimate answered from the version-tagged cache (sampled).
-    CacheHit,
     /// A coalescer follower waiting for the leader's flush.
     CoalescerWait,
 }
@@ -80,7 +78,6 @@ impl Stage {
             Stage::Flush => "flush",
             Stage::PipelineHandoff => "pipeline_handoff",
             Stage::Query => "query",
-            Stage::CacheHit => "cache_hit",
             Stage::CoalescerWait => "coalescer_wait",
         }
     }
@@ -141,7 +138,6 @@ thread_local! {
     };
     static SHARD: Cell<u32> = const { Cell::new(NO_SHARD) };
     static EPOCH: Cell<f64> = const { Cell::new(f64::NAN) };
-    static SAMPLE_TICK: Cell<u32> = const { Cell::new(0) };
 }
 
 /// Nanoseconds since the process telemetry epoch.
@@ -163,18 +159,6 @@ pub fn set_shard(shard: u32) -> u32 {
 /// returns the previous label.
 pub fn set_epoch(epoch: f64) -> f64 {
     EPOCH.with(|e| e.replace(epoch))
-}
-
-/// Deterministic per-thread 1-in-`n` sampler for high-frequency events
-/// (read-side query spans): returns `true` every `n`-th call on this
-/// thread. Counters still count every event; only the *span* is
-/// sampled, keeping the hot-path `Instant::now` cost off most queries.
-pub fn sample_1_in(n: u32) -> bool {
-    SAMPLE_TICK.with(|t| {
-        let v = t.get().wrapping_add(1) % n.max(1);
-        t.set(v);
-        v == 0
-    })
 }
 
 fn record(stage: Stage, t_start_ns: u64, t_end_ns: u64) {
@@ -235,19 +219,10 @@ impl Drop for Span {
     }
 }
 
-/// Records a zero-duration event (e.g. a cache hit marker) when
-/// telemetry is enabled.
-#[inline]
-pub fn instant(stage: Stage) {
-    if registry::enabled() {
-        let t = now_ns();
-        record(stage, t, t);
-    }
-}
-
 /// Records a span ending now with an explicit start timestamp (from
-/// [`now_ns`]) — for sites that only know the stage after the work ran,
-/// e.g. a pair estimate that turns out to be a cache hit.
+/// [`now_ns`]) — for sites that decide whether to record only after the
+/// work ran, e.g. a sampled read call that must not record while it
+/// holds a snapshot pin.
 #[inline]
 pub fn record_at(stage: Stage, t_start_ns: u64) {
     if registry::enabled() {
@@ -293,7 +268,7 @@ mod tests {
                     let s = span(Stage::Rejoin);
                     drop(s);
                 }
-                instant(Stage::CacheHit);
+                record_at(Stage::Query, now_ns());
                 LOCAL.with(|(_, t)| *t)
             });
             tids.push(h.join().expect("recorder thread"));
@@ -302,16 +277,13 @@ mod tests {
         let spans = take_spans();
         for (k, tid) in tids.iter().enumerate() {
             let mine: Vec<&SpanEvent> = spans.iter().filter(|e| e.thread == *tid).collect();
-            assert_eq!(mine.len(), 6, "5 rejoin spans + 1 instant");
+            assert_eq!(mine.len(), 6, "5 rejoin spans + 1 query");
             assert!(mine.iter().all(|e| e.shard == k as u32));
             assert!(mine
                 .iter()
                 .all(|e| (e.epoch - (k as f64 + 0.5)).abs() < 1e-12));
             assert!(mine.iter().all(|e| e.t_end_ns >= e.t_start_ns));
-            assert_eq!(
-                mine.iter().filter(|e| e.stage == Stage::CacheHit).count(),
-                1
-            );
+            assert_eq!(mine.iter().filter(|e| e.stage == Stage::Query).count(), 1);
         }
         // Drained means gone: a second drain of those threads is empty.
         let again = take_spans();
@@ -358,19 +330,11 @@ mod tests {
         assert!(!registry::enabled());
         let tid = std::thread::spawn(|| {
             drop(span(Stage::Publish));
-            instant(Stage::Query);
+            record_at(Stage::Query, now_ns());
             LOCAL.with(|(_, t)| *t)
         })
         .join()
         .expect("inert thread");
         assert!(take_spans().iter().all(|e| e.thread != tid));
-    }
-
-    #[test]
-    fn sampler_fires_once_per_period() {
-        let hits = std::thread::spawn(|| (0..640).filter(|_| sample_1_in(64)).count())
-            .join()
-            .expect("sampler thread");
-        assert_eq!(hits, 10);
     }
 }

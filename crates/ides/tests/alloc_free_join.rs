@@ -10,21 +10,30 @@
 //! proportional to the 300 extra hosts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use ides::projection::{join_hosts_into, BatchHostVectors, JoinOptions, JoinSolver, JoinWorkspace};
 use ides_linalg::Matrix;
 
 struct CountingAllocator;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+// Per-thread, so concurrently running tests (and the harness thread that
+// prints their results) cannot bleed allocations into each other's
+// measured regions. Const-initialised `Cell`s need no lazy init and no
+// destructor, which makes them safe to touch from inside the allocator.
+thread_local! {
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -33,8 +42,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,21 +50,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// The counters are process-global, so concurrently running tests would
-/// bleed allocations into each other's measured regions; every test that
-/// measures holds this lock for its full body.
-static MEASURED: Mutex<()> = Mutex::new(());
-
-/// Runs `f` and returns `(allocation calls, allocated bytes)` during it.
+/// Runs `f` and returns `(allocation calls, allocated bytes)` this thread
+/// made during it.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
-    let calls0 = ALLOC_CALLS.load(Ordering::Relaxed);
-    let bytes0 = ALLOC_BYTES.load(Ordering::Relaxed);
+    let calls0 = ALLOC_CALLS.get();
+    let bytes0 = ALLOC_BYTES.get();
     let r = f();
-    (
-        ALLOC_CALLS.load(Ordering::Relaxed) - calls0,
-        ALLOC_BYTES.load(Ordering::Relaxed) - bytes0,
-        r,
-    )
+    (ALLOC_CALLS.get() - calls0, ALLOC_BYTES.get() - bytes0, r)
 }
 
 /// Deterministic full-column-rank reference matrix (k x d).
@@ -89,7 +89,6 @@ fn measurements(hosts: usize, k: usize, seed: u64) -> Matrix {
 /// per additional host — on both factorization-sharing solver paths.
 #[test]
 fn batched_join_zero_alloc_per_additional_host() {
-    let _serial = MEASURED.lock().unwrap();
     let k = 24;
     let d = 8;
     let x_refs = reference(k, d, 1);
@@ -166,7 +165,6 @@ fn batched_join_zero_alloc_per_additional_host() {
 /// (QR path) or nothing at all (normal-equation/ridge paths).
 #[test]
 fn warm_normal_equation_batch_allocates_nothing_at_all() {
-    let _serial = MEASURED.lock().unwrap();
     let k = 16;
     let d = 6;
     let x_refs = reference(k, d, 7);

@@ -6,8 +6,9 @@
 //!    a layout choice, not a semantics choice.
 //! 2. Consecutive snapshots share all but the touched chunks of the
 //!    coordinate tree: publish cost is O(changed chunks), not O(hosts).
-//! 3. The version-tagged pair cache never serves a stale answer across
-//!    publishes on either endpoint's shard.
+//! 3. There is no staleness window: a query issued after a publish on
+//!    either endpoint's shard returns sees that publish, and an id
+//!    recycled after a `leave` serves the new host's coordinates.
 
 use ides::service::{replay, NodeId, QueryEngine, ServiceConfig, ShardedEngine};
 use ides::streaming::{StalenessPolicy, StreamingServer};
@@ -257,10 +258,10 @@ fn estimates_track_snapshot_rows_bit_for_bit_across_churn() {
 }
 
 #[test]
-fn pair_cache_never_serves_across_a_publish() {
-    // Same-shard and cross-shard pairs: after ANY publish that changes an
-    // endpoint's coordinates, the served answer equals the fresh
-    // snapshot's dot — the old cached value must not leak through.
+fn query_after_a_publish_sees_that_publish() {
+    // Same-shard and cross-shard pairs: the first query issued after ANY
+    // publish that changes an endpoint's coordinates equals the fresh
+    // snapshot's dot — every read form, with no staleness window.
     let s = setup();
     let engine = ShardedEngine::new(s.server, 2, ServiceConfig::default()).expect("engine");
     let a = engine
@@ -269,38 +270,106 @@ fn pair_cache_never_serves_across_a_publish() {
     let b = engine
         .join_direct(&row(3, LANDMARKS), &row(4, LANDMARKS))
         .unwrap();
-    let before = engine.estimate(a, b).unwrap();
-    let _warm = engine.estimate(a, b).unwrap(); // cached now
+    let c = engine
+        .join_direct(&row(5, LANDMARKS), &row(6, LANDMARKS))
+        .unwrap();
+    assert_ne!(engine.shard_of(a), engine.shard_of(b), "cross-shard pair");
+    assert_eq!(engine.shard_of(a), engine.shard_of(c), "same-shard pair");
+    let before: Vec<f64> = [(a, b), (a, c)]
+        .iter()
+        .map(|&(x, y)| engine.estimate(x, y).unwrap())
+        .collect();
+    let held = engine.snapshots();
 
     // An epoch re-solves every host's coordinates on both shards.
-    let update = ides::streaming::EpochUpdate {
-        epoch: 1.0,
-        deltas: vec![
-            ides::streaming::MeasurementDelta {
-                from: 0,
-                to: 1,
-                rtt: 64.0,
-            },
-            ides::streaming::MeasurementDelta {
-                from: 1,
-                to: 0,
-                rtt: 64.0,
-            },
-        ],
-    };
+    let deltas = [(0, 1), (1, 0)]
+        .map(|(from, to)| ides::streaming::MeasurementDelta {
+            from,
+            to,
+            rtt: 64.0,
+        })
+        .to_vec();
+    let update = ides::streaming::EpochUpdate { epoch: 1.0, deltas };
     engine.apply_epoch(&update).unwrap();
-    let after = engine.estimate(a, b).unwrap();
-    let (ao, _) = engine.host_coords(a).unwrap();
-    let (_, bi) = engine.host_coords(b).unwrap();
-    let fresh = FactorModel::dot(&ao, &bi);
-    assert_eq!(
-        after.to_bits(),
-        fresh.to_bits(),
-        "stale cache entry served after epoch publish"
-    );
-    assert_ne!(
-        before.to_bits(),
-        after.to_bits(),
-        "epoch must actually move the estimate for this test to bite"
-    );
+    let mut batch = Vec::new();
+    engine
+        .estimate_batch(&[(a, b), (a, c)], &mut batch)
+        .unwrap();
+    for (i, &(x, y)) in [(a, b), (a, c)].iter().enumerate() {
+        let after = engine.estimate(x, y).unwrap();
+        let (xo, _) = engine.host_coords(x).unwrap();
+        let (_, yi) = engine.host_coords(y).unwrap();
+        let fresh = FactorModel::dot(&xo, &yi);
+        assert_eq!(after.to_bits(), fresh.to_bits(), "stale answer after epoch");
+        assert_eq!(batch[i].to_bits(), fresh.to_bits(), "stale batch answer");
+        assert_ne!(
+            before[i].to_bits(),
+            after.to_bits(),
+            "epoch must actually move the estimate for this test to bite"
+        );
+        // A caller-held view keeps answering from the version it pinned.
+        let pinned = engine.estimate_on(&held, x, y).unwrap();
+        assert_eq!(pinned.to_bits(), before[i].to_bits());
+    }
+}
+
+#[test]
+fn recycled_id_serves_the_new_hosts_coordinates() {
+    // leave(id) → estimate(id, ·) errors → a later join recycles the
+    // slot → estimates on the recycled id are the NEW host's dot
+    // products bit for bit; nothing of the departed host can be served.
+    for shards in [1usize, 2] {
+        let s = setup();
+        let engine =
+            ShardedEngine::new(s.server, shards, ServiceConfig::default()).expect("engine");
+        let ids: Vec<NodeId> = (0..4u64)
+            .map(|i| {
+                engine
+                    .join_direct(&row(10 + i, LANDMARKS), &row(20 + i, LANDMARKS))
+                    .unwrap()
+            })
+            .collect();
+        let (gone, peer) = (ids[1], ids[2]);
+        let departed = engine.estimate(gone, peer).unwrap();
+        engine.leave(gone).unwrap();
+        assert!(engine.estimate(gone, peer).is_err(), "{shards} shards");
+        assert!(engine.estimate(peer, gone).is_err(), "{shards} shards");
+        assert!(engine
+            .estimate_batch(&[(peer, peer), (gone, peer)], &mut Vec::new())
+            .is_err());
+
+        // Round-robin routing reaches the freed slot's shard within one
+        // round of admissions.
+        let newcomer = (0..shards as u64)
+            .find(|&i| {
+                let id = engine
+                    .join_direct(&row(500 + i, LANDMARKS), &row(600 + i, LANDMARKS))
+                    .unwrap();
+                id == gone
+            })
+            .expect("freed id must be recycled");
+
+        // Reference: the newcomer's coordinates from a snapshot-side join
+        // of its own measurements, dotted against the peer's rows.
+        let d_out = Matrix::from_rows(&[row(500 + newcomer, LANDMARKS)]).unwrap();
+        let d_in = Matrix::from_rows(&[row(600 + newcomer, LANDMARKS)]).unwrap();
+        let mut fresh = ides::BatchHostVectors::new();
+        engine.snapshots()[0]
+            .join_rows(&d_out, &d_in, &mut fresh)
+            .unwrap();
+        let (peer_out, peer_in) = engine.host_coords(peer).unwrap();
+        let forward = engine.estimate(gone, peer).unwrap();
+        let backward = engine.estimate(peer, gone).unwrap();
+        assert_eq!(
+            forward.to_bits(),
+            FactorModel::dot(fresh.outgoing(0), &peer_in).to_bits(),
+            "{shards} shards: recycled id, outgoing row"
+        );
+        assert_eq!(
+            backward.to_bits(),
+            FactorModel::dot(&peer_out, fresh.incoming(0)).to_bits(),
+            "{shards} shards: recycled id, incoming row"
+        );
+        assert_ne!(forward.to_bits(), departed.to_bits());
+    }
 }

@@ -9,7 +9,7 @@
 //! buffers, so once warm the loops must not allocate at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use ides_datasets::DistanceMatrix;
 use ides_linalg::Matrix;
@@ -18,13 +18,23 @@ use ides_mf::nmf::{self, NmfConfig, NmfInit};
 
 struct CountingAllocator;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+// Per-thread, so the tests of this binary (and the harness thread that
+// prints their results) cannot pollute each other's deltas. Const-
+// initialised `Cell`s need no lazy init and no destructor, which makes
+// them safe to touch from inside the allocator.
+thread_local! {
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -33,8 +43,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -42,16 +51,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Runs `f` and returns `(allocation calls, allocated bytes)` during it.
+/// Runs `f` and returns `(allocation calls, allocated bytes)` this thread
+/// made during it.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, u64, R) {
-    let calls0 = ALLOC_CALLS.load(Ordering::Relaxed);
-    let bytes0 = ALLOC_BYTES.load(Ordering::Relaxed);
+    let calls0 = ALLOC_CALLS.get();
+    let bytes0 = ALLOC_BYTES.get();
     let r = f();
-    (
-        ALLOC_CALLS.load(Ordering::Relaxed) - calls0,
-        ALLOC_BYTES.load(Ordering::Relaxed) - bytes0,
-        r,
-    )
+    (ALLOC_CALLS.get() - calls0, ALLOC_BYTES.get() - bytes0, r)
 }
 
 fn low_rank_nonneg(n: usize) -> Matrix {

@@ -33,9 +33,9 @@ fail=0
 
 # 1. Required series.
 for series in \
-    ides_queries_total ides_cache_hits_total ides_epochs_total \
+    ides_queries_total ides_epochs_total \
     ides_publishes_total ides_spans_dropped_total \
-    ides_pair_cache_occupied ides_chunk_share_ratio \
+    ides_coalescer_queue_depth ides_chunk_share_ratio \
     ides_publish_latency_ns_count ides_query_latency_ns_bucket \
     ides_query_latency_ns_sum ides_query_latency_ns_count; do
     if ! grep -q "^$series" "$metrics"; then
