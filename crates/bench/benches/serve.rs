@@ -11,7 +11,7 @@
 //! * `coalesced_join/500` vs `per_request_join/500` — one iteration is a
 //!   wave of 500 **concurrent** joiners: a persistent pool of 500 worker
 //!   threads rendezvouses at a barrier, each admits one host (through
-//!   `QueryEngine::join` / `QueryEngine::join_per_request`), and the wave
+//!   `ShardedEngine::join` / `ShardedEngine::join_per_request`), and the wave
 //!   is retired in one `leave_many` so the table stays bounded. The pool
 //!   persists across iterations, so thread spawning never enters the
 //!   timing. The within-group ratio is the CI-gated serving headline
@@ -31,15 +31,17 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ides::service::load::{self, ServeScenario};
 use ides::service::{NodeId, ServiceConfig};
+use ides::streaming::StalenessPolicy;
 
 const LANDMARKS: usize = 64;
 const DIM: usize = 16;
 const HOSTS: usize = 500;
 const SEED: u64 = 20041025;
 
+/// The shared deployment on one shard (global host ids are its slots).
 fn scenario(hosts: usize) -> ServeScenario {
-    load::synthetic_scenario(LANDMARKS, hosts, DIM, SEED, ServiceConfig::default())
-        .expect("scenario")
+    let (config, policy) = (ServiceConfig::default(), StalenessPolicy::default());
+    load::synthetic_scenario(LANDMARKS, hosts, DIM, SEED, 1, config, policy).expect("scenario")
 }
 
 fn bench_serve(c: &mut Criterion) {
@@ -118,7 +120,7 @@ fn bench_serve(c: &mut Criterion) {
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             let writer = scope.spawn(|| {
-                let mut epoch = s.engine.snapshot().epoch();
+                let mut epoch = s.engine.current_epoch();
                 let mut k = 0usize;
                 while !stop.load(Ordering::Relaxed) {
                     std::thread::sleep(Duration::from_millis(2));

@@ -7,13 +7,13 @@
 //! here at the scale where the old flat-clone publish was hopeless:
 //!
 //! * `publish_churn/1x` vs `publish_churn/10x` — one iteration is one
-//!   join + one leave (two publishes) against a single engine grown to
+//!   join + one leave (two publishes) against a one-shard engine grown to
 //!   10⁵ then 10⁶ admitted hosts (10⁴ → 10⁵ under `CRITERION_QUICK=1`).
 //!   With flat snapshot clones the 10x point would cost ~10× the 1x
 //!   point; with the chunk tree both copy a handful of chunks, so the
 //!   gated within-run ratio stays near 1 (acceptance: ≤ 2x).
 //! * `qps/shards{1,2,4,8}` — single-threaded closed-loop estimates
-//!   against a [`ShardedEngine`] holding the 10x population, one group
+//!   against an engine holding the 10x population, one group
 //!   per shard count over the same substrate. A query reads two rows
 //!   through at most two shard snapshots regardless of N, so per-query
 //!   cost — and therefore single-core qps — must stay flat as shards
@@ -31,7 +31,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ides::service::load::{self, ServeScenario};
-use ides::service::{ServiceConfig, ShardedEngine};
+use ides::service::ServiceConfig;
 
 const LANDMARKS: usize = 32;
 const DIM: usize = 8;
@@ -51,7 +51,7 @@ fn base_hosts() -> usize {
     }
 }
 
-fn scale(hosts: usize, shards: usize) -> ServeScenario<ShardedEngine> {
+fn scale(hosts: usize, shards: usize) -> ServeScenario {
     load::scale_scenario(
         LANDMARKS,
         hosts,

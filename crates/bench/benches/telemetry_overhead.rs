@@ -24,6 +24,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ides::service::load::{self, ServeScenario};
 use ides::service::ServiceConfig;
+use ides::streaming::StalenessPolicy;
 use ides::telemetry;
 
 const LANDMARKS: usize = 64;
@@ -32,8 +33,8 @@ const HOSTS: usize = 500;
 const SEED: u64 = 20041025;
 
 fn scenario(hosts: usize) -> ServeScenario {
-    load::synthetic_scenario(LANDMARKS, hosts, DIM, SEED, ServiceConfig::default())
-        .expect("scenario")
+    let (config, policy) = (ServiceConfig::default(), StalenessPolicy::default());
+    load::synthetic_scenario(LANDMARKS, hosts, DIM, SEED, 1, config, policy).expect("scenario")
 }
 
 fn bench_telemetry_overhead(c: &mut Criterion) {

@@ -277,6 +277,22 @@ fn serve_reports_queries_without_cache_fields() {
 }
 
 #[test]
+fn serve_refuses_degenerate_load_shapes_without_panicking() {
+    for degenerate in ["--threads 0", "--hosts 0"] {
+        let out = bin()
+            .args("serve --landmarks 12 --dim 4 --hosts 24 --duration-s 0.4".split(' '))
+            .args(degenerate.split(' '))
+            .output()
+            .expect("serve");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(!out.status.success(), "{degenerate} should fail");
+        assert!(!stderr.contains("panicked"), "{degenerate}: {stderr}");
+        assert_eq!(stderr.trim_end().lines().count(), 1, "{stderr}");
+        assert!(stderr.starts_with("serve measurement failed:"), "{stderr}");
+    }
+}
+
+#[test]
 fn unknown_command_fails_with_help() {
     let out = bin().arg("bogus").output().expect("run");
     assert!(!out.status.success());

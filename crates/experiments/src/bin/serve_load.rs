@@ -8,7 +8,7 @@
 //! costs ~2µs and coordination overhead dominates. Measures:
 //!
 //! * **Admission**: 500 concurrent joiners through the coalescer vs the
-//!   conventional per-request QR path (`QueryEngine::join_per_request`),
+//!   conventional per-request QR path (`ShardedEngine::join_per_request`),
 //!   barrier-timed — the coalesced-vs-per-request speedup is gated by
 //!   `scripts/check_bench.sh` via the `serve` bench group and must stay
 //!   ≥ 5x here.

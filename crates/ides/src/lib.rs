@@ -30,17 +30,18 @@
 //!   refits beyond the [`streaming::StalenessPolicy`] threshold, and
 //!   sharded re-joins of only the affected hosts.
 //! * [`service`] — the concurrent serving engine:
-//!   [`service::QueryEngine`] answers `estimate(a, b)` for thousands of
+//!   [`service::ShardedEngine`] answers `estimate(a, b)` for thousands of
 //!   concurrent readers from **epoch-versioned, immutable snapshots**
-//!   (readers grab an `Arc<Snapshot>`; the streaming writer publishes a
-//!   new one after each drift epoch, so queries never block on
-//!   maintenance and never see a torn epoch), admits new hosts through a
-//!   **join coalescer** (concurrent join requests solve as one batched
-//!   cached-Gram system — the batch-join amortization applied across
-//!   requesters), memoizes pair estimates in an **epoch-tagged cache**,
-//!   and retires departed hosts to a free list. Paired with
-//!   `ides_netsim::workload` (deterministic query/join/leave/drift event
-//!   streams), [`service::replay`] (bit-identical replay at any thread
+//!   (a query pins the published `Snapshot` for one closure; the
+//!   streaming writer publishes a new one after each drift epoch, so
+//!   queries never block on maintenance and never see a torn epoch),
+//!   admits new hosts through a **join coalescer** (concurrent join
+//!   requests solve as one batched cached-Gram system — the batch-join
+//!   amortization applied across requesters), retires departed hosts to
+//!   a free list, and partitions hosts over as many single-writer shards
+//!   as its constructor is given. Paired with `ides_netsim::workload`
+//!   (deterministic query/join/leave/drift event streams),
+//!   [`service::replay`] (bit-identical replay at any thread or shard
 //!   count) and [`service::load`] (wall-clock latency/throughput
 //!   harness).
 //! * [`telemetry`] — end-to-end observability: a lock-free,
@@ -83,7 +84,7 @@ pub mod telemetry;
 
 pub use error::{IdesError, Result};
 pub use projection::{BatchHostVectors, HostVectors, JoinOptions, JoinSolver};
-pub use service::{NodeId, QueryEngine, ServiceConfig, Snapshot};
+pub use service::{NodeId, ServiceConfig, ShardedEngine, Snapshot};
 pub use streaming::{
     EpochOutcome, EpochUpdate, MeasurementDelta, StalenessPolicy, StreamingServer, UpdateQueue,
 };

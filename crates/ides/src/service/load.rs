@@ -1,6 +1,5 @@
-//! Wall-clock load harness: drives real threads against any
-//! [`DistanceService`] — a single [`QueryEngine`] or a
-//! [`ShardedEngine`] — and reports latency quantiles and throughput.
+//! Wall-clock load harness: drives real threads against a
+//! [`ShardedEngine`] and reports latency quantiles and throughput.
 //!
 //! Unlike [`super::replay`] (deterministic, event-ordered, used for the
 //! bit-identity contracts), this harness measures the engine under
@@ -9,10 +8,9 @@
 //! optional drift writer applies epoch updates at a fixed interval, and
 //! an optional churn worker joins/leaves hosts continuously. Per-thread
 //! [`LatencyHistogram`]s merge into the report, so p50/p99 come from
-//! every recorded operation, not a sample; on a sharded engine each
-//! query also lands in the histogram of the shard that served its first
-//! endpoint ([`LoadReport::per_shard_latency`]), so shard imbalance is
-//! visible.
+//! every recorded operation, not a sample; each query also lands in the
+//! histogram of the shard that served its first endpoint
+//! ([`LoadReport::per_shard_latency`]), so shard imbalance is visible.
 //!
 //! This is the measurement side of the `serve` / `serve_sharded` bench
 //! groups and the `ides-cli serve` command: quiescent vs under-drift
@@ -27,11 +25,11 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::error::Result;
-use crate::streaming::EpochUpdate;
+use crate::error::{IdesError, Result};
+use crate::streaming::{EpochUpdate, StalenessPolicy, StreamingServer};
 
 use super::metrics::{EpochPlanTotals, LatencyHistogram, ServiceStats};
-use super::{DistanceService, NodeId, QueryEngine, ShardedEngine};
+use super::{NodeId, ServiceConfig, ShardedEngine};
 
 /// Query-load shape.
 #[derive(Debug, Clone, Copy)]
@@ -61,8 +59,8 @@ impl Default for LoadConfig {
 
 /// Continuous drift applied while the query load runs: the updates are
 /// cycled in order, one writer call per `interval` — a single
-/// [`QueryEngine::apply_epoch`] when `batch <= 1`, a pipelined
-/// [`QueryEngine::apply_epochs`] batch otherwise (epoch `N`'s host
+/// [`ShardedEngine::apply_epoch`] when `batch <= 1`, a pipelined
+/// [`ShardedEngine::apply_epochs`] batch otherwise (epoch `N`'s host
 /// rejoins overlap epoch `N+1`'s landmark absorbs; one publish per
 /// batch).
 #[derive(Debug, Clone)]
@@ -104,7 +102,7 @@ pub struct LoadReport {
     /// Join/leave pairs completed by the churn worker.
     pub churned: u64,
     /// Query latency split by the shard that served each query's first
-    /// endpoint (one entry per shard; a single engine reports one).
+    /// endpoint (one entry per shard).
     pub per_shard_latency: Vec<LatencyHistogram>,
 }
 
@@ -112,16 +110,24 @@ pub struct LoadReport {
 /// against `engine`, sampling query pairs uniformly from `nodes`. The
 /// node list must stay valid for the whole run — pass landmarks and
 /// hosts that the churn worker does not touch.
-pub fn run<S: DistanceService + ?Sized>(
-    engine: &S,
+pub fn run(
+    engine: &ShardedEngine,
     nodes: &[NodeId],
     config: &LoadConfig,
     drift: Option<&DriftLoad>,
     churn: Option<&ChurnLoad>,
 ) -> Result<LoadReport> {
-    assert!(nodes.len() >= 2, "need at least two nodes to query");
-    assert!(config.threads >= 1, "need at least one query worker");
-    let n_shards = engine.shard_count().max(1);
+    if nodes.len() < 2 {
+        return Err(IdesError::InvalidInput(
+            "need at least two nodes to query".into(),
+        ));
+    }
+    if config.threads == 0 {
+        return Err(IdesError::InvalidInput(
+            "need at least one query worker".into(),
+        ));
+    }
+    let n_shards = engine.shard_count();
     let stats_before = engine.stats();
     let stop = AtomicBool::new(false);
     let start = Instant::now();
@@ -256,13 +262,11 @@ pub fn run<S: DistanceService + ?Sized>(
 /// measurement rows for churn, and a cycle of landmark drift epochs).
 /// Shared by `ides-cli serve`, the `serve` / `serve_sharded` bench
 /// groups, and the `serve_load` experiment so they all measure the same
-/// deployment. Generic over the engine: [`QueryEngine`] for the classic
-/// single-writer scenarios, [`ShardedEngine`] for the sharded and scale
-/// ones.
+/// deployment.
 #[derive(Debug)]
-pub struct ServeScenario<S = QueryEngine> {
+pub struct ServeScenario {
     /// The serving engine (landmark model fitted, hosts admitted).
-    pub engine: S,
+    pub engine: ShardedEngine,
     /// Landmarks plus every admitted host — the query population.
     pub nodes: Vec<NodeId>,
     /// Admitted hosts' measurement rows (out, in), usable as churn fodder
@@ -282,11 +286,9 @@ struct ScenarioSubstrate {
     drift: ides_netsim::drift::DriftModel,
     lm_ids: Vec<usize>,
     host_ids: Vec<usize>,
-    server: crate::streaming::StreamingServer,
+    server: StreamingServer,
     drift_updates: Vec<EpochUpdate>,
 }
-
-use crate::streaming::StreamingServer;
 
 impl ScenarioSubstrate {
     /// Fits the landmark model at drift epoch zero over the given
@@ -297,7 +299,7 @@ impl ScenarioSubstrate {
         host_ids: Vec<usize>,
         dim: usize,
         seed: u64,
-        policy: crate::streaming::StalenessPolicy,
+        policy: StalenessPolicy,
     ) -> Result<ScenarioSubstrate> {
         use ides_netsim::drift::{DriftModel, DriftStream};
 
@@ -308,7 +310,7 @@ impl ScenarioSubstrate {
         });
         let server = StreamingServer::new(
             &ides_datasets::DistanceMatrix::full("serve-lm", lm)
-                .map_err(|e| crate::error::IdesError::InvalidInput(e.to_string()))?,
+                .map_err(|e| IdesError::InvalidInput(e.to_string()))?,
             dim,
             policy,
         )?;
@@ -336,15 +338,15 @@ impl ScenarioSubstrate {
     }
 }
 
-/// Builds the P2PSim-like substrate used by [`synthetic_scenario`] and
-/// [`synthetic_scenario_sharded`] (post-filter host sampling, King-style
-/// measurement of the landmark matrix's substrate).
+/// Builds the P2PSim-like substrate used by [`synthetic_scenario`]
+/// (post-filter host sampling, King-style measurement of the landmark
+/// matrix's substrate).
 fn p2psim_substrate(
     landmarks: usize,
     hosts: usize,
     dim: usize,
     seed: u64,
-    policy: crate::streaming::StalenessPolicy,
+    policy: StalenessPolicy,
 ) -> Result<ScenarioSubstrate> {
     // `p2psim_like(n)` treats `n` as a *post-filter* target: how many
     // hosts survive its measurement-loss filter is stochastic, and at
@@ -355,7 +357,7 @@ fn p2psim_substrate(
     let mut target = want;
     let ds = loop {
         let ds = ides_datasets::generators::p2psim_like(target, seed)
-            .map_err(|e| crate::error::IdesError::InvalidInput(e.to_string()))?;
+            .map_err(|e| IdesError::InvalidInput(e.to_string()))?;
         if ds.row_hosts.len() >= want {
             break ds;
         }
@@ -368,42 +370,21 @@ fn p2psim_substrate(
 
 /// Builds a [`ServeScenario`]: a P2PSim-like transit-stub topology, a
 /// ±20 % diurnal drift layer, `landmarks` landmarks fitted at drift epoch
-/// zero, and `hosts` ordinary hosts admitted from their epoch-zero
-/// measurements. Deterministic per seed.
+/// zero under `policy` — e.g. a lowered
+/// [`min_pipeline_hosts`](StalenessPolicy::min_pipeline_hosts) so small CI
+/// deployments still engage the cross-epoch pipeline — and `hosts`
+/// ordinary hosts admitted one by one from their epoch-zero measurements,
+/// round-robin over `shards` shards. Deterministic per seed.
 pub fn synthetic_scenario(
     landmarks: usize,
     hosts: usize,
     dim: usize,
     seed: u64,
-    config: super::ServiceConfig,
-) -> Result<ServeScenario> {
-    synthetic_scenario_with_policy(
-        landmarks,
-        hosts,
-        dim,
-        seed,
-        config,
-        crate::streaming::StalenessPolicy::default(),
-    )
-}
-
-/// [`synthetic_scenario`] with an explicit [`StalenessPolicy`] for the
-/// fitted streaming server — e.g. a lowered
-/// [`min_pipeline_hosts`](crate::streaming::StalenessPolicy::min_pipeline_hosts)
-/// so small CI deployments still engage the cross-epoch pipeline (and
-/// emit overlapping `pipeline_handoff`/`rejoin` trace spans).
-///
-/// [`StalenessPolicy`]: crate::streaming::StalenessPolicy
-pub fn synthetic_scenario_with_policy(
-    landmarks: usize,
-    hosts: usize,
-    dim: usize,
-    seed: u64,
-    config: super::ServiceConfig,
-    policy: crate::streaming::StalenessPolicy,
+    shards: usize,
+    config: ServiceConfig,
+    policy: StalenessPolicy,
 ) -> Result<ServeScenario> {
     let sub = p2psim_substrate(landmarks, hosts, dim, seed, policy)?;
-    let engine = QueryEngine::new(sub.server.clone(), config)?;
     let host_rows: Vec<(Vec<f64>, Vec<f64>)> = sub
         .host_ids
         .iter()
@@ -412,63 +393,7 @@ pub fn synthetic_scenario_with_policy(
             (row.clone(), row)
         })
         .collect();
-    let mut nodes: Vec<NodeId> = (0..landmarks).map(NodeId::Landmark).collect();
-    for (d_out, d_in) in &host_rows {
-        nodes.push(engine.join_direct(d_out, d_in)?);
-    }
-    Ok(ServeScenario {
-        engine,
-        nodes,
-        host_rows,
-        drift_updates: sub.drift_updates,
-    })
-}
-
-/// [`synthetic_scenario`] partitioned across `shards` engines: the same
-/// substrate and the same epoch-zero measurement rows, admitted
-/// round-robin into a [`ShardedEngine`]. Deterministic per seed.
-pub fn synthetic_scenario_sharded(
-    landmarks: usize,
-    hosts: usize,
-    dim: usize,
-    seed: u64,
-    shards: usize,
-    config: super::ServiceConfig,
-) -> Result<ServeScenario<ShardedEngine>> {
-    synthetic_scenario_sharded_with_policy(
-        landmarks,
-        hosts,
-        dim,
-        seed,
-        shards,
-        config,
-        crate::streaming::StalenessPolicy::default(),
-    )
-}
-
-/// [`synthetic_scenario_sharded`] with an explicit [`StalenessPolicy`]
-/// (see [`synthetic_scenario_with_policy`]).
-///
-/// [`StalenessPolicy`]: crate::streaming::StalenessPolicy
-pub fn synthetic_scenario_sharded_with_policy(
-    landmarks: usize,
-    hosts: usize,
-    dim: usize,
-    seed: u64,
-    shards: usize,
-    config: super::ServiceConfig,
-    policy: crate::streaming::StalenessPolicy,
-) -> Result<ServeScenario<ShardedEngine>> {
-    let sub = p2psim_substrate(landmarks, hosts, dim, seed, policy)?;
-    let engine = ShardedEngine::new(sub.server.clone(), shards, config)?;
-    let host_rows: Vec<(Vec<f64>, Vec<f64>)> = sub
-        .host_ids
-        .iter()
-        .map(|&h| {
-            let row = sub.row(h);
-            (row.clone(), row)
-        })
-        .collect();
+    let engine = ShardedEngine::new(sub.server, shards, config)?;
     let mut nodes: Vec<NodeId> = (0..landmarks).map(NodeId::Landmark).collect();
     for (d_out, d_in) in &host_rows {
         nodes.push(engine.join_direct(d_out, d_in)?);
@@ -504,8 +429,8 @@ pub fn scale_scenario(
     dim: usize,
     seed: u64,
     shards: usize,
-    config: super::ServiceConfig,
-) -> Result<ServeScenario<ShardedEngine>> {
+    config: ServiceConfig,
+) -> Result<ServeScenario> {
     use ides_netsim::{TransitStubParams, TransitStubTopology};
     use rand::rngs::StdRng as NetRng;
     use rand::SeedableRng as _;
@@ -522,7 +447,7 @@ pub fn scale_scenario(
         host_ids,
         dim,
         seed,
-        crate::streaming::StalenessPolicy::default(),
+        StalenessPolicy::default(),
     )?;
 
     let engine = ShardedEngine::new(sub.server.clone(), shards, config)?;
@@ -550,9 +475,10 @@ pub fn scale_scenario(
 
 /// Admission-throughput comparison: `rows` join requests issued by
 /// `joiner_threads` concurrent threads, once through the coalescer
-/// ([`QueryEngine::join`]) and once through the conventional per-request
-/// path ([`QueryEngine::join_per_request`]: one QR factorization and one
-/// publish per request), each against a fresh engine from `make_engine`.
+/// ([`ShardedEngine::join`]) and once through the conventional
+/// per-request path ([`ShardedEngine::join_per_request`]: one QR
+/// factorization and one publish per request), each against a fresh
+/// engine from `make_engine`.
 /// Threads rendezvous at a barrier before the clock starts, so spawn
 /// overhead is excluded and both sides measure pure admission work. The
 /// ratio is the serving headline: how much admission cost the coalescer
@@ -572,18 +498,17 @@ pub struct AdmissionReport {
     pub coalesced_flushes: u64,
 }
 
-/// Runs the comparison (see [`AdmissionReport`]). Generic over the
-/// engine, so the sharded admission path can be compared the same way.
-pub fn admission_comparison<F, S>(
-    make_engine: F,
+/// Runs the comparison (see [`AdmissionReport`]).
+pub fn admission_comparison(
+    make_engine: impl Fn() -> Result<ShardedEngine>,
     rows: &[(Vec<f64>, Vec<f64>)],
     joiner_threads: usize,
-) -> Result<AdmissionReport>
-where
-    S: DistanceService,
-    F: Fn() -> Result<S>,
-{
-    assert!(!rows.is_empty(), "need join rows");
+) -> Result<AdmissionReport> {
+    if rows.is_empty() {
+        return Err(IdesError::InvalidInput(
+            "need at least one host row to compare admission paths".into(),
+        ));
+    }
     let joiner_threads = joiner_threads.clamp(1, rows.len());
     let time_side = |coalesced: bool| -> Result<(Duration, u64)> {
         let engine = make_engine()?;
@@ -654,13 +579,13 @@ pub struct ServeMeasurementConfig {
     /// Open-loop per-thread pacing; `None` = closed loop.
     pub pace_per_thread: Option<f64>,
     /// Engine knobs.
-    pub service: super::ServiceConfig,
+    pub service: ServiceConfig,
     /// Gap between drift epochs in the under-drift phase.
     pub drift_interval: Duration,
     /// Drift epochs per writer call (>= 2 engages the cross-epoch
     /// pipeline; 1 = classic barriered epochs).
     pub drift_batch: usize,
-    /// Horizontal shards (1 = classic single-engine serving).
+    /// Horizontal shards (1 = classic single-writer serving).
     pub shards: usize,
     /// Override for the streaming server's
     /// [`min_pipeline_hosts`](crate::streaming::StalenessPolicy::min_pipeline_hosts)
@@ -680,7 +605,7 @@ impl Default for ServeMeasurementConfig {
             phase: Duration::from_secs(2),
             seed: 20041025,
             pace_per_thread: None,
-            service: super::ServiceConfig::default(),
+            service: ServiceConfig::default(),
             drift_interval: Duration::from_millis(2),
             drift_batch: 1,
             shards: 1,
@@ -714,37 +639,29 @@ pub struct ServeSummary {
 }
 
 impl ServeSummary {
-    /// Runs the standard measurement: builds the scenario (sharded when
-    /// `config.shards > 1`), re-admits every host onto fresh engines for
-    /// the admission comparison, then runs the two query phases against
-    /// the admitted deployment.
+    /// Runs the standard measurement: builds the scenario over
+    /// `config.shards` shards, re-admits every host onto fresh engines
+    /// for the admission comparison, then runs the two query phases
+    /// against the admitted deployment.
     pub fn measure(config: ServeMeasurementConfig) -> Result<ServeSummary> {
-        let mut policy = crate::streaming::StalenessPolicy::default();
+        let mut policy = StalenessPolicy::default();
         if let Some(n) = config.min_pipeline_hosts {
             policy.min_pipeline_hosts = n;
         }
-        let scenario = synthetic_scenario_sharded_with_policy(
-            config.landmarks,
-            config.hosts,
-            config.dim,
-            config.seed,
-            config.shards.max(1),
-            config.service,
-            policy,
-        )?;
+        let scenario_with = |hosts: usize| {
+            synthetic_scenario(
+                config.landmarks,
+                hosts,
+                config.dim,
+                config.seed,
+                config.shards.max(1),
+                config.service,
+                policy,
+            )
+        };
+        let scenario = scenario_with(config.hosts)?;
         let admission = admission_comparison(
-            || {
-                synthetic_scenario_sharded_with_policy(
-                    config.landmarks,
-                    0,
-                    config.dim,
-                    config.seed,
-                    config.shards.max(1),
-                    config.service,
-                    policy,
-                )
-                .map(|s| s.engine)
-            },
+            || scenario_with(0).map(|s| s.engine),
             &scenario.host_rows,
             config.hosts,
         )?;
@@ -903,15 +820,14 @@ impl ServeSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ServiceConfig;
-    use crate::streaming::{MeasurementDelta, StalenessPolicy, StreamingServer};
+    use crate::streaming::MeasurementDelta;
 
-    fn engine() -> QueryEngine {
+    fn engine() -> ShardedEngine {
         let ds = ides_datasets::generators::p2psim_like(20, 31).expect("dataset");
         let sub: Vec<usize> = (0..12).collect();
         let lm = ds.matrix.submatrix(&sub, &sub);
         let server = StreamingServer::new(&lm, 4, StalenessPolicy::default()).expect("server");
-        QueryEngine::new(server, ServiceConfig::default()).expect("engine")
+        ShardedEngine::new(server, 1, ServiceConfig::default()).expect("engine")
     }
 
     #[test]
@@ -957,25 +873,43 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_scenario_and_admission_comparison() {
-        let s = synthetic_scenario(10, 12, 4, 99, ServiceConfig::default()).expect("scenario");
+    fn scenario_builds_and_admission_comparison_runs() {
+        let scenario = |hosts: usize, shards: usize| {
+            let policy = StalenessPolicy::default();
+            synthetic_scenario(10, hosts, 4, 99, shards, ServiceConfig::default(), policy)
+        };
+        let s = scenario(12, 2).expect("scenario");
         assert_eq!(s.nodes.len(), 22);
-        assert_eq!(s.engine.snapshot().host_count(), 12);
+        let admitted: usize = s.engine.snapshots().iter().map(|sn| sn.host_count()).sum();
+        assert_eq!(admitted, 12);
         assert!(!s.drift_updates.is_empty(), "drift must emit epochs");
         // Every admitted host answers queries.
         for &n in &s.nodes {
             assert!(s.engine.estimate(n, s.nodes[0]).is_ok());
         }
-        let report = admission_comparison(
-            || synthetic_scenario(10, 0, 4, 99, ServiceConfig::default()).map(|sc| sc.engine),
-            &s.host_rows,
-            4,
-        )
-        .expect("admission comparison");
+        let report = admission_comparison(|| scenario(0, 1).map(|sc| sc.engine), &s.host_rows, 4)
+            .expect("admission comparison");
         assert_eq!(report.joiners, 12);
         assert!(report.coalesced_per_sec > 0.0);
         assert!(report.per_request_per_sec > 0.0);
         assert!(report.coalesced_flushes >= 1);
+    }
+
+    #[test]
+    fn degenerate_load_shapes_are_errors_not_panics() {
+        let e = engine();
+        let nodes: Vec<NodeId> = (0..12).map(NodeId::Landmark).collect();
+        let no_workers = LoadConfig {
+            threads: 0,
+            ..LoadConfig::default()
+        };
+        for refused in [
+            run(&e, &nodes, &no_workers, None, None).map(|_| ()),
+            run(&e, &nodes[..1], &LoadConfig::default(), None, None).map(|_| ()),
+            admission_comparison(|| Ok(engine()), &[], 4).map(|_| ()),
+        ] {
+            assert!(matches!(refused, Err(IdesError::InvalidInput(_))));
+        }
     }
 
     #[test]
@@ -1007,7 +941,7 @@ mod tests {
             .estimate(s.nodes[8], s.nodes[307])
             .expect("estimate");
         assert!(est.is_finite());
-        // The generic load harness attributes latency per shard.
+        // The load harness attributes latency per shard.
         let report = run(
             &s.engine,
             &s.nodes,

@@ -186,7 +186,8 @@ impl LatencyHistogram {
     }
 }
 
-/// Counter snapshot of a [`crate::service::QueryEngine`].
+/// Counter snapshot of a [`crate::service::ShardedEngine`] (or of one of
+/// its shards: [`crate::service::ShardedEngine::shard_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Pair estimates served.
@@ -232,7 +233,8 @@ impl ServiceStats {
 /// Accumulated shape of the epoch plans a drift writer has executed
 /// ([`crate::streaming::dag::PlanStats`] summed over epochs) — the
 /// write-side parallelism signal exposed through
-/// `DistanceService::epoch_plan_totals` and `ides-cli serve --json`.
+/// [`crate::service::ShardedEngine::epoch_plan_totals`] and `ides-cli
+/// serve --json`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EpochPlanTotals {
     /// Epochs whose plans were executed.

@@ -5,7 +5,15 @@
 //! Everything below `ides::service` computes those coordinates; this
 //! module serves them under concurrency:
 //!
-//! * **Epoch-versioned snapshots.** A [`QueryEngine`] publishes immutable
+//! * **One engine.** [`ShardedEngine`] is the serving type and the one
+//!   place that routes ids, validates input and counts reads. Hosts are
+//!   partitioned over `N` private single-writer shards — a constructor
+//!   argument; `N = 1` is the classic single-writer deployment — that
+//!   replicate the small global landmark model. Writes on different
+//!   shards proceed concurrently, and a cross-shard estimate reads one
+//!   coordinate row from each endpoint's pinned shard snapshot, lock-free
+//!   (see [`shard`]).
+//! * **Epoch-versioned snapshots.** Each shard publishes immutable
 //!   [`Snapshot`]s — landmark factors, the cached join-Gram factors
 //!   (handed off through [`CachedGram::from_factor`], so the snapshot
 //!   solves joins bit-identically to the writer without refactoring), and
@@ -16,13 +24,12 @@
 //!   on drift maintenance and never observe a torn epoch — a query runs
 //!   start to finish against one consistent version, and a query issued
 //!   after a publish returns sees that publish. Callers that want to
-//!   keep a version take an `Arc` ([`QueryEngine::snapshot`]).
+//!   keep a version take `Arc`s ([`ShardedEngine::snapshots`]).
 //! * **One read path.** A served estimate is what the paper says it is
-//!   (Eq. 10): pin, two row lookups, one `O(d)` dot product. Both
-//!   engines answer through the same private core (`ReadPath::serve`
-//!   around `pair_estimate`), which also carries the per-query RMW
-//!   budget; there is no estimate cache in front of it — at `d = 16` the
-//!   dot costs less than a cache probe.
+//!   (Eq. 10): pin, two row lookups, one `O(d)` dot product, through one
+//!   private core (`ReadPath::serve` around `pair_estimate`) that also
+//!   carries the per-query RMW budget; there is no estimate cache in
+//!   front of it — at `d = 16` the dot costs less than a cache probe.
 //! * **Chunk-tree publish.** The snapshot's coordinate table and live-set
 //!   are [`ChunkedRows`] — persistent chunk trees whose clone cost tracks
 //!   the spine length, not the row count. Publishing after a join flush
@@ -30,36 +37,29 @@
 //!   single-host churn publish clones ~tens of `Arc` pointers where the
 //!   flat table used to copy hundreds of megabytes. Published snapshots
 //!   stay immutable under the writer's copy-on-write mutations.
-//! * **Horizontal sharding.** [`ShardedEngine`] partitions hosts across
-//!   `N` single-writer engines that replicate the small global landmark
-//!   model; writes on different shards proceed concurrently, and a
-//!   cross-shard estimate reads one coordinate row from each endpoint's
-//!   pinned shard snapshot, lock-free. The [`DistanceService`] trait
-//!   abstracts the sharded and single engines for the load/replay
-//!   harnesses.
-//! * **Request coalescing.** Concurrent [`QueryEngine::join`] calls
-//!   accumulate into a pending admission batch; the first joiner becomes
-//!   the *leader*, lingers up to [`ServiceConfig::linger`] (or until
-//!   [`ServiceConfig::max_batch`] rows are pending), and solves the whole
-//!   batch with **one** cached-Gram multi-RHS solve — the same
+//! * **Request coalescing.** Concurrent [`ShardedEngine::join`] calls
+//!   accumulate into their shard's pending admission batch; the first
+//!   joiner becomes the *leader*, lingers up to [`ServiceConfig::linger`]
+//!   (or until [`ServiceConfig::max_batch`] rows are pending), and solves
+//!   the whole batch with **one** cached-Gram multi-RHS solve — the same
 //!   amortization as the batched QR join (PR 2's 37x at 500 hosts), now
 //!   applied across concurrent requesters instead of across one caller's
 //!   batch. Because every output row of the batched join depends only on
 //!   its own measurement row, coalesced admissions are **bit-identical**
-//!   to one-at-a-time [`QueryEngine::join_direct`] calls regardless of
+//!   to one-at-a-time [`ShardedEngine::join_direct`] calls regardless of
 //!   how requests happened to batch.
-//! * **Churn.** [`QueryEngine::leave`] retires a host's row to a free
+//! * **Churn.** [`ShardedEngine::leave`] retires a host's row to a free
 //!   list (the table never reallocates on leave; the slot is recycled by
-//!   the next admission), and [`QueryEngine::apply_epoch`] feeds drift
-//!   into the underlying [`StreamingServer`] and re-joins the admitted
-//!   hosts in one batched solve before publishing.
+//!   the next admission), and [`ShardedEngine::apply_epoch`] feeds drift
+//!   into every shard's [`StreamingServer`] replica and re-joins the
+//!   admitted hosts in one batched solve before publishing.
 //!
 //! The [`replay`] submodule replays a deterministic
 //! [`ides_netsim::workload`] event stream against an engine —
-//! bit-identical answers and final coordinates at any thread count — and
-//! [`load`] drives wall-clock open/closed-loop load with latency
-//! histograms ([`metrics::LatencyHistogram`]) for the `serve` bench group
-//! and the `cli serve` command.
+//! bit-identical answers and final coordinates at any thread or shard
+//! count — and [`load`] drives wall-clock open/closed-loop load with
+//! latency histograms ([`metrics::LatencyHistogram`]) for the `serve`
+//! bench group and the `cli serve` command.
 
 pub mod load;
 pub mod metrics;
@@ -79,7 +79,7 @@ use parking_lot::Mutex;
 
 use crate::error::{IdesError, Result};
 use crate::projection::{join_host_with, BatchHostVectors, JoinOptions, JoinSolver, JoinWorkspace};
-use crate::streaming::{EpochOutcome, EpochUpdate, RejoinTables, StreamingServer};
+use crate::streaming::{EpochOutcome, EpochUpdate, PipelineReport, RejoinTables, StreamingServer};
 use crate::telemetry as tm;
 
 pub use metrics::{EpochPlanTotals, LatencyHistogram, ServiceStats};
@@ -87,14 +87,14 @@ pub use shard::ShardedEngine;
 
 /// An endpoint of a distance query: one of the `k` landmarks the engine
 /// was built from, or an admitted ordinary host (the id returned by
-/// [`QueryEngine::join`]). Host ids are table slots: a departed host's id
-/// is recycled by a later admission, and querying it in between returns
-/// an error rather than a stale estimate.
+/// [`ShardedEngine::join`]). Host ids are table slots: a departed host's
+/// id is recycled by a later admission, and querying it in between
+/// returns an error rather than a stale estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeId {
     /// Landmark index (`0 .. k`).
     Landmark(usize),
-    /// Admitted-host slot, as returned by [`QueryEngine::join`].
+    /// Admitted-host slot, as returned by [`ShardedEngine::join`].
     Host(usize),
 }
 
@@ -375,6 +375,43 @@ struct WriterState {
     join_ws: JoinWorkspace,
 }
 
+impl WriterState {
+    /// True when host slot `slot` is allocated and live.
+    fn is_live(&self, slot: usize) -> bool {
+        slot < self.live.len() && self.live.row(slot)[0]
+    }
+
+    /// Assigns a slot for one admitted host (free list first, growth
+    /// otherwise) and writes its measurements and coordinates into the
+    /// tables. Returns the slot.
+    fn assign_slot(
+        &mut self,
+        d_out: &[f64],
+        d_in: &[f64],
+        outgoing: &[f64],
+        incoming: &[f64],
+    ) -> usize {
+        let d = self.dim;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            // Fresh slot: grow the tables (amortized, capacity retained
+            // across churn).
+            self.coords.push_default_rows(1);
+            self.meas_out.push_row(d_out);
+            self.meas_in.push_row(d_in);
+            self.live.push_row(&[false]);
+            self.coords.len() - 1
+        });
+        self.meas_out.set_row(slot, d_out);
+        self.meas_in.set_row(slot, d_in);
+        let row = self.coords.row_mut(slot);
+        row[..d].copy_from_slice(outgoing);
+        row[d..].copy_from_slice(incoming);
+        self.live.row_mut(slot)[0] = true;
+        self.live_count += 1;
+        slot
+    }
+}
+
 /// A flush's outcome as shared with its followers: the assigned slots in
 /// batch order, or the batch-wide error rendered to a string (the error
 /// type is not `Clone`; every participant re-wraps it).
@@ -444,8 +481,8 @@ impl Coalescer {
     }
 }
 
-/// Write-side counter block of the engine (all relaxed atomics; see
-/// [`QueryEngine::stats`]). Queries count in [`ReadPath`].
+/// Write-side counter block of a shard (all relaxed atomics; see
+/// [`Shard::stats`]). Queries count in the engine's [`ReadPath`].
 #[derive(Debug, Default)]
 struct Counters {
     joins: AtomicU64,
@@ -454,60 +491,74 @@ struct Counters {
     epochs: AtomicU64,
 }
 
-/// The concurrent distance-query serving engine. See the [module
-/// docs](self) for the snapshot / read-path / coalescer design.
-pub struct QueryEngine {
+/// Rows `first, first + step, …` of a flattened row-major `hosts × k`
+/// measurement batch: how a shard sees its share of an admission without
+/// a copy (`step` = shard count for a dealt bulk batch, 1 otherwise).
+#[derive(Clone, Copy)]
+struct RowBatch<'a> {
+    d_out: &'a [f64],
+    d_in: &'a [f64],
+    first: usize,
+    step: usize,
+    rows: usize,
+}
+
+impl<'a> RowBatch<'a> {
+    /// The first `rows` rows of the flattened batch, in order.
+    fn contiguous(rows: usize, d_out: &'a [f64], d_in: &'a [f64]) -> Self {
+        RowBatch {
+            d_out,
+            d_in,
+            first: 0,
+            step: 1,
+            rows,
+        }
+    }
+
+    /// Batch row `r`'s `(out, in)` measurements.
+    fn row(&self, r: usize, k: usize) -> (&'a [f64], &'a [f64]) {
+        let at = (self.first + r * self.step) * k;
+        (&self.d_out[at..at + k], &self.d_in[at..at + k])
+    }
+}
+
+/// One single-writer partition of a [`ShardedEngine`]: a writer lock over
+/// the host tables, a join coalescer, and the published snapshot cell
+/// (see the [module docs](self)). It works in shard-local slots and
+/// trusts its input — the engine above routes ids, validates
+/// measurements and counts reads.
+struct Shard {
     /// The published snapshot. Queries pin it for one closure
     /// ([`ArcSwap::with`]); a publish is a pointer swap that never makes
     /// a reader wait — a reader racing it gets the old or the new
     /// snapshot.
     snapshot: ArcSwap<Snapshot>,
-    reads: ReadPath,
     writer: Mutex<WriterState>,
     coalescer: Coalescer,
     config: ServiceConfig,
     counters: Counters,
-    /// Publish-latency histogram (recorded inside [`QueryEngine::publish`]
+    /// Publish-latency histogram (recorded inside [`Shard::publish`]
     /// while the writer lock is held, so the mutex is uncontended except
-    /// against [`QueryEngine::publish_latency`] readers).
+    /// against [`ShardedEngine::publish_latency`] readers).
     publish_hist: Mutex<LatencyHistogram>,
-    /// Accumulated epoch-plan shape (recorded by [`QueryEngine::apply_epoch`]
+    /// Accumulated epoch-plan shape (recorded by [`Shard::run_epochs`]
     /// while the writer lock is held).
     plan_totals: Mutex<EpochPlanTotals>,
     /// Chunk-share of the latest publish: how many coordinate-table
     /// chunks the new snapshot reused from its predecessor, over the
-    /// table's total chunks (recorded inside [`QueryEngine::publish`]).
+    /// table's total chunks (recorded inside [`Shard::publish`]).
     chunk_shared: AtomicU64,
     chunk_total: AtomicU64,
-    /// Landmark count, immutable for the engine's lifetime.
+    /// Landmark count, immutable for the shard's lifetime.
     k: usize,
 }
 
-impl std::fmt::Debug for QueryEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryEngine")
-            .field("landmarks", &self.k)
-            .field("config", &self.config)
-            .finish_non_exhaustive()
-    }
-}
-
-impl QueryEngine {
+impl Shard {
     /// Wraps a fitted [`StreamingServer`] and publishes the initial
     /// (host-less) snapshot.
-    pub fn new(server: StreamingServer, config: ServiceConfig) -> Result<Self> {
-        if config.max_batch == 0 {
-            return Err(IdesError::InvalidInput(
-                "max_batch must be at least 1".into(),
-            ));
-        }
+    fn new(server: StreamingServer, config: ServiceConfig) -> Result<Self> {
         let k = server.landmark_count();
         let d = server.dim();
-        if d == 0 {
-            return Err(IdesError::InvalidInput(
-                "server dimensionality must be at least 1".into(),
-            ));
-        }
         let writer = WriterState {
             server,
             dim: d,
@@ -526,9 +577,8 @@ impl QueryEngine {
             join_ws: JoinWorkspace::new(),
         };
         let initial = Arc::new(Self::build_snapshot(&writer)?);
-        Ok(QueryEngine {
+        Ok(Shard {
             snapshot: ArcSwap::new(initial),
-            reads: ReadPath::default(),
             writer: Mutex::new(writer),
             coalescer: Coalescer::new(),
             config,
@@ -541,63 +591,13 @@ impl QueryEngine {
         })
     }
 
-    /// Number of landmarks.
-    pub fn landmark_count(&self) -> usize {
-        self.k
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> ServiceConfig {
-        self.config
-    }
-
-    /// The current published snapshot as an owned `Arc` (a pin plus an
-    /// `Arc` clone, lock-free); hold it to answer many queries against
-    /// one consistent version via [`QueryEngine::estimate_on`], or to
-    /// inspect the published tables.
-    pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.snapshot.load()
-    }
-
-    /// Estimated distance from `a` to `b` against the current snapshot,
-    /// pinned for the length of the dot product.
-    pub fn estimate(&self, a: NodeId, b: NodeId) -> Result<f64> {
-        self.reads
-            .serve(1, || self.snapshot.with(|snap| snap.estimate(a, b)))
-    }
-
-    /// [`QueryEngine::estimate`] against a caller-held snapshot (pins
-    /// nothing).
-    pub fn estimate_on(&self, snap: &Snapshot, a: NodeId, b: NodeId) -> Result<f64> {
-        self.reads.serve(1, || snap.estimate(a, b))
-    }
-
-    /// Answers a batch of pair queries against one snapshot (pinned once
-    /// for the whole batch), appending to `out` (one estimate per pair,
-    /// in order).
-    pub fn estimate_batch(&self, pairs: &[(NodeId, NodeId)], out: &mut Vec<f64>) -> Result<()> {
-        out.reserve(pairs.len());
-        self.reads.serve(pairs.len() as u64, || {
-            self.snapshot.with(|snap| {
-                for &(a, b) in pairs {
-                    out.push(snap.estimate(a, b)?);
-                }
-                Ok(())
-            })
-        })
-    }
-
     /// Admits a host through the **join coalescer**: the measurements are
     /// appended to the pending batch, and either this thread becomes the
     /// flush leader (lingering up to [`ServiceConfig::linger`] for
     /// company) or it waits for the current leader's flush to return its
     /// assigned slot. One cached-Gram multi-RHS solve and one snapshot
-    /// publish serve the whole batch. Returns the host's [`NodeId`].
-    pub fn join(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
-        self.validate_measurements(d_out, d_in)?;
-        self.counters.joins.fetch_add(1, Ordering::Relaxed);
-        tm::count(tm::Counter::Joins);
-
+    /// publish serve the whole batch. Returns the host's slot.
+    fn join(&self, d_out: &[f64], d_in: &[f64]) -> Result<usize> {
         let mut st = self.coalescer.state.lock().expect("coalescer lock");
         let index = st.count;
         let slot = st.slot.clone();
@@ -637,7 +637,7 @@ impl QueryEngine {
             tm::gauge_sub(tm::Gauge::CoalescerQueueDepth, rows as u64);
 
             let ids = Arc::new(
-                self.flush_rows(rows, &batch_out, &batch_in)
+                self.flush_rows(RowBatch::contiguous(rows, &batch_out, &batch_in))
                     .map_err(|e| e.to_string()),
             );
             // Hand the result to this generation's followers (only them:
@@ -689,69 +689,11 @@ impl QueryEngine {
         }
     }
 
-    /// Admits a host **without** coalescing: one writer-lock acquisition,
-    /// one batch-of-1 cached solve, one snapshot publish per request —
-    /// the per-request baseline the `serve` bench compares the coalescer
-    /// against (and a low-latency path when admission traffic is sparse,
-    /// since it never lingers). Bit-identical to the coalesced path.
-    pub fn join_direct(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
-        self.validate_measurements(d_out, d_in)?;
-        self.counters.joins.fetch_add(1, Ordering::Relaxed);
-        tm::count(tm::Counter::Joins);
-        let ids = self.flush_rows(1, d_out, d_in)?;
-        Ok(NodeId::Host(ids[0]))
-    }
-
-    /// Bulk admission: joins every row of `d_out`/`d_in` (hosts × k) with
-    /// **one** batched cached solve and **one** snapshot publish — the
-    /// mass-arrival path that makes admitting 10⁶ hosts a handful of
-    /// publishes instead of 10⁶. Bit-identical per row to
-    /// [`QueryEngine::join_direct`]. Returns the assigned ids in row
-    /// order.
-    pub fn join_many(&self, d_out: &Matrix, d_in: &Matrix) -> Result<Vec<NodeId>> {
-        let k = self.k;
-        if d_out.shape() != d_in.shape() || d_out.cols() != k {
-            return Err(IdesError::InvalidInput(format!(
-                "measurement batch must be hosts x {k}: out {:?}, in {:?}",
-                d_out.shape(),
-                d_in.shape()
-            )));
-        }
-        if d_out
-            .as_slice()
-            .iter()
-            .chain(d_in.as_slice().iter())
-            .any(|v| !v.is_finite() || *v < 0.0)
-        {
-            return Err(IdesError::InvalidInput(
-                "measurements must be finite and nonnegative".into(),
-            ));
-        }
-        let rows = d_out.rows();
-        if rows == 0 {
-            return Ok(Vec::new());
-        }
-        self.counters
-            .joins
-            .fetch_add(rows as u64, Ordering::Relaxed);
-        tm::count_n(tm::Counter::Joins, rows as u64);
-        let slots = self.flush_rows(rows, d_out.as_slice(), d_in.as_slice())?;
-        Ok(slots.into_iter().map(NodeId::Host).collect())
-    }
-
     /// Admits a host the way a serving layer **without** this subsystem
     /// would: one writer acquisition, one per-request QR factorization of
     /// the landmark system ([`crate::projection::join_host_with`] with
-    /// [`JoinSolver::Qr`]), one snapshot publish — per request. This is
-    /// the control the `serve` bench group's coalesced-vs-per-request
-    /// headline measures against (the admission analogue of the
-    /// `join_batch` bench's `per_host_qr` control). Coordinates are
-    /// numerically equivalent to the cached-Gram paths but not bitwise
-    /// (QR vs normal equations).
-    pub fn join_per_request(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
-        self.validate_measurements(d_out, d_in)?;
-        self.counters.joins.fetch_add(1, Ordering::Relaxed);
-        tm::count(tm::Counter::Joins);
+    /// [`JoinSolver::Qr`]), one snapshot publish — per request.
+    fn join_per_request(&self, d_out: &[f64], d_in: &[f64]) -> Result<usize> {
         let mut w = self.writer.lock();
         let hv = {
             let WriterState {
@@ -769,65 +711,28 @@ impl QueryEngine {
                 },
             )?
         };
-        let slot = Self::assign_slot(&mut w, d_out, d_in, &hv.outgoing, &hv.incoming)?;
-        self.counters.flushes.fetch_add(1, Ordering::Relaxed);
-        tm::count(tm::Counter::Flushes);
+        let slot = w.assign_slot(d_out, d_in, &hv.outgoing, &hv.incoming);
+        self.count_admission(1);
         self.publish(&mut w)?;
-        Ok(NodeId::Host(slot))
+        Ok(slot)
     }
 
-    /// Retires an admitted host: its slot joins the free list (no
-    /// reallocation — the next admission reuses it) and a new snapshot
-    /// without the host is published.
-    pub fn leave(&self, host: NodeId) -> Result<()> {
-        let NodeId::Host(slot) = host else {
-            return Err(IdesError::InvalidInput(
-                "landmarks cannot leave the service".into(),
-            ));
-        };
-        let mut w = self.writer.lock();
-        if !Self::slot_live(&w, slot) {
-            return Err(unknown_node(host));
-        }
-        w.live.row_mut(slot)[0] = false;
-        w.live_count -= 1;
-        w.free.push(slot);
-        self.counters.leaves.fetch_add(1, Ordering::Relaxed);
-        tm::count(tm::Counter::Leaves);
-        self.publish(&mut w)
-    }
-
-    /// Retires a batch of hosts with **one** snapshot publish (the churn
-    /// analogue of the join coalescer: a departure wave costs one pointer
-    /// swap, not one per host). Validates the whole batch first — on any
-    /// invalid id nothing is retired.
-    pub fn leave_many(&self, hosts: &[NodeId]) -> Result<()> {
-        if hosts.is_empty() {
-            return Ok(());
-        }
-        let mut w = self.writer.lock();
-        let mut slots = Vec::with_capacity(hosts.len());
-        for &h in hosts {
-            let NodeId::Host(slot) = h else {
-                return Err(IdesError::InvalidInput(
-                    "landmarks cannot leave the service".into(),
-                ));
-            };
-            if !Self::slot_live(&w, slot) || slots.contains(&slot) {
-                return Err(unknown_node(h));
-            }
-            slots.push(slot);
-        }
-        for &slot in &slots {
+    /// Retires `slots` — validated live and distinct by the caller, who
+    /// holds the writer lock as `w` — to the free list (no reallocation:
+    /// the next admissions reuse them) with **one** snapshot publish.
+    fn retire(&self, w: &mut WriterState, slots: impl Iterator<Item = usize>) -> Result<()> {
+        let before = w.free.len();
+        for slot in slots {
             w.live.row_mut(slot)[0] = false;
-            w.live_count -= 1;
             w.free.push(slot);
         }
+        let retired = w.free.len() - before;
+        w.live_count -= retired;
         self.counters
             .leaves
-            .fetch_add(slots.len() as u64, Ordering::Relaxed);
-        tm::count_n(tm::Counter::Leaves, slots.len() as u64);
-        self.publish(&mut w)
+            .fetch_add(retired as u64, Ordering::Relaxed);
+        tm::count_n(tm::Counter::Leaves, retired as u64);
+        self.publish(w)
     }
 
     /// Feeds one epoch of landmark measurement drift to the underlying
@@ -835,70 +740,22 @@ impl QueryEngine {
     /// ([`StreamingServer::apply_epoch_planned`]): absorb or refresh per
     /// the staleness policy, with every admitted host a rejoin node of
     /// the same plan, then publishes the new snapshot. Queries keep being
-    /// served from the previous snapshot until the publish lands. The
-    /// executed plan's shape accumulates into
-    /// [`QueryEngine::epoch_plan_totals`].
-    pub fn apply_epoch(&self, update: &EpochUpdate) -> Result<EpochOutcome> {
-        let mut w = self.writer.lock();
+    /// served from the previous snapshot until the publish lands.
+    fn apply_epoch(&self, update: &EpochUpdate) -> Result<EpochOutcome> {
         let prev_epoch = tm::set_epoch(update.epoch);
         let t0 = tm::enabled().then(Instant::now);
-        let stats;
-        let outcome;
-        if w.coords.is_empty() {
-            let (o, s) = w.server.apply_epoch_planned(update, None, None)?;
-            outcome = o;
-            stats = s;
-        } else {
-            let WriterState {
-                server,
-                dim,
-                meas_out,
-                meas_in,
-                coords,
-                epoch_coords,
-                rejoin_ids,
-                ..
-            } = &mut *w;
-            // Re-join the whole slot table (retired slots ride along
-            // harmlessly — their rows are recomputed but stay dead), then
-            // scatter the plan's rejoin output back into the chunk tree.
-            // Every chunk is rewritten, so the copy-on-write layer adds
-            // one chunk copy per chunk — the same O(hosts·d) bytes a
-            // drift epoch inherently moves.
-            let slots = coords.len();
-            let d = *dim;
-            if rejoin_ids.len() != slots {
-                rejoin_ids.clear();
-                rejoin_ids.extend(0..slots);
-            }
-            epoch_coords.reset_shape(slots, d);
-            let (o, s) = server.apply_epoch_planned(
-                update,
-                Some(RejoinTables::full(
-                    rejoin_ids,
-                    meas_out,
-                    meas_in,
-                    epoch_coords,
-                )),
-                None,
-            )?;
-            outcome = o;
-            stats = s;
-            for s in 0..slots {
-                let row = coords.row_mut(s);
-                row[..d].copy_from_slice(epoch_coords.outgoing(s));
-                row[d..].copy_from_slice(epoch_coords.incoming(s));
-            }
-        }
-        self.plan_totals.lock().absorb(&stats);
-        self.counters.epochs.fetch_add(1, Ordering::Relaxed);
-        tm::count(tm::Counter::Epochs);
-        self.publish(&mut w)?;
+        let outcomes = self.run_epochs(|server, tables| {
+            let one = server.apply_epoch_planned(update, tables, None)?;
+            Ok(PipelineReport {
+                outcomes: vec![one],
+                overlapped: 0,
+            })
+        });
         if let Some(t0) = t0 {
             tm::time(tm::Timer::EpochApply, t0.elapsed());
         }
         tm::set_epoch(prev_epoch);
-        Ok(outcome)
+        Ok(outcomes?.pop().expect("one outcome per epoch"))
     }
 
     /// Applies a batch of drift epochs through the **cross-epoch
@@ -906,56 +763,58 @@ impl QueryEngine {
     /// `N`'s host-rejoin tier runs against a frozen end-of-epoch model
     /// clone while epoch `N+1`'s landmark absorbs mutate the live
     /// server. The final published state is **bit-identical** to calling
-    /// [`QueryEngine::apply_epoch`] once per update; the difference is
+    /// [`Shard::apply_epoch`] once per update; the difference is
     /// wall-clock (overlap) and that intermediate snapshots are not
-    /// published — one publish lands at the end of the batch. The
-    /// overlap count accumulates into
-    /// [`QueryEngine::epoch_plan_totals`]'s `pipelined` field.
-    pub fn apply_epochs(&self, updates: &[EpochUpdate]) -> Result<Vec<EpochOutcome>> {
+    /// published — one publish lands at the end of the batch.
+    fn apply_epochs(&self, updates: &[EpochUpdate]) -> Result<Vec<EpochOutcome>> {
         if updates.is_empty() {
             return Ok(Vec::new());
         }
+        self.run_epochs(|server, tables| server.apply_epochs_pipelined(updates, tables, None))
+    }
+
+    /// What both epoch entry points share: under the writer lock, hand
+    /// `run` the server with the whole slot table as its rejoin nodes
+    /// (retired slots ride along harmlessly — their rows are recomputed
+    /// but stay dead), scatter the rejoined rows back into the chunk
+    /// tree (every chunk is rewritten, so the copy-on-write layer adds
+    /// one chunk copy per chunk — the same O(hosts·d) bytes a drift
+    /// epoch inherently moves), record the executed plans' shape and
+    /// overlap count, and publish once.
+    fn run_epochs(
+        &self,
+        run: impl FnOnce(&mut StreamingServer, Option<RejoinTables<'_>>) -> Result<PipelineReport>,
+    ) -> Result<Vec<EpochOutcome>> {
         let mut w = self.writer.lock();
-        let report;
-        if w.coords.is_empty() {
-            report = w.server.apply_epochs_pipelined(updates, None, None)?;
+        let WriterState {
+            server,
+            dim,
+            meas_out,
+            meas_in,
+            coords,
+            epoch_coords,
+            rejoin_ids,
+            ..
+        } = &mut *w;
+        let slots = coords.len();
+        let d = *dim;
+        let report = if slots == 0 {
+            run(server, None)?
         } else {
-            let WriterState {
-                server,
-                dim,
-                meas_out,
-                meas_in,
-                coords,
-                epoch_coords,
-                rejoin_ids,
-                ..
-            } = &mut *w;
-            let slots = coords.len();
-            let d = *dim;
             if rejoin_ids.len() != slots {
                 rejoin_ids.clear();
                 rejoin_ids.extend(0..slots);
             }
             epoch_coords.reset_shape(slots, d);
-            report = server.apply_epochs_pipelined(
-                updates,
-                Some(RejoinTables::full(
-                    rejoin_ids,
-                    meas_out,
-                    meas_in,
-                    epoch_coords,
-                )),
-                None,
-            )?;
-            // Each epoch's rejoin tier rewrote every slot; the table now
-            // holds the last epoch's rows — exactly what a back-to-back
-            // apply_epoch loop leaves behind.
+            let tables = RejoinTables::full(rejoin_ids, meas_out, meas_in, epoch_coords);
+            let report = run(server, Some(tables))?;
             for s in 0..slots {
                 let row = coords.row_mut(s);
                 row[..d].copy_from_slice(epoch_coords.outgoing(s));
                 row[d..].copy_from_slice(epoch_coords.incoming(s));
             }
-        }
+            report
+        };
         {
             let mut totals = self.plan_totals.lock();
             for (_, stats) in &report.outcomes {
@@ -963,84 +822,59 @@ impl QueryEngine {
             }
             totals.pipelined += report.overlapped as u64;
         }
-        self.counters
-            .epochs
-            .fetch_add(report.outcomes.len() as u64, Ordering::Relaxed);
-        tm::count_n(tm::Counter::Epochs, report.outcomes.len() as u64);
+        let epochs = report.outcomes.len() as u64;
+        self.counters.epochs.fetch_add(epochs, Ordering::Relaxed);
+        tm::count_n(tm::Counter::Epochs, epochs);
         self.publish(&mut w)?;
         Ok(report.outcomes.into_iter().map(|(o, _)| o).collect())
     }
 
-    /// Accumulated shape of the epoch plans this engine's drift writer
-    /// has executed (group counts, antichain widths, critical paths).
-    pub fn epoch_plan_totals(&self) -> EpochPlanTotals {
-        *self.plan_totals.lock()
-    }
-
-    /// Counter snapshot (queries served, joins, flushes, leaves, epochs,
-    /// published version) plus the instantaneous gauges (coalescer queue
-    /// depth, chunk-share of the latest publish).
-    pub fn stats(&self) -> ServiceStats {
+    /// Write-side counters and gauges of this shard (`queries` stays 0:
+    /// reads count on the engine).
+    fn stats(&self) -> ServiceStats {
         let coalescer_depth = self.coalescer.state.lock().expect("coalescer lock").count as u64;
         ServiceStats {
-            queries: self.reads.queries(),
+            queries: 0,
             cache_hits: 0,
             joins: self.counters.joins.load(Ordering::Relaxed),
             flushes: self.counters.flushes.load(Ordering::Relaxed),
             leaves: self.counters.leaves.load(Ordering::Relaxed),
             epochs: self.counters.epochs.load(Ordering::Relaxed),
-            version: self.snapshot().version(),
+            version: self.snapshot.with(|snap| snap.version),
             coalescer_depth,
             chunk_shared: self.chunk_shared.load(Ordering::Relaxed),
             chunk_total: self.chunk_total.load(Ordering::Relaxed),
         }
     }
 
-    fn validate_measurements(&self, d_out: &[f64], d_in: &[f64]) -> Result<()> {
-        if d_out.len() != self.k || d_in.len() != self.k {
-            return Err(IdesError::InvalidInput(format!(
-                "expected {} out/in measurements, got {}/{}",
-                self.k,
-                d_out.len(),
-                d_in.len()
-            )));
-        }
-        if d_out
-            .iter()
-            .chain(d_in.iter())
-            .any(|v| !v.is_finite() || *v < 0.0)
-        {
-            return Err(IdesError::InvalidInput(
-                "measurements must be finite and nonnegative".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    fn flush_result(ids: &std::result::Result<Vec<usize>, String>, index: usize) -> Result<NodeId> {
+    fn flush_result(ids: &std::result::Result<Vec<usize>, String>, index: usize) -> Result<usize> {
         match ids {
-            Ok(slots) => Ok(NodeId::Host(slots[index])),
+            Ok(slots) => Ok(slots[index]),
             Err(msg) => Err(IdesError::InvalidInput(format!("batch join failed: {msg}"))),
         }
     }
 
-    /// Joins `rows` pending measurement rows (flattened, row-major) in one
-    /// batched cached solve, assigns slots (free list first), updates the
-    /// writer tables, and publishes. Returns the assigned slots in batch
-    /// order.
-    fn flush_rows(&self, rows: usize, flat_out: &[f64], flat_in: &[f64]) -> Result<Vec<usize>> {
+    /// Counts `rows` hosts admitted by one flush.
+    fn count_admission(&self, rows: u64) {
+        self.counters.joins.fetch_add(rows, Ordering::Relaxed);
+        self.counters.flushes.fetch_add(1, Ordering::Relaxed);
+        tm::count_n(tm::Counter::Joins, rows);
+        tm::count(tm::Counter::Flushes);
+    }
+
+    /// Joins the batch's measurement rows in one batched cached solve,
+    /// assigns slots (free list first), updates the writer tables, and
+    /// publishes. Returns the assigned slots in batch order. Bit-identical
+    /// per row however the rows were batched.
+    fn flush_rows(&self, batch: RowBatch<'_>) -> Result<Vec<usize>> {
+        let rows = batch.rows;
+        if rows == 0 {
+            return Ok(Vec::new());
+        }
         let _span = tm::span(tm::Stage::Flush);
         let t0 = tm::enabled().then(Instant::now);
         let k = self.k;
         let mut w = self.writer.lock();
-        w.stage_out.reset_shape(rows, k);
-        w.stage_out
-            .as_mut_slice()
-            .copy_from_slice(&flat_out[..rows * k]);
-        w.stage_in.reset_shape(rows, k);
-        w.stage_in
-            .as_mut_slice()
-            .copy_from_slice(&flat_in[..rows * k]);
         {
             let WriterState {
                 server,
@@ -1049,71 +883,31 @@ impl QueryEngine {
                 stage_coords,
                 ..
             } = &mut *w;
+            stage_out.reset_shape(rows, k);
+            stage_in.reset_shape(rows, k);
+            for r in 0..rows {
+                let (d_out, d_in) = batch.row(r, k);
+                stage_out.set_row(r, d_out);
+                stage_in.set_row(r, d_in);
+            }
             server.join_batch_cached(stage_out, stage_in, stage_coords)?;
         }
-        let mut slots = Vec::with_capacity(rows);
         // Detach the solved batch so slot assignment can borrow the writer
         // mutably; reattached below to keep the staging capacity warm.
         let stage = std::mem::take(&mut w.stage_coords);
-        for r in 0..rows {
-            let slot = Self::assign_slot(
-                &mut w,
-                &flat_out[r * k..(r + 1) * k],
-                &flat_in[r * k..(r + 1) * k],
-                stage.outgoing(r),
-                stage.incoming(r),
-            )?;
-            slots.push(slot);
-        }
+        let slots = (0..rows)
+            .map(|r| {
+                let (d_out, d_in) = batch.row(r, k);
+                w.assign_slot(d_out, d_in, stage.outgoing(r), stage.incoming(r))
+            })
+            .collect();
         w.stage_coords = stage;
-        self.counters.flushes.fetch_add(1, Ordering::Relaxed);
-        tm::count(tm::Counter::Flushes);
+        self.count_admission(rows as u64);
         self.publish(&mut w)?;
         if let Some(t0) = t0 {
             tm::time(tm::Timer::Flush, t0.elapsed());
         }
         Ok(slots)
-    }
-
-    /// True when host slot `slot` is allocated and live.
-    fn slot_live(w: &WriterState, slot: usize) -> bool {
-        slot < w.live.len() && w.live.row(slot)[0]
-    }
-
-    /// Assigns a slot for one admitted host (free list first, growth
-    /// otherwise) and writes its measurements and coordinates into the
-    /// writer tables. Returns the slot.
-    fn assign_slot(
-        w: &mut WriterState,
-        d_out: &[f64],
-        d_in: &[f64],
-        outgoing: &[f64],
-        incoming: &[f64],
-    ) -> Result<usize> {
-        let d = w.dim;
-        let slot = match w.free.pop() {
-            Some(s) => s,
-            None => {
-                // Fresh slot: grow the tables (amortized, capacity
-                // retained across churn).
-                let s = w.coords.len();
-                w.coords.push_default_rows(1);
-                w.meas_out.push_row(d_out);
-                w.meas_in.push_row(d_in);
-                w.live.push_row(&[false]);
-                s
-            }
-        };
-        w.meas_out.set_row(slot, d_out);
-        w.meas_in.set_row(slot, d_in);
-        let row = w.coords.row_mut(slot);
-        row[..d].copy_from_slice(outgoing);
-        row[d..].copy_from_slice(incoming);
-        if !w.live.row(slot)[0] {
-            w.live.row_mut(slot)[0] = true;
-            w.live_count += 1;
-        }
-        Ok(slot)
     }
 
     /// Publishes the writer's current state as a fresh snapshot: bump the
@@ -1146,12 +940,6 @@ impl QueryEngine {
         Ok(())
     }
 
-    /// Publish-latency histogram (one sample per snapshot publish: join
-    /// flushes, leaves, drift epochs).
-    pub fn publish_latency(&self) -> LatencyHistogram {
-        self.publish_hist.lock().clone()
-    }
-
     fn build_snapshot(w: &WriterState) -> Result<Snapshot> {
         let (gram_x, gram_y) = w.server.grams();
         Ok(Snapshot {
@@ -1167,106 +955,22 @@ impl QueryEngine {
     }
 }
 
-/// The serving surface shared by [`QueryEngine`] (one shard) and
-/// [`ShardedEngine`] (N shards): everything the load harness
-/// ([`load::run`]), the scenario builders, and the CLI need to drive an
-/// engine without knowing its shard layout. Host [`NodeId`]s are only
-/// meaningful to the engine that issued them.
-pub trait DistanceService: Sync {
-    /// Number of landmarks.
-    fn landmark_count(&self) -> usize;
-    /// Estimated distance from `a` to `b` against current snapshot(s).
-    fn estimate(&self, a: NodeId, b: NodeId) -> Result<f64>;
-    /// Admits a host through the coalesced path.
-    fn join(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId>;
-    /// Admits a host through the per-request control path (one QR solve
-    /// and one publish per call).
-    fn join_per_request(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId>;
-    /// Bulk admission with one publish per engine shard.
-    fn join_many(&self, d_out: &Matrix, d_in: &Matrix) -> Result<Vec<NodeId>>;
-    /// Retires a host.
-    fn leave(&self, host: NodeId) -> Result<()>;
-    /// Applies one drift epoch (to every shard).
-    fn apply_epoch(&self, update: &EpochUpdate) -> Result<EpochOutcome>;
-    /// Applies a batch of drift epochs in input order. Implementations
-    /// may pipeline (overlap one epoch's host rejoins with the next
-    /// epoch's landmark absorbs) as long as the final published state is
-    /// bit-identical to back-to-back [`DistanceService::apply_epoch`]
-    /// calls; the default does exactly that, serially.
-    fn apply_epochs(&self, updates: &[EpochUpdate]) -> Result<Vec<EpochOutcome>> {
-        updates.iter().map(|u| self.apply_epoch(u)).collect()
-    }
-    /// Aggregate counter snapshot.
-    fn stats(&self) -> ServiceStats;
-    /// Accumulated epoch-plan shape across shards (DAG group counts,
-    /// antichain widths, critical paths).
-    fn epoch_plan_totals(&self) -> EpochPlanTotals;
-    /// Drift epoch of the current snapshot(s).
-    fn current_epoch(&self) -> f64;
-    /// Merged publish-latency histogram across shards.
-    fn publish_latency(&self) -> LatencyHistogram;
-    /// Number of shards (1 for the single engine).
-    fn shard_count(&self) -> usize {
-        1
-    }
-    /// Which shard owns `node`'s coordinate row (landmarks are replicated
-    /// on every shard and report shard 0).
-    fn shard_of(&self, node: NodeId) -> usize {
-        let _ = node;
-        0
-    }
-}
-
-impl DistanceService for QueryEngine {
-    fn landmark_count(&self) -> usize {
-        QueryEngine::landmark_count(self)
-    }
-    fn estimate(&self, a: NodeId, b: NodeId) -> Result<f64> {
-        QueryEngine::estimate(self, a, b)
-    }
-    fn join(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
-        QueryEngine::join(self, d_out, d_in)
-    }
-    fn join_per_request(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
-        QueryEngine::join_per_request(self, d_out, d_in)
-    }
-    fn join_many(&self, d_out: &Matrix, d_in: &Matrix) -> Result<Vec<NodeId>> {
-        QueryEngine::join_many(self, d_out, d_in)
-    }
-    fn leave(&self, host: NodeId) -> Result<()> {
-        QueryEngine::leave(self, host)
-    }
-    fn apply_epoch(&self, update: &EpochUpdate) -> Result<EpochOutcome> {
-        QueryEngine::apply_epoch(self, update)
-    }
-    fn apply_epochs(&self, updates: &[EpochUpdate]) -> Result<Vec<EpochOutcome>> {
-        QueryEngine::apply_epochs(self, updates)
-    }
-    fn stats(&self) -> ServiceStats {
-        QueryEngine::stats(self)
-    }
-    fn epoch_plan_totals(&self) -> EpochPlanTotals {
-        QueryEngine::epoch_plan_totals(self)
-    }
-    fn current_epoch(&self) -> f64 {
-        self.snapshot().epoch()
-    }
-    fn publish_latency(&self) -> LatencyHistogram {
-        QueryEngine::publish_latency(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::streaming::StalenessPolicy;
 
-    fn engine(k: usize, dim: usize, config: ServiceConfig) -> QueryEngine {
+    /// A one-shard engine: global host ids are its shard's slots.
+    fn engine(k: usize, dim: usize, config: ServiceConfig) -> ShardedEngine {
         let ds = ides_datasets::generators::p2psim_like(k + 20, 7).expect("dataset");
         let sub: Vec<usize> = (0..k).collect();
         let lm = ds.matrix.submatrix(&sub, &sub);
         let server = StreamingServer::new(&lm, dim, StalenessPolicy::default()).expect("server");
-        QueryEngine::new(server, config).expect("engine")
+        ShardedEngine::new(server, 1, config).expect("engine")
+    }
+
+    fn snapshot(e: &ShardedEngine) -> Arc<Snapshot> {
+        e.snapshots().remove(0)
     }
 
     fn meas(k: usize, seed: u64) -> Vec<f64> {
@@ -1282,41 +986,6 @@ mod tests {
     }
 
     #[test]
-    fn landmark_queries_match_model_dot_products() {
-        let e = engine(12, 4, ServiceConfig::default());
-        let snap = e.snapshot();
-        assert_eq!(snap.version(), 0);
-        assert_eq!(snap.landmark_count(), 12);
-        assert_eq!(snap.host_count(), 0);
-        let est = e
-            .estimate(NodeId::Landmark(2), NodeId::Landmark(7))
-            .unwrap();
-        let want = FactorModel::dot(snap.model().outgoing(2), snap.model().incoming(7));
-        assert_eq!(est.to_bits(), want.to_bits());
-        // Every read call form returns the same bits and counts its
-        // queries: live, caller-pinned, and batched.
-        let pair = (NodeId::Landmark(2), NodeId::Landmark(7));
-        let on = e.estimate_on(&snap, pair.0, pair.1).unwrap();
-        let mut batch = Vec::new();
-        e.estimate_batch(&[pair, pair, pair], &mut batch).unwrap();
-        for got in batch.iter().chain([&on]) {
-            assert_eq!(got.to_bits(), want.to_bits());
-        }
-        assert_eq!(batch.len(), 3);
-        let stats = e.stats();
-        assert_eq!(stats.queries, 5);
-        assert_eq!(stats.cache_hits, 0, "no cache: field kept, always 0");
-        // Unknown endpoints are rejected.
-        assert!(e
-            .estimate(NodeId::Landmark(99), NodeId::Landmark(0))
-            .is_err());
-        assert!(e.estimate(NodeId::Host(0), NodeId::Landmark(0)).is_err());
-        assert!(e
-            .estimate_batch(&[pair, (NodeId::Host(0), pair.1)], &mut batch)
-            .is_err());
-    }
-
-    #[test]
     fn span_sampling_fires_once_per_period() {
         let singles = (0..640).filter(|&q| covers_sampling_tick(q, 1)).count();
         assert_eq!(singles, 10);
@@ -1324,38 +993,6 @@ mod tests {
         assert!(covers_sampling_tick(0, 3) && covers_sampling_tick(62, 3));
         assert!(!covers_sampling_tick(1, 63) && covers_sampling_tick(1, 64));
         assert!(!covers_sampling_tick(64, 0));
-    }
-
-    #[test]
-    fn join_direct_then_query_round_trip() {
-        let e = engine(14, 5, ServiceConfig::default());
-        let (out_m, in_m) = (meas(14, 3), meas(14, 4));
-        let id = e.join_direct(&out_m, &in_m).unwrap();
-        assert_eq!(id, NodeId::Host(0));
-        let snap = e.snapshot();
-        assert_eq!(snap.version(), 1);
-        assert_eq!(snap.host_count(), 1);
-        // The admitted coordinates equal a snapshot-side join of the same
-        // measurements (bit-identical arithmetic).
-        let d_out = Matrix::from_rows(std::slice::from_ref(&out_m)).unwrap();
-        let d_in = Matrix::from_rows(std::slice::from_ref(&in_m)).unwrap();
-        let mut direct = BatchHostVectors::new();
-        snap.join_rows(&d_out, &d_in, &mut direct).unwrap();
-        for j in 0..5 {
-            assert_eq!(
-                snap.host_outgoing(0)[j].to_bits(),
-                direct.outgoing(0)[j].to_bits()
-            );
-            assert_eq!(
-                snap.host_incoming(0)[j].to_bits(),
-                direct.incoming(0)[j].to_bits()
-            );
-        }
-        // Host-to-landmark and host-to-host queries work.
-        let hl = e.estimate(id, NodeId::Landmark(3)).unwrap();
-        assert!(hl.is_finite());
-        let hh = e.estimate(id, id).unwrap();
-        assert!(hh.is_finite());
     }
 
     #[test]
@@ -1405,8 +1042,8 @@ mod tests {
                 s
             })
             .collect();
-        let snap_c = coalesced.snapshot();
-        let snap_d = direct.snapshot();
+        let snap_c = snapshot(&coalesced);
+        let snap_d = snapshot(&direct);
         assert_eq!(snap_c.host_count(), hosts);
         for h in 0..hosts {
             let (sc, sd) = (slot_of[h], direct_slots[h]);
@@ -1435,59 +1072,11 @@ mod tests {
     }
 
     #[test]
-    fn leave_retires_and_recycles_slots() {
-        let e = engine(12, 4, ServiceConfig::default());
-        let a = e.join_direct(&meas(12, 1), &meas(12, 2)).unwrap();
-        let b = e.join_direct(&meas(12, 3), &meas(12, 4)).unwrap();
-        assert_eq!(e.snapshot().host_count(), 2);
-        e.leave(a).unwrap();
-        let snap = e.snapshot();
-        assert_eq!(snap.host_count(), 1);
-        assert_eq!(snap.slot_count(), 2, "leave must not shrink the table");
-        // The departed id now errors; the survivor still answers.
-        assert!(e.estimate(a, b).is_err());
-        assert!(e.estimate(b, NodeId::Landmark(0)).is_ok());
-        // Double-leave and landmark-leave are rejected.
-        assert!(e.leave(a).is_err());
-        assert!(e.leave(NodeId::Landmark(1)).is_err());
-        // The freed slot is recycled by the next admission.
-        let c = e.join_direct(&meas(12, 5), &meas(12, 6)).unwrap();
-        assert_eq!(c, a, "free-listed slot must be reused");
-        assert_eq!(e.snapshot().slot_count(), 2);
-        assert_eq!(e.snapshot().host_count(), 2);
-        let stats = e.stats();
-        assert_eq!(stats.leaves, 1);
-        assert_eq!(stats.joins, 3);
-    }
-
-    #[test]
-    fn leave_many_retires_batch_with_one_publish() {
-        let e = engine(12, 4, ServiceConfig::default());
-        let ids: Vec<NodeId> = (0..6)
-            .map(|i| e.join_direct(&meas(12, 50 + i), &meas(12, 80 + i)).unwrap())
-            .collect();
-        let v_before = e.snapshot().version();
-        e.leave_many(&ids[..4]).unwrap();
-        let snap = e.snapshot();
-        assert_eq!(snap.version(), v_before + 1, "one publish for the wave");
-        assert_eq!(snap.host_count(), 2);
-        assert_eq!(e.stats().leaves, 4);
-        // Invalid batches retire nothing: a dead id, a duplicate, a landmark.
-        assert!(e.leave_many(&[ids[0]]).is_err());
-        assert!(e.leave_many(&[ids[4], ids[4]]).is_err());
-        assert!(e.leave_many(&[NodeId::Landmark(0)]).is_err());
-        assert_eq!(e.snapshot().host_count(), 2);
-        // Empty batch is a no-op (no publish).
-        e.leave_many(&[]).unwrap();
-        assert_eq!(e.snapshot().version(), v_before + 1);
-    }
-
-    #[test]
     fn epoch_publish_rejoins_hosts_and_the_next_query_sees_it() {
         let e = engine(12, 4, ServiceConfig::default());
         let id = e.join_direct(&meas(12, 9), &meas(12, 10)).unwrap();
         let before = e.estimate(id, NodeId::Landmark(5)).unwrap();
-        let v_before = e.snapshot().version();
+        let v_before = snapshot(&e).version();
         // Drift one landmark pair hard enough to move the model.
         let base = 15.0;
         let outcome = e
@@ -1508,7 +1097,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(outcome.applied, 2);
-        let snap = e.snapshot();
+        let snap = snapshot(&e);
         assert!(snap.version() > v_before);
         assert_eq!(snap.epoch(), 1.0);
         // The host was re-joined against the maintained model: its
@@ -1548,16 +1137,15 @@ mod tests {
         assert!(e.join_direct(&bad, &meas(10, 1)).is_err());
         bad[3] = -1.0;
         assert!(e.join_direct(&bad, &meas(10, 1)).is_err());
-        assert!(QueryEngine::new(
-            {
-                let ds = ides_datasets::generators::gnp_like(10, 3).unwrap();
-                StreamingServer::new(&ds.matrix, 3, StalenessPolicy::default()).unwrap()
-            },
-            ServiceConfig {
-                max_batch: 0,
-                ..ServiceConfig::default()
-            }
-        )
-        .is_err());
+        let server = || {
+            let ds = ides_datasets::generators::gnp_like(10, 3).unwrap();
+            StreamingServer::new(&ds.matrix, 3, StalenessPolicy::default()).unwrap()
+        };
+        let no_batch = ServiceConfig {
+            max_batch: 0,
+            ..ServiceConfig::default()
+        };
+        assert!(ShardedEngine::new(server(), 1, no_batch).is_err());
+        assert!(ShardedEngine::new(server(), 0, ServiceConfig::default()).is_err());
     }
 }

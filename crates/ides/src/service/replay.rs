@@ -1,100 +1,23 @@
 //! Deterministic workload replay: drives an [`ides_netsim::workload`]
-//! event stream against a [`QueryEngine`] — or any other
-//! [`ReplayTarget`], such as a [`super::ShardedEngine`] — with
-//! **bit-reproducible** results at any thread count.
+//! event stream against a [`ShardedEngine`] with **bit-reproducible**
+//! results at any thread count and any shard count.
 //!
 //! Mutations (joins, leaves, drift epochs) are applied by the replay
 //! driver in event order — so slot assignment, free-list reuse, and model
 //! maintenance are one deterministic sequence — while runs of consecutive
 //! query events execute as a parallel segment, sharded contiguously over
-//! `threads` scoped threads. Queries are pure reads against published
-//! snapshots (and every answer slot is written by exactly one thread), so
-//! the answer vector and the final coordinate table are bit-identical
-//! whether a segment ran on 1 thread or 16 — the property
-//! `tests/service_determinism.rs` pins.
-
-use std::sync::Arc;
+//! `threads` scoped threads. Queries are pure reads against snapshots
+//! pinned once per segment ([`ShardedEngine::snapshots`]), and every
+//! answer slot is written by exactly one thread, so the answer vector and
+//! the final coordinate table are bit-identical whether a segment ran on
+//! 1 thread or 16 — the property `tests/service_determinism.rs` pins.
 
 use ides_netsim::workload::{Workload, WorkloadOp};
 
 use crate::error::{IdesError, Result};
-use crate::streaming::{EpochOutcome, EpochUpdate, MeasurementDelta};
+use crate::streaming::{EpochUpdate, MeasurementDelta};
 
-use super::{NodeId, QueryEngine, ShardedEngine, Snapshot};
-
-/// What the replay driver needs from an engine: event-ordered mutations
-/// plus a **pinned read view** that a parallel query segment can answer
-/// against without observing concurrent publishes.
-pub trait ReplayTarget: Sync {
-    /// An immutable view of the published state (e.g. one pinned
-    /// snapshot, or one pinned snapshot per shard).
-    type View: Sync;
-    /// Number of landmarks the engine was fitted on.
-    fn landmark_count(&self) -> usize;
-    /// Pins the current published view.
-    fn pin(&self) -> Self::View;
-    /// Answers one pair query against a pinned view.
-    fn estimate_pinned(&self, view: &Self::View, a: NodeId, b: NodeId) -> Result<f64>;
-    /// Admits a host on the direct (uncoalesced) path.
-    fn join_direct(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId>;
-    /// Retires a host.
-    fn leave(&self, host: NodeId) -> Result<()>;
-    /// Applies one drift epoch.
-    fn apply_epoch(&self, update: &EpochUpdate) -> Result<EpochOutcome>;
-    /// Version counter of the final published state (sum over shards for
-    /// sharded targets — only comparable between equal shard counts).
-    fn final_version(&self) -> u64;
-}
-
-impl ReplayTarget for QueryEngine {
-    type View = Arc<Snapshot>;
-    fn landmark_count(&self) -> usize {
-        QueryEngine::landmark_count(self)
-    }
-    fn pin(&self) -> Arc<Snapshot> {
-        self.snapshot()
-    }
-    fn estimate_pinned(&self, view: &Arc<Snapshot>, a: NodeId, b: NodeId) -> Result<f64> {
-        self.estimate_on(view, a, b)
-    }
-    fn join_direct(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
-        QueryEngine::join_direct(self, d_out, d_in)
-    }
-    fn leave(&self, host: NodeId) -> Result<()> {
-        QueryEngine::leave(self, host)
-    }
-    fn apply_epoch(&self, update: &EpochUpdate) -> Result<EpochOutcome> {
-        QueryEngine::apply_epoch(self, update)
-    }
-    fn final_version(&self) -> u64 {
-        self.snapshot().version()
-    }
-}
-
-impl ReplayTarget for ShardedEngine {
-    type View = Vec<Arc<Snapshot>>;
-    fn landmark_count(&self) -> usize {
-        ShardedEngine::landmark_count(self)
-    }
-    fn pin(&self) -> Vec<Arc<Snapshot>> {
-        self.snapshots()
-    }
-    fn estimate_pinned(&self, view: &Vec<Arc<Snapshot>>, a: NodeId, b: NodeId) -> Result<f64> {
-        self.estimate_on(view, a, b)
-    }
-    fn join_direct(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
-        ShardedEngine::join_direct(self, d_out, d_in)
-    }
-    fn leave(&self, host: NodeId) -> Result<()> {
-        ShardedEngine::leave(self, host)
-    }
-    fn apply_epoch(&self, update: &EpochUpdate) -> Result<EpochOutcome> {
-        ShardedEngine::apply_epoch(self, update)
-    }
-    fn final_version(&self) -> u64 {
-        self.stats().version
-    }
-}
+use super::{NodeId, ShardedEngine};
 
 /// Outcome of a deterministic replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,7 +30,8 @@ pub struct ReplayReport {
     pub leaves: usize,
     /// Drift epochs applied.
     pub epochs: usize,
-    /// Version of the final published snapshot.
+    /// Version counter of the final published state (summed over
+    /// shards — only comparable between equal shard counts).
     pub final_version: u64,
 }
 
@@ -139,11 +63,7 @@ pub fn epoch_update_from_batch(batch: &ides_netsim::drift::EpochBatch) -> EpochU
 /// The workload must have been generated for this engine's landmark
 /// count; join/leave events reference pool hosts, which the replay maps
 /// to engine slots as admissions execute.
-pub fn replay<T: ReplayTarget>(
-    engine: &T,
-    workload: &Workload,
-    threads: usize,
-) -> Result<ReplayReport> {
+pub fn replay(engine: &ShardedEngine, workload: &Workload, threads: usize) -> Result<ReplayReport> {
     if workload.landmark_count != engine.landmark_count() {
         return Err(IdesError::InvalidInput(format!(
             "workload was generated for {} landmarks, engine has {}",
@@ -206,14 +126,14 @@ pub fn replay<T: ReplayTarget>(
         joins,
         leaves,
         epochs,
-        final_version: engine.final_version(),
+        final_version: engine.stats().version,
     })
 }
 
 /// Answers the buffered query segment, sharded contiguously over
 /// `threads` scoped threads, appending to `answers` in segment order.
-fn flush_segment<T: ReplayTarget>(
-    engine: &T,
+fn flush_segment(
+    engine: &ShardedEngine,
     segment: &mut Vec<(NodeId, NodeId)>,
     answers: &mut Vec<f64>,
     threads: usize,
@@ -221,13 +141,13 @@ fn flush_segment<T: ReplayTarget>(
     if segment.is_empty() {
         return Ok(());
     }
-    let view = engine.pin();
+    let view = engine.snapshots();
     let base = answers.len();
     answers.resize(base + segment.len(), 0.0);
     let out = &mut answers[base..];
     if threads <= 1 || segment.len() <= 1 {
         for (slot, &(a, b)) in out.iter_mut().zip(segment.iter()) {
-            *slot = engine.estimate_pinned(&view, a, b)?;
+            *slot = engine.estimate_on(&view, a, b)?;
         }
         segment.clear();
         return Ok(());
@@ -239,7 +159,7 @@ fn flush_segment<T: ReplayTarget>(
             let view = &view;
             handles.push(scope.spawn(move || -> Result<()> {
                 for (slot, &(a, b)) in out_chunk.iter_mut().zip(pair_chunk.iter()) {
-                    *slot = engine.estimate_pinned(view, a, b)?;
+                    *slot = engine.estimate_on(view, a, b)?;
                 }
                 Ok(())
             }));
@@ -262,7 +182,7 @@ mod tests {
     use ides_linalg::Matrix;
     use ides_netsim::workload::{self, WorkloadConfig};
 
-    fn setup() -> (QueryEngine, Workload) {
+    fn setup() -> (ShardedEngine, Workload) {
         let ds = ides_datasets::generators::p2psim_like(40, 23).expect("dataset");
         let landmarks: Vec<usize> = ds.row_hosts[..12].to_vec();
         let pool: Vec<usize> = ds.row_hosts[12..32].to_vec();
@@ -276,7 +196,7 @@ mod tests {
             StalenessPolicy::default(),
         )
         .expect("server");
-        let engine = QueryEngine::new(server, ServiceConfig::default()).expect("engine");
+        let engine = ShardedEngine::new(server, 1, ServiceConfig::default()).expect("engine");
         let w = workload::generate(
             &ds.topology,
             &landmarks,

@@ -1,5 +1,5 @@
-//! Horizontal sharding: serve millions of hosts from `N` single-writer
-//! engines that replicate the small global landmark model.
+//! The serving engine: `N` single-writer shards that replicate the small
+//! global landmark model behind one id space.
 //!
 //! The paper's information-server state has exactly the shape that
 //! shards: the landmark factor model is tiny (`k × d`, global, slowly
@@ -8,22 +8,27 @@
 //! own measurement rows and the landmark model (Eq. 11/12), never on
 //! other hosts. [`ShardedEngine`] therefore:
 //!
-//! * **Replicates** the landmark model: every shard wraps its own
-//!   [`QueryEngine`] over a clone of the same [`StreamingServer`], and a
-//!   drift epoch is applied to every replica. Replicas run identical
-//!   arithmetic on identical inputs, so they stay **bit-identical** —
-//!   a landmark row can be read from any shard.
+//! * **Replicates** the landmark model: every shard wraps a clone of the
+//!   same [`StreamingServer`], and a drift epoch is applied to every
+//!   replica. Replicas run identical arithmetic on identical inputs, so
+//!   they stay **bit-identical** — a landmark row can be read from any
+//!   shard.
 //! * **Partitions** the hosts round-robin: global host id `g` lives on
 //!   shard `g % N` at local slot `g / N`. Joins route round-robin, so
 //!   shard populations stay balanced within one host.
 //! * **Writes concurrently**: each shard owns its coalescer, writer lock,
 //!   and snapshot cell, so joins/leaves on different shards never
-//!   contend. Drift epochs fan out across shards on scoped threads.
+//!   contend. Bulk admissions and drift epochs fan out across shards
+//!   (`fan_out`: one shard on the calling thread, the others on scoped
+//!   threads — one shard never spawns).
+//! * **Validates at the boundary**: measurements and ids are checked for
+//!   the whole call before any shard mutates, so a rejected batch leaves
+//!   every shard exactly as it was.
 //! * **Reads lock-free**: an estimate pins each endpoint's shard snapshot
 //!   (one pin when both rows live on one shard, two otherwise) and dots
-//!   one coordinate row from each through the engines' shared read core
-//!   — the same arithmetic as the single engine, hence bit-identical
-//!   answers (property-tested in `tests/sharding_determinism.rs`).
+//!   one coordinate row from each — the same arithmetic at any shard
+//!   count, hence bit-identical answers (property-tested in
+//!   `tests/sharding_determinism.rs`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -36,19 +41,22 @@ use crate::telemetry as tm;
 
 use super::metrics::{EpochPlanTotals, LatencyHistogram, ServiceStats};
 use super::{
-    pair_estimate, DistanceService, NodeId, QueryEngine, ReadPath, ServiceConfig, Snapshot,
+    pair_estimate, unknown_node, NodeId, ReadPath, RowBatch, ServiceConfig, Shard, Snapshot,
 };
 
-/// A horizontally sharded serving engine (see the [module docs](self)).
-/// Host ids returned by its join paths are **global** (`local · N +
-/// shard`) and only meaningful to this engine.
+/// The concurrent distance-query serving engine (see the [module
+/// docs](self) and [`crate::service`]). Host ids returned by its join
+/// paths are **global** (`local · N + shard`) and only meaningful to this
+/// engine.
 pub struct ShardedEngine {
-    shards: Vec<QueryEngine>,
+    shards: Vec<Shard>,
     /// Round-robin admission router.
     next: AtomicUsize,
-    /// Engine-level read path: estimates pin the shards' snapshot cells
-    /// directly and count here, not on the per-shard engines.
+    /// The read path: estimates pin the shards' snapshot cells directly
+    /// and count here.
     reads: ReadPath,
+    /// Landmark count, immutable for the engine's lifetime.
+    k: usize,
 }
 
 /// A pair resolved to where its rows live: the shard holding `a`'s
@@ -81,6 +89,7 @@ impl PinnedShards<'_> {
 impl std::fmt::Debug for ShardedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEngine")
+            .field("landmarks", &self.k)
             .field("shards", &self.shards.len())
             .finish_non_exhaustive()
     }
@@ -88,21 +97,34 @@ impl std::fmt::Debug for ShardedEngine {
 
 impl ShardedEngine {
     /// Partitions a fitted [`StreamingServer`] across `shards` replicas
-    /// (each shard gets a bit-identical clone of the landmark model and
-    /// its own [`QueryEngine`] with `config`).
+    /// (each shard gets a bit-identical clone of the landmark model, its
+    /// own writer and coalescer configured by `config`) and publishes
+    /// the initial host-less snapshots.
     pub fn new(server: StreamingServer, shards: usize, config: ServiceConfig) -> Result<Self> {
         if shards == 0 {
             return Err(IdesError::InvalidInput("need at least one shard".into()));
         }
-        let mut engines = Vec::with_capacity(shards);
-        for _ in 0..shards - 1 {
-            engines.push(QueryEngine::new(server.clone(), config)?);
+        if config.max_batch == 0 {
+            return Err(IdesError::InvalidInput(
+                "max_batch must be at least 1".into(),
+            ));
         }
-        engines.push(QueryEngine::new(server, config)?);
+        if server.dim() == 0 {
+            return Err(IdesError::InvalidInput(
+                "server dimensionality must be at least 1".into(),
+            ));
+        }
+        let k = server.landmark_count();
+        let mut replicas = Vec::with_capacity(shards);
+        for _ in 1..shards {
+            replicas.push(Shard::new(server.clone(), config)?);
+        }
+        replicas.push(Shard::new(server, config)?);
         Ok(ShardedEngine {
-            shards: engines,
+            shards: replicas,
             next: AtomicUsize::new(0),
             reads: ReadPath::default(),
+            k,
         })
     }
 
@@ -111,14 +133,9 @@ impl ShardedEngine {
         self.shards.len()
     }
 
-    /// Shard `i`'s engine (for per-shard observability).
-    pub fn shard(&self, i: usize) -> &QueryEngine {
-        &self.shards[i]
-    }
-
     /// Number of landmarks.
     pub fn landmark_count(&self) -> usize {
-        self.shards[0].landmark_count()
+        self.k
     }
 
     /// Which shard owns `node`'s coordinate row. Landmarks are replicated
@@ -143,12 +160,9 @@ impl ShardedEngine {
         }
     }
 
-    /// Maps a shard-local id back to the global namespace.
-    fn to_global(&self, shard: usize, node: NodeId) -> NodeId {
-        match node {
-            NodeId::Host(s) => NodeId::Host(s * self.shards.len() + shard),
-            lm => lm,
-        }
+    /// The global id of `shard`'s local host slot `slot`.
+    fn host_id(&self, shard: usize, slot: usize) -> NodeId {
+        NodeId::Host(slot * self.shards.len() + shard)
     }
 
     /// Resolves a pair to the shard(s) holding its rows. Host endpoints
@@ -164,20 +178,27 @@ impl ShardedEngine {
         }
     }
 
-    /// Every shard's current snapshot as an owned `Arc` (one `ArcSwap`
-    /// load each); answer queries against the returned vector via
-    /// [`ShardedEngine::estimate_on`] for one consistent cross-shard view
-    /// that outlives the call.
+    /// Every shard's current snapshot as an owned `Arc` (a pin plus an
+    /// `Arc` clone each, lock-free), in shard order; answer queries
+    /// against the returned vector via [`ShardedEngine::estimate_on`] for
+    /// one consistent view that outlives the call, or inspect the
+    /// published tables (ids are shard-local there: global host `g` is
+    /// slot `g / N` of snapshot `g % N`).
     pub fn snapshots(&self) -> Vec<Arc<Snapshot>> {
-        self.shards.iter().map(|s| s.snapshot()).collect()
+        self.shards.iter().map(|s| s.snapshot.load()).collect()
+    }
+
+    /// Drift epoch of the published model (every replica applies every
+    /// epoch, so any shard's snapshot answers).
+    pub fn current_epoch(&self) -> f64 {
+        self.shards[0].snapshot.with(|snap| snap.epoch())
     }
 
     /// Estimated distance from `a` to `b`: `a`'s outgoing row from its
     /// shard's snapshot dotted with `b`'s incoming row from its — the
-    /// same Eq. 10 arithmetic as [`Snapshot::estimate`], so answers are
-    /// bit-identical to a single engine holding all hosts. A
-    /// host–landmark pair reads both rows from the host's shard (one
-    /// pin, exactly like the single engine); only host–host pairs on
+    /// Eq. 10 arithmetic of [`Snapshot::estimate`], so answers are
+    /// bit-identical at any shard count. A host–landmark pair reads both
+    /// rows from the host's shard (one pin); only host–host pairs on
     /// different shards pin two snapshots.
     pub fn estimate(&self, a: NodeId, b: NodeId) -> Result<f64> {
         let r = self.resolve(a, b);
@@ -214,7 +235,7 @@ impl ShardedEngine {
     /// Pins every shard's snapshot (last shard outermost) and runs `f`
     /// on the resulting list.
     fn with_all_pinned<R>(
-        shards: &[QueryEngine],
+        shards: &[Shard],
         rest: Option<&PinnedShards<'_>>,
         f: &mut dyn FnMut(&PinnedShards<'_>) -> R,
     ) -> R {
@@ -250,316 +271,284 @@ impl ShardedEngine {
         })
     }
 
-    /// Admits a host through the next shard's coalescer (round-robin).
-    pub fn join(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
-        let shard = self.route();
-        let local = self.shards[shard].join(d_out, d_in)?;
-        Ok(self.to_global(shard, local))
+    /// Runs `work` once per shard and returns the results in shard order:
+    /// shard 0 on the calling thread, the other `N − 1` concurrently on
+    /// scoped threads — so an engine with one shard never spawns.
+    fn fan_out<R: Send>(&self, work: impl Fn(usize, &Shard) -> R + Sync) -> Vec<R> {
+        let run = |i: usize| {
+            let prev = tm::set_shard(i as u32);
+            let r = work(i, &self.shards[i]);
+            tm::set_shard(prev);
+            r
+        };
+        std::thread::scope(|scope| {
+            let run = &run;
+            let rest: Vec<_> = (1..self.shards.len())
+                .map(|i| scope.spawn(move || run(i)))
+                .collect();
+            std::iter::once(run(0))
+                .chain(rest.into_iter().map(|h| h.join().expect("shard panicked")))
+                .collect()
+        })
     }
 
-    /// Admits a host through the next shard's per-request control path.
-    pub fn join_per_request(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
-        let shard = self.route();
-        let local = self.shards[shard].join_per_request(d_out, d_in)?;
-        Ok(self.to_global(shard, local))
-    }
-
-    /// Admits a host through the next shard's direct (uncoalesced) path.
-    pub fn join_direct(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
-        let shard = self.route();
-        let local = self.shards[shard].join_direct(d_out, d_in)?;
-        Ok(self.to_global(shard, local))
-    }
-
-    fn route(&self) -> usize {
-        self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len()
-    }
-
-    /// Bulk admission: rows are dealt round-robin (row `r` to shard
-    /// `r % N`), each shard solves its sub-batch with one batched solve
-    /// and one publish, and the sub-batches run **concurrently** on
-    /// scoped threads. Returns global ids in row order.
-    pub fn join_many(&self, d_out: &Matrix, d_in: &Matrix) -> Result<Vec<NodeId>> {
-        let n = self.shards.len();
-        if n == 1 {
-            return self.shards[0].join_many(d_out, d_in);
+    /// What every replica answered — replicas run identical arithmetic,
+    /// so shard 0's answer stands for all — unless a shard failed.
+    fn replicated<R>(per_shard: Vec<Result<R>>) -> Result<R> {
+        let mut per_shard = per_shard.into_iter();
+        let first = per_shard.next().expect("at least one shard")?;
+        for other in per_shard {
+            other?;
         }
-        if d_out.shape() != d_in.shape() {
+        Ok(first)
+    }
+
+    /// Validates one host's measurements, routes it to the next shard
+    /// (round-robin) and admits it there through `admit`.
+    fn admit_one(
+        &self,
+        d_out: &[f64],
+        d_in: &[f64],
+        admit: impl FnOnce(&Shard) -> Result<usize>,
+    ) -> Result<NodeId> {
+        if d_out.len() != self.k || d_in.len() != self.k {
             return Err(IdesError::InvalidInput(format!(
-                "measurement batch shapes differ: out {:?}, in {:?}",
+                "expected {} out/in measurements, got {}/{}",
+                self.k,
+                d_out.len(),
+                d_in.len()
+            )));
+        }
+        Self::check_values(d_out, d_in)?;
+        let shard = self.next.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        Ok(self.host_id(shard, admit(&self.shards[shard])?))
+    }
+
+    /// The one scan of a call's measurement values — every one finite and
+    /// nonnegative — which the shards do not repeat. Branch-free (no early
+    /// exit) so it vectorizes; NaN fails the range test.
+    fn check_values(d_out: &[f64], d_in: &[f64]) -> Result<()> {
+        let valid = |values: &[f64]| {
+            values
+                .iter()
+                .fold(true, |ok, v| ok & (0.0..f64::INFINITY).contains(v))
+        };
+        if valid(d_out) && valid(d_in) {
+            Ok(())
+        } else {
+            Err(IdesError::InvalidInput(
+                "measurements must be finite and nonnegative".into(),
+            ))
+        }
+    }
+
+    /// Admits a host through the next shard's **join coalescer**
+    /// (round-robin): concurrent joiners on a shard are solved as one
+    /// batched cached-Gram system and published once (see the [service
+    /// docs](crate::service)). Returns the host's [`NodeId`].
+    pub fn join(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
+        self.admit_one(d_out, d_in, |shard| shard.join(d_out, d_in))
+    }
+
+    /// Admits a host **without** coalescing: one writer-lock acquisition,
+    /// one batch-of-1 cached solve, one snapshot publish — the reference
+    /// the coalescer bit-identity tests compare against (and a
+    /// low-latency path when admission traffic is sparse, since it never
+    /// lingers). Bit-identical to the coalesced path.
+    pub fn join_direct(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
+        self.admit_one(d_out, d_in, |shard| {
+            Ok(shard.flush_rows(RowBatch::contiguous(1, d_out, d_in))?[0])
+        })
+    }
+
+    /// Admits a host the way a serving layer **without** the coalescer
+    /// would: one per-request QR factorization of the landmark system and
+    /// one snapshot publish per call. This is the control the `serve`
+    /// bench group's coalesced-vs-per-request headline measures against
+    /// (the admission analogue of the `join_batch` bench's `per_host_qr`
+    /// control). Coordinates are numerically equivalent to the
+    /// cached-Gram paths but not bitwise (QR vs normal equations).
+    pub fn join_per_request(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
+        self.admit_one(d_out, d_in, |shard| shard.join_per_request(d_out, d_in))
+    }
+
+    /// Bulk admission: joins every row of `d_out`/`d_in` (hosts × k) —
+    /// the mass-arrival path that makes admitting 10⁶ hosts a handful of
+    /// publishes instead of 10⁶. Row `r` goes to shard `r % N`; each
+    /// shard reads its rows straight out of the batch, solves them with
+    /// **one** batched cached solve and publishes **once**, all shards
+    /// concurrently. Bit-identical per row to
+    /// [`ShardedEngine::join_direct`]. The whole batch is validated
+    /// first: on any bad value no shard admits anything. Returns global
+    /// ids in row order.
+    pub fn join_many(&self, d_out: &Matrix, d_in: &Matrix) -> Result<Vec<NodeId>> {
+        if d_out.shape() != d_in.shape() || d_out.cols() != self.k {
+            return Err(IdesError::InvalidInput(format!(
+                "measurement batch must be hosts x {}: out {:?}, in {:?}",
+                self.k,
                 d_out.shape(),
                 d_in.shape()
             )));
         }
-        let rows = d_out.rows();
-        let k = d_out.cols();
-        // Deal rows into per-shard sub-batches (shard `s` gets rows
-        // `s, s + n, …`), each sized once up front.
-        let deal = |d: &Matrix| -> Vec<Matrix> {
-            (0..n)
-                .map(|shard| {
-                    let mut sub = Matrix::zeros(rows.saturating_sub(shard).div_ceil(n), k);
-                    for i in 0..sub.rows() {
-                        sub.set_row(i, d.row(i * n + shard));
-                    }
-                    sub
-                })
-                .collect()
-        };
-        let (sub_out, sub_in) = (deal(d_out), deal(d_in));
-        let per_shard: Vec<Result<Vec<NodeId>>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (shard, (so, si)) in sub_out.iter().zip(sub_in.iter()).enumerate() {
-                let engine = &self.shards[shard];
-                handles.push(scope.spawn(move || {
-                    let prev = tm::set_shard(shard as u32);
-                    let r = engine.join_many(so, si);
-                    tm::set_shard(prev);
-                    r
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard join panicked"))
-                .collect()
+        Self::check_values(d_out.as_slice(), d_in.as_slice())?;
+        let (rows, n) = (d_out.rows(), self.shards.len());
+        let per_shard = self.fan_out(|first, shard| {
+            shard.flush_rows(RowBatch {
+                d_out: d_out.as_slice(),
+                d_in: d_in.as_slice(),
+                first,
+                step: n,
+                rows: rows.saturating_sub(first).div_ceil(n),
+            })
         });
-        let mut locals: Vec<std::vec::IntoIter<NodeId>> = Vec::with_capacity(n);
-        for r in per_shard {
-            locals.push(r?.into_iter());
+        let mut slots = Vec::with_capacity(n);
+        for shard_slots in per_shard {
+            slots.push(shard_slots?.into_iter());
         }
-        let mut ids = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let shard = r % n;
-            let local = locals[shard].next().expect("shard returned too few ids");
-            ids.push(self.to_global(shard, local));
-        }
-        Ok(ids)
+        Ok((0..rows)
+            .map(|r| {
+                let slot = slots[r % n].next().expect("one slot per dealt row");
+                self.host_id(r % n, slot)
+            })
+            .collect())
     }
 
-    /// Retires a host on its owning shard.
+    /// Retires an admitted host: its slot joins its shard's free list (no
+    /// reallocation — the next admission there reuses it) and a new
+    /// snapshot without the host is published.
     pub fn leave(&self, host: NodeId) -> Result<()> {
-        let Some(shard) = self.owner(host) else {
-            return Err(IdesError::InvalidInput(
-                "landmarks cannot leave the service".into(),
-            ));
-        };
-        self.shards[shard].leave(self.to_local(host))
+        self.leave_many(&[host])
     }
 
-    /// Retires a batch of hosts, grouped so each involved shard publishes
-    /// once.
+    /// Retires a batch of hosts with **one** snapshot publish per
+    /// involved shard (the churn analogue of the join coalescer: a
+    /// departure wave costs a pointer swap per shard, not one per host).
+    /// Validates the whole batch first, holding the involved shards'
+    /// writer locks (taken in ascending shard order): on any landmark,
+    /// dead or repeated id nothing is retired on any shard.
     pub fn leave_many(&self, hosts: &[NodeId]) -> Result<()> {
         let n = self.shards.len();
-        let mut by_shard: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for &h in hosts {
-            let Some(shard) = self.owner(h) else {
+        let mut slots = Vec::with_capacity(hosts.len());
+        for &host in hosts {
+            let NodeId::Host(g) = host else {
                 return Err(IdesError::InvalidInput(
                     "landmarks cannot leave the service".into(),
                 ));
             };
-            by_shard[shard].push(self.to_local(h));
+            slots.push((g % n, g / n));
         }
-        for (shard, batch) in by_shard.iter().enumerate() {
-            self.shards[shard].leave_many(batch)?;
+        // Shard-major, so the writer locks below are taken in ascending
+        // shard order; a repeated id ends up next to itself.
+        slots.sort_unstable();
+        if let Some(twice) = slots.windows(2).find(|w| w[0] == w[1]) {
+            return Err(unknown_node(self.host_id(twice[0].0, twice[0].1)));
+        }
+        let mut locked = Vec::new();
+        for group in slots.chunk_by(|a, b| a.0 == b.0) {
+            let shard = group[0].0;
+            let w = self.shards[shard].writer.lock();
+            if let Some(&(_, dead)) = group.iter().find(|&&(_, slot)| !w.is_live(slot)) {
+                return Err(unknown_node(self.host_id(shard, dead)));
+            }
+            locked.push((shard, w, group));
+        }
+        for (shard, mut w, group) in locked {
+            self.shards[shard].retire(&mut w, group.iter().map(|&(_, slot)| slot))?;
         }
         Ok(())
     }
 
-    /// Applies one drift epoch to **every** shard replica, concurrently
-    /// on scoped threads. Replicas run identical arithmetic, so their
-    /// models stay bit-identical; the returned outcome is shard 0's
-    /// (all shards' outcomes are equal).
+    /// Applies one drift epoch to **every** shard replica concurrently:
+    /// each absorbs or refreshes per the staleness policy through the
+    /// dependency-DAG executor
+    /// ([`StreamingServer::apply_epoch_planned`]) with its admitted hosts
+    /// as rejoin nodes of the same plan, then publishes. Queries keep
+    /// being served from the previous snapshots until the publishes land.
+    /// Replicas run identical arithmetic, so their models stay
+    /// bit-identical and the outcome is the same on every shard.
     pub fn apply_epoch(&self, update: &EpochUpdate) -> Result<EpochOutcome> {
-        if self.shards.len() == 1 {
-            return self.shards[0].apply_epoch(update);
-        }
-        let outcomes: Vec<Result<EpochOutcome>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(shard, engine)| {
-                    scope.spawn(move || {
-                        let prev = tm::set_shard(shard as u32);
-                        let r = engine.apply_epoch(update);
-                        tm::set_shard(prev);
-                        r
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard epoch panicked"))
-                .collect()
-        });
-        let mut first = None;
-        for o in outcomes {
-            let o = o?;
-            first.get_or_insert(o);
-        }
-        Ok(first.expect("at least one shard"))
+        Self::replicated(self.fan_out(|_, shard| shard.apply_epoch(update)))
     }
 
-    /// Applies a batch of drift epochs to every shard replica,
-    /// concurrently on scoped threads, with each replica running the
-    /// cross-epoch pipeline ([`QueryEngine::apply_epochs`]): within a
-    /// shard, epoch `N`'s host rejoins overlap epoch `N+1`'s landmark
-    /// absorbs. Replicas run identical arithmetic, so their final models
-    /// stay bit-identical; the returned outcomes are shard 0's.
+    /// Applies a batch of drift epochs to every shard replica
+    /// concurrently, each through the **cross-epoch pipeline**
+    /// ([`StreamingServer::apply_epochs_pipelined`]): within a shard,
+    /// epoch `N`'s host rejoins overlap epoch `N+1`'s landmark absorbs.
+    /// The final published state is **bit-identical** to calling
+    /// [`ShardedEngine::apply_epoch`] once per update; the difference is
+    /// wall-clock (overlap) and that intermediate snapshots are not
+    /// published — one publish per shard lands at the end of the batch.
+    /// The overlap count accumulates into
+    /// [`ShardedEngine::epoch_plan_totals`]'s `pipelined` field.
     pub fn apply_epochs(&self, updates: &[EpochUpdate]) -> Result<Vec<EpochOutcome>> {
-        if self.shards.len() == 1 {
-            return self.shards[0].apply_epochs(updates);
-        }
-        let results: Vec<Result<Vec<EpochOutcome>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(shard, engine)| {
-                    scope.spawn(move || {
-                        let prev = tm::set_shard(shard as u32);
-                        let r = engine.apply_epochs(updates);
-                        tm::set_shard(prev);
-                        r
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard epoch batch panicked"))
-                .collect()
-        });
-        let mut first = None;
-        for r in results {
-            let r = r?;
-            first.get_or_insert(r);
-        }
-        Ok(first.expect("at least one shard"))
+        Self::replicated(self.fan_out(|_, shard| shard.apply_epochs(updates)))
     }
 
     /// A live host's `(outgoing, incoming)` coordinate rows, read from
     /// its shard's current snapshot (the bit-identity tests compare these
-    /// against a single engine's table).
+    /// across shard counts).
     pub fn host_coords(&self, host: NodeId) -> Result<(Vec<f64>, Vec<f64>)> {
         let shard = self.owner(host).ok_or_else(|| {
             IdesError::InvalidInput("landmark coordinates live in the model".into())
         })?;
-        let snap = self.shards[shard].snapshot();
         let local = self.to_local(host);
-        Ok((
-            snap.outgoing_of(local)?.to_vec(),
-            snap.incoming_of(local)?.to_vec(),
-        ))
+        self.shards[shard].snapshot.with(|snap| {
+            Ok((
+                snap.outgoing_of(local)?.to_vec(),
+                snap.incoming_of(local)?.to_vec(),
+            ))
+        })
     }
 
-    /// Aggregate counters: queries are engine-level (the sharded estimate
-    /// path does not pass through the per-shard engines); joins, flushes,
-    /// and leaves sum across shards; `epochs` is shard 0's count (every
-    /// shard applies every epoch); `version` sums shard publish counts
-    /// (total publishes).
+    /// Counter snapshot plus the instantaneous gauges: queries served;
+    /// joins, flushes, leaves, coalescer queue depth and the latest
+    /// publishes' chunk sharing summed across shards; `epochs` is shard
+    /// 0's count (every shard applies every epoch); `version` sums the
+    /// shards' snapshot versions (total publishes).
     pub fn stats(&self) -> ServiceStats {
-        let mut joins = 0;
-        let mut flushes = 0;
-        let mut leaves = 0;
-        let mut version = 0;
-        let mut coalescer_depth = 0;
-        let mut chunk_shared = 0;
-        let mut chunk_total = 0;
-        let mut epochs = None;
-        for s in &self.shards {
-            let st = s.stats();
-            epochs.get_or_insert(st.epochs);
-            joins += st.joins;
-            flushes += st.flushes;
-            leaves += st.leaves;
-            version += st.version;
-            coalescer_depth += st.coalescer_depth;
-            chunk_shared += st.chunk_shared;
-            chunk_total += st.chunk_total;
-        }
-        ServiceStats {
+        let mut total = ServiceStats {
             queries: self.reads.queries(),
-            cache_hits: 0,
-            joins,
-            flushes,
-            leaves,
-            epochs: epochs.expect("at least one shard"),
-            version,
-            coalescer_depth,
-            chunk_shared,
-            chunk_total,
+            ..self.shards[0].stats()
+        };
+        for st in self.shards[1..].iter().map(Shard::stats) {
+            total.joins += st.joins;
+            total.flushes += st.flushes;
+            total.leaves += st.leaves;
+            total.version += st.version;
+            total.coalescer_depth += st.coalescer_depth;
+            total.chunk_shared += st.chunk_shared;
+            total.chunk_total += st.chunk_total;
         }
+        total
     }
 
-    /// Per-shard counter snapshots (shard imbalance observability).
+    /// Per-shard write-side counter snapshots (shard imbalance
+    /// observability; `queries` is engine-level and reads 0 here).
     pub fn shard_stats(&self) -> Vec<ServiceStats> {
-        self.shards.iter().map(|s| s.stats()).collect()
+        self.shards.iter().map(Shard::stats).collect()
     }
 
-    /// Publish-latency histograms merged across every shard.
+    /// Publish-latency histogram (one sample per snapshot publish: join
+    /// flushes, leaves, drift epochs), merged across every shard.
     pub fn publish_latency(&self) -> LatencyHistogram {
         let mut merged = LatencyHistogram::new();
         for s in &self.shards {
-            merged.merge(&s.publish_latency());
+            merged.merge(&s.publish_hist.lock());
         }
         merged
     }
 
-    /// Epoch-plan totals merged across every shard replica (sums, with
-    /// `max_width` the cross-shard high-water mark). Every shard executes
-    /// its own plan of each epoch, so `epochs` counts shard-plans, not
-    /// distinct drift epochs.
+    /// Accumulated shape of the epoch plans the drift writers have
+    /// executed (group counts, antichain widths, critical paths), merged
+    /// across every shard replica (sums, with `max_width` the cross-shard
+    /// high-water mark). Every shard executes its own plan of each epoch,
+    /// so `epochs` counts shard-plans, not distinct drift epochs.
     pub fn epoch_plan_totals(&self) -> EpochPlanTotals {
         let mut merged = EpochPlanTotals::default();
         for s in &self.shards {
-            merged.merge(&s.epoch_plan_totals());
+            merged.merge(&s.plan_totals.lock());
         }
         merged
-    }
-}
-
-impl DistanceService for ShardedEngine {
-    fn landmark_count(&self) -> usize {
-        ShardedEngine::landmark_count(self)
-    }
-    fn estimate(&self, a: NodeId, b: NodeId) -> Result<f64> {
-        ShardedEngine::estimate(self, a, b)
-    }
-    fn join(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
-        ShardedEngine::join(self, d_out, d_in)
-    }
-    fn join_per_request(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
-        ShardedEngine::join_per_request(self, d_out, d_in)
-    }
-    fn join_many(&self, d_out: &Matrix, d_in: &Matrix) -> Result<Vec<NodeId>> {
-        ShardedEngine::join_many(self, d_out, d_in)
-    }
-    fn leave(&self, host: NodeId) -> Result<()> {
-        ShardedEngine::leave(self, host)
-    }
-    fn apply_epoch(&self, update: &EpochUpdate) -> Result<EpochOutcome> {
-        ShardedEngine::apply_epoch(self, update)
-    }
-    fn apply_epochs(&self, updates: &[EpochUpdate]) -> Result<Vec<EpochOutcome>> {
-        ShardedEngine::apply_epochs(self, updates)
-    }
-    fn stats(&self) -> ServiceStats {
-        ShardedEngine::stats(self)
-    }
-    fn epoch_plan_totals(&self) -> EpochPlanTotals {
-        ShardedEngine::epoch_plan_totals(self)
-    }
-    fn current_epoch(&self) -> f64 {
-        self.shards[0].snapshot().epoch()
-    }
-    fn publish_latency(&self) -> LatencyHistogram {
-        ShardedEngine::publish_latency(self)
-    }
-    fn shard_count(&self) -> usize {
-        ShardedEngine::shard_count(self)
-    }
-    fn shard_of(&self, node: NodeId) -> usize {
-        ShardedEngine::shard_of(self, node)
     }
 }
 
@@ -573,6 +562,12 @@ mod tests {
         let sub: Vec<usize> = (0..k).collect();
         let lm = ds.matrix.submatrix(&sub, &sub);
         StreamingServer::new(&lm, dim, StalenessPolicy::default()).expect("server")
+    }
+
+    const SHARD_COUNTS: [usize; 3] = [1, 2, 3];
+
+    fn engine(k: usize, dim: usize, shards: usize) -> ShardedEngine {
+        ShardedEngine::new(server(k, dim), shards, ServiceConfig::default()).expect("engine")
     }
 
     fn meas(k: usize, seed: u64) -> Vec<f64> {
@@ -589,7 +584,7 @@ mod tests {
 
     #[test]
     fn ids_round_trip_across_shards() {
-        let e = ShardedEngine::new(server(10, 4), 3, ServiceConfig::default()).expect("engine");
+        let e = engine(10, 4, 3);
         assert_eq!(e.shard_count(), 3);
         let ids: Vec<NodeId> = (0..7)
             .map(|i| e.join_direct(&meas(10, i), &meas(10, 100 + i)).unwrap())
@@ -614,83 +609,110 @@ mod tests {
     }
 
     #[test]
-    fn landmark_estimates_match_any_shard_replica() {
-        let e = ShardedEngine::new(server(12, 4), 4, ServiceConfig::default()).expect("engine");
-        // Replicated model: landmark-landmark estimates equal every
-        // shard's own answer bit for bit.
-        let want = e
-            .estimate(NodeId::Landmark(2), NodeId::Landmark(9))
+    fn landmark_estimates_match_the_model_on_every_replica_and_read_form() {
+        for shards in SHARD_COUNTS {
+            let e = engine(12, 4, shards);
+            let snaps = e.snapshots();
+            assert_eq!(snaps.len(), shards);
+            for snap in &snaps {
+                assert_eq!(snap.version(), 0);
+                assert_eq!(snap.landmark_count(), 12);
+                assert_eq!(snap.host_count(), 0);
+            }
+            // Replicated model: a landmark-landmark estimate is the model's
+            // dot product, equal on every shard's replica bit for bit, and
+            // every read form — live, caller-pinned, batched — returns it
+            // and counts its queries.
+            let pair = (NodeId::Landmark(2), NodeId::Landmark(7));
+            let model = snaps[0].model();
+            let want = ides_mf::FactorModel::dot(model.outgoing(2), model.incoming(7));
+            let mut got = vec![
+                e.estimate(pair.0, pair.1).unwrap(),
+                e.estimate_on(&snaps, pair.0, pair.1).unwrap(),
+            ];
+            e.estimate_batch(&[pair, pair, pair], &mut got).unwrap();
+            got.extend(snaps.iter().map(|s| s.estimate(pair.0, pair.1).unwrap()));
+            assert_eq!(got.len(), 5 + shards);
+            for g in got {
+                assert_eq!(g.to_bits(), want.to_bits(), "{shards} shards");
+            }
+            let stats = e.stats();
+            assert_eq!(stats.queries, 5);
+            assert_eq!(stats.cache_hits, 0, "no cache: field kept, always 0");
+            // Unknown endpoints are rejected.
+            assert!(e
+                .estimate(NodeId::Landmark(99), NodeId::Landmark(0))
+                .is_err());
+            assert!(e.estimate(NodeId::Host(0), NodeId::Landmark(0)).is_err());
+            assert!(e
+                .estimate_batch(&[pair, (NodeId::Host(0), pair.1)], &mut Vec::new())
+                .is_err());
+            // ... and drift keeps replicas in lockstep.
+            e.apply_epoch(&EpochUpdate {
+                epoch: 1.0,
+                deltas: vec![
+                    MeasurementDelta {
+                        from: 0,
+                        to: 5,
+                        rtt: 30.0,
+                    },
+                    MeasurementDelta {
+                        from: 5,
+                        to: 0,
+                        rtt: 30.0,
+                    },
+                ],
+            })
             .unwrap();
-        for i in 0..4 {
-            let shard_ans = e
-                .shard(i)
-                .estimate(NodeId::Landmark(2), NodeId::Landmark(9))
-                .unwrap();
-            assert_eq!(want.to_bits(), shard_ans.to_bits(), "shard {i} diverged");
-        }
-        // ... and drift keeps replicas in lockstep.
-        e.apply_epoch(&EpochUpdate {
-            epoch: 1.0,
-            deltas: vec![
-                MeasurementDelta {
-                    from: 0,
-                    to: 5,
-                    rtt: 30.0,
-                },
-                MeasurementDelta {
-                    from: 5,
-                    to: 0,
-                    rtt: 30.0,
-                },
-            ],
-        })
-        .unwrap();
-        let after = e
-            .estimate(NodeId::Landmark(0), NodeId::Landmark(5))
-            .unwrap();
-        for i in 0..4 {
-            let shard_ans = e
-                .shard(i)
+            let after = e
                 .estimate(NodeId::Landmark(0), NodeId::Landmark(5))
                 .unwrap();
-            assert_eq!(after.to_bits(), shard_ans.to_bits(), "shard {i} diverged");
+            for (i, snap) in e.snapshots().iter().enumerate() {
+                let shard_ans = snap
+                    .estimate(NodeId::Landmark(0), NodeId::Landmark(5))
+                    .unwrap();
+                assert_eq!(after.to_bits(), shard_ans.to_bits(), "shard {i} diverged");
+            }
+            assert_eq!(e.stats().epochs, 1);
+            assert_eq!(e.current_epoch(), 1.0);
         }
-        assert_eq!(e.stats().epochs, 1);
     }
 
     #[test]
     fn join_many_matches_individual_joins() {
         let k = 10;
         let rows = 11;
-        let bulk = ShardedEngine::new(server(k, 4), 3, ServiceConfig::default()).expect("engine");
-        let single = ShardedEngine::new(server(k, 4), 3, ServiceConfig::default()).expect("engine");
         let out_rows: Vec<Vec<f64>> = (0..rows).map(|i| meas(k, 1000 + i as u64)).collect();
         let in_rows: Vec<Vec<f64>> = (0..rows).map(|i| meas(k, 2000 + i as u64)).collect();
         let d_out = Matrix::from_rows(&out_rows).unwrap();
         let d_in = Matrix::from_rows(&in_rows).unwrap();
-        let ids = bulk.join_many(&d_out, &d_in).unwrap();
-        assert_eq!(ids.len(), rows);
-        let one_by_one: Vec<NodeId> = (0..rows)
-            .map(|i| single.join_direct(&out_rows[i], &in_rows[i]).unwrap())
-            .collect();
-        // Same routing (round-robin from a fresh engine) and bit-identical
-        // coordinates row for row.
-        for (a, b) in ids.iter().zip(one_by_one.iter()) {
-            assert_eq!(a, b);
-            let (ao, ai) = bulk.host_coords(*a).unwrap();
-            let (bo, bi) = single.host_coords(*b).unwrap();
-            for j in 0..4 {
-                assert_eq!(ao[j].to_bits(), bo[j].to_bits());
-                assert_eq!(ai[j].to_bits(), bi[j].to_bits());
+        for shards in SHARD_COUNTS {
+            let (bulk, single) = (engine(k, 4, shards), engine(k, 4, shards));
+            let ids = bulk.join_many(&d_out, &d_in).unwrap();
+            assert_eq!(ids.len(), rows);
+            let one_by_one: Vec<NodeId> = (0..rows)
+                .map(|i| single.join_direct(&out_rows[i], &in_rows[i]).unwrap())
+                .collect();
+            // Same routing (round-robin from a fresh engine) and
+            // bit-identical coordinates row for row.
+            for (a, b) in ids.iter().zip(one_by_one.iter()) {
+                assert_eq!(a, b);
+                let (ao, ai) = bulk.host_coords(*a).unwrap();
+                let (bo, bi) = single.host_coords(*b).unwrap();
+                for j in 0..4 {
+                    assert_eq!(ao[j].to_bits(), bo[j].to_bits());
+                    assert_eq!(ai[j].to_bits(), bi[j].to_bits());
+                }
             }
+            // Bulk admission cost: one flush per involved shard.
+            assert_eq!(bulk.stats().flushes, shards as u64);
+            assert_eq!(bulk.stats().joins, rows as u64);
         }
-        // Bulk admission cost: one flush per involved shard.
-        assert_eq!(bulk.stats().flushes, 3);
     }
 
     #[test]
     fn every_read_form_agrees_counts_its_queries_and_checks_its_pins() {
-        let e = ShardedEngine::new(server(10, 4), 3, ServiceConfig::default()).expect("engine");
+        let e = engine(10, 4, 3);
         let ids: Vec<NodeId> = (0..7)
             .map(|i| e.join_direct(&meas(10, i), &meas(10, 100 + i)).unwrap())
             .collect();
@@ -728,5 +750,108 @@ mod tests {
         // A pinned set of the wrong size is refused, not a panic.
         let err = e.estimate_on(&held[..2], ids[0], ids[1]).unwrap_err();
         assert!(matches!(err, IdesError::InvalidInput(_)), "got {err:?}");
+    }
+
+    /// Everything a rejected write must leave untouched: the counters
+    /// (queries aside — probing counts), every shard's live-host count,
+    /// and every estimate over `ids` and a landmark, as raw bits (`None`
+    /// where an endpoint is not live).
+    fn observable_state(
+        e: &ShardedEngine,
+        ids: &[NodeId],
+    ) -> (ServiceStats, Vec<usize>, Vec<Option<u64>>) {
+        let stats = ServiceStats {
+            queries: 0,
+            ..e.stats()
+        };
+        let hosts = e.snapshots().iter().map(|s| s.host_count()).collect();
+        let nodes: Vec<NodeId> = ids.iter().copied().chain([NodeId::Landmark(1)]).collect();
+        let estimates = nodes
+            .iter()
+            .flat_map(|&a| nodes.iter().map(move |&b| (a, b)))
+            .map(|(a, b)| e.estimate(a, b).ok().map(f64::to_bits))
+            .collect();
+        (stats, hosts, estimates)
+    }
+
+    #[test]
+    fn rejected_batch_writes_change_nothing_on_any_shard() {
+        let k = 10;
+        for shards in SHARD_COUNTS {
+            let e = engine(k, 4, shards);
+            let ids: Vec<NodeId> = (0..6)
+                .map(|i| e.join_direct(&meas(k, 50 + i), &meas(k, 80 + i)).unwrap())
+                .collect();
+            let before = observable_state(&e, &ids);
+
+            // leave_many: a valid id ahead of a never-admitted id (on
+            // another shard when there is one), a repeat, and a landmark.
+            for bad in [
+                vec![ids[0], NodeId::Host(99)],
+                vec![ids[1], ids[2], ids[1]],
+                vec![ids[3], NodeId::Landmark(0)],
+            ] {
+                let err = e.leave_many(&bad).unwrap_err();
+                assert!(matches!(err, IdesError::InvalidInput(_)), "got {err:?}");
+                assert_eq!(
+                    observable_state(&e, &ids),
+                    before,
+                    "{shards} shards: {bad:?}"
+                );
+            }
+
+            // join_many: one bad value in row 1 (dealt to shard 1 when
+            // there is one) must keep row 0's shard from admitting too.
+            let good = Matrix::from_rows(&[meas(k, 1), meas(k, 2), meas(k, 3)]).unwrap();
+            for bad_value in [f64::NAN, f64::INFINITY, -1.0] {
+                let mut bad = good.clone();
+                bad[(1, 3)] = bad_value;
+                for (d_out, d_in) in [(&bad, &good), (&good, &bad)] {
+                    let err = e.join_many(d_out, d_in).unwrap_err();
+                    assert!(matches!(err, IdesError::InvalidInput(_)), "got {err:?}");
+                    assert_eq!(observable_state(&e, &ids), before, "{shards} shards");
+                }
+            }
+            let short = Matrix::from_rows(&[meas(k, 1)]).unwrap();
+            assert!(e.join_many(&good, &short).is_err());
+            assert!(e.join_many(&short.transpose(), &short.transpose()).is_err());
+            assert_eq!(observable_state(&e, &ids), before, "{shards} shards");
+
+            // A valid wave retires with one publish per involved shard...
+            let publishes = 4.min(shards) as u64;
+            e.leave_many(&ids[..4]).unwrap();
+            let after = e.stats();
+            assert_eq!(after.version, before.0.version + publishes);
+            assert_eq!(after.leaves, 4);
+            let live: usize = e.snapshots().iter().map(|s| s.host_count()).sum();
+            assert_eq!(live, 2);
+            // ... its ids are dead from then on, and an empty batch is a
+            // no-op (no publish).
+            assert!(e.leave_many(&[ids[0]]).is_err());
+            e.leave_many(&[]).unwrap();
+            assert_eq!(e.stats().version, after.version);
+        }
+    }
+
+    /// `fan_out` holds this file's only `thread::scope` and is the only
+    /// way `join_many`, `apply_epoch` and `apply_epochs` reach a shard, so
+    /// what it does with threads is what they do: shard 0's work runs on
+    /// the caller, and an engine with one shard spawns nothing.
+    #[test]
+    fn fan_out_runs_shard_zero_on_the_caller_and_spawns_only_the_rest() {
+        for shards in SHARD_COUNTS {
+            let e = engine(10, 4, shards);
+            let caller = std::thread::current().id();
+            let ran = e.fan_out(|i, _| (i, std::thread::current().id()));
+            assert_eq!(ran.len(), shards);
+            for (at, (shard, thread)) in ran.into_iter().enumerate() {
+                assert_eq!(shard, at, "results come back in shard order");
+                assert_eq!(
+                    thread == caller,
+                    shard == 0,
+                    "{shards} shards, shard {shard}"
+                );
+            }
+        }
     }
 }

@@ -250,14 +250,12 @@ fn repeated_same_row_deltas_still_one_absorb_node() {
     assert_eq!(stats.max_width, 2);
 }
 
-/// Engine-level: a `QueryEngine` under the ambient `IDES_LINALG_THREADS`
+/// Engine-level: a one-shard engine under the ambient `IDES_LINALG_THREADS`
 /// resolution serves bit-identical snapshots at every thread count. Env
 /// mutation is process-global, so every env-touching assertion lives in
 /// this one test (the suite's own process, per CI lane).
 #[test]
 fn engine_epochs_bitwise_across_thread_env() {
-    use ides::service::QueryEngine;
-
     let k = 12;
     let hosts = 15;
     let srv = server(k, 5, 63, 0.5);
@@ -268,13 +266,13 @@ fn engine_epochs_bitwise_across_thread_env() {
             Some(t) => std::env::set_var("IDES_LINALG_THREADS", t),
             None => std::env::remove_var("IDES_LINALG_THREADS"),
         }
-        let engine = QueryEngine::new(srv.clone(), ServiceConfig::default()).expect("engine");
+        let engine = ShardedEngine::new(srv.clone(), 1, ServiceConfig::default()).expect("engine");
         let ids = engine.join_many(&meas, &meas).expect("admit hosts");
         for e in 1..=3 {
             let update = drift_epoch(&srv, e as f64, 4, 1.0 + 0.01 * e as f64);
             engine.apply_epoch(&update).expect("epoch");
         }
-        let snap = engine.snapshot();
+        let snap = engine.snapshots().remove(0);
         ids.iter()
             .map(|id| match id {
                 NodeId::Host(s) => {

@@ -13,14 +13,14 @@
 //! * **Cross-epoch pipelining** (`apply_epochs_pipelined`) is bitwise
 //!   identical to back-to-back barriered epochs with the same tables,
 //!   at 1/2/4/7 threads.
-//! * **Engine batches** (`QueryEngine::apply_epochs`,
-//!   `ShardedEngine::apply_epochs`) serve bitwise-identical snapshots to
-//!   the one-epoch-at-a-time loop at 1/2/4 shards.
+//! * **Engine batches** (`ShardedEngine::apply_epochs`) serve
+//!   bitwise-identical snapshots to the one-epoch-at-a-time loop at
+//!   1/2/4 shards.
 //!
 //! The matrix CI lane (`determinism-stress`) runs this suite across
 //! `IDES_LINALG_THREADS` x `IDES_LINALG_KERNEL` configurations.
 
-use ides::service::{NodeId, QueryEngine, ServiceConfig, ShardedEngine};
+use ides::service::{NodeId, ServiceConfig, ShardedEngine};
 use ides::streaming::dag::PlanStats;
 use ides::streaming::{
     EpochOutcome, EpochUpdate, MeasurementDelta, RejoinTables, StalenessPolicy, StreamingServer,
@@ -585,8 +585,9 @@ fn engine_apply_epochs_bitwise_vs_serial_loop_and_shards() {
         .map(|e| drift_in_range(&srv, e as f64, 4, 0, k, 1.0 + 0.01 * e as f64))
         .collect();
 
-    let collect = |engine: &QueryEngine, ids: &[NodeId]| -> Vec<Vec<f64>> {
-        let snap = engine.snapshot();
+    // One shard: global host ids are its snapshot's slots.
+    let collect = |engine: &ShardedEngine, ids: &[NodeId]| -> Vec<Vec<f64>> {
+        let snap = engine.snapshots().remove(0);
         ids.iter()
             .map(|id| match id {
                 NodeId::Host(s) => {
@@ -599,7 +600,8 @@ fn engine_apply_epochs_bitwise_vs_serial_loop_and_shards() {
             .collect()
     };
 
-    let serial_engine = QueryEngine::new(srv.clone(), ServiceConfig::default()).expect("engine");
+    let serial_engine =
+        ShardedEngine::new(srv.clone(), 1, ServiceConfig::default()).expect("engine");
     let serial_ids = serial_engine.join_many(&meas, &meas).expect("admit");
     let mut serial_outcomes = Vec::new();
     for u in &updates {
@@ -607,7 +609,8 @@ fn engine_apply_epochs_bitwise_vs_serial_loop_and_shards() {
     }
     let serial_rows = collect(&serial_engine, &serial_ids);
 
-    let batch_engine = QueryEngine::new(srv.clone(), ServiceConfig::default()).expect("engine");
+    let batch_engine =
+        ShardedEngine::new(srv.clone(), 1, ServiceConfig::default()).expect("engine");
     let batch_ids = batch_engine.join_many(&meas, &meas).expect("admit");
     let batch_outcomes = batch_engine.apply_epochs(&updates).expect("epochs");
     assert_eq!(serial_outcomes, batch_outcomes, "outcomes diverged");

@@ -13,7 +13,7 @@
 //! multi-threaded scenarios cannot interfere with other suites.
 
 use ides::service::replay::{self, ReplayReport};
-use ides::service::{NodeId, QueryEngine, ServiceConfig};
+use ides::service::{NodeId, ServiceConfig, ShardedEngine};
 use ides::streaming::{StalenessPolicy, StreamingServer};
 use ides::BatchHostVectors;
 use ides_datasets::DistanceMatrix;
@@ -28,7 +28,8 @@ const DIM: usize = 6;
 const SEED: u64 = 20040427;
 
 struct Setup {
-    engine_of: Box<dyn Fn() -> QueryEngine>,
+    /// Builds a fresh one-shard engine: global host ids are its slots.
+    engine_of: Box<dyn Fn() -> ShardedEngine>,
     workload: Workload,
 }
 
@@ -62,7 +63,7 @@ fn setup() -> Setup {
             StalenessPolicy::default(),
         )
         .expect("server");
-        QueryEngine::new(server, ServiceConfig::default()).expect("engine")
+        ShardedEngine::new(server, 1, ServiceConfig::default()).expect("engine")
     };
     Setup {
         engine_of: Box::new(engine_of),
@@ -85,8 +86,8 @@ fn assert_reports_identical(a: &ReplayReport, b: &ReplayReport, context: &str) {
     }
 }
 
-fn assert_snapshots_identical(a: &QueryEngine, b: &QueryEngine, context: &str) {
-    let (sa, sb) = (a.snapshot(), b.snapshot());
+fn assert_snapshots_identical(a: &ShardedEngine, b: &ShardedEngine, context: &str) {
+    let (sa, sb) = (a.snapshots().remove(0), b.snapshots().remove(0));
     assert_eq!(sa.slot_count(), sb.slot_count(), "{context}: slot count");
     assert_eq!(sa.host_count(), sb.host_count(), "{context}: host count");
     for s in 0..sa.slot_count() {
@@ -218,7 +219,7 @@ fn snapshot_reads_are_bit_identical_to_direct_cached_joins() {
     }
     let live: Vec<(Vec<f64>, Vec<f64>)> = last_join.into_iter().flatten().collect();
     assert!(!live.is_empty(), "some hosts must survive the churn");
-    let snap = engine.snapshot();
+    let snap = engine.snapshots().remove(0);
     assert_eq!(snap.host_count(), live.len(), "live host census");
 
     // Direct cached join of the surviving hosts' measurements.

@@ -2,15 +2,15 @@
 //!
 //! 1. A [`ShardedEngine`] at **any** shard count serves bit-identical
 //!    answers — and ends with a bit-identical host coordinate table — to
-//!    a single [`QueryEngine`] replaying the same workload. Sharding is
-//!    a layout choice, not a semantics choice.
+//!    the one-shard engine replaying the same workload. Sharding is a
+//!    layout choice, not a semantics choice.
 //! 2. Consecutive snapshots share all but the touched chunks of the
 //!    coordinate tree: publish cost is O(changed chunks), not O(hosts).
 //! 3. There is no staleness window: a query issued after a publish on
 //!    either endpoint's shard returns sees that publish, and an id
 //!    recycled after a `leave` serves the new host's coordinates.
 
-use ides::service::{replay, NodeId, QueryEngine, ServiceConfig, ShardedEngine};
+use ides::service::{replay, NodeId, ServiceConfig, ShardedEngine, Snapshot};
 use ides::streaming::{StalenessPolicy, StreamingServer};
 use ides_datasets::DistanceMatrix;
 use ides_linalg::Matrix;
@@ -59,26 +59,9 @@ fn setup() -> Setup {
 
 /// Every live host's `(outgoing ‖ incoming)` row as raw bit patterns,
 /// sorted — a layout-independent fingerprint of the coordinate table.
-fn coord_multiset_single(engine: &QueryEngine) -> Vec<Vec<u64>> {
-    let snap = engine.snapshot();
-    let mut rows: Vec<Vec<u64>> = (0..snap.slot_count())
-        .filter(|&s| snap.is_live(s))
-        .map(|s| {
-            snap.host_outgoing(s)
-                .iter()
-                .chain(snap.host_incoming(s))
-                .map(|v| v.to_bits())
-                .collect()
-        })
-        .collect();
-    rows.sort();
-    rows
-}
-
-fn coord_multiset_sharded(engine: &ShardedEngine) -> Vec<Vec<u64>> {
+fn coord_multiset(engine: &ShardedEngine) -> Vec<Vec<u64>> {
     let mut rows: Vec<Vec<u64>> = Vec::new();
-    for i in 0..engine.shard_count() {
-        let snap = engine.shard(i).snapshot();
+    for snap in engine.snapshots() {
         for s in 0..snap.slot_count() {
             if snap.is_live(s) {
                 rows.push(
@@ -98,10 +81,10 @@ fn coord_multiset_sharded(engine: &ShardedEngine) -> Vec<Vec<u64>> {
 #[test]
 fn sharded_replay_is_bit_identical_to_single_engine_at_any_shard_count() {
     let s = setup();
-    let single = QueryEngine::new(s.server.clone(), ServiceConfig::default()).expect("engine");
+    let single = ShardedEngine::new(s.server.clone(), 1, ServiceConfig::default()).expect("engine");
     let reference = replay::replay(&single, &s.workload, 2).expect("single replay");
     assert!(reference.joins > 0 && reference.leaves > 0 && reference.epochs == 5);
-    let reference_coords = coord_multiset_single(&single);
+    let reference_coords = coord_multiset(&single);
     assert!(!reference_coords.is_empty(), "hosts must survive the run");
 
     for shards in [1usize, 2, 4, 7] {
@@ -124,7 +107,7 @@ fn sharded_replay_is_bit_identical_to_single_engine_at_any_shard_count() {
             );
         }
         assert_eq!(
-            coord_multiset_sharded(&engine),
+            coord_multiset(&engine),
             reference_coords,
             "{shards} shards: final coordinate tables diverged"
         );
@@ -153,12 +136,18 @@ fn sharded_replay_is_thread_count_invariant() {
     }
 }
 
-fn small_engine() -> QueryEngine {
+/// A one-shard engine (global host ids are its shard's slots) and a view
+/// of its current snapshot.
+fn small_engine() -> ShardedEngine {
     let ds = ides_datasets::generators::p2psim_like(40, 77).expect("dataset");
     let sub: Vec<usize> = (0..10).collect();
     let lm = ds.matrix.submatrix(&sub, &sub);
     let server = StreamingServer::new(&lm, 4, StalenessPolicy::default()).expect("server");
-    QueryEngine::new(server, ServiceConfig::default()).expect("engine")
+    ShardedEngine::new(server, 1, ServiceConfig::default()).expect("engine")
+}
+
+fn snapshot(engine: &ShardedEngine) -> std::sync::Arc<Snapshot> {
+    engine.snapshots().remove(0)
 }
 
 fn row(seed: u64, k: usize) -> Vec<f64> {
@@ -181,14 +170,14 @@ fn consecutive_snapshots_share_all_untouched_chunks() {
     for i in 0..2000u64 {
         engine.join_direct(&row(i, 10), &row(i + 9000, 10)).unwrap();
     }
-    let before = engine.snapshot();
+    let before = snapshot(&engine);
     let chunks = before.coords().chunk_count();
     assert!(chunks >= 8, "table must span several chunks, got {chunks}");
 
     // One more admission touches exactly one coordinate chunk: the new
     // snapshot shares every other chunk with its predecessor by pointer.
     engine.join_direct(&row(5000, 10), &row(5001, 10)).unwrap();
-    let after = engine.snapshot();
+    let after = snapshot(&engine);
     assert!(
         !std::sync::Arc::ptr_eq(&before, &after),
         "publish must swap"
@@ -204,7 +193,7 @@ fn consecutive_snapshots_share_all_untouched_chunks() {
     // shared.
     let before = after;
     engine.leave(NodeId::Host(3)).unwrap();
-    let after = engine.snapshot();
+    let after = snapshot(&engine);
     assert_eq!(
         after.coords().shared_chunks_with(before.coords()),
         after.coords().chunk_count(),
@@ -245,7 +234,7 @@ fn estimates_track_snapshot_rows_bit_for_bit_across_churn() {
                 .unwrap(),
         );
     }
-    let snap = engine.snapshot();
+    let snap = snapshot(&engine);
     for (i, &a) in live.iter().enumerate().step_by(37) {
         let b = live[(i * 31 + 7) % live.len()];
         let served = engine.estimate(a, b).unwrap();
@@ -318,7 +307,7 @@ fn recycled_id_serves_the_new_hosts_coordinates() {
     // leave(id) → estimate(id, ·) errors → a later join recycles the
     // slot → estimates on the recycled id are the NEW host's dot
     // products bit for bit; nothing of the departed host can be served.
-    for shards in [1usize, 2] {
+    for shards in [1usize, 2, 3] {
         let s = setup();
         let engine =
             ShardedEngine::new(s.server, shards, ServiceConfig::default()).expect("engine");
@@ -329,14 +318,32 @@ fn recycled_id_serves_the_new_hosts_coordinates() {
                     .unwrap()
             })
             .collect();
+        // Round-robin from a fresh engine: ids are 0, 1, 2, … at any
+        // shard count, one publish and one live host per admission.
+        assert_eq!(ids[0], NodeId::Host(0));
+        assert_eq!(engine.stats().version, 4);
+        let census = |e: &ShardedEngine| -> (usize, usize) {
+            let snaps = e.snapshots();
+            (
+                snaps.iter().map(|s| s.host_count()).sum(),
+                snaps.iter().map(|s| s.slot_count()).sum(),
+            )
+        };
+        assert_eq!(census(&engine), (4, 4));
         let (gone, peer) = (ids[1], ids[2]);
         let departed = engine.estimate(gone, peer).unwrap();
+        assert!(engine.estimate(gone, gone).unwrap().is_finite());
         engine.leave(gone).unwrap();
+        assert_eq!(census(&engine), (3, 4), "leave must not shrink the table");
         assert!(engine.estimate(gone, peer).is_err(), "{shards} shards");
         assert!(engine.estimate(peer, gone).is_err(), "{shards} shards");
+        assert!(engine.estimate(peer, NodeId::Landmark(0)).is_ok());
         assert!(engine
             .estimate_batch(&[(peer, peer), (gone, peer)], &mut Vec::new())
             .is_err());
+        // Double-leave and landmark-leave are rejected.
+        assert!(engine.leave(gone).is_err());
+        assert!(engine.leave(NodeId::Landmark(1)).is_err());
 
         // Round-robin routing reaches the freed slot's shard within one
         // round of admissions.
@@ -348,6 +355,14 @@ fn recycled_id_serves_the_new_hosts_coordinates() {
                 id == gone
             })
             .expect("freed id must be recycled");
+        assert_eq!(census(&engine).0, 4 + newcomer as usize);
+        assert_eq!(
+            census(&engine).1,
+            4 + newcomer as usize,
+            "free-listed slot must be reused"
+        );
+        assert_eq!(engine.stats().leaves, 1);
+        assert_eq!(engine.stats().joins, 5 + newcomer);
 
         // Reference: the newcomer's coordinates from a snapshot-side join
         // of its own measurements, dotted against the peer's rows.
@@ -357,6 +372,24 @@ fn recycled_id_serves_the_new_hosts_coordinates() {
         engine.snapshots()[0]
             .join_rows(&d_out, &d_in, &mut fresh)
             .unwrap();
+        // The admitted row is that join, bit for bit.
+        let (new_out, new_in) = engine.host_coords(gone).unwrap();
+        assert_eq!(
+            new_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            fresh
+                .outgoing(0)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            new_in.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            fresh
+                .incoming(0)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        );
         let (peer_out, peer_in) = engine.host_coords(peer).unwrap();
         let forward = engine.estimate(gone, peer).unwrap();
         let backward = engine.estimate(peer, gone).unwrap();
