@@ -11,6 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use ides_linalg::cholesky::{cholesky, solve_cholesky_in_place, solve_cholesky_rows_in_place};
 use ides_linalg::kernels::{self, reference};
 use ides_linalg::qr::qr;
 use ides_linalg::svd::{svd, svd_truncated, TruncatedSvdOptions};
@@ -132,11 +133,46 @@ fn bench_qr(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_cholesky_solve_rows(c: &mut Criterion) {
+    // The host-join solve step at the bulk shape (65 536 right-hand-side
+    // rows against one 16x16 factor): the lane-blocked multi-row solve
+    // against a loop over the single-row solve — the same arithmetic one
+    // row at a time, and the in-process control `scripts/check_bench.sh`
+    // gates the blocked path against (`MIN_SOLVE_ROWS_RATIO`).
+    let mut group = c.benchmark_group("cholesky_solve_rows");
+    group.sample_size(10);
+    let (d, rows) = (16usize, 65_536usize);
+    let mut rng = random::seeded_rng(5);
+    let design = random::uniform(4 * d, d, 0.1, 1.0, &mut rng);
+    let gram = design.tr_matmul(&design).unwrap();
+    let l = cholesky(&gram).unwrap().l().clone();
+    let source = random::uniform(rows, d, -1.0, 1.0, &mut rng);
+    let mut rhs = source.clone();
+    group.bench_function(BenchmarkId::new("blocked", d), |b| {
+        b.iter(|| {
+            rhs.as_mut_slice().copy_from_slice(source.as_slice());
+            solve_cholesky_rows_in_place(&l, &mut rhs).unwrap();
+            rhs[(0, 0)]
+        })
+    });
+    group.bench_function(BenchmarkId::new("per_row", d), |b| {
+        b.iter(|| {
+            rhs.as_mut_slice().copy_from_slice(source.as_slice());
+            for row in rhs.as_mut_slice().chunks_exact_mut(d) {
+                solve_cholesky_in_place(&l, row).unwrap();
+            }
+            rhs[(0, 0)]
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_matmul,
     bench_gemm_variants,
     bench_svd,
-    bench_qr
+    bench_qr,
+    bench_cholesky_solve_rows
 );
 criterion_main!(benches);

@@ -120,21 +120,7 @@ where
     R: Send,
     F: Fn(&[T], usize) -> Result<R> + Sync,
 {
-    map_shards_with(items, eval_threads(), f)
-}
-
-/// [`map_shards`] with an explicit shard/thread count instead of the
-/// ambient [`eval_threads`] resolution — the hook callers with their own
-/// parallelism policy (the epoch-DAG executor, the serial-vs-DAG benches
-/// and determinism tests) drive. Spawns scoped std threads whenever
-/// `threads > 1`, independent of the `parallel` feature (the feature only
-/// governs the ambient default).
-pub(crate) fn map_shards_with<T, R, F>(items: &[T], threads: usize, f: F) -> Result<Vec<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T], usize) -> Result<R> + Sync,
-{
+    let threads = eval_threads();
     if threads <= 1 || items.len() <= 1 {
         return Ok(vec![f(items, 0)?]);
     }

@@ -36,7 +36,11 @@
 //!   therefore costs `O(changed chunks)`: at a million admitted hosts a
 //!   single-host churn publish clones ~tens of `Arc` pointers where the
 //!   flat table used to copy hundreds of megabytes. Published snapshots
-//!   stay immutable under the writer's copy-on-write mutations.
+//!   stay immutable under the writer's copy-on-write mutations — and
+//!   under a drift epoch, which rewrites every row and therefore installs
+//!   each rejoined 256-slot tile as a *fresh* chunk
+//!   ([`ChunkedRows::replace_chunk`]) instead of copying chunks it is
+//!   about to overwrite whole.
 //! * **Request coalescing.** Concurrent [`ShardedEngine::join`] calls
 //!   accumulate into their shard's pending admission batch; the first
 //!   joiner becomes the *leader*, lingers up to [`ServiceConfig::linger`]
@@ -52,7 +56,11 @@
 //!   list (the table never reallocates on leave; the slot is recycled by
 //!   the next admission), and [`ShardedEngine::apply_epoch`] feeds drift
 //!   into every shard's [`StreamingServer`] replica and re-joins the
-//!   admitted hosts in one batched solve before publishing.
+//!   admitted hosts before publishing — through the same tiled cached
+//!   join every admission runs (`streaming::tile`): measurement rows read
+//!   in place, one GEMM and two lane-blocked triangular solves per
+//!   256-host tile, nothing proportional to the table copied or
+//!   allocated besides the new chunks.
 //!
 //! The [`replay`] submodule replays a deterministic
 //! [`ides_netsim::workload`] event stream against an engine —
@@ -71,7 +79,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
 use arc_swap::ArcSwap;
-use ides_linalg::chunked::ChunkedRows;
+use ides_linalg::chunked::{ChunkedRows, CHUNK_ROWS};
 use ides_linalg::solve::CachedGram;
 use ides_linalg::Matrix;
 use ides_mf::{DistanceEstimator, FactorModel};
@@ -79,7 +87,10 @@ use parking_lot::Mutex;
 
 use crate::error::{IdesError, Result};
 use crate::projection::{join_host_with, BatchHostVectors, JoinOptions, JoinSolver, JoinWorkspace};
-use crate::streaming::{EpochOutcome, EpochUpdate, PipelineReport, RejoinTables, StreamingServer};
+use crate::streaming::{
+    cached_join_dense, cached_join_into, EpochOutcome, EpochUpdate, HostRows, PipelineReport,
+    RejoinCtx, RejoinInputs, RejoinJob, StreamingServer,
+};
 use crate::telemetry as tm;
 
 pub use metrics::{EpochPlanTotals, LatencyHistogram, ServiceStats};
@@ -251,13 +262,13 @@ impl Snapshot {
                 d_in.shape()
             )));
         }
-        out.reset_shape(d_out.rows(), self.dim());
-        let (out_m, in_m) = out.matrices_mut();
-        d_out.matmul_into(self.model.y(), out_m)?;
-        self.gram_y.solve_rows_in_place(out_m)?;
-        d_in.matmul_into(self.model.x(), in_m)?;
-        self.gram_x.solve_rows_in_place(in_m)?;
-        Ok(())
+        let ctx = RejoinCtx {
+            model: &self.model,
+            gram_x: &self.gram_x,
+            gram_y: &self.gram_y,
+            ridge: self.gram_y.lambda(),
+        };
+        cached_join_dense(&ctx, d_out, d_in, out, 1)
     }
 }
 
@@ -345,6 +356,16 @@ impl ReadPath {
 #[derive(Debug)]
 struct WriterState {
     server: StreamingServer,
+    hosts: HostTable,
+    version: u64,
+    /// Per-request QR scratch for the uncoalesced baseline path.
+    join_ws: JoinWorkspace,
+}
+
+/// The writer's slot-indexed host tables — apart from the server, so a
+/// join can read the server's model while its tiles land here.
+#[derive(Debug)]
+struct HostTable {
     /// Model dimensionality `d` (immutable; cached off the server).
     dim: usize,
     /// Per-slot measured distances to (`meas_out`) / from (`meas_in`) the
@@ -360,22 +381,9 @@ struct WriterState {
     live_count: usize,
     /// Retired slots awaiting reuse (LIFO).
     free: Vec<usize>,
-    version: u64,
-    /// Staging matrices for admission flushes (reused, high-water sized).
-    stage_out: Matrix,
-    stage_in: Matrix,
-    stage_coords: BatchHostVectors,
-    /// Scratch for the epoch-rejoin batch solve (scattered back into
-    /// `coords` afterwards).
-    epoch_coords: BatchHostVectors,
-    /// Slot-id list `0..slots` handed to the epoch plan as its rejoin
-    /// nodes (reused, high-water sized).
-    rejoin_ids: Vec<usize>,
-    /// Per-request QR scratch for the uncoalesced baseline path.
-    join_ws: JoinWorkspace,
 }
 
-impl WriterState {
+impl HostTable {
     /// True when host slot `slot` is allocated and live.
     fn is_live(&self, slot: usize) -> bool {
         slot < self.live.len() && self.live.row(slot)[0]
@@ -491,16 +499,14 @@ struct Counters {
     epochs: AtomicU64,
 }
 
-/// Rows `first, first + step, …` of a flattened row-major `hosts × k`
-/// measurement batch: how a shard sees its share of an admission without
-/// a copy (`step` = shard count for a dealt bulk batch, 1 otherwise).
-#[derive(Clone, Copy)]
+/// Some rows of a flattened row-major `hosts × k` measurement batch: how
+/// a shard sees its share of an admission without a copy (`rows` strides
+/// by the shard count for a dealt bulk batch, by 1 otherwise).
+#[derive(Clone)]
 struct RowBatch<'a> {
     d_out: &'a [f64],
     d_in: &'a [f64],
-    first: usize,
-    step: usize,
-    rows: usize,
+    rows: HostRows<'a>,
 }
 
 impl<'a> RowBatch<'a> {
@@ -509,16 +515,8 @@ impl<'a> RowBatch<'a> {
         RowBatch {
             d_out,
             d_in,
-            first: 0,
-            step: 1,
-            rows,
+            rows: HostRows::range(0..rows),
         }
-    }
-
-    /// Batch row `r`'s `(out, in)` measurements.
-    fn row(&self, r: usize, k: usize) -> (&'a [f64], &'a [f64]) {
-        let at = (self.first + r * self.step) * k;
-        (&self.d_out[at..at + k], &self.d_in[at..at + k])
     }
 }
 
@@ -561,19 +559,16 @@ impl Shard {
         let d = server.dim();
         let writer = WriterState {
             server,
-            dim: d,
-            meas_out: Matrix::zeros(0, k),
-            meas_in: Matrix::zeros(0, k),
-            coords: ChunkedRows::new(2 * d),
-            live: ChunkedRows::new(1),
-            live_count: 0,
-            free: Vec::new(),
+            hosts: HostTable {
+                dim: d,
+                meas_out: Matrix::zeros(0, k),
+                meas_in: Matrix::zeros(0, k),
+                coords: ChunkedRows::new(2 * d),
+                live: ChunkedRows::new(1),
+                live_count: 0,
+                free: Vec::new(),
+            },
             version: 0,
-            stage_out: Matrix::zeros(0, 0),
-            stage_in: Matrix::zeros(0, 0),
-            stage_coords: BatchHostVectors::new(),
-            epoch_coords: BatchHostVectors::new(),
-            rejoin_ids: Vec::new(),
             join_ws: JoinWorkspace::new(),
         };
         let initial = Arc::new(Self::build_snapshot(&writer)?);
@@ -711,7 +706,7 @@ impl Shard {
                 },
             )?
         };
-        let slot = w.assign_slot(d_out, d_in, &hv.outgoing, &hv.incoming);
+        let slot = w.hosts.assign_slot(d_out, d_in, &hv.outgoing, &hv.incoming);
         self.count_admission(1);
         self.publish(&mut w)?;
         Ok(slot)
@@ -721,13 +716,14 @@ impl Shard {
     /// holds the writer lock as `w` — to the free list (no reallocation:
     /// the next admissions reuse them) with **one** snapshot publish.
     fn retire(&self, w: &mut WriterState, slots: impl Iterator<Item = usize>) -> Result<()> {
-        let before = w.free.len();
+        let hosts = &mut w.hosts;
+        let before = hosts.free.len();
         for slot in slots {
-            w.live.row_mut(slot)[0] = false;
-            w.free.push(slot);
+            hosts.live.row_mut(slot)[0] = false;
+            hosts.free.push(slot);
         }
-        let retired = w.free.len() - before;
-        w.live_count -= retired;
+        let retired = hosts.free.len() - before;
+        hosts.live_count -= retired;
         self.counters
             .leaves
             .fetch_add(retired as u64, Ordering::Relaxed);
@@ -744,8 +740,8 @@ impl Shard {
     fn apply_epoch(&self, update: &EpochUpdate) -> Result<EpochOutcome> {
         let prev_epoch = tm::set_epoch(update.epoch);
         let t0 = tm::enabled().then(Instant::now);
-        let outcomes = self.run_epochs(|server, tables| {
-            let one = server.apply_epoch_planned(update, tables, None)?;
+        let outcomes = self.run_epochs(|server, rejoin| {
+            let one = server.apply_epoch_job(update, rejoin, None)?;
             Ok(PipelineReport {
                 outcomes: vec![one],
                 overlapped: 0,
@@ -770,50 +766,66 @@ impl Shard {
         if updates.is_empty() {
             return Ok(Vec::new());
         }
-        self.run_epochs(|server, tables| server.apply_epochs_pipelined(updates, tables, None))
+        self.run_epochs(|server, rejoin| server.apply_epochs_job(updates, rejoin, None))
     }
 
     /// What both epoch entry points share: under the writer lock, hand
-    /// `run` the server with the whole slot table as its rejoin nodes
-    /// (retired slots ride along harmlessly — their rows are recomputed
-    /// but stay dead), scatter the rejoined rows back into the chunk
-    /// tree (every chunk is rewritten, so the copy-on-write layer adds
-    /// one chunk copy per chunk — the same O(hosts·d) bytes a drift
-    /// epoch inherently moves), record the executed plans' shape and
-    /// overlap count, and publish once.
+    /// `run` the server with the whole slot table as its rejoin (retired
+    /// slots ride along harmlessly — their rows are recomputed but stay
+    /// dead), record the executed plans' shape and overlap count, and
+    /// publish once.
+    ///
+    /// The rejoin reads the measurement tables in place, 256 slots — one
+    /// leaf chunk — per tile, and each finished tile is installed as a
+    /// **fresh** chunk of `[outgoing | incoming]` rows
+    /// ([`ChunkedRows::replace_chunk`]): an epoch rewrites every row, so
+    /// nothing of the old chunk is worth copying, and the published
+    /// snapshots keep the old chunks untouched. One epoch allocates one
+    /// coordinate table's worth of chunks and nothing proportional to
+    /// `slots × k`.
     fn run_epochs(
         &self,
-        run: impl FnOnce(&mut StreamingServer, Option<RejoinTables<'_>>) -> Result<PipelineReport>,
+        run: impl FnOnce(&mut StreamingServer, Option<RejoinJob<'_, '_>>) -> Result<PipelineReport>,
     ) -> Result<Vec<EpochOutcome>> {
         let mut w = self.writer.lock();
-        let WriterState {
-            server,
+        let WriterState { server, hosts, .. } = &mut *w;
+        let HostTable {
             dim,
             meas_out,
             meas_in,
             coords,
-            epoch_coords,
-            rejoin_ids,
             ..
-        } = &mut *w;
+        } = hosts;
         let slots = coords.len();
-        let d = *dim;
         let report = if slots == 0 {
             run(server, None)?
         } else {
-            if rejoin_ids.len() != slots {
-                rejoin_ids.clear();
-                rejoin_ids.extend(0..slots);
-            }
-            epoch_coords.reset_shape(slots, d);
-            let tables = RejoinTables::full(rejoin_ids, meas_out, meas_in, epoch_coords);
-            let report = run(server, Some(tables))?;
-            for s in 0..slots {
-                let row = coords.row_mut(s);
-                row[..d].copy_from_slice(epoch_coords.outgoing(s));
-                row[d..].copy_from_slice(epoch_coords.incoming(s));
-            }
-            report
+            let d = *dim;
+            let mut install = |rows: &HostRows<'_>, tile: &BatchHostVectors| {
+                // Tiles of `0..slots` are cut at multiples of CHUNK_ROWS.
+                let first = rows.get(0);
+                debug_assert_eq!(first % CHUNK_ROWS, 0);
+                let mut chunk = Vec::with_capacity(CHUNK_ROWS * 2 * d);
+                for i in 0..tile.len() {
+                    chunk.extend_from_slice(tile.outgoing(i));
+                    chunk.extend_from_slice(tile.incoming(i));
+                }
+                coords.replace_chunk(first / CHUNK_ROWS, chunk);
+            };
+            let inputs = RejoinInputs {
+                hosts: HostRows::range(0..slots),
+                d_out: meas_out.as_slice(),
+                d_in: meas_in.as_slice(),
+                observed: None,
+                coords_current: false,
+            };
+            run(
+                server,
+                Some(RejoinJob {
+                    inputs,
+                    sink: &mut install,
+                }),
+            )?
         };
         {
             let mut totals = self.plan_totals.lock();
@@ -862,47 +874,44 @@ impl Shard {
         tm::count(tm::Counter::Flushes);
     }
 
-    /// Joins the batch's measurement rows in one batched cached solve,
-    /// assigns slots (free list first), updates the writer tables, and
-    /// publishes. Returns the assigned slots in batch order. Bit-identical
-    /// per row however the rows were batched.
+    /// Joins the batch's measurement rows through the tiled cached join —
+    /// read straight out of the caller's batch, no staging copy — assigns
+    /// each solved tile's slots in batch order (free list first), updates
+    /// the writer tables, and publishes. Returns the assigned slots in
+    /// batch order. Bit-identical per row however the rows were batched.
     fn flush_rows(&self, batch: RowBatch<'_>) -> Result<Vec<usize>> {
-        let rows = batch.rows;
-        if rows == 0 {
+        if batch.rows.is_empty() {
             return Ok(Vec::new());
         }
         let _span = tm::span(tm::Stage::Flush);
         let t0 = tm::enabled().then(Instant::now);
         let k = self.k;
         let mut w = self.writer.lock();
+        let mut slots = Vec::with_capacity(batch.rows.len());
         {
-            let WriterState {
-                server,
-                stage_out,
-                stage_in,
-                stage_coords,
-                ..
-            } = &mut *w;
-            stage_out.reset_shape(rows, k);
-            stage_in.reset_shape(rows, k);
-            for r in 0..rows {
-                let (d_out, d_in) = batch.row(r, k);
-                stage_out.set_row(r, d_out);
-                stage_in.set_row(r, d_in);
-            }
-            server.join_batch_cached(stage_out, stage_in, stage_coords)?;
+            let WriterState { server, hosts, .. } = &mut *w;
+            let mut admit = |rows: &HostRows<'_>, tile: &BatchHostVectors| {
+                for (i, r) in rows.iter().enumerate() {
+                    let at = r * k..(r + 1) * k;
+                    slots.push(hosts.assign_slot(
+                        &batch.d_out[at.clone()],
+                        &batch.d_in[at],
+                        tile.outgoing(i),
+                        tile.incoming(i),
+                    ));
+                }
+            };
+            // One worker: slots must be assigned in batch order.
+            cached_join_into(
+                &server.rejoin_ctx(),
+                batch.d_out,
+                batch.d_in,
+                &batch.rows,
+                1,
+                &mut admit,
+            )?;
         }
-        // Detach the solved batch so slot assignment can borrow the writer
-        // mutably; reattached below to keep the staging capacity warm.
-        let stage = std::mem::take(&mut w.stage_coords);
-        let slots = (0..rows)
-            .map(|r| {
-                let (d_out, d_in) = batch.row(r, k);
-                w.assign_slot(d_out, d_in, stage.outgoing(r), stage.incoming(r))
-            })
-            .collect();
-        w.stage_coords = stage;
-        self.count_admission(rows as u64);
+        self.count_admission(slots.len() as u64);
         self.publish(&mut w)?;
         if let Some(t0) = t0 {
             tm::time(tm::Timer::Flush, t0.elapsed());
@@ -948,9 +957,9 @@ impl Shard {
             model: w.server.model().clone(),
             gram_x: CachedGram::from_factor(gram_x.l().clone(), gram_x.lambda())?,
             gram_y: CachedGram::from_factor(gram_y.l().clone(), gram_y.lambda())?,
-            coords: w.coords.clone(),
-            live: w.live.clone(),
-            live_count: w.live_count,
+            coords: w.hosts.coords.clone(),
+            live: w.hosts.live.clone(),
+            live_count: w.hosts.live_count,
         })
     }
 }
@@ -1126,6 +1135,89 @@ mod tests {
             "epoch must move the estimate for this test to bite"
         );
         assert_eq!(e.stats().epochs, 1);
+    }
+
+    #[test]
+    fn epoch_installs_the_bits_of_a_row_by_row_rejoin() {
+        // Four full leaf chunks and a ragged fifth (enough slots that the
+        // batch really pipelines), with retired slots at chunk edges:
+        // after a barriered epoch and after a pipelined batch
+        // every slot — live or retired — must hold exactly what joining
+        // its stored measurements against the published model gives, row
+        // by row, and untouched structure (liveness, counts) must survive
+        // the whole-chunk installs.
+        let k = 12;
+        let slots = 4 * CHUNK_ROWS + 37;
+        let e = engine(k, 4, ServiceConfig::default());
+        let d_out =
+            Matrix::from_rows(&(0..slots).map(|h| meas(k, h as u64)).collect::<Vec<_>>()).unwrap();
+        let d_in = Matrix::from_rows(
+            &(0..slots)
+                .map(|h| meas(k, 9000 + h as u64))
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let ids = e.join_many(&d_out, &d_in).unwrap();
+        let gone: Vec<NodeId> = [0, 5, CHUNK_ROWS - 1, CHUNK_ROWS, 4 * CHUNK_ROWS + 36]
+            .iter()
+            .map(|&h| ids[h])
+            .collect();
+        e.leave_many(&gone).unwrap();
+        let drift = |epoch: f64, rtt: f64| EpochUpdate {
+            epoch,
+            deltas: vec![crate::streaming::MeasurementDelta {
+                from: 2,
+                to: 7,
+                rtt,
+            }],
+        };
+        let check = |label: &str| {
+            let snap = snapshot(&e);
+            assert_eq!(snap.slot_count(), slots);
+            assert_eq!(snap.host_count(), slots - gone.len());
+            let mut one = BatchHostVectors::new();
+            for slot in 0..slots {
+                let row_out = Matrix::from_rows(&[d_out.row(slot).to_vec()]).unwrap();
+                let row_in = Matrix::from_rows(&[d_in.row(slot).to_vec()]).unwrap();
+                snap.join_rows(&row_out, &row_in, &mut one).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(snap.host_outgoing(slot)),
+                    bits(one.outgoing(0)),
+                    "{label}: slot {slot} outgoing"
+                );
+                assert_eq!(
+                    bits(snap.host_incoming(slot)),
+                    bits(one.incoming(0)),
+                    "{label}: slot {slot} incoming"
+                );
+                assert_eq!(
+                    snap.is_live(slot),
+                    !gone.contains(&NodeId::Host(slot)),
+                    "{label}: slot {slot} liveness"
+                );
+            }
+        };
+        let before = snapshot(&e);
+        e.apply_epoch(&drift(1.0, 14.0)).unwrap();
+        check("barriered epoch");
+        // The replaced snapshot still reads its own (old) chunks.
+        assert_eq!(before.epoch(), 0.0);
+        assert_ne!(
+            before.host_outgoing(3)[0].to_bits(),
+            snapshot(&e).host_outgoing(3)[0].to_bits(),
+            "the epoch must move coordinates for this test to bite"
+        );
+        e.apply_epochs(&[drift(2.0, 15.0), drift(3.0, 16.5), drift(4.0, 13.0)])
+            .unwrap();
+        assert_eq!(e.epoch_plan_totals().pipelined, 2, "the batch overlapped");
+        check("pipelined batch");
+        // A retired slot is recycled by the next admission, in the ragged
+        // chunk the epochs reinstalled.
+        let id = e.join_direct(d_out.row(1), d_in.row(1)).unwrap();
+        assert_eq!(id, NodeId::Host(4 * CHUNK_ROWS + 36));
+        let fresh = e.join_direct(d_out.row(2), d_in.row(2)).unwrap();
+        assert!(e.estimate(fresh, id).is_ok());
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use ides_linalg::Matrix;
 
 use crate::error::{IdesError, Result};
-use crate::streaming::{EpochOutcome, EpochUpdate, StreamingServer};
+use crate::streaming::{EpochOutcome, EpochUpdate, HostRows, StreamingServer};
 use crate::telemetry as tm;
 
 use super::metrics::{EpochPlanTotals, LatencyHistogram, ServiceStats};
@@ -396,9 +396,11 @@ impl ShardedEngine {
             shard.flush_rows(RowBatch {
                 d_out: d_out.as_slice(),
                 d_in: d_in.as_slice(),
-                first,
-                step: n,
-                rows: rows.saturating_sub(first).div_ceil(n),
+                rows: HostRows::Strided {
+                    first,
+                    step: n,
+                    len: rows.saturating_sub(first).div_ceil(n),
+                },
             })
         });
         let mut slots = Vec::with_capacity(n);
@@ -447,7 +449,7 @@ impl ShardedEngine {
         for group in slots.chunk_by(|a, b| a.0 == b.0) {
             let shard = group[0].0;
             let w = self.shards[shard].writer.lock();
-            if let Some(&(_, dead)) = group.iter().find(|&&(_, slot)| !w.is_live(slot)) {
+            if let Some(&(_, dead)) = group.iter().find(|&&(_, slot)| !w.hosts.is_live(slot)) {
                 return Err(unknown_node(self.host_id(shard, dead)));
             }
             locked.push((shard, w, group));

@@ -123,6 +123,11 @@ pub struct EpochDag {
     /// Edge count under the `Observed::All` worst case (see
     /// [`PlanStats::full_edges`]).
     full_edges: usize,
+    /// Trailing full-measurement rejoins that are counted, not
+    /// materialised (see [`EpochDag::build_with_full_rejoins`]), and the
+    /// antichain level they all share.
+    counted_rejoins: usize,
+    counted_level: usize,
 }
 
 impl EpochDag {
@@ -133,6 +138,22 @@ impl EpochDag {
     /// Runs in O(nodes + observed-set sizes): dependencies are resolved
     /// through last-writer row tracking, never by scanning earlier nodes.
     pub fn build(landmarks: usize, ops: Vec<EpochOp>) -> EpochDag {
+        EpochDag::build_with_full_rejoins(landmarks, ops, 0)
+    }
+
+    /// [`EpochDag::build`] for `ops` followed by `full_rejoins`
+    /// [`Observed::All`] rejoins that are **counted, not materialised**:
+    /// a full-measurement rejoin depends on every absorb since the last
+    /// barrier (and on the barrier) and nothing depends on it, so `n` of
+    /// them are `n` identical leaves of one antichain level. The plan's
+    /// [`EpochDag::stats`] are exactly those of the materialised DAG,
+    /// while [`EpochDag::ops`] and [`EpochDag::levels`] list only `ops` —
+    /// a 10⁵-host epoch plans in O(absorbs), not O(hosts).
+    pub fn build_with_full_rejoins(
+        landmarks: usize,
+        ops: Vec<EpochOp>,
+        full_rejoins: usize,
+    ) -> EpochDag {
         let mut levels: Vec<Vec<usize>> = Vec::new();
         let mut node_level: Vec<usize> = Vec::with_capacity(ops.len());
         let mut edges = 0usize;
@@ -221,11 +242,28 @@ impl EpochDag {
             }
             levels[level].push(i);
         }
+        // The counted rejoins: one edge each to the barrier and to every
+        // absorb since it, levelled right after the latest of those.
+        let mut counted_level = 0usize;
+        if full_rejoins > 0 {
+            let mut deps = absorbs_since_barrier;
+            if let Some(b) = barrier {
+                deps += 1;
+                counted_level = node_level[b] + 1;
+            }
+            if let Some(m) = max_absorb_level {
+                counted_level = counted_level.max(m + 1);
+            }
+            edges += deps * full_rejoins;
+            full_edges += deps * full_rejoins;
+        }
         EpochDag {
             ops,
             levels,
             edges,
             full_edges,
+            counted_rejoins: full_rejoins,
+            counted_level,
         }
     }
 
@@ -245,14 +283,21 @@ impl EpochDag {
     /// (`StreamingServer::apply_epoch_planned` folds their worst-case
     /// edges into `full_edges` and their count into `pruned`).
     pub fn stats(&self) -> PlanStats {
+        let mut groups = self.levels.len();
+        let mut max_width = self.levels.iter().map(Vec::len).max().unwrap_or(0);
+        if self.counted_rejoins > 0 {
+            let shared = self.levels.get(self.counted_level).map_or(0, Vec::len);
+            groups = groups.max(self.counted_level + 1);
+            max_width = max_width.max(shared + self.counted_rejoins);
+        }
         PlanStats {
-            nodes: self.ops.len(),
+            nodes: self.ops.len() + self.counted_rejoins,
             edges: self.edges,
             full_edges: self.full_edges,
             pruned: 0,
-            groups: self.levels.len(),
-            max_width: self.levels.iter().map(Vec::len).max().unwrap_or(0),
-            critical_path: self.levels.len(),
+            groups,
+            max_width,
+            critical_path: groups,
         }
     }
 }
@@ -422,6 +467,34 @@ mod tests {
         let s = EpochDag::build(8, ops).stats();
         assert_eq!(s.full_edges, s.edges);
         assert_eq!(s.pruning(), 0.0);
+    }
+
+    #[test]
+    fn counted_full_rejoins_plan_like_materialised_ones() {
+        // Every prefix shape the executor plans: nothing, absorbs, a
+        // refresh barrier, a barrier then absorbs, and subset rejoins that
+        // share the counted rejoins' level.
+        let subset = |h: usize, seen: Vec<usize>| EpochOp::Rejoin {
+            host: h,
+            observed: Observed::Subset(seen),
+        };
+        let prefixes: Vec<Vec<EpochOp>> = vec![
+            Vec::new(),
+            (0..3).map(absorb).collect(),
+            vec![EpochOp::Refresh],
+            vec![absorb(1), EpochOp::Refresh, absorb(0), absorb(0)],
+            vec![absorb(0), subset(7, vec![0]), subset(8, vec![5])],
+        ];
+        for prefix in prefixes {
+            for n in [0usize, 1, 5] {
+                let mut materialised = prefix.clone();
+                materialised.extend((0..n).map(rejoin_all));
+                let want = EpochDag::build(8, materialised).stats();
+                let counted = EpochDag::build_with_full_rejoins(8, prefix.clone(), n);
+                assert_eq!(counted.stats(), want, "{prefix:?} + {n} rejoins");
+                assert_eq!(counted.ops().len(), prefix.len());
+            }
+        }
     }
 
     #[test]

@@ -12,12 +12,17 @@
 //!    serial plan commits in. Refresh barriers run alone at their level.
 //! 2. **Rejoin tier** (the coordinate-writing half,
 //!    [`run_rejoin_tier`]): the epoch's host rejoins run after every
-//!    absorb has committed. Full-measurement hosts go through the cached
-//!    join path, sharded with [`crate::eval::map_shards_with`]; hosts
-//!    with **partial observed sets** are grouped by identical subset and
-//!    solved through [`crate::projection::join_hosts_subset_into`] — one
-//!    gathered factorization per distinct subset, executed serially so
-//!    the arithmetic never depends on the thread count.
+//!    absorb has committed. Full-measurement hosts go through the tiled
+//!    cached join ([`super::tile`]): fixed 256-host tiles, each read out
+//!    of the measurement tables in place, solved in cache-resident
+//!    scratch and handed to the caller's tile sink, with the thread
+//!    fan-out splitting on tile boundaries; hosts with **partial observed
+//!    sets** are grouped by identical subset and solved through
+//!    [`crate::projection::join_hosts_subset_into`] — one gathered
+//!    factorization per distinct subset, executed serially so the
+//!    arithmetic never depends on the thread count. Full-measurement
+//!    rejoins are *counted* in the plan (nodes, edges, level width), not
+//!    materialised one DAG node per host.
 //!
 //! Running the whole rejoin tier after the whole absorb tier is bitwise
 //! identical to level-interleaved execution: rejoins only *read* the
@@ -55,11 +60,6 @@ use ides_linalg::Matrix;
 /// is a pure loss and the level runs serial (bit-identical either way).
 const MIN_ABSORBS_PER_THREAD: usize = 32;
 
-/// Minimum rejoin nodes per spawned thread under the automatic policy;
-/// same reasoning as [`MIN_ABSORBS_PER_THREAD`] with the per-node cost of
-/// one cached-Gram host join.
-const MIN_REJOINS_PER_THREAD: usize = 256;
-
 /// Effective thread count for a level of `n` nodes: the ambient cap,
 /// clamped so each thread gets at least `min_per_thread` nodes.
 fn auto_fanout(n: usize, cap: usize, min_per_thread: usize) -> usize {
@@ -67,12 +67,12 @@ fn auto_fanout(n: usize, cap: usize, min_per_thread: usize) -> usize {
 }
 
 use super::dag::{EpochDag, EpochOp, Observed, PlanStats};
+use super::tile::{cached_join_into, check_rows, scatter_tile, HostRows, TileSink};
 use super::{
-    cached_join_into, AbsorbSolution, EpochOutcome, EpochUpdate, RefreshStrategy, RejoinCtx,
-    StreamingServer,
+    AbsorbSolution, EpochOutcome, EpochUpdate, RefreshStrategy, RejoinCtx, StreamingServer,
 };
 use crate::error::{IdesError, Result};
-use crate::eval::{eval_threads, map_shards_with, shard_ranges};
+use crate::eval::{eval_threads, shard_ranges};
 use crate::projection::{
     join_hosts_subset_into, BatchHostVectors, JoinOptions, JoinSolver, JoinWorkspace,
 };
@@ -127,47 +127,111 @@ impl<'a> RejoinTables<'a> {
         }
     }
 
-    /// The planner's read-only view of these tables. It carries the
-    /// coordinate table's *shape* but no reference to its bytes, so the
-    /// pipeline can plan epoch `N+1` on the main thread while epoch `N`'s
-    /// rejoin tier still holds the mutable coordinate borrow.
-    pub(crate) fn plan_view(&self) -> RejoinPlanView<'a> {
-        RejoinPlanView {
-            hosts: self.hosts,
+    /// Checks the tables against the server's shape (`k` landmarks, `dim`
+    /// coordinates per direction) — both measurement tables `hosts × k`,
+    /// the coordinate table `hosts × dim` — and splits them into the
+    /// planner's inputs and the coordinate table the tiles land in.
+    pub(crate) fn split(
+        self,
+        k: usize,
+        dim: usize,
+    ) -> Result<(RejoinInputs<'a>, &'a mut BatchHostVectors)> {
+        if self.d_out.cols() != k || self.d_in.shape() != self.d_out.shape() {
+            return Err(IdesError::InvalidInput(format!(
+                "measurement tables must both be hosts x {k}: out {:?}, in {:?}",
+                self.d_out.shape(),
+                self.d_in.shape()
+            )));
+        }
+        if self.coords.len() != self.d_out.rows() || self.coords.dim() != dim {
+            return Err(IdesError::InvalidInput(format!(
+                "coordinate table is {}x{}, expected {}x{dim}",
+                self.coords.len(),
+                self.coords.dim(),
+                self.d_out.rows(),
+            )));
+        }
+        let inputs = RejoinInputs {
+            hosts: HostRows::ids(self.hosts),
+            d_out: self.d_out.as_slice(),
+            d_in: self.d_in.as_slice(),
             observed: self.observed,
             coords_current: self.coords_current,
-            coords_rows: self.coords.len(),
-            coords_dim: self.coords.dim(),
-            meas_rows: self.d_out.rows(),
+        };
+        Ok((inputs, self.coords))
+    }
+
+    /// Runs `run` on the [`RejoinJob`] these tables stand for — validated
+    /// by [`RejoinTables::split`], its sink scattering each tile into the
+    /// coordinate table — or on `None` when there are no tables.
+    pub(crate) fn run_job<R>(
+        tables: Option<Self>,
+        k: usize,
+        dim: usize,
+        run: impl FnOnce(Option<RejoinJob<'_, '_>>) -> Result<R>,
+    ) -> Result<R> {
+        let Some(tables) = tables else {
+            return run(None);
+        };
+        let (inputs, coords) = tables.split(k, dim)?;
+        let mut sink =
+            |rows: &HostRows<'_>, tile: &BatchHostVectors| scatter_tile(coords, rows, tile);
+        run(Some(RejoinJob {
+            inputs,
+            sink: &mut sink,
+        }))
+    }
+}
+
+/// Everything a rejoin reads: the hosts (rows of the measurement tables),
+/// the two flattened `hosts × k` tables, the observed-set metadata and the
+/// currency attestation (see [`RejoinTables`], whose crate-internal form
+/// this is). It holds no reference to the coordinate bytes, so the
+/// pipeline can plan epoch `N+1` on the main thread while epoch `N`'s
+/// rejoin tier is still writing them.
+#[derive(Debug, Clone)]
+pub(crate) struct RejoinInputs<'a> {
+    pub hosts: HostRows<'a>,
+    pub d_out: &'a [f64],
+    pub d_in: &'a [f64],
+    pub observed: Option<&'a [Vec<usize>]>,
+    pub coords_current: bool,
+}
+
+impl RejoinInputs<'_> {
+    /// Both tables `hosts × k`, every host a row of them, one observed set
+    /// per host.
+    fn validate(&self, k: usize) -> Result<()> {
+        check_rows(self.d_out, self.d_in, k, &self.hosts)?;
+        match self.observed {
+            Some(obs) if obs.len() != self.hosts.len() => Err(IdesError::InvalidInput(format!(
+                "{} observed sets for {} rejoin hosts",
+                obs.len(),
+                self.hosts.len()
+            ))),
+            _ => Ok(()),
         }
     }
 }
 
-/// Everything [`StreamingServer::plan_epoch`] needs from the rejoin
-/// tables: the host list, the observed-set metadata, the currency
-/// attestation, and the coordinate/measurement shapes for validation.
-/// The references borrow the caller's slices (`'a`), **not** the
-/// `RejoinTables` struct — planning never aliases the coordinate bytes a
-/// concurrent rejoin tier is writing.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RejoinPlanView<'a> {
-    pub hosts: &'a [usize],
-    pub observed: Option<&'a [Vec<usize>]>,
-    pub coords_current: bool,
-    pub coords_rows: usize,
-    pub coords_dim: usize,
-    pub meas_rows: usize,
+/// A rejoin as the executor runs it: the inputs plus the sink the finished
+/// tiles are handed to — a scatter into the caller's coordinate table for
+/// [`RejoinTables`], fresh chunk-tree chunks for the serving engine.
+pub(crate) struct RejoinJob<'a, 's> {
+    pub inputs: RejoinInputs<'a>,
+    pub sink: &'s mut TileSink<'s>,
 }
 
 /// How the rejoin tier reaches each planned host: full-measurement hosts
-/// take the sharded cached-join path, partial-subset hosts are grouped by
+/// take the tiled cached join, partial-subset hosts are grouped by
 /// identical (deduped, sorted) subset for one gathered factorization per
 /// group, and pruned hosts were elided at plan time.
-#[derive(Debug, Default)]
-pub(crate) struct RejoinRoute {
+#[derive(Debug)]
+pub(crate) struct RejoinRoute<'a> {
     /// Hosts joining through every landmark (cached full join), in input
-    /// order.
-    pub full: Vec<usize>,
+    /// order: the caller's own host list when no observed sets are given,
+    /// an owned sub-list otherwise.
+    pub full: HostRows<'a>,
     /// `(subset, member hosts)` per distinct partial subset, in subset
     /// order (deterministic `BTreeMap` grouping); members in input order.
     pub groups: Vec<(Vec<usize>, Vec<usize>)>,
@@ -181,10 +245,10 @@ pub(crate) struct RejoinRoute {
 /// the caller reports. Produced by [`StreamingServer::plan_epoch`] with
 /// the deltas already applied to the measurement matrix.
 #[derive(Debug)]
-pub(crate) struct PlannedEpoch {
+pub(crate) struct PlannedEpoch<'a> {
     pub dag: EpochDag,
     pub stats: PlanStats,
-    pub route: RejoinRoute,
+    pub route: RejoinRoute<'a>,
     pub outcome: EpochOutcome,
 }
 
@@ -195,14 +259,19 @@ impl StreamingServer {
     /// given).
     ///
     /// `threads = None` is the production policy: the ambient
-    /// `IDES_LINALG_THREADS`-resolved cap, with per-level fan-out
-    /// clamped by work size (`MIN_ABSORBS_PER_THREAD` /
-    /// `MIN_REJOINS_PER_THREAD`) so levels too small to amortize a
-    /// thread spawn run serial. `Some(t)` executes with exactly `t`
-    /// threads, no heuristic — the determinism suites use it to force
-    /// real fan-out at small scale. Either way the committed state is
-    /// **bit-identical to `threads = Some(1)`** — see the executor
-    /// module docs for the phase structure that guarantees it.
+    /// `IDES_LINALG_THREADS`-resolved cap, with the absorb levels' fan-out
+    /// clamped by work size (`MIN_ABSORBS_PER_THREAD`) so levels too small
+    /// to amortize a thread spawn run serial. `Some(t)` executes with
+    /// exactly `t` threads, no heuristic — the determinism suites use it
+    /// to force real fan-out at small scale. The rejoin tier fans out on
+    /// tile boundaries under either policy (never more threads than
+    /// 256-host tiles). Either way the committed state is **bit-identical
+    /// to `threads = Some(1)`** — see the executor module docs for the
+    /// phase structure that guarantees it.
+    ///
+    /// Both measurement tables and the coordinate table are validated
+    /// before anything is applied: a rejected call leaves the server
+    /// exactly as it was.
     ///
     /// Returns the epoch outcome together with the executed plan's
     /// [`PlanStats`].
@@ -212,21 +281,33 @@ impl StreamingServer {
         rejoin: Option<RejoinTables<'_>>,
         threads: Option<usize>,
     ) -> Result<(EpochOutcome, PlanStats)> {
+        let (k, dim) = (self.landmark_count(), self.dim());
+        RejoinTables::run_job(rejoin, k, dim, |job| {
+            self.apply_epoch_job(update, job, threads)
+        })
+    }
+
+    /// [`StreamingServer::apply_epoch_planned`] over a [`RejoinJob`]: the
+    /// same plan / absorb tier / rejoin tier, with the rejoined tiles
+    /// handed to the job's sink.
+    pub(crate) fn apply_epoch_job(
+        &mut self,
+        update: &EpochUpdate,
+        rejoin: Option<RejoinJob<'_, '_>>,
+        threads: Option<usize>,
+    ) -> Result<(EpochOutcome, PlanStats)> {
         let auto = threads.is_none();
         let threads = threads.unwrap_or_else(eval_threads).max(1);
-        let mut rejoin = rejoin;
-        let view = rejoin.as_ref().map(|r| r.plan_view());
-        let planned = self.plan_epoch(update, view.as_ref())?;
+        let planned = self.plan_epoch(update, rejoin.as_ref().map(|r| &r.inputs))?;
         self.run_absorb_tier(&planned, threads, auto)?;
-        if let Some(r) = rejoin.as_mut() {
+        if let Some(r) = rejoin {
             run_rejoin_tier(
                 &self.rejoin_ctx(),
                 &planned.route,
-                r.d_out,
-                r.d_in,
-                r.coords,
+                r.inputs.d_out,
+                r.inputs.d_in,
                 threads,
-                auto,
+                r.sink,
             )?;
         }
         Ok((planned.outcome, planned.stats))
@@ -238,11 +319,11 @@ impl StreamingServer {
     /// measurement matrix and the epoch stamp — the model-changing work
     /// is [`StreamingServer::run_absorb_tier`] and the coordinate-writing
     /// work [`run_rejoin_tier`], so the pipeline can stage them.
-    pub(crate) fn plan_epoch(
+    pub(crate) fn plan_epoch<'a>(
         &mut self,
         update: &EpochUpdate,
-        rejoin: Option<&RejoinPlanView<'_>>,
-    ) -> Result<PlannedEpoch> {
+        rejoin: Option<&RejoinInputs<'a>>,
+    ) -> Result<PlannedEpoch<'a>> {
         let _span = tm::span(tm::Stage::Plan);
         let k = self.landmark_count();
         for d in &update.deltas {
@@ -260,30 +341,7 @@ impl StreamingServer {
             }
         }
         if let Some(r) = rejoin {
-            if r.coords_rows != r.meas_rows || r.coords_dim != self.dim() {
-                return Err(IdesError::InvalidInput(format!(
-                    "coordinate table is {}x{}, expected {}x{}",
-                    r.coords_rows,
-                    r.coords_dim,
-                    r.meas_rows,
-                    self.dim()
-                )));
-            }
-            if let Some(&bad) = r.hosts.iter().find(|&&h| h >= r.meas_rows) {
-                return Err(IdesError::InvalidInput(format!(
-                    "affected host {bad} out of range for {} hosts",
-                    r.meas_rows
-                )));
-            }
-            if let Some(obs) = r.observed {
-                if obs.len() != r.hosts.len() {
-                    return Err(IdesError::InvalidInput(format!(
-                        "{} observed sets for {} rejoin hosts",
-                        obs.len(),
-                        r.hosts.len()
-                    )));
-                }
-            }
+            r.validate(k)?;
         }
 
         // Apply the deltas and collect the touched landmarks in sorted
@@ -313,19 +371,23 @@ impl StreamingServer {
         } else {
             ops.extend(changed.iter().map(|&l| EpochOp::Absorb { landmark: l }));
         }
-        let mut route = RejoinRoute::default();
+        let mut route = RejoinRoute {
+            full: HostRows::range(0..0),
+            groups: Vec::new(),
+            pruned: 0,
+        };
+        // Full-measurement rejoins the DAG counts without a node each.
+        let mut counted_rejoins = 0;
         if let Some(r) = rejoin {
             match r.observed {
                 None => {
-                    ops.extend(r.hosts.iter().map(|&h| EpochOp::Rejoin {
-                        host: h,
-                        observed: Observed::All,
-                    }));
-                    route.full.extend_from_slice(r.hosts);
+                    counted_rejoins = r.hosts.len();
+                    route.full = r.hosts.clone();
                 }
                 Some(subsets) => {
+                    let mut full = Vec::new();
                     let mut groups: BTreeMap<Vec<usize>, Vec<usize>> = BTreeMap::new();
-                    for (&h, raw) in r.hosts.iter().zip(subsets) {
+                    for (h, raw) in r.hosts.iter().zip(subsets) {
                         let mut s = raw.clone();
                         s.sort_unstable();
                         s.dedup();
@@ -346,7 +408,7 @@ impl StreamingServer {
                                 host: h,
                                 observed: Observed::All,
                             });
-                            route.full.push(h);
+                            full.push(h);
                         } else if r.coords_current
                             && !refreshed
                             && s.iter().all(|l| changed.binary_search(l).is_err())
@@ -362,11 +424,12 @@ impl StreamingServer {
                             groups.entry(s).or_default().push(h);
                         }
                     }
+                    route.full = HostRows::Ids(full.into());
                     route.groups = groups.into_iter().collect();
                 }
             }
         }
-        let dag = EpochDag::build(k, ops);
+        let dag = EpochDag::build_with_full_rejoins(k, ops, counted_rejoins);
         let mut stats = dag.stats();
         // Elided rejoins never reach the DAG; fold their worst-case
         // Observed::All edges (one per absorb) into the denominator and
@@ -403,7 +466,7 @@ impl StreamingServer {
     /// the pipeline overlaps with the next epoch).
     pub(crate) fn run_absorb_tier(
         &mut self,
-        planned: &PlannedEpoch,
+        planned: &PlannedEpoch<'_>,
         threads: usize,
         auto: bool,
     ) -> Result<()> {
@@ -569,78 +632,29 @@ impl StreamingServer {
         self.absorbed_total += 1;
         Ok(())
     }
-
-    /// Re-joins `hosts` through the cached join path with an explicit
-    /// shard count: per-host rows are computed independently and scattered
-    /// in host order, so the result is bit-identical at any `threads`.
-    pub(crate) fn rejoin_hosts_with(
-        &self,
-        hosts: &[usize],
-        d_out: &Matrix,
-        d_in: &Matrix,
-        coords: &mut BatchHostVectors,
-        threads: usize,
-    ) -> Result<()> {
-        rejoin_full_hosts(&self.rejoin_ctx(), hosts, d_out, d_in, coords, threads)
-    }
 }
 
 /// Executes one planned epoch's rejoin tier against an explicit
 /// [`RejoinCtx`] — the live server's borrowed state on the barriered
 /// path, a frozen end-of-epoch clone on the pipelined path (bitwise
 /// identical either way: clones are exact byte copies and the arithmetic
-/// reads nothing else).
+/// reads nothing else). Full-measurement hosts run through the tiled
+/// cached join on up to `threads` workers; every finished tile and every
+/// subset group's batch goes to `sink`.
 pub(crate) fn run_rejoin_tier(
     ctx: &RejoinCtx<'_>,
-    route: &RejoinRoute,
-    d_out: &Matrix,
-    d_in: &Matrix,
-    coords: &mut BatchHostVectors,
+    route: &RejoinRoute<'_>,
+    d_out: &[f64],
+    d_in: &[f64],
     threads: usize,
-    auto: bool,
+    sink: &mut TileSink<'_>,
 ) -> Result<()> {
     let _span =
         (!route.full.is_empty() || !route.groups.is_empty()).then(|| tm::span(tm::Stage::Rejoin));
     if !route.full.is_empty() {
-        let t = if auto {
-            auto_fanout(route.full.len(), threads, MIN_REJOINS_PER_THREAD)
-        } else {
-            threads
-        };
-        rejoin_full_hosts(ctx, &route.full, d_out, d_in, coords, t)?;
+        cached_join_into(ctx, d_out, d_in, &route.full, threads, sink)?;
     }
-    rejoin_subset_groups(ctx, &route.groups, d_out, d_in, coords)
-}
-
-/// The cached-full-join leg of the rejoin tier: shard `hosts` over scoped
-/// threads, compute each shard's rows through [`cached_join_into`], and
-/// scatter in host order — bit-identical at any shard count.
-fn rejoin_full_hosts(
-    ctx: &RejoinCtx<'_>,
-    hosts: &[usize],
-    d_out: &Matrix,
-    d_in: &Matrix,
-    coords: &mut BatchHostVectors,
-    threads: usize,
-) -> Result<()> {
-    let shards = map_shards_with(hosts, threads, |shard, _offset| {
-        let mut batch = BatchHostVectors::new();
-        cached_join_into(
-            ctx,
-            &d_out.select_rows(shard),
-            &d_in.select_rows(shard),
-            &mut batch,
-        )?;
-        Ok(batch)
-    })?;
-    let mut cursor = 0usize;
-    for batch in &shards {
-        for i in 0..batch.len() {
-            coords.set_host(hosts[cursor], batch.outgoing(i), batch.incoming(i));
-            cursor += 1;
-        }
-    }
-    Ok(())
+    rejoin_subset_groups(ctx, &route.groups, d_out, d_in, sink)
 }
 
 /// The partial-subset leg of the rejoin tier: one gathered factorization
@@ -653,13 +667,14 @@ fn rejoin_full_hosts(
 fn rejoin_subset_groups(
     ctx: &RejoinCtx<'_>,
     groups: &[(Vec<usize>, Vec<usize>)],
-    d_out: &Matrix,
-    d_in: &Matrix,
-    coords: &mut BatchHostVectors,
+    d_out: &[f64],
+    d_in: &[f64],
+    sink: &mut TileSink<'_>,
 ) -> Result<()> {
     if groups.is_empty() {
         return Ok(());
     }
+    let k = ctx.model.x().rows();
     let mut ws = JoinWorkspace::new();
     let mut g_out = Matrix::zeros(0, 0);
     let mut g_in = Matrix::zeros(0, 0);
@@ -673,8 +688,8 @@ fn rejoin_subset_groups(
         g_in.reset_shape(members.len(), subset.len());
         for (r, &h) in members.iter().enumerate() {
             for (c, &l) in subset.iter().enumerate() {
-                g_out[(r, c)] = d_out[(h, l)];
-                g_in[(r, c)] = d_in[(h, l)];
+                g_out[(r, c)] = d_out[h * k + l];
+                g_in[(r, c)] = d_in[h * k + l];
             }
         }
         join_hosts_subset_into(
@@ -687,9 +702,7 @@ fn rejoin_subset_groups(
             opts,
             &mut batch,
         )?;
-        for (r, &h) in members.iter().enumerate() {
-            coords.set_host(h, batch.outgoing(r), batch.incoming(r));
-        }
+        sink(&HostRows::ids(members), &batch);
     }
     Ok(())
 }

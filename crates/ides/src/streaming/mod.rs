@@ -31,8 +31,10 @@
 //!   from-scratch factorization (build/refresh), within ~1e-9 after
 //!   rank-1 surgery — and
 //!   [`StreamingServer::rejoin_affected`] re-joins only the hosts whose
-//!   own measurements drifted, sharded over scoped threads under the
-//!   `parallel` feature (bit-identical at any shard count).
+//!   own measurements drifted. Both run the one tiled cached join (256
+//!   hosts at a time, measurement rows read in place, threads splitting
+//!   on tile boundaries under the `parallel` feature — bit-identical at
+//!   any tile boundary and thread count).
 //!
 //! The economics (see the `streaming_update` bench group): at 500 hosts a
 //! full refit — cold ALS fit plus re-joining every host — costs well over
@@ -56,9 +58,13 @@
 pub mod dag;
 mod executor;
 mod pipeline;
+mod tile;
 
 pub use executor::RejoinTables;
 pub use pipeline::PipelineReport;
+
+pub(crate) use executor::{RejoinInputs, RejoinJob};
+pub(crate) use tile::{cached_join_dense, cached_join_into, scatter_tile, HostRows};
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -648,7 +654,13 @@ impl StreamingServer {
                 d_out.cols()
             )));
         }
-        cached_join_into(&self.rejoin_ctx(), d_out, d_in, out)
+        cached_join_dense(
+            &self.rejoin_ctx(),
+            d_out,
+            d_in,
+            out,
+            crate::eval::eval_threads(),
+        )
     }
 
     /// The borrowed rejoin inputs — model factors, cached Grams, ridge —
@@ -665,10 +677,10 @@ impl StreamingServer {
     /// Re-joins only the `affected` hosts (rows of the full `hosts x k`
     /// measurement matrices), scattering the fresh vectors into `coords`
     /// and leaving every other host's cached coordinates untouched — the
-    /// staleness policy applied to ordinary hosts. Sharded over scoped
-    /// threads under the `parallel` feature; because each shard runs the
-    /// same per-row GEMM arithmetic and shards merge in order, the result
-    /// is bit-identical at any shard count.
+    /// staleness policy applied to ordinary hosts. Runs the tiled cached
+    /// join, on scoped threads under the `parallel` feature; the result is
+    /// bit-identical at any thread count. Both tables, the coordinate
+    /// table and the host ids are validated before anything is written.
     pub fn rejoin_affected(
         &self,
         affected: &[usize],
@@ -676,22 +688,16 @@ impl StreamingServer {
         d_in: &Matrix,
         coords: &mut BatchHostVectors,
     ) -> Result<()> {
-        if coords.len() != d_out.rows() || coords.dim() != self.dim() {
-            return Err(IdesError::InvalidInput(format!(
-                "coordinate table is {}x{}, expected {}x{}",
-                coords.len(),
-                coords.dim(),
-                d_out.rows(),
-                self.dim()
-            )));
-        }
-        if let Some(&bad) = affected.iter().find(|&&h| h >= d_out.rows()) {
-            return Err(IdesError::InvalidInput(format!(
-                "affected host {bad} out of range for {} hosts",
-                d_out.rows()
-            )));
-        }
-        self.rejoin_hosts_with(affected, d_out, d_in, coords, crate::eval::eval_threads())
+        let (inputs, coords) = RejoinTables::full(affected, d_out, d_in, coords)
+            .split(self.landmark_count(), self.dim())?;
+        cached_join_into(
+            &self.rejoin_ctx(),
+            inputs.d_out,
+            inputs.d_in,
+            &inputs.hosts,
+            crate::eval::eval_threads(),
+            &mut |rows, tile| scatter_tile(coords, rows, tile),
+        )
     }
 }
 
@@ -706,26 +712,6 @@ pub(crate) struct RejoinCtx<'m> {
     pub gram_x: &'m CachedGram,
     pub gram_y: &'m CachedGram,
     pub ridge: f64,
-}
-
-/// The cached host join against an explicit [`RejoinCtx`]: one GEMM per
-/// direction, then one `O(d²)` triangular solve per host. This is the
-/// arithmetic of [`StreamingServer::join_batch_cached`], factored out so
-/// the pipeline can run it against a frozen model snapshot bit-identically.
-pub(crate) fn cached_join_into(
-    ctx: &RejoinCtx<'_>,
-    d_out: &Matrix,
-    d_in: &Matrix,
-    out: &mut BatchHostVectors,
-) -> Result<()> {
-    let hosts = d_out.rows();
-    out.reset_shape(hosts, ctx.model.dim());
-    let (out_m, in_m) = out.matrices_mut();
-    d_out.matmul_into(ctx.model.y(), out_m)?;
-    ctx.gram_y.solve_rows_in_place(out_m)?;
-    d_in.matmul_into(ctx.model.x(), in_m)?;
-    ctx.gram_x.solve_rows_in_place(in_m)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -961,6 +947,75 @@ mod tests {
         assert!(server
             .rejoin_affected(&[0], &d_out, &d_in, &mut tiny)
             .is_err());
+    }
+
+    #[test]
+    fn mismatched_measurement_tables_are_rejected_before_anything_changes() {
+        // `d_in` one row short of `d_out`: both rejoin entry points must
+        // refuse it up front — the planned epoch before its deltas touch
+        // the model, not after the absorb tier has committed.
+        let ds = ides_datasets::generators::p2psim_like(30, 9).unwrap();
+        let sub: Vec<usize> = (0..12).collect();
+        let lm = ds.matrix.submatrix(&sub, &sub);
+        let mut server = StreamingServer::new(&lm, 4, StalenessPolicy::default()).unwrap();
+        let d_out = Matrix::from_fn(3, 12, |h, l| 10.0 + (h * 12 + l) as f64);
+        let d_in = Matrix::from_fn(2, 12, |h, l| 11.0 + (h * 12 + l) as f64);
+        let mut coords = BatchHostVectors::new();
+        coords.reset_shape(3, 4);
+        let pristine = server.clone();
+        let unchanged = |server: &StreamingServer, coords: &BatchHostVectors| {
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(server.model().x()), bits(pristine.model().x()));
+            assert_eq!(bits(server.model().y()), bits(pristine.model().y()));
+            assert_eq!(bits(server.gram_x.l()), bits(pristine.gram_x.l()));
+            assert_eq!(bits(server.gram_y.l()), bits(pristine.gram_y.l()));
+            assert_eq!(
+                bits(server.landmark_matrix()),
+                bits(pristine.landmark_matrix())
+            );
+            assert_eq!(server.epoch().to_bits(), pristine.epoch().to_bits());
+            assert_eq!(server.absorbed(), 0);
+            assert!(coords
+                .outgoing_matrix()
+                .as_slice()
+                .iter()
+                .all(|&v| v == 0.0));
+        };
+
+        let r = server.rejoin_affected(&[0, 1, 2], &d_out, &d_in, &mut coords);
+        assert!(matches!(r, Err(IdesError::InvalidInput(_))), "{r:?}");
+        unchanged(&server, &coords);
+
+        let rtt = server.landmark_matrix()[(1, 4)] * 1.02;
+        let update = EpochUpdate {
+            epoch: 1.0,
+            deltas: vec![MeasurementDelta {
+                from: 1,
+                to: 4,
+                rtt,
+            }],
+        };
+        let hosts = [0usize, 1, 2];
+        let tables = RejoinTables::full(&hosts, &d_out, &d_in, &mut coords);
+        let r = server.apply_epoch_planned(&update, Some(tables), Some(1));
+        assert!(matches!(r, Err(IdesError::InvalidInput(_))), "{r:?}");
+        unchanged(&server, &coords);
+        let tables = RejoinTables::full(&hosts, &d_out, &d_in, &mut coords);
+        let r = server.apply_epochs_pipelined(std::slice::from_ref(&update), Some(tables), Some(2));
+        assert!(matches!(r, Err(IdesError::InvalidInput(_))), "{r:?}");
+        unchanged(&server, &coords);
+
+        // A `d_in` with the right height but the wrong width is no better.
+        let narrow = Matrix::from_fn(3, 11, |h, l| (h + l) as f64);
+        let r = server.rejoin_affected(&[0], &d_out, &narrow, &mut coords);
+        assert!(matches!(r, Err(IdesError::InvalidInput(_))), "{r:?}");
+        // The same call with matching tables goes through.
+        let d_in = Matrix::from_fn(3, 12, |h, l| 11.0 + (h * 12 + l) as f64);
+        let tables = RejoinTables::full(&hosts, &d_out, &d_in, &mut coords);
+        server
+            .apply_epoch_planned(&update, Some(tables), Some(1))
+            .unwrap();
+        assert_eq!(server.epoch(), 1.0);
     }
 
     #[test]

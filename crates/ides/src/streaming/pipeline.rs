@@ -19,10 +19,10 @@
 //!   arithmetic matches a barriered rejoin against the live server at
 //!   the same point.
 //! * The rejoin tier writes only the caller's coordinate table; the
-//!   planner reads the host list, observed-set metadata, and coordinate
-//!   *shape* (via [`executor::RejoinPlanView`]) but never the coordinate
-//!   bytes; the absorb tier reads and writes only the server (model,
-//!   Grams, measurement matrix). No byte is shared.
+//!   planner reads the host list and observed-set metadata (the
+//!   `RejoinInputs`, which hold no reference to the coordinates) but
+//!   never the coordinate bytes; the absorb tier reads and writes only
+//!   the server (model, Grams, measurement matrix). No byte is shared.
 //! * Rejoin tiers still execute in epoch order (one in flight at a
 //!   time), so each host row holds exactly the bytes the serial schedule
 //!   would have left.
@@ -48,7 +48,7 @@
 use std::sync::mpsc;
 
 use super::dag::PlanStats;
-use super::executor::{run_rejoin_tier, RejoinRoute};
+use super::executor::{run_rejoin_tier, RejoinJob, RejoinRoute};
 use super::{EpochOutcome, EpochUpdate, RejoinTables, StreamingServer};
 use crate::error::Result;
 use crate::eval::eval_threads;
@@ -134,11 +134,29 @@ impl StreamingServer {
         rejoin: Option<RejoinTables<'_>>,
         threads: Option<usize>,
     ) -> Result<PipelineReport> {
+        let (k, dim) = (self.landmark_count(), self.dim());
+        RejoinTables::run_job(rejoin, k, dim, |job| {
+            self.apply_epochs_job(updates, job, threads)
+        })
+    }
+
+    /// [`StreamingServer::apply_epochs_pipelined`] over a [`RejoinJob`]:
+    /// the same pipeline, with every rejoined tile handed to the job's
+    /// sink (by the worker thread when the batch pipelines).
+    pub(crate) fn apply_epochs_job(
+        &mut self,
+        updates: &[EpochUpdate],
+        rejoin: Option<RejoinJob<'_, '_>>,
+        threads: Option<usize>,
+    ) -> Result<PipelineReport> {
         let auto = threads.is_none();
         let t = threads.unwrap_or_else(eval_threads).max(1);
         let mut outcomes = Vec::with_capacity(updates.len());
-        let mut rejoin = rejoin;
-        let Some(tables) = rejoin.as_mut() else {
+        let Some(RejoinJob {
+            inputs: mut view,
+            sink,
+        }) = rejoin
+        else {
             // No coordinate table: the absorb tiers are the whole epochs.
             for u in updates {
                 let prev = tm::set_epoch(u.epoch);
@@ -158,14 +176,10 @@ impl StreamingServer {
                 overlapped: 0,
             });
         }
-        // Captured once: the view holds the caller's slices and the
-        // coordinate *shape*, never the coordinate bytes, so planning can
-        // run while the worker holds the mutable coordinate borrow.
-        let mut view = tables.plan_view();
-        let d_out = tables.d_out;
-        let d_in = tables.d_in;
-        let coords = &mut *tables.coords;
-        if auto && tables.hosts.len() < self.policy.min_pipeline_hosts {
+        // The view holds the caller's slices, never the coordinate bytes,
+        // so planning can run while the worker holds the sink.
+        let (d_out, d_in) = (view.d_out, view.d_in);
+        if auto && view.hosts.len() < self.policy.min_pipeline_hosts {
             // Work-aware clamp (see `StalenessPolicy::min_pipeline_hosts`):
             // rejoin tiers this small can't amortize the worker spawn and
             // per-epoch hand-off, so run the same plan/absorb/rejoin
@@ -175,15 +189,7 @@ impl StreamingServer {
                 let prev = tm::set_epoch(u.epoch);
                 let planned = self.plan_epoch(u, Some(&view))?;
                 self.run_absorb_tier(&planned, t, auto)?;
-                run_rejoin_tier(
-                    &self.rejoin_ctx(),
-                    &planned.route,
-                    d_out,
-                    d_in,
-                    coords,
-                    t,
-                    auto,
-                )?;
+                run_rejoin_tier(&self.rejoin_ctx(), &planned.route, d_out, d_in, t, sink)?;
                 tm::set_epoch(prev);
                 view.coords_current = true;
                 outcomes.push((planned.outcome, planned.stats));
@@ -195,9 +201,9 @@ impl StreamingServer {
         }
         let mut overlapped = 0usize;
         std::thread::scope(|scope| -> Result<()> {
-            // One worker owns the coordinate table for the whole batch and
+            // One worker owns the coordinate sink for the whole batch and
             // executes rejoin tiers in epoch order as frozen models arrive.
-            let (job_tx, job_rx) = mpsc::channel::<(FrozenModel, RejoinRoute, f64)>();
+            let (job_tx, job_rx) = mpsc::channel::<(FrozenModel, RejoinRoute<'_>, f64)>();
             let (done_tx, done_rx) = mpsc::channel::<Result<()>>();
             scope.spawn(move || {
                 // Each job carries its epoch so the worker's rejoin spans
@@ -205,7 +211,7 @@ impl StreamingServer {
                 // main thread has moved on to.
                 for (frozen, route, epoch) in job_rx {
                     tm::set_epoch(epoch);
-                    let r = run_rejoin_tier(&frozen.ctx(), &route, d_out, d_in, coords, t, auto);
+                    let r = run_rejoin_tier(&frozen.ctx(), &route, d_out, d_in, t, sink);
                     if done_tx.send(r).is_err() {
                         break;
                     }

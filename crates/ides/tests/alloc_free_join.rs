@@ -8,6 +8,10 @@
 //! reference system) appear in both measurements identically, so any
 //! per-host allocation would surface as a positive count delta
 //! proportional to the 300 extra hosts.
+//!
+//! The same allocator pins the serving engine's drift epoch: one warm
+//! `apply_epoch` over 50 000 slots allocates one coordinate table's worth
+//! of fresh chunks and no buffer that scales with `slots × k`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,11 +28,14 @@ struct CountingAllocator;
 thread_local! {
     static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
     static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Largest single request since the last reset.
+    static ALLOC_MAX: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count(bytes: usize) {
     let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
     let _ = ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+    let _ = ALLOC_MAX.try_with(|c| c.set(c.get().max(bytes as u64)));
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -185,5 +192,51 @@ fn warm_normal_equation_batch_allocates_nothing_at_all() {
     assert!(
         calls == 0,
         "warm normal-equation batch join performed {calls} allocations ({bytes} B)"
+    );
+}
+
+/// One drift epoch on a warm 50 000-slot engine: the rejoin reads the
+/// measurement tables in place and installs each solved tile as a fresh
+/// chunk, so the epoch allocates about one coordinate table (the chunks
+/// the new snapshot will own) — no gathered copy of the `slots × k`
+/// tables, no `slots × d` staging batch, no per-slot plan node.
+#[test]
+fn warm_epoch_allocates_one_coordinate_table_and_nothing_per_measurement() {
+    use ides::service::{ServiceConfig, ShardedEngine};
+    use ides::streaming::{EpochUpdate, MeasurementDelta, StalenessPolicy, StreamingServer};
+
+    let (k, d, slots) = (16usize, 4usize, 50_000usize);
+    let ds = ides_datasets::generators::p2psim_like(k + 10, 3).expect("dataset");
+    let sub: Vec<usize> = (0..k).collect();
+    let lm = ds.matrix.submatrix(&sub, &sub);
+    let server = StreamingServer::new(&lm, d, StalenessPolicy::default()).expect("server");
+    let engine = ShardedEngine::new(server, 1, ServiceConfig::default()).expect("engine");
+    let rows = measurements(slots, k, 5);
+    engine.join_many(&rows, &rows).expect("admission");
+    let drift = |epoch: f64| EpochUpdate {
+        epoch,
+        deltas: vec![MeasurementDelta {
+            from: 1,
+            to: 2,
+            rtt: 20.0 + epoch,
+        }],
+    };
+    // Warm: GEMM packing buffers, absorb scratch, the diverged spine.
+    engine.apply_epoch(&drift(1.0)).expect("warm epoch");
+
+    ALLOC_MAX.set(0);
+    let (calls, bytes, outcome) = count_allocs(|| engine.apply_epoch(&drift(2.0)));
+    outcome.expect("measured epoch");
+    let largest = ALLOC_MAX.get();
+    let coord_table = (slots * 2 * d * 8) as u64;
+    let measurement_table = (slots * k * 8) as u64;
+    assert!(
+        bytes <= coord_table + coord_table / 4,
+        "epoch allocated {bytes} B in {calls} calls; one coordinate table is {coord_table} B"
+    );
+    assert!(
+        largest * 16 <= measurement_table.min(coord_table),
+        "largest single allocation {largest} B scales with the tables \
+         (measurements {measurement_table} B, coordinates {coord_table} B)"
     );
 }

@@ -139,10 +139,16 @@ pub fn cholesky_downdate_rows(l: &mut Matrix, rows: &Matrix, buf: &mut Vec<f64>)
     Ok(())
 }
 
-fn check_factor_and_vec(l: &Matrix, v: &[f64], op: &'static str) -> Result<usize> {
+/// The factor's dimension, or [`LinalgError::NotSquare`].
+fn check_factor(l: &Matrix, op: &'static str) -> Result<usize> {
     if !l.is_square() {
         return Err(LinalgError::NotSquare { got: l.shape(), op });
     }
+    Ok(l.rows())
+}
+
+fn check_factor_and_vec(l: &Matrix, v: &[f64], op: &'static str) -> Result<usize> {
+    check_factor(l, op)?;
     if v.len() != l.rows() {
         return Err(LinalgError::ShapeMismatch {
             expected: (l.rows(), 1),
@@ -153,33 +159,70 @@ fn check_factor_and_vec(l: &Matrix, v: &[f64], op: &'static str) -> Result<usize
     Ok(l.rows())
 }
 
-/// Solves `L Lᵀ x = b` in place given a factored lower triangle `l`:
-/// `b` is overwritten with the solution. No heap allocation.
-pub fn solve_cholesky_in_place(l: &Matrix, b: &mut [f64]) -> Result<()> {
+/// Rows solved side by side by [`solve_cholesky_rows_in_place`]: one SIMD
+/// lane per row. 16 lanes are two 512-bit (four 256-bit) vectors per
+/// substitution step, i.e. several independent subtract chains in flight —
+/// enough to hide the subtract/divide latency that bounds a single row.
+const LANES: usize = 16;
+
+/// Widest system the blocked solve transposes into its stack scratch
+/// (`LANES * MAX_LANE_DIM` doubles, 8 KiB). Wider systems are solved row by
+/// row in place — same bits, and still no heap allocation.
+const MAX_LANE_DIM: usize = 64;
+
+/// The one triangular-solve body: solves `L Lᵀ x = b` for `LANES`
+/// independent right-hand sides at once. `x` is lane-major — entry `i` of
+/// lane `t` lives at `x[i * LANES + t]` — so a single row is the `LANES = 1`
+/// instance with `x` the row itself.
+///
+/// Every lane runs exactly the textbook per-row sequence (forward: `s =
+/// b[i]; s -= l[i][j] * x[j]` for ascending `j`; `x[i] = s / l[i][i]`; then
+/// the mirrored back substitution), each step an unfused multiply, a
+/// subtract and a true division. Lanes never mix, so a row's bits depend on
+/// neither `LANES`, its position in the block, its neighbours' values, nor
+/// the instruction set the lane loops were vectorized for.
+#[inline(always)]
+fn solve_lanes<const LANES: usize>(l: &Matrix, x: &mut [f64]) {
     let n = l.rows();
-    if b.len() != n {
-        return Err(LinalgError::ShapeMismatch {
-            expected: (n, 1),
-            got: (b.len(), 1),
-            op: "cholesky_solve",
-        });
-    }
+    let l = l.as_slice();
+    let (x, _) = x.as_chunks_mut::<LANES>();
+    debug_assert_eq!(x.len(), n);
     // Forward solve L y = b (y overwrites b).
     for i in 0..n {
-        let mut s = b[i];
+        let li = &l[i * n..(i + 1) * n];
+        let mut s = x[i];
         for j in 0..i {
-            s -= l[(i, j)] * b[j];
+            let (lij, xj) = (li[j], x[j]);
+            for t in 0..LANES {
+                s[t] -= lij * xj[t];
+            }
         }
-        b[i] = s / l[(i, i)];
+        for v in &mut s {
+            *v /= li[i];
+        }
+        x[i] = s;
     }
     // Back solve Lᵀ x = y (x overwrites b).
     for i in (0..n).rev() {
-        let mut s = b[i];
+        let mut s = x[i];
         for j in (i + 1)..n {
-            s -= l[(j, i)] * b[j];
+            let (lji, xj) = (l[j * n + i], x[j]);
+            for t in 0..LANES {
+                s[t] -= lji * xj[t];
+            }
         }
-        b[i] = s / l[(i, i)];
+        for v in &mut s {
+            *v /= l[i * n + i];
+        }
+        x[i] = s;
     }
+}
+
+/// Solves `L Lᵀ x = b` in place given a factored lower triangle `l`:
+/// `b` is overwritten with the solution. No heap allocation.
+pub fn solve_cholesky_in_place(l: &Matrix, b: &mut [f64]) -> Result<()> {
+    check_factor_and_vec(l, b, "cholesky_solve")?;
+    solve_lanes::<1>(l, b);
     Ok(())
 }
 
@@ -188,21 +231,64 @@ pub fn solve_cholesky_in_place(l: &Matrix, b: &mut [f64]) -> Result<()> {
 /// and leaves holding the corresponding solution.
 ///
 /// This is the multi-RHS building block of the batched host join
-/// (`ides::projection::join_hosts_with`): one Cholesky factorization of the
-/// shared Gram matrix serves every right-hand-side row, and because each
-/// row is solved by exactly the arithmetic of [`solve_cholesky_in_place`],
-/// the batched solutions are bit-identical to per-host solves. No heap
-/// allocation.
+/// (`ides::projection::join_hosts_with`) and of every cached-Gram join: one
+/// Cholesky factorization of the shared Gram matrix serves every
+/// right-hand-side row.
+///
+/// **Lane blocking.** A single row's substitution is a chain of dependent
+/// subtractions bound by floating-point latency, not throughput. Rows are
+/// independent, so they are solved 16 at a time with one SIMD lane per row:
+/// a block is transposed into lane-major stack scratch, the forward and
+/// back substitution run once with every step applied to all lanes, and the
+/// block is transposed back. A ragged last block pads its unused lanes with
+/// zeros.
+///
+/// **Bit-identity.** Each lane performs exactly the arithmetic of
+/// [`solve_cholesky_in_place`] — the same unfused multiply, subtract and
+/// division in the same order, from the same routine instantiated at one
+/// lane — and lanes never exchange data. A row's solution therefore cannot
+/// depend on the block size, on which block or lane the row landed in, on
+/// the other rows' values (a NaN row poisons only itself), or on the
+/// instruction set: IEEE-754 vector lanes round like scalars. No heap
+/// allocation for any dimension (systems wider than the 64-column scratch
+/// are solved row by row in place).
 pub fn solve_cholesky_rows_in_place(l: &Matrix, rhs: &mut Matrix) -> Result<()> {
-    if rhs.cols() != l.rows() {
+    let n = check_factor(l, "cholesky_solve_rows")?;
+    if rhs.cols() != n {
         return Err(LinalgError::ShapeMismatch {
-            expected: (rhs.rows(), l.rows()),
+            expected: (rhs.rows(), n),
             got: rhs.shape(),
             op: "cholesky_solve_rows",
         });
     }
-    for h in 0..rhs.rows() {
-        solve_cholesky_in_place(l, rhs.row_mut(h))?;
+    if n == 0 {
+        return Ok(());
+    }
+    let rows = rhs.as_mut_slice();
+    if n > MAX_LANE_DIM {
+        for row in rows.chunks_exact_mut(n) {
+            solve_lanes::<1>(l, row);
+        }
+        return Ok(());
+    }
+    let mut scratch = [0.0f64; LANES * MAX_LANE_DIM];
+    let lanes = &mut scratch[..LANES * n];
+    for block in rows.chunks_mut(LANES * n) {
+        if block.len() < LANES * n {
+            // Ragged tail: idle lanes solve zeros, not the last block's rows.
+            lanes.fill(0.0);
+        }
+        for (t, row) in block.chunks_exact(n).enumerate() {
+            for (i, &v) in row.iter().enumerate() {
+                lanes[i * LANES + t] = v;
+            }
+        }
+        solve_lanes::<LANES>(l, lanes);
+        for (t, row) in block.chunks_exact_mut(n).enumerate() {
+            for (i, v) in row.iter_mut().enumerate() {
+                *v = lanes[i * LANES + t];
+            }
+        }
     }
     Ok(())
 }
@@ -213,33 +299,11 @@ impl Cholesky {
         &self.l
     }
 
-    /// Solves `A x = b` via the two triangular solves `L y = b`, `Lᵀ x = y`.
-    #[allow(clippy::needless_range_loop)] // indexed triangular solves read clearest
+    /// Solves `A x = b` via the two triangular solves `L y = b`, `Lᵀ x = y`
+    /// ([`solve_cholesky_in_place`] on a copy of `b`).
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.l.rows();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (n, 1),
-                got: (b.len(), 1),
-                op: "cholesky_solve",
-            });
-        }
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut s = b[i];
-            for j in 0..i {
-                s -= self.l[(i, j)] * y[j];
-            }
-            y[i] = s / self.l[(i, i)];
-        }
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for j in (i + 1)..n {
-                s -= self.l[(j, i)] * x[j];
-            }
-            x[i] = s / self.l[(i, i)];
-        }
+        let mut x = b.to_vec();
+        solve_cholesky_in_place(&self.l, &mut x)?;
         Ok(x)
     }
 
@@ -263,7 +327,8 @@ impl Cholesky {
         cholesky_downdate_in_place(&mut self.l, &mut buf)
     }
 
-    /// Solves `A X = B` column by column.
+    /// Solves `A X = B`: the columns of `B` are the rows of `Bᵀ`, solved in
+    /// place by [`solve_cholesky_rows_in_place`].
     pub fn solve_multi(&self, b: &Matrix) -> Result<Matrix> {
         if b.rows() != self.l.rows() {
             return Err(LinalgError::ShapeMismatch {
@@ -272,12 +337,9 @@ impl Cholesky {
                 op: "cholesky_solve_multi",
             });
         }
-        let mut x = Matrix::zeros(self.l.rows(), b.cols());
-        for j in 0..b.cols() {
-            let xj = self.solve(&b.col(j))?;
-            x.set_col(j, &xj);
-        }
-        Ok(x)
+        let mut xt = b.transpose();
+        solve_cholesky_rows_in_place(&self.l, &mut xt)?;
+        Ok(xt.transpose())
     }
 }
 
@@ -351,6 +413,84 @@ mod tests {
     fn spd(n: usize, alpha: f64) -> Matrix {
         let b = Matrix::from_fn(n + 2, n, |i, j| ((i * n + j) as f64 * 0.53).sin());
         &b.tr_matmul(&b).unwrap() + &Matrix::identity(n).scale(alpha)
+    }
+
+    #[test]
+    fn blocked_rows_match_the_single_row_solve_bitwise() {
+        // Every dimension up to past two lane-vector widths, one above the
+        // stack-scratch bound, and every row count across full blocks, a
+        // ragged tail and the empty batch.
+        for d in (1..=33).chain([MAX_LANE_DIM, MAX_LANE_DIM + 1]) {
+            let l = cholesky(&spd(d, 0.7)).unwrap().l().clone();
+            for rows in 0..=3 * LANES + 1 {
+                let source =
+                    Matrix::from_fn(rows, d, |h, j| ((h * 31 + j * 7) as f64 * 0.37).sin() * 3.0);
+                let mut blocked = source.clone();
+                solve_cholesky_rows_in_place(&l, &mut blocked).unwrap();
+                for h in 0..rows {
+                    let mut single = source.row(h).to_vec();
+                    solve_cholesky_in_place(&l, &mut single).unwrap();
+                    for j in 0..d {
+                        assert_eq!(
+                            blocked[(h, j)].to_bits(),
+                            single[j].to_bits(),
+                            "d={d} rows={rows} row {h} col {j}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_row_leaves_its_block_neighbours_untouched() {
+        let d = 6;
+        let l = cholesky(&spd(d, 0.9)).unwrap().l().clone();
+        let rows = 2 * LANES + 3;
+        let clean = Matrix::from_fn(rows, d, |h, j| (h as f64 - 4.0) * 0.5 + j as f64);
+        let mut want = clean.clone();
+        solve_cholesky_rows_in_place(&l, &mut want).unwrap();
+        for (bad_row, poison) in [
+            (3, f64::NAN),
+            (LANES + 1, f64::INFINITY),
+            (rows - 1, -f64::INFINITY),
+        ] {
+            let mut rhs = clean.clone();
+            rhs.row_mut(bad_row).fill(poison);
+            solve_cholesky_rows_in_place(&l, &mut rhs).unwrap();
+            assert!(rhs.row(bad_row).iter().all(|v| !v.is_finite()));
+            for h in (0..rows).filter(|&h| h != bad_row) {
+                for j in 0..d {
+                    assert_eq!(rhs[(h, j)].to_bits(), want[(h, j)].to_bits(), "row {h}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn solves_reject_a_non_square_factor() {
+        let l = Matrix::from_fn(3, 2, |i, j| (i + j + 1) as f64);
+        assert!(matches!(
+            solve_cholesky_in_place(&l, &mut [1.0, 2.0, 3.0]),
+            Err(LinalgError::NotSquare { got: (3, 2), .. })
+        ));
+        let mut rhs = Matrix::zeros(2, 3);
+        assert!(matches!(
+            solve_cholesky_rows_in_place(&l, &mut rhs),
+            Err(LinalgError::NotSquare { got: (3, 2), .. })
+        ));
+        // A cached Gram cannot even be built around such a factor...
+        assert!(crate::solve::CachedGram::from_factor(l.clone(), 0.0).is_err());
+        // ...and the `Cholesky` wrappers reach the same check.
+        let c = Cholesky { l };
+        assert!(matches!(
+            c.solve(&[1.0, 2.0, 3.0]),
+            Err(LinalgError::NotSquare { .. })
+        ));
+        assert!(matches!(
+            c.solve_rows_in_place(&mut rhs),
+            Err(LinalgError::NotSquare { .. })
+        ));
     }
 
     #[test]

@@ -113,6 +113,27 @@ impl<T: Copy + Default> ChunkedRows<T> {
         self.row_mut(row).copy_from_slice(values);
     }
 
+    /// Replaces leaf chunk `chunk` (rows `chunk * CHUNK_ROWS ..`) wholesale
+    /// with `rows`, which must hold exactly as many rows as the chunk does
+    /// now. The old chunk is released, never copied — the whole-chunk
+    /// counterpart of [`ChunkedRows::row_mut`], which would first duplicate
+    /// a shared chunk only for every byte of the copy to be overwritten.
+    /// Give `rows` capacity for a full chunk when later
+    /// [`ChunkedRows::push_row`] calls should extend it in place. Panics
+    /// when `chunk` is out of range or the row count differs.
+    pub fn replace_chunk(&mut self, chunk: usize, rows: Vec<T>) {
+        assert!(
+            chunk < self.chunk_count(),
+            "chunk {chunk} out of range ({} chunks)",
+            self.chunk_count()
+        );
+        let held = CHUNK_ROWS.min(self.len - chunk * CHUNK_ROWS);
+        assert_eq!(rows.len(), held * self.cols, "chunk row count mismatch");
+        let spine = Arc::make_mut(&mut self.spine);
+        let block = Arc::make_mut(&mut spine[chunk / SPINE_CHUNKS]);
+        block.chunks[chunk % SPINE_CHUNKS] = Arc::new(rows);
+    }
+
     /// Appends a row (must be `cols` long), growing the tree as needed.
     pub fn push_row(&mut self, values: &[T]) {
         assert_eq!(values.len(), self.cols, "row width mismatch");
@@ -243,6 +264,45 @@ mod tests {
         assert_eq!(t.shared_chunks_with(&snap), chunks - 1);
         t.set_row(0, &[5.0, 6.0]);
         assert_eq!(t.shared_chunks_with(&snap), chunks - 2);
+    }
+
+    #[test]
+    fn replace_chunk_swaps_one_chunk_and_spares_clones() {
+        let rows = CHUNK_ROWS * SPINE_CHUNKS + CHUNK_ROWS + 9;
+        let (mut t, shadow) = filled(rows, 2);
+        let frozen = t.clone();
+        let chunks = t.chunk_count();
+        // A full chunk in the first spine block, and the ragged last chunk.
+        t.replace_chunk(3, vec![-1.0; CHUNK_ROWS * 2]);
+        let mut tail = Vec::with_capacity(CHUNK_ROWS * 2);
+        tail.resize(9 * 2, -2.0);
+        t.replace_chunk(chunks - 1, tail);
+        assert_eq!(t.shared_chunks_with(&frozen), chunks - 2);
+        for (i, want) in shadow.iter().enumerate() {
+            assert_eq!(frozen.row(i), want.as_slice(), "frozen row {i} changed");
+            let replaced = if i / CHUNK_ROWS == 3 {
+                Some(-1.0)
+            } else if i / CHUNK_ROWS == chunks - 1 {
+                Some(-2.0)
+            } else {
+                None
+            };
+            match replaced {
+                Some(v) => assert_eq!(t.row(i), &[v, v]),
+                None => assert_eq!(t.row(i), want.as_slice()),
+            }
+        }
+        // The replaced tail keeps growing like any other chunk.
+        t.push_row(&[7.0, 8.0]);
+        assert_eq!(t.row(rows), &[7.0, 8.0]);
+        assert_eq!(t.row(rows - 1), &[-2.0, -2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk row count mismatch")]
+    fn replace_chunk_rejects_a_wrong_row_count() {
+        let (mut t, _) = filled(CHUNK_ROWS + 5, 2);
+        t.replace_chunk(1, vec![0.0; 4 * 2]);
     }
 
     #[test]

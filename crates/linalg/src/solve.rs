@@ -371,6 +371,16 @@ impl CachedGram {
     /// factorization amortized across the cache's whole lifetime. Callers
     /// supply `rhs` rows already multiplied through `Aᵀ` (i.e. row `h`
     /// holds `Aᵀ bₕ`, assembled by one `B·A` GEMM).
+    ///
+    /// Rows are solved 16 at a time, one SIMD lane per row
+    /// ([`crate::cholesky::solve_cholesky_rows_in_place`]): the independent
+    /// rows fill the vector width and hide the subtract/divide latency
+    /// that bounds a single row's substitution. Every lane runs the exact
+    /// operation sequence of [`CachedGram::solve_in_place`] — unfused
+    /// multiply, subtract, true division, from the same routine — and
+    /// lanes never mix, so each row's bits are those of a one-row solve
+    /// whatever the batch size, the row's position or the instruction
+    /// set. No heap allocation.
     pub fn solve_rows_in_place(&self, rhs: &mut Matrix) -> Result<()> {
         crate::cholesky::solve_cholesky_rows_in_place(&self.l, rhs)
     }

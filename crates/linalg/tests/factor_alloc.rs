@@ -163,3 +163,22 @@ fn shrinking_shapes_do_not_reallocate() {
     });
     assert_eq!(calls, 0, "shape shrink/regrow allocated {calls} times");
 }
+
+#[test]
+fn blocked_cholesky_solves_allocate_nothing() {
+    // The lane-blocked multi-row solve transposes through stack scratch:
+    // full blocks, a ragged tail, and a system wider than the scratch (the
+    // row-by-row path) must all stay off the heap — cold, no warm-up.
+    use ides_linalg::solve::CachedGram;
+    for d in [16usize, 33, 70] {
+        let design = det_matrix(3 * d, d, d as u64);
+        let gram = CachedGram::factor(&design, 0.1).unwrap();
+        let mut rhs = det_matrix(1000, d, 11);
+        let mut one = vec![0.5; d];
+        let (calls, ()) = count_allocs(|| {
+            gram.solve_rows_in_place(&mut rhs).unwrap();
+            gram.solve_in_place(&mut one).unwrap();
+        });
+        assert_eq!(calls, 0, "d={d}: blocked solve allocated {calls} times");
+    }
+}

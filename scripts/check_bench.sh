@@ -12,6 +12,11 @@
 # What is gated: the *within-group speedup ratios* of the key groups —
 #   matmul/512           blocked vs seed_ikj
 #   matmul/512           blocked (dispatched SIMD) vs blocked_scalar
+#   cholesky_solve_rows/16  lane-blocked multi-row Cholesky solve >=
+#                        MIN_SOLVE_ROWS_RATIO (default 2.0) x a loop over
+#                        the single-row solve at 65 536 rows — same
+#                        arithmetic, same process, so the ratio is the
+#                        lane blocking itself (measured ~6x with AVX2)
 #   factor/512           blocked (Golub-Kahan) SVD vs one-sided Jacobi
 #   join_batch/500       batched_qr vs per_host_qr
 #   streaming_update/500 incremental update vs full refit
@@ -174,6 +179,12 @@ check_abs_max() {
 check matmul           "blocked/512"     "seed_ikj/512"     "matmul/512 (blocked vs seed_ikj)"
 check_abs matmul "blocked/512" "blocked_scalar/512" "${MIN_SIMD_SPEEDUP:-1.5}" \
     "matmul/512 (dispatched SIMD vs forced-scalar kernel)"
+# The lane-blocked multi-row solve against its in-process control: a
+# loop over the one-row instance of the same routine. Without vector
+# lanes (a baseline x86-64 build) the blocking still hides the subtract
+# latency across rows, so the floor holds there too.
+check_abs cholesky_solve_rows "blocked/16" "per_row/16" "${MIN_SOLVE_ROWS_RATIO:-2.0}" \
+    "cholesky_solve_rows/16 (lane-blocked vs per-row solve, 65536 rows)"
 check factor           "svd_blocked/512" "svd_jacobi/512"   "factor/512 (blocked SVD vs one-sided Jacobi)"
 check join_batch       "batched_qr/500"  "per_host_qr/500"  "join_batch/500 (batched vs per-host QR)"
 check streaming_update "incremental/500" "full_refit/500"   "streaming_update/500 (incremental vs full refit)"

@@ -120,6 +120,7 @@ mv "$out.tmp" "$out"
 echo "wrote $out" >&2
 
 # Surface the headline numbers: blocked vs naive matmul at 512, the
+# lane-blocked vs per-row Cholesky solve at 65 536 rows, the
 # batched vs per-host join speedup at 500 hosts, the per-epoch
 # incremental update vs full refit at 500 hosts, and serial vs DAG epoch
 # application. Every headline guards ALL the operands it divides by, so a
@@ -140,6 +141,12 @@ jq -r '.benches.kernels // [] | map(select(.group == "matmul" and .gflops)) |
          "matmul/512 throughput: blocked \(."blocked/512" | round)" +
          (if (."blocked_scalar/512") then " GFLOPS, scalar \(."blocked_scalar/512" * 100 | round / 100)" else "" end) +
          " GFLOPS"
+       else empty end' "$out" >&2 || true
+jq -r '.benches.kernels // [] | map(select(.group == "cholesky_solve_rows")) |
+       map({(.bench): .median_ns}) | add // {} |
+       if (."blocked/16") and (."per_row/16") then
+         "cholesky_solve_rows/16 lane-blocked vs per-row solve: \((."per_row/16" / ."blocked/16") * 100 | round / 100)x " +
+         "(\(."blocked/16" / 65536 * 10 | round / 10) vs \(."per_row/16" / 65536 * 10 | round / 10) ns/row)"
        else empty end' "$out" >&2 || true
 jq -r '.benches.factor // [] | map(select(.group == "factor")) |
        map({(.bench): .median_ns}) | add // {} |
