@@ -31,7 +31,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ides::service::load::{self, ServeScenario};
-use ides::service::ServiceConfig;
 
 const LANDMARKS: usize = 32;
 const DIM: usize = 8;
@@ -52,15 +51,7 @@ fn base_hosts() -> usize {
 }
 
 fn scale(hosts: usize, shards: usize) -> ServeScenario {
-    load::scale_scenario(
-        LANDMARKS,
-        hosts,
-        DIM,
-        SEED,
-        shards,
-        ServiceConfig::default(),
-    )
-    .expect("scale scenario")
+    load::scale_scenario(LANDMARKS, hosts, DIM, SEED, shards).expect("scale scenario")
 }
 
 fn bench_serve_sharded(c: &mut Criterion) {

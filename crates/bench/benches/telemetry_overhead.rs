@@ -23,7 +23,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ides::service::load::{self, ServeScenario};
-use ides::service::ServiceConfig;
 use ides::streaming::StalenessPolicy;
 use ides::telemetry;
 
@@ -33,8 +32,8 @@ const HOSTS: usize = 500;
 const SEED: u64 = 20041025;
 
 fn scenario(hosts: usize) -> ServeScenario {
-    let (config, policy) = (ServiceConfig::default(), StalenessPolicy::default());
-    load::synthetic_scenario(LANDMARKS, hosts, DIM, SEED, 1, config, policy).expect("scenario")
+    load::synthetic_scenario(LANDMARKS, hosts, DIM, SEED, 1, StalenessPolicy::default())
+        .expect("scenario")
 }
 
 fn bench_telemetry_overhead(c: &mut Criterion) {

@@ -71,7 +71,7 @@ commands:
                                clamp (0 always pipelines),
                                --duration-s S --rate QPS-per-thread
                                for open loop, --seed N, --json); admits H
-                               hosts, compares coalesced vs per-request
+                               hosts, compares coalesced vs uncoalesced
                                admission, then measures query p50/p99
                                quiescent and under active drift, with
                                per-shard and publish latency in --json;
@@ -416,7 +416,7 @@ fn cmd_predict(args: &Args) {
 }
 
 /// Load-tests the `ides::service` engine on a synthetic deployment:
-/// admission throughput with and without request coalescing, then query
+/// admission throughput with and without group commit, then query
 /// latency quantiles quiescent and under continuous landmark drift. The
 /// measurement and the `--json` schema live in
 /// `ides::service::load::ServeSummary`, shared with the `serve_load`
@@ -520,11 +520,11 @@ fn cmd_serve(args: &Args) {
         config.landmarks, config.hosts, config.dim, config.threads, config.shards
     );
     println!(
-        "admission ({} concurrent joiners): coalesced {:.0}/s ({} flushes) vs per-request {:.0}/s  => {:.1}x",
+        "admission ({} concurrent joiners): coalesced {:.0}/s ({} flushes) vs direct {:.0}/s  => {:.1}x",
         summary.admission.joiners,
         summary.admission.coalesced_per_sec,
         summary.admission.coalesced_flushes,
-        summary.admission.per_request_per_sec,
+        summary.admission.direct_per_sec,
         summary.admission.speedup
     );
     println!(

@@ -260,7 +260,12 @@ fn serve_reports_queries_without_cache_fields() {
         String::from_utf8_lossy(&out.stderr)
     );
     let json = String::from_utf8_lossy(&out.stdout).to_string();
-    for key in ["quiescent_qps", "coalescer_depth", "chunk_share_ratio"] {
+    for key in [
+        "admission_direct_per_sec",
+        "quiescent_qps",
+        "coalescer_depth",
+        "chunk_share_ratio",
+    ] {
         assert!(
             json.contains(&format!("\"{key}\"")),
             "missing {key}: {json}"

@@ -3,15 +3,14 @@
 //! Runs the standard serving measurement
 //! ([`ides::service::load::ServeSummary`], shared with `ides-cli serve`)
 //! at deployment scale: 64 landmarks at d = 16 with 500 admitted hosts
-//! by default — the scale where per-request admission work is nontrivial
-//! and coalescing pays; at the paper's 20×8 toy scale a single QR join
-//! costs ~2µs and coordination overhead dominates. Measures:
+//! by default. Measures:
 //!
-//! * **Admission**: 500 concurrent joiners through the coalescer vs the
-//!   conventional per-request QR path (`ShardedEngine::join_per_request`),
-//!   barrier-timed — the coalesced-vs-per-request speedup is gated by
-//!   `scripts/check_bench.sh` via the `serve` bench group and must stay
-//!   ≥ 5x here.
+//! * **Admission**: 500 concurrent joiners through the group commit vs
+//!   the same joiners uncoalesced (`ShardedEngine::join_direct`: same
+//!   writer, same cached solver, one solve + one publish per request),
+//!   barrier-timed — what batching buys under a flash crowd. The `serve`
+//!   bench group measures the same pair and `scripts/check_bench.sh`
+//!   gates it with a within-run floor.
 //! * **Query latency**: p50/p99 over all queries, first quiescent, then
 //!   with a writer thread applying drift epochs continuously — the
 //!   snapshot design's claim is p99 under drift within 2x of quiescent.
@@ -60,16 +59,16 @@ fn main() {
     config.phase = Duration::from_secs_f64((duration_s / 2.0).max(0.25));
 
     eprintln!(
-        "# serving {} landmarks + {} hosts at d={} (max_batch {}, linger {:?})",
-        config.landmarks, config.hosts, config.dim, config.service.max_batch, config.service.linger
+        "# serving {} landmarks + {} hosts at d={}",
+        config.landmarks, config.hosts, config.dim
     );
     let summary = ServeSummary::measure(config).expect("serve measurement");
     eprintln!(
-        "# admission ({} joiners): coalesced {:.0}/s in {} flushes vs per-request {:.0}/s => {:.2}x",
+        "# admission ({} joiners): coalesced {:.0}/s in {} flushes vs direct {:.0}/s => {:.2}x",
         summary.admission.joiners,
         summary.admission.coalesced_per_sec,
         summary.admission.coalesced_flushes,
-        summary.admission.per_request_per_sec,
+        summary.admission.direct_per_sec,
         summary.admission.speedup
     );
     eprintln!(

@@ -35,9 +35,11 @@
 //!   (a query pins the published `Snapshot` for one closure; the
 //!   streaming writer publishes a new one after each drift epoch, so
 //!   queries never block on maintenance and never see a torn epoch),
-//!   admits new hosts through a **join coalescer** (concurrent join
-//!   requests solve as one batched cached-Gram system — the batch-join
-//!   amortization applied across requesters), retires departed hosts to
+//!   admits new hosts by **group commit** (a join on an idle shard is
+//!   solved and published at once; joins that arrive while the shard's
+//!   writer is busy solve as one batched cached-Gram system — the
+//!   batch-join amortization applied across requesters, sized by
+//!   contention), retires departed hosts to
 //!   a free list, and partitions hosts over as many single-writer shards
 //!   as its constructor is given. Paired with `ides_netsim::workload`
 //!   (deterministic query/join/leave/drift event streams),

@@ -381,7 +381,6 @@ pub fn synthetic_scenario(
     dim: usize,
     seed: u64,
     shards: usize,
-    config: ServiceConfig,
     policy: StalenessPolicy,
 ) -> Result<ServeScenario> {
     let sub = p2psim_substrate(landmarks, hosts, dim, seed, policy)?;
@@ -393,7 +392,7 @@ pub fn synthetic_scenario(
             (row.clone(), row)
         })
         .collect();
-    let engine = ShardedEngine::new(sub.server, shards, config)?;
+    let engine = ShardedEngine::new(sub.server, shards, ServiceConfig::default())?;
     let mut nodes: Vec<NodeId> = (0..landmarks).map(NodeId::Landmark).collect();
     for (d_out, d_in) in &host_rows {
         nodes.push(engine.join_direct(d_out, d_in)?);
@@ -429,7 +428,6 @@ pub fn scale_scenario(
     dim: usize,
     seed: u64,
     shards: usize,
-    config: ServiceConfig,
 ) -> Result<ServeScenario> {
     use ides_netsim::{TransitStubParams, TransitStubTopology};
     use rand::rngs::StdRng as NetRng;
@@ -450,7 +448,7 @@ pub fn scale_scenario(
         StalenessPolicy::default(),
     )?;
 
-    let engine = ShardedEngine::new(sub.server.clone(), shards, config)?;
+    let engine = ShardedEngine::new(sub.server.clone(), shards, ServiceConfig::default())?;
     let mut nodes: Vec<NodeId> = (0..landmarks).map(NodeId::Landmark).collect();
     nodes.reserve(hosts);
     let mut host_rows: Vec<(Vec<f64>, Vec<f64>)> = Vec::with_capacity(SCALE_CHURN_SAMPLE);
@@ -474,24 +472,24 @@ pub fn scale_scenario(
 }
 
 /// Admission-throughput comparison: `rows` join requests issued by
-/// `joiner_threads` concurrent threads, once through the coalescer
-/// ([`ShardedEngine::join`]) and once through the conventional
-/// per-request path ([`ShardedEngine::join_per_request`]: one QR
-/// factorization and one publish per request), each against a fresh
-/// engine from `make_engine`.
+/// `joiner_threads` concurrent threads, once through the group commit
+/// ([`ShardedEngine::join`]) and once uncoalesced
+/// ([`ShardedEngine::join_direct`]: the same writer and the same cached
+/// solver, but one solve and one publish per request), each against a
+/// fresh engine from `make_engine`.
 /// Threads rendezvous at a barrier before the clock starts, so spawn
 /// overhead is excluded and both sides measure pure admission work. The
-/// ratio is the serving headline: how much admission cost the coalescer
-/// amortizes away under concurrency.
+/// two sides differ only in batching, so the ratio is what group commit
+/// buys under this much contention.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionReport {
     /// Join requests issued per side.
     pub joiners: usize,
     /// Coalesced admissions per second.
     pub coalesced_per_sec: f64,
-    /// Per-request admissions per second.
-    pub per_request_per_sec: f64,
-    /// `coalesced_per_sec / per_request_per_sec`.
+    /// Uncoalesced (`join_direct`) admissions per second.
+    pub direct_per_sec: f64,
+    /// `coalesced_per_sec / direct_per_sec`.
     pub speedup: f64,
     /// Batched flushes the coalesced side needed (`joiners / flushes` is
     /// the realized batch size).
@@ -529,7 +527,7 @@ pub fn admission_comparison(
                         let joined = if coalesced {
                             engine.join(d_out, d_in)
                         } else {
-                            engine.join_per_request(d_out, d_in)
+                            engine.join_direct(d_out, d_in)
                         };
                         joined.expect("admission join");
                     }
@@ -548,12 +546,12 @@ pub fn admission_comparison(
     let (direct_t, _) = time_side(false)?;
     let n = rows.len() as f64;
     let coalesced_per_sec = n / coalesced_t.as_secs_f64();
-    let per_request_per_sec = n / direct_t.as_secs_f64();
+    let direct_per_sec = n / direct_t.as_secs_f64();
     Ok(AdmissionReport {
         joiners: rows.len(),
         coalesced_per_sec,
-        per_request_per_sec,
-        speedup: coalesced_per_sec / per_request_per_sec,
+        direct_per_sec,
+        speedup: coalesced_per_sec / direct_per_sec,
         coalesced_flushes: flushes,
     })
 }
@@ -578,8 +576,6 @@ pub struct ServeMeasurementConfig {
     pub seed: u64,
     /// Open-loop per-thread pacing; `None` = closed loop.
     pub pace_per_thread: Option<f64>,
-    /// Engine knobs.
-    pub service: ServiceConfig,
     /// Gap between drift epochs in the under-drift phase.
     pub drift_interval: Duration,
     /// Drift epochs per writer call (>= 2 engages the cross-epoch
@@ -605,7 +601,6 @@ impl Default for ServeMeasurementConfig {
             phase: Duration::from_secs(2),
             seed: 20041025,
             pace_per_thread: None,
-            service: ServiceConfig::default(),
             drift_interval: Duration::from_millis(2),
             drift_batch: 1,
             shards: 1,
@@ -622,7 +617,7 @@ impl Default for ServeMeasurementConfig {
 pub struct ServeSummary {
     /// The parameters measured under.
     pub config: ServeMeasurementConfig,
-    /// Coalesced vs per-request admission.
+    /// Coalesced vs uncoalesced admission.
     pub admission: AdmissionReport,
     /// Query phase with no writer activity.
     pub quiescent: LoadReport,
@@ -655,7 +650,6 @@ impl ServeSummary {
                 config.dim,
                 config.seed,
                 config.shards.max(1),
-                config.service,
                 policy,
             )
         };
@@ -753,7 +747,7 @@ impl ServeSummary {
             "{{\"landmarks\": {}, \"hosts\": {}, \"dim\": {}, \"threads\": {}, \
              \"shards\": {}, \"mode\": \"{}\", \
              \"admission_joiners\": {}, \"admission_coalesced_per_sec\": {:.1}, \
-             \"admission_per_request_per_sec\": {:.1}, \"admission_speedup\": {:.3}, \
+             \"admission_direct_per_sec\": {:.1}, \"admission_speedup\": {:.3}, \
              \"admission_flushes\": {}, \
              \"quiescent_p50_us\": {:.3}, \"quiescent_p99_us\": {:.3}, \
              \"quiescent_qps\": {:.1}, \
@@ -783,7 +777,7 @@ impl ServeSummary {
             },
             self.admission.joiners,
             self.admission.coalesced_per_sec,
-            self.admission.per_request_per_sec,
+            self.admission.direct_per_sec,
             self.admission.speedup,
             self.admission.coalesced_flushes,
             self.quiescent_us(0.5),
@@ -876,7 +870,7 @@ mod tests {
     fn scenario_builds_and_admission_comparison_runs() {
         let scenario = |hosts: usize, shards: usize| {
             let policy = StalenessPolicy::default();
-            synthetic_scenario(10, hosts, 4, 99, shards, ServiceConfig::default(), policy)
+            synthetic_scenario(10, hosts, 4, 99, shards, policy)
         };
         let s = scenario(12, 2).expect("scenario");
         assert_eq!(s.nodes.len(), 22);
@@ -891,7 +885,7 @@ mod tests {
             .expect("admission comparison");
         assert_eq!(report.joiners, 12);
         assert!(report.coalesced_per_sec > 0.0);
-        assert!(report.per_request_per_sec > 0.0);
+        assert!(report.direct_per_sec > 0.0);
         assert!(report.coalesced_flushes >= 1);
     }
 
@@ -927,7 +921,7 @@ mod tests {
 
     #[test]
     fn scale_scenario_bulk_admits_across_shards() {
-        let s = scale_scenario(8, 300, 4, 7, 3, ServiceConfig::default()).expect("scale scenario");
+        let s = scale_scenario(8, 300, 4, 7, 3).expect("scale scenario");
         assert_eq!(s.nodes.len(), 308);
         assert_eq!(s.engine.stats().joins, 300);
         assert!(s.host_rows.len() <= SCALE_CHURN_SAMPLE);

@@ -197,8 +197,11 @@ pub struct ServiceStats {
     pub cache_hits: u64,
     /// Hosts admitted (coalesced and direct).
     pub joins: u64,
-    /// Admission batch flushes (one batched solve + publish each);
-    /// `joins / flushes` is the realized coalescing factor.
+    /// Admission flushes (one batched solve + publish each): one per
+    /// group-commit generation, per `join_direct` and per shard of a
+    /// `join_many`. `joins / flushes` is the realized batch size — 1 on
+    /// an idle writer, growing with the joiners that queue up while the
+    /// writer is busy.
     pub flushes: u64,
     /// Hosts retired.
     pub leaves: u64,
@@ -206,8 +209,10 @@ pub struct ServiceStats {
     pub epochs: u64,
     /// Version of the currently published snapshot.
     pub version: u64,
-    /// Hosts currently queued in the admission coalescer (enqueued but
-    /// not yet flushed) — the queue-depth gauge; summed across shards.
+    /// Hosts in the pending group-commit generation: enqueued, their
+    /// leader still waiting for the writer lock. 0 whenever the writer is
+    /// idle — the gauge measures contention, not a timer's backlog;
+    /// summed across shards.
     pub coalescer_depth: u64,
     /// Coordinate-table chunks the latest published snapshot shares with
     /// its predecessor (copy-on-write reuse at the last publish).

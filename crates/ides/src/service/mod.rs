@@ -41,17 +41,24 @@
 //!   each rejoined 256-slot tile as a *fresh* chunk
 //!   ([`ChunkedRows::replace_chunk`]) instead of copying chunks it is
 //!   about to overwrite whole.
-//! * **Request coalescing.** Concurrent [`ShardedEngine::join`] calls
-//!   accumulate into their shard's pending admission batch; the first
-//!   joiner becomes the *leader*, lingers up to [`ServiceConfig::linger`]
-//!   (or until [`ServiceConfig::max_batch`] rows are pending), and solves
-//!   the whole batch with **one** cached-Gram multi-RHS solve — the same
-//!   amortization as the batched QR join (PR 2's 37x at 500 hosts), now
-//!   applied across concurrent requesters instead of across one caller's
-//!   batch. Because every output row of the batched join depends only on
-//!   its own measurement row, coalesced admissions are **bit-identical**
-//!   to one-at-a-time [`ShardedEngine::join_direct`] calls regardless of
-//!   how requests happened to batch.
+//! * **Group commit.** Concurrent [`ShardedEngine::join`] calls append
+//!   their rows to their shard's pending *generation*. The first joiner
+//!   of a generation is its *leader*: it blocks on the shard's writer
+//!   lock — not on a timer — and only once it holds the writer takes
+//!   everything that is pending, solves it with **one** cached-Gram
+//!   multi-RHS solve, publishes **once**, and hands each follower its
+//!   slot. An idle writer therefore means an immediate batch of one (a
+//!   join costs its solve plus its publish and nothing else), while
+//!   joiners that arrive during a flush, a leave or a drift epoch pile up
+//!   behind exactly one waiting leader and become the next batch: batch
+//!   size tracks contention by construction, with no knob to tune.
+//!   Because every output row of the batched join depends only on its own
+//!   measurement row, admissions are **bit-identical** to one-at-a-time
+//!   [`ShardedEngine::join_direct`] calls however they happened to batch.
+//!   **Lock order** (an invariant): writer, then coalescer state, never
+//!   the reverse — `join` releases the state lock before it blocks on the
+//!   writer and re-takes it under the writer; `leave_many` and `stats`
+//!   only ever hold one of the two.
 //! * **Churn.** [`ShardedEngine::leave`] retires a host's row to a free
 //!   list (the table never reallocates on leave; the slot is recycled by
 //!   the next admission), and [`ShardedEngine::apply_epoch`] feeds drift
@@ -74,9 +81,9 @@ pub mod metrics;
 pub mod replay;
 pub mod shard;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use arc_swap::ArcSwap;
 use ides_linalg::chunked::{ChunkedRows, CHUNK_ROWS};
@@ -86,7 +93,7 @@ use ides_mf::{DistanceEstimator, FactorModel};
 use parking_lot::Mutex;
 
 use crate::error::{IdesError, Result};
-use crate::projection::{join_host_with, BatchHostVectors, JoinOptions, JoinSolver, JoinWorkspace};
+use crate::projection::BatchHostVectors;
 use crate::streaming::{
     cached_join_dense, cached_join_into, EpochOutcome, EpochUpdate, HostRows, PipelineReport,
     RejoinCtx, RejoinInputs, RejoinJob, StreamingServer,
@@ -109,27 +116,12 @@ pub enum NodeId {
     Host(usize),
 }
 
-/// Tuning knobs of the serving engine.
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceConfig {
-    /// Flush a pending admission batch as soon as it holds this many
-    /// joiners (the coalescer's size bound).
-    pub max_batch: usize,
-    /// How long the admission leader waits for more joiners before
-    /// flushing a partial batch (the coalescer's latency bound). Zero
-    /// flushes immediately — coalescing then only batches requests that
-    /// were already pending.
-    pub linger: Duration,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            max_batch: 64,
-            linger: Duration::from_micros(200),
-        }
-    }
-}
+/// The serving engine's configuration. It has no knobs: admission
+/// batching is group commit, sized by contention rather than by a setting
+/// (see the [module docs](self)). The type remains as the argument
+/// [`ShardedEngine::new`] takes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ServiceConfig {}
 
 /// One immutable, epoch-versioned view of the whole serving state:
 /// landmark factors, join solvers, and admitted-host coordinates. Queries
@@ -358,8 +350,11 @@ struct WriterState {
     server: StreamingServer,
     hosts: HostTable,
     version: u64,
-    /// Per-request QR scratch for the uncoalesced baseline path.
-    join_ws: JoinWorkspace,
+    /// Emptied buffers of the last coalesced flush, swapped for the
+    /// pending generation's when a leader takes its batch: two pairs
+    /// ping-pong, so steady-state joins allocate no staging.
+    spare_out: Vec<f64>,
+    spare_in: Vec<f64>,
 }
 
 /// The writer's slot-indexed host tables — apart from the server, so a
@@ -425,68 +420,83 @@ impl HostTable {
 /// type is not `Clone`; every participant re-wraps it).
 type FlushOutcome = Arc<std::result::Result<Vec<usize>, String>>;
 
-/// Result slot of one coalesced batch generation: followers wait on
-/// **their generation's own** condvar, so a flush wakes exactly its
-/// participants (no cross-generation thundering herd — at 500 concurrent
-/// joiners that herd costs more than the batched solve saves).
-///
-/// `published` is a lock-free mirror of `done.is_some()`: followers spin
-/// on it briefly ([`FOLLOWER_SPIN`]) before parking on the condvar, so a
-/// flush that completes within the spin window hands its outcome over
-/// without a park/wake round trip. The leader stores it with `Release`
-/// *after* filling `done`, so a follower that observes `true` (`Acquire`)
-/// and then takes the mutex is guaranteed to find the outcome.
+/// Result slot of one group-commit generation: followers wait on **their
+/// generation's own** condvar, so a flush wakes exactly its participants
+/// (no cross-generation thundering herd — at 500 concurrent joiners that
+/// herd costs more than the batched solve saves). A follower parks at
+/// once: its leader has a writer-lock wait and a whole flush ahead of it,
+/// longer than any spin worth burning a core on.
 #[derive(Default)]
 struct GenSlot {
     done: StdMutex<Option<FlushOutcome>>,
     ready: Condvar,
-    published: AtomicBool,
 }
 
-/// Bounded follower spin before parking on the generation condvar. Small
-/// batches flush in single-digit microseconds, which a few hundred
-/// `spin_loop` hints cover; anything slower falls through to the park,
-/// so an idle or heavily oversubscribed host never burns more than the
-/// spin budget per join.
-const FOLLOWER_SPIN: usize = 256;
+/// A scheduling point at one of the four places a generation changes
+/// hands in [`Shard::join`] — after the enqueue, before the writer lock,
+/// after the batch is taken, before the outcome is stored. A no-op
+/// outside tests; under test, a thread that called [`interleave::seed`]
+/// yields or naps here pseudo-randomly, which is how the stress test
+/// reaches interleavings a free-running scheduler almost never produces.
+#[inline(always)]
+fn handoff_point() {
+    #[cfg(test)]
+    interleave::perturb();
+}
 
-/// Pending coalesced-admission state (see the module docs).
+#[cfg(test)]
+mod interleave {
+    use std::cell::Cell;
+    use std::time::Duration;
+
+    thread_local! {
+        /// xorshift64 state; 0 = this thread does not perturb.
+        static STATE: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Makes the calling thread perturb its hand-off points from `seed`.
+    pub(super) fn seed(seed: u64) {
+        STATE.with(|s| s.set(seed | 1));
+    }
+
+    pub(super) fn perturb() {
+        let x = STATE.with(|s| {
+            let mut x = s.get();
+            if x != 0 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                s.set(x);
+            }
+            x
+        });
+        if x == 0 {
+            return;
+        }
+        match x % 8 {
+            0..=2 => std::thread::yield_now(),
+            3 => std::thread::sleep(Duration::from_micros((x >> 32) % 64)),
+            _ => {}
+        }
+    }
+}
+
+/// The pending generation of a shard's group commit (see the module
+/// docs). Guarded by [`Shard::coalescer`]'s mutex, which nests *inside*
+/// the writer lock and is never held while blocking on it.
+#[derive(Default)]
 struct CoalesceState {
     /// Flattened pending measurement rows (`count` rows of `k` each).
     d_out: Vec<f64>,
     d_in: Vec<f64>,
     count: usize,
-    /// True while some joiner is collecting the current generation.
+    /// True while a leader is waiting for the writer on behalf of the
+    /// pending generation — from the generation's first enqueue until
+    /// that leader, holding the writer, takes the batch.
     leader_active: bool,
-    /// The current generation's result slot; swapped out when a leader
-    /// takes the batch (followers hold their own `Arc`).
+    /// The pending generation's result slot; swapped for a fresh one when
+    /// the leader takes the batch (followers hold their own `Arc`).
     slot: Arc<GenSlot>,
-    /// Spare buffers recycled between generations.
-    spare_out: Vec<f64>,
-    spare_in: Vec<f64>,
-}
-
-struct Coalescer {
-    state: StdMutex<CoalesceState>,
-    /// Wakes the lingering leader early when the batch fills.
-    batch_ready: Condvar,
-}
-
-impl Coalescer {
-    fn new() -> Self {
-        Coalescer {
-            state: StdMutex::new(CoalesceState {
-                d_out: Vec::new(),
-                d_in: Vec::new(),
-                count: 0,
-                leader_active: false,
-                slot: Arc::new(GenSlot::default()),
-                spare_out: Vec::new(),
-                spare_in: Vec::new(),
-            }),
-            batch_ready: Condvar::new(),
-        }
-    }
 }
 
 /// Write-side counter block of a shard (all relaxed atomics; see
@@ -532,8 +542,7 @@ struct Shard {
     /// snapshot.
     snapshot: ArcSwap<Snapshot>,
     writer: Mutex<WriterState>,
-    coalescer: Coalescer,
-    config: ServiceConfig,
+    coalescer: StdMutex<CoalesceState>,
     counters: Counters,
     /// Publish-latency histogram (recorded inside [`Shard::publish`]
     /// while the writer lock is held, so the mutex is uncontended except
@@ -554,7 +563,7 @@ struct Shard {
 impl Shard {
     /// Wraps a fitted [`StreamingServer`] and publishes the initial
     /// (host-less) snapshot.
-    fn new(server: StreamingServer, config: ServiceConfig) -> Result<Self> {
+    fn new(server: StreamingServer) -> Result<Self> {
         let k = server.landmark_count();
         let d = server.dim();
         let writer = WriterState {
@@ -569,14 +578,14 @@ impl Shard {
                 free: Vec::new(),
             },
             version: 0,
-            join_ws: JoinWorkspace::new(),
+            spare_out: Vec::new(),
+            spare_in: Vec::new(),
         };
         let initial = Arc::new(Self::build_snapshot(&writer)?);
         Ok(Shard {
             snapshot: ArcSwap::new(initial),
             writer: Mutex::new(writer),
-            coalescer: Coalescer::new(),
-            config,
+            coalescer: StdMutex::default(),
             counters: Counters::default(),
             publish_hist: Mutex::new(LatencyHistogram::new()),
             plan_totals: Mutex::new(EpochPlanTotals::default()),
@@ -586,130 +595,78 @@ impl Shard {
         })
     }
 
-    /// Admits a host through the **join coalescer**: the measurements are
-    /// appended to the pending batch, and either this thread becomes the
-    /// flush leader (lingering up to [`ServiceConfig::linger`] for
-    /// company) or it waits for the current leader's flush to return its
-    /// assigned slot. One cached-Gram multi-RHS solve and one snapshot
-    /// publish serve the whole batch. Returns the host's slot.
+    /// Admits a host by **group commit**: the measurements are appended
+    /// to the pending generation, and either this thread is the
+    /// generation's leader — it waits for the writer lock, then takes and
+    /// flushes everything that queued up behind it meanwhile — or it
+    /// waits for that leader to hand it its slot. One cached-Gram
+    /// multi-RHS solve and one snapshot publish serve the whole batch; on
+    /// an idle writer that is an immediate batch of one. Returns the
+    /// host's slot.
     fn join(&self, d_out: &[f64], d_in: &[f64]) -> Result<usize> {
-        let mut st = self.coalescer.state.lock().expect("coalescer lock");
+        let mut st = self.coalescer.lock().expect("coalescer lock");
         let index = st.count;
         let slot = st.slot.clone();
         st.d_out.extend_from_slice(d_out);
         st.d_in.extend_from_slice(d_in);
         st.count += 1;
+        let leads = !std::mem::replace(&mut st.leader_active, true);
         tm::gauge_add(tm::Gauge::CoalescerQueueDepth, 1);
+        // Lock order: never block on the writer holding the state lock.
+        drop(st);
+        handoff_point();
 
-        if !st.leader_active {
-            st.leader_active = true;
-            // Leader: linger for more joiners, then take and flush.
-            let deadline = Instant::now() + self.config.linger;
-            while st.count < self.config.max_batch {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, timeout) = self
-                    .coalescer
-                    .batch_ready
-                    .wait_timeout(st, deadline - now)
-                    .expect("coalescer lock");
-                st = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            let rows = st.count;
-            let spare_out = std::mem::take(&mut st.spare_out);
-            let spare_in = std::mem::take(&mut st.spare_in);
-            let batch_out = std::mem::replace(&mut st.d_out, spare_out);
-            let batch_in = std::mem::replace(&mut st.d_in, spare_in);
-            st.count = 0;
-            st.slot = Arc::new(GenSlot::default());
-            st.leader_active = false;
-            drop(st);
-            tm::gauge_sub(tm::Gauge::CoalescerQueueDepth, rows as u64);
-
-            let ids = Arc::new(
-                self.flush_rows(RowBatch::contiguous(rows, &batch_out, &batch_in))
-                    .map_err(|e| e.to_string()),
-            );
-            // Hand the result to this generation's followers (only them:
-            // the slot is generation-private).
-            *slot.done.lock().expect("generation slot") = Some(ids.clone());
-            slot.published.store(true, Ordering::Release);
-            slot.ready.notify_all();
-
-            // Recycle the flushed buffers for a later generation.
-            let mut st = self.coalescer.state.lock().expect("coalescer lock");
-            let mut spare_out = batch_out;
-            let mut spare_in = batch_in;
-            spare_out.clear();
-            spare_in.clear();
-            if st.spare_out.capacity() < spare_out.capacity() {
-                st.spare_out = spare_out;
-            }
-            if st.spare_in.capacity() < spare_in.capacity() {
-                st.spare_in = spare_in;
-            }
-            drop(st);
-            Self::flush_result(&ids, index)
-        } else {
-            let full = st.count >= self.config.max_batch;
-            drop(st);
-            if full {
-                // Batch is full: wake the lingering leader immediately.
-                self.coalescer.batch_ready.notify_all();
-            }
-            // Follower: spin briefly for an in-flight flush, then park on
-            // this generation's private slot.
-            tm::count(tm::Counter::CoalescerWaits);
-            let _wait = tm::span(tm::Stage::CoalescerWait);
-            for _ in 0..FOLLOWER_SPIN {
-                if slot.published.load(Ordering::Acquire) {
-                    break;
-                }
-                std::hint::spin_loop();
-            }
-            let mut done = slot.done.lock().expect("generation slot");
-            loop {
-                if let Some(ids) = done.as_ref() {
-                    let ids = ids.clone();
-                    drop(done);
-                    return Self::flush_result(&ids, index);
-                }
-                done = slot.ready.wait(done).expect("generation slot");
-            }
+        // Either role now waits for something other than its own solve:
+        // the leader for the writer, a follower for the leader's flush.
+        tm::count(tm::Counter::CoalescerWaits);
+        let wait = tm::span(tm::Stage::CoalescerWait);
+        if !leads {
+            let done = slot
+                .ready
+                .wait_while(slot.done.lock().expect("generation slot"), |done| {
+                    done.is_none()
+                })
+                .expect("generation slot");
+            let ids = done.clone().expect("waited for the outcome");
+            drop(done);
+            return Self::flush_result(&ids, index);
         }
-    }
 
-    /// Admits a host the way a serving layer **without** this subsystem
-    /// would: one writer acquisition, one per-request QR factorization of
-    /// the landmark system ([`crate::projection::join_host_with`] with
-    /// [`JoinSolver::Qr`]), one snapshot publish — per request.
-    fn join_per_request(&self, d_out: &[f64], d_in: &[f64]) -> Result<usize> {
+        handoff_point();
         let mut w = self.writer.lock();
-        let hv = {
-            let WriterState {
-                server, join_ws, ..
-            } = &mut *w;
-            join_host_with(
-                join_ws,
-                server.model().x(),
-                server.model().y(),
-                d_out,
-                d_in,
-                JoinOptions {
-                    solver: JoinSolver::Qr,
-                    ridge: server.policy().ridge,
-                },
-            )?
-        };
-        let slot = w.hosts.assign_slot(d_out, d_in, &hv.outgoing, &hv.incoming);
-        self.count_admission(1);
-        self.publish(&mut w)?;
-        Ok(slot)
+        // Take the generation only now, under the writer: whoever
+        // enqueued while this thread waited rides along, and the next
+        // enqueue starts a new generation with its own leader, who queues
+        // on the writer behind this flush.
+        let mut st = self.coalescer.lock().expect("coalescer lock");
+        let rows = st.count;
+        let mut batch_out = std::mem::replace(&mut st.d_out, std::mem::take(&mut w.spare_out));
+        let mut batch_in = std::mem::replace(&mut st.d_in, std::mem::take(&mut w.spare_in));
+        st.count = 0;
+        st.slot = Arc::new(GenSlot::default());
+        st.leader_active = false;
+        drop(st);
+        drop(wait);
+        tm::gauge_sub(tm::Gauge::CoalescerQueueDepth, rows as u64);
+        handoff_point();
+
+        let flushed = self.flush_locked(&mut w, RowBatch::contiguous(rows, &batch_out, &batch_in));
+        batch_out.clear();
+        batch_in.clear();
+        w.spare_out = batch_out;
+        w.spare_in = batch_in;
+        drop(w);
+        handoff_point();
+        if rows == 1 {
+            // Alone in its generation: nobody holds the slot to be told.
+            return Ok(flushed?[index]);
+        }
+        // Hand the result to this generation's followers (only them: the
+        // slot is generation-private).
+        let ids: FlushOutcome = Arc::new(flushed.map_err(|e| e.to_string()));
+        *slot.done.lock().expect("generation slot") = Some(ids.clone());
+        slot.ready.notify_all();
+        Self::flush_result(&ids, index)
     }
 
     /// Retires `slots` — validated live and distinct by the caller, who
@@ -844,7 +801,7 @@ impl Shard {
     /// Write-side counters and gauges of this shard (`queries` stays 0:
     /// reads count on the engine).
     fn stats(&self) -> ServiceStats {
-        let coalescer_depth = self.coalescer.state.lock().expect("coalescer lock").count as u64;
+        let coalescer_depth = self.coalescer.lock().expect("coalescer lock").count as u64;
         ServiceStats {
             queries: 0,
             cache_hits: 0,
@@ -874,19 +831,26 @@ impl Shard {
         tm::count(tm::Counter::Flushes);
     }
 
-    /// Joins the batch's measurement rows through the tiled cached join —
-    /// read straight out of the caller's batch, no staging copy — assigns
-    /// each solved tile's slots in batch order (free list first), updates
-    /// the writer tables, and publishes. Returns the assigned slots in
-    /// batch order. Bit-identical per row however the rows were batched.
+    /// [`Shard::flush_locked`] behind its own writer-lock acquisition: the
+    /// uncoalesced admission ([`ShardedEngine::join_direct`] and a bulk
+    /// batch's share).
     fn flush_rows(&self, batch: RowBatch<'_>) -> Result<Vec<usize>> {
         if batch.rows.is_empty() {
             return Ok(Vec::new());
         }
+        self.flush_locked(&mut self.writer.lock(), batch)
+    }
+
+    /// Joins the batch's measurement rows through the tiled cached join —
+    /// read straight out of the caller's batch, no staging copy — assigns
+    /// each solved tile's slots in batch order (free list first), updates
+    /// the writer tables `w` (the caller holds the writer lock), and
+    /// publishes. Returns the assigned slots in batch order. Bit-identical
+    /// per row however the rows were batched.
+    fn flush_locked(&self, w: &mut WriterState, batch: RowBatch<'_>) -> Result<Vec<usize>> {
         let _span = tm::span(tm::Stage::Flush);
         let t0 = tm::enabled().then(Instant::now);
         let k = self.k;
-        let mut w = self.writer.lock();
         let mut slots = Vec::with_capacity(batch.rows.len());
         {
             let WriterState { server, hosts, .. } = &mut *w;
@@ -912,7 +876,7 @@ impl Shard {
             )?;
         }
         self.count_admission(slots.len() as u64);
-        self.publish(&mut w)?;
+        self.publish(w)?;
         if let Some(t0) = t0 {
             tm::time(tm::Timer::Flush, t0.elapsed());
         }
@@ -969,13 +933,20 @@ mod tests {
     use super::*;
     use crate::streaming::StalenessPolicy;
 
-    /// A one-shard engine: global host ids are its shard's slots.
-    fn engine(k: usize, dim: usize, config: ServiceConfig) -> ShardedEngine {
+    fn server(k: usize, dim: usize) -> StreamingServer {
         let ds = ides_datasets::generators::p2psim_like(k + 20, 7).expect("dataset");
         let sub: Vec<usize> = (0..k).collect();
         let lm = ds.matrix.submatrix(&sub, &sub);
-        let server = StreamingServer::new(&lm, dim, StalenessPolicy::default()).expect("server");
-        ShardedEngine::new(server, 1, config).expect("engine")
+        StreamingServer::new(&lm, dim, StalenessPolicy::default()).expect("server")
+    }
+
+    /// A one-shard engine: global host ids are its shard's slots.
+    fn engine(k: usize, dim: usize) -> ShardedEngine {
+        ShardedEngine::new(server(k, dim), 1, ServiceConfig::default()).expect("engine")
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     fn snapshot(e: &ShardedEngine) -> Arc<Snapshot> {
@@ -1011,12 +982,8 @@ mod tests {
         // measurement rows must produce bit-identical coordinates no
         // matter how the coalescer happened to batch them.
         let hosts = 40;
-        let config = ServiceConfig {
-            max_batch: 8,
-            linger: Duration::from_millis(2),
-        };
-        let coalesced = engine(10, 4, config);
-        let direct = engine(10, 4, ServiceConfig::default());
+        let coalesced = engine(10, 4);
+        let direct = engine(10, 4);
         let rows: Vec<(Vec<f64>, Vec<f64>)> = (0..hosts)
             .map(|h| (meas(10, 100 + h as u64), meas(10, 500 + h as u64)))
             .collect();
@@ -1069,20 +1036,231 @@ mod tests {
                 );
             }
         }
-        // Coalescing actually happened: fewer flushes than joins.
+        // How the 40 joins batched is the scheduler's business (the
+        // held-writer test below pins it); every one was admitted.
         let stats = coalesced.stats();
         assert_eq!(stats.joins, hosts as u64);
-        assert!(
-            stats.flushes < stats.joins,
-            "no coalescing: {} flushes for {} joins",
-            stats.flushes,
-            stats.joins
-        );
+        assert!((1..=stats.joins).contains(&stats.flushes));
+    }
+
+    #[test]
+    fn joiners_behind_a_held_writer_become_one_batch() {
+        // Group commit, forced: while the writer is held eight joiners
+        // enqueue — one leader blocked on the writer, seven followers
+        // parked on its generation. Releasing the writer must admit all
+        // eight with exactly one solve + publish.
+        const JOINERS: usize = 8;
+        let k = 10;
+        let shard = Shard::new(server(k, 4)).expect("shard");
+        let rows: Vec<(Vec<f64>, Vec<f64>)> = (0..JOINERS as u64)
+            .map(|h| (meas(k, 300 + h), meas(k, 700 + h)))
+            .collect();
+        let slots: Vec<usize> = std::thread::scope(|scope| {
+            let held = shard.writer.lock();
+            let joiners: Vec<_> = rows
+                .iter()
+                .map(|(o, i)| {
+                    let shard = &shard;
+                    scope.spawn(move || shard.join(o, i).expect("join"))
+                })
+                .collect();
+            let deadline = Instant::now() + std::time::Duration::from_secs(30);
+            while shard.stats().coalescer_depth < JOINERS as u64 {
+                assert!(Instant::now() < deadline, "joiners never enqueued");
+                std::thread::yield_now();
+            }
+            assert_eq!(
+                shard.stats().flushes,
+                0,
+                "nothing flushes under a held writer"
+            );
+            drop(held);
+            joiners
+                .into_iter()
+                .map(|j| j.join().expect("joiner"))
+                .collect()
+        });
+        let stats = shard.stats();
+        assert_eq!((stats.joins, stats.flushes), (JOINERS as u64, 1));
+        assert_eq!((stats.version, stats.coalescer_depth), (1, 0));
+        let snap = shard.snapshot.load();
+        assert_eq!(snap.host_count(), JOINERS);
+        let mut distinct = slots.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), JOINERS, "slots {slots:?}");
+        // Each joiner got the slot holding *its* row's coordinates: the
+        // bits of an uncoalesced admission of the same measurements.
+        let direct = Shard::new(server(k, 4)).expect("shard");
+        for ((o, i), &slot) in rows.iter().zip(&slots) {
+            let d = direct
+                .flush_rows(RowBatch::contiguous(1, o, i))
+                .expect("direct")[0];
+            let want = direct.snapshot.load();
+            assert!(snap.is_live(slot));
+            assert_eq!(bits(snap.host_outgoing(slot)), bits(want.host_outgoing(d)));
+            assert_eq!(bits(snap.host_incoming(slot)), bits(want.host_incoming(d)));
+        }
+    }
+
+    #[test]
+    fn an_idle_writer_admits_without_waiting() {
+        // No timer anywhere on the join path: a lone joiner on an idle
+        // shard pays its solve and its publish. 1 000 of them take a few
+        // milliseconds; any fixed per-join wait of 150 µs or more (the
+        // batching timer this replaced cost 290 µs) fails the bound, with
+        // an order of magnitude to spare for a loaded host.
+        let e = engine(10, 4);
+        let (o, i) = (meas(10, 1), meas(10, 2));
+        let t0 = Instant::now();
+        for _ in 0..1000 {
+            e.join(&o, &i).expect("join");
+        }
+        let took = t0.elapsed();
+        assert!(took.as_millis() < 150, "1000 idle joins took {took:?}");
+        let stats = e.stats();
+        assert_eq!((stats.joins, stats.flushes), (1000, 1000));
+    }
+
+    /// One seeded run of the hand-off stress: 8 joiners × 200 joins with
+    /// every hand-off point perturbed, each joiner retiring two of every
+    /// three hosts it admitted as it goes, and a drift writer landing four
+    /// epochs among them. The joiners re-align at a barrier every `ROUND`
+    /// joins: each round then ends in a join with no later arrival to
+    /// rescue it, which is where a generation left without a leader
+    /// stalls instead of being swept up by the next joiner.
+    fn stress_handoff(seed: u64) {
+        use std::collections::HashSet;
+        const JOINERS: usize = 8;
+        const JOINS: usize = 200;
+        const EPOCHS: usize = 4;
+        const ROUND: usize = 4;
+        let k = 10;
+        let e = engine(k, 4);
+        let row = |r: usize| (meas(k, 10_000 + r as u64), meas(k, 50_000 + r as u64));
+        let drift = |epoch: usize| EpochUpdate {
+            epoch: epoch as f64,
+            deltas: vec![crate::streaming::MeasurementDelta {
+                from: epoch % k,
+                to: (epoch + 3) % k,
+                rtt: 12.0 + epoch as f64,
+            }],
+        };
+        // Ids currently admitted, maintained around the calls (inserted
+        // after `join` returns, removed before `leave` is called): an id
+        // handed out while still in here went to two live hosts.
+        let live = StdMutex::new(HashSet::new());
+        let joiners_done = std::sync::atomic::AtomicBool::new(false);
+        let round = std::sync::Barrier::new(JOINERS);
+        let mut kept: Vec<(NodeId, usize)> = Vec::new();
+        let mut left = 0u64;
+        std::thread::scope(|scope| {
+            let joiners: Vec<_> = (0..JOINERS)
+                .map(|t| {
+                    let (e, live, round) = (&e, &live, &round);
+                    scope.spawn(move || {
+                        interleave::seed((seed << 8) + t as u64 + 1);
+                        let mut mine: Vec<(NodeId, usize)> = Vec::new();
+                        let mut left = 0u64;
+                        for j in 0..JOINS {
+                            if j % ROUND == 0 {
+                                round.wait();
+                            }
+                            let r = t * JOINS + j;
+                            let (o, i) = row(r);
+                            let id = e.join(&o, &i).expect("join");
+                            assert!(
+                                live.lock().expect("live set").insert(id),
+                                "seed {seed}: {id:?} handed to two live hosts"
+                            );
+                            mine.push((id, r));
+                            if j % 3 != 0 {
+                                let (gone, _) = mine.swap_remove((r * 7 + j) % mine.len());
+                                live.lock().expect("live set").remove(&gone);
+                                e.leave(gone).expect("leave");
+                                left += 1;
+                            }
+                        }
+                        (mine, left)
+                    })
+                })
+                .collect();
+            // The drift writer: epoch `n` lands once `n / (EPOCHS + 1)`
+            // of the joins are in, so every epoch contends with joiners
+            // (it gives up only if they died short of that).
+            let writer = scope.spawn(|| {
+                for epoch in 1..=EPOCHS {
+                    let due = (epoch * JOINERS * JOINS / (EPOCHS + 1)) as u64;
+                    while e.stats().joins < due {
+                        if joiners_done.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        std::thread::yield_now();
+                    }
+                    e.apply_epoch(&drift(epoch)).expect("epoch");
+                }
+            });
+            let joined: Vec<_> = joiners.into_iter().map(|j| j.join()).collect();
+            joiners_done.store(true, Ordering::Relaxed);
+            writer.join().expect("drift writer");
+            for outcome in joined {
+                let (mine, gone) = outcome.unwrap_or_else(|p| std::panic::resume_unwind(p));
+                kept.extend(mine);
+                left += gone;
+            }
+        });
+        let stats = e.stats();
+        assert_eq!(stats.joins, (JOINERS * JOINS) as u64, "seed {seed}");
+        assert_eq!(stats.leaves, left, "seed {seed}");
+        assert_eq!(stats.epochs, EPOCHS as u64, "seed {seed}");
+        assert_eq!(stats.coalescer_depth, 0, "seed {seed}");
+        assert!(stats.flushes <= stats.joins);
+        assert_eq!(kept.len() as u64, stats.joins - stats.leaves);
+        assert_eq!(snapshot(&e).host_count(), kept.len(), "seed {seed}");
+        assert_eq!(live.into_inner().expect("live set").len(), kept.len());
+        // Replay without concurrency or coalescing: same epochs, then the
+        // surviving hosts one at a time. Every survivor must hold exactly
+        // these bits under the id its `join` call returned.
+        let replay = engine(k, 4);
+        for epoch in 1..=EPOCHS {
+            replay.apply_epoch(&drift(epoch)).expect("epoch");
+        }
+        for &(id, r) in &kept {
+            let (o, i) = row(r);
+            let rid = replay.join_direct(&o, &i).expect("direct join");
+            let (got, want) = (e.host_coords(id).unwrap(), replay.host_coords(rid).unwrap());
+            assert_eq!(bits(&got.0), bits(&want.0), "seed {seed}: row {r} outgoing");
+            assert_eq!(bits(&got.1), bits(&want.1), "seed {seed}: row {r} incoming");
+        }
+    }
+
+    #[test]
+    fn handoff_survives_injected_interleavings() {
+        // Each seed runs under a watchdog: a lost wake-up or a generation
+        // nobody leads shows up as a join that never returns, which must
+        // fail the test rather than hang it.
+        for seed in 1..=16u64 {
+            let (done, finished) = std::sync::mpsc::channel();
+            let run = std::thread::spawn(move || {
+                stress_handoff(seed);
+                done.send(()).ok();
+            });
+            match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+                Ok(()) => run.join().expect("stress run"),
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                    panic!("seed {seed}: the hand-off stalled (a join never returned)")
+                }
+                // The run panicked: surface its message.
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                    std::panic::resume_unwind(run.join().expect_err("run panicked"))
+                }
+            }
+        }
     }
 
     #[test]
     fn epoch_publish_rejoins_hosts_and_the_next_query_sees_it() {
-        let e = engine(12, 4, ServiceConfig::default());
+        let e = engine(12, 4);
         let id = e.join_direct(&meas(12, 9), &meas(12, 10)).unwrap();
         let before = e.estimate(id, NodeId::Landmark(5)).unwrap();
         let v_before = snapshot(&e).version();
@@ -1148,7 +1326,7 @@ mod tests {
         // the whole-chunk installs.
         let k = 12;
         let slots = 4 * CHUNK_ROWS + 37;
-        let e = engine(k, 4, ServiceConfig::default());
+        let e = engine(k, 4);
         let d_out =
             Matrix::from_rows(&(0..slots).map(|h| meas(k, h as u64)).collect::<Vec<_>>()).unwrap();
         let d_in = Matrix::from_rows(
@@ -1180,7 +1358,6 @@ mod tests {
                 let row_out = Matrix::from_rows(&[d_out.row(slot).to_vec()]).unwrap();
                 let row_in = Matrix::from_rows(&[d_in.row(slot).to_vec()]).unwrap();
                 snap.join_rows(&row_out, &row_in, &mut one).unwrap();
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(snap.host_outgoing(slot)),
                     bits(one.outgoing(0)),
@@ -1222,22 +1399,13 @@ mod tests {
 
     #[test]
     fn join_validates_measurements() {
-        let e = engine(10, 3, ServiceConfig::default());
+        let e = engine(10, 3);
         assert!(e.join_direct(&meas(9, 1), &meas(10, 1)).is_err());
         let mut bad = meas(10, 1);
         bad[3] = f64::NAN;
         assert!(e.join_direct(&bad, &meas(10, 1)).is_err());
         bad[3] = -1.0;
         assert!(e.join_direct(&bad, &meas(10, 1)).is_err());
-        let server = || {
-            let ds = ides_datasets::generators::gnp_like(10, 3).unwrap();
-            StreamingServer::new(&ds.matrix, 3, StalenessPolicy::default()).unwrap()
-        };
-        let no_batch = ServiceConfig {
-            max_batch: 0,
-            ..ServiceConfig::default()
-        };
-        assert!(ShardedEngine::new(server(), 1, no_batch).is_err());
-        assert!(ShardedEngine::new(server(), 0, ServiceConfig::default()).is_err());
+        assert!(ShardedEngine::new(server(10, 3), 0, ServiceConfig::default()).is_err());
     }
 }

@@ -97,17 +97,12 @@ impl std::fmt::Debug for ShardedEngine {
 
 impl ShardedEngine {
     /// Partitions a fitted [`StreamingServer`] across `shards` replicas
-    /// (each shard gets a bit-identical clone of the landmark model, its
-    /// own writer and coalescer configured by `config`) and publishes
-    /// the initial host-less snapshots.
-    pub fn new(server: StreamingServer, shards: usize, config: ServiceConfig) -> Result<Self> {
+    /// (each shard gets a bit-identical clone of the landmark model and
+    /// its own writer and coalescer) and publishes the initial host-less
+    /// snapshots. [`ServiceConfig`] carries no settings.
+    pub fn new(server: StreamingServer, shards: usize, _config: ServiceConfig) -> Result<Self> {
         if shards == 0 {
             return Err(IdesError::InvalidInput("need at least one shard".into()));
-        }
-        if config.max_batch == 0 {
-            return Err(IdesError::InvalidInput(
-                "max_batch must be at least 1".into(),
-            ));
         }
         if server.dim() == 0 {
             return Err(IdesError::InvalidInput(
@@ -117,9 +112,9 @@ impl ShardedEngine {
         let k = server.landmark_count();
         let mut replicas = Vec::with_capacity(shards);
         for _ in 1..shards {
-            replicas.push(Shard::new(server.clone(), config)?);
+            replicas.push(Shard::new(server.clone())?);
         }
-        replicas.push(Shard::new(server, config)?);
+        replicas.push(Shard::new(server)?);
         Ok(ShardedEngine {
             shards: replicas,
             next: AtomicUsize::new(0),
@@ -342,34 +337,24 @@ impl ShardedEngine {
         }
     }
 
-    /// Admits a host through the next shard's **join coalescer**
-    /// (round-robin): concurrent joiners on a shard are solved as one
-    /// batched cached-Gram system and published once (see the [service
-    /// docs](crate::service)). Returns the host's [`NodeId`].
+    /// Admits a host through the next shard's **group commit**
+    /// (round-robin): an idle shard solves and publishes it at once, and
+    /// joiners that arrive while the shard's writer is busy are solved as
+    /// one batched cached-Gram system and published once (see the
+    /// [service docs](crate::service)). Returns the host's [`NodeId`].
     pub fn join(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
         self.admit_one(d_out, d_in, |shard| shard.join(d_out, d_in))
     }
 
     /// Admits a host **without** coalescing: one writer-lock acquisition,
     /// one batch-of-1 cached solve, one snapshot publish — the reference
-    /// the coalescer bit-identity tests compare against (and a
-    /// low-latency path when admission traffic is sparse, since it never
-    /// lingers). Bit-identical to the coalesced path.
+    /// the coalescer bit-identity tests compare against, and the control
+    /// of the admission benches (same writer, same solver, no batching).
+    /// Bit-identical to the coalesced path.
     pub fn join_direct(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
         self.admit_one(d_out, d_in, |shard| {
             Ok(shard.flush_rows(RowBatch::contiguous(1, d_out, d_in))?[0])
         })
-    }
-
-    /// Admits a host the way a serving layer **without** the coalescer
-    /// would: one per-request QR factorization of the landmark system and
-    /// one snapshot publish per call. This is the control the `serve`
-    /// bench group's coalesced-vs-per-request headline measures against
-    /// (the admission analogue of the `join_batch` bench's `per_host_qr`
-    /// control). Coordinates are numerically equivalent to the
-    /// cached-Gram paths but not bitwise (QR vs normal equations).
-    pub fn join_per_request(&self, d_out: &[f64], d_in: &[f64]) -> Result<NodeId> {
-        self.admit_one(d_out, d_in, |shard| shard.join_per_request(d_out, d_in))
     }
 
     /// Bulk admission: joins every row of `d_out`/`d_in` (hosts × k) —

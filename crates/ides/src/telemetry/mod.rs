@@ -12,8 +12,11 @@
 //! * [`spans`] — a bounded per-thread ring-buffer recorder capturing
 //!   `(stage, shard, epoch, t_start, t_end)` for the write-side stages
 //!   (`plan`, `absorb_solve`, `absorb_commit`, `rejoin`, `refresh`,
-//!   `publish`, `flush`, `pipeline_handoff`) and read-side events
-//!   (`query`, `coalescer_wait`). Buffers drop-on-full
+//!   `publish`, `flush`, `pipeline_handoff`), the group-commit wait
+//!   (`coalescer_wait`: a join's leader waiting for the writer lock or a
+//!   follower waiting for that leader's flush — the time a join spent
+//!   not being solved, one stage for both roles) and read-side events
+//!   (`query`). Buffers drop-on-full
 //!   with an explicit [`Counter::SpansDropped`] counter, so a drain
 //!   with a zero dropped-count is provably lossless.
 //! * [`export`] — [`render_prometheus`] (cumulative
@@ -23,7 +26,7 @@
 //!   opens directly in Perfetto / `chrome://tracing`).
 //!
 //! Instrumented call sites live in [`crate::service`] (query,
-//! coalescer enqueue/wait/flush, publish),
+//! group-commit enqueue/wait/flush, publish),
 //! [`crate::service::shard`] (per-shard labels via [`set_shard`]),
 //! [`crate::streaming`] (per-level absorb/rejoin/refresh spans,
 //! pipeline hand-off), and the `ides-cli serve

@@ -58,8 +58,8 @@ pub enum Counter {
     Epochs,
     /// Snapshot publishes (pointer swaps).
     Publishes,
-    /// Follower waits inside the join coalescer (threads that parked or
-    /// spun for another thread's flush).
+    /// Waits inside the join coalescer, either role: a generation's
+    /// leader for the writer lock, a follower for its leader's flush.
     CoalescerWaits,
     /// Span events discarded because a thread's ring buffer was full —
     /// the explicit loss signal of the span recorder; 0 means the drain

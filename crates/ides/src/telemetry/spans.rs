@@ -61,7 +61,9 @@ pub enum Stage {
     PipelineHandoff,
     /// One read-side pair estimate (sampled).
     Query,
-    /// A coalescer follower waiting for the leader's flush.
+    /// A coalesced join not being solved: its generation's leader
+    /// waiting for the writer lock, or a follower waiting for that
+    /// leader's flush.
     CoalescerWait,
 }
 

@@ -178,9 +178,9 @@ jq -r 'if .streaming_accuracy then
        else empty end' "$out" >&2 || true
 jq -r '.benches.serve // [] | map(select(.group == "serve")) |
        map({(.bench): .median_ns}) | add // {} |
-       if (."coalesced_join/500") and (."per_request_join/500") and
+       if (."coalesced_join/500") and (."direct_join/500") and
           (."query_under_drift/500") and (."query_quiescent/500") then
-         "serve/500 coalesced vs per-request admission: \((."per_request_join/500" / ."coalesced_join/500") * 100 | round / 100)x; " +
+         "serve/500 group-commit vs uncoalesced admission: \((."direct_join/500" / ."coalesced_join/500") * 100 | round / 100)x; " +
          "query under drift vs quiescent (median): \((."query_under_drift/500" / ."query_quiescent/500") * 100 | round / 100)x"
        else empty end' "$out" >&2 || true
 jq -r 'if .serving then
