@@ -1,23 +1,20 @@
-//! Serial vs dependency-DAG epoch application: the PR-8 headline.
+//! One-thread vs automatic-policy epoch application.
 //!
 //! One mixed maintenance epoch — landmark measurement deltas to absorb
 //! plus ~10 % of ordinary hosts to re-join — applied through
-//! `StreamingServer::apply_epoch_planned` in three configurations:
-//! `serial` pins the executor to one thread (the plan degenerates to the
-//! exact serial solve/commit schedule), `dag` is the production automatic
-//! policy (ambient thread cap, per-level fan-out clamped by work size),
-//! and `forced4` pins four scoped threads with the heuristic bypassed.
-//! The committed state is bit-identical in all three (asserted by
-//! tests/dag_determinism.rs); the bench measures what planning and
-//! fan-out cost or buy. Acceptance (`check_bench.sh`): `dag` ≥ 0.9x
-//! `serial` even on a single-core runner — planning overhead plus the
-//! auto policy's fan-out decisions must stay noise-level. `forced4` is
-//! deliberately ungated: at this epoch's grain (d = 8, microsecond
-//! nodes) it documents the spawn cost the auto clamp exists to avoid.
+//! `StreamingServer::apply_epoch_with` in three configurations:
+//! `threads1` pins the executor to one thread, `auto` is the production
+//! automatic policy (ambient thread cap, absorb fan-out clamped by work
+//! size), and `threads4` pins four scoped threads with the heuristic
+//! bypassed. The committed state is bit-identical in all three (asserted
+//! by tests/epoch_determinism.rs); the bench measures what fan-out costs
+//! or buys. Acceptance (`check_bench.sh`): `auto` ≥ 0.9x `threads1` —
+//! the auto policy's fan-out decisions must stay noise-level. `threads4`
+//! is deliberately ungated: at this epoch's grain (d = 8, microsecond
+//! solves) it documents the spawn cost the auto clamp exists to avoid.
 //!
-//! Run at 500 and 5000 hosts so the rejoin tier (which dominates at scale
-//! and is where the DAG's width lives) is measured at both the classic
-//! scale and a deployment scale.
+//! Run at 500 and 5000 hosts so the rejoin (which dominates at scale) is
+//! measured at both the classic scale and a deployment scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -57,9 +54,8 @@ fn setup(hosts: usize) -> Setup {
     let server = StreamingServer::new(&lm0, DIM, policy).expect("server");
     let meas = Matrix::from_fn(hosts, LANDMARKS, meas_value);
 
-    // Mixed epoch: drift 8 distinct landmarks (16 directed deltas -> 8
-    // independent absorb nodes) and re-join ~10 % of the hosts (one
-    // rejoin node each, all dependent on every absorb).
+    // Mixed epoch: drift 8 landmark pairs (16 directed deltas -> 16
+    // absorbed landmarks) and re-join ~10 % of the hosts.
     let mut deltas = Vec::new();
     for i in 0..8usize {
         let j = (i + 9) % LANDMARKS;
@@ -95,16 +91,14 @@ fn bench_epoch_apply(c: &mut Criterion) {
 
     for &hosts in &[500usize, 5000] {
         for (label, threads) in [
-            ("serial", Some(1usize)),
-            ("dag", None),
-            ("forced4", Some(4)),
+            ("threads1", Some(1usize)),
+            ("auto", None),
+            ("threads4", Some(4)),
         ] {
             let mut s = setup(hosts);
-            // Report the executed plan's shape once per configuration
-            // (same epoch every iteration => same plan).
-            let (outcome, stats) = s
+            let outcome = s
                 .server
-                .apply_epoch_planned(
+                .apply_epoch_with(
                     &s.update,
                     Some(RejoinTables::full(
                         &s.affected,
@@ -116,14 +110,10 @@ fn bench_epoch_apply(c: &mut Criterion) {
                 )
                 .expect("warmup epoch");
             assert!(!outcome.refreshed, "bench must stay on the absorb tier");
-            eprintln!(
-                "epoch_apply/{label}/{hosts}: plan nodes={} groups={} max_width={} critical_path={}",
-                stats.nodes, stats.groups, stats.max_width, stats.critical_path
-            );
             group.bench_function(BenchmarkId::new(label, hosts), |b| {
                 b.iter(|| {
                     s.server
-                        .apply_epoch_planned(
+                        .apply_epoch_with(
                             &s.update,
                             Some(RejoinTables::full(
                                 &s.affected,

@@ -65,10 +65,8 @@ commands:
   serve                       load-test the concurrent serving engine
                               (--landmarks K --hosts H --dim D --threads T
                                --shards N for a horizontally sharded
-                               engine, --drift-batch B to pipeline B drift
-                               epochs per writer call, --pipeline-hosts N
-                               to override the pipeline's min-rejoin-hosts
-                               clamp (0 always pipelines),
+                               engine, --drift-batch B to apply B drift
+                               epochs per writer call (one publish each),
                                --duration-s S --rate QPS-per-thread
                                for open loop, --seed N, --json); admits H
                                hosts, compares coalesced vs uncoalesced
@@ -444,9 +442,6 @@ fn cmd_serve(args: &Args) {
         eprintln!("error: --drift-batch must be >= 1");
         exit(2);
     }
-    let min_pipeline_hosts = args
-        .has("pipeline-hosts")
-        .then(|| args.get_parsed("pipeline-hosts", 0usize));
     let metrics_out = args
         .flags
         .get("metrics-out")
@@ -472,7 +467,6 @@ fn cmd_serve(args: &Args) {
         pace_per_thread: (rate > 0.0).then_some(rate),
         shards,
         drift_batch,
-        min_pipeline_hosts,
         ..ServeMeasurementConfig::default()
     };
     let summary = ServeSummary::measure(config).unwrap_or_else(|e| {
@@ -541,22 +535,6 @@ fn cmd_serve(args: &Args) {
         summary.drifting.epochs
     );
     println!("p99 drift/quiescent: {:.2}x", summary.p99_ratio());
-    if summary.epoch_plan.epochs > 0 {
-        println!(
-            "epoch plans:         {} executed, mean width {:.1} (max {}), critical path {} over {} groups",
-            summary.epoch_plan.epochs,
-            summary.epoch_plan.mean_width(),
-            summary.epoch_plan.max_width,
-            summary.epoch_plan.critical_path,
-            summary.epoch_plan.groups
-        );
-        println!(
-            "epoch pruning:       {:.1}% of worst-case edges avoided ({} rejoins elided), pipeline overlap {:.0}%",
-            summary.epoch_plan.pruning_ratio() * 100.0,
-            summary.epoch_plan.pruned,
-            summary.epoch_plan.overlap_fraction() * 100.0
-        );
-    }
     let pub_us = |q: f64| summary.publish.quantile(q).as_secs_f64() * 1e6;
     println!(
         "publishes:           p50 {:.1}us  p99 {:.1}us  ({} publishes across {} shard(s))",

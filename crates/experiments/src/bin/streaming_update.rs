@@ -78,7 +78,6 @@ fn main() {
         refresh_row_fraction: 0.25,
         sweep_budget: 2,
         ridge: 0.0,
-        ..StalenessPolicy::default()
     };
     let mut streaming = StreamingServer::new(&lm0, DIM, policy).expect("streaming server");
 

@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 use crate::error::{IdesError, Result};
 use crate::streaming::{EpochUpdate, StalenessPolicy, StreamingServer};
 
-use super::metrics::{EpochPlanTotals, LatencyHistogram, ServiceStats};
+use super::metrics::{LatencyHistogram, ServiceStats};
 use super::{NodeId, ServiceConfig, ShardedEngine};
 
 /// Query-load shape.
@@ -59,9 +59,8 @@ impl Default for LoadConfig {
 
 /// Continuous drift applied while the query load runs: the updates are
 /// cycled in order, one writer call per `interval` — a single
-/// [`ShardedEngine::apply_epoch`] when `batch <= 1`, a pipelined
-/// [`ShardedEngine::apply_epochs`] batch otherwise (epoch `N`'s host
-/// rejoins overlap epoch `N+1`'s landmark absorbs; one publish per
+/// [`ShardedEngine::apply_epoch`] when `batch <= 1`, one
+/// [`ShardedEngine::apply_epochs`] batch otherwise (one publish per
 /// batch).
 #[derive(Debug, Clone)]
 pub struct DriftLoad {
@@ -70,8 +69,8 @@ pub struct DriftLoad {
     pub updates: Vec<EpochUpdate>,
     /// Wall-clock gap between writer calls.
     pub interval: Duration,
-    /// Epochs per writer call (0/1 = classic barriered single epochs;
-    /// >= 2 engages the cross-epoch pipeline).
+    /// Epochs per writer call (0/1 = one publish per epoch; >= 2 = one
+    /// publish per batch).
     pub batch: usize,
 }
 
@@ -370,9 +369,7 @@ fn p2psim_substrate(
 
 /// Builds a [`ServeScenario`]: a P2PSim-like transit-stub topology, a
 /// ±20 % diurnal drift layer, `landmarks` landmarks fitted at drift epoch
-/// zero under `policy` — e.g. a lowered
-/// [`min_pipeline_hosts`](StalenessPolicy::min_pipeline_hosts) so small CI
-/// deployments still engage the cross-epoch pipeline — and `hosts`
+/// zero under `policy`, and `hosts`
 /// ordinary hosts admitted one by one from their epoch-zero measurements,
 /// round-robin over `shards` shards. Deterministic per seed.
 pub fn synthetic_scenario(
@@ -578,17 +575,11 @@ pub struct ServeMeasurementConfig {
     pub pace_per_thread: Option<f64>,
     /// Gap between drift epochs in the under-drift phase.
     pub drift_interval: Duration,
-    /// Drift epochs per writer call (>= 2 engages the cross-epoch
-    /// pipeline; 1 = classic barriered epochs).
+    /// Drift epochs per writer call (1 = one publish per epoch; >= 2 =
+    /// one publish per batch).
     pub drift_batch: usize,
     /// Horizontal shards (1 = classic single-writer serving).
     pub shards: usize,
-    /// Override for the streaming server's
-    /// [`min_pipeline_hosts`](crate::streaming::StalenessPolicy::min_pipeline_hosts)
-    /// pipeline clamp (`None` keeps the production default). Small CI
-    /// deployments set `Some(0)` so `drift_batch >= 2` actually engages
-    /// the cross-epoch pipeline and emits overlapping trace spans.
-    pub min_pipeline_hosts: Option<usize>,
 }
 
 impl Default for ServeMeasurementConfig {
@@ -604,7 +595,6 @@ impl Default for ServeMeasurementConfig {
             drift_interval: Duration::from_millis(2),
             drift_batch: 1,
             shards: 1,
-            min_pipeline_hosts: None,
         }
     }
 }
@@ -625,9 +615,6 @@ pub struct ServeSummary {
     pub drifting: LoadReport,
     /// Publish latency across both phases (merged over shards).
     pub publish: LatencyHistogram,
-    /// Epoch-plan shape accumulated by the drift phase's writer (merged
-    /// over shards): DAG group counts, antichain widths, critical paths.
-    pub epoch_plan: EpochPlanTotals,
     /// End-of-run engine counters and gauges (summed over shards):
     /// coalescer queue depth, snapshot chunk sharing.
     pub stats: ServiceStats,
@@ -639,10 +626,6 @@ impl ServeSummary {
     /// for the admission comparison, then runs the two query phases
     /// against the admitted deployment.
     pub fn measure(config: ServeMeasurementConfig) -> Result<ServeSummary> {
-        let mut policy = StalenessPolicy::default();
-        if let Some(n) = config.min_pipeline_hosts {
-            policy.min_pipeline_hosts = n;
-        }
         let scenario_with = |hosts: usize| {
             synthetic_scenario(
                 config.landmarks,
@@ -650,7 +633,7 @@ impl ServeSummary {
                 config.dim,
                 config.seed,
                 config.shards.max(1),
-                policy,
+                StalenessPolicy::default(),
             )
         };
         let scenario = scenario_with(config.hosts)?;
@@ -679,7 +662,6 @@ impl ServeSummary {
             None,
         )?;
         let publish = scenario.engine.publish_latency();
-        let epoch_plan = scenario.engine.epoch_plan_totals();
         let stats = scenario.engine.stats();
         Ok(ServeSummary {
             config,
@@ -687,7 +669,6 @@ impl ServeSummary {
             quiescent,
             drifting,
             publish,
-            epoch_plan,
             stats,
         })
     }
@@ -756,11 +737,6 @@ impl ServeSummary {
              \"p99_drift_over_quiescent\": {:.4}, \
              \"publish_p50_us\": {:.3}, \"publish_p99_us\": {:.3}, \
              \"publishes\": {}, \
-             \"epoch_plan_epochs\": {}, \"epoch_plan_nodes\": {}, \
-             \"epoch_plan_groups\": {}, \"epoch_plan_max_width\": {}, \
-             \"epoch_plan_critical_path\": {}, \"epoch_plan_mean_width\": {:.3}, \
-             \"epoch_plan_full_edges\": {}, \"epoch_plan_pruning\": {:.4}, \
-             \"epoch_plan_pruned\": {}, \"epoch_pipeline_overlap\": {:.4}, \
              \"drift_batch\": {}, \
              \"telemetry_query_count\": {}, \"telemetry_query_sum_ns\": {}, \
              \"coalescer_depth\": {}, \"chunk_share_ratio\": {:.4}, \
@@ -791,16 +767,6 @@ impl ServeSummary {
             us(&self.publish, 0.5),
             us(&self.publish, 0.99),
             self.publish.count(),
-            self.epoch_plan.epochs,
-            self.epoch_plan.nodes,
-            self.epoch_plan.groups,
-            self.epoch_plan.max_width,
-            self.epoch_plan.critical_path,
-            self.epoch_plan.mean_width(),
-            self.epoch_plan.full_edges,
-            self.epoch_plan.pruning_ratio(),
-            self.epoch_plan.pruned,
-            self.epoch_plan.overlap_fraction(),
             self.config.drift_batch.max(1),
             self.query_latency_merged().count(),
             self.query_latency_merged().sum_ns(),
@@ -845,7 +811,7 @@ mod tests {
                 ],
             }],
             interval: Duration::from_millis(5),
-            batch: 2, // exercise the pipelined writer path
+            batch: 2, // exercise the batched writer path
         };
         let report = run(
             &e,

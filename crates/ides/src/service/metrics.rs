@@ -235,96 +235,6 @@ impl ServiceStats {
     }
 }
 
-/// Accumulated shape of the epoch plans a drift writer has executed
-/// ([`crate::streaming::dag::PlanStats`] summed over epochs) — the
-/// write-side parallelism signal exposed through
-/// [`crate::service::ShardedEngine::epoch_plan_totals`] and `ides-cli
-/// serve --json`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EpochPlanTotals {
-    /// Epochs whose plans were executed.
-    pub epochs: u64,
-    /// Total DAG nodes across all plans.
-    pub nodes: u64,
-    /// Total dependency edges across all plans.
-    pub edges: u64,
-    /// Total `Observed::All` worst-case edges across all plans — the
-    /// denominator of [`EpochPlanTotals::pruning_ratio`].
-    pub full_edges: u64,
-    /// Rejoins elided outright (subset untouched by the epoch while the
-    /// coordinate table was attested current).
-    pub pruned: u64,
-    /// Epochs whose rejoin tier overlapped a successor's absorb tier
-    /// (pipelined execution); see [`EpochPlanTotals::overlap_fraction`].
-    pub pipelined: u64,
-    /// Total antichain groups executed (one solve/commit barrier each).
-    pub groups: u64,
-    /// Widest antichain seen in any plan — peak admitted concurrency.
-    pub max_width: u64,
-    /// Summed critical-path lengths (the serial fraction of the plans).
-    pub critical_path: u64,
-}
-
-impl EpochPlanTotals {
-    /// Folds one executed plan's statistics in.
-    pub fn absorb(&mut self, stats: &crate::streaming::dag::PlanStats) {
-        self.epochs += 1;
-        self.nodes += stats.nodes as u64;
-        self.edges += stats.edges as u64;
-        self.full_edges += stats.full_edges as u64;
-        self.pruned += stats.pruned as u64;
-        self.groups += stats.groups as u64;
-        self.max_width = self.max_width.max(stats.max_width as u64);
-        self.critical_path += stats.critical_path as u64;
-    }
-
-    /// Merges another accumulator (e.g. a sibling shard's) into `self`.
-    pub fn merge(&mut self, other: &EpochPlanTotals) {
-        self.epochs += other.epochs;
-        self.nodes += other.nodes;
-        self.edges += other.edges;
-        self.full_edges += other.full_edges;
-        self.pruned += other.pruned;
-        self.pipelined += other.pipelined;
-        self.groups += other.groups;
-        self.max_width = self.max_width.max(other.max_width);
-        self.critical_path += other.critical_path;
-    }
-
-    /// Mean antichain width (nodes per group) across all executed plans —
-    /// the average concurrency the DAGs admitted (0 when no plans ran).
-    pub fn mean_width(&self) -> f64 {
-        if self.groups == 0 {
-            0.0
-        } else {
-            self.nodes as f64 / self.groups as f64
-        }
-    }
-
-    /// Fraction of the `Observed::All` worst-case dependency edges the
-    /// executed plans avoided, accumulated over every epoch
-    /// (`1 − edges/full_edges`; 0 when no worst-case edges exist). 0 for
-    /// full-measurement serving; approaches 1 under localized drift with
-    /// partial observed sets.
-    pub fn pruning_ratio(&self) -> f64 {
-        if self.full_edges == 0 {
-            0.0
-        } else {
-            1.0 - self.edges as f64 / self.full_edges as f64
-        }
-    }
-
-    /// Fraction of epochs whose rejoin tier overlapped the next epoch's
-    /// absorb tier (0 = fully barriered, → 1 for long pipelined batches).
-    pub fn overlap_fraction(&self) -> f64 {
-        if self.epochs == 0 {
-            0.0
-        } else {
-            self.pipelined as f64 / self.epochs as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,60 +368,5 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.5), Duration::ZERO);
         assert_eq!(h.mean(), Duration::ZERO);
-    }
-
-    #[test]
-    fn plan_totals_absorb_and_merge() {
-        use crate::streaming::dag::PlanStats;
-        let mut a = EpochPlanTotals::default();
-        assert_eq!(a.mean_width(), 0.0);
-        assert_eq!(a.pruning_ratio(), 0.0);
-        assert_eq!(a.overlap_fraction(), 0.0);
-        a.absorb(&PlanStats {
-            nodes: 6,
-            edges: 8,
-            full_edges: 12,
-            pruned: 3,
-            groups: 2,
-            max_width: 5,
-            critical_path: 2,
-        });
-        a.absorb(&PlanStats {
-            nodes: 1,
-            edges: 0,
-            full_edges: 4,
-            pruned: 0,
-            groups: 1,
-            max_width: 1,
-            critical_path: 1,
-        });
-        assert_eq!(a.epochs, 2);
-        assert_eq!(a.nodes, 7);
-        assert_eq!(a.groups, 3);
-        assert_eq!(a.max_width, 5, "max_width is a high-water mark");
-        assert_eq!(a.critical_path, 3);
-        assert_eq!(a.full_edges, 16);
-        assert_eq!(a.pruned, 3);
-        assert!((a.pruning_ratio() - 0.5).abs() < 1e-12, "1 - 8/16");
-        a.pipelined += 1;
-        assert!((a.overlap_fraction() - 0.5).abs() < 1e-12, "1 of 2 epochs");
-        let mut b = EpochPlanTotals::default();
-        b.absorb(&PlanStats {
-            nodes: 9,
-            edges: 1,
-            full_edges: 1,
-            pruned: 0,
-            groups: 3,
-            max_width: 7,
-            critical_path: 3,
-        });
-        b.merge(&a);
-        assert_eq!(b.epochs, 3);
-        assert_eq!(b.nodes, 16);
-        assert_eq!(b.max_width, 7);
-        assert_eq!(b.full_edges, 17);
-        assert_eq!(b.pruned, 3);
-        assert_eq!(b.pipelined, 1);
-        assert!((b.mean_width() - 16.0 / 6.0).abs() < 1e-12);
     }
 }

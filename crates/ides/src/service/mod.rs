@@ -95,12 +95,12 @@ use parking_lot::Mutex;
 use crate::error::{IdesError, Result};
 use crate::projection::BatchHostVectors;
 use crate::streaming::{
-    cached_join_dense, cached_join_into, EpochOutcome, EpochUpdate, HostRows, PipelineReport,
-    RejoinCtx, RejoinInputs, RejoinJob, StreamingServer,
+    cached_join_dense, cached_join_into, EpochOutcome, EpochUpdate, HostRows, RejoinCtx,
+    RejoinInputs, RejoinJob, StreamingServer,
 };
 use crate::telemetry as tm;
 
-pub use metrics::{EpochPlanTotals, LatencyHistogram, ServiceStats};
+pub use metrics::{LatencyHistogram, ServiceStats};
 pub use shard::ShardedEngine;
 
 /// An endpoint of a distance query: one of the `k` landmarks the engine
@@ -548,9 +548,6 @@ struct Shard {
     /// while the writer lock is held, so the mutex is uncontended except
     /// against [`ShardedEngine::publish_latency`] readers).
     publish_hist: Mutex<LatencyHistogram>,
-    /// Accumulated epoch-plan shape (recorded by [`Shard::run_epochs`]
-    /// while the writer lock is held).
-    plan_totals: Mutex<EpochPlanTotals>,
     /// Chunk-share of the latest publish: how many coordinate-table
     /// chunks the new snapshot reused from its predecessor, over the
     /// table's total chunks (recorded inside [`Shard::publish`]).
@@ -588,7 +585,6 @@ impl Shard {
             coalescer: StdMutex::default(),
             counters: Counters::default(),
             publish_hist: Mutex::new(LatencyHistogram::new()),
-            plan_totals: Mutex::new(EpochPlanTotals::default()),
             chunk_shared: AtomicU64::new(0),
             chunk_total: AtomicU64::new(0),
             k,
@@ -689,48 +685,31 @@ impl Shard {
     }
 
     /// Feeds one epoch of landmark measurement drift to the underlying
-    /// [`StreamingServer`] through its dependency-DAG executor
-    /// ([`StreamingServer::apply_epoch_planned`]): absorb or refresh per
-    /// the staleness policy, with every admitted host a rejoin node of
-    /// the same plan, then publishes the new snapshot. Queries keep being
-    /// served from the previous snapshot until the publish lands.
+    /// [`StreamingServer`] ([`StreamingServer::apply_epoch_with`]: absorb
+    /// or refresh per the staleness policy, then re-join every admitted
+    /// host), then publishes the new snapshot. Queries keep being served
+    /// from the previous snapshot until the publish lands.
     fn apply_epoch(&self, update: &EpochUpdate) -> Result<EpochOutcome> {
-        let prev_epoch = tm::set_epoch(update.epoch);
         let t0 = tm::enabled().then(Instant::now);
-        let outcomes = self.run_epochs(|server, rejoin| {
-            let one = server.apply_epoch_job(update, rejoin, None)?;
-            Ok(PipelineReport {
-                outcomes: vec![one],
-                overlapped: 0,
-            })
-        });
+        let outcomes = self.run_epochs(std::slice::from_ref(update));
         if let Some(t0) = t0 {
             tm::time(tm::Timer::EpochApply, t0.elapsed());
         }
-        tm::set_epoch(prev_epoch);
         Ok(outcomes?.pop().expect("one outcome per epoch"))
     }
 
-    /// Applies a batch of drift epochs through the **cross-epoch
-    /// pipeline** ([`StreamingServer::apply_epochs_pipelined`]): epoch
-    /// `N`'s host-rejoin tier runs against a frozen end-of-epoch model
-    /// clone while epoch `N+1`'s landmark absorbs mutate the live
-    /// server. The final published state is **bit-identical** to calling
-    /// [`Shard::apply_epoch`] once per update; the difference is
-    /// wall-clock (overlap) and that intermediate snapshots are not
-    /// published — one publish lands at the end of the batch.
-    fn apply_epochs(&self, updates: &[EpochUpdate]) -> Result<Vec<EpochOutcome>> {
-        if updates.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.run_epochs(|server, rejoin| server.apply_epochs_job(updates, rejoin, None))
-    }
-
-    /// What both epoch entry points share: under the writer lock, hand
-    /// `run` the server with the whole slot table as its rejoin (retired
-    /// slots ride along harmlessly — their rows are recomputed but stay
-    /// dead), record the executed plans' shape and overlap count, and
-    /// publish once.
+    /// Applies `updates` in order under **one** writer-lock hold with
+    /// **one** publish at the end: every epoch is the same
+    /// absorb-then-rejoin as [`Shard::apply_epoch`], so the published
+    /// state is bit-identical to one `apply_epoch` per update — the
+    /// intermediate snapshots are simply never published. The rejoin is
+    /// the whole slot table (retired slots ride along harmlessly — their
+    /// rows are recomputed but stay dead).
+    ///
+    /// A failing update changes nothing (the server validates before it
+    /// writes), so the loop stops there, counts and publishes the epochs
+    /// already applied — the writer never runs ahead of its snapshot —
+    /// and returns the error.
     ///
     /// The rejoin reads the measurement tables in place, 256 slots — one
     /// leaf chunk — per tile, and each finished tile is installed as a
@@ -740,10 +719,10 @@ impl Shard {
     /// snapshots keep the old chunks untouched. One epoch allocates one
     /// coordinate table's worth of chunks and nothing proportional to
     /// `slots × k`.
-    fn run_epochs(
-        &self,
-        run: impl FnOnce(&mut StreamingServer, Option<RejoinJob<'_, '_>>) -> Result<PipelineReport>,
-    ) -> Result<Vec<EpochOutcome>> {
+    fn run_epochs(&self, updates: &[EpochUpdate]) -> Result<Vec<EpochOutcome>> {
+        if updates.is_empty() {
+            return Ok(Vec::new());
+        }
         let mut w = self.writer.lock();
         let WriterState { server, hosts, .. } = &mut *w;
         let HostTable {
@@ -753,49 +732,50 @@ impl Shard {
             coords,
             ..
         } = hosts;
-        let slots = coords.len();
-        let report = if slots == 0 {
-            run(server, None)?
-        } else {
-            let d = *dim;
-            let mut install = |rows: &HostRows<'_>, tile: &BatchHostVectors| {
-                // Tiles of `0..slots` are cut at multiples of CHUNK_ROWS.
-                let first = rows.get(0);
-                debug_assert_eq!(first % CHUNK_ROWS, 0);
-                let mut chunk = Vec::with_capacity(CHUNK_ROWS * 2 * d);
-                for i in 0..tile.len() {
-                    chunk.extend_from_slice(tile.outgoing(i));
-                    chunk.extend_from_slice(tile.incoming(i));
-                }
-                coords.replace_chunk(first / CHUNK_ROWS, chunk);
-            };
-            let inputs = RejoinInputs {
-                hosts: HostRows::range(0..slots),
-                d_out: meas_out.as_slice(),
-                d_in: meas_in.as_slice(),
-                observed: None,
-                coords_current: false,
-            };
-            run(
-                server,
-                Some(RejoinJob {
-                    inputs,
-                    sink: &mut install,
-                }),
-            )?
-        };
-        {
-            let mut totals = self.plan_totals.lock();
-            for (_, stats) in &report.outcomes {
-                totals.absorb(stats);
+        let (slots, d) = (coords.len(), *dim);
+        let mut install = |rows: &HostRows<'_>, tile: &BatchHostVectors| {
+            // Tiles of `0..slots` are cut at multiples of CHUNK_ROWS.
+            let first = rows.get(0);
+            debug_assert_eq!(first % CHUNK_ROWS, 0);
+            let mut chunk = Vec::with_capacity(CHUNK_ROWS * 2 * d);
+            for i in 0..tile.len() {
+                chunk.extend_from_slice(tile.outgoing(i));
+                chunk.extend_from_slice(tile.incoming(i));
             }
-            totals.pipelined += report.overlapped as u64;
+            coords.replace_chunk(first / CHUNK_ROWS, chunk);
+        };
+        // The epoch label stays set through the publish, so its span
+        // carries the epoch it publishes.
+        let prev_epoch = tm::set_epoch(updates[0].epoch);
+        let mut outcomes = Vec::with_capacity(updates.len());
+        let mut result = Ok(());
+        for update in updates {
+            tm::set_epoch(update.epoch);
+            let rejoin = RejoinJob {
+                inputs: RejoinInputs {
+                    hosts: HostRows::range(0..slots),
+                    d_out: meas_out.as_slice(),
+                    d_in: meas_in.as_slice(),
+                    observed: None,
+                },
+                sink: &mut install,
+            };
+            match server.apply_epoch_job(update, Some(rejoin), None) {
+                Ok(outcome) => outcomes.push(outcome),
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
         }
-        let epochs = report.outcomes.len() as u64;
-        self.counters.epochs.fetch_add(epochs, Ordering::Relaxed);
-        tm::count_n(tm::Counter::Epochs, epochs);
-        self.publish(&mut w)?;
-        Ok(report.outcomes.into_iter().map(|(o, _)| o).collect())
+        if !outcomes.is_empty() {
+            let epochs = outcomes.len() as u64;
+            self.counters.epochs.fetch_add(epochs, Ordering::Relaxed);
+            tm::count_n(tm::Counter::Epochs, epochs);
+            result = self.publish(&mut w).and(result);
+        }
+        tm::set_epoch(prev_epoch);
+        result.map(|()| outcomes)
     }
 
     /// Write-side counters and gauges of this shard (`queries` stays 0:
@@ -1317,9 +1297,8 @@ mod tests {
 
     #[test]
     fn epoch_installs_the_bits_of_a_row_by_row_rejoin() {
-        // Four full leaf chunks and a ragged fifth (enough slots that the
-        // batch really pipelines), with retired slots at chunk edges:
-        // after a barriered epoch and after a pipelined batch
+        // Four full leaf chunks and a ragged fifth, with retired slots at
+        // chunk edges: after a single epoch and after a batch of three
         // every slot — live or retired — must hold exactly what joining
         // its stored measurements against the published model gives, row
         // by row, and untouched structure (liveness, counts) must survive
@@ -1377,7 +1356,7 @@ mod tests {
         };
         let before = snapshot(&e);
         e.apply_epoch(&drift(1.0, 14.0)).unwrap();
-        check("barriered epoch");
+        check("single epoch");
         // The replaced snapshot still reads its own (old) chunks.
         assert_eq!(before.epoch(), 0.0);
         assert_ne!(
@@ -1387,14 +1366,58 @@ mod tests {
         );
         e.apply_epochs(&[drift(2.0, 15.0), drift(3.0, 16.5), drift(4.0, 13.0)])
             .unwrap();
-        assert_eq!(e.epoch_plan_totals().pipelined, 2, "the batch overlapped");
-        check("pipelined batch");
+        check("batch of three");
         // A retired slot is recycled by the next admission, in the ragged
         // chunk the epochs reinstalled.
         let id = e.join_direct(d_out.row(1), d_in.row(1)).unwrap();
         assert_eq!(id, NodeId::Host(4 * CHUNK_ROWS + 36));
         let fresh = e.join_direct(d_out.row(2), d_in.row(2)).unwrap();
         assert!(e.estimate(fresh, id).is_ok());
+    }
+
+    #[test]
+    fn a_failed_batch_publishes_the_epochs_it_applied() {
+        // `[good, bad]`: the batch must end exactly where two
+        // `apply_epoch` calls would — `good` applied, counted and
+        // published, `bad` (a NaN RTT) refused with nothing changed — not
+        // with `good` sitting unpublished in the writer for the next
+        // join's publish to leak.
+        let k = 12;
+        let drift = |epoch: f64, rtt: f64| EpochUpdate {
+            epoch,
+            deltas: vec![crate::streaming::MeasurementDelta {
+                from: 2,
+                to: 7,
+                rtt,
+            }],
+        };
+        let (good, bad) = (drift(1.0, 14.0), drift(2.0, f64::NAN));
+        let (batched, reference) = (engine(k, 4), engine(k, 4));
+        let mut ids = Vec::new();
+        for e in [&batched, &reference] {
+            ids = (0..5)
+                .map(|h| e.join_direct(&meas(k, h), &meas(k, 100 + h)).unwrap())
+                .collect();
+        }
+        reference.apply_epoch(&good).unwrap();
+        let err = batched.apply_epochs(&[good, bad]).unwrap_err();
+        assert!(matches!(err, IdesError::InvalidInput(_)), "got {err:?}");
+
+        let served = |e: &ShardedEngine| -> Vec<u64> {
+            ids.iter()
+                .flat_map(|&a| [(a, NodeId::Landmark(7)), (NodeId::Landmark(2), a)])
+                .map(|(a, b)| e.estimate(a, b).unwrap().to_bits())
+                .collect()
+        };
+        assert_eq!(batched.current_epoch(), 1.0);
+        assert_eq!(batched.stats().epochs, 1);
+        assert_eq!(batched.stats().version, reference.stats().version);
+        let after_batch = served(&batched);
+        assert_eq!(after_batch, served(&reference));
+        // A later join publishes its own row and nothing else.
+        batched.join_direct(&meas(k, 50), &meas(k, 51)).unwrap();
+        assert_eq!(served(&batched), after_batch);
+        assert_eq!(batched.current_epoch(), 1.0);
     }
 
     #[test]

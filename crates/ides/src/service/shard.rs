@@ -39,7 +39,7 @@ use crate::error::{IdesError, Result};
 use crate::streaming::{EpochOutcome, EpochUpdate, HostRows, StreamingServer};
 use crate::telemetry as tm;
 
-use super::metrics::{EpochPlanTotals, LatencyHistogram, ServiceStats};
+use super::metrics::{LatencyHistogram, ServiceStats};
 use super::{
     pair_estimate, unknown_node, NodeId, ReadPath, RowBatch, ServiceConfig, Shard, Snapshot,
 };
@@ -446,29 +446,27 @@ impl ShardedEngine {
     }
 
     /// Applies one drift epoch to **every** shard replica concurrently:
-    /// each absorbs or refreshes per the staleness policy through the
-    /// dependency-DAG executor
-    /// ([`StreamingServer::apply_epoch_planned`]) with its admitted hosts
-    /// as rejoin nodes of the same plan, then publishes. Queries keep
-    /// being served from the previous snapshots until the publishes land.
-    /// Replicas run identical arithmetic, so their models stay
-    /// bit-identical and the outcome is the same on every shard.
+    /// each absorbs or refreshes per the staleness policy, re-joins its
+    /// admitted hosts ([`StreamingServer::apply_epoch_with`]), then
+    /// publishes. Queries keep being served from the previous snapshots
+    /// until the publishes land. Replicas run identical arithmetic, so
+    /// their models stay bit-identical and the outcome is the same on
+    /// every shard.
     pub fn apply_epoch(&self, update: &EpochUpdate) -> Result<EpochOutcome> {
         Self::replicated(self.fan_out(|_, shard| shard.apply_epoch(update)))
     }
 
     /// Applies a batch of drift epochs to every shard replica
-    /// concurrently, each through the **cross-epoch pipeline**
-    /// ([`StreamingServer::apply_epochs_pipelined`]): within a shard,
-    /// epoch `N`'s host rejoins overlap epoch `N+1`'s landmark absorbs.
-    /// The final published state is **bit-identical** to calling
-    /// [`ShardedEngine::apply_epoch`] once per update; the difference is
-    /// wall-clock (overlap) and that intermediate snapshots are not
+    /// concurrently: within a shard, the epochs run back to back under
+    /// one writer-lock hold. The final published state is
+    /// **bit-identical** to calling [`ShardedEngine::apply_epoch`] once
+    /// per update; the difference is that intermediate snapshots are not
     /// published — one publish per shard lands at the end of the batch.
-    /// The overlap count accumulates into
-    /// [`ShardedEngine::epoch_plan_totals`]'s `pipelined` field.
+    /// If an update is rejected, the epochs before it stay applied and
+    /// published (as they would be after that many `apply_epoch` calls)
+    /// and the error is returned.
     pub fn apply_epochs(&self, updates: &[EpochUpdate]) -> Result<Vec<EpochOutcome>> {
-        Self::replicated(self.fan_out(|_, shard| shard.apply_epochs(updates)))
+        Self::replicated(self.fan_out(|_, shard| shard.run_epochs(updates)))
     }
 
     /// A live host's `(outgoing, incoming)` coordinate rows, read from
@@ -521,19 +519,6 @@ impl ShardedEngine {
         let mut merged = LatencyHistogram::new();
         for s in &self.shards {
             merged.merge(&s.publish_hist.lock());
-        }
-        merged
-    }
-
-    /// Accumulated shape of the epoch plans the drift writers have
-    /// executed (group counts, antichain widths, critical paths), merged
-    /// across every shard replica (sums, with `max_width` the cross-shard
-    /// high-water mark). Every shard executes its own plan of each epoch,
-    /// so `epochs` counts shard-plans, not distinct drift epochs.
-    pub fn epoch_plan_totals(&self) -> EpochPlanTotals {
-        let mut merged = EpochPlanTotals::default();
-        for s in &self.shards {
-            merged.merge(&s.plan_totals.lock());
         }
         merged
     }

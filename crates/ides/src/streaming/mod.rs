@@ -43,25 +43,22 @@
 //! few percent of a fresh fit at drift amplitude 0.2 (the `streaming_update`
 //! experiment binary measures the accuracy side).
 //!
-//! **Dependency-DAG epoch application.** An epoch's maintenance work is
-//! planned as a dependency DAG ([`dag::EpochDag`]) and executed level by
-//! level ([`StreamingServer::apply_epoch_planned`]): each antichain's
-//! landmark solves run concurrently on scoped threads against the
-//! level-start state, then commit serially in ascending node order —
-//! bit-identical to serial application at any thread count, because
-//! every solve's floating-point op sequence is independent of the
-//! grouping and the commit (merge) order is fixed. See the [`dag`]
-//! module docs for the dependency rules and the executor docs on
-//! [`StreamingServer::apply_epoch_planned`] for the bit-identity
-//! argument.
+//! **An epoch is absorb-then-rejoin.** The paper's drift epoch (§5.1,
+//! Eq. 11/12) has two steps — the information server updates the landmark
+//! factors, then every ordinary host is re-solved against them — and
+//! [`StreamingServer::apply_epoch_with`] is exactly that, with
+//! [`StreamingServer::apply_epoch`] its no-rejoin form: validate, apply
+//! the deltas, pick the tier, refresh or absorb, rejoin. The changed
+//! landmarks' solves run concurrently on scoped threads against the
+//! epoch-start state, then commit serially in ascending landmark order —
+//! bit-identical to one thread at any thread count, because every solve's
+//! floating-point op sequence is independent of the grouping and the
+//! commit (merge) order is fixed.
 
-pub mod dag;
 mod executor;
-mod pipeline;
 mod tile;
 
 pub use executor::RejoinTables;
-pub use pipeline::PipelineReport;
 
 pub(crate) use executor::{RejoinInputs, RejoinJob};
 pub(crate) use tile::{cached_join_dense, cached_join_into, scatter_tile, HostRows};
@@ -235,16 +232,6 @@ pub struct StalenessPolicy {
     /// Ridge term baked into the cached join Grams (0 = plain normal
     /// equations).
     pub ridge: f64,
-    /// Below this many rejoin hosts,
-    /// [`StreamingServer::apply_epochs_pipelined`] under the automatic
-    /// thread policy runs its epochs barriered instead of spawning the
-    /// pipeline worker: a sub-millisecond rejoin tier cannot amortize the
-    /// batch's thread spawn and per-epoch channel hand-off (two context
-    /// switches each on a time-sliced core). Same bits either way — the
-    /// clamp only changes wall-clock. An explicit thread count bypasses
-    /// it, mirroring the executor's per-level fan-out clamps; 0 always
-    /// pipelines.
-    pub min_pipeline_hosts: usize,
 }
 
 impl Default for StalenessPolicy {
@@ -254,7 +241,6 @@ impl Default for StalenessPolicy {
             refresh_row_fraction: 0.25,
             sweep_budget: 2,
             ridge: 0.0,
-            min_pipeline_hosts: 1024,
         }
     }
 }
@@ -334,7 +320,7 @@ pub struct StreamingServer {
 
 /// Absorb-tier scratch: the displaced factor rows captured at commit time
 /// plus a pool of per-landmark solve buffers (one [`AbsorbSolution`] per
-/// absorb node of the current epoch's widest level). Sized once
+/// absorbed landmark of the widest epoch so far). Sized once
 /// (high-water mark `d` / `k` / absorbs-per-epoch), then allocation-free.
 #[derive(Debug, Clone, Default)]
 struct AbsorbScratch {
@@ -345,7 +331,7 @@ struct AbsorbScratch {
 
 /// One landmark's solve-phase output (and its gather scratch): the
 /// re-solved outgoing/incoming factor rows, computed against the
-/// level-start state and committed later in node order.
+/// epoch-start state and committed later in landmark order.
 #[derive(Debug, Clone, Default)]
 struct AbsorbSolution {
     new_x: Vec<f64>,
@@ -562,12 +548,10 @@ impl StreamingServer {
     /// absorb or refresh, per the staleness policy. See the module docs
     /// for the tiers and their costs.
     ///
-    /// This is [`StreamingServer::apply_epoch_planned`] with no rejoin
-    /// set and the ambient thread count; the plan statistics are
-    /// discarded.
+    /// This is [`StreamingServer::apply_epoch_with`] with no rejoin set
+    /// and the ambient thread count.
     pub fn apply_epoch(&mut self, update: &EpochUpdate) -> Result<EpochOutcome> {
-        self.apply_epoch_planned(update, None, None)
-            .map(|(outcome, _)| outcome)
+        self.apply_epoch_with(update, None, None)
     }
 
     /// Warm partial refit: a bounded number of warm sweeps (ALS) or
@@ -663,8 +647,7 @@ impl StreamingServer {
         )
     }
 
-    /// The borrowed rejoin inputs — model factors, cached Grams, ridge —
-    /// shared by the in-place executor and the pipeline's frozen stage.
+    /// The borrowed rejoin inputs — model factors, cached Grams, ridge.
     pub(crate) fn rejoin_ctx(&self) -> RejoinCtx<'_> {
         RejoinCtx {
             model: &self.model,
@@ -702,10 +685,8 @@ impl StreamingServer {
 }
 
 /// Borrowed rejoin inputs: the factor model, the cached join Grams, and
-/// the ridge. The executor borrows them from the live server; the
-/// pipeline borrows them from a frozen epoch-end clone so rejoin solves
-/// can overlap the next epoch's absorb tier without reading mutating
-/// state.
+/// the ridge — from the live server for the writer's joins, from a
+/// published snapshot for read-side ones.
 #[derive(Debug)]
 pub(crate) struct RejoinCtx<'m> {
     pub model: &'m FactorModel,
@@ -772,7 +753,6 @@ mod tests {
             refresh_row_fraction: 0.25,
             sweep_budget: 2,
             ridge: 0.0,
-            ..StalenessPolicy::default()
         };
         let mut server = StreamingServer::new(&ds.matrix, 5, policy).unwrap();
         // Tiny drift on one pair: absorb tier.
@@ -952,8 +932,8 @@ mod tests {
     #[test]
     fn mismatched_measurement_tables_are_rejected_before_anything_changes() {
         // `d_in` one row short of `d_out`: both rejoin entry points must
-        // refuse it up front — the planned epoch before its deltas touch
-        // the model, not after the absorb tier has committed.
+        // refuse it up front — the epoch before its deltas touch the
+        // model, not after the absorbs have committed.
         let ds = ides_datasets::generators::p2psim_like(30, 9).unwrap();
         let sub: Vec<usize> = (0..12).collect();
         let lm = ds.matrix.submatrix(&sub, &sub);
@@ -997,11 +977,7 @@ mod tests {
         };
         let hosts = [0usize, 1, 2];
         let tables = RejoinTables::full(&hosts, &d_out, &d_in, &mut coords);
-        let r = server.apply_epoch_planned(&update, Some(tables), Some(1));
-        assert!(matches!(r, Err(IdesError::InvalidInput(_))), "{r:?}");
-        unchanged(&server, &coords);
-        let tables = RejoinTables::full(&hosts, &d_out, &d_in, &mut coords);
-        let r = server.apply_epochs_pipelined(std::slice::from_ref(&update), Some(tables), Some(2));
+        let r = server.apply_epoch_with(&update, Some(tables), Some(1));
         assert!(matches!(r, Err(IdesError::InvalidInput(_))), "{r:?}");
         unchanged(&server, &coords);
 
@@ -1013,9 +989,68 @@ mod tests {
         let d_in = Matrix::from_fn(3, 12, |h, l| 11.0 + (h * 12 + l) as f64);
         let tables = RejoinTables::full(&hosts, &d_out, &d_in, &mut coords);
         server
-            .apply_epoch_planned(&update, Some(tables), Some(1))
+            .apply_epoch_with(&update, Some(tables), Some(1))
             .unwrap();
         assert_eq!(server.epoch(), 1.0);
+    }
+
+    #[test]
+    fn a_bad_observed_set_is_rejected_before_anything_changes() {
+        // One host's subset is out of range, empty, or missing: the epoch
+        // must be refused with the deltas unapplied and the epoch stamp,
+        // the model and the coordinate table bit-unchanged.
+        let ds = ides_datasets::generators::p2psim_like(30, 9).unwrap();
+        let sub: Vec<usize> = (0..12).collect();
+        let lm = ds.matrix.submatrix(&sub, &sub);
+        let mut server = StreamingServer::new(&lm, 4, StalenessPolicy::default()).unwrap();
+        let d_out = Matrix::from_fn(3, 12, |h, l| 10.0 + (h * 12 + l) as f64);
+        let d_in = Matrix::from_fn(3, 12, |h, l| 11.0 + (h * 12 + l) as f64);
+        let mut coords = BatchHostVectors::new();
+        server
+            .join_batch_cached(&d_out, &d_in, &mut coords)
+            .unwrap();
+        let (pristine, stale) = (server.clone(), coords.clone());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let rtt = server.landmark_matrix()[(1, 4)] * 1.02;
+        let update = EpochUpdate {
+            epoch: 1.0,
+            deltas: vec![MeasurementDelta {
+                from: 1,
+                to: 4,
+                rtt,
+            }],
+        };
+        let hosts = [0usize, 1, 2];
+        let good: Vec<usize> = (0..6).collect();
+        for bad in [
+            vec![good.clone(), vec![3, 12, 5, 6, 7], good.clone()],
+            vec![good.clone(), good.clone(), Vec::new()],
+            vec![good.clone(), good.clone()],
+        ] {
+            let tables = RejoinTables {
+                observed: Some(&bad),
+                ..RejoinTables::full(&hosts, &d_out, &d_in, &mut coords)
+            };
+            let r = server.apply_epoch_with(&update, Some(tables), Some(1));
+            assert!(matches!(r, Err(IdesError::InvalidInput(_))), "{r:?}");
+            assert_eq!(
+                bits(server.landmark_matrix()),
+                bits(pristine.landmark_matrix())
+            );
+            assert_eq!(server.epoch().to_bits(), pristine.epoch().to_bits());
+            assert_eq!(bits(server.model().x()), bits(pristine.model().x()));
+            assert_eq!(bits(server.model().y()), bits(pristine.model().y()));
+            assert_eq!(server.absorbed(), 0);
+            assert_eq!(
+                bits(coords.outgoing_matrix()),
+                bits(stale.outgoing_matrix())
+            );
+            assert_eq!(
+                bits(coords.incoming_matrix()),
+                bits(stale.incoming_matrix())
+            );
+        }
     }
 
     #[test]

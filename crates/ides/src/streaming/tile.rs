@@ -1,8 +1,8 @@
 //! The tiled cached host join: the one full-measurement join/rejoin path.
 //!
 //! Every full-measurement join — a coalescer flush, a bulk admission, a
-//! snapshot-side tentative join, a drift epoch's rejoin tier (barriered or
-//! pipelined) — runs through [`cached_join_into`]: the hosts are cut into
+//! snapshot-side tentative join, a drift epoch's rejoin — runs through
+//! [`cached_join_into`]: the hosts are cut into
 //! fixed tiles of [`TILE_ROWS`], and each tile is
 //!
 //! 1. **read in place**: when the tile's table rows are consecutive (the

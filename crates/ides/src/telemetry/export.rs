@@ -17,9 +17,8 @@
 //! **Chrome trace** ([`render_chrome_trace`]): one complete-event
 //! (`"ph":"X"`) object per span with microsecond `ts`/`dur`, `pid` 1,
 //! and the recorder's thread sequence as `tid` — load the file straight
-//! into Perfetto / `chrome://tracing` and overlapping pipeline stages
-//! (epoch N's `rejoin` against epoch N+1's `plan`/`absorb_*`) show as
-//! concurrent tracks.
+//! into Perfetto / `chrome://tracing` and concurrent work (the shards'
+//! epochs, joins beside a drift writer) shows as parallel tracks.
 
 use std::fmt::Write as _;
 

@@ -12,7 +12,7 @@
 //! * [`spans`] — a bounded per-thread ring-buffer recorder capturing
 //!   `(stage, shard, epoch, t_start, t_end)` for the write-side stages
 //!   (`plan`, `absorb_solve`, `absorb_commit`, `rejoin`, `refresh`,
-//!   `publish`, `flush`, `pipeline_handoff`), the group-commit wait
+//!   `publish`, `flush`), the group-commit wait
 //!   (`coalescer_wait`: a join's leader waiting for the writer lock or a
 //!   follower waiting for that leader's flush — the time a join spent
 //!   not being solved, one stage for both roles) and read-side events
@@ -28,8 +28,8 @@
 //! Instrumented call sites live in [`crate::service`] (query,
 //! group-commit enqueue/wait/flush, publish),
 //! [`crate::service::shard`] (per-shard labels via [`set_shard`]),
-//! [`crate::streaming`] (per-level absorb/rejoin/refresh spans,
-//! pipeline hand-off), and the `ides-cli serve
+//! [`crate::streaming`] (per-epoch plan/absorb/refresh/rejoin spans),
+//! and the `ides-cli serve
 //! --metrics-out/--trace-out` surface that drains them.
 //!
 //! Telemetry is observational only: enabling it never changes any

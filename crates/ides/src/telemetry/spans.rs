@@ -16,14 +16,13 @@
 //!
 //! Timestamps are nanoseconds since a process-wide epoch (first
 //! telemetry touch), so spans from different threads share one
-//! timeline — the property the Chrome-trace exporter needs to show the
-//! pipeline's rejoin tier genuinely overlapping the next epoch's absorb
-//! tier.
+//! timeline — the property the Chrome-trace exporter needs to show
+//! concurrent shards and writers side by side.
 //!
 //! Shard and epoch labels travel in thread-local context cells
 //! ([`set_shard`] / [`set_epoch`]): the sharded engine sets the shard id
 //! at the top of each per-shard closure and the epoch appliers set the
-//! epoch, so deep callees (executor tiers, publish) label their spans
+//! epoch, so deep callees (executor phases, publish) label their spans
 //! without threading arguments through every signature.
 
 use std::cell::Cell;
@@ -39,16 +38,16 @@ pub const NO_SHARD: u32 = u32::MAX;
 /// Default per-thread span-buffer capacity (events).
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
-/// The instrumented pipeline stages and read-side events.
+/// The instrumented write-side stages and read-side events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Epoch planning: validation, delta application, tier gate, DAG.
+    /// Epoch intake: validation, delta application, tier gate.
     Plan,
-    /// One absorb-tier level's parallel solve phase.
+    /// One epoch's parallel absorb solve phase.
     AbsorbSolve,
-    /// One absorb-tier level's serial commit phase.
+    /// One epoch's serial absorb commit phase.
     AbsorbCommit,
-    /// Rejoin tier (full cached joins + subset groups).
+    /// One epoch's rejoin (full cached joins + subset groups).
     Rejoin,
     /// Landmark Gram refresh triggered by the staleness policy.
     Refresh,
@@ -56,9 +55,6 @@ pub enum Stage {
     Publish,
     /// Coalesced admission flush (batched solve + publish).
     Flush,
-    /// Pipeline stage hand-off: freezing the model and queueing the
-    /// rejoin tier to the worker.
-    PipelineHandoff,
     /// One read-side pair estimate (sampled).
     Query,
     /// A coalesced join not being solved: its generation's leader
@@ -78,7 +74,6 @@ impl Stage {
             Stage::Refresh => "refresh",
             Stage::Publish => "publish",
             Stage::Flush => "flush",
-            Stage::PipelineHandoff => "pipeline_handoff",
             Stage::Query => "query",
             Stage::CoalescerWait => "coalescer_wait",
         }

@@ -35,7 +35,6 @@ fn apply_epoch_then_join_is_bit_identical_to_fresh_partial_refit() {
         refresh_row_fraction: 0.0,
         sweep_budget: 2,
         ridge: 0.0,
-        ..StalenessPolicy::default()
     };
     let mut server = StreamingServer::new(&lm, 6, policy).expect("server");
     let prior_model = server.model().clone();
@@ -172,7 +171,6 @@ fn nmf_family_refresh_is_bit_identical_to_manual_nmf_refine() {
         refresh_row_fraction: 0.0,
         sweep_budget: 3,
         ridge: 0.0,
-        ..StalenessPolicy::default()
     };
     let nmf_cfg = nmf::NmfConfig::new(5);
     let mut server = StreamingServer::with_nmf_config(&lm, nmf_cfg, policy).expect("server");
@@ -252,7 +250,6 @@ fn nmf_family_absorb_tier_keeps_factors_nonnegative() {
         refresh_row_fraction: 1.0,
         sweep_budget: 2,
         ridge: 0.0,
-        ..StalenessPolicy::default()
     };
     let mut server =
         StreamingServer::with_nmf_config(&lm, nmf::NmfConfig::new(5), policy).expect("server");
@@ -329,7 +326,6 @@ fn nmf_absorb_honors_the_ridge() {
         refresh_row_fraction: 1.0,
         sweep_budget: 2,
         ridge,
-        ..StalenessPolicy::default()
     };
     let mut server =
         StreamingServer::with_nmf_config(&lm, nmf::NmfConfig::new(4), policy).expect("server");

@@ -20,7 +20,7 @@
 //!   subspace-iteration SVD,
 //! * [`eig`] — symmetric eigendecomposition (blocked tridiagonalization +
 //!   implicit QL, cyclic Jacobi small/fallback; for PCA),
-//! * [`lu`], [`cholesky`] — exact solves for the host-join normal
+//! * [`cholesky`] — exact solves for the host-join normal
 //!   equations, plus `O(n²)` rank-1/rank-k Cholesky up/downdates and the
 //!   incrementally maintained [`solve::CachedGram`] behind the streaming
 //!   update path,
@@ -85,7 +85,6 @@ pub mod eig;
 pub mod error;
 pub mod factor;
 pub mod kernels;
-pub mod lu;
 pub mod matrix;
 pub mod nnls;
 pub mod pca;

@@ -386,50 +386,6 @@ impl CachedGram {
     }
 }
 
-/// Last-writer tracking per design-matrix row — the row-disjointness test
-/// behind dependency-DAG planning over [`CachedGram`] row surgery.
-///
-/// A [`CachedGram::replace_row`] call touches exactly one row of the
-/// design matrix `A` (and, through `AᵀA`, the whole factor — which is why
-/// *commits* must stay serialized). Two replacements are independent, in
-/// the sense that their **solve** inputs can both be computed from the
-/// pre-update state, exactly when their row indices are disjoint; a
-/// planner records each row write here and chains any operation that
-/// touches a previously written row behind its last writer. Note this is
-/// an ordering aid, not a commutativity claim: rank-1 Cholesky surgery on
-/// `L` does not commute bitwise, so a deterministic plan must still apply
-/// the replacements in a fixed order.
-#[derive(Debug, Clone)]
-pub struct RowWriters {
-    last: Vec<Option<usize>>,
-}
-
-impl RowWriters {
-    /// Tracker for a design matrix with `rows` rows, all unwritten.
-    pub fn new(rows: usize) -> RowWriters {
-        RowWriters {
-            last: vec![None; rows],
-        }
-    }
-
-    /// Records that `writer` replaces design row `row`; returns the
-    /// previous writer of that row (the dependency), if any.
-    pub fn note(&mut self, row: usize, writer: usize) -> Option<usize> {
-        self.last.get_mut(row).and_then(|w| w.replace(writer))
-    }
-
-    /// The last recorded writer of `row`, if any.
-    pub fn last(&self, row: usize) -> Option<usize> {
-        self.last.get(row).copied().flatten()
-    }
-
-    /// Forgets every recorded write — what a full refactorization
-    /// ([`CachedGram::refactor`]) does to row-level history.
-    pub fn reset(&mut self) {
-        self.last.fill(None);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -641,22 +597,5 @@ mod tests {
         let empty = Matrix::zeros(0, 3);
         lstsq_ridge_multi_with(&a, &empty, 0.1, &mut ws, &mut out).unwrap();
         assert_eq!(out.shape(), (0, 2));
-    }
-
-    #[test]
-    fn row_writers_track_last_writer_per_row() {
-        let mut w = RowWriters::new(3);
-        assert_eq!(w.last(0), None);
-        assert_eq!(w.note(0, 7), None, "first write has no dependency");
-        assert_eq!(w.note(2, 8), None, "disjoint row is independent");
-        assert_eq!(w.note(0, 9), Some(7), "same row chains on its writer");
-        assert_eq!(w.last(0), Some(9));
-        assert_eq!(w.last(1), None);
-        // Out-of-range rows are inert rather than panicking.
-        assert_eq!(w.note(99, 1), None);
-        assert_eq!(w.last(99), None);
-        w.reset();
-        assert_eq!(w.last(0), None);
-        assert_eq!(w.last(2), None);
     }
 }

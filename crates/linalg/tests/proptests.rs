@@ -4,7 +4,7 @@ use ides_linalg::cholesky::{cholesky, cholesky_downdate_in_place, cholesky_updat
 use ides_linalg::qr::{lstsq, qr};
 use ides_linalg::solve::CachedGram;
 use ides_linalg::svd::{svd, svd_truncated, TruncatedSvdOptions};
-use ides_linalg::{eig::symmetric_eig, lu, nnls::nnls, solve::pinv, Matrix};
+use ides_linalg::{eig::symmetric_eig, nnls::nnls, solve::pinv, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a small matrix shape (the matrices themselves are built
@@ -107,21 +107,6 @@ proptest! {
         prop_assert!(e.reconstruct().approx_eq(&a, 1e-7));
         let trace_sum: f64 = e.eigenvalues.iter().sum();
         prop_assert!((trace_sum - a.trace()).abs() < 1e-8 * (1.0 + a.trace().abs()));
-    }
-
-    #[test]
-    fn lu_solve_roundtrip(v in prop::collection::vec(-10.0_f64..10.0, 16), b in prop::collection::vec(-10.0_f64..10.0, 4)) {
-        let mut a = Matrix::from_vec(4, 4, v).unwrap();
-        // Diagonal dominance guarantees nonsingularity.
-        for i in 0..4 {
-            let row_sum: f64 = a.row(i).iter().map(|x| x.abs()).sum();
-            a[(i, i)] = row_sum + 1.0;
-        }
-        let x = lu::solve(&a, &b).unwrap();
-        let ax = a.matvec(&x).unwrap();
-        for (l, r) in ax.iter().zip(b.iter()) {
-            prop_assert!((l - r).abs() < 1e-8);
-        }
     }
 
     #[test]

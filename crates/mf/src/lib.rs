@@ -19,7 +19,6 @@
 //! * [`lipschitz`] — the ICS / Virtual Landmark baseline (Lipschitz
 //!   embedding + PCA + linear normalization).
 //! * [`gnp`] — the GNP baseline (Euclidean embedding by Simplex Downhill).
-//! * [`vivaldi`] — the Vivaldi spring model (extension baseline).
 //! * [`metrics`] — the modified relative error (Eq. 10) and CDF helpers.
 //! * [`optimizer`] — the Nelder–Mead simplex method used by GNP.
 //!
@@ -47,7 +46,6 @@ pub mod model;
 pub mod nmf;
 pub mod optimizer;
 pub mod svd_model;
-pub mod vivaldi;
 
 pub use error::{MfError, Result};
 pub use model::{BatchEmbed, DistanceEstimator, EuclideanModel, FactorModel};

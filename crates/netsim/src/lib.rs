@@ -37,7 +37,6 @@
 
 pub mod drift;
 pub mod event;
-pub mod generators;
 pub mod geo;
 pub mod graph;
 pub mod measurement;

@@ -44,23 +44,16 @@
 #                        (default 0.7) x the 1-shard qps (per-query cost
 #                        must not grow with shard count; multi-core
 #                        scaling needs cores this runner may not have)
-#   epoch_apply          DAG epoch application >= MIN_DAG_RATIO (default
-#                        0.9) x serial at 500 and 5000 hosts — on the
-#                        single-core CI runner parallel planning must cost
-#                        (almost) nothing, mirroring the sharded-qps
-#                        honesty note
-#   epoch_pipeline       pipelined epoch batches >= MIN_PIPELINE_RATIO
-#                        (default 0.6) x barriered on localized drift at
-#                        500 and 5000 hosts. 500 sits below the
-#                        min_pipeline_hosts work clamp (the auto policy
-#                        runs it barriered -> parity by construction);
-#                        5000 engages the worker — >= 1.0 on multi-core
-#                        runners (set MIN_PIPELINE_RATIO=1.0 there), ~1x
-#                        minus the hand-off on single-core (same honesty
-#                        note as above). The 0.6 default sits below the
-#                        +-30 % run-to-run swing a loaded single-core
-#                        runner shows on these sub-10 ms pairs, so it
-#                        catches only structural regressions
+#   epoch_apply          the automatic thread policy's epoch (`auto`)
+#                        >= 0.9 x the one-thread epoch (`threads1`) at
+#                        500 and 5000 hosts: the policy's fan-out
+#                        decisions must cost (almost) nothing. Known red
+#                        on the 2-vCPU reference host, where
+#                        auto/threads1 reads 0.65x at 500 hosts and 0.49x
+#                        at 5000: these epochs rejoin in under 100 us and
+#                        the policy still fans the rejoin's tiles out
+#                        over both cores (ROADMAP keeps the fix as its
+#                        own perf item)
 #   telemetry_overhead   instrumented query path >= MIN_TELEMETRY_RATIO
 #                        (default 0.9) x disabled-telemetry throughput —
 #                        the observability subsystem's <= 10 % overhead
@@ -214,31 +207,10 @@ check_abs serve_sharded "qps/shards4" "qps/shards1" "${MIN_SHARD_QPS_RATIO:-0.7}
     "serve_sharded (4-shard single-core qps vs 1-shard)"
 check_abs serve_sharded "qps/shards8" "qps/shards1" "${MIN_SHARD_QPS_RATIO:-0.7}" \
     "serve_sharded (8-shard single-core qps vs 1-shard)"
-check_abs epoch_apply "dag/500" "serial/500" "${MIN_DAG_RATIO:-0.9}" \
-    "epoch_apply/500 (DAG vs serial epoch application)"
-check_abs epoch_apply "dag/5000" "serial/5000" "${MIN_DAG_RATIO:-0.9}" \
-    "epoch_apply/5000 (DAG vs serial epoch application)"
-# Pipelined batch vs barriered epochs on localized drift. The 500-host
-# pair sits below StalenessPolicy::min_pipeline_hosts, so the auto policy
-# runs it barriered (the clamp must keep small batches at parity); the
-# 5000-host pair engages the pipeline worker — on a multi-core runner the
-# rejoin tier genuinely overlaps the next epoch's plan+absorb and the
-# ratio sits at >= 1.0 (set MIN_PIPELINE_RATIO=1.0 there); on a
-# single-core runner overlap cannot create cycles and the ratio is ~1x
-# minus one worker hand-off per epoch (same honesty note as
-# MIN_DAG_RATIO / MIN_SHARD_QPS_RATIO). Quiet runs of this pair measure
-# 0.9-1.1x, but a loaded single-core runner swings +-30 % at this
-# sub-10 ms scale, so the 0.6 default floor sits below that noise band
-# and only catches structural regressions (a dropped clamp, a serialized
-# worker). The companion plan-shape claim (pruned critical
-# path < full plan's) is asserted inside the bench binary itself, so a
-# violation aborts the smoke run before this gate.
-check_abs epoch_pipeline "pipelined_localized/500" "barriered_localized/500" \
-    "${MIN_PIPELINE_RATIO:-0.6}" \
-    "epoch_pipeline/500 (pipelined vs barriered, localized drift)"
-check_abs epoch_pipeline "pipelined_localized/5000" "barriered_localized/5000" \
-    "${MIN_PIPELINE_RATIO:-0.6}" \
-    "epoch_pipeline/5000 (pipelined vs barriered, localized drift)"
+check_abs epoch_apply "auto/500" "threads1/500" 0.9 \
+    "epoch_apply/500 (automatic thread policy vs one thread)"
+check_abs epoch_apply "auto/5000" "threads1/5000" 0.9 \
+    "epoch_apply/5000 (automatic thread policy vs one thread)"
 # Telemetry overhead on the query hot path: instrumented throughput must
 # stay >= MIN_TELEMETRY_RATIO (default 0.9) x the disabled baseline —
 # i.e. disabled_ns / instrumented_ns >= 0.9. Both sides run in the same

@@ -18,9 +18,6 @@
 #      the load report disagree about what was measured).
 #   4. The Chrome trace is valid JSON, every event carries ts and dur,
 #      and at least 6 distinct stage names were recorded.
-#   5. Pipeline overlap: at least one worker-side `rejoin` span overlaps
-#      in wall-clock time with a `plan`/`absorb_*` span on a different
-#      thread — the cross-epoch pipeline visibly ran concurrently.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -80,28 +77,6 @@ if [ "${stages:-0}" -ge 6 ]; then
     echo "ok   trace stages: $stages distinct ($(jq -r '[.traceEvents[].name] | unique | join(",")' "$trace"))" >&2
 else
     echo "FAIL: only ${stages:-0} distinct stage names in trace (want >= 6)" >&2
-    fail=1
-fi
-
-# 5. Pipeline overlap: a rejoin span concurrent with plan/absorb work on
-# another thread. Write-side spans number in the hundreds over a 2 s
-# smoke; the caps only bound the quadratic scan against a pathological
-# trace while still covering every span a normal run produces.
-overlap="$(jq -r '
-    ([.traceEvents[] | select(.name == "rejoin")] | .[0:2000]) as $rej |
-    ([.traceEvents[]
-      | select(.name == "plan" or .name == "absorb_solve" or .name == "absorb_commit")]
-     | .[0:2000]) as $ab |
-    [ $rej[] as $r
-      | $ab[]
-      | select(.tid != $r.tid
-               and (.ts < ($r.ts + $r.dur))
-               and ($r.ts < (.ts + .dur))) ]
-    | length' "$trace")"
-if [ "${overlap:-0}" -gt 0 ]; then
-    echo "ok   pipeline overlap: $overlap rejoin/absorb span pairs ran concurrently" >&2
-else
-    echo "FAIL: no rejoin span overlaps a plan/absorb span on another thread" >&2
     fail=1
 fi
 

@@ -25,9 +25,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES="${BENCHES:-kernels factor nmf_convergence projection join_batch streaming_update epoch_apply epoch_pipeline serve serve_sharded telemetry_overhead table1}"
+BENCHES="${BENCHES:-kernels factor nmf_convergence projection join_batch streaming_update epoch_apply serve serve_sharded telemetry_overhead table1}"
 if [ "${QUICK:-0}" = "1" ]; then
-    BENCHES="${BENCHES_OVERRIDE:-kernels factor join_batch streaming_update epoch_apply epoch_pipeline serve serve_sharded telemetry_overhead}"
+    BENCHES="${BENCHES_OVERRIDE:-kernels factor join_batch streaming_update epoch_apply serve serve_sharded telemetry_overhead}"
     export CRITERION_QUICK=1
 fi
 
@@ -122,8 +122,8 @@ echo "wrote $out" >&2
 # Surface the headline numbers: blocked vs naive matmul at 512, the
 # lane-blocked vs per-row Cholesky solve at 65 536 rows, the
 # batched vs per-host join speedup at 500 hosts, the per-epoch
-# incremental update vs full refit at 500 hosts, and serial vs DAG epoch
-# application. Every headline guards ALL the operands it divides by, so a
+# incremental update vs full refit at 500 hosts, and one-thread vs
+# automatic-policy epoch application. Every headline guards ALL the operands it divides by, so a
 # partial QUICK snapshot (BENCHES_OVERRIDE with a subset of groups) never
 # prints spurious `null`-arithmetic output.
 jq -r '.benches.kernels // [] | map(select(.group == "matmul")) |
@@ -199,30 +199,14 @@ jq -r '.benches.serve_sharded // [] | map(select(.group == "serve_sharded")) |
        else empty end' "$out" >&2 || true
 jq -r '.benches.epoch_apply // [] | map(select(.group == "epoch_apply")) |
        map({(.bench): .median_ns}) | add // {} |
-       if (."serial/500") and (."dag/500") and (."serial/5000") and (."dag/5000") then
-         "epoch_apply DAG vs serial: " +
-         "500 hosts \((."serial/500" / ."dag/500") * 100 | round / 100)x, " +
-         "5000 hosts \((."serial/5000" / ."dag/5000") * 100 | round / 100)x"
-       else empty end' "$out" >&2 || true
-jq -r '.benches.epoch_pipeline // [] | map(select(.group == "epoch_pipeline")) |
-       map({(.bench): .median_ns}) | add // {} |
-       if (."barriered_localized/500") and (."pipelined_localized/500") and
-          (."barriered_localized/5000") and (."pipelined_localized/5000") and
-          (."barriered_global/5000") and (."pipelined_global/5000") then
-         "epoch_pipeline pipelined vs barriered (localized drift): " +
-         "500 hosts \((."barriered_localized/500" / ."pipelined_localized/500") * 100 | round / 100)x, " +
-         "5000 hosts \((."barriered_localized/5000" / ."pipelined_localized/5000") * 100 | round / 100)x; " +
-         "global drift 5000 hosts \((."barriered_global/5000" / ."pipelined_global/5000") * 100 | round / 100)x"
+       if (."threads1/500") and (."auto/500") and (."threads1/5000") and (."auto/5000") then
+         "epoch_apply automatic policy vs one thread: " +
+         "500 hosts \((."threads1/500" / ."auto/500") * 100 | round / 100)x, " +
+         "5000 hosts \((."threads1/5000" / ."auto/5000") * 100 | round / 100)x"
        else empty end' "$out" >&2 || true
 jq -r '.benches.telemetry_overhead // [] | map(select(.group == "telemetry_overhead")) |
        map({(.bench): .median_ns}) | add // {} |
        if (."query_disabled/500") and (."query_instrumented/500") then
          "telemetry overhead: instrumented query at \((."query_disabled/500" / ."query_instrumented/500") * 100 | round / 100)x disabled throughput " +
          "(disabled \(."query_disabled/500" | round)ns, instrumented \(."query_instrumented/500" | round)ns median)"
-       else empty end' "$out" >&2 || true
-jq -r 'if (.serving.epoch_plan_epochs // 0) > 0 then
-         "serving epoch plans: \(.serving.epoch_plan_epochs) executed, " +
-         "mean width \((.serving.epoch_plan_mean_width * 10 | round) / 10) " +
-         "(max \(.serving.epoch_plan_max_width)), " +
-         "critical path \(.serving.epoch_plan_critical_path) over \(.serving.epoch_plan_groups) groups"
        else empty end' "$out" >&2 || true
