@@ -92,7 +92,8 @@ fn bench_streaming_update(c: &mut Criterion) {
             b.iter(|| {
                 server.full_refit().expect("refit");
                 server
-                    .join_batch_cached(&s.meas, &s.meas, &mut coords)
+                    .landmark_model()
+                    .join_batch(&s.meas, &s.meas, &mut coords)
                     .expect("join");
             })
         });
@@ -108,7 +109,8 @@ fn bench_streaming_update(c: &mut Criterion) {
         let mut server = StreamingServer::new(&s.lm0, DIM, policy).expect("server");
         let mut coords = BatchHostVectors::new();
         server
-            .join_batch_cached(&s.meas, &s.meas, &mut coords)
+            .landmark_model()
+            .join_batch(&s.meas, &s.meas, &mut coords)
             .expect("initial join");
         group.bench_function(BenchmarkId::new("incremental", HOSTS), |b| {
             b.iter(|| {
@@ -152,7 +154,8 @@ fn bench_streaming_update(c: &mut Criterion) {
                 let outcome = server.apply_epoch(update).expect("apply");
                 assert!(outcome.refreshed);
                 server
-                    .join_batch_cached(&s.meas, &s.meas, &mut coords)
+                    .landmark_model()
+                    .join_batch(&s.meas, &s.meas, &mut coords)
                     .expect("join");
             })
         });

@@ -9,8 +9,6 @@
 //! than NMF at large d (NMF only reaches local minima); diminishing
 //! returns past d ≈ 10.
 
-use crossbeam::thread;
-
 use ides_datasets::DistanceMatrix;
 use ides_experiments::{arg1, print_summary, seed, Dataset};
 use ides_linalg::svd::{svd_truncated, TruncatedSvdOptions};
@@ -46,8 +44,8 @@ fn run(dataset: Dataset) {
         .expect("svd of dataset");
 
     // The three method sweeps are independent — run them on scoped threads.
-    let (svd_series, nmf_series, lip_series) = thread::scope(|s| {
-        let svd_handle = s.spawn(|_| {
+    let (svd_series, nmf_series, lip_series) = std::thread::scope(|s| {
+        let svd_handle = s.spawn(|| {
             dims.iter()
                 .map(|&d| {
                     let model = model_from_svd(&wide, d);
@@ -55,7 +53,7 @@ fn run(dataset: Dataset) {
                 })
                 .collect::<Vec<_>>()
         });
-        let nmf_handle = s.spawn(|_| {
+        let nmf_handle = s.spawn(|| {
             dims.iter()
                 .map(|&d| {
                     // Large matrices: trim the budget (the SVD warm start
@@ -78,7 +76,7 @@ fn run(dataset: Dataset) {
                 .filter(|&(_, v)| !v.is_nan())
                 .collect::<Vec<_>>()
         });
-        let lip_handle = s.spawn(|_| {
+        let lip_handle = s.spawn(|| {
             // PCA components nest: fit once at the max dimension, truncate.
             let wide = LipschitzPca::fit(&data, max_d).expect("lipschitz fit");
             dims.iter()
@@ -93,8 +91,7 @@ fn run(dataset: Dataset) {
             nmf_handle.join().expect("nmf sweep"),
             lip_handle.join().expect("lipschitz sweep"),
         )
-    })
-    .expect("scoped threads");
+    });
 
     for (label, series) in [
         ("SVD", &svd_series),

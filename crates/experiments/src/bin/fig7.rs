@@ -7,8 +7,6 @@
 //! sensitive to failures; with 50 landmarks, losing even 40 % of them has
 //! little impact — the headline robustness result of §6.2.
 
-use crossbeam::thread;
-
 use ides::eval::evaluate_ides_with_failures;
 use ides::system::{split_landmarks, IdesConfig};
 use ides_experiments::{arg1, print_summary, seed, Dataset};
@@ -25,13 +23,13 @@ fn run(dataset: Dataset, dim: usize) {
     let fractions: Vec<f64> = (0..=8).map(|k| k as f64 * 0.1).collect();
 
     let landmark_counts: Vec<usize> = [20usize, 50].into_iter().filter(|&m| m + 2 < n).collect();
-    let series: Vec<(usize, Vec<(f64, f64)>)> = thread::scope(|s| {
+    let series: Vec<(usize, Vec<(f64, f64)>)> = std::thread::scope(|s| {
         let handles: Vec<_> = landmark_counts
             .iter()
             .map(|&m| {
                 let data = &data;
                 let fractions = &fractions;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let (landmarks, ordinary) = split_landmarks(n, m, seed());
                     let points: Vec<(f64, f64)> = fractions
                         .iter()
@@ -56,8 +54,7 @@ fn run(dataset: Dataset, dim: usize) {
             .into_iter()
             .map(|h| h.join().expect("sweep thread"))
             .collect()
-    })
-    .expect("scoped threads");
+    });
 
     for (m, points) in series {
         println!(

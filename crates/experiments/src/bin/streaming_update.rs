@@ -88,7 +88,8 @@ fn main() {
     });
     let mut coords_streaming = BatchHostVectors::new();
     streaming
-        .join_batch_cached(&meas, &meas, &mut coords_streaming)
+        .landmark_model()
+        .join_batch(&meas, &meas, &mut coords_streaming)
         .expect("initial join");
     let coords_stale = coords_streaming.clone();
     // Measurement rows as of each host's last join: the per-host staleness
@@ -205,7 +206,8 @@ fn main() {
         let fresh = StreamingServer::new(&lm_now, DIM, policy).expect("fresh server");
         let mut coords_fresh = BatchHostVectors::new();
         fresh
-            .join_batch_cached(&meas, &meas, &mut coords_fresh)
+            .landmark_model()
+            .join_batch(&meas, &meas, &mut coords_fresh)
             .expect("fresh join");
 
         let s_stale = score(&coords_stale, batch.epoch);

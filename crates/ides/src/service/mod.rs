@@ -9,15 +9,18 @@
 //!   place that routes ids, validates input and counts reads. Hosts are
 //!   partitioned over `N` private single-writer shards — a constructor
 //!   argument; `N = 1` is the classic single-writer deployment — that
-//!   replicate the small global landmark model. Writes on different
-//!   shards proceed concurrently, and a cross-shard estimate reads one
-//!   coordinate row from each endpoint's pinned shard snapshot, lock-free
-//!   (see [`shard`]).
+//!   *share* the small global landmark model: the engine owns the one
+//!   [`StreamingServer`](crate::streaming::StreamingServer) that
+//!   maintains it, and every shard holds the same
+//!   `Arc<`[`LandmarkModel`]`>`. Writes on different shards proceed
+//!   concurrently, and a cross-shard estimate reads one coordinate row
+//!   from each endpoint's pinned shard snapshot, lock-free (see
+//!   [`shard`]).
 //! * **Epoch-versioned snapshots.** Each shard publishes immutable
-//!   [`Snapshot`]s — landmark factors, the cached join-Gram factors
-//!   (handed off through [`CachedGram::from_factor`], so the snapshot
-//!   solves joins bit-identically to the writer without refactoring), and
-//!   the admitted-host coordinate table — through an
+//!   [`Snapshot`]s — the shared [`LandmarkModel`] (factors plus cached
+//!   join Grams, by `Arc`: a publish copies none of it, and a snapshot
+//!   solves joins with the very factorizations the writer does) and the
+//!   admitted-host coordinate table — through an
 //!   [`arc_swap::ArcSwap`] cell. A query **pins** the cell for the length
 //!   of one closure ([`arc_swap::ArcSwap::with`]): two atomic RMWs, no
 //!   `Arc` clone and no lock a writer could hold, so queries never block
@@ -62,12 +65,13 @@
 //! * **Churn.** [`ShardedEngine::leave`] retires a host's row to a free
 //!   list (the table never reallocates on leave; the slot is recycled by
 //!   the next admission), and [`ShardedEngine::apply_epoch`] feeds drift
-//!   into every shard's [`StreamingServer`] replica and re-joins the
-//!   admitted hosts before publishing — through the same tiled cached
-//!   join every admission runs (`streaming::tile`): measurement rows read
-//!   in place, one GEMM and two lane-blocked triangular solves per
-//!   256-host tile, nothing proportional to the table copied or
-//!   allocated besides the new chunks.
+//!   into the engine's streaming server **once**, then has every shard
+//!   re-join its admitted hosts against the updated model and publish —
+//!   through the same tiled cached join every admission runs
+//!   (`streaming::tile`): measurement rows read in place, one GEMM and
+//!   two lane-blocked triangular solves per 256-host tile, nothing
+//!   proportional to the table copied or allocated besides the new
+//!   chunks.
 //!
 //! The [`replay`] submodule replays a deterministic
 //! [`ides_netsim::workload`] event stream against an engine —
@@ -87,17 +91,12 @@ use std::time::Instant;
 
 use arc_swap::ArcSwap;
 use ides_linalg::chunked::{ChunkedRows, CHUNK_ROWS};
-use ides_linalg::solve::CachedGram;
 use ides_linalg::Matrix;
 use ides_mf::{DistanceEstimator, FactorModel};
 use parking_lot::Mutex;
 
 use crate::error::{IdesError, Result};
-use crate::projection::BatchHostVectors;
-use crate::streaming::{
-    cached_join_dense, cached_join_into, EpochOutcome, EpochUpdate, HostRows, RejoinCtx,
-    RejoinInputs, RejoinJob, StreamingServer,
-};
+use crate::streaming::{HostRows, LandmarkModel};
 use crate::telemetry as tm;
 
 pub use metrics::{LatencyHistogram, ServiceStats};
@@ -123,8 +122,8 @@ pub enum NodeId {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceConfig {}
 
-/// One immutable, epoch-versioned view of the whole serving state:
-/// landmark factors, join solvers, and admitted-host coordinates. Queries
+/// One immutable, epoch-versioned view of the whole serving state: the
+/// shared landmark model and the admitted-host coordinates. Queries
 /// borrow it for one pinned closure; readers that keep a version hold it
 /// as an `Arc` for as long as they like. The writer never mutates a
 /// published snapshot.
@@ -138,9 +137,7 @@ pub struct ServiceConfig {}
 pub struct Snapshot {
     version: u64,
     epoch: f64,
-    model: FactorModel,
-    gram_x: CachedGram,
-    gram_y: CachedGram,
+    landmarks: Arc<LandmarkModel>,
     /// Slot-major rows of `2 * dim` columns: `[outgoing | incoming]`.
     coords: ChunkedRows<f64>,
     /// One-column liveness flags, slot-indexed.
@@ -157,19 +154,19 @@ impl Snapshot {
         self.version
     }
 
-    /// The drift epoch of the underlying streaming server at publish time.
+    /// The drift epoch of the landmark model at publish time.
     pub fn epoch(&self) -> f64 {
         self.epoch
     }
 
     /// Number of landmarks.
     pub fn landmark_count(&self) -> usize {
-        self.model.n_from()
+        self.model().n_from()
     }
 
     /// Model dimensionality `d`.
     pub fn dim(&self) -> usize {
-        self.model.dim()
+        self.model().dim()
     }
 
     /// Number of live admitted hosts.
@@ -184,7 +181,15 @@ impl Snapshot {
 
     /// The landmark factor model backing this snapshot.
     pub fn model(&self) -> &FactorModel {
-        &self.model
+        self.landmarks.factors()
+    }
+
+    /// The served landmark model — factors plus cached join Grams — this
+    /// snapshot shares with its writer. [`LandmarkModel::join_batch`] on it
+    /// gives tentative coordinates without admitting a host, bit-identical
+    /// to the writer's own joins at the publish point.
+    pub fn landmark_model(&self) -> &LandmarkModel {
+        &self.landmarks
     }
 
     /// The admitted-host coordinate chunk tree (slot-major rows of
@@ -213,7 +218,7 @@ impl Snapshot {
 
     pub(crate) fn outgoing_of(&self, n: NodeId) -> Result<&[f64]> {
         match n {
-            NodeId::Landmark(i) if i < self.landmark_count() => Ok(self.model.outgoing(i)),
+            NodeId::Landmark(i) if i < self.landmark_count() => Ok(self.model().outgoing(i)),
             NodeId::Host(s) if self.is_live(s) => Ok(self.host_outgoing(s)),
             _ => Err(unknown_node(n)),
         }
@@ -221,7 +226,7 @@ impl Snapshot {
 
     pub(crate) fn incoming_of(&self, n: NodeId) -> Result<&[f64]> {
         match n {
-            NodeId::Landmark(i) if i < self.landmark_count() => Ok(self.model.incoming(i)),
+            NodeId::Landmark(i) if i < self.landmark_count() => Ok(self.model().incoming(i)),
             NodeId::Host(s) if self.is_live(s) => Ok(self.host_incoming(s)),
             _ => Err(unknown_node(n)),
         }
@@ -232,35 +237,6 @@ impl Snapshot {
     /// same snapshot always return the same bits.
     pub fn estimate(&self, a: NodeId, b: NodeId) -> Result<f64> {
         pair_estimate(self, a, self, b)
-    }
-
-    /// Joins measurement rows against **this snapshot's** solvers — the
-    /// exact arithmetic of [`StreamingServer::join_batch_cached`] run on
-    /// the handed-off Gram factors, hence bit-identical to the writer's
-    /// own joins at the publish point. Used by the bit-identity tests and
-    /// by read-side consumers that want tentative coordinates without
-    /// admitting a host.
-    pub fn join_rows(
-        &self,
-        d_out: &Matrix,
-        d_in: &Matrix,
-        out: &mut BatchHostVectors,
-    ) -> Result<()> {
-        let k = self.landmark_count();
-        if d_out.shape() != d_in.shape() || d_out.cols() != k {
-            return Err(IdesError::InvalidInput(format!(
-                "measurement batch must be hosts x {k}: out {:?}, in {:?}",
-                d_out.shape(),
-                d_in.shape()
-            )));
-        }
-        let ctx = RejoinCtx {
-            model: &self.model,
-            gram_x: &self.gram_x,
-            gram_y: &self.gram_y,
-            ridge: self.gram_y.lambda(),
-        };
-        cached_join_dense(&ctx, d_out, d_in, out, 1)
     }
 }
 
@@ -344,10 +320,14 @@ impl ReadPath {
 }
 
 /// Mutable serving state, guarded by the writer lock. Queries never touch
-/// this; joins, leaves, and drift epochs serialize through it.
+/// this; joins, leaves, and rejoins serialize through it.
 #[derive(Debug)]
 struct WriterState {
-    server: StreamingServer,
+    /// The landmark model this shard's coordinates were solved against,
+    /// and the drift epoch it stands at: the engine's current one as of
+    /// the shard's last [`Shard::rejoin_all`].
+    model: Arc<LandmarkModel>,
+    epoch: f64,
     hosts: HostTable,
     version: u64,
     /// Emptied buffers of the last coalesced flush, swapped for the
@@ -357,11 +337,11 @@ struct WriterState {
     spare_in: Vec<f64>,
 }
 
-/// The writer's slot-indexed host tables — apart from the server, so a
-/// join can read the server's model while its tiles land here.
+/// The writer's slot-indexed host tables — apart from the model, so a
+/// join can read the model while its tiles land here.
 #[derive(Debug)]
 struct HostTable {
-    /// Model dimensionality `d` (immutable; cached off the server).
+    /// Model dimensionality `d` (immutable; cached off the model).
     dim: usize,
     /// Per-slot measured distances to (`meas_out`) / from (`meas_in`) the
     /// landmarks — kept so a drift epoch can re-join every admitted host.
@@ -506,7 +486,6 @@ struct Counters {
     joins: AtomicU64,
     flushes: AtomicU64,
     leaves: AtomicU64,
-    epochs: AtomicU64,
 }
 
 /// Some rows of a flattened row-major `hosts × k` measurement batch: how
@@ -532,9 +511,10 @@ impl<'a> RowBatch<'a> {
 
 /// One single-writer partition of a [`ShardedEngine`]: a writer lock over
 /// the host tables, a join coalescer, and the published snapshot cell
-/// (see the [module docs](self)). It works in shard-local slots and
-/// trusts its input — the engine above routes ids, validates
-/// measurements and counts reads.
+/// (see the [module docs](self)). It holds hosts only — the landmark
+/// model is the engine's, handed in by `Arc` — works in shard-local slots
+/// and trusts its input: the engine above routes ids, validates
+/// measurements, maintains the model and counts reads.
 struct Shard {
     /// The published snapshot. Queries pin it for one closure
     /// ([`ArcSwap::with`]); a publish is a pointer swap that never makes
@@ -558,13 +538,14 @@ struct Shard {
 }
 
 impl Shard {
-    /// Wraps a fitted [`StreamingServer`] and publishes the initial
-    /// (host-less) snapshot.
-    fn new(server: StreamingServer) -> Result<Self> {
-        let k = server.landmark_count();
-        let d = server.dim();
+    /// An empty shard over the engine's landmark model as of `epoch`, with
+    /// the initial (host-less) snapshot published.
+    fn new(model: Arc<LandmarkModel>, epoch: f64) -> Self {
+        let k = model.factors().n_from();
+        let d = model.factors().dim();
         let writer = WriterState {
-            server,
+            model,
+            epoch,
             hosts: HostTable {
                 dim: d,
                 meas_out: Matrix::zeros(0, k),
@@ -578,8 +559,8 @@ impl Shard {
             spare_out: Vec::new(),
             spare_in: Vec::new(),
         };
-        let initial = Arc::new(Self::build_snapshot(&writer)?);
-        Ok(Shard {
+        let initial = Arc::new(Self::build_snapshot(&writer));
+        Shard {
             snapshot: ArcSwap::new(initial),
             writer: Mutex::new(writer),
             coalescer: StdMutex::default(),
@@ -588,7 +569,7 @@ impl Shard {
             chunk_shared: AtomicU64::new(0),
             chunk_total: AtomicU64::new(0),
             k,
-        })
+        }
     }
 
     /// Admits a host by **group commit**: the measurements are appended
@@ -668,7 +649,7 @@ impl Shard {
     /// Retires `slots` — validated live and distinct by the caller, who
     /// holds the writer lock as `w` — to the free list (no reallocation:
     /// the next admissions reuse them) with **one** snapshot publish.
-    fn retire(&self, w: &mut WriterState, slots: impl Iterator<Item = usize>) -> Result<()> {
+    fn retire(&self, w: &mut WriterState, slots: impl Iterator<Item = usize>) {
         let hosts = &mut w.hosts;
         let before = hosts.free.len();
         for slot in slots {
@@ -681,105 +662,62 @@ impl Shard {
             .leaves
             .fetch_add(retired as u64, Ordering::Relaxed);
         tm::count_n(tm::Counter::Leaves, retired as u64);
-        self.publish(w)
+        self.publish(w);
     }
 
-    /// Feeds one epoch of landmark measurement drift to the underlying
-    /// [`StreamingServer`] ([`StreamingServer::apply_epoch_with`]: absorb
-    /// or refresh per the staleness policy, then re-join every admitted
-    /// host), then publishes the new snapshot. Queries keep being served
-    /// from the previous snapshot until the publish lands.
-    fn apply_epoch(&self, update: &EpochUpdate) -> Result<EpochOutcome> {
-        let t0 = tm::enabled().then(Instant::now);
-        let outcomes = self.run_epochs(std::slice::from_ref(update));
-        if let Some(t0) = t0 {
-            tm::time(tm::Timer::EpochApply, t0.elapsed());
-        }
-        Ok(outcomes?.pop().expect("one outcome per epoch"))
-    }
-
-    /// Applies `updates` in order under **one** writer-lock hold with
-    /// **one** publish at the end: every epoch is the same
-    /// absorb-then-rejoin as [`Shard::apply_epoch`], so the published
-    /// state is bit-identical to one `apply_epoch` per update — the
-    /// intermediate snapshots are simply never published. The rejoin is
-    /// the whole slot table (retired slots ride along harmlessly — their
-    /// rows are recomputed but stay dead).
-    ///
-    /// A failing update changes nothing (the server validates before it
-    /// writes), so the loop stops there, counts and publishes the epochs
-    /// already applied — the writer never runs ahead of its snapshot —
-    /// and returns the error.
+    /// The host step of a drift epoch on this shard: takes the engine's
+    /// updated `model` (as of `epoch`) under the writer lock, re-joins the
+    /// whole slot table against it (retired slots ride along harmlessly —
+    /// their rows are recomputed but stay dead) and publishes **once**.
+    /// Queries keep being served from the previous snapshot until the
+    /// publish lands. The outcome is a pure function of `model` and the
+    /// stored measurement rows, so however many landmark steps produced
+    /// `model`, one call brings the shard up to date.
     ///
     /// The rejoin reads the measurement tables in place, 256 slots — one
     /// leaf chunk — per tile, and each finished tile is installed as a
     /// **fresh** chunk of `[outgoing | incoming]` rows
     /// ([`ChunkedRows::replace_chunk`]): an epoch rewrites every row, so
     /// nothing of the old chunk is worth copying, and the published
-    /// snapshots keep the old chunks untouched. One epoch allocates one
+    /// snapshots keep the old chunks untouched. One call allocates one
     /// coordinate table's worth of chunks and nothing proportional to
     /// `slots × k`.
-    fn run_epochs(&self, updates: &[EpochUpdate]) -> Result<Vec<EpochOutcome>> {
-        if updates.is_empty() {
-            return Ok(Vec::new());
-        }
+    fn rejoin_all(&self, model: &Arc<LandmarkModel>, epoch: f64) -> Result<()> {
         let mut w = self.writer.lock();
-        let WriterState { server, hosts, .. } = &mut *w;
+        w.model = Arc::clone(model);
+        w.epoch = epoch;
         let HostTable {
             dim,
             meas_out,
             meas_in,
             coords,
             ..
-        } = hosts;
+        } = &mut w.hosts;
         let (slots, d) = (coords.len(), *dim);
-        let mut install = |rows: &HostRows<'_>, tile: &BatchHostVectors| {
-            // Tiles of `0..slots` are cut at multiples of CHUNK_ROWS.
-            let first = rows.get(0);
-            debug_assert_eq!(first % CHUNK_ROWS, 0);
-            let mut chunk = Vec::with_capacity(CHUNK_ROWS * 2 * d);
-            for i in 0..tile.len() {
-                chunk.extend_from_slice(tile.outgoing(i));
-                chunk.extend_from_slice(tile.incoming(i));
-            }
-            coords.replace_chunk(first / CHUNK_ROWS, chunk);
-        };
-        // The epoch label stays set through the publish, so its span
-        // carries the epoch it publishes.
-        let prev_epoch = tm::set_epoch(updates[0].epoch);
-        let mut outcomes = Vec::with_capacity(updates.len());
-        let mut result = Ok(());
-        for update in updates {
-            tm::set_epoch(update.epoch);
-            let rejoin = RejoinJob {
-                inputs: RejoinInputs {
-                    hosts: HostRows::range(0..slots),
-                    d_out: meas_out.as_slice(),
-                    d_in: meas_in.as_slice(),
-                    observed: None,
-                },
-                sink: &mut install,
-            };
-            match server.apply_epoch_job(update, Some(rejoin), None) {
-                Ok(outcome) => outcomes.push(outcome),
-                Err(e) => {
-                    result = Err(e);
-                    break;
+        let rejoin_span = tm::span(tm::Stage::Rejoin);
+        model.join_into(
+            meas_out.as_slice(),
+            meas_in.as_slice(),
+            &HostRows::range(0..slots),
+            &mut |rows, tile| {
+                // Tiles of `0..slots` are cut at multiples of CHUNK_ROWS.
+                let first = rows.get(0);
+                debug_assert_eq!(first % CHUNK_ROWS, 0);
+                let mut chunk = Vec::with_capacity(CHUNK_ROWS * 2 * d);
+                for i in 0..tile.len() {
+                    chunk.extend_from_slice(tile.outgoing(i));
+                    chunk.extend_from_slice(tile.incoming(i));
                 }
-            }
-        }
-        if !outcomes.is_empty() {
-            let epochs = outcomes.len() as u64;
-            self.counters.epochs.fetch_add(epochs, Ordering::Relaxed);
-            tm::count_n(tm::Counter::Epochs, epochs);
-            result = self.publish(&mut w).and(result);
-        }
-        tm::set_epoch(prev_epoch);
-        result.map(|()| outcomes)
+                coords.replace_chunk(first / CHUNK_ROWS, chunk);
+            },
+        )?;
+        drop(rejoin_span);
+        self.publish(&mut w);
+        Ok(())
     }
 
-    /// Write-side counters and gauges of this shard (`queries` stays 0:
-    /// reads count on the engine).
+    /// Write-side counters and gauges of this shard (`queries` and
+    /// `epochs` stay 0: reads and landmark steps count on the engine).
     fn stats(&self) -> ServiceStats {
         let coalescer_depth = self.coalescer.lock().expect("coalescer lock").count as u64;
         ServiceStats {
@@ -788,7 +726,7 @@ impl Shard {
             joins: self.counters.joins.load(Ordering::Relaxed),
             flushes: self.counters.flushes.load(Ordering::Relaxed),
             leaves: self.counters.leaves.load(Ordering::Relaxed),
-            epochs: self.counters.epochs.load(Ordering::Relaxed),
+            epochs: 0,
             version: self.snapshot.with(|snap| snap.version),
             coalescer_depth,
             chunk_shared: self.chunk_shared.load(Ordering::Relaxed),
@@ -832,9 +770,14 @@ impl Shard {
         let t0 = tm::enabled().then(Instant::now);
         let k = self.k;
         let mut slots = Vec::with_capacity(batch.rows.len());
-        {
-            let WriterState { server, hosts, .. } = &mut *w;
-            let mut admit = |rows: &HostRows<'_>, tile: &BatchHostVectors| {
+        let WriterState { model, hosts, .. } = &mut *w;
+        // One worker: slots must be assigned in batch order.
+        model.join_tiles(
+            batch.d_out,
+            batch.d_in,
+            &batch.rows,
+            1,
+            &mut |rows, tile| {
                 for (i, r) in rows.iter().enumerate() {
                     let at = r * k..(r + 1) * k;
                     slots.push(hosts.assign_slot(
@@ -844,19 +787,10 @@ impl Shard {
                         tile.incoming(i),
                     ));
                 }
-            };
-            // One worker: slots must be assigned in batch order.
-            cached_join_into(
-                &server.rejoin_ctx(),
-                batch.d_out,
-                batch.d_in,
-                &batch.rows,
-                1,
-                &mut admit,
-            )?;
-        }
+            },
+        )?;
         self.count_admission(slots.len() as u64);
-        self.publish(w)?;
+        self.publish(w);
         if let Some(t0) = t0 {
             tm::time(tm::Timer::Flush, t0.elapsed());
         }
@@ -864,16 +798,16 @@ impl Shard {
     }
 
     /// Publishes the writer's current state as a fresh snapshot: bump the
-    /// version, clone the model and the coordinate chunk trees (sharing
-    /// every chunk the writer hasn't touched since the last publish —
-    /// `O(changed chunks)`, not `O(hosts)`), hand the Gram factors off via
-    /// [`CachedGram::from_factor`], and swap the pointer. Readers never
-    /// wait: the swap is an atomic store.
-    fn publish(&self, w: &mut WriterState) -> Result<()> {
+    /// version, share the landmark model (an `Arc` bump), clone the
+    /// coordinate chunk trees (sharing every chunk the writer hasn't
+    /// touched since the last publish — `O(changed chunks)`, not
+    /// `O(hosts)`), and swap the pointer. Readers never wait: the swap is
+    /// an atomic store.
+    fn publish(&self, w: &mut WriterState) {
         let _span = tm::span(tm::Stage::Publish);
         let t0 = Instant::now();
         w.version += 1;
-        let snap = Arc::new(Self::build_snapshot(w)?);
+        let snap = Arc::new(Self::build_snapshot(w));
         // Chunk-share gauge: how much of the coordinate chunk tree this
         // publish reused from the snapshot it replaces (pointer-equality
         // walk, O(chunks)) — the direct measure of the copy-on-write
@@ -890,34 +824,37 @@ impl Shard {
         self.publish_hist.lock().record(elapsed);
         tm::time(tm::Timer::Publish, elapsed);
         tm::count(tm::Counter::Publishes);
-        Ok(())
     }
 
-    fn build_snapshot(w: &WriterState) -> Result<Snapshot> {
-        let (gram_x, gram_y) = w.server.grams();
-        Ok(Snapshot {
+    fn build_snapshot(w: &WriterState) -> Snapshot {
+        Snapshot {
             version: w.version,
-            epoch: w.server.epoch(),
-            model: w.server.model().clone(),
-            gram_x: CachedGram::from_factor(gram_x.l().clone(), gram_x.lambda())?,
-            gram_y: CachedGram::from_factor(gram_y.l().clone(), gram_y.lambda())?,
+            epoch: w.epoch,
+            landmarks: Arc::clone(&w.model),
             coords: w.hosts.coords.clone(),
             live: w.hosts.live.clone(),
             live_count: w.hosts.live_count,
-        })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::StalenessPolicy;
+    use crate::projection::BatchHostVectors;
+    use crate::streaming::{EpochUpdate, MeasurementDelta, StalenessPolicy, StreamingServer};
 
     fn server(k: usize, dim: usize) -> StreamingServer {
         let ds = ides_datasets::generators::p2psim_like(k + 20, 7).expect("dataset");
         let sub: Vec<usize> = (0..k).collect();
         let lm = ds.matrix.submatrix(&sub, &sub);
         StreamingServer::new(&lm, dim, StalenessPolicy::default()).expect("server")
+    }
+
+    /// A bare shard over a fresh server's model.
+    fn shard(k: usize, dim: usize) -> Shard {
+        let server = server(k, dim);
+        Shard::new(Arc::clone(server.landmark_model()), server.epoch())
     }
 
     /// A one-shard engine: global host ids are its shard's slots.
@@ -1031,7 +968,7 @@ mod tests {
         // eight with exactly one solve + publish.
         const JOINERS: usize = 8;
         let k = 10;
-        let shard = Shard::new(server(k, 4)).expect("shard");
+        let shard = shard(k, 4);
         let rows: Vec<(Vec<f64>, Vec<f64>)> = (0..JOINERS as u64)
             .map(|h| (meas(k, 300 + h), meas(k, 700 + h)))
             .collect();
@@ -1071,7 +1008,7 @@ mod tests {
         assert_eq!(distinct.len(), JOINERS, "slots {slots:?}");
         // Each joiner got the slot holding *its* row's coordinates: the
         // bits of an uncoalesced admission of the same measurements.
-        let direct = Shard::new(server(k, 4)).expect("shard");
+        let direct = self::shard(k, 4);
         for ((o, i), &slot) in rows.iter().zip(&slots) {
             let d = direct
                 .flush_rows(RowBatch::contiguous(1, o, i))
@@ -1120,7 +1057,7 @@ mod tests {
         let row = |r: usize| (meas(k, 10_000 + r as u64), meas(k, 50_000 + r as u64));
         let drift = |epoch: usize| EpochUpdate {
             epoch: epoch as f64,
-            deltas: vec![crate::streaming::MeasurementDelta {
+            deltas: vec![MeasurementDelta {
                 from: epoch % k,
                 to: (epoch + 3) % k,
                 rtt: 12.0 + epoch as f64,
@@ -1250,12 +1187,12 @@ mod tests {
             .apply_epoch(&EpochUpdate {
                 epoch: 1.0,
                 deltas: vec![
-                    crate::streaming::MeasurementDelta {
+                    MeasurementDelta {
                         from: 1,
                         to: 6,
                         rtt: base,
                     },
-                    crate::streaming::MeasurementDelta {
+                    MeasurementDelta {
                         from: 6,
                         to: 1,
                         rtt: base,
@@ -1272,7 +1209,9 @@ mod tests {
         let d_out = Matrix::from_rows(&[meas(12, 9)]).unwrap();
         let d_in = Matrix::from_rows(&[meas(12, 10)]).unwrap();
         let mut fresh = BatchHostVectors::new();
-        snap.join_rows(&d_out, &d_in, &mut fresh).unwrap();
+        snap.landmark_model()
+            .join_batch(&d_out, &d_in, &mut fresh)
+            .unwrap();
         let NodeId::Host(slot) = id else {
             unreachable!()
         };
@@ -1322,7 +1261,7 @@ mod tests {
         e.leave_many(&gone).unwrap();
         let drift = |epoch: f64, rtt: f64| EpochUpdate {
             epoch,
-            deltas: vec![crate::streaming::MeasurementDelta {
+            deltas: vec![MeasurementDelta {
                 from: 2,
                 to: 7,
                 rtt,
@@ -1336,7 +1275,9 @@ mod tests {
             for slot in 0..slots {
                 let row_out = Matrix::from_rows(&[d_out.row(slot).to_vec()]).unwrap();
                 let row_in = Matrix::from_rows(&[d_in.row(slot).to_vec()]).unwrap();
-                snap.join_rows(&row_out, &row_in, &mut one).unwrap();
+                snap.landmark_model()
+                    .join_batch(&row_out, &row_in, &mut one)
+                    .unwrap();
                 assert_eq!(
                     bits(snap.host_outgoing(slot)),
                     bits(one.outgoing(0)),
@@ -1385,7 +1326,7 @@ mod tests {
         let k = 12;
         let drift = |epoch: f64, rtt: f64| EpochUpdate {
             epoch,
-            deltas: vec![crate::streaming::MeasurementDelta {
+            deltas: vec![MeasurementDelta {
                 from: 2,
                 to: 7,
                 rtt,
@@ -1418,6 +1359,96 @@ mod tests {
         batched.join_direct(&meas(k, 50), &meas(k, 51)).unwrap();
         assert_eq!(served(&batched), after_batch);
         assert_eq!(batched.current_epoch(), 1.0);
+    }
+
+    #[test]
+    fn concurrent_epoch_writers_agree_on_one_model() {
+        // Two threads race `apply_epoch` on a 2-shard engine, 200 rounds,
+        // with updates that touch overlapping landmark rows — so the order
+        // they land in matters. Whatever order a round's two epochs took,
+        // every shard must have taken them in that order: one model, one
+        // epoch stamp. A serial 1-shard engine fed each round in the order
+        // the stamp reveals must end in the same bits.
+        const ROUNDS: usize = 200;
+        let k = 10;
+        let fitted = server(k, 4);
+        let base = fitted.landmark_matrix().clone();
+        let racing =
+            ShardedEngine::new(fitted.clone(), 2, ServiceConfig::default()).expect("engine");
+        let serial = ShardedEngine::new(fitted, 1, ServiceConfig::default()).expect("engine");
+        let ids: Vec<NodeId> = (0..6u64)
+            .map(|h| {
+                let (o, i) = (meas(k, h), meas(k, 100 + h));
+                let id = racing.join_direct(&o, &i).expect("join");
+                assert_eq!(serial.join_direct(&o, &i).expect("join"), id);
+                id
+            })
+            .collect();
+        let model_bits = |snap: &Snapshot| {
+            let mut all = bits(snap.model().x().as_slice());
+            all.extend(bits(snap.model().y().as_slice()));
+            all
+        };
+        for round in 0..ROUNDS {
+            let drift = |stamp: usize, pairs: [(usize, usize); 2]| EpochUpdate {
+                epoch: stamp as f64,
+                deltas: pairs
+                    .iter()
+                    .map(|&(from, to)| MeasurementDelta {
+                        from,
+                        to,
+                        rtt: base[(from, to)] * (1.0 + 0.01 * ((round + stamp) % 7 + 1) as f64),
+                    })
+                    .collect(),
+            };
+            let a = drift(2 * round + 1, [(1, 4), (4, 7)]);
+            let b = drift(2 * round + 2, [(4, 1), (7, 2)]);
+            // Both writers leave the barrier together, so the two epochs
+            // overlap in most rounds rather than in the odd one.
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for update in [&a, &b] {
+                    let (racing, start) = (&racing, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        racing.apply_epoch(update).expect("racing epoch");
+                    });
+                }
+            });
+            let snaps = racing.snapshots();
+            assert_eq!(
+                snaps[0].epoch().to_bits(),
+                snaps[1].epoch().to_bits(),
+                "round {round}: the shards stand at different epochs"
+            );
+            assert_eq!(
+                model_bits(&snaps[0]),
+                model_bits(&snaps[1]),
+                "round {round}: the shards hold different models"
+            );
+            // The stamp names the epoch that went second.
+            let order = if snaps[0].epoch() == b.epoch {
+                [&a, &b]
+            } else {
+                [&b, &a]
+            };
+            for update in order {
+                serial.apply_epoch(update).expect("serial epoch");
+            }
+        }
+        assert_eq!(
+            model_bits(&racing.snapshots()[0]),
+            model_bits(&snapshot(&serial))
+        );
+        assert_eq!(racing.stats().epochs, 2 * ROUNDS as u64);
+        for &id in &ids {
+            let (got, want) = (
+                racing.host_coords(id).unwrap(),
+                serial.host_coords(id).unwrap(),
+            );
+            assert_eq!(bits(&got.0), bits(&want.0), "{id:?} outgoing");
+            assert_eq!(bits(&got.1), bits(&want.1), "{id:?} incoming");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The serving engine: `N` single-writer shards that replicate the small
-//! global landmark model behind one id space.
+//! The serving engine: one landmark server and `N` single-writer host
+//! shards behind one id space.
 //!
 //! The paper's information-server state has exactly the shape that
 //! shards: the landmark factor model is tiny (`k × d`, global, slowly
@@ -8,11 +8,14 @@
 //! own measurement rows and the landmark model (Eq. 11/12), never on
 //! other hosts. [`ShardedEngine`] therefore:
 //!
-//! * **Replicates** the landmark model: every shard wraps a clone of the
-//!   same [`StreamingServer`], and a drift epoch is applied to every
-//!   replica. Replicas run identical arithmetic on identical inputs, so
-//!   they stay **bit-identical** — a landmark row can be read from any
-//!   shard.
+//! * **Shares** the landmark model: the engine owns the one
+//!   [`StreamingServer`] (§5.1's information server) behind a mutex, and
+//!   every shard holds the model it maintains by
+//!   `Arc<`[`LandmarkModel`](crate::streaming::LandmarkModel)`>`. A drift
+//!   epoch runs its landmark step **once**, under that mutex, and then
+//!   has every shard re-join its hosts against the result — still under
+//!   it, so concurrent epoch writers reach every shard in one order. A
+//!   landmark row can be read from any shard's snapshot.
 //! * **Partitions** the hosts round-robin: global host id `g` lives on
 //!   shard `g % N` at local slot `g / N`. Joins route round-robin, so
 //!   shard populations stay balanced within one host.
@@ -30,10 +33,12 @@
 //!   count, hence bit-identical answers (property-tested in
 //!   `tests/sharding_determinism.rs`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use ides_linalg::Matrix;
+use parking_lot::Mutex;
 
 use crate::error::{IdesError, Result};
 use crate::streaming::{EpochOutcome, EpochUpdate, HostRows, StreamingServer};
@@ -49,6 +54,12 @@ use super::{
 /// paths are **global** (`local · N + shard`) and only meaningful to this
 /// engine.
 pub struct ShardedEngine {
+    /// The one landmark server. An epoch holds this lock from its
+    /// landmark step to the last shard's publish; nothing else takes it.
+    /// **Lock order**: server, then a shard's writer.
+    server: Mutex<StreamingServer>,
+    /// Landmark steps applied (always-on counter behind `stats().epochs`).
+    epochs: AtomicU64,
     shards: Vec<Shard>,
     /// Round-robin admission router.
     next: AtomicUsize,
@@ -96,10 +107,11 @@ impl std::fmt::Debug for ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Partitions a fitted [`StreamingServer`] across `shards` replicas
-    /// (each shard gets a bit-identical clone of the landmark model and
-    /// its own writer and coalescer) and publishes the initial host-less
-    /// snapshots. [`ServiceConfig`] carries no settings.
+    /// Takes a fitted [`StreamingServer`] as the engine's landmark server
+    /// and sets up `shards` empty host shards over its model (each shares
+    /// the model by `Arc` and has its own writer and coalescer), with the
+    /// initial host-less snapshots published. [`ServiceConfig`] carries no
+    /// settings.
     pub fn new(server: StreamingServer, shards: usize, _config: ServiceConfig) -> Result<Self> {
         if shards == 0 {
             return Err(IdesError::InvalidInput("need at least one shard".into()));
@@ -110,13 +122,13 @@ impl ShardedEngine {
             ));
         }
         let k = server.landmark_count();
-        let mut replicas = Vec::with_capacity(shards);
-        for _ in 1..shards {
-            replicas.push(Shard::new(server.clone())?);
-        }
-        replicas.push(Shard::new(server)?);
+        let shards = (0..shards)
+            .map(|_| Shard::new(Arc::clone(server.landmark_model()), server.epoch()))
+            .collect();
         Ok(ShardedEngine {
-            shards: replicas,
+            server: Mutex::new(server),
+            epochs: AtomicU64::new(0),
+            shards,
             next: AtomicUsize::new(0),
             reads: ReadPath::default(),
             k,
@@ -133,13 +145,13 @@ impl ShardedEngine {
         self.k
     }
 
-    /// Which shard owns `node`'s coordinate row. Landmarks are replicated
-    /// everywhere and report shard 0.
+    /// Which shard owns `node`'s coordinate row. Landmarks are shared by
+    /// every shard and report shard 0.
     pub fn shard_of(&self, node: NodeId) -> usize {
         self.owner(node).unwrap_or(0)
     }
 
-    /// `Some(shard)` for hosts, `None` for (replicated) landmarks.
+    /// `Some(shard)` for hosts, `None` for (shared) landmarks.
     fn owner(&self, node: NodeId) -> Option<usize> {
         match node {
             NodeId::Host(g) => Some(g % self.shards.len()),
@@ -183,8 +195,8 @@ impl ShardedEngine {
         self.shards.iter().map(|s| s.snapshot.load()).collect()
     }
 
-    /// Drift epoch of the published model (every replica applies every
-    /// epoch, so any shard's snapshot answers).
+    /// Drift epoch of the published model (every shard rejoins on every
+    /// epoch call, so any shard's snapshot answers).
     pub fn current_epoch(&self) -> f64 {
         self.shards[0].snapshot.with(|snap| snap.epoch())
     }
@@ -285,17 +297,6 @@ impl ShardedEngine {
                 .chain(rest.into_iter().map(|h| h.join().expect("shard panicked")))
                 .collect()
         })
-    }
-
-    /// What every replica answered — replicas run identical arithmetic,
-    /// so shard 0's answer stands for all — unless a shard failed.
-    fn replicated<R>(per_shard: Vec<Result<R>>) -> Result<R> {
-        let mut per_shard = per_shard.into_iter();
-        let first = per_shard.next().expect("at least one shard")?;
-        for other in per_shard {
-            other?;
-        }
-        Ok(first)
     }
 
     /// Validates one host's measurements, routes it to the next shard
@@ -440,33 +441,72 @@ impl ShardedEngine {
             locked.push((shard, w, group));
         }
         for (shard, mut w, group) in locked {
-            self.shards[shard].retire(&mut w, group.iter().map(|&(_, slot)| slot))?;
+            self.shards[shard].retire(&mut w, group.iter().map(|&(_, slot)| slot));
         }
         Ok(())
     }
 
-    /// Applies one drift epoch to **every** shard replica concurrently:
-    /// each absorbs or refreshes per the staleness policy, re-joins its
-    /// admitted hosts ([`StreamingServer::apply_epoch_with`]), then
-    /// publishes. Queries keep being served from the previous snapshots
-    /// until the publishes land. Replicas run identical arithmetic, so
-    /// their models stay bit-identical and the outcome is the same on
-    /// every shard.
+    /// Applies one drift epoch: the landmark step
+    /// ([`StreamingServer::apply_epoch`] — absorb or refresh per the
+    /// staleness policy) runs **once** on the engine's server, then every
+    /// shard concurrently re-joins its admitted hosts against the updated
+    /// model and publishes. Queries keep being served from the previous
+    /// snapshots until the publishes land.
     pub fn apply_epoch(&self, update: &EpochUpdate) -> Result<EpochOutcome> {
-        Self::replicated(self.fan_out(|_, shard| shard.apply_epoch(update)))
+        let t0 = tm::enabled().then(Instant::now);
+        let outcomes = self.apply_epochs(std::slice::from_ref(update));
+        if let Some(t0) = t0 {
+            tm::time(tm::Timer::EpochApply, t0.elapsed());
+        }
+        Ok(outcomes?.pop().expect("one outcome per epoch"))
     }
 
-    /// Applies a batch of drift epochs to every shard replica
-    /// concurrently: within a shard, the epochs run back to back under
-    /// one writer-lock hold. The final published state is
-    /// **bit-identical** to calling [`ShardedEngine::apply_epoch`] once
-    /// per update; the difference is that intermediate snapshots are not
-    /// published — one publish per shard lands at the end of the batch.
-    /// If an update is rejected, the epochs before it stay applied and
-    /// published (as they would be after that many `apply_epoch` calls)
-    /// and the error is returned.
+    /// Applies a batch of drift epochs: the landmark steps run back to
+    /// back on the engine's server, then every shard re-joins **once**,
+    /// against the final model, and publishes once. A rejoin is a pure
+    /// function of the model and the stored measurement rows, so the
+    /// final published state is **bit-identical** to calling
+    /// [`ShardedEngine::apply_epoch`] once per update; the intermediate
+    /// rejoins and snapshots simply never happen. If an update is
+    /// rejected (it then changes nothing), the epochs before it stay
+    /// applied and are rejoined and published (as they would be after
+    /// that many `apply_epoch` calls) and the error is returned.
+    ///
+    /// The server lock is held to the last shard's publish: concurrent
+    /// epoch writers serialize here, so every shard installs their models
+    /// in the same order.
     pub fn apply_epochs(&self, updates: &[EpochUpdate]) -> Result<Vec<EpochOutcome>> {
-        Self::replicated(self.fan_out(|_, shard| shard.run_epochs(updates)))
+        let mut server = self.server.lock();
+        let prev_epoch = tm::set_epoch(server.epoch());
+        let mut outcomes = Vec::with_capacity(updates.len());
+        let mut result = Ok(());
+        for update in updates {
+            tm::set_epoch(update.epoch);
+            match server.apply_epoch(update) {
+                Ok(outcome) => outcomes.push(outcome),
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
+        }
+        if !outcomes.is_empty() {
+            let applied = outcomes.len() as u64;
+            self.epochs.fetch_add(applied, Ordering::Relaxed);
+            tm::count_n(tm::Counter::Epochs, applied);
+            let (model, epoch) = (server.landmark_model(), server.epoch());
+            // The epoch label rides into each shard's thread, so its
+            // rejoin and publish spans carry the epoch they publish.
+            let rejoined = self.fan_out(|_, shard| {
+                let prev = tm::set_epoch(epoch);
+                let done = shard.rejoin_all(model, epoch);
+                tm::set_epoch(prev);
+                done
+            });
+            result = rejoined.into_iter().collect::<Result<()>>().and(result);
+        }
+        tm::set_epoch(prev_epoch);
+        result.map(|()| outcomes)
     }
 
     /// A live host's `(outgoing, incoming)` coordinate rows, read from
@@ -487,12 +527,13 @@ impl ShardedEngine {
 
     /// Counter snapshot plus the instantaneous gauges: queries served;
     /// joins, flushes, leaves, coalescer queue depth and the latest
-    /// publishes' chunk sharing summed across shards; `epochs` is shard
-    /// 0's count (every shard applies every epoch); `version` sums the
-    /// shards' snapshot versions (total publishes).
+    /// publishes' chunk sharing summed across shards; `epochs` counts the
+    /// engine's landmark steps; `version` sums the shards' snapshot
+    /// versions (total publishes).
     pub fn stats(&self) -> ServiceStats {
         let mut total = ServiceStats {
             queries: self.reads.queries(),
+            epochs: self.epochs.load(Ordering::Relaxed),
             ..self.shards[0].stats()
         };
         for st in self.shards[1..].iter().map(Shard::stats) {
@@ -508,7 +549,8 @@ impl ShardedEngine {
     }
 
     /// Per-shard write-side counter snapshots (shard imbalance
-    /// observability; `queries` is engine-level and reads 0 here).
+    /// observability; `queries` and `epochs` are engine-level and read 0
+    /// here).
     pub fn shard_stats(&self) -> Vec<ServiceStats> {
         self.shards.iter().map(Shard::stats).collect()
     }
@@ -527,7 +569,7 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::{MeasurementDelta, StalenessPolicy};
+    use crate::streaming::StalenessPolicy;
 
     fn server(k: usize, dim: usize) -> StreamingServer {
         let ds = ides_datasets::generators::p2psim_like(k + 20, 7).expect("dataset");
@@ -581,7 +623,7 @@ mod tests {
     }
 
     #[test]
-    fn landmark_estimates_match_the_model_on_every_replica_and_read_form() {
+    fn landmark_estimates_match_the_model_on_every_shard_and_read_form() {
         for shards in SHARD_COUNTS {
             let e = engine(12, 4, shards);
             let snaps = e.snapshots();
@@ -591,8 +633,8 @@ mod tests {
                 assert_eq!(snap.landmark_count(), 12);
                 assert_eq!(snap.host_count(), 0);
             }
-            // Replicated model: a landmark-landmark estimate is the model's
-            // dot product, equal on every shard's replica bit for bit, and
+            // Shared model: a landmark-landmark estimate is the model's dot
+            // product, equal from every shard's snapshot bit for bit, and
             // every read form — live, caller-pinned, batched — returns it
             // and counts its queries.
             let pair = (NodeId::Landmark(2), NodeId::Landmark(7));
@@ -619,34 +661,6 @@ mod tests {
             assert!(e
                 .estimate_batch(&[pair, (NodeId::Host(0), pair.1)], &mut Vec::new())
                 .is_err());
-            // ... and drift keeps replicas in lockstep.
-            e.apply_epoch(&EpochUpdate {
-                epoch: 1.0,
-                deltas: vec![
-                    MeasurementDelta {
-                        from: 0,
-                        to: 5,
-                        rtt: 30.0,
-                    },
-                    MeasurementDelta {
-                        from: 5,
-                        to: 0,
-                        rtt: 30.0,
-                    },
-                ],
-            })
-            .unwrap();
-            let after = e
-                .estimate(NodeId::Landmark(0), NodeId::Landmark(5))
-                .unwrap();
-            for (i, snap) in e.snapshots().iter().enumerate() {
-                let shard_ans = snap
-                    .estimate(NodeId::Landmark(0), NodeId::Landmark(5))
-                    .unwrap();
-                assert_eq!(after.to_bits(), shard_ans.to_bits(), "shard {i} diverged");
-            }
-            assert_eq!(e.stats().epochs, 1);
-            assert_eq!(e.current_epoch(), 1.0);
         }
     }
 

@@ -25,16 +25,22 @@
 //!     allocation-free workspaces of the batch fit — and the Grams are
 //!     refactored once. See [`RefreshStrategy`].
 //! * Joins keep being served from the cached factorizations with **no
-//!   factorization on the query path**: [`StreamingServer::join_batch_cached`]
-//!   is one GEMM plus two triangular solves per host — bit-identical to
-//!   the one-shot batched normal-equation join whenever the caches hold a
+//!   factorization on the query path**: [`LandmarkModel::join_batch`] is
+//!   one GEMM plus two triangular solves per host — bit-identical to the
+//!   one-shot batched normal-equation join whenever the caches hold a
 //!   from-scratch factorization (build/refresh), within ~1e-9 after
-//!   rank-1 surgery — and
-//!   [`StreamingServer::rejoin_affected`] re-joins only the hosts whose
-//!   own measurements drifted. Both run the one tiled cached join (256
-//!   hosts at a time, measurement rows read in place, threads splitting
-//!   on tile boundaries under the `parallel` feature — bit-identical at
-//!   any tile boundary and thread count).
+//!   rank-1 surgery — and [`StreamingServer::rejoin`] re-joins only the
+//!   hosts whose own measurements drifted. Both run the one tiled cached
+//!   join (256 hosts at a time, measurement rows read in place, workers
+//!   splitting on tile boundaries under the `parallel` feature —
+//!   bit-identical at any tile boundary and worker count).
+//!
+//! **The model exists once.** [`LandmarkModel`] is the factors plus the
+//! two cached Gram factorizations every join solves through. The server
+//! holds it behind an `Arc` and mutates it through [`Arc::make_mut`]; the
+//! serving engine's shards and their published snapshots hold the same
+//! `Arc`. A landmark step therefore copies the model once while a snapshot
+//! still shares it, and a join or a publish never copies it.
 //!
 //! The economics (see the `streaming_update` bench group): at 500 hosts a
 //! full refit — cold ALS fit plus re-joining every host — costs well over
@@ -43,28 +49,27 @@
 //! few percent of a fresh fit at drift amplitude 0.2 (the `streaming_update`
 //! experiment binary measures the accuracy side).
 //!
-//! **An epoch is absorb-then-rejoin.** The paper's drift epoch (§5.1,
-//! Eq. 11/12) has two steps — the information server updates the landmark
-//! factors, then every ordinary host is re-solved against them — and
-//! [`StreamingServer::apply_epoch_with`] is exactly that, with
-//! [`StreamingServer::apply_epoch`] its no-rejoin form: validate, apply
-//! the deltas, pick the tier, refresh or absorb, rejoin. The changed
-//! landmarks' solves run concurrently on scoped threads against the
-//! epoch-start state, then commit serially in ascending landmark order —
-//! bit-identical to one thread at any thread count, because every solve's
-//! floating-point op sequence is independent of the grouping and the
-//! commit (merge) order is fixed.
+//! **An epoch is two calls.** The paper's drift epoch (§5.1, Eq. 11/12)
+//! has two steps — the information server updates the landmark factors,
+//! then every ordinary host is re-solved against them — and each is its
+//! own call: [`StreamingServer::apply_epoch`] validates, applies the
+//! deltas, picks the tier and refreshes or absorbs (serial: every changed
+//! landmark is solved against the epoch-start state, then all commit in
+//! ascending landmark order); [`StreamingServer::rejoin`] re-solves the
+//! hosts against whatever model the server then holds. The rejoin is a
+//! pure function of that model and the hosts' measurement rows, so any
+//! number of landmark steps may run before one rejoin.
 
 mod executor;
 mod tile;
 
 pub use executor::RejoinTables;
 
-pub(crate) use executor::{RejoinInputs, RejoinJob};
-pub(crate) use tile::{cached_join_dense, cached_join_into, scatter_tile, HostRows};
+pub(crate) use tile::HostRows;
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use ides_datasets::DistanceMatrix;
 use ides_linalg::nnls::nnls;
@@ -75,8 +80,6 @@ use ides_mf::nmf::{self, NmfConfig};
 use ides_mf::FactorModel;
 
 use crate::error::{IdesError, Result};
-use crate::projection::{BatchHostVectors, JoinOptions, JoinSolver};
-use crate::system::{IdesConfig, InformationServer};
 
 /// Ridge-regularized NNLS: `min ‖A x − b‖² + λ‖x‖²` s.t. `x ≥ 0`, solved
 /// by Lawson–Hanson on the augmented system `[A; √λ·I] x = [b; 0]` (the
@@ -290,6 +293,55 @@ pub struct EpochOutcome {
     pub sweeps: usize,
 }
 
+fn rank_deficient(_: ides_linalg::LinalgError) -> IdesError {
+    IdesError::InvalidInput("landmark factors are rank-deficient".into())
+}
+
+/// The served landmark model: the landmark factors `X`, `Y` plus the
+/// cached Gram factorizations every host join solves through (Eqs. 13–14).
+/// It is what a host join needs and all it needs, so the server that
+/// maintains it, the serving engine's shards and every published snapshot
+/// share **one** instance by `Arc` (see the [module docs](self)).
+#[derive(Debug, Clone)]
+pub struct LandmarkModel {
+    model: FactorModel,
+    /// Cached factorization of `XᵀX + λI` — serves incoming-vector solves.
+    gram_x: CachedGram,
+    /// Cached factorization of `YᵀY + λI` — serves outgoing-vector solves.
+    gram_y: CachedGram,
+}
+
+impl LandmarkModel {
+    /// Factors the join Grams of a fitted model from scratch.
+    fn factor(model: FactorModel, ridge: f64) -> Result<Self> {
+        let gram_y = CachedGram::factor(model.y(), ridge).map_err(rank_deficient)?;
+        let gram_x = CachedGram::factor(model.x(), ridge).map_err(rank_deficient)?;
+        Ok(LandmarkModel {
+            model,
+            gram_x,
+            gram_y,
+        })
+    }
+
+    /// Replaces the factors and refactors both Grams (a refresh or refit).
+    fn refit(&mut self, model: FactorModel) -> Result<()> {
+        self.model = model;
+        self.refactor_grams()
+    }
+
+    fn refactor_grams(&mut self) -> Result<()> {
+        self.gram_y
+            .refactor(self.model.y())
+            .map_err(rank_deficient)?;
+        self.gram_x.refactor(self.model.x()).map_err(rank_deficient)
+    }
+
+    /// The landmark factors.
+    pub(crate) fn factors(&self) -> &FactorModel {
+        &self.model
+    }
+}
+
 /// A long-running information server that ingests epoch-stamped
 /// measurement deltas and maintains landmark coordinates incrementally.
 /// See the [module docs](self) for the maintenance tiers.
@@ -299,12 +351,9 @@ pub struct StreamingServer {
     landmarks: Matrix,
     /// The landmark matrix as of the last refresh (staleness baseline).
     baseline: Matrix,
-    /// Current landmark factor model.
-    model: FactorModel,
-    /// Cached factorization of `YᵀY + λI` — serves outgoing-vector solves.
-    gram_y: CachedGram,
-    /// Cached factorization of `XᵀX + λI` — serves incoming-vector solves.
-    gram_x: CachedGram,
+    /// The served model. Shared with whoever cloned the `Arc` (the serving
+    /// engine's shards and snapshots); written through [`Arc::make_mut`].
+    model: Arc<LandmarkModel>,
     policy: StalenessPolicy,
     /// The cold-fit family and configuration (initial build, `full_refit`,
     /// and the warm counterpart the refresh tier budgets down).
@@ -312,7 +361,6 @@ pub struct StreamingServer {
     epoch: f64,
     refreshes: usize,
     absorbed_total: usize,
-    gram_refactors: usize,
     /// Absorb-tier scratch, reused across epochs so the hot incremental
     /// path performs no steady-state allocation.
     scratch: AbsorbScratch,
@@ -378,22 +426,15 @@ impl StreamingServer {
         refit: RefreshStrategy,
         policy: StalenessPolicy,
     ) -> Result<Self> {
-        let gram_y = CachedGram::factor(model.y(), policy.ridge)
-            .map_err(|_| IdesError::InvalidInput("landmark factors are rank-deficient".into()))?;
-        let gram_x = CachedGram::factor(model.x(), policy.ridge)
-            .map_err(|_| IdesError::InvalidInput("landmark factors are rank-deficient".into()))?;
         Ok(StreamingServer {
             landmarks: landmarks.values().clone(),
             baseline: landmarks.values().clone(),
-            model,
-            gram_y,
-            gram_x,
+            model: Arc::new(LandmarkModel::factor(model, policy.ridge)?),
             policy,
             refit,
             epoch: 0.0,
             refreshes: 0,
             absorbed_total: 0,
-            gram_refactors: 0,
             scratch: AbsorbScratch::default(),
         })
     }
@@ -405,11 +446,17 @@ impl StreamingServer {
 
     /// Model dimensionality `d`.
     pub fn dim(&self) -> usize {
-        self.model.dim()
+        self.model().dim()
     }
 
     /// The current landmark factor model.
     pub fn model(&self) -> &FactorModel {
+        self.model.factors()
+    }
+
+    /// The served model — factors plus cached join Grams — as the `Arc`
+    /// the serving engine shares with its shards and snapshots.
+    pub fn landmark_model(&self) -> &Arc<LandmarkModel> {
         &self.model
     }
 
@@ -438,12 +485,6 @@ impl StreamingServer {
         self.absorbed_total
     }
 
-    /// Cached-Gram refactorizations forced by failed downdates (numerical
-    /// safety valve; normally 0).
-    pub fn gram_refactors(&self) -> usize {
-        self.gram_refactors
-    }
-
     /// The exact family and configuration
     /// [`StreamingServer::apply_epoch`]'s refresh tier hands to
     /// [`ides_mf::als::refine`] / [`ides_mf::nmf::refine`] (sweep budget
@@ -466,8 +507,8 @@ impl StreamingServer {
 
     /// Mean relative deviation of the current landmark matrix from the
     /// last-refresh baseline (the drift signal the staleness policy gates
-    /// on).
-    pub fn deviation(&self) -> f64 {
+    /// on; reported as [`EpochOutcome::deviation`]).
+    fn deviation(&self) -> f64 {
         let mut total = 0.0;
         let mut count = 0usize;
         for (i, j, base) in self.baseline.iter_entries() {
@@ -487,7 +528,7 @@ impl StreamingServer {
     /// `l`'s measured row **and** column from the last-refresh baseline
     /// (both directions, because an absorb re-solves both of `l`'s factor
     /// rows). This is the per-Gram-row input of the tier gate.
-    pub fn landmark_deviation(&self, l: usize) -> f64 {
+    fn landmark_deviation(&self, l: usize) -> f64 {
         let k = self.landmarks.rows();
         let mut total = 0.0;
         let mut count = 0usize;
@@ -513,45 +554,13 @@ impl StreamingServer {
     /// Number of **hot** landmarks: rows whose [`landmark_deviation`]
     /// exceeds the policy's `deviation_threshold`. The epoch refreshes
     /// only when `hot / k` exceeds `refresh_row_fraction` — the per-row
-    /// tier choice.
+    /// tier choice (reported as [`EpochOutcome::hot_rows`]).
     ///
     /// [`landmark_deviation`]: StreamingServer::landmark_deviation
-    pub fn hot_landmarks(&self) -> usize {
+    fn hot_landmarks(&self) -> usize {
         (0..self.landmarks.rows())
             .filter(|&l| self.landmark_deviation(l) > self.policy.deviation_threshold)
             .count()
-    }
-
-    /// The cached join-Gram factorizations `(gram_x, gram_y)` of the
-    /// current factors — the snapshot-publish hook: `ides::service`
-    /// clones the factors out through [`CachedGram::l`] and reconstitutes
-    /// read-side solvers with [`CachedGram::from_factor`], so a published
-    /// snapshot answers joins with arithmetic bit-identical to
-    /// [`StreamingServer::join_batch_cached`] without refactoring.
-    pub(crate) fn grams(&self) -> (&CachedGram, &CachedGram) {
-        (&self.gram_x, &self.gram_y)
-    }
-
-    /// Publishes the current model as a plain [`InformationServer`]
-    /// configured for the same normal-equation join arithmetic the cached
-    /// path runs.
-    pub fn publish(&self) -> Result<InformationServer> {
-        let mut config = IdesConfig::new(self.dim());
-        config.join = JoinOptions {
-            solver: JoinSolver::NormalEquations,
-            ridge: self.policy.ridge,
-        };
-        InformationServer::from_model(self.model.clone(), config)
-    }
-
-    /// Ingests one epoch of measurement deltas and maintains the model —
-    /// absorb or refresh, per the staleness policy. See the module docs
-    /// for the tiers and their costs.
-    ///
-    /// This is [`StreamingServer::apply_epoch_with`] with no rejoin set
-    /// and the ambient thread count.
-    pub fn apply_epoch(&mut self, update: &EpochUpdate) -> Result<EpochOutcome> {
-        self.apply_epoch_with(update, None, None)
     }
 
     /// Warm partial refit: a bounded number of warm sweeps (ALS) or
@@ -560,15 +569,15 @@ impl StreamingServer {
     fn refresh(&mut self) -> Result<()> {
         let data = DistanceMatrix::full("streaming", self.landmarks.clone())
             .map_err(|e| IdesError::InvalidInput(e.to_string()))?;
-        self.model = match self.refresh_strategy() {
-            RefreshStrategy::Als(cfg) => als::refine(&data, &self.model, cfg)?.model,
+        let refined = match self.refresh_strategy() {
+            RefreshStrategy::Als(cfg) => als::refine(&data, self.model(), cfg)?.model,
             RefreshStrategy::Nmf(cfg) => {
-                nmf::refine(&data, &self.model, cfg)
+                nmf::refine(&data, self.model(), cfg)
                     .map_err(|e| IdesError::InvalidInput(e.to_string()))?
                     .model
             }
         };
-        self.refactor_grams()?;
+        Arc::make_mut(&mut self.model).refit(refined)?;
         self.baseline = self.landmarks.clone();
         self.refreshes += 1;
         Ok(())
@@ -581,7 +590,7 @@ impl StreamingServer {
     pub fn full_refit(&mut self) -> Result<()> {
         let data = DistanceMatrix::full("streaming", self.landmarks.clone())
             .map_err(|e| IdesError::InvalidInput(e.to_string()))?;
-        self.model = match self.refit {
+        let fitted = match self.refit {
             RefreshStrategy::Als(cfg) => als::fit(&data, cfg)?.model,
             RefreshStrategy::Nmf(cfg) => {
                 nmf::fit(&data, cfg)
@@ -589,115 +598,21 @@ impl StreamingServer {
                     .model
             }
         };
-        self.refactor_grams()?;
+        Arc::make_mut(&mut self.model).refit(fitted)?;
         self.baseline = self.landmarks.clone();
         self.refreshes += 1;
         Ok(())
     }
-
-    fn refactor_grams(&mut self) -> Result<()> {
-        self.gram_y
-            .refactor(self.model.y())
-            .map_err(|_| IdesError::InvalidInput("refreshed factors are rank-deficient".into()))?;
-        self.gram_x
-            .refactor(self.model.x())
-            .map_err(|_| IdesError::InvalidInput("refreshed factors are rank-deficient".into()))?;
-        Ok(())
-    }
-
-    /// Joins a batch of ordinary hosts through the **cached** normal-
-    /// equation factorizations: one GEMM per direction to assemble the
-    /// right-hand sides, then one `O(d²)` triangular solve per host — no
-    /// factorization on the query path.
-    ///
-    /// While the caches hold a from-scratch factorization (after a build,
-    /// refresh, or `full_refit`), results are **bit-identical** to
-    /// [`crate::projection::join_hosts_into`] with the
-    /// [`JoinSolver::NormalEquations`] solver (and this server's ridge),
-    /// because [`CachedGram`] runs exactly the same arithmetic. After an
-    /// absorb epoch the caches carry rank-1-updated factors instead,
-    /// which agree with a fresh factorization of the current model only
-    /// to ~1e-9 — numerically interchangeable, not bitwise.
-    pub fn join_batch_cached(
-        &self,
-        d_out: &Matrix,
-        d_in: &Matrix,
-        out: &mut BatchHostVectors,
-    ) -> Result<()> {
-        let k = self.landmark_count();
-        if d_out.shape() != d_in.shape() {
-            return Err(IdesError::InvalidInput(format!(
-                "measurement batch shapes disagree: out {:?}, in {:?}",
-                d_out.shape(),
-                d_in.shape()
-            )));
-        }
-        if d_out.cols() != k {
-            return Err(IdesError::InvalidInput(format!(
-                "expected {k} measurements per host, got {}",
-                d_out.cols()
-            )));
-        }
-        cached_join_dense(
-            &self.rejoin_ctx(),
-            d_out,
-            d_in,
-            out,
-            crate::eval::eval_threads(),
-        )
-    }
-
-    /// The borrowed rejoin inputs — model factors, cached Grams, ridge.
-    pub(crate) fn rejoin_ctx(&self) -> RejoinCtx<'_> {
-        RejoinCtx {
-            model: &self.model,
-            gram_x: &self.gram_x,
-            gram_y: &self.gram_y,
-            ridge: self.policy.ridge,
-        }
-    }
-
-    /// Re-joins only the `affected` hosts (rows of the full `hosts x k`
-    /// measurement matrices), scattering the fresh vectors into `coords`
-    /// and leaving every other host's cached coordinates untouched — the
-    /// staleness policy applied to ordinary hosts. Runs the tiled cached
-    /// join, on scoped threads under the `parallel` feature; the result is
-    /// bit-identical at any thread count. Both tables, the coordinate
-    /// table and the host ids are validated before anything is written.
-    pub fn rejoin_affected(
-        &self,
-        affected: &[usize],
-        d_out: &Matrix,
-        d_in: &Matrix,
-        coords: &mut BatchHostVectors,
-    ) -> Result<()> {
-        let (inputs, coords) = RejoinTables::full(affected, d_out, d_in, coords)
-            .split(self.landmark_count(), self.dim())?;
-        cached_join_into(
-            &self.rejoin_ctx(),
-            inputs.d_out,
-            inputs.d_in,
-            &inputs.hosts,
-            crate::eval::eval_threads(),
-            &mut |rows, tile| scatter_tile(coords, rows, tile),
-        )
-    }
-}
-
-/// Borrowed rejoin inputs: the factor model, the cached join Grams, and
-/// the ridge — from the live server for the writer's joins, from a
-/// published snapshot for read-side ones.
-#[derive(Debug)]
-pub(crate) struct RejoinCtx<'m> {
-    pub model: &'m FactorModel,
-    pub gram_x: &'m CachedGram,
-    pub gram_y: &'m CachedGram,
-    pub ridge: f64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::projection::{BatchHostVectors, JoinOptions, JoinSolver};
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn update_queue_orders_by_epoch_then_insertion() {
@@ -835,14 +750,14 @@ mod tests {
         let fresh_y = CachedGram::factor(server.model().y(), policy.ridge).unwrap();
         let fresh_x = CachedGram::factor(server.model().x(), policy.ridge).unwrap();
         assert!(
-            server.gram_y.l().approx_eq(fresh_y.l(), 1e-9),
+            server.model.gram_y.l().approx_eq(fresh_y.l(), 1e-9),
             "gram_y drifted {}",
-            server.gram_y.l().max_abs_diff(fresh_y.l())
+            server.model.gram_y.l().max_abs_diff(fresh_y.l())
         );
         assert!(
-            server.gram_x.l().approx_eq(fresh_x.l(), 1e-9),
+            server.model.gram_x.l().approx_eq(fresh_x.l(), 1e-9),
             "gram_x drifted {}",
-            server.gram_x.l().max_abs_diff(fresh_x.l())
+            server.model.gram_x.l().max_abs_diff(fresh_x.l())
         );
     }
 
@@ -860,18 +775,25 @@ mod tests {
             ds.matrix.get(sub[l], 13 + h).unwrap_or(1.0)
         });
         let mut cached = BatchHostVectors::new();
-        server
-            .join_batch_cached(&d_out, &d_in, &mut cached)
-            .unwrap();
+        server.model.join_batch(&d_out, &d_in, &mut cached).unwrap();
         // One-shot batched join with the same solver arithmetic.
-        let info = server.publish().unwrap();
-        let oneshot = info.join_batch(&d_out, &d_in).unwrap();
-        for (h, one) in oneshot.iter().enumerate() {
-            let hv = cached.host(h);
-            for j in 0..5 {
-                assert_eq!(hv.outgoing[j].to_bits(), one.outgoing[j].to_bits());
-                assert_eq!(hv.incoming[j].to_bits(), one.incoming[j].to_bits());
-            }
+        let mut oneshot = BatchHostVectors::new();
+        crate::projection::join_hosts_into(
+            &mut crate::projection::JoinWorkspace::new(),
+            server.model().x(),
+            server.model().y(),
+            &d_out,
+            &d_in,
+            JoinOptions {
+                solver: JoinSolver::NormalEquations,
+                ridge: server.policy().ridge,
+            },
+            &mut oneshot,
+        )
+        .unwrap();
+        for h in 0..hosts {
+            assert_eq!(bits(cached.outgoing(h)), bits(oneshot.outgoing(h)));
+            assert_eq!(bits(cached.incoming(h)), bits(oneshot.incoming(h)));
         }
     }
 
@@ -889,9 +811,7 @@ mod tests {
             ds.matrix.get(sub[l], 20 + h).unwrap_or(1.0)
         });
         let mut coords = BatchHostVectors::new();
-        server
-            .join_batch_cached(&d_out, &d_in, &mut coords)
-            .unwrap();
+        server.model.join_batch(&d_out, &d_in, &mut coords).unwrap();
         let stale = coords.clone();
         // Drift one landmark pair (absorb) and re-join hosts 2, 5, 9 only.
         let rtt = server.landmark_matrix()[(1, 4)] * 1.02;
@@ -911,7 +831,7 @@ mod tests {
             .unwrap();
         // Affected rows match a full cached join on the new model...
         let mut full = BatchHostVectors::new();
-        server.join_batch_cached(&d_out, &d_in, &mut full).unwrap();
+        server.model.join_batch(&d_out, &d_in, &mut full).unwrap();
         for &h in &affected {
             assert_eq!(coords.host(h), full.host(h), "host {h}");
         }
@@ -931,135 +851,82 @@ mod tests {
 
     #[test]
     fn mismatched_measurement_tables_are_rejected_before_anything_changes() {
-        // `d_in` one row short of `d_out`: both rejoin entry points must
-        // refuse it up front — the epoch before its deltas touch the
-        // model, not after the absorbs have committed.
+        // `d_in` one row short of `d_out`, or one column narrow: the
+        // rejoin must refuse the tables before the first coordinate write.
         let ds = ides_datasets::generators::p2psim_like(30, 9).unwrap();
         let sub: Vec<usize> = (0..12).collect();
         let lm = ds.matrix.submatrix(&sub, &sub);
-        let mut server = StreamingServer::new(&lm, 4, StalenessPolicy::default()).unwrap();
+        let server = StreamingServer::new(&lm, 4, StalenessPolicy::default()).unwrap();
         let d_out = Matrix::from_fn(3, 12, |h, l| 10.0 + (h * 12 + l) as f64);
-        let d_in = Matrix::from_fn(2, 12, |h, l| 11.0 + (h * 12 + l) as f64);
         let mut coords = BatchHostVectors::new();
         coords.reset_shape(3, 4);
-        let pristine = server.clone();
-        let unchanged = |server: &StreamingServer, coords: &BatchHostVectors| {
-            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(server.model().x()), bits(pristine.model().x()));
-            assert_eq!(bits(server.model().y()), bits(pristine.model().y()));
-            assert_eq!(bits(server.gram_x.l()), bits(pristine.gram_x.l()));
-            assert_eq!(bits(server.gram_y.l()), bits(pristine.gram_y.l()));
-            assert_eq!(
-                bits(server.landmark_matrix()),
-                bits(pristine.landmark_matrix())
-            );
-            assert_eq!(server.epoch().to_bits(), pristine.epoch().to_bits());
-            assert_eq!(server.absorbed(), 0);
-            assert!(coords
-                .outgoing_matrix()
-                .as_slice()
-                .iter()
-                .all(|&v| v == 0.0));
-        };
-
-        let r = server.rejoin_affected(&[0, 1, 2], &d_out, &d_in, &mut coords);
-        assert!(matches!(r, Err(IdesError::InvalidInput(_))), "{r:?}");
-        unchanged(&server, &coords);
-
-        let rtt = server.landmark_matrix()[(1, 4)] * 1.02;
-        let update = EpochUpdate {
-            epoch: 1.0,
-            deltas: vec![MeasurementDelta {
-                from: 1,
-                to: 4,
-                rtt,
-            }],
-        };
         let hosts = [0usize, 1, 2];
-        let tables = RejoinTables::full(&hosts, &d_out, &d_in, &mut coords);
-        let r = server.apply_epoch_with(&update, Some(tables), Some(1));
-        assert!(matches!(r, Err(IdesError::InvalidInput(_))), "{r:?}");
-        unchanged(&server, &coords);
-
-        // A `d_in` with the right height but the wrong width is no better.
-        let narrow = Matrix::from_fn(3, 11, |h, l| (h + l) as f64);
-        let r = server.rejoin_affected(&[0], &d_out, &narrow, &mut coords);
-        assert!(matches!(r, Err(IdesError::InvalidInput(_))), "{r:?}");
-        // The same call with matching tables goes through.
+        for d_in in [
+            Matrix::from_fn(2, 12, |h, l| 11.0 + (h * 12 + l) as f64),
+            Matrix::from_fn(3, 11, |h, l| (h + l) as f64),
+        ] {
+            for observed in [None, Some(vec![vec![0usize, 1, 2, 3, 4]; 3])] {
+                let tables = RejoinTables {
+                    observed: observed.as_deref(),
+                    ..RejoinTables::full(&hosts, &d_out, &d_in, &mut coords)
+                };
+                let r = server.rejoin(tables);
+                assert!(matches!(r, Err(IdesError::InvalidInput(_))), "{r:?}");
+                assert!(coords
+                    .outgoing_matrix()
+                    .as_slice()
+                    .iter()
+                    .chain(coords.incoming_matrix().as_slice())
+                    .all(|&v| v == 0.0));
+            }
+        }
+        // A coordinate table of the wrong shape is refused too...
         let d_in = Matrix::from_fn(3, 12, |h, l| 11.0 + (h * 12 + l) as f64);
-        let tables = RejoinTables::full(&hosts, &d_out, &d_in, &mut coords);
+        let mut tiny = BatchHostVectors::new();
+        tiny.reset_shape(2, 4);
+        assert!(server
+            .rejoin_affected(&hosts, &d_out, &d_in, &mut tiny)
+            .is_err());
+        // ... and the same call with matching tables goes through.
         server
-            .apply_epoch_with(&update, Some(tables), Some(1))
+            .rejoin_affected(&hosts, &d_out, &d_in, &mut coords)
             .unwrap();
-        assert_eq!(server.epoch(), 1.0);
+        assert!(coords.outgoing(2).iter().any(|&v| v != 0.0));
     }
 
     #[test]
     fn a_bad_observed_set_is_rejected_before_anything_changes() {
-        // One host's subset is out of range, empty, or missing: the epoch
-        // must be refused with the deltas unapplied and the epoch stamp,
-        // the model and the coordinate table bit-unchanged.
+        // One host's subset is out of range, empty, or missing: the rejoin
+        // must be refused with the coordinate table bit-unchanged — also
+        // the rows of the hosts listed before the bad one.
         let ds = ides_datasets::generators::p2psim_like(30, 9).unwrap();
         let sub: Vec<usize> = (0..12).collect();
         let lm = ds.matrix.submatrix(&sub, &sub);
-        let mut server = StreamingServer::new(&lm, 4, StalenessPolicy::default()).unwrap();
+        let server = StreamingServer::new(&lm, 4, StalenessPolicy::default()).unwrap();
         let d_out = Matrix::from_fn(3, 12, |h, l| 10.0 + (h * 12 + l) as f64);
         let d_in = Matrix::from_fn(3, 12, |h, l| 11.0 + (h * 12 + l) as f64);
         let mut coords = BatchHostVectors::new();
-        server
-            .join_batch_cached(&d_out, &d_in, &mut coords)
-            .unwrap();
-        let (pristine, stale) = (server.clone(), coords.clone());
-        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-
-        let rtt = server.landmark_matrix()[(1, 4)] * 1.02;
-        let update = EpochUpdate {
-            epoch: 1.0,
-            deltas: vec![MeasurementDelta {
-                from: 1,
-                to: 4,
-                rtt,
-            }],
-        };
+        coords.reset_shape(3, 4);
         let hosts = [0usize, 1, 2];
         let good: Vec<usize> = (0..6).collect();
+        let full: Vec<usize> = (0..12).collect();
         for bad in [
-            vec![good.clone(), vec![3, 12, 5, 6, 7], good.clone()],
-            vec![good.clone(), good.clone(), Vec::new()],
-            vec![good.clone(), good.clone()],
+            vec![full.clone(), vec![3, 12, 5, 6, 7], good.clone()],
+            vec![good.clone(), full.clone(), Vec::new()],
+            vec![good.clone(), full.clone()],
         ] {
             let tables = RejoinTables {
                 observed: Some(&bad),
                 ..RejoinTables::full(&hosts, &d_out, &d_in, &mut coords)
             };
-            let r = server.apply_epoch_with(&update, Some(tables), Some(1));
+            let r = server.rejoin(tables);
             assert!(matches!(r, Err(IdesError::InvalidInput(_))), "{r:?}");
-            assert_eq!(
-                bits(server.landmark_matrix()),
-                bits(pristine.landmark_matrix())
-            );
-            assert_eq!(server.epoch().to_bits(), pristine.epoch().to_bits());
-            assert_eq!(bits(server.model().x()), bits(pristine.model().x()));
-            assert_eq!(bits(server.model().y()), bits(pristine.model().y()));
-            assert_eq!(server.absorbed(), 0);
-            assert_eq!(
-                bits(coords.outgoing_matrix()),
-                bits(stale.outgoing_matrix())
-            );
-            assert_eq!(
-                bits(coords.incoming_matrix()),
-                bits(stale.incoming_matrix())
-            );
+            assert!(coords
+                .outgoing_matrix()
+                .as_slice()
+                .iter()
+                .chain(coords.incoming_matrix().as_slice())
+                .all(|&v| v == 0.0));
         }
-    }
-
-    #[test]
-    fn publish_round_trips_the_model() {
-        let ds = ides_datasets::generators::gnp_like(12, 2).unwrap();
-        let server = StreamingServer::new(&ds.matrix, 4, StalenessPolicy::default()).unwrap();
-        let info = server.publish().unwrap();
-        assert_eq!(info.dim(), 4);
-        assert_eq!(info.landmark_count(), 12);
-        assert_eq!(info.join_options().solver, JoinSolver::NormalEquations);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every full-measurement join — a coalescer flush, a bulk admission, a
 //! snapshot-side tentative join, a drift epoch's rejoin — runs through
-//! [`cached_join_into`]: the hosts are cut into
+//! [`LandmarkModel::join_into`]: the hosts are cut into
 //! fixed tiles of [`TILE_ROWS`], and each tile is
 //!
 //! 1. **read in place**: when the tile's table rows are consecutive (the
@@ -24,7 +24,12 @@
 //! the model — the GEMM accumulates each output cell in ascending `k`
 //! order whatever the row's position in its band, and the solve is
 //! lane-independent — so results are **bit-identical at any tile
-//! boundary and any thread count**.
+//! boundary and any worker count**.
+//!
+//! **Thread policy.** A join fans out only when every worker gets at
+//! least [`MIN_TILES_PER_WORKER`] tiles, and the ambient thread cap is
+//! looked up only for joins that large — see the constant for the
+//! measurements behind the grain.
 //!
 //! [`CachedGram::solve_rows_in_place`]: ides_linalg::solve::CachedGram::solve_rows_in_place
 
@@ -36,15 +41,38 @@ use ides_linalg::chunked::CHUNK_ROWS;
 use ides_linalg::kernels::{self, Op};
 use ides_linalg::Matrix;
 
-use super::RejoinCtx;
+use super::LandmarkModel;
 use crate::error::{IdesError, Result};
-use crate::eval::shard_ranges;
+use crate::eval::{eval_threads, shard_ranges};
 use crate::projection::BatchHostVectors;
 
 /// Hosts per tile: one leaf chunk of the serving engine's coordinate tree,
 /// so a tile of the engine's `0..slots` rejoin *is* one chunk. At `d = 16`
 /// a tile's two right-hand-side blocks are 64 KiB together.
 const TILE_ROWS: usize = CHUNK_ROWS;
+
+/// Minimum tiles per worker before [`LandmarkModel::join_into`] fans out.
+/// Sized from what a second worker costs on the 2-vCPU benchmark host: a
+/// scoped spawn + join of an idle thread ≈ 16 µs, plus ≈ 11 µs for
+/// `std::thread::available_parallelism()` (it reads cgroup files) when
+/// `IDES_LINALG_THREADS` is unset — ≈ 27 µs of fixed cost. A tile at the
+/// benchmark's `k = 64`, `d = 16` is ≈ 75 µs of GEMM + solves (512 hosts:
+/// 147–154 µs on one thread), so 8 tiles ≈ 0.6 ms of work per worker keeps
+/// that fixed cost under 5 % of the smallest share ever handed to a
+/// thread; below 16 tiles (4 096 hosts) the join runs on the caller and
+/// never asks for the cap.
+const MIN_TILES_PER_WORKER: usize = 8;
+
+/// Workers for a join of `tiles` tiles: the ambient cap
+/// ([`eval_threads`]), clamped so each worker gets at least
+/// [`MIN_TILES_PER_WORKER`] tiles. The cap is resolved only when two
+/// workers' worth of tiles are there to split.
+fn tile_workers(tiles: usize) -> usize {
+    if tiles < 2 * MIN_TILES_PER_WORKER {
+        return 1;
+    }
+    eval_threads().min(tiles / MIN_TILES_PER_WORKER)
+}
 
 /// Which rows of a measurement table a join covers, in join order.
 #[derive(Debug, Clone)]
@@ -180,21 +208,21 @@ impl TileScratch {
     /// the right-hand sides and one multi-row triangular solve (Eqs. 13–14).
     fn join(
         &mut self,
-        ctx: &RejoinCtx<'_>,
+        lm: &LandmarkModel,
         d_out: &[f64],
         d_in: &[f64],
         rows: &HostRows<'_>,
     ) -> Result<()> {
         let TileScratch { tile, gathered } = self;
-        let (len, d) = (rows.len(), ctx.model.dim());
+        let (len, d) = (rows.len(), lm.model.dim());
         if tile.len() != len || tile.dim() != d {
             tile.reset_shape(len, d);
         }
         let in_place = rows.as_range();
         let (out_m, in_m) = tile.matrices_mut();
         for (meas, factor, gram, rhs) in [
-            (d_out, ctx.model.y(), ctx.gram_y, out_m),
-            (d_in, ctx.model.x(), ctx.gram_x, in_m),
+            (d_out, lm.model.y(), &lm.gram_y, out_m),
+            (d_in, lm.model.x(), &lm.gram_x, in_m),
         ] {
             let k = factor.rows();
             let a = match &in_place {
@@ -225,66 +253,99 @@ impl TileScratch {
     }
 }
 
-/// The cached host join (one GEMM and one `O(d²)` triangular solve per
-/// host and direction, no factorization) of `rows` of the flattened
-/// `hosts × k` tables `d_out` / `d_in`, tile by tile into `sink` — see the
-/// [module docs](self). `threads` workers take contiguous runs of tiles
-/// (never more workers than tiles; one runs on the calling thread); the
-/// coordinates handed over are bit-identical at any count.
-pub(crate) fn cached_join_into(
-    ctx: &RejoinCtx<'_>,
-    d_out: &[f64],
-    d_in: &[f64],
-    rows: &HostRows<'_>,
-    threads: usize,
-    sink: &mut TileSink<'_>,
-) -> Result<()> {
-    check_rows(d_out, d_in, ctx.model.x().rows(), rows)?;
-    let tiles = rows.len().div_ceil(TILE_ROWS);
-    let sink = Mutex::new(sink);
-    let run = |tiles: Range<usize>| -> Result<()> {
-        let mut scratch = TileScratch::default();
-        for t in tiles {
-            let tile_rows = rows.slice(t * TILE_ROWS..rows.len().min((t + 1) * TILE_ROWS));
-            scratch.join(ctx, d_out, d_in, &tile_rows)?;
-            let mut deliver = sink.lock().expect("a tile sink panicked");
-            (*deliver)(&tile_rows, &scratch.tile);
-        }
-        Ok(())
-    };
-    let shares = shard_ranges(tiles, threads.max(1));
-    let (&(lo, hi), spawned) = shares.split_first().expect("at least one share");
-    std::thread::scope(|scope| {
-        let run = &run;
-        let workers: Vec<_> = spawned
-            .iter()
-            .map(|&(lo, hi)| scope.spawn(move || run(lo..hi)))
-            .collect();
-        workers.into_iter().fold(run(lo..hi), |done, worker| {
-            done.and(worker.join().expect("rejoin worker panicked"))
-        })
-    })
-}
+impl LandmarkModel {
+    /// The cached host join (one GEMM and one `O(d²)` triangular solve per
+    /// host and direction, no factorization) of `rows` of the flattened
+    /// `hosts × k` tables `d_out` / `d_in`, tile by tile into `sink` — see
+    /// the [module docs](self). Fans out per [`tile_workers`]; tiles then
+    /// reach `sink` in no particular order.
+    pub(crate) fn join_into(
+        &self,
+        d_out: &[f64],
+        d_in: &[f64],
+        rows: &HostRows<'_>,
+        sink: &mut TileSink<'_>,
+    ) -> Result<()> {
+        let workers = tile_workers(rows.len().div_ceil(TILE_ROWS));
+        self.join_tiles(d_out, d_in, rows, workers, sink)
+    }
 
-/// [`cached_join_into`] for a dense batch: row `h` of `out` receives the
-/// coordinates of row `h` of `d_out` / `d_in` (shapes checked by the
-/// caller).
-pub(crate) fn cached_join_dense(
-    ctx: &RejoinCtx<'_>,
-    d_out: &Matrix,
-    d_in: &Matrix,
-    out: &mut BatchHostVectors,
-    threads: usize,
-) -> Result<()> {
-    out.reset_shape(d_out.rows(), ctx.model.dim());
-    cached_join_into(
-        ctx,
-        d_out.as_slice(),
-        d_in.as_slice(),
-        &HostRows::range(0..d_out.rows()),
-        threads,
-        &mut |rows, tile| scatter_tile(out, rows, tile),
-    )
+    /// [`LandmarkModel::join_into`] on exactly `workers` workers (never
+    /// more than tiles; one runs on the calling thread), each taking a
+    /// contiguous run of tiles. One worker delivers the tiles in join
+    /// order. The coordinates handed over are bit-identical at any count.
+    pub(crate) fn join_tiles(
+        &self,
+        d_out: &[f64],
+        d_in: &[f64],
+        rows: &HostRows<'_>,
+        workers: usize,
+        sink: &mut TileSink<'_>,
+    ) -> Result<()> {
+        check_rows(d_out, d_in, self.model.x().rows(), rows)?;
+        let tiles = rows.len().div_ceil(TILE_ROWS);
+        let sink = Mutex::new(sink);
+        let run = |tiles: Range<usize>| -> Result<()> {
+            let mut scratch = TileScratch::default();
+            for t in tiles {
+                let tile_rows = rows.slice(t * TILE_ROWS..rows.len().min((t + 1) * TILE_ROWS));
+                scratch.join(self, d_out, d_in, &tile_rows)?;
+                let mut deliver = sink.lock().expect("a tile sink panicked");
+                (*deliver)(&tile_rows, &scratch.tile);
+            }
+            Ok(())
+        };
+        let shares = shard_ranges(tiles, workers.max(1));
+        let (&(lo, hi), spawned) = shares.split_first().expect("at least one share");
+        std::thread::scope(|scope| {
+            let run = &run;
+            let handles: Vec<_> = spawned
+                .iter()
+                .map(|&(lo, hi)| scope.spawn(move || run(lo..hi)))
+                .collect();
+            handles.into_iter().fold(run(lo..hi), |done, worker| {
+                done.and(worker.join().expect("rejoin worker panicked"))
+            })
+        })
+    }
+
+    /// Joins a dense batch of ordinary hosts through the **cached**
+    /// normal-equation factorizations: row `h` of `out` receives the
+    /// coordinates of row `h` of `d_out` / `d_in` (both `hosts × k`). One
+    /// GEMM per direction assembles the right-hand sides, then one `O(d²)`
+    /// triangular solve per host — no factorization on the query path.
+    ///
+    /// While the caches hold a from-scratch factorization (after a build,
+    /// refresh, or `full_refit`), results are **bit-identical** to
+    /// [`crate::projection::join_hosts_into`] with the
+    /// [`crate::projection::JoinSolver::NormalEquations`] solver (and the
+    /// server's ridge), because [`ides_linalg::solve::CachedGram`] runs
+    /// exactly the same arithmetic. After an absorb epoch the caches carry
+    /// rank-1-updated factors instead, which agree with a fresh
+    /// factorization of the current model only to ~1e-9 — numerically
+    /// interchangeable, not bitwise.
+    pub fn join_batch(
+        &self,
+        d_out: &Matrix,
+        d_in: &Matrix,
+        out: &mut BatchHostVectors,
+    ) -> Result<()> {
+        let k = self.model.x().rows();
+        if d_out.shape() != d_in.shape() || d_out.cols() != k {
+            return Err(IdesError::InvalidInput(format!(
+                "measurement batch must be hosts x {k}: out {:?}, in {:?}",
+                d_out.shape(),
+                d_in.shape()
+            )));
+        }
+        out.reset_shape(d_out.rows(), self.model.dim());
+        self.join_into(
+            d_out.as_slice(),
+            d_in.as_slice(),
+            &HostRows::range(0..d_out.rows()),
+            &mut |rows, tile| scatter_tile(out, rows, tile),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -344,7 +405,7 @@ mod tests {
         // thread count (and hence whichever worker a tile lands on).
         let (k, dim) = (12, 5);
         let server = server(k, dim);
-        let ctx = server.rejoin_ctx();
+        let lm = server.landmark_model();
         for listed in [255usize, 256, 257, 513] {
             let hosts = listed + listed / 2 + 3;
             let (d_out, d_in) = (table(hosts, k, 7), table(hosts, k, 8));
@@ -364,16 +425,13 @@ mod tests {
             for &h in &affected {
                 let row_out = Matrix::from_rows(&[d_out.row(h).to_vec()]).unwrap();
                 let row_in = Matrix::from_rows(&[d_in.row(h).to_vec()]).unwrap();
-                server
-                    .join_batch_cached(&row_out, &row_in, &mut one)
-                    .unwrap();
+                lm.join_batch(&row_out, &row_in, &mut one).unwrap();
                 want.set_host(h, one.outgoing(0), one.incoming(0));
             }
             for threads in [1usize, 2, 4, 7] {
                 let mut coords = BatchHostVectors::new();
                 coords.reset_shape(hosts, dim);
-                cached_join_into(
-                    &ctx,
+                lm.join_tiles(
                     d_out.as_slice(),
                     d_in.as_slice(),
                     &HostRows::ids(&affected),
@@ -412,8 +470,7 @@ mod tests {
         let (d_out, d_in) = (table(6, 10, 1), table(6, 10, 2));
         let mut delivered = 0usize;
         for rows in [HostRows::range(4..7), HostRows::ids(&[0, 6, 1])] {
-            let r = cached_join_into(
-                &server.rejoin_ctx(),
+            let r = server.landmark_model().join_tiles(
                 d_out.as_slice(),
                 d_in.as_slice(),
                 &rows,
@@ -428,14 +485,9 @@ mod tests {
             (d_out.as_slice(), short.as_slice()),
             (&d_out.as_slice()[..55], &d_in.as_slice()[..55]),
         ] {
-            let r = cached_join_into(
-                &server.rejoin_ctx(),
-                a,
-                b,
-                &HostRows::range(0..2),
-                1,
-                &mut |_, _| delivered += 1,
-            );
+            let r = server
+                .landmark_model()
+                .join_into(a, b, &HostRows::range(0..2), &mut |_, _| delivered += 1);
             assert!(matches!(r, Err(IdesError::InvalidInput(_))));
         }
         assert_eq!(delivered, 0);

@@ -92,14 +92,6 @@ impl InformationServer {
         Ok(InformationServer { model, config })
     }
 
-    /// Wraps an already-fitted landmark factor model — the constructor the
-    /// streaming layer uses to republish a server after an incremental
-    /// (warm-start) refresh without re-running a from-scratch fit.
-    pub fn from_model(model: FactorModel, config: IdesConfig) -> Result<Self> {
-        validate_landmark_dims(model.n_from(), model.n_to(), model.dim())?;
-        Ok(InformationServer { model, config })
-    }
-
     /// Number of landmarks.
     pub fn landmark_count(&self) -> usize {
         self.model.n_from()
@@ -279,8 +271,8 @@ impl InformationServer {
 /// Shared validation of a landmark system's shape: the matrix (or factor
 /// model) must be square over the landmark set and the model dimension
 /// must fit it. Used by every server entry point
-/// ([`InformationServer::build`], [`InformationServer::from_model`], the
-/// streaming server's constructors) so the rule can't silently diverge.
+/// ([`InformationServer::build`], the streaming server's constructors) so
+/// the rule can't silently diverge.
 pub(crate) fn validate_landmark_dims(rows: usize, cols: usize, dim: usize) -> Result<()> {
     if rows != cols {
         return Err(IdesError::InvalidInput(

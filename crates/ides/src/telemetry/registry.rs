@@ -54,7 +54,8 @@ pub enum Counter {
     Flushes,
     /// Hosts retired.
     Leaves,
-    /// Drift epochs applied.
+    /// Drift epochs applied: landmark steps, counted once per engine
+    /// call (`apply_epochs` adds its batch size), not once per shard.
     Epochs,
     /// Snapshot publishes (pointer swaps).
     Publishes,
@@ -128,7 +129,9 @@ pub enum Timer {
     Publish,
     /// Coalesced admission flush (batched solve + publish).
     Flush,
-    /// One drift epoch applied end to end (plan + absorb + rejoin).
+    /// One drift epoch applied end to end — landmark step, every shard's
+    /// rejoin and publish. Recorded once per
+    /// `ShardedEngine::apply_epoch` call, not once per shard.
     EpochApply,
 }
 

@@ -43,9 +43,9 @@ pub const DEFAULT_CAPACITY: usize = 65_536;
 pub enum Stage {
     /// Epoch intake: validation, delta application, tier gate.
     Plan,
-    /// One epoch's parallel absorb solve phase.
+    /// One epoch's absorb solve phase.
     AbsorbSolve,
-    /// One epoch's serial absorb commit phase.
+    /// One epoch's absorb commit phase.
     AbsorbCommit,
     /// One epoch's rejoin (full cached joins + subset groups).
     Rejoin,

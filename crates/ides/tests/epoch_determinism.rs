@@ -1,19 +1,20 @@
 //! Bit-identity of epoch application.
 //!
-//! An epoch is absorb-then-rejoin (`StreamingServer::apply_epoch_with`),
-//! and its contract is that the committed state — factor model,
-//! coordinate table, and every subsequently served answer — is
-//! **bit-identical to one thread** at any thread count and, at the engine
-//! layer, at any shard count and however the epochs were batched
-//! (`ShardedEngine::apply_epochs` ≡ one `apply_epoch` per update).
-//! Parallelism changes when a solve runs, never what it reads or the
-//! order its result merges. The same holds for the §6.2 partial observed
-//! sets, whose grouped subset joins run serially by design.
+//! An epoch is two calls — `StreamingServer::apply_epoch`, the serial
+//! landmark step, then `StreamingServer::rejoin`, the host step — and its
+//! contract is that the committed state — factor model, coordinate table,
+//! and every subsequently served answer — does not depend on who runs the
+//! host step or how often: any number of threads rejoining off the one
+//! shared server land the same bits, and at the engine layer so does any
+//! shard count and any batching of the epochs
+//! (`ShardedEngine::apply_epochs`, which rejoins once per batch, ≡ one
+//! `apply_epoch` per update). The same holds for the §6.2 partial
+//! observed sets, whose grouped subset joins run serially by design.
 //!
 //! The matrix CI lane (`determinism-stress`) runs this suite across
-//! `IDES_LINALG_THREADS` x `IDES_LINALG_KERNEL` configurations; the
-//! explicit-thread tests below additionally pin 1/2/4/7 threads in-process
-//! so the guarantee holds regardless of the ambient environment.
+//! `IDES_LINALG_THREADS` x `IDES_LINALG_KERNEL` configurations. The
+//! tiled join's worker-count invariance is pinned in-crate
+//! (`streaming::tile::tests`), where the worker count can be passed.
 
 use ides::service::{NodeId, ServiceConfig, ShardedEngine};
 use ides::streaming::{
@@ -24,6 +25,7 @@ use ides_datasets::DistanceMatrix;
 use ides_linalg::Matrix;
 use proptest::prelude::*;
 
+/// Concurrent rejoiners compared against one.
 const THREAD_COUNTS: [usize; 3] = [2, 4, 7];
 
 /// Deterministic positive measurement table (`hosts x k`).
@@ -92,10 +94,12 @@ fn assert_coords_eq(a: &BatchHostVectors, b: &BatchHostVectors, context: &str) {
     }
 }
 
-/// Joins every host, then applies `epochs` one `apply_epoch_with` at a
-/// time with an explicit thread count, rejoining `affected` (through
-/// `observed` subsets when given). Returns the final server and
-/// coordinate table plus the per-epoch outcomes.
+/// Joins every host, then applies `epochs` as the two calls: one
+/// `apply_epoch`, then the `rejoin` of `affected` (through `observed`
+/// subsets when given) — run by `threads` threads at once, each into its
+/// own copy of the table off the one shared server, the way the engine's
+/// shards rejoin off one model. The copies must agree bit for bit. Returns
+/// the final server and coordinate table plus the per-epoch outcomes.
 fn run_epochs(
     mut srv: StreamingServer,
     meas: &Matrix,
@@ -105,25 +109,42 @@ fn run_epochs(
     threads: usize,
 ) -> (StreamingServer, BatchHostVectors, Vec<EpochOutcome>) {
     let mut coords = BatchHostVectors::new();
-    srv.join_batch_cached(meas, meas, &mut coords)
+    srv.landmark_model()
+        .join_batch(meas, meas, &mut coords)
         .expect("initial join");
     let mut log = Vec::new();
     for update in epochs {
-        let tables = RejoinTables {
-            observed,
-            ..RejoinTables::full(affected, meas, meas, &mut coords)
-        };
-        log.push(
-            srv.apply_epoch_with(update, Some(tables), Some(threads))
-                .expect("apply epoch"),
-        );
+        log.push(srv.apply_epoch(update).expect("landmark step"));
+        let mut rejoined: Vec<BatchHostVectors> = std::thread::scope(|scope| {
+            let rejoiners: Vec<_> = (0..threads)
+                .map(|_| {
+                    let (srv, mut mine) = (&srv, coords.clone());
+                    scope.spawn(move || {
+                        let tables = RejoinTables {
+                            observed,
+                            ..RejoinTables::full(affected, meas, meas, &mut mine)
+                        };
+                        srv.rejoin(tables).expect("rejoin");
+                        mine
+                    })
+                })
+                .collect();
+            rejoiners
+                .into_iter()
+                .map(|r| r.join().expect("rejoiner"))
+                .collect()
+        });
+        coords = rejoined.swap_remove(0);
+        for other in &rejoined {
+            assert_coords_eq(&coords, other, "concurrent rejoiners");
+        }
     }
     (srv, coords, log)
 }
 
-/// Asserts that `run_epochs` at 2/4/7 threads reproduces the one-thread
-/// run bit for bit — outcomes, model and coordinates — and returns the
-/// one-thread run.
+/// Asserts that `run_epochs` with 2/4/7 concurrent rejoiners reproduces
+/// the one-thread run bit for bit — outcomes, model and coordinates — and
+/// returns the one-thread run.
 fn assert_thread_invariant(
     srv: &StreamingServer,
     meas: &Matrix,
@@ -233,34 +254,6 @@ fn served_rows(engine: &ShardedEngine, ids: &[NodeId]) -> Vec<Vec<f64>> {
 }
 
 #[test]
-fn epochs_are_bitwise_identical_at_any_thread_count() {
-    let k = 16;
-    let hosts = 40;
-    let srv = server(k, 6, 77, 0.5); // absorb tier throughout
-    let meas = meas_table(hosts, k, 78);
-    let affected: Vec<usize> = (0..hosts).step_by(3).collect();
-    let epochs: Vec<EpochUpdate> = (1..=4)
-        .map(|e| drift_in_range(&srv, e as f64, 2 + e, 0, k, 1.0 + 0.01 * e as f64))
-        .collect();
-
-    let (one_srv, _, log) =
-        assert_thread_invariant(&srv, &meas, &affected, None, &epochs, "absorb");
-    // The epochs really fan out: several absorbs each, none refreshed.
-    assert!(log.iter().all(|o| o.absorbed > 2 && !o.refreshed));
-    // Answers served from the maintained caches agree bitwise too.
-    let (seven_srv, _, _) = run_epochs(srv.clone(), &meas, &affected, None, &epochs, 7);
-    let mut probe_one = BatchHostVectors::new();
-    let mut probe_seven = BatchHostVectors::new();
-    one_srv
-        .join_batch_cached(&meas, &meas, &mut probe_one)
-        .expect("one-thread probe");
-    seven_srv
-        .join_batch_cached(&meas, &meas, &mut probe_seven)
-        .expect("seven-thread probe");
-    assert_coords_eq(&probe_one, &probe_seven, "probe join");
-}
-
-#[test]
 fn refresh_epoch_stays_bitwise() {
     let k = 12;
     let hosts = 18;
@@ -279,14 +272,10 @@ fn empty_epoch_changes_nothing() {
     let mut srv = server(10, 4, 55, 0.5);
     let before = srv.clone();
     let outcome = srv
-        .apply_epoch_with(
-            &EpochUpdate {
-                epoch: 1.0,
-                deltas: Vec::new(),
-            },
-            None,
-            Some(4),
-        )
+        .apply_epoch(&EpochUpdate {
+            epoch: 1.0,
+            deltas: Vec::new(),
+        })
         .expect("empty epoch");
     assert_eq!(outcome.applied, 0);
     assert_eq!(outcome.absorbed, 0);
@@ -310,7 +299,7 @@ fn repeated_same_row_deltas_absorb_once() {
             })
             .collect(),
     };
-    let outcome = srv.apply_epoch_with(&update, None, Some(4)).expect("epoch");
+    let outcome = srv.apply_epoch(&update).expect("epoch");
     assert_eq!(outcome.applied, 5);
     assert_eq!(outcome.absorbed, 2);
     assert_eq!(srv.absorbed(), 2);
@@ -445,7 +434,7 @@ fn one_catastrophic_landmark_absorbs_under_row_gate() {
             rtt: rtt * 3.0,
         }],
     };
-    let outcome = srv.apply_epoch_with(&update, None, Some(2)).expect("epoch");
+    let outcome = srv.apply_epoch(&update).expect("epoch");
     assert!(
         !outcome.refreshed,
         "a single hot landmark must absorb, not refresh: {outcome:?}"
@@ -469,7 +458,7 @@ fn global_drift_still_refreshes_under_row_gate() {
         })
         .collect();
     let update = EpochUpdate { epoch: 1.0, deltas };
-    let outcome = srv.apply_epoch_with(&update, None, Some(2)).expect("epoch");
+    let outcome = srv.apply_epoch(&update).expect("epoch");
     assert!(
         outcome.refreshed,
         "global drift must still trip the refresh tier: {outcome:?}"
@@ -477,9 +466,11 @@ fn global_drift_still_refreshes_under_row_gate() {
     assert!(outcome.hot_rows > k / 4, "most rows hot: {outcome:?}");
 }
 
-/// Engine-level batch application: `apply_epochs` (one writer-lock hold,
-/// one publish per shard) serves bitwise-identical snapshots to the
-/// one-at-a-time `apply_epoch` loop at 1/2/4 shards.
+/// Engine-level batch application: `apply_epochs` (the landmark steps back
+/// to back, then one rejoin and one publish per shard) serves
+/// bitwise-identical snapshots to the one-at-a-time `apply_epoch` loop at
+/// 1/2/4 shards — and both serve what the two calls compute on a bare
+/// server, one `apply_epoch` + `rejoin` per update.
 #[test]
 fn engine_apply_epochs_bitwise_vs_one_at_a_time_across_shards() {
     let k = 12;
@@ -497,6 +488,13 @@ fn engine_apply_epochs_bitwise_vs_one_at_a_time_across_shards() {
         .map(|u| loop_engine.apply_epoch(u).expect("epoch"))
         .collect();
     let loop_rows = served_rows(&loop_engine, &loop_ids);
+    let all: Vec<usize> = (0..hosts).collect();
+    let (_, two_calls, _) = run_epochs(srv.clone(), &meas, &all, None, &updates, 1);
+    for (h, row) in loop_rows.iter().enumerate() {
+        let d = two_calls.dim();
+        assert_bits_eq(&row[..d], two_calls.outgoing(h), &format!("host {h} out"));
+        assert_bits_eq(&row[d..], two_calls.incoming(h), &format!("host {h} in"));
+    }
 
     for shards in [1usize, 2, 4] {
         let engine =
@@ -520,26 +518,8 @@ fn engine_apply_epochs_bitwise_vs_one_at_a_time_across_shards() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random mixed epochs: output at 2/4/7 threads is bitwise the
-    /// one-thread output.
-    #[test]
-    fn epochs_match_one_thread_bitwise(
-        seed in 0u64..1_000,
-        epochs in 1usize..4,
-        pair_drifts in prop::collection::vec((0usize..10, 0usize..10, 0.98f64..1.05), 1..8),
-        affected_mask in 0u32..4096,
-    ) {
-        let k = 10;
-        let hosts = 12;
-        let srv = server(k, 4, seed, 0.5);
-        let meas = meas_table(hosts, k, seed ^ 0xABCD);
-        let affected: Vec<usize> = (0..hosts).filter(|h| affected_mask >> h & 1 == 1).collect();
-        let updates = pair_drift_epochs(&srv, epochs, &pair_drifts);
-        assert_thread_invariant(&srv, &meas, &affected, None, &updates, "random epochs");
-    }
-
-    /// Random partial subsets and drift: subset epochs at 2/4/7 threads
-    /// are bitwise the one-thread output.
+    /// Random partial subsets and drift: subset epochs rejoined by 2/4/7
+    /// threads at once are bitwise the one-thread output.
     #[test]
     fn subset_epochs_match_one_thread_bitwise(
         seed in 0u64..1_000,

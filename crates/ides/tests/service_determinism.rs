@@ -5,9 +5,10 @@
 //!    tables whether the query segments run on 1 thread or many — the
 //!    engine's parallelism must never leak into results.
 //! 2. Snapshot reads must be **bit-identical** to direct
-//!    `join_batch_cached` answers: an admitted host's served coordinates
-//!    (and hence every pair estimate, cached or not) carry exactly the
-//!    arithmetic of the streaming server's batched cached join.
+//!    `LandmarkModel::join_batch` answers: an admitted host's served
+//!    coordinates (and hence every pair estimate, cached or not) carry
+//!    exactly the arithmetic of the streaming server's batched cached
+//!    join.
 //!
 //! Like `parallel_eval.rs`, this file is its own test binary so the
 //! multi-threaded scenarios cannot interfere with other suites.
@@ -177,8 +178,8 @@ fn replay_is_bit_identical_with_telemetry_enabled() {
 fn snapshot_reads_are_bit_identical_to_direct_cached_joins() {
     // Admit a batch of hosts through the engine (coalesced and direct
     // paths mixed), then check every served coordinate — and therefore
-    // every pair estimate — against join_batch_cached run directly on an
-    // identically drifted StreamingServer.
+    // every pair estimate — against `LandmarkModel::join_batch` run
+    // directly on an identically drifted StreamingServer.
     let s = setup();
     let engine = (s.engine_of)();
     let report = replay::replay(&engine, &s.workload, 4).expect("replay");
@@ -228,7 +229,8 @@ fn snapshot_reads_are_bit_identical_to_direct_cached_joins() {
     let d_in = Matrix::from_fn(live.len(), k, |h, l| live[h].1[l]);
     let mut direct = BatchHostVectors::new();
     shadow
-        .join_batch_cached(&d_out, &d_in, &mut direct)
+        .landmark_model()
+        .join_batch(&d_out, &d_in, &mut direct)
         .expect("direct join");
 
     // Each direct row must appear bit-identically among the snapshot's

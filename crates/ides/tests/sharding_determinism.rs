@@ -370,7 +370,8 @@ fn recycled_id_serves_the_new_hosts_coordinates() {
         let d_in = Matrix::from_rows(&[row(600 + newcomer, LANDMARKS)]).unwrap();
         let mut fresh = ides::BatchHostVectors::new();
         engine.snapshots()[0]
-            .join_rows(&d_out, &d_in, &mut fresh)
+            .landmark_model()
+            .join_batch(&d_out, &d_in, &mut fresh)
             .unwrap();
         // The admitted row is that join, bit for bit.
         let (new_out, new_in) = engine.host_coords(gone).unwrap();

@@ -94,7 +94,8 @@ fn apply_epoch_then_join_is_bit_identical_to_fresh_partial_refit() {
     let d_in = measurements(hosts, 18, 43);
     let mut cached = BatchHostVectors::new();
     server
-        .join_batch_cached(&d_out, &d_in, &mut cached)
+        .landmark_model()
+        .join_batch(&d_out, &d_in, &mut cached)
         .expect("cached join");
     let mut ws = ides::projection::JoinWorkspace::new();
     let oneshot = ides::projection::join_hosts_with(
@@ -140,7 +141,8 @@ fn rejoin_affected_is_identical_to_unsharded_join_rows() {
     let d_in = measurements(hosts, 16, 8);
     let mut full = BatchHostVectors::new();
     server
-        .join_batch_cached(&d_out, &d_in, &mut full)
+        .landmark_model()
+        .join_batch(&d_out, &d_in, &mut full)
         .expect("full join");
     // Start from zeroed coordinates and re-join every host through the
     // sharded path.
@@ -232,7 +234,8 @@ fn nmf_family_refresh_is_bit_identical_to_manual_nmf_refine() {
     let d_in = measurements(4, 15, 22);
     let mut joined = BatchHostVectors::new();
     server
-        .join_batch_cached(&d_out, &d_in, &mut joined)
+        .landmark_model()
+        .join_batch(&d_out, &d_in, &mut joined)
         .expect("cached join");
     assert_eq!(joined.len(), 4);
 }
@@ -293,7 +296,8 @@ fn nmf_family_absorb_tier_keeps_factors_nonnegative() {
         let d_in = measurements(3, 16, 78);
         let mut out = BatchHostVectors::new();
         server
-            .join_batch_cached(&d_out, &d_in, &mut out)
+            .landmark_model()
+            .join_batch(&d_out, &d_in, &mut out)
             .expect("cached join");
         let mut manual = d_out.matmul(server.model().y()).expect("rhs");
         fresh_y.solve_rows_in_place(&mut manual).expect("solve");

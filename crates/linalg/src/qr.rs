@@ -204,26 +204,6 @@ pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     solve_upper_triangular(&r, &qtb)
 }
 
-/// Solves `min ‖A X − B‖_F` column-by-column; `B` is `m x k`, result `n x k`.
-pub fn lstsq_multi(a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    if a.rows() != b.rows() {
-        return Err(LinalgError::ShapeMismatch {
-            expected: (a.rows(), 0),
-            got: b.shape(),
-            op: "lstsq_multi",
-        });
-    }
-    let Qr { q, r } = qr(a)?;
-    let qtb = q.tr_matmul(b)?;
-    let mut x = Matrix::zeros(a.cols(), b.cols());
-    for j in 0..b.cols() {
-        let col = qtb.col(j);
-        let xj = solve_upper_triangular(&r, &col)?;
-        x.set_col(j, &xj);
-    }
-    Ok(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,20 +312,5 @@ mod tests {
         // Normal equations: Aᵀ r = 0 at the minimizer.
         let at_r = a.tr_matvec(&resid).unwrap();
         assert!(at_r.iter().all(|v| v.abs() < 1e-9), "Aᵀr = {at_r:?}");
-    }
-
-    #[test]
-    fn lstsq_multi_matches_columnwise() {
-        let a = Matrix::from_fn(5, 2, |i, j| {
-            (i + j + 1) as f64 + if j == 1 { 0.3 } else { 0.0 }
-        });
-        let b = Matrix::from_fn(5, 3, |i, j| ((i * 2 + j) as f64).sin());
-        let x = lstsq_multi(&a, &b).unwrap();
-        for j in 0..3 {
-            let xj = lstsq(&a, &b.col(j)).unwrap();
-            for i in 0..2 {
-                assert!((x[(i, j)] - xj[i]).abs() < 1e-12);
-            }
-        }
     }
 }

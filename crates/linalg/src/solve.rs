@@ -87,9 +87,6 @@ pub fn lstsq_ridge(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>> {
     }
 }
 
-/// QR-based least squares re-exported beside the normal-equations variant.
-pub use crate::qr::{lstsq as lstsq_qr, lstsq_multi as lstsq_qr_multi};
-
 /// Reusable scratch space for [`lstsq_ridge_with`]: the `AᵀA` Gram matrix
 /// and `Aᵀb` right-hand side. Reused across solves of the same width (the
 /// ALS row sweeps and host joins solve thousands of small systems of one
@@ -273,39 +270,6 @@ impl CachedGram {
         };
         cg.refactor(a)?;
         Ok(cg)
-    }
-
-    /// Rebuilds a cache directly from a previously computed factor — the
-    /// **snapshot handoff**: a serving layer that publishes immutable
-    /// coordinate snapshots clones the maintained factor out of its writer
-    /// (see [`CachedGram::l`]) and reconstitutes a read-only solver on the
-    /// snapshot side without paying the `O(k d² + d³)` refactorization, so
-    /// publishing an epoch costs `O(d²)` per Gram. The factor is taken at
-    /// face value (only its shape and diagonal are validated): solves
-    /// through the handed-off cache are bit-identical to solves through
-    /// the original because they share the exact factor entries.
-    pub fn from_factor(l: Matrix, lambda: f64) -> Result<Self> {
-        if l.rows() != l.cols() {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (l.rows(), l.rows()),
-                got: l.shape(),
-                op: "CachedGram::from_factor",
-            });
-        }
-        if lambda < 0.0 {
-            return Err(LinalgError::InvalidArgument(
-                "ridge lambda must be nonnegative",
-            ));
-        }
-        if (0..l.rows()).any(|i| !l[(i, i)].is_finite() || l[(i, i)] <= 0.0) {
-            return Err(LinalgError::NotPositiveDefinite);
-        }
-        let d = l.rows();
-        Ok(CachedGram {
-            l,
-            lambda,
-            buf: Vec::with_capacity(d),
-        })
     }
 
     /// Refactors from the current design matrix (e.g. after a bulk factor
@@ -543,30 +507,6 @@ mod tests {
         );
         assert_eq!(cg.dim(), 4);
         assert!((cg.lambda() - 0.1).abs() < 1e-15);
-    }
-
-    #[test]
-    fn cached_gram_from_factor_solves_bit_identically() {
-        let a = Matrix::from_fn(15, 6, |i, j| {
-            (0.37 * (i as f64 + 1.0) * (j as f64 + 2.0)).sin() + 0.6
-        });
-        let writer = CachedGram::factor(&a, 0.05).unwrap();
-        // Snapshot handoff: clone the factor out, reconstitute a solver.
-        let snap = CachedGram::from_factor(writer.l().clone(), writer.lambda()).unwrap();
-        let rhs = Matrix::from_fn(3, 15, |h, i| ((h * 15 + i) as f64 * 0.23).cos());
-        let mut rw = rhs.matmul(&a).unwrap();
-        let mut rs = rw.clone();
-        writer.solve_rows_in_place(&mut rw).unwrap();
-        snap.solve_rows_in_place(&mut rs).unwrap();
-        for h in 0..3 {
-            for j in 0..6 {
-                assert_eq!(rw[(h, j)].to_bits(), rs[(h, j)].to_bits());
-            }
-        }
-        // Validation: non-square, negative lambda, non-positive diagonal.
-        assert!(CachedGram::from_factor(Matrix::zeros(2, 3), 0.0).is_err());
-        assert!(CachedGram::from_factor(Matrix::identity(3), -0.1).is_err());
-        assert!(CachedGram::from_factor(Matrix::zeros(3, 3), 0.0).is_err());
     }
 
     #[test]

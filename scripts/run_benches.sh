@@ -25,9 +25,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BENCHES="${BENCHES:-kernels factor nmf_convergence projection join_batch streaming_update epoch_apply serve serve_sharded telemetry_overhead table1}"
+BENCHES="${BENCHES:-kernels factor nmf_convergence projection join_batch streaming_update serve serve_sharded telemetry_overhead table1}"
 if [ "${QUICK:-0}" = "1" ]; then
-    BENCHES="${BENCHES_OVERRIDE:-kernels factor join_batch streaming_update epoch_apply serve serve_sharded telemetry_overhead}"
+    BENCHES="${BENCHES_OVERRIDE:-kernels factor join_batch streaming_update serve serve_sharded telemetry_overhead}"
     export CRITERION_QUICK=1
 fi
 
@@ -196,13 +196,6 @@ jq -r '.benches.serve_sharded // [] | map(select(.group == "serve_sharded")) |
          "single-core qps vs 1 shard: 2 shards \((."qps/shards1" / ."qps/shards2") * 100 | round / 100)x, " +
          "4 shards \((."qps/shards1" / ."qps/shards4") * 100 | round / 100)x, " +
          "8 shards \((."qps/shards1" / ."qps/shards8") * 100 | round / 100)x"
-       else empty end' "$out" >&2 || true
-jq -r '.benches.epoch_apply // [] | map(select(.group == "epoch_apply")) |
-       map({(.bench): .median_ns}) | add // {} |
-       if (."threads1/500") and (."auto/500") and (."threads1/5000") and (."auto/5000") then
-         "epoch_apply automatic policy vs one thread: " +
-         "500 hosts \((."threads1/500" / ."auto/500") * 100 | round / 100)x, " +
-         "5000 hosts \((."threads1/5000" / ."auto/5000") * 100 | round / 100)x"
        else empty end' "$out" >&2 || true
 jq -r '.benches.telemetry_overhead // [] | map(select(.group == "telemetry_overhead")) |
        map({(.bench): .median_ns}) | add // {} |
