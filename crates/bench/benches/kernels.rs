@@ -9,7 +9,7 @@
 //! `scripts/run_benches.sh` snapshots these records into the committed
 //! `BENCH_*.json` files.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use ides_linalg::cholesky::{cholesky, solve_cholesky_in_place, solve_cholesky_rows_in_place};
 use ides_linalg::kernels::{self, reference};
@@ -74,6 +74,41 @@ fn bench_matmul(c: &mut Criterion) {
             b.iter(|| reference::matmul_ijk(a, a).unwrap())
         });
     }
+    // The host join's product at the served shape (`k = 64` landmarks,
+    // `d = 16`), as `LandmarkModel::join_into` runs it: a 131 072-host
+    // measurement table read in place 256 rows at a time into one
+    // cache-resident tile. 2·131072·64·16 = 2·512³ flops, so its median
+    // compares directly with `blocked/512`'s (`scripts/check_bench.sh`
+    // gates the ratio).
+    let (hosts, k, d, tile) = (131_072usize, 64usize, 16usize, 256usize);
+    let mut rng = random::seeded_rng(11);
+    let table = random::uniform(hosts, k, 1.0, 200.0, &mut rng);
+    let factor = random::uniform(k, d, -1.0, 1.0, &mut rng);
+    let mut rhs = vec![0.0f64; tile * d];
+    group.throughput(Throughput::Flops(2 * (hosts * k * d) as u64));
+    group.bench_function(
+        BenchmarkId::new("rejoin", format!("{hosts}x{k}x{d}")),
+        |b| {
+            b.iter(|| {
+                for rows in table.as_slice().chunks_exact(tile * k) {
+                    kernels::gemm(
+                        rows,
+                        kernels::Op::NoTrans,
+                        k,
+                        factor.as_slice(),
+                        kernels::Op::NoTrans,
+                        d,
+                        &mut rhs,
+                        tile,
+                        d,
+                        k,
+                    );
+                    black_box(&mut rhs);
+                }
+                rhs[0]
+            })
+        },
+    );
     group.finish();
 }
 

@@ -21,16 +21,29 @@
 //! steady state performs **no heap allocation** — the property the
 //! allocation-free NMF/ALS iteration loops in `ides-mf` build on.
 //!
+//! Packing pays only when a packed panel is reused many times, and for a
+//! narrow product it is not. So one shape takes a second, **unpacked
+//! driver**: `A · B` (both `NoTrans`) with `n ≤ 16` and `k ≤` [`KC`] — the
+//! host join's `k × d` product (`k = 64`, `d = 16` when serving), and the
+//! skinny `m × d` products of the factorizations. It reads `A` in place
+//! (row stride `lda`) and `B` unpacked (8 KiB at `k = 64`, so it stays in
+//! L1), keeps an `8 × n` accumulator tile in registers across all of `k`,
+//! software-prefetches the next 8 rows of `A`, and stores the finished tile
+//! straight into `out`. The last `m mod 8` rows, and a lone join's single
+//! row, run the same vector tile with fewer rows. The shape alone picks the
+//! driver; there is nothing to set.
+//!
 //! # Micro-kernel back ends and runtime dispatch
 //!
-//! The micro-kernel and the vector primitives ([`dot`], [`axpy`], [`gemv`],
-//! [`gemv_t`]) have three interchangeable back ends, one per [`Isa`]:
+//! The micro-kernels and the vector primitives ([`dot`], [`axpy`],
+//! [`gemv`], [`gemv_t`]) have three interchangeable back ends, one per
+//! [`Isa`]:
 //!
-//! | detected ISA            | kernel                                        |
-//! |-------------------------|-----------------------------------------------|
-//! | AVX-512F                | 8×8 tile, one `zmm` accumulator per row       |
-//! | AVX2 + FMA              | 8×8 tile as two 4-row halves, `ymm` pairs     |
-//! | anything else           | portable scalar tile built on `f64::mul_add`  |
+//! | detected ISA  | packed 8×8 tile                   | unpacked `≤ 8 × 16` tile            |
+//! |---------------|-----------------------------------|-------------------------------------|
+//! | AVX-512F      | one `zmm` accumulator per row     | two `zmm` per row, last one masked  |
+//! | AVX2 + FMA    | two 4-row halves, `ymm` pairs     | 4-row × 8-column sub-tiles, masked  |
+//! | anything else | portable `f64::mul_add` tile      | portable `f64::mul_add` tile        |
 //!
 //! The back end is chosen **once per process** (`std::sync::OnceLock`) by
 //! `is_x86_feature_detected!`, so binaries built with the (default-on)
@@ -56,6 +69,15 @@
 //! For `k <= KC` the result is bitwise equal to a textbook ascending-`k`
 //! fused dot product ([`reference::matmul_fused`]).
 //!
+//! That is why the unpacked driver may take its shape without changing a
+//! bit: for `k <= KC` the packed driver computes each element as one
+//! ascending-`k` fused chain starting from `+0.0`, and so does the unpacked
+//! tile, on every back end. (The one difference is the sign of an
+//! underflowed zero: the packed driver adds its tile into a zeroed `out`,
+//! turning `-0.0` into `+0.0`; the unpacked tile stores `-0.0`, as the
+//! textbook loop does.) For `k > KC` the packed driver adds one chain per
+//! panel into `out`, which rounds differently, so that shape stays packed.
+//!
 //! # `parallel` feature
 //!
 //! With the (default-off) `parallel` cargo feature, products large enough
@@ -77,6 +99,9 @@ pub const MC: usize = 128;
 pub const KC: usize = 256;
 /// Column-slab blocking: columns of B packed per macro iteration.
 pub const NC: usize = 1024;
+/// Widest product the unpacked driver takes: two `zmm` (four `ymm`) of
+/// `f64` per accumulator row.
+const NARROW_N: usize = 16;
 
 /// Reusable packing buffers (thread-local; see [`with_buffers`]).
 #[derive(Default)]
@@ -160,6 +185,10 @@ pub enum Op {
 ///   `lda` (the stored matrix's column count). Likewise for `b`/`ldb`.
 /// * `out` must have exactly `m * n` elements and is fully overwritten.
 ///
+/// # Panics
+/// If `out` is not `m * n` long, or `a` / `b` end before the last element
+/// of `op(A)` / `op(B)` — checked in release builds too.
+///
 /// This is the single entry point behind `Matrix::{matmul, tr_matmul,
 /// matmul_tr}` and their `_into` variants.
 #[allow(clippy::too_many_arguments)]
@@ -175,9 +204,9 @@ pub fn gemm(
     n: usize,
     k: usize,
 ) {
-    debug_assert_eq!(out.len(), m * n);
-    out.fill(0.0);
+    check_extents(a, a_op, lda, b, b_op, ldb, out, m, n, k);
     if m == 0 || n == 0 || k == 0 {
+        out.fill(0.0);
         return;
     }
     let isa = active_isa();
@@ -246,9 +275,9 @@ pub fn gemm_with_isa(
     n: usize,
     k: usize,
 ) {
-    debug_assert_eq!(out.len(), m * n);
-    out.fill(0.0);
+    check_extents(a, a_op, lda, b, b_op, ldb, out, m, n, k);
     if m == 0 || n == 0 || k == 0 {
+        out.fill(0.0);
         return;
     }
     BUFFERS.with(|bufs| {
@@ -257,8 +286,61 @@ pub fn gemm_with_isa(
     });
 }
 
-/// Sequential blocked GEMM over the row band `[row0, row0 + rows)`.
-/// `out_band` covers exactly those rows (row stride `n`).
+/// Panics unless `out` holds exactly `m * n` elements and `a` / `b` reach
+/// the last element of `op(A)` (`m × k`) / `op(B)` (`k × n`) at their row
+/// strides. The unpacked driver reads both through raw pointers, so this
+/// is an `assert!`, not a `debug_assert!`.
+#[allow(clippy::too_many_arguments)]
+fn check_extents(
+    a: &[f64],
+    a_op: Op,
+    lda: usize,
+    b: &[f64],
+    b_op: Op,
+    ldb: usize,
+    out: &[f64],
+    m: usize,
+    n: usize,
+    k: usize,
+) {
+    assert!(
+        m.checked_mul(n) == Some(out.len()),
+        "gemm: out holds {} values, not {m} x {n}",
+        out.len()
+    );
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let stored = |op, rows, cols| match op {
+        Op::NoTrans => (rows, cols),
+        Op::Trans => (cols, rows),
+    };
+    let (rows, cols) = stored(a_op, m, k);
+    assert!(
+        a.len() >= span(rows, cols, lda),
+        "gemm: a holds {} values, short of {rows} rows x {cols} at stride {lda}",
+        a.len()
+    );
+    let (rows, cols) = stored(b_op, k, n);
+    assert!(
+        b.len() >= span(rows, cols, ldb),
+        "gemm: b holds {} values, short of {rows} rows x {cols} at stride {ldb}",
+        b.len()
+    );
+}
+
+/// Elements from the first through the last of a row-major `rows × cols`
+/// view (`rows, cols ≥ 1`) with row stride `ld`: `(rows − 1)·ld + cols`.
+fn span(rows: usize, cols: usize, ld: usize) -> usize {
+    (rows - 1)
+        .checked_mul(ld)
+        .and_then(|s| s.checked_add(cols))
+        .expect("gemm: operand extent overflows usize")
+}
+
+/// Sequential GEMM over the row band `[row0, row0 + rows)`: the unpacked
+/// driver ([`gemm_narrow`]) for its shape, the packed blocked driver for
+/// every other. `out_band` covers exactly those rows (row stride `n`).
 #[allow(clippy::too_many_arguments)]
 fn gemm_serial(
     isa: Isa,
@@ -275,6 +357,10 @@ fn gemm_serial(
     k: usize,
     bufs: &mut Buffers,
 ) {
+    if a_op == Op::NoTrans && b_op == Op::NoTrans && n <= NARROW_N && k <= KC {
+        return gemm_narrow(isa, &a[row0 * lda..], lda, b, ldb, out_band, rows, n, k);
+    }
+    out_band.fill(0.0);
     let mut jc = 0;
     while jc < n {
         let nc = NC.min(n - jc);
@@ -310,6 +396,72 @@ fn gemm_serial(
             pc += kc;
         }
         jc += nc;
+    }
+}
+
+/// The unpacked driver: `out = A · B` for `1 ≤ n ≤ NARROW_N`,
+/// `1 ≤ k ≤ KC`, `m ≥ 1`, with `A` read in place at row stride `lda` and
+/// `B` at `ldb`. Each block of up to [`MR`] rows is one register tile,
+/// accumulated over all of `k` from `+0.0` and stored into `out`.
+#[allow(clippy::too_many_arguments)]
+fn gemm_narrow(
+    isa: Isa,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    out: &mut [f64],
+    m: usize,
+    n: usize,
+    k: usize,
+) {
+    // Slicing here bounds every tile's operands, so the vector tiles'
+    // pointer reads stay inside them (checked in release builds too).
+    let b = &b[..span(k, n, ldb)];
+    for (i0, out) in (0..m).step_by(MR).zip(out[..m * n].chunks_mut(MR * n)) {
+        let rows = MR.min(m - i0);
+        let a = &a[i0 * lda..][..span(rows, k, lda)];
+        match isa {
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            // SAFETY: `isa` only holds these variants when `available_isas`
+            // reported the feature; `a`, `b` and `out` were sliced to the
+            // `rows × k`, `k × n` and `rows × n` extents the tile reads and
+            // writes, with `1 ≤ rows ≤ MR` and `1 ≤ n ≤ NARROW_N`.
+            #[allow(unsafe_code)]
+            Isa::Avx2Fma => unsafe { x86::narrow_avx2(a, lda, b, ldb, out, rows, n, k) },
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[allow(unsafe_code)]
+            Isa::Avx512 => unsafe { x86::narrow_avx512(a, lda, b, ldb, out, rows, n, k) },
+            _ => narrow_scalar(a, lda, b, ldb, out, rows, n, k),
+        }
+    }
+}
+
+/// The portable unpacked tile: `rows ≤ MR` rows of `A` against all of `B`,
+/// one `f64::mul_add` chain per output element in ascending `k`.
+#[allow(clippy::too_many_arguments)]
+fn narrow_scalar(
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    out: &mut [f64],
+    rows: usize,
+    n: usize,
+    k: usize,
+) {
+    let mut acc = [[0.0f64; NARROW_N]; MR];
+    for p in 0..k {
+        let b_row = &b[p * ldb..][..n];
+        for (r, acc_row) in acc.iter_mut().enumerate().take(rows) {
+            let ar = a[r * lda + p];
+            for (c, &bv) in acc_row.iter_mut().zip(b_row) {
+                *c = ar.mul_add(bv, *c);
+            }
+        }
+    }
+    for (dst, acc_row) in out.chunks_exact_mut(n).zip(&acc) {
+        dst.copy_from_slice(&acc_row[..n]);
     }
 }
 
@@ -462,6 +614,202 @@ mod x86 {
             _mm256_storeu_pd(acc[r0 + 2].as_mut_ptr().add(4), c2h);
             _mm256_storeu_pd(acc[r0 + 3].as_mut_ptr(), c3l);
             _mm256_storeu_pd(acc[r0 + 3].as_mut_ptr().add(4), c3h);
+        }
+    }
+
+    /// Calls `$tile::<R, V>$args` with the runtime row count `$rows` turned
+    /// into the constant `R`, one arm per listed count, so each tile's
+    /// `[[_; V]; R]` accumulator array is fixed-size and stays in registers.
+    macro_rules! with_rows {
+        ($rows:expr, [$($r:literal)+], $tile:ident::<_, $v:literal>$args:tt) => {
+            match $rows {
+                $($r => $tile::<$r, $v>$args,)+
+                _ => unreachable!("a narrow tile has 1..=MR rows"),
+            }
+        };
+    }
+
+    /// AVX-512 unpacked tile ([`super::gemm_narrow`]): `rows × n` outputs,
+    /// each row two `zmm` accumulators (one when `n ≤ 8`).
+    ///
+    /// # Safety
+    /// Requires AVX-512F at runtime, `1 ≤ rows ≤ MR`, `1 ≤ n ≤ 16`,
+    /// `k ≥ 1`, `a.len() ≥ (rows − 1)·lda + k`, `b.len() ≥ (k − 1)·ldb + n`
+    /// and `out.len() ≥ rows·n`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn narrow_avx512(
+        a: &[f64],
+        lda: usize,
+        b: &[f64],
+        ldb: usize,
+        out: &mut [f64],
+        rows: usize,
+        n: usize,
+        k: usize,
+    ) {
+        debug_assert!((1..=MR).contains(&rows) && (1..=16).contains(&n) && k >= 1);
+        debug_assert!(a.len() > (rows - 1) * lda + k - 1 && b.len() > (k - 1) * ldb + n - 1);
+        debug_assert!(out.len() >= rows * n);
+        let (a, b, out) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        if n > 8 {
+            with_rows!(rows, [1 2 3 4 5 6 7 8], tile_avx512::<_, 2>(a, lda, b, ldb, out, n, k))
+        } else {
+            with_rows!(rows, [1 2 3 4 5 6 7 8], tile_avx512::<_, 1>(a, lda, b, ldb, out, n, k))
+        }
+    }
+
+    /// One `R`-row tile of [`narrow_avx512`] over `V` column vectors, the
+    /// last masked to the `n − 8·(V − 1)` live columns. Prefetches the
+    /// next [`MR`]-row block of `A` one cache line per row every 8 steps.
+    ///
+    /// # Safety
+    /// As [`narrow_avx512`] with `rows = R`, and `8·(V − 1) < n ≤ 8·V`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn tile_avx512<const R: usize, const V: usize>(
+        a: *const f64,
+        lda: usize,
+        b: *const f64,
+        ldb: usize,
+        out: *mut f64,
+        n: usize,
+        k: usize,
+    ) {
+        let last: __mmask8 = 0xFF >> (8 * V - n);
+        // `wrapping_add`: past the last block this leaves the allocation,
+        // which a prefetch may point at but `add` may not.
+        let next = a.wrapping_add(MR * lda);
+        let mut acc = [[_mm512_setzero_pd(); V]; R];
+        for p in 0..k {
+            let b_row = b.add(p * ldb);
+            let mut bv = [_mm512_setzero_pd(); V];
+            for (v, bv) in bv.iter_mut().enumerate() {
+                *bv = if v + 1 < V {
+                    _mm512_loadu_pd(b_row.add(8 * v))
+                } else {
+                    _mm512_maskz_loadu_pd(last, b_row.add(8 * v))
+                };
+            }
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let ar = _mm512_set1_pd(*a.add(r * lda + p));
+                for (c, &bv) in acc_row.iter_mut().zip(&bv) {
+                    *c = _mm512_fmadd_pd(ar, bv, *c);
+                }
+            }
+            if p % 8 == 0 {
+                for r in 0..R {
+                    _mm_prefetch::<_MM_HINT_T0>(next.wrapping_add(r * lda + p).cast());
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            let o = out.add(r * n);
+            for (v, &c) in acc_row.iter().enumerate() {
+                if v + 1 < V {
+                    _mm512_storeu_pd(o.add(8 * v), c);
+                } else {
+                    _mm512_mask_storeu_pd(o.add(8 * v), last, c);
+                }
+            }
+        }
+    }
+
+    /// AVX2+FMA unpacked tile ([`super::gemm_narrow`]): the `rows × n`
+    /// block as 4-row × 8-column sub-tiles, each two `ymm` accumulators per
+    /// row (one when its columns are ≤ 4) — the register budget of
+    /// [`micro_kernel_avx2`]. The sub-tiles re-read `A`'s rows from L1.
+    ///
+    /// # Safety
+    /// As [`narrow_avx512`], with AVX2 and FMA in place of AVX-512F.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn narrow_avx2(
+        a: &[f64],
+        lda: usize,
+        b: &[f64],
+        ldb: usize,
+        out: &mut [f64],
+        rows: usize,
+        n: usize,
+        k: usize,
+    ) {
+        debug_assert!((1..=MR).contains(&rows) && (1..=16).contains(&n) && k >= 1);
+        debug_assert!(a.len() > (rows - 1) * lda + k - 1 && b.len() > (k - 1) * ldb + n - 1);
+        debug_assert!(out.len() >= rows * n);
+        let (a, b, out) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        for r0 in (0..rows).step_by(4) {
+            let (a, sub_rows) = (a.add(r0 * lda), 4.min(rows - r0));
+            for c0 in (0..n).step_by(8) {
+                let (b, o, cols) = (b.add(c0), out.add(r0 * n + c0), 8.min(n - c0));
+                if cols > 4 {
+                    with_rows!(sub_rows, [1 2 3 4], tile_avx2::<_, 2>(a, lda, b, ldb, o, n, cols, k))
+                } else {
+                    with_rows!(sub_rows, [1 2 3 4], tile_avx2::<_, 1>(a, lda, b, ldb, o, n, cols, k))
+                }
+            }
+        }
+    }
+
+    /// One `R`-row (`R ≤ 4`) × `cols`-column (`cols ≤ 8`) sub-tile of
+    /// [`narrow_avx2`] over `V` `ymm` vectors, the last masked to the
+    /// `cols − 4·(V − 1)` live columns; `ldo` is `out`'s row stride.
+    /// Prefetches this sub-tile's rows of the next [`MR`]-row block.
+    ///
+    /// # Safety
+    /// Requires AVX2 and FMA at runtime, `k ≥ 1`, `4·(V − 1) < cols ≤ 4·V`,
+    /// and `R` rows of `k` values of `a` at stride `lda`, `k` rows of
+    /// `cols` values of `b` at stride `ldb`, and `R` rows of `cols` values
+    /// of `out` at stride `ldo`, all in bounds.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn tile_avx2<const R: usize, const V: usize>(
+        a: *const f64,
+        lda: usize,
+        b: *const f64,
+        ldb: usize,
+        out: *mut f64,
+        ldo: usize,
+        cols: usize,
+        k: usize,
+    ) {
+        let live = (cols - 4 * (V - 1)) as i64;
+        let last = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live), _mm256_setr_epi64x(0, 1, 2, 3));
+        // `wrapping_add`: see `tile_avx512`.
+        let next = a.wrapping_add(MR * lda);
+        let mut acc = [[_mm256_setzero_pd(); V]; R];
+        for p in 0..k {
+            let b_row = b.add(p * ldb);
+            let mut bv = [_mm256_setzero_pd(); V];
+            for (v, bv) in bv.iter_mut().enumerate() {
+                *bv = if v + 1 < V {
+                    _mm256_loadu_pd(b_row.add(4 * v))
+                } else {
+                    _mm256_maskload_pd(b_row.add(4 * v), last)
+                };
+            }
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let ar = _mm256_set1_pd(*a.add(r * lda + p));
+                for (c, &bv) in acc_row.iter_mut().zip(&bv) {
+                    *c = _mm256_fmadd_pd(ar, bv, *c);
+                }
+            }
+            if p % 8 == 0 {
+                for r in 0..R {
+                    _mm_prefetch::<_MM_HINT_T0>(next.wrapping_add(r * lda + p).cast());
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            let o = out.add(r * ldo);
+            for (v, &c) in acc_row.iter().enumerate() {
+                if v + 1 < V {
+                    _mm256_storeu_pd(o.add(4 * v), c);
+                } else {
+                    _mm256_maskstore_pd(o.add(4 * v), last, c);
+                }
+            }
         }
     }
 
@@ -984,6 +1332,169 @@ mod tests {
                 assert_eq!(out_t, base, "{isa:?} gemm-trans ({m},{n},{k})");
             }
         }
+    }
+
+    /// `len` entries from a few small dyadic values (±0.0 included), so
+    /// products and partial sums are often exact and chains cancel to zero.
+    fn dyadic(len: usize, seed: u64) -> Vec<f64> {
+        const VALUES: [f64; 8] = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -2.0];
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                VALUES[(state >> 61) as usize]
+            })
+            .collect()
+    }
+
+    /// Bitwise equality, except that any NaN matches any NaN: which NaN
+    /// payload a fused chain propagates is not part of the contract.
+    fn same_bits(got: &[f64], want: &[f64]) -> bool {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    #[test]
+    fn narrow_tile_matches_fused_oracle_on_every_isa() {
+        // Every shape the unpacked driver takes near its edges — row tails,
+        // a single row, every `n`, `k` up to KC — with `A` and `B` read at
+        // strides wider than their rows (the padding is NaN, so a read past
+        // a row shows) must equal the textbook fused loop bit for bit, on
+        // every back end. Planted: NaN and ±∞ rows of `A`, and a row that
+        // underflows to -0.0 in `B`'s last column.
+        let isas = available_isas();
+        for m in (0..=33).chain([255, 256, 257]) {
+            for n in 1..=NARROW_N {
+                for k in [1, 7, 8, 63, 64, 65, KC] {
+                    let (lda, ldb) = (k + m % 3, n + k % 2);
+                    let seed = (m * 10_000 + n * 1000 + k) as u64;
+                    let mut a = vec![f64::NAN; m * lda];
+                    for (row, vals) in a.chunks_mut(lda).zip(dyadic(m * k, seed).chunks(k)) {
+                        row[..k].copy_from_slice(vals);
+                    }
+                    let mut b = vec![f64::NAN; (k - 1) * ldb + n];
+                    for (p, vals) in dyadic(k * n, seed ^ 0xB).chunks(n).enumerate() {
+                        b[p * ldb..p * ldb + n].copy_from_slice(vals);
+                        // Non-negative, so row 0's -0.0 survives every step.
+                        b[p * ldb + n - 1] = vals[n - 1].abs();
+                    }
+                    b[n - 1] = 1e-300;
+                    if m >= 4 {
+                        a[..k].fill(-0.0);
+                        a[0] = -1e-300;
+                        a[lda + k / 2] = f64::NAN;
+                        a[2 * lda] = f64::INFINITY;
+                        a[3 * lda + k - 1] = f64::NEG_INFINITY;
+                    }
+                    let am = Matrix::from_fn(m, k, |i, p| a[i * lda + p]);
+                    let bm = Matrix::from_fn(k, n, |p, j| b[p * ldb + j]);
+                    let want = reference::matmul_fused(&am, &bm).unwrap();
+                    if m >= 4 {
+                        assert_eq!(want[(0, n - 1)].to_bits(), (-0.0f64).to_bits());
+                    }
+                    for &isa in &isas {
+                        let mut out = vec![12345.0; m * n];
+                        gemm_with_isa(
+                            isa,
+                            &a,
+                            Op::NoTrans,
+                            lda,
+                            &b,
+                            Op::NoTrans,
+                            ldb,
+                            &mut out,
+                            m,
+                            n,
+                            k,
+                        );
+                        assert!(
+                            same_bits(&out, want.as_slice()),
+                            "{isa:?} ({m},{n},{k}) lda {lda} ldb {ldb}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shapes_past_the_narrow_bounds_stay_packed() {
+        // `n = 17` at `k ≤ KC` is packed, and the packed driver's one chain
+        // per element still equals the textbook loop. At `k = KC + 1` the
+        // packed driver adds one chain per KC panel into `out`: the result
+        // is that two-panel sum on every back end, not the single chain an
+        // unpacked tile would compute.
+        for &(m, n, k) in &[(37, NARROW_N + 1, 64), (37, NARROW_N, KC + 1)] {
+            let a = det_matrix(m, k, (m * 7 + k) as u64);
+            let b = det_matrix(k, n, (n * 13 + k) as u64);
+            let single = reference::matmul_fused(&a, &b).unwrap();
+            let want = if k <= KC {
+                single.clone()
+            } else {
+                let panel = |lo: usize, hi: usize| {
+                    let a = Matrix::from_fn(m, hi - lo, |i, p| a[(i, lo + p)]);
+                    let b = Matrix::from_fn(hi - lo, n, |p, j| b[(lo + p, j)]);
+                    reference::matmul_fused(&a, &b).unwrap()
+                };
+                let (head, tail) = (panel(0, KC), panel(KC, k));
+                let sum = Matrix::from_fn(m, n, |i, j| head[(i, j)] + tail[(i, j)]);
+                assert_ne!(sum, single, "the data must tell the two orders apart");
+                sum
+            };
+            for isa in available_isas() {
+                let mut out = vec![0.0; m * n];
+                gemm_with_isa(
+                    isa,
+                    a.as_slice(),
+                    Op::NoTrans,
+                    k,
+                    b.as_slice(),
+                    Op::NoTrans,
+                    n,
+                    &mut out,
+                    m,
+                    n,
+                    k,
+                );
+                assert!(same_bits(&out, want.as_slice()), "{isa:?} ({m},{n},{k})");
+            }
+        }
+    }
+
+    /// One narrow-shape product (`9 × 64` times `64 × 16`) with operands of
+    /// the given lengths.
+    fn narrow_product(a_len: usize, b_len: usize, out_len: usize) {
+        let (m, n, k) = (9, 16, 64);
+        let (a, b, mut out) = (vec![1.0; a_len], vec![1.0; b_len], vec![0.0; out_len]);
+        gemm(&a, Op::NoTrans, k, &b, Op::NoTrans, n, &mut out, m, n, k);
+    }
+
+    #[test]
+    fn narrow_product_with_exact_extents_runs() {
+        narrow_product(9 * 64, 64 * 16, 9 * 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm: a holds")]
+    fn short_a_is_refused() {
+        narrow_product(9 * 64 - 1, 64 * 16, 9 * 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm: b holds")]
+    fn short_b_is_refused() {
+        narrow_product(9 * 64, 64 * 16 - 1, 9 * 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm: out holds")]
+    fn short_out_is_refused() {
+        narrow_product(9 * 64, 64 * 16, 9 * 16 - 1);
     }
 
     #[test]

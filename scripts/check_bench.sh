@@ -12,6 +12,17 @@
 # What is gated: the *within-group speedup ratios* of the key groups —
 #   matmul/512           blocked vs seed_ikj
 #   matmul/512           blocked (dispatched SIMD) vs blocked_scalar
+#   matmul/rejoin        the host join's product (131072 x 64 times
+#                        64 x 16, read in place 256 rows at a time) must
+#                        run at >= 0.6 x the blocked/512 rate. Both do 2 * 512^3 flops, so the
+#                        ratio of medians is the ratio of GFLOPS. On the
+#                        2-vCPU reference host, alternating runs read
+#                        0.80-1.29x with the unpacked n <= 16 driver and
+#                        0.37-0.44x with the packed driver it replaced
+#                        (1.09-1.47x vs 0.44-0.55x with the kernel forced
+#                        to avx2), so the floor sits below the first spread
+#                        and above the second: it catches the rejoin shape
+#                        falling back to packing
 #   cholesky_solve_rows/16  lane-blocked multi-row Cholesky solve >=
 #                        MIN_SOLVE_ROWS_RATIO (default 2.0) x a loop over
 #                        the single-row solve at 65 536 rows — same
@@ -178,6 +189,10 @@ check_abs_max() {
 check matmul           "blocked/512"     "seed_ikj/512"     "matmul/512 (blocked vs seed_ikj)"
 check_abs matmul "blocked/512" "blocked_scalar/512" "${MIN_SIMD_SPEEDUP:-1.5}" \
     "matmul/512 (dispatched SIMD vs forced-scalar kernel)"
+# The rejoin shape against the square shape at equal flops: a ratio of
+# GFLOPS on one back end, so it needs no baseline from another host.
+check_abs matmul "rejoin/131072x64x16" "blocked/512" 0.6 \
+    "matmul/rejoin (131072x64x16 host-join product vs blocked/512 rate)"
 # The lane-blocked multi-row solve against its in-process control: a
 # loop over the one-row instance of the same routine. Without vector
 # lanes (a baseline x86-64 build) the blocking still hides the subtract

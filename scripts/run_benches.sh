@@ -120,6 +120,7 @@ mv "$out.tmp" "$out"
 echo "wrote $out" >&2
 
 # Surface the headline numbers: blocked vs naive matmul at 512, the
+# host-join GEMM shape's rate against the square shape's, the
 # lane-blocked vs per-row Cholesky solve at 65 536 rows, the
 # batched vs per-host join speedup at 500 hosts, the per-epoch
 # incremental update vs full refit at 500 hosts, and one-thread vs
@@ -141,6 +142,12 @@ jq -r '.benches.kernels // [] | map(select(.group == "matmul" and .gflops)) |
          "matmul/512 throughput: blocked \(."blocked/512" | round)" +
          (if (."blocked_scalar/512") then " GFLOPS, scalar \(."blocked_scalar/512" * 100 | round / 100)" else "" end) +
          " GFLOPS"
+       else empty end' "$out" >&2 || true
+jq -r '.benches.kernels // [] | map(select(.group == "matmul" and .gflops)) |
+       map({(.bench): .gflops}) | add // {} |
+       if (."rejoin/131072x64x16") and (."blocked/512") then
+         "matmul/rejoin 131072x64x16 (host-join shape): \(."rejoin/131072x64x16" * 10 | round / 10) GFLOPS, " +
+         "\((."rejoin/131072x64x16" / ."blocked/512") * 100 | round / 100)x the blocked/512 rate"
        else empty end' "$out" >&2 || true
 jq -r '.benches.kernels // [] | map(select(.group == "cholesky_solve_rows")) |
        map({(.bench): .median_ns}) | add // {} |
