@@ -402,20 +402,22 @@ fn svd_truncated_core(
     crate::factor::qr_with(&st.v, ws, &mut st.qr)?;
     std::mem::swap(&mut st.v, &mut st.qr.q);
 
+    // One sweep is v <- orth(Aᵀ (A v)), then A v for the next sweep: the
+    // A v a sweep ends with is the next sweep's input and, after the last
+    // sweep, the projection's.
+    st.av.reset_shape(m, p);
+    a.matmul_into(&st.v, &mut st.av)?;
     st.prev.clear();
     st.prev.resize(k, f64::INFINITY);
     for _it in 0..opts.max_iterations {
-        // v <- orth(Aᵀ (A v))
-        st.av.reset_shape(m, p);
-        a.matmul_into(&st.v, &mut st.av)?;
         st.atav.reset_shape(n, p);
         a.tr_matmul_into(&st.av, &mut st.atav)?;
         crate::factor::qr_with(&st.atav, ws, &mut st.qr)?;
         std::mem::swap(&mut st.v, &mut st.qr.q);
-
-        // Estimate singular values from column norms of A v.
         st.av.reset_shape(m, p);
         a.matmul_into(&st.v, &mut st.av)?;
+
+        // Estimate singular values from column norms of A v.
         st.sv.clear();
         st.sv.extend((0..k).map(|j| {
             (0..m)
@@ -447,8 +449,6 @@ fn svd_truncated_core(
 
     // Project A onto the subspace and take an exact small SVD:
     // A V = U' S W'ᵀ  =>  A ≈ U' S (V W')ᵀ.
-    st.av.reset_shape(m, p);
-    a.matmul_into(&st.v, &mut st.av)?;
     match crate::factor::svd_with(&st.av, ws, &mut st.svd) {
         Ok(()) => {}
         Err(LinalgError::NoConvergence { .. }) => st.svd = svd_jacobi(&st.av)?,
@@ -624,6 +624,65 @@ mod tests {
         let f = svd(&a).unwrap();
         for i in 0..5 {
             assert!((t.singular_values[i] - f.singular_values[i]).abs() < 1e-9);
+        }
+    }
+
+    /// The subspace iteration as it was before `A·V` was carried across
+    /// sweeps: three GEMMs and a QR per sweep, `sweeps` sweeps, then the
+    /// projection SVD.
+    fn three_gemm_loop(a: &Matrix, k: usize, p: usize, sweeps: usize) -> Svd {
+        let (m, n) = a.shape();
+        let mut ws = crate::factor::FactorWorkspace::new();
+        let v0 = Matrix::from_fn(n, p, |i, j| {
+            let t = ((i as f64 + 1.0) * 0.754877666 + (j as f64 + 1.0) * 0.569840296).fract();
+            2.0 * t - 1.0
+        });
+        let mut q = crate::qr::Qr::default();
+        crate::factor::qr_with(&v0, &mut ws, &mut q).unwrap();
+        let mut v = q.q.clone();
+        let mut av = Matrix::zeros(m, p);
+        let mut atav = Matrix::zeros(n, p);
+        for _ in 0..sweeps {
+            a.matmul_into(&v, &mut av).unwrap();
+            a.tr_matmul_into(&av, &mut atav).unwrap();
+            crate::factor::qr_with(&atav, &mut ws, &mut q).unwrap();
+            v = q.q.clone();
+            a.matmul_into(&v, &mut av).unwrap();
+        }
+        a.matmul_into(&v, &mut av).unwrap();
+        let mut small = Svd::default();
+        crate::factor::svd_with(&av, &mut ws, &mut small).unwrap();
+        let cols: Vec<usize> = (0..k).collect();
+        Svd {
+            u: small.u.select_cols(&cols),
+            singular_values: small.singular_values[..k].to_vec(),
+            v: v.matmul(&small.v).unwrap().select_cols(&cols),
+        }
+    }
+
+    #[test]
+    fn two_gemm_sweeps_are_bit_identical_to_three_gemm_sweeps() {
+        let a = Matrix::from_fn(120, 90, |i, j| {
+            ((i * 31 + j * 17) as f64 * 0.013).sin() * 5.0 + (i as f64 - j as f64).abs() * 0.1
+        });
+        let (k, p) = (5, 5 + TruncatedSvdOptions::default().oversample);
+        for sweeps in [0, 1, 7, 30] {
+            let opts = TruncatedSvdOptions {
+                max_iterations: sweeps,
+                tolerance: 0.0,
+                ..TruncatedSvdOptions::default()
+            };
+            let got = svd_truncated(&a, k, opts).unwrap();
+            let want = three_gemm_loop(&a, k, p, sweeps);
+            for (what, x, y) in [
+                ("u", got.u.as_slice(), want.u.as_slice()),
+                ("v", got.v.as_slice(), want.v.as_slice()),
+                ("σ", &got.singular_values[..], &want.singular_values[..]),
+            ] {
+                let same =
+                    x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{what} differs after {sweeps} sweeps");
+            }
         }
     }
 
