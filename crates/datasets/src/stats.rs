@@ -95,13 +95,16 @@ pub fn asymmetry_index(d: &DistanceMatrix) -> f64 {
 /// points: subspace iteration re-orthonormalized by the blocked QR, with
 /// the near-full-rank fallback dispatching to the blocked Golub–Kahan SVD
 /// (Jacobi below the small-matrix cutoff).
+///
+/// # Panics
+///
+/// If `values` holds a NaN or infinite entry.
 pub fn effective_rank(values: &Matrix, energy_fraction: f64, probe_rank: usize) -> usize {
     let k = probe_rank.min(values.rows()).min(values.cols());
     if k == 0 {
         return 0;
     }
-    let svd =
-        svd_truncated(values, k, TruncatedSvdOptions::default()).expect("svd of finite matrix");
+    let svd = svd_truncated(values, k, TruncatedSvdOptions::default()).expect("values are finite");
     let total = values.frobenius_norm().powi(2);
     if total == 0.0 {
         return 0;

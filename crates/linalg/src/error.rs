@@ -40,6 +40,11 @@ pub enum LinalgError {
     },
     /// An argument was out of its valid range.
     InvalidArgument(&'static str),
+    /// An input matrix held a NaN or infinite entry.
+    NonFinite {
+        /// Name of the operation that failed.
+        op: &'static str,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -61,6 +66,7 @@ impl fmt::Display for LinalgError {
                 write!(f, "{op}: no convergence after {iterations} iterations")
             }
             LinalgError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
+            LinalgError::NonFinite { op } => write!(f, "{op}: matrix has a non-finite entry"),
         }
     }
 }
@@ -87,5 +93,9 @@ mod tests {
         assert!(e.to_string().contains("30"));
         let e = LinalgError::Singular { op: "lu_solve" };
         assert!(e.to_string().contains("singular"));
+        let e = LinalgError::NonFinite {
+            op: "svd_truncated",
+        };
+        assert!(e.to_string().contains("non-finite"));
     }
 }

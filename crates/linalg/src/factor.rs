@@ -151,21 +151,8 @@ pub struct FactorWorkspace {
     /// Panel correction coefficients (four `PANEL`-long sections:
     /// `u1`, `u2` for the `Y` columns, `v1`, `v2` for the `X` columns).
     coef: Vec<f64>,
-    /// Subspace-iteration staging for [`crate::svd::svd_truncated_with`]:
-    /// the current right basis `V` (`n x p`).
-    pub(crate) trunc_v: Matrix,
-    /// Truncated-SVD staging: `A·V` (`m x p`).
-    pub(crate) trunc_av: Matrix,
-    /// Truncated-SVD staging: `Aᵀ·(A·V)` (`n x p`).
-    pub(crate) trunc_atav: Matrix,
-    /// Truncated-SVD staging: the re-orthonormalization QR output.
-    pub(crate) trunc_qr: Qr,
-    /// Truncated-SVD staging: the projection-SVD output.
-    pub(crate) trunc_svd: Svd,
-    /// Truncated-SVD staging: current singular-value estimates.
-    pub(crate) trunc_sv: Vec<f64>,
-    /// Truncated-SVD staging: previous iteration's estimates.
-    pub(crate) trunc_prev: Vec<f64>,
+    /// Subspace-iteration staging for [`crate::svd::svd_truncated_with`].
+    pub(crate) trunc: crate::svd::TruncStage,
 }
 
 impl FactorWorkspace {

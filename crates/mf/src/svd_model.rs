@@ -213,6 +213,98 @@ mod tests {
         assert!((e1 - e2).abs() < 1e-6 * (1.0 + e1), "{e1} vs {e2}");
     }
 
+    /// The benchmark's `paper_offline` matrix at `keep` hosts: the first
+    /// `keep` of `p2psim_like(target)` at its dataset seed.
+    fn paper_offline_matrix(target: usize, keep: usize) -> Matrix {
+        let ds = ides_datasets::generators::p2psim_like(target, 20041025).unwrap();
+        let kept: Vec<usize> = (0..keep).collect();
+        ds.matrix.submatrix(&kept, &kept).values().clone()
+    }
+
+    /// Checks `svd_truncated(a, d)` against the full SVD:
+    /// - every σ to 1e-10 relative, with σ below 1e-4·σ₁ measured against
+    ///   that floor (the rank-2 fixture's σ₃ is rounding noise in both);
+    /// - the right singular vector of every triplet whose gap ratio to both
+    ///   neighbours is at least 1.5 to 1e-8 in angle (the paper's spectrum
+    ///   is too flat after σ₃ for the rest to be defined that finely);
+    /// - the rank-`d` error to 1e-10 relative over the Eckart–Young optimum.
+    fn assert_matches_full_svd(a: &Matrix, d: usize) {
+        let t = svd_truncated(a, d, TruncatedSvdOptions::default()).unwrap();
+        let full = svd(a).unwrap();
+        let s = &full.singular_values;
+        for j in 0..d {
+            let rel = (t.singular_values[j] - s[j]).abs() / s[j].max(1e-4 * s[0]);
+            assert!(rel <= 1e-10, "σ_{j}: relative error {rel:e}");
+            if s[j] >= 1.5 * s[j + 1] && (j == 0 || s[j - 1] >= 1.5 * s[j]) {
+                let (x, y) = (t.v.col(j), full.v.col(j));
+                let dist = |sign: f64| -> f64 {
+                    x.iter()
+                        .zip(&y)
+                        .map(|(a, b)| (a - sign * b).powi(2))
+                        .sum::<f64>()
+                        .sqrt()
+                };
+                let angle = dist(1.0).min(dist(-1.0));
+                assert!(angle <= 1e-8, "v_{j}: angle {angle:e}");
+            }
+        }
+        let err = (a - &t.reconstruct()).frobenius_norm();
+        let optimal = s[d..].iter().map(|x| x * x).sum::<f64>().sqrt();
+        // An exactly rank-d matrix has no optimum to be relative to.
+        let scale = optimal.max(1e-4 * a.frobenius_norm());
+        assert!(err - optimal <= 1e-10 * scale, "{err} vs optimal {optimal}");
+    }
+
+    #[test]
+    fn truncated_svd_matches_the_full_svd() {
+        assert_matches_full_svd(&paper_offline_matrix(286, 256), 10);
+        // Rank 3 by construction, numerically rank 2.
+        let b = Matrix::from_fn(60, 3, |i, j| ((i + j) as f64 * 0.31).sin() + 0.2);
+        let c = Matrix::from_fn(3, 60, |i, j| ((i * 2 + j) as f64 * 0.17).cos());
+        assert_matches_full_svd(&b.matmul(&c).unwrap(), 3);
+        let a = Matrix::from_fn(40, 40, |i, j| {
+            ((i * 13 + j * 7) as f64 * 0.05).sin() + (i == j) as u8 as f64
+        });
+        assert_matches_full_svd(&a, 10);
+    }
+
+    #[test]
+    fn paper_offline_fit_stops_within_40_sweeps() {
+        // A run capped at 40 sweeps equals the uncapped one bit for bit
+        // exactly when the residual stop fired by sweep 40.
+        let a = paper_offline_matrix(1143, 1024);
+        let run = |max_iterations| {
+            let opts = TruncatedSvdOptions {
+                max_iterations,
+                ..TruncatedSvdOptions::default()
+            };
+            let t = svd_truncated(&a, 10, opts).unwrap();
+            let all = t.u.as_slice().iter().chain(&t.singular_values);
+            all.chain(t.v.as_slice())
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert!(run(40) == run(TruncatedSvdOptions::default().max_iterations));
+    }
+
+    #[test]
+    fn non_finite_entries_are_an_error() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut d = Matrix::from_fn(64, 64, |i, j| (i as f64 - j as f64).abs());
+            d[(3, 5)] = bad;
+            for force_exact in [false, true] {
+                assert!(fit_matrix(
+                    &d,
+                    SvdConfig {
+                        dim: 5,
+                        force_exact
+                    }
+                )
+                .is_err());
+            }
+        }
+    }
+
     #[test]
     fn reconstruction_errors_on_real_dataset_shape() {
         let ds = ides_datasets::generators::gnp_like(19, 3).unwrap();

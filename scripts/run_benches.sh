@@ -120,9 +120,9 @@ mv "$out.tmp" "$out"
 echo "wrote $out" >&2
 
 # Surface the headline numbers: blocked vs naive matmul at 512, the
-# host-join GEMM shape's rate against the square shape's, the
-# lane-blocked vs per-row Cholesky solve at 65 536 rows, the
-# batched vs per-host join speedup at 500 hosts, the per-epoch
+# host-join GEMM shape's rate against the square shape's, the truncated
+# vs exact SVD at 512, the lane-blocked vs per-row Cholesky solve at
+# 65 536 rows, the batched vs per-host join speedup at 500 hosts, the per-epoch
 # incremental update vs full refit at 500 hosts, and one-thread vs
 # automatic-policy epoch application. Every headline guards ALL the operands it divides by, so a
 # partial QUICK snapshot (BENCHES_OVERRIDE with a subset of groups) never
@@ -148,6 +148,12 @@ jq -r '.benches.kernels // [] | map(select(.group == "matmul" and .gflops)) |
        if (."rejoin/131072x64x16") and (."blocked/512") then
          "matmul/rejoin 131072x64x16 (host-join shape): \(."rejoin/131072x64x16" * 10 | round / 10) GFLOPS, " +
          "\((."rejoin/131072x64x16" / ."blocked/512") * 100 | round / 100)x the blocked/512 rate"
+       else empty end' "$out" >&2 || true
+jq -r '.benches.kernels // [] | map(select(.group == "svd")) |
+       map({(.bench): .median_ns}) | add // {} |
+       if (."truncated_d10/512") and (."exact_blocked/512") then
+         "svd/512 truncated d=10 vs exact blocked: \((."exact_blocked/512" / ."truncated_d10/512") * 100 | round / 100)x " +
+         "(\(."truncated_d10/512" / 1e6 * 10 | round / 10) vs \(."exact_blocked/512" / 1e6 * 10 | round / 10) ms)"
        else empty end' "$out" >&2 || true
 jq -r '.benches.kernels // [] | map(select(.group == "cholesky_solve_rows")) |
        map({(.bench): .median_ns}) | add // {} |
