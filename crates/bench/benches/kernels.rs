@@ -149,19 +149,23 @@ fn bench_svd(c: &mut Criterion) {
             b.iter(|| svd_truncated(a, 10, TruncatedSvdOptions::default()).unwrap())
         });
     }
-    // The truncated path is the one that must scale to P2PSim size, so at
-    // 512 it runs on a P2PSim-like matrix: `test_matrix` is rank 8 plus a
-    // flat diagonal tail, where σ₉ … σ₁₈ are too close for any subspace
-    // iteration to separate inside its sweep cap. The exact blocked SVD of
-    // the same matrix is its in-process reference; scripts/check_bench.sh
-    // gates their ratio.
-    let ds = p2psim_like(572, 20041025).expect("dataset");
-    let kept: Vec<usize> = (0..512).collect();
-    let big = ds.matrix.submatrix(&kept, &kept).values().clone();
+    // The truncated path is the one that must scale to P2PSim size.
+    // `test_matrix` is rank 8 plus a flat diagonal tail, so σ₉ … σ₁₈ are
+    // clustered and the iteration needs ~125 sweeps to resolve σ₁₀.
+    let big = test_matrix(512);
     group.bench_function("truncated_d10/512", |b| {
         b.iter(|| svd_truncated(&big, 10, TruncatedSvdOptions::default()).unwrap())
     });
-    group.bench_function("exact_blocked/512", |b| b.iter(|| svd(&big).unwrap()));
+    // The paper's case: a P2PSim-like matrix, beside the exact blocked SVD
+    // of the same matrix as its in-process reference; scripts/check_bench.sh
+    // gates their ratio.
+    let ds = p2psim_like(572, 20041025).expect("dataset");
+    let kept: Vec<usize> = (0..512).collect();
+    let p2p = ds.matrix.submatrix(&kept, &kept).values().clone();
+    group.bench_function("truncated_d10_p2psim/512", |b| {
+        b.iter(|| svd_truncated(&p2p, 10, TruncatedSvdOptions::default()).unwrap())
+    });
+    group.bench_function("exact_blocked/512", |b| b.iter(|| svd(&p2p).unwrap()));
     group.finish();
 }
 

@@ -151,9 +151,9 @@ jq -r '.benches.kernels // [] | map(select(.group == "matmul" and .gflops)) |
        else empty end' "$out" >&2 || true
 jq -r '.benches.kernels // [] | map(select(.group == "svd")) |
        map({(.bench): .median_ns}) | add // {} |
-       if (."truncated_d10/512") and (."exact_blocked/512") then
-         "svd/512 truncated d=10 vs exact blocked: \((."exact_blocked/512" / ."truncated_d10/512") * 100 | round / 100)x " +
-         "(\(."truncated_d10/512" / 1e6 * 10 | round / 10) vs \(."exact_blocked/512" / 1e6 * 10 | round / 10) ms)"
+       if (."truncated_d10_p2psim/512") and (."exact_blocked/512") then
+         "svd/512 P2PSim-like truncated d=10 vs exact blocked: \((."exact_blocked/512" / ."truncated_d10_p2psim/512") * 100 | round / 100)x " +
+         "(\(."truncated_d10_p2psim/512" / 1e6 * 10 | round / 10) vs \(."exact_blocked/512" / 1e6 * 10 | round / 10) ms)"
        else empty end' "$out" >&2 || true
 jq -r '.benches.kernels // [] | map(select(.group == "cholesky_solve_rows")) |
        map({(.bench): .median_ns}) | add // {} |
