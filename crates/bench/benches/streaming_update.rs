@@ -3,20 +3,21 @@
 //! A long-running information server at 500 ordinary hosts must absorb an
 //! epoch of drifted measurements. The expensive control (`full_refit`)
 //! re-fits the landmark model cold and re-joins every host; the streaming
-//! tiers (`incremental` = rank-1 Gram surgery + re-join of the ~10 % of
-//! hosts whose own measurements moved, `warm_refresh` = bounded 2-sweep
-//! warm ALS refit + full re-join) ride the cached factorizations.
+//! tiers (`incremental` = absorb the touched landmarks + re-join of the
+//! ~10 % of hosts whose own measurements moved, `warm_refresh` = bounded
+//! 2-sweep warm ALS refit + full re-join) ride the cached factorizations.
 //! Acceptance: `incremental` ≥ 10x cheaper than `full_refit` at 500 hosts.
 //!
-//! Also times the `O(d²)` rank-1 cached-Gram row replacement against the
-//! `O(k d² + d³)` refactorization it replaces.
+//! Also times the absorb-tier landmark step alone at the served shape
+//! (`absorb/64x16_one`, `absorb/64x16_all`: one and all 64 landmarks
+//! moved). `scripts/check_bench.sh` caps their ratio: the step must not
+//! scale with the moved-landmark count faster than it does today.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ides::streaming::{EpochUpdate, MeasurementDelta, StalenessPolicy, StreamingServer};
 use ides::BatchHostVectors;
 use ides_datasets::DistanceMatrix;
-use ides_linalg::solve::CachedGram;
 use ides_linalg::Matrix;
 use ides_netsim::drift::{DriftModel, DriftStream};
 
@@ -99,8 +100,8 @@ fn bench_streaming_update(c: &mut Criterion) {
         });
     }
 
-    // Incremental absorb: rank-1 Gram surgery on the touched landmarks +
-    // re-join of the affected ~10 % of hosts.
+    // Incremental absorb: re-solve the touched landmarks, factor the new
+    // Grams once, and re-join the affected ~10 % of hosts.
     {
         let policy = StalenessPolicy {
             deviation_threshold: 0.5, // stay on the absorb tier
@@ -161,32 +162,42 @@ fn bench_streaming_update(c: &mut Criterion) {
         });
     }
 
-    // The primitive: O(d²) rank-1 row replacement vs O(k d² + d³)
-    // refactorization of the cached join Gram — at the paper's scale
-    // (20 landmarks, d=8) and at a deployment scale (256 references,
-    // d=32) where the asymptotic gap dominates.
-    {
-        let server = StreamingServer::new(&s.lm0, DIM, StalenessPolicy::default()).expect("server");
-        let designs = [
-            server.model().y().clone(),
-            Matrix::from_fn(256, 32, |i, j| {
-                (0.31 * (i as f64 + 2.0) * (j as f64 + 1.0)).sin() + 0.5
-            }),
-        ];
-        for y in &designs {
-            let label = format!("{}x{}", y.rows(), y.cols());
-            let mut gram = CachedGram::factor(y, 0.0).expect("gram");
-            let old: Vec<f64> = y.row(3).to_vec();
-            group.bench_function(BenchmarkId::new("gram_rank1", &label), |b| {
-                b.iter(|| {
-                    // Replace with itself: same arithmetic, stays valid.
-                    gram.replace_row(&old, &old).expect("replace")
+    // The landmark step alone, absorb tier, at the served shape (k = 64,
+    // d = 16): epochs moving one landmark (a diagonal delta) and all 64
+    // (32 disjoint pairs), alternating the entries between +1 % and their
+    // original values so every iteration does the same work.
+    let ds = ides_datasets::generators::p2psim_like(72, 7).expect("dataset");
+    let sub: Vec<usize> = (0..64).collect();
+    let policy = StalenessPolicy {
+        deviation_threshold: f64::INFINITY,
+        refresh_row_fraction: 1.0,
+        ..StalenessPolicy::default()
+    };
+    for (label, pairs) in [
+        ("64x16_one", vec![(0, 0)]),
+        ("64x16_all", (0..32).map(|i| (2 * i, 2 * i + 1)).collect()),
+    ] {
+        let lm = ds.matrix.submatrix(&sub, &sub);
+        let mut server = StreamingServer::new(&lm, 16, policy).expect("server");
+        let updates = [1.01, 1.0].map(|scale| EpochUpdate {
+            epoch: scale,
+            deltas: pairs
+                .iter()
+                .map(|&(from, to)| MeasurementDelta {
+                    from,
+                    to,
+                    rtt: lm.values()[(from, to)] * scale + (scale - 1.0),
                 })
-            });
-            group.bench_function(BenchmarkId::new("gram_refactor", &label), |b| {
-                b.iter(|| gram.refactor(y).expect("refactor"))
-            });
-        }
+                .collect(),
+        });
+        let mut e = 0usize;
+        group.bench_function(BenchmarkId::new("absorb", label), |b| {
+            b.iter(|| {
+                e += 1;
+                let outcome = server.apply_epoch(&updates[e % 2]).expect("apply");
+                assert!(!outcome.refreshed, "bench must stay on the absorb tier");
+            })
+        });
     }
 
     group.finish();

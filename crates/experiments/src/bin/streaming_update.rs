@@ -9,10 +9,10 @@
 //!
 //! * **stale** — join once at epoch 0, never update (the paper's
 //!   deployment assumption, lower bound on cost and accuracy);
-//! * **streaming** — `StreamingServer::apply_epoch` per epoch: rank-1
-//!   absorption of changed landmarks below the staleness threshold, warm
-//!   2-sweep ALS refresh above it, and re-joins of only the hosts whose
-//!   own measurements moved;
+//! * **streaming** — `StreamingServer::apply_epoch` per epoch: changed
+//!   landmarks re-solved against the current model below the staleness
+//!   threshold, warm 2-sweep ALS refresh above it, and re-joins of only
+//!   the hosts whose own measurements moved;
 //! * **fresh** — cold refit of the landmark model plus a re-join of every
 //!   host, every epoch (upper bound on cost, the accuracy reference).
 //!

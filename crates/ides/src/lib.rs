@@ -25,10 +25,11 @@
 //! * [`streaming`] — epoch-driven coordinate maintenance under drift:
 //!   [`streaming::StreamingServer`] ingests epoch-stamped measurement
 //!   deltas from an [`streaming::UpdateQueue`] and keeps coordinates fresh
-//!   **without refitting from scratch** — rank-1 Cholesky surgery on the
-//!   cached join factorizations for small drift, bounded warm-start ALS
-//!   refits beyond the [`streaming::StalenessPolicy`] threshold, and
-//!   sharded re-joins of only the affected hosts.
+//!   **without refitting from scratch** — re-solving only the drifted
+//!   landmarks' factor rows for small drift, bounded warm-start ALS
+//!   refits beyond the [`streaming::StalenessPolicy`] threshold (either
+//!   way, one fresh factorization of the join Grams), and sharded
+//!   re-joins of only the affected hosts.
 //! * [`service`] — the concurrent serving engine:
 //!   [`service::ShardedEngine`] answers `estimate(a, b)` for thousands of
 //!   concurrent readers from **epoch-versioned, immutable snapshots**

@@ -1362,6 +1362,51 @@ mod tests {
     }
 
     #[test]
+    fn a_rank_deficient_epoch_is_refused_and_the_next_one_applies() {
+        // Every landmark RTT set to 0 passes validation, but the factors it
+        // leads to are rank-deficient. On a 2-shard engine the epoch must be
+        // refused with the served state unchanged, and the next valid epoch
+        // (1 % drift on 20 pairs) must go through and serve finite answers.
+        let k = 20;
+        let srv = server(k, 4);
+        let base = srv.landmark_matrix().clone();
+        let e = ShardedEngine::new(srv, 2, ServiceConfig::default()).expect("engine");
+        let ids: Vec<NodeId> = (0..6)
+            .map(|h| e.join_direct(&meas(k, h), &meas(k, 100 + h)).unwrap())
+            .collect();
+        let served = |e: &ShardedEngine| -> Vec<f64> {
+            let peers = || ids.iter().chain([&NodeId::Landmark(3)]);
+            let pairs = ids.iter().flat_map(|&a| peers().map(move |&b| (a, b)));
+            let pairs = pairs.filter(|(a, b)| a != b);
+            pairs.map(|(a, b)| e.estimate(a, b).unwrap()).collect()
+        };
+        let update = |epoch: f64, deltas: Vec<(usize, usize, f64)>| EpochUpdate {
+            epoch,
+            deltas: deltas
+                .into_iter()
+                .map(|(from, to, rtt)| MeasurementDelta { from, to, rtt })
+                .collect(),
+        };
+        let before = served(&e);
+        let zeros = update(1.0, (0..k * k).map(|i| (i / k, i % k, 0.0)).collect());
+        let err = e.apply_epoch(&zeros).unwrap_err();
+        assert!(matches!(err, IdesError::InvalidInput(_)), "got {err:?}");
+        assert_eq!(bits(&served(&e)), bits(&before));
+        assert_eq!((e.current_epoch(), e.stats().epochs), (0.0, 0));
+
+        let drift = (0..k).map(|i| (i, (i + 1) % k, base[(i, (i + 1) % k)] * 1.01));
+        e.apply_epoch(&update(2.0, drift.collect()))
+            .expect("a valid epoch after a refused one");
+        let after = served(&e);
+        assert!(after.iter().all(|v| v.is_finite()), "{after:?}");
+        assert_ne!(
+            bits(&after),
+            bits(&before),
+            "the valid epoch must move answers"
+        );
+    }
+
+    #[test]
     fn concurrent_epoch_writers_agree_on_one_model() {
         // Two threads race `apply_epoch` on a 2-shard engine, 200 rounds,
         // with updates that touch overlapping landmark rows — so the order

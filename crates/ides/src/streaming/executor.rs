@@ -5,18 +5,14 @@
 //! against them — and each is one call here:
 //!
 //! * [`StreamingServer::apply_epoch`], **the landmark step**, serial:
-//!   1. **Validate** the deltas — a rejected update changes nothing.
+//!   1. **Validate** the deltas.
 //!   2. **Apply the deltas** to the measured landmark matrix and pick the
 //!      maintenance tier per Gram row (the staleness policy's row gate).
-//!   3. **Refresh** (warm partial refit) or **absorb** the changed
-//!      landmarks: every landmark's new factor rows are solved against
-//!      the epoch-start model and Grams — pure `&self` reads into a
-//!      detached scratch pool — then committed in ascending landmark
-//!      order (row swap + rank-1 Gram surgery). There is no fan-out: at
-//!      the largest landmark count any workload uses (`k = 64`, `d = 16`,
-//!      every row touched) the solves are ≈ 200 µs in all, and a second
-//!      thread made them slower, not faster (README, "How an epoch is
-//!      applied").
+//!   3. **Refresh** (warm partial refit) or **absorb** (re-solve each
+//!      changed landmark against the epoch-start model, serially: ≈ 80–100
+//!      µs for all 64 at `k = 64`, `d = 16`) into a new [`LandmarkModel`].
+//!   4. **Swap or undo**: a step that succeeded replaces the served model
+//!      whole; a failed one puts back the measurements it overwrote.
 //! * [`StreamingServer::rejoin`], **the host step**: validated against the
 //!   server's shape before the first coordinate write. Full-measurement
 //!   hosts go through the tiled cached join ([`super::tile`]): fixed
@@ -41,9 +37,7 @@ use ides_linalg::Matrix;
 use std::sync::Arc;
 
 use super::tile::{check_rows, scatter_tile, HostRows, TileSink};
-use super::{
-    AbsorbSolution, EpochOutcome, EpochUpdate, LandmarkModel, RefreshStrategy, StreamingServer,
-};
+use super::{EpochOutcome, EpochUpdate, LandmarkModel, RefreshStrategy, StreamingServer};
 use crate::error::{IdesError, Result};
 use crate::projection::{
     join_hosts_subset_into, BatchHostVectors, JoinOptions, JoinSolver, JoinWorkspace,
@@ -176,8 +170,10 @@ impl StreamingServer {
     /// The landmark step of an epoch: ingests one batch of measurement
     /// deltas and maintains the model — absorb or refresh, per the
     /// staleness policy. See the [`streaming`](super) module docs for the
-    /// tiers and their costs. The deltas are validated before anything is
-    /// applied: a rejected update leaves the server exactly as it was.
+    /// tiers and their costs. The step builds a new [`LandmarkModel`] and
+    /// swaps it in whole only when every part of it succeeded: a rejected
+    /// update — invalid deltas, or factors whose Grams cannot be factored —
+    /// leaves the server exactly as it was.
     pub fn apply_epoch(&mut self, update: &EpochUpdate) -> Result<EpochOutcome> {
         let k = self.landmark_count();
 
@@ -197,17 +193,19 @@ impl StreamingServer {
             }
         }
 
-        // Apply the deltas and collect the touched landmarks in sorted
-        // order (deterministic absorb order).
+        // Apply the deltas, remembering what each overwrote, and collect
+        // the touched landmarks in sorted order (deterministic absorb
+        // order).
+        let mut undo = Vec::with_capacity(update.deltas.len());
         let mut changed: Vec<usize> = Vec::new();
         for d in &update.deltas {
-            self.landmarks[(d.from, d.to)] = d.rtt;
+            let old = std::mem::replace(&mut self.landmarks[(d.from, d.to)], d.rtt);
+            undo.push((d.from, d.to, old));
             changed.push(d.from);
             changed.push(d.to);
         }
         changed.sort_unstable();
         changed.dedup();
-        self.epoch = update.epoch;
 
         // Per-row tier gate: refresh only when more hot Gram rows than
         // the policy's fraction allows — one badly drifted landmark is
@@ -217,12 +215,31 @@ impl StreamingServer {
         let refreshed = hot_rows as f64 > self.policy.refresh_row_fraction * k as f64;
         drop(plan_span);
 
-        if refreshed {
+        let stepped = if refreshed {
             let _span = tm::span(tm::Stage::Refresh);
-            self.refresh()?;
-        } else if !changed.is_empty() {
-            self.absorb(&changed)?;
+            self.refit_model(true).map(Some)
+        } else if changed.is_empty() {
+            Ok(None)
+        } else {
+            self.absorb(&changed).map(Some)
+        };
+        match stepped {
+            Ok(Some(model)) => self.model = Arc::new(model),
+            Ok(None) => {}
+            Err(e) => {
+                for &(from, to, old) in undo.iter().rev() {
+                    self.landmarks[(from, to)] = old;
+                }
+                return Err(e);
+            }
         }
+        if refreshed {
+            self.baseline = self.landmarks.clone();
+            self.refreshes += 1;
+        } else {
+            self.absorbed_total += changed.len();
+        }
+        self.epoch = update.epoch;
 
         Ok(EpochOutcome {
             epoch: update.epoch,
@@ -283,109 +300,62 @@ impl StreamingServer {
         self.rejoin(RejoinTables::full(affected, d_out, d_in, coords))
     }
 
-    /// One epoch's absorbs: solve every landmark's new factor rows against
-    /// the frozen epoch-start state (each solve reads `&self` only, into
-    /// the detached scratch pool), then commit them in the given
-    /// (ascending) landmark order.
-    fn absorb(&mut self, landmarks: &[usize]) -> Result<()> {
-        // Detach the solution pool so the solve phase can borrow `self`
-        // shared while writing into per-landmark buffers.
-        let mut pool = std::mem::take(&mut self.scratch.pool);
-        if pool.len() < landmarks.len() {
-            pool.resize_with(landmarks.len(), AbsorbSolution::default);
-        }
+    /// One epoch's absorbs: every changed landmark's factor rows are
+    /// re-solved against the epoch-start model and written into a copy of
+    /// its factors (the solve), which is then factored into the epoch's new
+    /// model (the commit). Reads `&self` only.
+    fn absorb(&self, landmarks: &[usize]) -> Result<LandmarkModel> {
         let solve_span = tm::span(tm::Stage::AbsorbSolve);
-        let solved = landmarks
-            .iter()
-            .zip(pool.iter_mut())
-            .try_for_each(|(&l, sol)| self.solve_absorb(l, sol));
+        let mut candidate = self.model().clone();
+        let mut col = Vec::with_capacity(self.landmark_count());
+        let (mut x, mut y) = (vec![0.0; self.dim()], vec![0.0; self.dim()]);
+        for &l in landmarks {
+            self.solve_absorb(l, &mut col, &mut x, &mut y)?;
+            candidate.set_outgoing(l, &x);
+            candidate.set_incoming(l, &y);
+        }
         drop(solve_span);
-        // Commit only when every solve succeeded: nothing was committed
-        // yet, so a solve error leaves the model as it was.
-        let committed = solved.and_then(|()| {
-            let _span = tm::span(tm::Stage::AbsorbCommit);
-            landmarks
-                .iter()
-                .zip(pool.iter())
-                .try_for_each(|(&l, sol)| self.commit_absorb(l, sol))
-        });
-        // Restore the pool (with its grown high-water capacity) before
-        // surfacing any error.
-        self.scratch.pool = pool;
-        committed
+        let _span = tm::span(tm::Stage::AbsorbCommit);
+        LandmarkModel::factor(candidate, self.policy.ridge)
     }
 
-    /// Solve phase of one absorb: recompute landmark `l`'s outgoing and
-    /// incoming factor rows against the current (epoch-start) factors —
-    /// via the cached Grams for ALS-family servers (`O(k d)` right-hand
-    /// sides, `O(d²)` per solve), via ridge-augmented NNLS for NMF-family
-    /// servers so factors stay nonnegative between refreshes. Reads
-    /// `&self` only.
-    fn solve_absorb(&self, l: usize, sol: &mut AbsorbSolution) -> Result<()> {
-        let d = self.dim();
+    /// Recomputes landmark `l`'s outgoing (`x`) and incoming (`y`) factor
+    /// rows against the epoch-start factors — via the cached Grams for
+    /// ALS-family servers (`O(k d)` right-hand sides, `O(d²)` per solve),
+    /// via ridge-augmented NNLS for NMF-family servers so factors stay
+    /// nonnegative between refreshes. `col` is gather scratch.
+    fn solve_absorb(
+        &self,
+        l: usize,
+        col: &mut Vec<f64>,
+        x: &mut [f64],
+        y: &mut [f64],
+    ) -> Result<()> {
         let k = self.landmark_count();
         let LandmarkModel {
             model,
             gram_x,
             gram_y,
         } = &*self.model;
-        sol.col.clear();
-        sol.col.extend((0..k).map(|i| self.landmarks[(i, l)]));
+        col.clear();
+        col.extend((0..k).map(|i| self.landmarks[(i, l)]));
         if matches!(self.refit, RefreshStrategy::Nmf(_)) {
             // NNLS absorb tier: min ‖Y x − D[l, :]‖ + λ‖x‖² s.t. x ≥ 0
             // (and the mirrored incoming problem). The ridge is applied
             // the standard way — augmenting the design with √λ·I rows —
             // so the policy's λ knob binds this tier exactly like the
-            // cached-Gram solves of the ALS branch. Lawson–Hanson
-            // allocates its active-set scratch, so NMF absorbs trade the
-            // zero-allocation property for the nonnegativity guarantee.
+            // cached-Gram solves of the ALS branch.
             let ridge = self.policy.ridge;
-            sol.new_x.clear();
-            sol.new_x
-                .extend(super::nnls_ridge(model.y(), self.landmarks.row(l), ridge)?);
-            sol.new_y.clear();
-            sol.new_y
-                .extend(super::nnls_ridge(model.x(), &sol.col, ridge)?);
+            x.copy_from_slice(&super::nnls_ridge(model.y(), self.landmarks.row(l), ridge)?);
+            y.copy_from_slice(&super::nnls_ridge(model.x(), col, ridge)?);
         } else {
             // New outgoing row: solve (YᵀY + λI) x = Yᵀ D[l, :].
-            sol.new_x.clear();
-            sol.new_x.resize(d, 0.0);
-            model
-                .y()
-                .tr_matvec_into(self.landmarks.row(l), &mut sol.new_x)?;
-            gram_y.solve_in_place(&mut sol.new_x)?;
+            model.y().tr_matvec_into(self.landmarks.row(l), x)?;
+            gram_y.solve_in_place(x)?;
             // New incoming row: solve (XᵀX + λI) y = Xᵀ D[:, l].
-            sol.new_y.clear();
-            sol.new_y.resize(d, 0.0);
-            model.x().tr_matvec_into(&sol.col, &mut sol.new_y)?;
-            gram_x.solve_in_place(&mut sol.new_y)?;
+            model.x().tr_matvec_into(col, y)?;
+            gram_x.solve_in_place(y)?;
         }
-        Ok(())
-    }
-
-    /// Commit phase of one absorb: swap the solved rows into the model and
-    /// let the Grams absorb the change surgically; a failed downdate (mass
-    /// loss beyond what the factor holds) falls back to one
-    /// refactorization. Commits run in ascending landmark order. The first
-    /// commit of an epoch copies the model if a snapshot still shares it
-    /// ([`Arc::make_mut`]); the rest write in place.
-    fn commit_absorb(&mut self, l: usize, sol: &AbsorbSolution) -> Result<()> {
-        let lm = Arc::make_mut(&mut self.model);
-        let ws = &mut self.scratch;
-        ws.old_x.clear();
-        ws.old_x.extend_from_slice(lm.model.outgoing(l));
-        ws.old_y.clear();
-        ws.old_y.extend_from_slice(lm.model.incoming(l));
-        lm.model.set_outgoing(l, &sol.new_x);
-        lm.model.set_incoming(l, &sol.new_y);
-        let surgically = lm
-            .gram_y
-            .replace_row(&ws.old_y, &sol.new_y)
-            .and_then(|()| lm.gram_x.replace_row(&ws.old_x, &sol.new_x));
-        if surgically.is_err() {
-            lm.refactor_grams()?;
-        }
-        self.absorbed_total += 1;
         Ok(())
     }
 }

@@ -13,34 +13,32 @@
 //!   - **absorb** (drift-deviation at or below the threshold): each
 //!     touched landmark's outgoing/incoming vectors are re-solved against
 //!     the current factors — one cached-Gram solve each, `O(k d + d²)` —
-//!     and the cached join factorizations absorb the changed factor rows
-//!     by rank-1 Cholesky up/downdates
-//!     ([`ides_linalg::solve::CachedGram::replace_row`], `O(d²)` instead
-//!     of the `O(k d² + d³)` refactorization);
+//!     and the two join Grams are factored once from the new factors;
 //!   - **refresh** (deviation above the threshold): a warm-start partial
 //!     refit runs a bounded number of sweeps from the current factors —
 //!     [`ides_mf::als::refine`] for ALS-family servers,
 //!     [`ides_mf::nmf::refine`] for NMF-family ones
 //!     ([`StreamingServer::with_nmf_config`]), both reusing the
 //!     allocation-free workspaces of the batch fit — and the Grams are
-//!     refactored once. See [`RefreshStrategy`].
+//!     factored once. See [`RefreshStrategy`].
 //! * Joins keep being served from the cached factorizations with **no
 //!   factorization on the query path**: [`LandmarkModel::join_batch`] is
 //!   one GEMM plus two triangular solves per host — bit-identical to the
-//!   one-shot batched normal-equation join whenever the caches hold a
-//!   from-scratch factorization (build/refresh), within ~1e-9 after
-//!   rank-1 surgery — and [`StreamingServer::rejoin`] re-joins only the
-//!   hosts whose own measurements drifted. Both run the one tiled cached
-//!   join (256 hosts at a time, measurement rows read in place, workers
-//!   splitting on tile boundaries under the `parallel` feature —
-//!   bit-identical at any tile boundary and worker count).
+//!   one-shot batched normal-equation join against the model's factors —
+//!   and [`StreamingServer::rejoin`] re-joins only the hosts whose own
+//!   measurements drifted. Both run the one tiled cached join (256 hosts
+//!   at a time, measurement rows read in place, workers splitting on tile
+//!   boundaries under the `parallel` feature — bit-identical at any tile
+//!   boundary and worker count).
 //!
-//! **The model exists once.** [`LandmarkModel`] is the factors plus the
-//! two cached Gram factorizations every join solves through. The server
-//! holds it behind an `Arc` and mutates it through [`Arc::make_mut`]; the
-//! serving engine's shards and their published snapshots hold the same
-//! `Arc`. A landmark step therefore copies the model once while a snapshot
-//! still shares it, and a join or a publish never copies it.
+//! **The model exists once, and never changes.** [`LandmarkModel`] is the
+//! factors plus the two cached Gram factorizations every join solves
+//! through, and nothing writes to it after it is built. The server holds
+//! it behind an `Arc`; the serving engine's shards and their published
+//! snapshots hold the same `Arc`. Every landmark step builds a new model
+//! from its new factors and swaps the `Arc` whole, so a cached Gram is
+//! always bit-identical to a fresh factorization of the factors beside
+//! it, and a join or a publish never copies the model.
 //!
 //! The economics (see the `streaming_update` bench group): at 500 hosts a
 //! full refit — cold ALS fit plus re-joining every host — costs well over
@@ -54,8 +52,9 @@
 //! then every ordinary host is re-solved against them — and each is its
 //! own call: [`StreamingServer::apply_epoch`] validates, applies the
 //! deltas, picks the tier and refreshes or absorbs (serial: every changed
-//! landmark is solved against the epoch-start state, then all commit in
-//! ascending landmark order); [`StreamingServer::rejoin`] re-solves the
+//! landmark is solved against the epoch-start model, then the new model
+//! is factored and swapped in — or, on any error, the deltas are undone
+//! and nothing changes); [`StreamingServer::rejoin`] re-solves the
 //! hosts against whatever model the server then holds. The rejoin is a
 //! pure function of that model and the hosts' measurement rows, so any
 //! number of landmark steps may run before one rejoin.
@@ -218,14 +217,15 @@ pub struct StalenessPolicy {
     /// deviation of its measured row and column from the last-refresh
     /// baseline exceeds this. The refresh decision is per-row: the epoch
     /// refreshes only when more than [`refresh_row_fraction`] of the
-    /// landmarks are hot — one badly drifted landmark is absorbed (with
-    /// the commit path's refactor fallback), never a whole-model barrier.
+    /// landmarks are hot — one badly drifted landmark is absorbed, never a
+    /// whole-model barrier.
     ///
     /// [`refresh_row_fraction`]: StalenessPolicy::refresh_row_fraction
     pub deviation_threshold: f64,
     /// Refresh (warm partial refit) when the fraction of hot landmark
     /// rows exceeds this; at or below it, changed landmarks are absorbed
-    /// by rank-1 surgery and everything else is served cached. 0 refreshes
+    /// (re-solved against the current model) and everything else is
+    /// served cached. 0 refreshes
     /// on any hot row (closest to the PR-8 global gate); 1 never
     /// refreshes.
     pub refresh_row_fraction: f64,
@@ -260,8 +260,8 @@ impl Default for StalenessPolicy {
 ///   split: ALS-family servers re-solve drifted landmark rows by
 ///   unconstrained least squares through the cached Grams, NMF-family
 ///   servers by [`ides_linalg::nnls`] so the factors stay nonnegative
-///   **between** refreshes too (the cached Grams absorb the constrained
-///   rows by the same rank-1 surgery either way).
+///   **between** refreshes too (either way the Grams are then factored
+///   from the new factors).
 #[derive(Debug, Clone, Copy)]
 pub enum RefreshStrategy {
     /// Warm ALS sweeps from the current factors.
@@ -277,7 +277,8 @@ pub struct EpochOutcome {
     pub epoch: f64,
     /// Number of measurement deltas written into the landmark matrix.
     pub applied: usize,
-    /// Landmark rows re-solved and absorbed by rank-1 Gram surgery.
+    /// Landmarks whose factor rows the absorb tier re-solved (0 on the
+    /// refresh tier).
     pub absorbed: usize,
     /// Mean relative deviation from the last-refresh baseline, after
     /// applying the deltas.
@@ -301,8 +302,9 @@ fn rank_deficient(_: ides_linalg::LinalgError) -> IdesError {
 /// cached Gram factorizations every host join solves through (Eqs. 13–14).
 /// It is what a host join needs and all it needs, so the server that
 /// maintains it, the serving engine's shards and every published snapshot
-/// share **one** instance by `Arc` (see the [module docs](self)).
-#[derive(Debug, Clone)]
+/// share **one** instance by `Arc` (see the [module docs](self)). It is
+/// immutable: a landmark step builds a new one.
+#[derive(Debug)]
 pub struct LandmarkModel {
     model: FactorModel,
     /// Cached factorization of `XᵀX + λI` — serves incoming-vector solves.
@@ -323,19 +325,6 @@ impl LandmarkModel {
         })
     }
 
-    /// Replaces the factors and refactors both Grams (a refresh or refit).
-    fn refit(&mut self, model: FactorModel) -> Result<()> {
-        self.model = model;
-        self.refactor_grams()
-    }
-
-    fn refactor_grams(&mut self) -> Result<()> {
-        self.gram_y
-            .refactor(self.model.y())
-            .map_err(rank_deficient)?;
-        self.gram_x.refactor(self.model.x()).map_err(rank_deficient)
-    }
-
     /// The landmark factors.
     pub(crate) fn factors(&self) -> &FactorModel {
         &self.model
@@ -352,7 +341,8 @@ pub struct StreamingServer {
     /// The landmark matrix as of the last refresh (staleness baseline).
     baseline: Matrix,
     /// The served model. Shared with whoever cloned the `Arc` (the serving
-    /// engine's shards and snapshots); written through [`Arc::make_mut`].
+    /// engine's shards and snapshots); replaced whole by each landmark
+    /// step.
     model: Arc<LandmarkModel>,
     policy: StalenessPolicy,
     /// The cold-fit family and configuration (initial build, `full_refit`,
@@ -361,30 +351,6 @@ pub struct StreamingServer {
     epoch: f64,
     refreshes: usize,
     absorbed_total: usize,
-    /// Absorb-tier scratch, reused across epochs so the hot incremental
-    /// path performs no steady-state allocation.
-    scratch: AbsorbScratch,
-}
-
-/// Absorb-tier scratch: the displaced factor rows captured at commit time
-/// plus a pool of per-landmark solve buffers (one [`AbsorbSolution`] per
-/// absorbed landmark of the widest epoch so far). Sized once
-/// (high-water mark `d` / `k` / absorbs-per-epoch), then allocation-free.
-#[derive(Debug, Clone, Default)]
-struct AbsorbScratch {
-    old_x: Vec<f64>,
-    old_y: Vec<f64>,
-    pool: Vec<AbsorbSolution>,
-}
-
-/// One landmark's solve-phase output (and its gather scratch): the
-/// re-solved outgoing/incoming factor rows, computed against the
-/// epoch-start state and committed later in landmark order.
-#[derive(Debug, Clone, Default)]
-struct AbsorbSolution {
-    new_x: Vec<f64>,
-    new_y: Vec<f64>,
-    col: Vec<f64>,
 }
 
 impl StreamingServer {
@@ -435,7 +401,6 @@ impl StreamingServer {
             epoch: 0.0,
             refreshes: 0,
             absorbed_total: 0,
-            scratch: AbsorbScratch::default(),
         })
     }
 
@@ -480,7 +445,7 @@ impl StreamingServer {
         self.refreshes
     }
 
-    /// Landmark rows absorbed by rank-1 surgery so far.
+    /// Landmarks re-solved by the absorb tier so far.
     pub fn absorbed(&self) -> usize {
         self.absorbed_total
     }
@@ -563,42 +528,36 @@ impl StreamingServer {
             .count()
     }
 
-    /// Warm partial refit: a bounded number of warm sweeps (ALS) or
-    /// multiplicative iterations (NMF) from the current factors, then one
-    /// Gram refactorization and a baseline reset.
-    fn refresh(&mut self) -> Result<()> {
+    /// Refits the current landmark matrix with the server's own family
+    /// (ALS or NMF) and factors the result into a new model: `warm` is the
+    /// refresh tier's bounded sweeps from the current factors
+    /// ([`StreamingServer::refresh_strategy`]), otherwise a cold fit.
+    /// Reads `&self` only.
+    fn refit_model(&self, warm: bool) -> Result<LandmarkModel> {
         let data = DistanceMatrix::full("streaming", self.landmarks.clone())
             .map_err(|e| IdesError::InvalidInput(e.to_string()))?;
-        let refined = match self.refresh_strategy() {
-            RefreshStrategy::Als(cfg) => als::refine(&data, self.model(), cfg)?.model,
-            RefreshStrategy::Nmf(cfg) => {
-                nmf::refine(&data, self.model(), cfg)
-                    .map_err(|e| IdesError::InvalidInput(e.to_string()))?
-                    .model
-            }
+        let nmf_model = |fit: ides_mf::Result<nmf::NmfFit>| {
+            fit.map(|f| f.model)
+                .map_err(|e| IdesError::InvalidInput(e.to_string()))
         };
-        Arc::make_mut(&mut self.model).refit(refined)?;
-        self.baseline = self.landmarks.clone();
-        self.refreshes += 1;
-        Ok(())
+        let fitted = match (warm, self.refresh_strategy(), self.refit) {
+            (true, RefreshStrategy::Als(cfg), _) => als::refine(&data, self.model(), cfg)?.model,
+            (true, RefreshStrategy::Nmf(cfg), _) => {
+                nmf_model(nmf::refine(&data, self.model(), cfg))?
+            }
+            (false, _, RefreshStrategy::Als(cfg)) => als::fit(&data, cfg)?.model,
+            (false, _, RefreshStrategy::Nmf(cfg)) => nmf_model(nmf::fit(&data, cfg))?,
+        };
+        LandmarkModel::factor(fitted, self.policy.ridge)
     }
 
     /// Cold full refit from the current landmark matrix — the expensive
     /// control the `streaming_update` bench compares the incremental tiers
     /// against (and the recovery path if the model ever degenerates).
-    /// Refits with the server's own family (ALS or NMF).
+    /// Refits with the server's own family (ALS or NMF). On an error the
+    /// server is unchanged.
     pub fn full_refit(&mut self) -> Result<()> {
-        let data = DistanceMatrix::full("streaming", self.landmarks.clone())
-            .map_err(|e| IdesError::InvalidInput(e.to_string()))?;
-        let fitted = match self.refit {
-            RefreshStrategy::Als(cfg) => als::fit(&data, cfg)?.model,
-            RefreshStrategy::Nmf(cfg) => {
-                nmf::fit(&data, cfg)
-                    .map_err(|e| IdesError::InvalidInput(e.to_string()))?
-                    .model
-            }
-        };
-        Arc::make_mut(&mut self.model).refit(fitted)?;
+        self.model = Arc::new(self.refit_model(false)?);
         self.baseline = self.landmarks.clone();
         self.refreshes += 1;
         Ok(())
@@ -661,6 +620,51 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_landmark_step_changes_nothing() {
+        // Every landmark RTT set to 0: validation accepts the deltas, but
+        // the factors they lead to are rank-deficient. On the refresh tier
+        // (default policy: every row is hot) and on the absorb tier alike,
+        // the step must be refused with the server bit-unchanged, and the
+        // next valid step must go through.
+        let ds = ides_datasets::generators::p2psim_like(20, 5).unwrap();
+        let absorb_only = StalenessPolicy {
+            deviation_threshold: f64::INFINITY,
+            refresh_row_fraction: 1.0,
+            ..StalenessPolicy::default()
+        };
+        let state = |s: &StreamingServer| {
+            let (lm, counters) = (&s.model, [s.refreshes, s.absorbed_total]);
+            let mats = [&s.landmarks, &s.baseline, lm.model.x(), lm.model.y()];
+            let grams = [lm.gram_x.l(), lm.gram_y.l()];
+            let all = mats.into_iter().chain(grams).map(|m| bits(m.as_slice()));
+            (all.collect::<Vec<_>>(), s.epoch.to_bits(), counters)
+        };
+        let update = |epoch: f64, deltas: Vec<(usize, usize, f64)>| EpochUpdate {
+            epoch,
+            deltas: deltas
+                .into_iter()
+                .map(|(from, to, rtt)| MeasurementDelta { from, to, rtt })
+                .collect(),
+        };
+        for policy in [StalenessPolicy::default(), absorb_only] {
+            let mut server = StreamingServer::new(&ds.matrix, 4, policy).unwrap();
+            let rtt = server.landmarks[(1, 2)];
+            let nudge = |epoch: f64| update(epoch, vec![(1, 2, rtt * (1.0 + 0.01 * epoch))]);
+            assert_eq!(server.apply_epoch(&nudge(1.0)).unwrap().absorbed, 2);
+            let before = state(&server);
+            let zeros = update(2.0, (0..400).map(|i| (i / 20, i % 20, 0.0)).collect());
+            assert!(server.apply_epoch(&zeros).is_err(), "{policy:?}");
+            let after = state(&server);
+            assert!(
+                after == before,
+                "{policy:?}: a rejected step changed the server"
+            );
+            server.apply_epoch(&nudge(3.0)).unwrap();
+            assert_eq!(server.epoch(), 3.0);
+        }
+    }
+
+    #[test]
     fn small_drift_absorbs_large_drift_refreshes() {
         let ds = ides_datasets::generators::gnp_like(15, 7).unwrap();
         let policy = StalenessPolicy {
@@ -720,8 +724,8 @@ mod tests {
 
     #[test]
     fn absorb_tracks_refactored_grams() {
-        // After several absorb epochs, the surgically maintained Grams must
-        // match a from-scratch factorization of the current factors.
+        // After several absorb epochs, the served Grams must be bit-equal
+        // to a from-scratch factorization of the current factors.
         let ds = ides_datasets::generators::p2psim_like(20, 11).unwrap();
         let policy = StalenessPolicy {
             deviation_threshold: 0.5, // never refresh in this test
@@ -749,24 +753,31 @@ mod tests {
         assert!(server.absorbed() > 0);
         let fresh_y = CachedGram::factor(server.model().y(), policy.ridge).unwrap();
         let fresh_x = CachedGram::factor(server.model().x(), policy.ridge).unwrap();
-        assert!(
-            server.model.gram_y.l().approx_eq(fresh_y.l(), 1e-9),
-            "gram_y drifted {}",
-            server.model.gram_y.l().max_abs_diff(fresh_y.l())
+        assert_eq!(
+            bits(server.model.gram_y.l().as_slice()),
+            bits(fresh_y.l().as_slice())
         );
-        assert!(
-            server.model.gram_x.l().approx_eq(fresh_x.l(), 1e-9),
-            "gram_x drifted {}",
-            server.model.gram_x.l().max_abs_diff(fresh_x.l())
+        assert_eq!(
+            bits(server.model.gram_x.l().as_slice()),
+            bits(fresh_x.l().as_slice())
         );
     }
 
     #[test]
     fn cached_join_matches_batched_normal_equations_bitwise() {
+        // On the built model and after each of three absorb epochs (ALS
+        // family, with a ridge), a cached join is bit-identical to the
+        // one-shot batched normal-equation join against the current factors.
         let ds = ides_datasets::generators::p2psim_like(30, 4).unwrap();
         let sub: Vec<usize> = (0..12).collect();
         let lm = ds.matrix.submatrix(&sub, &sub);
-        let server = StreamingServer::new(&lm, 5, StalenessPolicy::default()).unwrap();
+        let policy = StalenessPolicy {
+            deviation_threshold: f64::INFINITY,
+            refresh_row_fraction: 1.0,
+            ridge: 0.1,
+            ..StalenessPolicy::default()
+        };
+        let mut server = StreamingServer::new(&lm, 5, policy).unwrap();
         let hosts = 7;
         let d_out = Matrix::from_fn(hosts, 12, |h, l| {
             ds.matrix.get(13 + h, sub[l]).unwrap_or(1.0)
@@ -774,27 +785,45 @@ mod tests {
         let d_in = Matrix::from_fn(hosts, 12, |h, l| {
             ds.matrix.get(sub[l], 13 + h).unwrap_or(1.0)
         });
-        let mut cached = BatchHostVectors::new();
-        server.model.join_batch(&d_out, &d_in, &mut cached).unwrap();
-        // One-shot batched join with the same solver arithmetic.
-        let mut oneshot = BatchHostVectors::new();
-        crate::projection::join_hosts_into(
-            &mut crate::projection::JoinWorkspace::new(),
-            server.model().x(),
-            server.model().y(),
-            &d_out,
-            &d_in,
-            JoinOptions {
-                solver: JoinSolver::NormalEquations,
-                ridge: server.policy().ridge,
-            },
-            &mut oneshot,
-        )
-        .unwrap();
-        for h in 0..hosts {
-            assert_eq!(bits(cached.outgoing(h)), bits(oneshot.outgoing(h)));
-            assert_eq!(bits(cached.incoming(h)), bits(oneshot.incoming(h)));
+        for epoch in 0..4 {
+            if epoch > 0 {
+                let deltas = (0..3 * epoch)
+                    .map(|n| (n % 12, (5 * n + 1) % 12))
+                    .map(|(from, to)| MeasurementDelta {
+                        from,
+                        to,
+                        rtt: server.landmarks[(from, to)] * 1.03,
+                    })
+                    .collect();
+                let outcome = server.apply_epoch(&EpochUpdate {
+                    epoch: epoch as f64,
+                    deltas,
+                });
+                assert!(!outcome.unwrap().refreshed);
+            }
+            let mut cached = BatchHostVectors::new();
+            server.model.join_batch(&d_out, &d_in, &mut cached).unwrap();
+            // One-shot batched join with the same solver arithmetic.
+            let mut oneshot = BatchHostVectors::new();
+            crate::projection::join_hosts_into(
+                &mut crate::projection::JoinWorkspace::new(),
+                server.model().x(),
+                server.model().y(),
+                &d_out,
+                &d_in,
+                JoinOptions {
+                    solver: JoinSolver::NormalEquations,
+                    ridge: policy.ridge,
+                },
+                &mut oneshot,
+            )
+            .unwrap();
+            for h in 0..hosts {
+                assert_eq!(bits(cached.outgoing(h)), bits(oneshot.outgoing(h)));
+                assert_eq!(bits(cached.incoming(h)), bits(oneshot.incoming(h)));
+            }
         }
+        assert!(server.absorbed() > 12);
     }
 
     #[test]

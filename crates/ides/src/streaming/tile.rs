@@ -315,15 +315,12 @@ impl LandmarkModel {
     /// GEMM per direction assembles the right-hand sides, then one `O(d²)`
     /// triangular solve per host — no factorization on the query path.
     ///
-    /// While the caches hold a from-scratch factorization (after a build,
-    /// refresh, or `full_refit`), results are **bit-identical** to
-    /// [`crate::projection::join_hosts_into`] with the
-    /// [`crate::projection::JoinSolver::NormalEquations`] solver (and the
-    /// server's ridge), because [`ides_linalg::solve::CachedGram`] runs
-    /// exactly the same arithmetic. After an absorb epoch the caches carry
-    /// rank-1-updated factors instead, which agree with a fresh
-    /// factorization of the current model only to ~1e-9 — numerically
-    /// interchangeable, not bitwise.
+    /// Results are **bit-identical** to
+    /// [`crate::projection::join_hosts_into`] against the model's factors
+    /// with the [`crate::projection::JoinSolver::NormalEquations`] solver
+    /// (and the server's ridge): the caches are always a from-scratch
+    /// factorization of those factors, and
+    /// [`ides_linalg::solve::CachedGram`] runs exactly the same arithmetic.
     pub fn join_batch(
         &self,
         d_out: &Matrix,

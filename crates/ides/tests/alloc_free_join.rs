@@ -221,7 +221,7 @@ fn warm_epoch_allocates_one_coordinate_table_and_nothing_per_measurement() {
             rtt: 20.0 + epoch,
         }],
     };
-    // Warm: GEMM packing buffers, absorb scratch, the diverged spine.
+    // Warm: GEMM packing buffers and the diverged spine.
     engine.apply_epoch(&drift(1.0)).expect("warm epoch");
 
     ALLOC_MAX.set(0);

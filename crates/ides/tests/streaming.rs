@@ -286,33 +286,21 @@ fn nmf_family_absorb_tier_keeps_factors_nonnegative() {
     }
     assert_eq!(server.refreshes(), 0);
     assert!(server.absorbed() > 0, "absorb tier must have run");
-    // The surgically maintained Grams still track the (NNLS-resolved)
-    // factors, so cached joins remain consistent with a fresh
-    // factorization of the current model.
+    // Every absorb epoch factors the Grams afresh from the (NNLS-resolved)
+    // factors, so a cached join is bit-identical to a fresh factorization
+    // of the current model.
     let fresh_y =
         ides_linalg::solve::CachedGram::factor(server.model().y(), policy.ridge).expect("gram");
-    let joined = {
-        let d_out = measurements(3, 16, 77);
-        let d_in = measurements(3, 16, 78);
-        let mut out = BatchHostVectors::new();
-        server
-            .landmark_model()
-            .join_batch(&d_out, &d_in, &mut out)
-            .expect("cached join");
-        let mut manual = d_out.matmul(server.model().y()).expect("rhs");
-        fresh_y.solve_rows_in_place(&mut manual).expect("solve");
-        (out, manual)
-    };
-    for h in 0..3 {
-        for c in 0..5 {
-            let cached = joined.0.outgoing(h)[c];
-            let fresh = joined.1[(h, c)];
-            assert!(
-                (cached - fresh).abs() <= 1e-7 * fresh.abs().max(1.0),
-                "cached join drifted from fresh factorization: {cached} vs {fresh}"
-            );
-        }
-    }
+    let d_out = measurements(3, 16, 77);
+    let mut cached = BatchHostVectors::new();
+    server
+        .landmark_model()
+        .join_batch(&d_out, &measurements(3, 16, 78), &mut cached)
+        .expect("cached join");
+    let mut fresh = d_out.matmul(server.model().y()).expect("rhs");
+    fresh_y.solve_rows_in_place(&mut fresh).expect("solve");
+    let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(cached.outgoing_matrix()), bits(&fresh));
 }
 
 #[test]

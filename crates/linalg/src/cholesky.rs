@@ -60,85 +60,6 @@ pub fn cholesky_in_place(a: &mut Matrix) -> Result<()> {
     Ok(())
 }
 
-/// Rank-1 **update** of a Cholesky factor in place: given lower-triangular
-/// `l` with `A = L Lᵀ`, rewrites `l` so that `L Lᵀ = A + v vᵀ`.
-///
-/// Runs the classic Givens-rotation sweep (Golub & Van Loan §12.5) in
-/// `O(n²)` — the streaming-update primitive that lets a cached
-/// normal-equation factorization absorb a changed design row without the
-/// `O(n³)` refactorization. `v` is consumed as scratch; no heap
-/// allocation.
-pub fn cholesky_update_in_place(l: &mut Matrix, v: &mut [f64]) -> Result<()> {
-    let n = check_factor_and_vec(l, v, "cholesky_update")?;
-    for k in 0..n {
-        let lkk = l[(k, k)];
-        let r = lkk.hypot(v[k]);
-        let c = r / lkk;
-        let s = v[k] / lkk;
-        l[(k, k)] = r;
-        for i in (k + 1)..n {
-            l[(i, k)] = (l[(i, k)] + s * v[i]) / c;
-            v[i] = c * v[i] - s * l[(i, k)];
-        }
-    }
-    Ok(())
-}
-
-/// Rank-1 **downdate** of a Cholesky factor in place: given `l` with
-/// `A = L Lᵀ`, rewrites `l` so that `L Lᵀ = A − v vᵀ`.
-///
-/// The hyperbolic-rotation dual of [`cholesky_update_in_place`], also
-/// `O(n²)` and allocation-free. Returns
-/// [`LinalgError::NotPositiveDefinite`] (leaving `l` partially modified —
-/// callers must refactor from scratch) when `A − v vᵀ` is not positive
-/// definite, which is how a streaming caller learns that incremental
-/// surgery has lost too much mass and a fresh factorization is due.
-pub fn cholesky_downdate_in_place(l: &mut Matrix, v: &mut [f64]) -> Result<()> {
-    let n = check_factor_and_vec(l, v, "cholesky_downdate")?;
-    for k in 0..n {
-        let lkk = l[(k, k)];
-        let d2 = (lkk - v[k]) * (lkk + v[k]);
-        if d2 <= 0.0 || !d2.is_finite() {
-            return Err(LinalgError::NotPositiveDefinite);
-        }
-        let r = d2.sqrt();
-        let c = r / lkk;
-        let s = v[k] / lkk;
-        l[(k, k)] = r;
-        for i in (k + 1)..n {
-            l[(i, k)] = (l[(i, k)] - s * v[i]) / c;
-            v[i] = c * v[i] - s * l[(i, k)];
-        }
-    }
-    Ok(())
-}
-
-/// Rank-k **update**: applies [`cholesky_update_in_place`] for every row of
-/// `rows`, so that `L Lᵀ` gains `rowsᵀ rows`. `buf` is per-row scratch
-/// (resized to the factor's dimension; reusing one buffer across calls
-/// keeps the steady state allocation-free).
-pub fn cholesky_update_rows(l: &mut Matrix, rows: &Matrix, buf: &mut Vec<f64>) -> Result<()> {
-    for h in 0..rows.rows() {
-        buf.clear();
-        buf.extend_from_slice(rows.row(h));
-        cholesky_update_in_place(l, buf)?;
-    }
-    Ok(())
-}
-
-/// Rank-k **downdate**: applies [`cholesky_downdate_in_place`] for every
-/// row of `rows`, so that `L Lᵀ` loses `rowsᵀ rows`. On a
-/// [`LinalgError::NotPositiveDefinite`] failure the factor is left
-/// partially modified; refactor from scratch.
-pub fn cholesky_downdate_rows(l: &mut Matrix, rows: &Matrix, buf: &mut Vec<f64>) -> Result<()> {
-    for h in 0..rows.rows() {
-        buf.clear();
-        buf.extend_from_slice(rows.row(h));
-        cholesky_downdate_in_place(l, buf)?;
-    }
-    Ok(())
-}
-
 /// The factor's dimension, or [`LinalgError::NotSquare`].
 fn check_factor(l: &Matrix, op: &'static str) -> Result<usize> {
     if !l.is_square() {
@@ -313,20 +234,6 @@ impl Cholesky {
         solve_cholesky_rows_in_place(&self.l, rhs)
     }
 
-    /// Rank-1 update: after this, the factorization is of `A + v vᵀ`.
-    pub fn update(&mut self, v: &[f64]) -> Result<()> {
-        let mut buf = v.to_vec();
-        cholesky_update_in_place(&mut self.l, &mut buf)
-    }
-
-    /// Rank-1 downdate: after this, the factorization is of `A − v vᵀ`.
-    /// On [`LinalgError::NotPositiveDefinite`] the factor is no longer
-    /// valid and must be rebuilt.
-    pub fn downdate(&mut self, v: &[f64]) -> Result<()> {
-        let mut buf = v.to_vec();
-        cholesky_downdate_in_place(&mut self.l, &mut buf)
-    }
-
     /// Solves `A X = B`: the columns of `B` are the rows of `Bᵀ`, solved in
     /// place by [`solve_cholesky_rows_in_place`].
     pub fn solve_multi(&self, b: &Matrix) -> Result<Matrix> {
@@ -489,94 +396,6 @@ mod tests {
             c.solve_rows_in_place(&mut rhs),
             Err(LinalgError::NotSquare { .. })
         ));
-    }
-
-    #[test]
-    fn rank1_update_matches_refactorization() {
-        let n = 6;
-        let a = spd(n, 0.5);
-        let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.9).cos() * 0.7).collect();
-        let mut l = cholesky(&a).unwrap().l().clone();
-        let mut scratch = v.clone();
-        cholesky_update_in_place(&mut l, &mut scratch).unwrap();
-        // A + v vᵀ, factored from scratch.
-        let mut updated = a.clone();
-        for i in 0..n {
-            for j in 0..n {
-                updated[(i, j)] += v[i] * v[j];
-            }
-        }
-        let fresh = cholesky(&updated).unwrap();
-        assert!(
-            l.approx_eq(fresh.l(), 1e-10),
-            "updated factor diverges from refactorization"
-        );
-    }
-
-    #[test]
-    fn rank1_downdate_inverts_update() {
-        let n = 5;
-        let a = spd(n, 1.0);
-        let v: Vec<f64> = (0..n).map(|i| (i as f64 * 1.3).sin()).collect();
-        let mut l = cholesky(&a).unwrap().l().clone();
-        let before = l.clone();
-        let mut s1 = v.clone();
-        cholesky_update_in_place(&mut l, &mut s1).unwrap();
-        let mut s2 = v.clone();
-        cholesky_downdate_in_place(&mut l, &mut s2).unwrap();
-        assert!(l.approx_eq(&before, 1e-10), "downdate(update(L)) != L");
-    }
-
-    #[test]
-    fn downdate_that_breaks_pd_is_rejected() {
-        let a = Matrix::identity(3);
-        let mut l = cholesky(&a).unwrap().l().clone();
-        // Removing 2·e₀e₀ᵀ from I is indefinite.
-        let mut v = vec![2.0, 0.0, 0.0];
-        assert!(matches!(
-            cholesky_downdate_in_place(&mut l, &mut v),
-            Err(LinalgError::NotPositiveDefinite)
-        ));
-    }
-
-    #[test]
-    fn rank_k_rows_update_and_downdate() {
-        let n = 4;
-        let a = spd(n, 0.8);
-        let rows = Matrix::from_fn(3, n, |i, j| ((i * n + j) as f64 * 0.77).cos() * 0.5);
-        let mut l = cholesky(&a).unwrap().l().clone();
-        let mut buf = Vec::new();
-        cholesky_update_rows(&mut l, &rows, &mut buf).unwrap();
-        let expected = &a + &rows.tr_matmul(&rows).unwrap();
-        assert!(l.matmul_tr(&l).unwrap().approx_eq(&expected, 1e-10));
-        cholesky_downdate_rows(&mut l, &rows, &mut buf).unwrap();
-        assert!(l.matmul_tr(&l).unwrap().approx_eq(&a, 1e-9));
-    }
-
-    #[test]
-    fn update_shape_validation() {
-        let mut l = cholesky(&Matrix::identity(3)).unwrap().l().clone();
-        assert!(cholesky_update_in_place(&mut l, &mut [1.0, 2.0]).is_err());
-        assert!(cholesky_downdate_in_place(&mut l, &mut [1.0, 2.0]).is_err());
-        let mut rect = Matrix::zeros(2, 3);
-        assert!(cholesky_update_in_place(&mut rect, &mut [1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn cholesky_struct_update_downdate() {
-        let a = spd(4, 0.6);
-        let mut c = cholesky(&a).unwrap();
-        let v = [0.3, -0.2, 0.5, 0.1];
-        c.update(&v).unwrap();
-        let mut want = a.clone();
-        for i in 0..4 {
-            for j in 0..4 {
-                want[(i, j)] += v[i] * v[j];
-            }
-        }
-        assert!(c.l().matmul_tr(c.l()).unwrap().approx_eq(&want, 1e-10));
-        c.downdate(&v).unwrap();
-        assert!(c.l().matmul_tr(c.l()).unwrap().approx_eq(&a, 1e-10));
     }
 
     #[test]

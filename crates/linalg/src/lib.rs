@@ -20,10 +20,9 @@
 //!   subspace-iteration SVD,
 //! * [`eig`] — symmetric eigendecomposition (blocked tridiagonalization +
 //!   implicit QL, cyclic Jacobi small/fallback; for PCA),
-//! * [`cholesky`] — exact solves for the host-join normal
-//!   equations, plus `O(n²)` rank-1/rank-k Cholesky up/downdates and the
-//!   incrementally maintained [`solve::CachedGram`] behind the streaming
-//!   update path,
+//! * [`cholesky`] — exact solves for the host-join normal equations
+//!   (the cached form every served join solves through is
+//!   [`solve::CachedGram`]),
 //! * [`nnls`] — Lawson–Hanson nonnegative least squares (§5.1 option),
 //! * [`pca`] — the projection used by the ICS / Virtual Landmark baselines,
 //! * [`random`] — seeded random matrices for NMF initialization.

@@ -230,27 +230,19 @@ pub fn lstsq_ridge_multi_with(
     }
 }
 
-/// An incrementally maintained normal-equation factorization: the Cholesky
-/// factor of the Gram matrix `AᵀA + λI` of a `k x d` design matrix,
-/// cached so that
+/// A cached normal-equation factorization: the Cholesky factor of the
+/// Gram matrix `AᵀA + λI` of a `k x d` design matrix, factored once so
+/// that multi-RHS solves run with **no factorization at all** (one
+/// triangular solve per right-hand side, exactly the arithmetic of
+/// [`lstsq_ridge_multi_with`]).
 ///
-/// * multi-RHS solves run with **no factorization at all** (one triangular
-///   solve per right-hand side, exactly the arithmetic of
-///   [`lstsq_ridge_multi_with`]), and
-/// * replacing one design row costs `O(d²)` (one rank-1 Cholesky update
-///   plus one downdate) instead of the `O(k d² + d³)` refactorization.
-///
-/// This is the streaming-update primitive behind `ides`' epoch-driven
-/// coordinate maintenance: when a landmark's factor row drifts, the cached
-/// join system absorbs the change by [`CachedGram::replace_row`] rather
-/// than refactoring, and joins keep being served from the same factor.
+/// Every cached host join in `ides` solves through one. A cache describes
+/// one design matrix: when the design changes, factor the new one.
 #[derive(Debug, Clone)]
 pub struct CachedGram {
     /// Cholesky factor `L` of `AᵀA + λI` (lower triangle).
     l: Matrix,
     lambda: f64,
-    /// Rank-1 scratch, reused across updates.
-    buf: Vec<f64>,
 }
 
 impl CachedGram {
@@ -263,25 +255,14 @@ impl CachedGram {
                 "ridge lambda must be nonnegative",
             ));
         }
-        let mut cg = CachedGram {
-            l: Matrix::zeros(a.cols(), a.cols()),
-            lambda,
-            buf: Vec::with_capacity(a.cols()),
-        };
-        cg.refactor(a)?;
-        Ok(cg)
-    }
-
-    /// Refactors from the current design matrix (e.g. after a bulk factor
-    /// refresh, or after a failed downdate). Reuses the cached buffers.
-    pub fn refactor(&mut self, a: &Matrix) -> Result<()> {
         let d = a.cols();
-        self.l.reset_shape(d, d);
-        a.tr_matmul_into(a, &mut self.l)?;
+        let mut l = Matrix::zeros(d, d);
+        a.tr_matmul_into(a, &mut l)?;
         for i in 0..d {
-            self.l[(i, i)] += self.lambda;
+            l[(i, i)] += lambda;
         }
-        crate::cholesky::cholesky_in_place(&mut self.l)
+        crate::cholesky::cholesky_in_place(&mut l)?;
+        Ok(CachedGram { l, lambda })
     }
 
     /// System width `d`.
@@ -299,29 +280,29 @@ impl CachedGram {
         &self.l
     }
 
-    /// Absorbs the addition of design row `row`: the factorization becomes
-    /// that of `AᵀA + row rowᵀ + λI`. `O(d²)`.
-    pub fn update_row(&mut self, row: &[f64]) -> Result<()> {
-        self.buf.clear();
-        self.buf.extend_from_slice(row);
-        crate::cholesky::cholesky_update_in_place(&mut self.l, &mut self.buf)
-    }
-
-    /// Absorbs the removal of design row `row`. On
-    /// [`LinalgError::NotPositiveDefinite`] the cache is invalid — call
-    /// [`CachedGram::refactor`].
-    pub fn downdate_row(&mut self, row: &[f64]) -> Result<()> {
-        self.buf.clear();
-        self.buf.extend_from_slice(row);
-        crate::cholesky::cholesky_downdate_in_place(&mut self.l, &mut self.buf)
-    }
-
-    /// Absorbs an in-place change of one design row from `old_row` to
-    /// `new_row` — the update runs first so the intermediate matrix stays
-    /// safely positive definite. `O(d²)` total.
+    /// Replaces design row `old_row` by `new_row`: factors
+    /// `LLᵀ − old·oldᵀ + new·newᵀ`, formed densely (`O(d³)`), for callers
+    /// that hold only the factor; nothing in the product calls it. On a
+    /// non-positive-definite result the cache is left as it was and
+    /// [`LinalgError::NotPositiveDefinite`] is returned.
     pub fn replace_row(&mut self, old_row: &[f64], new_row: &[f64]) -> Result<()> {
-        self.update_row(new_row)?;
-        self.downdate_row(old_row)
+        let d = self.dim();
+        if old_row.len() != d || new_row.len() != d {
+            return Err(LinalgError::ShapeMismatch {
+                expected: (d, 1),
+                got: (old_row.len().max(new_row.len()), 1),
+                op: "cached_gram_replace_row",
+            });
+        }
+        let mut g = self.l.matmul_tr(&self.l)?;
+        for i in 0..d {
+            for j in 0..d {
+                g[(i, j)] += new_row[i] * new_row[j] - old_row[i] * old_row[j];
+            }
+        }
+        crate::cholesky::cholesky_in_place(&mut g)?;
+        self.l = g;
+        Ok(())
     }
 
     /// Solves `(AᵀA + λI) x = rhs` for a single right-hand side in place
@@ -488,7 +469,7 @@ mod tests {
     fn cached_gram_replace_row_tracks_refactorization() {
         let mut a = Matrix::from_fn(12, 4, |i, j| ((i * 4 + j) as f64 * 0.61).sin() + 0.3);
         let mut cg = CachedGram::factor(&a, 0.1).unwrap();
-        // Replace three rows, one at a time, through the rank-1 path.
+        // Replace three rows, one at a time, through the cached factor.
         for (step, row) in [2usize, 7, 11].into_iter().enumerate() {
             let old: Vec<f64> = a.row(row).to_vec();
             let newr: Vec<f64> = old
@@ -502,7 +483,7 @@ mod tests {
         let fresh = CachedGram::factor(&a, 0.1).unwrap();
         assert!(
             cg.l().approx_eq(fresh.l(), 1e-9),
-            "incrementally maintained factor drifted: {}",
+            "replaced-row factor drifted: {}",
             cg.l().max_abs_diff(fresh.l())
         );
         assert_eq!(cg.dim(), 4);
@@ -514,10 +495,15 @@ mod tests {
         let a = Matrix::identity(3);
         assert!(CachedGram::factor(&a, -1.0).is_err());
         let mut cg = CachedGram::factor(&a, 0.0).unwrap();
-        // Downdating more than the Gram holds must fail, signalling a
-        // refactor; refactor then restores a valid cache.
-        assert!(cg.downdate_row(&[5.0, 0.0, 0.0]).is_err());
-        cg.refactor(&a).unwrap();
+        let before = cg.l().clone();
+        // Removing more than the Gram holds is not positive definite: the
+        // replace fails and leaves the cache as it was.
+        assert!(matches!(
+            cg.replace_row(&[5.0, 0.0, 0.0], &[0.0, 0.0, 0.0]),
+            Err(LinalgError::NotPositiveDefinite)
+        ));
+        assert!(cg.replace_row(&[1.0, 0.0], &[0.0, 1.0]).is_err());
+        assert_eq!(cg.l(), &before);
         let mut rhs = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]).unwrap();
         cg.solve_rows_in_place(&mut rhs).unwrap();
         assert!((rhs[(0, 0)] - 1.0).abs() < 1e-12);

@@ -1,8 +1,6 @@
 //! Property-based tests for the dense linear-algebra kernels.
 
-use ides_linalg::cholesky::{cholesky, cholesky_downdate_in_place, cholesky_update_in_place};
 use ides_linalg::qr::{lstsq, qr};
-use ides_linalg::solve::CachedGram;
 use ides_linalg::svd::{svd, svd_truncated, TruncatedSvdOptions};
 use ides_linalg::{eig::symmetric_eig, nnls::nnls, solve::pinv, Matrix};
 use proptest::prelude::*;
@@ -128,52 +126,6 @@ proptest! {
         let p = pinv(&a, 1e-10).unwrap();
         let apa = a.matmul(&p).unwrap().matmul(&a).unwrap();
         prop_assert!(apa.approx_eq(&a, 1e-6 * (1.0 + a.max_abs())));
-    }
-
-    #[test]
-    fn cholesky_update_matches_from_scratch((n, _) in small_shape(), seed in 0u64..1000) {
-        // A = BᵀB + I is SPD; a rank-1 updated factor must match the
-        // from-scratch factorization of A + vvᵀ within 1e-9.
-        let b = deterministic_matrix(n + 2, n, seed);
-        let a = &b.tr_matmul(&b).unwrap() + &Matrix::identity(n);
-        let v: Vec<f64> = deterministic_matrix(1, n, seed.wrapping_add(17)).row(0).to_vec();
-        let mut l = cholesky(&a).unwrap().l().clone();
-        let mut scratch = v.clone();
-        cholesky_update_in_place(&mut l, &mut scratch).unwrap();
-        let mut plus = a.clone();
-        for i in 0..n {
-            for j in 0..n {
-                plus[(i, j)] += v[i] * v[j];
-            }
-        }
-        let fresh = cholesky(&plus).unwrap();
-        prop_assert!(
-            l.approx_eq(fresh.l(), 1e-9 * (1.0 + fresh.l().max_abs())),
-            "update drifted by {}", l.max_abs_diff(fresh.l())
-        );
-        // Downdating the same vector recovers the original factor.
-        let mut scratch = v.clone();
-        cholesky_downdate_in_place(&mut l, &mut scratch).unwrap();
-        let orig = cholesky(&a).unwrap();
-        prop_assert!(l.approx_eq(orig.l(), 1e-9 * (1.0 + orig.l().max_abs())));
-    }
-
-    #[test]
-    fn cached_gram_replace_row_matches_refactor((n, _) in small_shape(), seed in 0u64..1000) {
-        // Replacing a design row through rank-1 surgery must match a
-        // from-scratch factorization of the edited design matrix.
-        let k = n + 3;
-        let mut a = deterministic_matrix(k, n, seed);
-        let mut cg = CachedGram::factor(&a, 0.5).unwrap();
-        let new_row: Vec<f64> = deterministic_matrix(1, n, seed.wrapping_add(31)).row(0).to_vec();
-        let old_row: Vec<f64> = a.row(1).to_vec();
-        a.set_row(1, &new_row);
-        cg.replace_row(&old_row, &new_row).unwrap();
-        let fresh = CachedGram::factor(&a, 0.5).unwrap();
-        prop_assert!(
-            cg.l().approx_eq(fresh.l(), 1e-9 * (1.0 + fresh.l().max_abs())),
-            "cached gram drifted by {}", cg.l().max_abs_diff(fresh.l())
-        );
     }
 
     #[test]

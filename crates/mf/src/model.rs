@@ -93,8 +93,8 @@ impl FactorModel {
         self.y.row(j)
     }
 
-    /// Overwrites host `i`'s outgoing vector — the streaming layer's
-    /// surgical row update after absorbing a drifted landmark measurement.
+    /// Overwrites host `i`'s outgoing vector — how the streaming layer's
+    /// absorb tier writes a re-solved landmark row into its new factors.
     pub fn set_outgoing(&mut self, i: usize, v: &[f64]) {
         self.x.row_mut(i).copy_from_slice(v);
     }

@@ -40,6 +40,14 @@
 #                        iteration running past convergence
 #   join_batch/500       batched_qr vs per_host_qr
 #   streaming_update/500 incremental update vs full refit
+#   streaming_update/absorb  the absorb-tier landmark step at k = 64,
+#                        d = 16 moving all 64 landmarks <= 6.0 x the step
+#                        moving one (absorb/64x16_all vs absorb/64x16_one;
+#                        within-run, no baseline). On the 2-vCPU reference
+#                        host, alternating runs read 2.7-4.5x with one Gram
+#                        factorization per step and 6.0-9.5x with the
+#                        per-landmark rank-1 Gram repair it replaced, so the
+#                        ceiling catches per-landmark Gram work coming back
 #   serve/500            group-commit admission >= 0.7 x an uncoalesced
 #                        join_direct loop in a 500-thread flash crowd —
 #                        within-run, no baseline: both sides run the same
@@ -213,6 +221,8 @@ check_abs svd "truncated_d10_p2psim/512" "exact_blocked/512" 2.0 \
     "svd/512 (truncated d=10 vs exact blocked SVD, P2PSim-like matrix)"
 check join_batch       "batched_qr/500"  "per_host_qr/500"  "join_batch/500 (batched vs per-host QR)"
 check streaming_update "incremental/500" "full_refit/500"   "streaming_update/500 (incremental vs full refit)"
+check_abs_max streaming_update "absorb/64x16_all" "absorb/64x16_one" 6.0 \
+    "streaming_update/absorb (all 64 landmarks moved vs one, k=64 d=16)"
 check_abs serve "coalesced_join/500" "direct_join/500" 0.7 \
     "serve/500 (group-commit vs uncoalesced admission, 500-thread wave)"
 check_abs_max serve_sharded "publish_churn/10x" "publish_churn/1x" "${MAX_PUBLISH_GROWTH:-2.0}" \

@@ -123,7 +123,8 @@ echo "wrote $out" >&2
 # host-join GEMM shape's rate against the square shape's, the truncated
 # vs exact SVD at 512, the lane-blocked vs per-row Cholesky solve at
 # 65 536 rows, the batched vs per-host join speedup at 500 hosts, the per-epoch
-# incremental update vs full refit at 500 hosts, and one-thread vs
+# incremental update vs full refit at 500 hosts, the absorb-tier landmark
+# step moving all 64 landmarks vs one, and one-thread vs
 # automatic-policy epoch application. Every headline guards ALL the operands it divides by, so a
 # partial QUICK snapshot (BENCHES_OVERRIDE with a subset of groups) never
 # prints spurious `null`-arithmetic output.
@@ -184,6 +185,12 @@ jq -r '.benches.streaming_update // [] | map(select(.group == "streaming_update"
        if (."incremental/500") and (."full_refit/500") and (."warm_refresh/500") then
          "streaming_update/500 full refit vs incremental: \((."full_refit/500" / ."incremental/500") * 100 | round / 100)x, " +
          "vs warm refresh: \((."full_refit/500" / ."warm_refresh/500") * 100 | round / 100)x"
+       else empty end' "$out" >&2 || true
+jq -r '.benches.streaming_update // [] | map(select(.group == "streaming_update")) |
+       map({(.bench): .median_ns}) | add // {} |
+       if (."absorb/64x16_one") and (."absorb/64x16_all") then
+         "streaming_update absorb step (k=64, d=16): all 64 landmarks moved \((."absorb/64x16_all" / ."absorb/64x16_one") * 100 | round / 100)x one " +
+         "(\(."absorb/64x16_all" / 1e3 * 10 | round / 10) vs \(."absorb/64x16_one" / 1e3 * 10 | round / 10) us)"
        else empty end' "$out" >&2 || true
 jq -r 'if .streaming_accuracy then
          "streaming accuracy: streaming vs fresh gap \((.streaming_accuracy.streaming_vs_fresh_gap * 10000 | round) / 100)% " +
