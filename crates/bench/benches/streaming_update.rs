@@ -8,10 +8,12 @@
 //! 2-sweep warm ALS refit + full re-join) ride the cached factorizations.
 //! Acceptance: `incremental` ≥ 10x cheaper than `full_refit` at 500 hosts.
 //!
-//! Also times the absorb-tier landmark step alone at the served shape
-//! (`absorb/64x16_one`, `absorb/64x16_all`: one and all 64 landmarks
-//! moved). `scripts/check_bench.sh` caps their ratio: the step must not
-//! scale with the moved-landmark count faster than it does today.
+//! Also times the landmark step alone at the served shape: the absorb tier
+//! with one and all 64 landmarks moved (`absorb/64x16_one`,
+//! `absorb/64x16_all`) and the refresh tier with all 64 moved
+//! (`refresh/64x16`). `scripts/check_bench.sh` caps two ratios: the absorb
+//! step must not scale with the moved-landmark count faster than it does
+//! today, and a refresh must stay within a few absorbs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -162,20 +164,28 @@ fn bench_streaming_update(c: &mut Criterion) {
         });
     }
 
-    // The landmark step alone, absorb tier, at the served shape (k = 64,
-    // d = 16): epochs moving one landmark (a diagonal delta) and all 64
-    // (32 disjoint pairs), alternating the entries between +1 % and their
-    // original values so every iteration does the same work.
+    // The landmark step alone at the served shape (k = 64, d = 16): absorb
+    // epochs moving one landmark (a diagonal delta) and all 64 (32
+    // disjoint pairs), and refresh epochs moving all 64 (every row is hot
+    // at threshold 0, so each epoch runs the warm 2-sweep ALS refit).
+    // The entries alternate between +1 % and their original values, so
+    // every iteration does the same work.
     let ds = ides_datasets::generators::p2psim_like(72, 7).expect("dataset");
     let sub: Vec<usize> = (0..64).collect();
-    let policy = StalenessPolicy {
-        deviation_threshold: f64::INFINITY,
+    let absorb = StalenessPolicy {
         refresh_row_fraction: 1.0,
         ..StalenessPolicy::default()
     };
-    for (label, pairs) in [
-        ("64x16_one", vec![(0, 0)]),
-        ("64x16_all", (0..32).map(|i| (2 * i, 2 * i + 1)).collect()),
+    let refresh = StalenessPolicy {
+        deviation_threshold: 0.0,
+        refresh_row_fraction: 0.0,
+        ..StalenessPolicy::default()
+    };
+    let all: Vec<(usize, usize)> = (0..32).map(|i| (2 * i, 2 * i + 1)).collect();
+    for (tier, label, policy, pairs) in [
+        ("absorb", "64x16_one", absorb, vec![(0, 0)]),
+        ("absorb", "64x16_all", absorb, all.clone()),
+        ("refresh", "64x16", refresh, all),
     ] {
         let lm = ds.matrix.submatrix(&sub, &sub);
         let mut server = StreamingServer::new(&lm, 16, policy).expect("server");
@@ -191,11 +201,11 @@ fn bench_streaming_update(c: &mut Criterion) {
                 .collect(),
         });
         let mut e = 0usize;
-        group.bench_function(BenchmarkId::new("absorb", label), |b| {
+        group.bench_function(BenchmarkId::new(tier, label), |b| {
             b.iter(|| {
-                e += 1;
                 let outcome = server.apply_epoch(&updates[e % 2]).expect("apply");
-                assert!(!outcome.refreshed, "bench must stay on the absorb tier");
+                e += 1;
+                assert_eq!(outcome.refreshed, tier == "refresh", "bench left its tier");
             })
         });
     }

@@ -8,9 +8,10 @@
 //!   1. **Validate** the deltas.
 //!   2. **Apply the deltas** to the measured landmark matrix and pick the
 //!      maintenance tier per Gram row (the staleness policy's row gate).
-//!   3. **Refresh** (warm partial refit) or **absorb** (re-solve each
-//!      changed landmark against the epoch-start model, serially: ≈ 80–100
-//!      µs for all 64 at `k = 64`, `d = 16`) into a new [`LandmarkModel`].
+//!   3. **Refresh** (warm partial refit) or **absorb** (join every
+//!      changed landmark to the epoch-start model in one cached-join call:
+//!      ≈ 25–32 µs for all 64 at `k = 64`, `d = 16`, one thread) into a new
+//!      [`LandmarkModel`].
 //!   4. **Swap or undo**: a step that succeeded replaces the served model
 //!      whole; a failed one puts back the measurements it overwrote.
 //! * [`StreamingServer::rejoin`], **the host step**: validated against the
@@ -178,6 +179,12 @@ impl StreamingServer {
         let k = self.landmark_count();
 
         let plan_span = tm::span(tm::Stage::Plan);
+        if !update.epoch.is_finite() {
+            return Err(IdesError::InvalidInput(format!(
+                "epoch stamp {} is not finite",
+                update.epoch
+            )));
+        }
         for d in &update.deltas {
             if d.from >= k || d.to >= k {
                 return Err(IdesError::InvalidInput(format!(
@@ -210,8 +217,7 @@ impl StreamingServer {
         // Per-row tier gate: refresh only when more hot Gram rows than
         // the policy's fraction allows — one badly drifted landmark is
         // absorbed, never a whole-model refit.
-        let deviation = self.deviation();
-        let hot_rows = self.hot_landmarks();
+        let (deviation, hot_rows) = self.drift();
         let refreshed = hot_rows as f64 > self.policy.refresh_row_fraction * k as f64;
         drop(plan_span);
 
@@ -304,59 +310,47 @@ impl StreamingServer {
     /// re-solved against the epoch-start model and written into a copy of
     /// its factors (the solve), which is then factored into the epoch's new
     /// model (the commit). Reads `&self` only.
+    ///
+    /// For ALS-family servers the solve is a host join: each changed
+    /// landmark joins the epoch-start model with its drifted row of the
+    /// landmark matrix as outgoing and its column (its row of the
+    /// transpose) as incoming measurements, one [`LandmarkModel::join_into`]
+    /// call for all of them. NMF-family servers solve each landmark by
+    /// ridge-augmented NNLS instead, so their factors stay nonnegative
+    /// between refreshes too.
     fn absorb(&self, landmarks: &[usize]) -> Result<LandmarkModel> {
         let solve_span = tm::span(tm::Stage::AbsorbSolve);
         let mut candidate = self.model().clone();
-        let mut col = Vec::with_capacity(self.landmark_count());
-        let (mut x, mut y) = (vec![0.0; self.dim()], vec![0.0; self.dim()]);
-        for &l in landmarks {
-            self.solve_absorb(l, &mut col, &mut x, &mut y)?;
-            candidate.set_outgoing(l, &x);
-            candidate.set_incoming(l, &y);
+        if matches!(self.refit, RefreshStrategy::Nmf(_)) {
+            // min ‖Y x − D[l, :]‖² + λ‖x‖² s.t. x ≥ 0, and the mirrored
+            // incoming problem against X and D[:, l].
+            let (model, ridge) = (self.model(), self.policy.ridge);
+            for &l in landmarks {
+                let x = super::nnls_ridge(model.y(), self.landmarks.row(l), ridge)?;
+                let y = super::nnls_ridge(model.x(), &self.landmarks.col(l), ridge)?;
+                candidate.set_outgoing(l, &x);
+                candidate.set_incoming(l, &y);
+            }
+        } else {
+            // Row `r` of the two tables is landmark `landmarks[r]`'s row and
+            // column of the landmark matrix.
+            let d_out = self.landmarks.select_rows(landmarks);
+            let d_in = Matrix::from_fn(landmarks.len(), self.landmark_count(), |r, i| {
+                self.landmarks[(i, landmarks[r])]
+            });
+            let sink = &mut |rows: &HostRows<'_>, tile: &BatchHostVectors| {
+                for (i, r) in rows.iter().enumerate() {
+                    candidate.set_outgoing(landmarks[r], tile.outgoing(i));
+                    candidate.set_incoming(landmarks[r], tile.incoming(i));
+                }
+            };
+            let rows = HostRows::range(0..landmarks.len());
+            self.model
+                .join_into(d_out.as_slice(), d_in.as_slice(), &rows, sink)?;
         }
         drop(solve_span);
         let _span = tm::span(tm::Stage::AbsorbCommit);
         LandmarkModel::factor(candidate, self.policy.ridge)
-    }
-
-    /// Recomputes landmark `l`'s outgoing (`x`) and incoming (`y`) factor
-    /// rows against the epoch-start factors — via the cached Grams for
-    /// ALS-family servers (`O(k d)` right-hand sides, `O(d²)` per solve),
-    /// via ridge-augmented NNLS for NMF-family servers so factors stay
-    /// nonnegative between refreshes. `col` is gather scratch.
-    fn solve_absorb(
-        &self,
-        l: usize,
-        col: &mut Vec<f64>,
-        x: &mut [f64],
-        y: &mut [f64],
-    ) -> Result<()> {
-        let k = self.landmark_count();
-        let LandmarkModel {
-            model,
-            gram_x,
-            gram_y,
-        } = &*self.model;
-        col.clear();
-        col.extend((0..k).map(|i| self.landmarks[(i, l)]));
-        if matches!(self.refit, RefreshStrategy::Nmf(_)) {
-            // NNLS absorb tier: min ‖Y x − D[l, :]‖ + λ‖x‖² s.t. x ≥ 0
-            // (and the mirrored incoming problem). The ridge is applied
-            // the standard way — augmenting the design with √λ·I rows —
-            // so the policy's λ knob binds this tier exactly like the
-            // cached-Gram solves of the ALS branch.
-            let ridge = self.policy.ridge;
-            x.copy_from_slice(&super::nnls_ridge(model.y(), self.landmarks.row(l), ridge)?);
-            y.copy_from_slice(&super::nnls_ridge(model.x(), col, ridge)?);
-        } else {
-            // New outgoing row: solve (YᵀY + λI) x = Yᵀ D[l, :].
-            model.y().tr_matvec_into(self.landmarks.row(l), x)?;
-            gram_y.solve_in_place(x)?;
-            // New incoming row: solve (XᵀX + λI) y = Xᵀ D[:, l].
-            model.x().tr_matvec_into(col, y)?;
-            gram_x.solve_in_place(y)?;
-        }
-        Ok(())
     }
 }
 

@@ -10,17 +10,19 @@
 //!   `ides_netsim::drift::DriftStream` over the discrete-event queue).
 //! * [`StreamingServer::apply_epoch`] ingests one batch and picks the
 //!   cheapest maintenance tier under its [`StalenessPolicy`]:
-//!   - **absorb** (drift-deviation at or below the threshold): each
-//!     touched landmark's outgoing/incoming vectors are re-solved against
-//!     the current factors — one cached-Gram solve each, `O(k d + d²)` —
-//!     and the two join Grams are factored once from the new factors;
+//!   - **absorb** (drift-deviation at or below the threshold): the
+//!     touched landmarks join the current model like hosts — one cached
+//!     join over their rows of the landmark matrix and of its transpose,
+//!     `O(k d + d²)` each — and the two join Grams are factored once from
+//!     the new factors;
 //!   - **refresh** (deviation above the threshold): a warm-start partial
 //!     refit runs a bounded number of sweeps from the current factors —
 //!     [`ides_mf::als::refine`] for ALS-family servers,
 //!     [`ides_mf::nmf::refine`] for NMF-family ones
 //!     ([`StreamingServer::with_nmf_config`]), both reusing the
-//!     allocation-free workspaces of the batch fit — and the Grams are
-//!     factored once. See [`RefreshStrategy`].
+//!     allocation-free workspaces of the batch fit (an ALS half-step is
+//!     itself a batched join) — and the Grams are factored once. See
+//!     [`RefreshStrategy`].
 //! * Joins keep being served from the cached factorizations with **no
 //!   factorization on the query path**: [`LandmarkModel::join_batch`] is
 //!   one GEMM plus two triangular solves per host — bit-identical to the
@@ -142,7 +144,7 @@ struct Queued {
 
 impl PartialEq for Queued {
     fn eq(&self, other: &Self) -> bool {
-        self.update.epoch == other.update.epoch && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for Queued {}
@@ -154,11 +156,12 @@ impl PartialOrd for Queued {
 impl Ord for Queued {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest-first.
+        // `total_cmp` keeps the order total for any stamp: a NaN sorts
+        // after every number instead of comparing equal to all of them.
         other
             .update
             .epoch
-            .partial_cmp(&self.update.epoch)
-            .unwrap_or(Ordering::Equal)
+            .total_cmp(&self.update.epoch)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -210,7 +213,9 @@ impl UpdateQueue {
     }
 }
 
-/// When to pay for freshness: the knobs of the maintenance tiers.
+/// When to pay for freshness: the knobs of the maintenance tiers. A server
+/// refuses, when it is built, a negative or non-finite `ridge` or
+/// `deviation_threshold` and a NaN `refresh_row_fraction`.
 #[derive(Debug, Clone, Copy)]
 pub struct StalenessPolicy {
     /// A landmark (Gram row) counts as **hot** when the mean relative
@@ -257,11 +262,11 @@ impl Default for StalenessPolicy {
 /// * NMF-family servers ([`StreamingServer::with_nmf_config`]) refresh
 ///   through the warm multiplicative updates of [`ides_mf::nmf::refine`],
 ///   which keep the factors nonnegative. The absorb tier follows the same
-///   split: ALS-family servers re-solve drifted landmark rows by
-///   unconstrained least squares through the cached Grams, NMF-family
-///   servers by [`ides_linalg::nnls`] so the factors stay nonnegative
-///   **between** refreshes too (either way the Grams are then factored
-///   from the new factors).
+///   split: ALS-family servers join drifted landmarks to the current
+///   model (unconstrained least squares through the cached Grams),
+///   NMF-family servers solve them by [`ides_linalg::nnls`] so the factors
+///   stay nonnegative **between** refreshes too (either way the Grams are
+///   then factored from the new factors).
 #[derive(Debug, Clone, Copy)]
 pub enum RefreshStrategy {
     /// Warm ALS sweeps from the current factors.
@@ -385,13 +390,29 @@ impl StreamingServer {
         StreamingServer::from_fit(landmarks, fit.model, RefreshStrategy::Nmf(config), policy)
     }
 
-    /// Shared constructor tail: cache the join Grams of the fitted model.
+    /// Shared constructor tail: check the policy and cache the join Grams
+    /// of the fitted model.
     fn from_fit(
         landmarks: &DistanceMatrix,
         model: FactorModel,
         refit: RefreshStrategy,
         policy: StalenessPolicy,
     ) -> Result<Self> {
+        for (field, value) in [
+            ("ridge", policy.ridge),
+            ("deviation_threshold", policy.deviation_threshold),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(IdesError::InvalidInput(format!(
+                    "staleness policy: {field} must be finite and nonnegative, got {value}"
+                )));
+            }
+        }
+        if policy.refresh_row_fraction.is_nan() {
+            return Err(IdesError::InvalidInput(
+                "staleness policy: refresh_row_fraction is NaN".into(),
+            ));
+        }
         Ok(StreamingServer {
             landmarks: landmarks.values().clone(),
             baseline: landmarks.values().clone(),
@@ -470,62 +491,55 @@ impl StreamingServer {
         }
     }
 
-    /// Mean relative deviation of the current landmark matrix from the
-    /// last-refresh baseline (the drift signal the staleness policy gates
-    /// on; reported as [`EpochOutcome::deviation`]).
-    fn deviation(&self) -> f64 {
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for (i, j, base) in self.baseline.iter_entries() {
-            if base > 0.0 {
-                total += (self.landmarks[(i, j)] - base).abs() / base;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f64
-        }
-    }
-
-    /// Per-landmark drift signal: the mean relative deviation of landmark
-    /// `l`'s measured row **and** column from the last-refresh baseline
-    /// (both directions, because an absorb re-solves both of `l`'s factor
-    /// rows). This is the per-Gram-row input of the tier gate.
-    fn landmark_deviation(&self, l: usize) -> f64 {
+    /// The tier gate's two drift signals from one pass over the landmark
+    /// matrix against its last-refresh baseline:
+    ///
+    /// * the **mean relative deviation** `|D − B| / B` over every entry
+    ///   with a positive baseline (reported as
+    ///   [`EpochOutcome::deviation`]);
+    /// * the number of **hot** landmarks: those whose row **and** column
+    ///   (both directions, because an absorb re-solves both of a
+    ///   landmark's factor rows) deviate on average by more than the
+    ///   policy's `deviation_threshold`. The epoch refreshes only when
+    ///   `hot / k` exceeds `refresh_row_fraction` (reported as
+    ///   [`EpochOutcome::hot_rows`]).
+    ///
+    /// Each entry's deviation is computed once; both means add their
+    /// terms in a fixed order (row-major for the global one; `(l, j)`,
+    /// `(j, l)` for ascending `j ≠ l` per landmark).
+    fn drift(&self) -> (f64, usize) {
         let k = self.landmarks.rows();
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for j in 0..k {
-            if j == l {
-                continue;
+        let (now, base) = (self.landmarks.as_slice(), self.baseline.as_slice());
+        // An entry without a positive baseline does not count; its term is
+        // 0, which leaves the bits of any sum of nonnegative terms as they
+        // were.
+        let rel: Vec<f64> = base
+            .iter()
+            .zip(now)
+            .map(|(&b, &v)| if b > 0.0 { (v - b).abs() / b } else { 0.0 })
+            .collect();
+        let mean = |total: f64, count: usize| {
+            if count == 0 {
+                0.0
+            } else {
+                total / count as f64
             }
-            for (r, c) in [(l, j), (j, l)] {
-                let base = self.baseline[(r, c)];
-                if base > 0.0 {
-                    total += (self.landmarks[(r, c)] - base).abs() / base;
-                    count += 1;
+        };
+        let counted = base.iter().filter(|&&b| b > 0.0).count();
+        let deviation = mean(rel.iter().fold(0.0, |total, t| total + t), counted);
+        // Landmark `l` adds its terms in ascending `j`; running every
+        // landmark's sum side by side keeps that order.
+        let (mut totals, mut counts) = (vec![0.0; k], vec![0usize; k]);
+        for j in 0..k {
+            for l in (0..k).filter(|&l| l != j) {
+                for at in [l * k + j, j * k + l] {
+                    totals[l] += rel[at];
+                    counts[l] += usize::from(base[at] > 0.0);
                 }
             }
         }
-        if count == 0 {
-            0.0
-        } else {
-            total / count as f64
-        }
-    }
-
-    /// Number of **hot** landmarks: rows whose [`landmark_deviation`]
-    /// exceeds the policy's `deviation_threshold`. The epoch refreshes
-    /// only when `hot / k` exceeds `refresh_row_fraction` — the per-row
-    /// tier choice (reported as [`EpochOutcome::hot_rows`]).
-    ///
-    /// [`landmark_deviation`]: StreamingServer::landmark_deviation
-    fn hot_landmarks(&self) -> usize {
-        (0..self.landmarks.rows())
-            .filter(|&l| self.landmark_deviation(l) > self.policy.deviation_threshold)
-            .count()
+        let hot = (0..k).filter(|&l| mean(totals[l], counts[l]) > self.policy.deviation_threshold);
+        (deviation, hot.count())
     }
 
     /// Refits the current landmark matrix with the server's own family
@@ -593,6 +607,185 @@ mod tests {
         assert_eq!(q.pop_ready(3.0).unwrap().epoch, 3.0);
         assert_eq!(q.pop().unwrap().epoch, 5.0);
         assert!(q.pop().is_none());
+        // A NaN stamp sorts after every number instead of breaking the order.
+        for epoch in [3.0, f64::NAN, 1.0, 2.0, f64::NAN, 0.5] {
+            q.push(u(epoch));
+        }
+        let popped: Vec<f64> = std::iter::from_fn(|| q.pop()).map(|u| u.epoch).collect();
+        assert_eq!(popped[..4], [0.5, 1.0, 2.0, 3.0]);
+        assert!(popped[4..].iter().all(|e| e.is_nan()), "{popped:?}");
+    }
+
+    /// An update of `(from, to, rtt)` deltas.
+    fn epoch_update(
+        epoch: f64,
+        deltas: impl IntoIterator<Item = (usize, usize, f64)>,
+    ) -> EpochUpdate {
+        let deltas = deltas.into_iter();
+        let deltas = deltas
+            .map(|(from, to, rtt)| MeasurementDelta { from, to, rtt })
+            .collect();
+        EpochUpdate { epoch, deltas }
+    }
+
+    #[test]
+    fn a_bad_staleness_policy_is_rejected_when_the_server_is_built() {
+        let ds = ides_datasets::generators::gnp_like(10, 3).unwrap();
+        let spoiled = |spoil: fn(&mut StalenessPolicy)| {
+            let mut policy = StalenessPolicy::default();
+            spoil(&mut policy);
+            policy
+        };
+        for (field, policy) in [
+            ("ridge", spoiled(|p| p.ridge = f64::NAN)),
+            ("ridge", spoiled(|p| p.ridge = f64::INFINITY)),
+            ("ridge", spoiled(|p| p.ridge = -0.1)),
+            (
+                "deviation_threshold",
+                spoiled(|p| p.deviation_threshold = f64::NAN),
+            ),
+            (
+                "deviation_threshold",
+                spoiled(|p| p.deviation_threshold = -1.0),
+            ),
+            (
+                "refresh_row_fraction",
+                spoiled(|p| p.refresh_row_fraction = f64::NAN),
+            ),
+        ] {
+            let r = StreamingServer::new(&ds.matrix, 4, policy);
+            assert!(
+                matches!(&r, Err(IdesError::InvalidInput(m)) if m.contains(field)),
+                "{r:?}"
+            );
+        }
+    }
+
+    /// The tier gate as the three walks [`StreamingServer::drift`]
+    /// replaced: the global mean, then each landmark's row-and-column mean
+    /// (the hot count is the means above the threshold).
+    fn three_walk_gate(server: &StreamingServer) -> (f64, Vec<f64>) {
+        let (now, base, k) = (&server.landmarks, &server.baseline, server.landmark_count());
+        let mean = |cells: &mut dyn Iterator<Item = (usize, usize)>| {
+            let (mut total, mut count) = (0.0, 0usize);
+            for (r, c) in cells.filter(|&(r, c)| base[(r, c)] > 0.0) {
+                total += (now[(r, c)] - base[(r, c)]).abs() / base[(r, c)];
+                count += 1;
+            }
+            if count == 0 {
+                0.0
+            } else {
+                total / count as f64
+            }
+        };
+        let deviation = mean(&mut (0..k).flat_map(|i| (0..k).map(move |j| (i, j))));
+        let rows =
+            (0..k).map(|l| mean(&mut (0..k).filter(|&j| j != l).flat_map(|j| [(l, j), (j, l)])));
+        (deviation, rows.collect())
+    }
+
+    #[test]
+    fn one_pass_tier_gate_matches_the_three_walks_bitwise() {
+        // Drift accumulating over 12 epochs (never refreshing), with three
+        // co-located pairs at 0 ms (no positive baseline: they count
+        // nowhere). The one pass must report the three walks' deviation
+        // bits and hot count after every epoch, at thresholds that put the
+        // hot count anywhere from 0 to k, and at every landmark's exact
+        // final mean and one ulp below it, where a per-landmark sum one
+        // ulp off flips that landmark's verdict.
+        let ds = ides_datasets::generators::p2psim_like(30, 13).unwrap();
+        let sub: Vec<usize> = (0..24).collect();
+        let mut values = ds.matrix.submatrix(&sub, &sub).values().clone();
+        for (a, b) in [(3, 7), (7, 3), (10, 2)] {
+            values[(a, b)] = 0.0;
+        }
+        let lm = DistanceMatrix::full("lm", values).unwrap();
+        let mut hot_counts = Vec::new();
+        let mut replay = |deviation_threshold: f64| {
+            let policy = StalenessPolicy {
+                deviation_threshold,
+                refresh_row_fraction: 1.0,
+                ..StalenessPolicy::default()
+            };
+            let mut server = StreamingServer::new(&lm, 5, policy).unwrap();
+            let mut means = Vec::new();
+            for epoch in 1..=12usize {
+                let drift = |n: usize| 1.0 + 0.01 * ((epoch * 13 + n) as f64).sin();
+                let cells = (0..5 * epoch).map(|n| ((7 * n + epoch) % 24, (11 * n + 3) % 24));
+                let deltas = cells.map(|(i, j)| (i, j, server.landmarks[(i, j)] * drift(i)));
+                let update = epoch_update(epoch as f64, deltas.collect::<Vec<_>>());
+                let outcome = server.apply_epoch(&update).unwrap();
+                let deviation;
+                (deviation, means) = three_walk_gate(&server);
+                let hot = means.iter().filter(|&&m| m > deviation_threshold).count();
+                assert_eq!(
+                    outcome.deviation.to_bits(),
+                    deviation.to_bits(),
+                    "epoch {epoch}"
+                );
+                assert_eq!(
+                    outcome.hot_rows, hot,
+                    "threshold {deviation_threshold}, epoch {epoch}"
+                );
+                hot_counts.push(hot);
+            }
+            means
+        };
+        let last = replay(0.0);
+        for threshold in [0.0002, 0.0005, 0.001, 0.003] {
+            replay(threshold);
+        }
+        for mean in last {
+            replay(mean);
+            replay(mean.next_down());
+        }
+        let partial = hot_counts.iter().filter(|&&h| h > 0 && h < 24).count();
+        assert!(partial >= 10, "hot counts {hot_counts:?}");
+    }
+
+    #[test]
+    fn an_als_absorb_is_a_join_on_the_epoch_start_model() {
+        // At the served shape (k = 64, d = 16), moving every landmark and
+        // moving three: the absorbed factor rows are bit-equal to
+        // `join_batch(D, Dᵀ)` on the model the epoch started from, and the
+        // landmarks that did not move keep their rows.
+        let ds = ides_datasets::generators::p2psim_like(72, 7).unwrap();
+        let sub: Vec<usize> = (0..64).collect();
+        let lm = ds.matrix.submatrix(&sub, &sub);
+        for ridge in [0.0, 0.1] {
+            let policy = StalenessPolicy {
+                refresh_row_fraction: 1.0,
+                ridge,
+                ..StalenessPolicy::default()
+            };
+            for pairs in [
+                (0..32).map(|i| (2 * i, 2 * i + 1)).collect(),
+                vec![(5, 9), (9, 40)],
+            ] {
+                let mut server = StreamingServer::new(&lm, 16, policy).unwrap();
+                let start = Arc::clone(server.landmark_model());
+                let deltas = pairs
+                    .iter()
+                    .map(|&(i, j)| (i, j, lm.values()[(i, j)] * 1.01 + 0.01));
+                let outcome = server
+                    .apply_epoch(&epoch_update(1.0, deltas.collect::<Vec<_>>()))
+                    .unwrap();
+                let d = server.landmark_matrix();
+                let mut joined = BatchHostVectors::new();
+                start.join_batch(d, &d.transpose(), &mut joined).unwrap();
+                let moved = |l: usize| pairs.iter().any(|&(i, j)| l == i || l == j);
+                assert_eq!(outcome.absorbed, (0..64).filter(|&l| moved(l)).count());
+                let (now, then) = (server.model(), start.factors());
+                for l in 0..64 {
+                    let (x, y) = match moved(l) {
+                        true => (joined.outgoing(l), joined.incoming(l)),
+                        false => (then.x().row(l), then.y().row(l)),
+                    };
+                    assert_eq!(bits(now.x().row(l)), bits(x), "ridge {ridge}, landmark {l}");
+                    assert_eq!(bits(now.y().row(l)), bits(y), "ridge {ridge}, landmark {l}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -617,6 +810,14 @@ mod tests {
             }],
         };
         assert!(server.apply_epoch(&bad_rtt).is_err());
+        // A non-finite stamp is refused before anything is written.
+        let before = bits(server.landmarks.as_slice());
+        for epoch in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let r = server.apply_epoch(&epoch_update(epoch, [(0, 1, 7.0)]));
+            assert!(matches!(r, Err(IdesError::InvalidInput(_))), "{r:?}");
+            assert_eq!(server.epoch(), 0.0);
+            assert_eq!(bits(server.landmarks.as_slice()), before);
+        }
     }
 
     #[test]
@@ -628,7 +829,6 @@ mod tests {
         // next valid step must go through.
         let ds = ides_datasets::generators::p2psim_like(20, 5).unwrap();
         let absorb_only = StalenessPolicy {
-            deviation_threshold: f64::INFINITY,
             refresh_row_fraction: 1.0,
             ..StalenessPolicy::default()
         };
@@ -719,7 +919,7 @@ mod tests {
         assert_eq!(server.refreshes(), 1);
         assert_eq!(server.epoch(), 2.0);
         // After a refresh the baseline resets, so deviation reads 0.
-        assert!(server.deviation() < 1e-12);
+        assert_eq!(server.drift(), (0.0, 0));
     }
 
     #[test]
@@ -772,7 +972,6 @@ mod tests {
         let sub: Vec<usize> = (0..12).collect();
         let lm = ds.matrix.submatrix(&sub, &sub);
         let policy = StalenessPolicy {
-            deviation_threshold: f64::INFINITY,
             refresh_row_fraction: 1.0,
             ridge: 0.1,
             ..StalenessPolicy::default()

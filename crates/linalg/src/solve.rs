@@ -87,82 +87,18 @@ pub fn lstsq_ridge(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>> {
     }
 }
 
-/// Reusable scratch space for [`lstsq_ridge_with`]: the `AᵀA` Gram matrix
-/// and `Aᵀb` right-hand side. Reused across solves of the same width (the
-/// ALS row sweeps and host joins solve thousands of small systems of one
-/// fixed dimension), so the steady state allocates nothing.
+/// Reusable scratch space for [`lstsq_ridge_multi_with`]: the `AᵀA` Gram
+/// matrix and its Cholesky factor. Reused across solves of the same width
+/// (the ALS half-steps and host joins solve many systems of one fixed
+/// dimension), so the steady state allocates nothing.
 #[derive(Debug, Default)]
 pub struct NormalEqWorkspace {
     ata: Matrix,
-    atb: Vec<f64>,
 }
 
 impl NormalEqWorkspace {
-    /// Creates a workspace pre-sized for systems of width `k`.
-    pub fn new(k: usize) -> Self {
-        NormalEqWorkspace {
-            ata: Matrix::zeros(k, k),
-            atb: vec![0.0; k],
-        }
-    }
-
     fn fit_to(&mut self, k: usize) {
         self.ata.reset_shape(k, k);
-        self.atb.clear();
-        self.atb.resize(k, 0.0);
-    }
-}
-
-/// Allocation-free ridge least squares: like [`lstsq_ridge`], but the Gram
-/// matrix, right-hand side, and Cholesky factorization all live in `ws`,
-/// and the solution is written into `out` (length = `a.cols()`).
-///
-/// Falls back to the allocating [`lstsq_normal`] pseudo-inverse path only
-/// when `AᵀA + λI` is numerically indefinite (rank-deficient input with
-/// `lambda = 0`), which mirrors [`lstsq_ridge`]'s behavior.
-pub fn lstsq_ridge_with(
-    a: &Matrix,
-    b: &[f64],
-    lambda: f64,
-    ws: &mut NormalEqWorkspace,
-    out: &mut [f64],
-) -> Result<()> {
-    if a.rows() != b.len() {
-        return Err(LinalgError::ShapeMismatch {
-            expected: (a.rows(), 1),
-            got: (b.len(), 1),
-            op: "lstsq_ridge",
-        });
-    }
-    if lambda < 0.0 {
-        return Err(LinalgError::InvalidArgument(
-            "ridge lambda must be nonnegative",
-        ));
-    }
-    let k = a.cols();
-    if out.len() != k {
-        return Err(LinalgError::ShapeMismatch {
-            expected: (k, 1),
-            got: (out.len(), 1),
-            op: "lstsq_ridge_with",
-        });
-    }
-    ws.fit_to(k);
-    a.tr_matmul_into(a, &mut ws.ata)?;
-    for i in 0..k {
-        ws.ata[(i, i)] += lambda;
-    }
-    a.tr_matvec_into(b, &mut ws.atb)?;
-    match crate::cholesky::cholesky_in_place(&mut ws.ata) {
-        Ok(()) => {
-            out.copy_from_slice(&ws.atb);
-            crate::cholesky::solve_cholesky_in_place(&ws.ata, out)
-        }
-        Err(_) => {
-            let x = lstsq_normal(a, b)?;
-            out.copy_from_slice(&x);
-            Ok(())
-        }
     }
 }
 
@@ -183,10 +119,15 @@ pub fn lstsq_ridge_with(
 /// separately through the same batched path — the property the evaluation
 /// sharding relies on.
 ///
+/// Each row's bits are those of [`lstsq_ridge`] on that row alone while
+/// `a` has at most 256 rows (the GEMM's `KC` depth: `Aᵀbₕ` is then summed
+/// in one pass, in `lstsq_ridge`'s order); past that `B·A` is summed in
+/// 256-deep panels and may differ in the last bits.
+///
 /// Falls back to the per-row [`lstsq_normal`] pseudo-inverse path when
 /// `AᵀA + λI` is numerically indefinite (rank-deficient input with
-/// `lambda = 0`), mirroring [`lstsq_ridge_with`]. Steady-state allocation
-/// is zero once `ws` and `out` have reached their high-water shapes.
+/// `lambda = 0`), mirroring [`lstsq_ridge`]. Steady-state allocation is
+/// zero once `ws` and `out` have reached their high-water shapes.
 pub fn lstsq_ridge_multi_with(
     a: &Matrix,
     b: &Matrix,
@@ -305,12 +246,6 @@ impl CachedGram {
         Ok(())
     }
 
-    /// Solves `(AᵀA + λI) x = rhs` for a single right-hand side in place
-    /// (`rhs` must already hold `Aᵀb`). No heap allocation.
-    pub fn solve_in_place(&self, rhs: &mut [f64]) -> Result<()> {
-        crate::cholesky::solve_cholesky_in_place(&self.l, rhs)
-    }
-
     /// Solves `(AᵀA + λI) xᵀ = bᵀ` for every row of `rhs` in place — the
     /// normal-equation solve step of a batched host join, with the
     /// factorization amortized across the cache's whole lifetime. Callers
@@ -321,7 +256,8 @@ impl CachedGram {
     /// ([`crate::cholesky::solve_cholesky_rows_in_place`]): the independent
     /// rows fill the vector width and hide the subtract/divide latency
     /// that bounds a single row's substitution. Every lane runs the exact
-    /// operation sequence of [`CachedGram::solve_in_place`] — unfused
+    /// operation sequence of the one-row
+    /// [`crate::cholesky::solve_cholesky_in_place`] — unfused
     /// multiply, subtract, true division, from the same routine — and
     /// lanes never mix, so each row's bits are those of a one-row solve
     /// whatever the batch size, the row's position or the instruction
@@ -403,20 +339,25 @@ mod tests {
 
     #[test]
     fn multi_rhs_matches_single_solves() {
-        let a = Matrix::from_fn(9, 4, |i, j| ((i * 4 + j) as f64 * 0.63).sin() + 0.2);
-        let b = Matrix::from_fn(6, 9, |h, i| ((h * 9 + i) as f64 * 0.31).cos() * 5.0);
-        for lambda in [0.0, 0.5] {
-            let mut ws = NormalEqWorkspace::default();
-            let mut out = Matrix::zeros(0, 0);
-            lstsq_ridge_multi_with(&a, &b, lambda, &mut ws, &mut out).unwrap();
-            assert_eq!(out.shape(), (6, 4));
-            for h in 0..6 {
-                let x = lstsq_ridge(&a, b.row(h), lambda).unwrap();
-                for j in 0..4 {
-                    assert!(
-                        (out[(h, j)] - x[j]).abs() < 1e-10,
-                        "host {h} λ={lambda}: {:?} vs {x:?}",
-                        out.row(h)
+        // Systems of 9, 17 and 256 rows (at most `KC`), batches of 1 and 6
+        // right-hand sides: every solved row carries the bits of
+        // `lstsq_ridge` on that row alone.
+        for rows in [9usize, 17, 256] {
+            let a = Matrix::from_fn(rows, 4, |i, j| ((i * 4 + j) as f64 * 0.63).sin() + 0.2);
+            let b = Matrix::from_fn(6, rows, |h, i| ((h * rows + i) as f64 * 0.31).cos() * 5.0);
+            for (lambda, hosts) in [(0.0, 6), (1e-8, 1), (0.5, 6)] {
+                let batch = Matrix::from_fn(hosts, rows, |h, i| b[(h, i)]);
+                let mut ws = NormalEqWorkspace::default();
+                let mut out = Matrix::zeros(0, 0);
+                lstsq_ridge_multi_with(&a, &batch, lambda, &mut ws, &mut out).unwrap();
+                assert_eq!(out.shape(), (hosts, 4));
+                for h in 0..hosts {
+                    let x = lstsq_ridge(&a, b.row(h), lambda).unwrap();
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(out.row(h)),
+                        bits(&x),
+                        "{rows} rows, λ={lambda}, host {h}"
                     );
                 }
             }

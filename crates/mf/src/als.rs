@@ -12,9 +12,16 @@
 //! Y_j ← argmin_u Σ_{i observed} (D_ij − X_i · u)²
 //! ```
 //!
-//! Each half-step is the same computation as an IDES host join (Eqs.
-//! 13–14), so ALS is also the natural "re-fit everything" operation for a
-//! long-running IDES deployment.
+//! Each half-step *is* a batched IDES host join (Eqs. 13–14): the rows
+//! being solved are the hosts, the fixed factor is the landmark design,
+//! and consecutive rows that observe the same columns (every row, on
+//! complete data) share one Gram, one Cholesky factorization and one GEMM
+//! of right-hand sides through [`solve::lstsq_ridge_multi_with`]. So ALS is
+//! also the natural "re-fit everything" operation for a long-running IDES
+//! deployment. Each row's bits are those of a one-row ridge solve while
+//! its system has at most 256 observed entries (the GEMM's `KC` depth);
+//! past that the right-hand side is summed in 256-deep panels and may move
+//! in its last bits.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -114,15 +121,20 @@ pub fn fit(data: &DistanceMatrix, config: AlsConfig) -> Result<AlsFit> {
     if config.dim == 0 {
         return Err(MfError::InvalidInput("dimension must be at least 1".into()));
     }
-    let k = config.dim.min(m).min(n);
-    let d = data.values();
+    let (x, y) = initial_factors(data, config);
+    run_sweeps(data, x, y, config)
+}
 
-    // Scale-aware random init (sign-free: ALS is unconstrained).
+/// [`fit`]'s starting factors: scale-aware and random from `config.seed`
+/// (sign-free: ALS is unconstrained).
+fn initial_factors(data: &DistanceMatrix, config: AlsConfig) -> (Matrix, Matrix) {
+    let (m, n) = data.shape();
+    let k = config.dim.min(m).min(n);
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let scale = (d.mean().abs().max(1e-12) / k as f64).sqrt();
+    let scale = (data.values().mean().abs().max(1e-12) / k as f64).sqrt();
     let x = random::uniform(m, k, 0.1 * scale, scale, &mut rng);
     let y = random::uniform(n, k, 0.1 * scale, scale, &mut rng);
-    run_sweeps(data, x, y, config)
+    (x, y)
 }
 
 /// Warm-start **partial refit**: continues ALS from an existing factor
@@ -137,8 +149,8 @@ pub fn fit(data: &DistanceMatrix, config: AlsConfig) -> Result<AlsFit> {
 /// the same `(data, model, config)` is bit-reproducible, which is what
 /// lets `ides`' `apply_epoch` promise joins bit-identical to a manual
 /// refit with the same budget. `config.dim` and `config.seed` are ignored
-/// in favor of the model's own dimensionality. Reuses the same
-/// allocation-free inner loops (workspace buffers, banded error pass) as
+/// in favor of the model's own dimensionality. Runs the same
+/// allocation-free half-steps (batched solves, banded error pass) as
 /// [`fit`].
 pub fn refine(data: &DistanceMatrix, model: &FactorModel, config: AlsConfig) -> Result<AlsFit> {
     let (m, n) = data.shape();
@@ -154,8 +166,9 @@ pub fn refine(data: &DistanceMatrix, model: &FactorModel, config: AlsConfig) -> 
     run_sweeps(data, model.x().clone(), model.y().clone(), config)
 }
 
-/// The shared ALS sweep loop: alternates exact row solves from the given
-/// starting factors until the sweep budget or tolerance is exhausted.
+/// The shared ALS sweep loop: alternates the two half-steps from the
+/// given starting factors until the sweep budget or tolerance is
+/// exhausted.
 fn run_sweeps(
     data: &DistanceMatrix,
     mut x: Matrix,
@@ -163,58 +176,26 @@ fn run_sweeps(
     config: AlsConfig,
 ) -> Result<AlsFit> {
     let (m, n) = data.shape();
-    let k = x.cols();
     let d = data.values();
     let mask = data.mask();
 
-    // Precompute observed index lists per row and per column.
+    // Observed index lists per row and per column, and the transposed
+    // data the Y half-step reads its targets from.
     let rows_obs: Vec<Vec<usize>> = (0..m)
         .map(|i| (0..n).filter(|&j| mask[(i, j)] == 1.0).collect())
         .collect();
     let cols_obs: Vec<Vec<usize>> = (0..n)
         .map(|j| (0..m).filter(|&i| mask[(i, j)] == 1.0).collect())
         .collect();
+    let dt = d.transpose();
 
-    // Preallocated sweep workspace: the gathered LS system, its right-hand
-    // side, the normal-equation scratch, and the solved row. Reused by
-    // every row solve of every sweep, so the inner loops allocate nothing
-    // once the buffers reach their high-water mark.
-    let mut a_buf = Matrix::zeros(m.max(n), k);
-    let mut b_buf: Vec<f64> = Vec::with_capacity(m.max(n));
-    let mut row_buf = vec![0.0; k];
-    let mut ne_ws = solve::NormalEqWorkspace::new(k);
+    let mut scratch = HalfStep::default();
     let mut recon_band = Matrix::zeros(crate::banded::ERROR_BAND_ROWS.min(m.max(1)), n);
-
     let mut error_trace = Vec::with_capacity(config.sweeps);
     let mut prev = f64::INFINITY;
     for _sweep in 0..config.sweeps {
-        // X rows against fixed Y. Weighted LS: scale each observation row
-        // and target by the square-root weight.
-        for i in 0..m {
-            let obs = &rows_obs[i];
-            if obs.is_empty() {
-                continue;
-            }
-            y.select_rows_into(obs, &mut a_buf);
-            b_buf.clear();
-            b_buf.extend(obs.iter().map(|&j| d[(i, j)]));
-            apply_weights(&mut a_buf, &mut b_buf, config.weights);
-            solve::lstsq_ridge_with(&a_buf, &b_buf, config.ridge, &mut ne_ws, &mut row_buf)?;
-            x.set_row(i, &row_buf);
-        }
-        // Y rows against fixed X.
-        for j in 0..n {
-            let obs = &cols_obs[j];
-            if obs.is_empty() {
-                continue;
-            }
-            x.select_rows_into(obs, &mut a_buf);
-            b_buf.clear();
-            b_buf.extend(obs.iter().map(|&i| d[(i, j)]));
-            apply_weights(&mut a_buf, &mut b_buf, config.weights);
-            solve::lstsq_ridge_with(&a_buf, &b_buf, config.ridge, &mut ne_ws, &mut row_buf)?;
-            y.set_row(j, &row_buf);
-        }
+        half_step(d, &rows_obs, &y, &mut x, config, &mut scratch)?;
+        half_step(&dt, &cols_obs, &x, &mut y, config, &mut scratch)?;
         let err = crate::banded::banded_sq_error(d, Some(mask), &x, &y, &mut recon_band);
         error_trace.push(err);
         if config.tolerance > 0.0 && prev.is_finite() {
@@ -232,11 +213,77 @@ fn run_sweeps(
     })
 }
 
+/// Scratch of the half-steps: the gathered design (rows of the fixed
+/// factor), the right-hand sides, the solutions and the normal-equation
+/// workspace. Reused by every run of every sweep, so the sweeps allocate
+/// nothing once the buffers reach their high-water mark.
+#[derive(Default)]
+struct HalfStep {
+    design: Matrix,
+    rhs: Matrix,
+    solved: Matrix,
+    ws: solve::NormalEqWorkspace,
+}
+
+/// One ALS half-step: row `i` of `out` becomes the ridge least-squares
+/// solution of `fixed[obs[i]] · u ≈ targets[i, obs[i]]`, weighted per
+/// `config.weights`. That is a batched host join (Eqs. 13–14): under
+/// uniform weights each run of consecutive rows sharing an observed set is
+/// one [`solve::lstsq_ridge_multi_with`] call — one Gram, one Cholesky and
+/// one GEMM — so complete data costs one of each per half-step. A weighted
+/// row scales its own design, so it is a run of one. Rows with nothing
+/// observed keep their value.
+fn half_step(
+    targets: &Matrix,
+    obs: &[Vec<usize>],
+    fixed: &Matrix,
+    out: &mut Matrix,
+    config: AlsConfig,
+    s: &mut HalfStep,
+) -> Result<()> {
+    let uniform = config.weights == WeightScheme::Uniform;
+    let mut i = 0;
+    while i < obs.len() {
+        let cols = &obs[i];
+        let run = if uniform {
+            obs[i..].iter().take_while(|o| *o == cols).count()
+        } else {
+            1
+        };
+        if !cols.is_empty() {
+            // Complete data under uniform weights is one run, and it reads
+            // both operands in place.
+            let whole = uniform && run == targets.rows() && cols.len() == targets.cols();
+            if !whole {
+                fixed.select_rows_into(cols, &mut s.design);
+                s.rhs.reset_shape(run, cols.len());
+                for r in 0..run {
+                    let src = targets.row(i + r);
+                    for (dst, &j) in s.rhs.row_mut(r).iter_mut().zip(cols) {
+                        *dst = src[j];
+                    }
+                }
+                if !uniform {
+                    apply_weights(&mut s.design, s.rhs.row_mut(0), config.weights);
+                }
+            }
+            let (design, rhs) = if whole {
+                (fixed, targets)
+            } else {
+                (&s.design, &s.rhs)
+            };
+            solve::lstsq_ridge_multi_with(design, rhs, config.ridge, &mut s.ws, &mut s.solved)?;
+            for r in 0..run {
+                out.set_row(i + r, s.solved.row(r));
+            }
+        }
+        i += run;
+    }
+    Ok(())
+}
+
 /// Scales LS rows/targets in place by the square-root weight of the target.
 fn apply_weights(a: &mut Matrix, b: &mut [f64], scheme: WeightScheme) {
-    if scheme == WeightScheme::Uniform {
-        return;
-    }
     for (r, target) in b.iter_mut().enumerate() {
         let w = scheme.sqrt_weight(*target);
         for c in 0..a.cols() {
@@ -256,6 +303,125 @@ mod tests {
         let b = Matrix::from_fn(n, 3, |i, j| 1.0 + ((i * 3 + j) as f64 * 0.41).sin());
         let c = Matrix::from_fn(3, n, |i, j| 1.0 + ((i * 5 + j) as f64 * 0.23).cos());
         b.matmul(&c).unwrap()
+    }
+
+    /// The per-row ALS the batched half-steps replaced, kept as the
+    /// oracle: every row gathers its own system and solves it alone
+    /// through `lstsq_ridge`, X rows then Y rows, for `config.sweeps`.
+    fn per_row_sweeps(
+        data: &DistanceMatrix,
+        (mut x, mut y): (Matrix, Matrix),
+        config: AlsConfig,
+    ) -> (Matrix, Matrix) {
+        let (d, mask) = (data.values(), data.mask());
+        let (dt, mask_t) = (d.transpose(), mask.transpose());
+        let half = |d: &Matrix, mask: &Matrix, fixed: &Matrix, out: &mut Matrix| {
+            for i in 0..d.rows() {
+                let obs: Vec<usize> = (0..d.cols()).filter(|&j| mask[(i, j)] == 1.0).collect();
+                if !obs.is_empty() {
+                    let mut a = fixed.select_rows(&obs);
+                    let mut b: Vec<f64> = obs.iter().map(|&j| d[(i, j)]).collect();
+                    apply_weights(&mut a, &mut b, config.weights);
+                    out.set_row(i, &solve::lstsq_ridge(&a, &b, config.ridge).unwrap());
+                }
+            }
+        };
+        for _ in 0..config.sweeps {
+            half(d, mask, &y, &mut x);
+            half(&dt, &mask_t, &x, &mut y);
+        }
+        (x, y)
+    }
+
+    /// Largest deviation of a batched factor from the per-row oracle's,
+    /// relative to the factor's largest entry (0 when all are bit-equal),
+    /// over `fit` from its random start and `refine` from a perturbed one.
+    fn deviation_from_per_row(data: &DistanceMatrix, config: AlsConfig) -> f64 {
+        let (x0, y0) = initial_factors(data, config);
+        let warm = FactorModel::new(x0.map(|v| v * 1.1), y0.map(|v| v * 0.9)).unwrap();
+        let warm_start = (warm.x().clone(), warm.y().clone());
+        let runs = [
+            (fit(data, config), per_row_sweeps(data, (x0, y0), config)),
+            (
+                refine(data, &warm, config),
+                per_row_sweeps(data, warm_start, config),
+            ),
+        ];
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let factors = runs
+            .iter()
+            .map(|(got, want)| (&got.as_ref().unwrap().model, want));
+        let pairs = factors.flat_map(|(got, (x, y))| [(got.x(), x), (got.y(), y)]);
+        pairs
+            .filter(|(a, b)| bits(a) != bits(b))
+            .map(|(a, b)| a.max_abs_diff(b) / b.max_abs())
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn batched_half_steps_match_per_row_solves_bitwise() {
+        // Every system here has at most 256 observed entries, so each row
+        // must carry the bits of its own one-row solve: on complete data
+        // (one run per half-step) at d <= 16 and past it, on masked data
+        // (runs broken by rows missing other columns), and under relative
+        // weights (a run of one per row).
+        let complete = ides_datasets::generators::p2psim_like(40, 3)
+            .unwrap()
+            .matrix;
+        let mut mask = Matrix::filled(40, 40, 1.0);
+        for (i, j) in [
+            (10, 3),
+            (11, 3),
+            (12, 3),
+            (20, 6),
+            (21, 0),
+            (25, 4),
+            (23, 25),
+        ] {
+            mask[(i, j)] = 0.0;
+        }
+        let masked = DistanceMatrix::with_mask("masked", complete.values().clone(), mask).unwrap();
+        let (uniform, inverse) = (WeightScheme::Uniform, WeightScheme::InverseSquare);
+        for ridge in [0.0, 1e-8, 0.1] {
+            for (data, dim, weights) in [
+                (&complete, 5, uniform),
+                (&complete, 20, uniform),
+                (&masked, 5, uniform),
+                (&complete, 5, inverse),
+                (&masked, 4, WeightScheme::InverseDistance),
+            ] {
+                let config = AlsConfig {
+                    sweeps: 3,
+                    tolerance: 0.0,
+                    ridge,
+                    weights,
+                    ..AlsConfig::new(dim)
+                };
+                let dev = deviation_from_per_row(data, config);
+                assert_eq!(dev, 0.0, "{} at {config:?}", data.name());
+            }
+        }
+    }
+
+    #[test]
+    fn batched_half_steps_past_256_entries_stay_within_1e9() {
+        // 300 x 300 complete P2PSim-like data at the paper's d = 10: each
+        // system has 300 rows, so the right-hand sides are summed in
+        // 256-deep panels and may move in their last bits — never by more
+        // than 1e-9 of the factor's scale. (A factor the data leaves
+        // undetermined, e.g. d > rank on an exactly low-rank matrix with a
+        // 1e-8 ridge, amplifies any last-bit difference; the per-row path
+        // is that sensitive to its own summation order too.)
+        let data = ides_datasets::generators::p2psim_like(300, 5)
+            .unwrap()
+            .matrix;
+        let config = AlsConfig {
+            sweeps: 2,
+            tolerance: 0.0,
+            ..AlsConfig::new(10)
+        };
+        let dev = deviation_from_per_row(&data, config);
+        assert!(dev <= 1e-9, "relative deviation {dev}");
     }
 
     #[test]

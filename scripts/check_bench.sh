@@ -48,6 +48,14 @@
 #                        factorization per step and 6.0-9.5x with the
 #                        per-landmark rank-1 Gram repair it replaced, so the
 #                        ceiling catches per-landmark Gram work coming back
+#   streaming_update/refresh  the refresh-tier landmark step (warm 2-sweep
+#                        ALS refit, same shape, all 64 moved) <= 5.0 x the
+#                        absorb step moving all 64 (refresh/64x16 vs
+#                        absorb/64x16_all; within-run). On the 2-vCPU
+#                        reference host, six alternating runs read
+#                        2.91-3.72x with batched ALS half-steps and
+#                        7.19-12.31x with the per-row solves they replaced,
+#                        so the ceiling catches per-row solving coming back
 #   serve/500            group-commit admission >= 0.7 x an uncoalesced
 #                        join_direct loop in a 500-thread flash crowd —
 #                        within-run, no baseline: both sides run the same
@@ -223,6 +231,8 @@ check join_batch       "batched_qr/500"  "per_host_qr/500"  "join_batch/500 (bat
 check streaming_update "incremental/500" "full_refit/500"   "streaming_update/500 (incremental vs full refit)"
 check_abs_max streaming_update "absorb/64x16_all" "absorb/64x16_one" 6.0 \
     "streaming_update/absorb (all 64 landmarks moved vs one, k=64 d=16)"
+check_abs_max streaming_update "refresh/64x16" "absorb/64x16_all" 5.0 \
+    "streaming_update/refresh (refresh-tier step vs absorbing all 64, k=64 d=16)"
 check_abs serve "coalesced_join/500" "direct_join/500" 0.7 \
     "serve/500 (group-commit vs uncoalesced admission, 500-thread wave)"
 check_abs_max serve_sharded "publish_churn/10x" "publish_churn/1x" "${MAX_PUBLISH_GROWTH:-2.0}" \

@@ -124,7 +124,8 @@ echo "wrote $out" >&2
 # vs exact SVD at 512, the lane-blocked vs per-row Cholesky solve at
 # 65 536 rows, the batched vs per-host join speedup at 500 hosts, the per-epoch
 # incremental update vs full refit at 500 hosts, the absorb-tier landmark
-# step moving all 64 landmarks vs one, and one-thread vs
+# step moving all 64 landmarks vs one, the refresh-tier step vs that
+# all-64 absorb, and one-thread vs
 # automatic-policy epoch application. Every headline guards ALL the operands it divides by, so a
 # partial QUICK snapshot (BENCHES_OVERRIDE with a subset of groups) never
 # prints spurious `null`-arithmetic output.
@@ -191,6 +192,12 @@ jq -r '.benches.streaming_update // [] | map(select(.group == "streaming_update"
        if (."absorb/64x16_one") and (."absorb/64x16_all") then
          "streaming_update absorb step (k=64, d=16): all 64 landmarks moved \((."absorb/64x16_all" / ."absorb/64x16_one") * 100 | round / 100)x one " +
          "(\(."absorb/64x16_all" / 1e3 * 10 | round / 10) vs \(."absorb/64x16_one" / 1e3 * 10 | round / 10) us)"
+       else empty end' "$out" >&2 || true
+jq -r '.benches.streaming_update // [] | map(select(.group == "streaming_update")) |
+       map({(.bench): .median_ns}) | add // {} |
+       if (."refresh/64x16") and (."absorb/64x16_all") then
+         "streaming_update refresh step (k=64, d=16): \((."refresh/64x16" / ."absorb/64x16_all") * 100 | round / 100)x the all-64 absorb step " +
+         "(\(."refresh/64x16" / 1e3 * 10 | round / 10) vs \(."absorb/64x16_all" / 1e3 * 10 | round / 10) us)"
        else empty end' "$out" >&2 || true
 jq -r 'if .streaming_accuracy then
          "streaming accuracy: streaming vs fresh gap \((.streaming_accuracy.streaming_vs_fresh_gap * 10000 | round) / 100)% " +
