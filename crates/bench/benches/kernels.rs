@@ -110,6 +110,62 @@ fn bench_matmul(c: &mut Criterion) {
             })
         },
     );
+    // NMF's `D · Y` on the paper's matrix (1024 hosts, `d = 10`): `n ≤ 16`
+    // but `k` spans four KC panels, which the unpacked driver sums in the
+    // packed driver's order. `narrow_deep_packed` is the same product, bit
+    // for bit, through an `Op::Trans` operand — a stored `Dᵀ` — which only
+    // the packed driver takes; `scripts/check_bench.sh` gates the ratio.
+    let (m, k, d) = (1024usize, 1024usize, 10usize);
+    let dist = test_matrix(m);
+    let dist_t = dist.transpose();
+    let factor = random::uniform(k, d, 0.1, 1.0, &mut rng);
+    let mut out = vec![0.0f64; m * d];
+    let mut out_packed = vec![0.0f64; m * d];
+    let narrow = |out: &mut [f64]| {
+        kernels::gemm(
+            dist.as_slice(),
+            kernels::Op::NoTrans,
+            k,
+            factor.as_slice(),
+            kernels::Op::NoTrans,
+            d,
+            out,
+            m,
+            d,
+            k,
+        );
+    };
+    let packed = |out: &mut [f64]| {
+        kernels::gemm(
+            dist_t.as_slice(),
+            kernels::Op::Trans,
+            m,
+            factor.as_slice(),
+            kernels::Op::NoTrans,
+            d,
+            out,
+            m,
+            d,
+            k,
+        );
+    };
+    narrow(&mut out);
+    packed(&mut out_packed);
+    assert_eq!(out, out_packed, "both drivers compute the same bits");
+    let shape = format!("{m}x{k}x{d}");
+    group.throughput(Throughput::Flops(2 * (m * k * d) as u64));
+    group.bench_function(BenchmarkId::new("narrow_deep", &shape), |b| {
+        b.iter(|| {
+            narrow(&mut out);
+            out[0]
+        })
+    });
+    group.bench_function(BenchmarkId::new("narrow_deep_packed", &shape), |b| {
+        b.iter(|| {
+            packed(&mut out_packed);
+            out_packed[0]
+        })
+    });
     group.finish();
 }
 

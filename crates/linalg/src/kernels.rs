@@ -23,15 +23,19 @@
 //!
 //! Packing pays only when a packed panel is reused many times, and for a
 //! narrow product it is not. So one shape takes a second, **unpacked
-//! driver**: `A · B` (both `NoTrans`) with `n ≤ 16` and `k ≤` [`KC`] — the
-//! host join's `k × d` product (`k = 64`, `d = 16` when serving), and the
-//! skinny `m × d` products of the factorizations. It reads `A` in place
-//! (row stride `lda`) and `B` unpacked (8 KiB at `k = 64`, so it stays in
-//! L1), keeps an `8 × n` accumulator tile in registers across all of `k`,
-//! software-prefetches the next 8 rows of `A`, and stores the finished tile
-//! straight into `out`. The last `m mod 8` rows, and a lone join's single
-//! row, run the same vector tile with fewer rows. The shape alone picks the
-//! driver; there is nothing to set.
+//! driver**: `A · B` (both `NoTrans`) with `n ≤ 16`, at any `k` — the host
+//! join's `k × d` product (`k = 64`, `d = 16` when serving), the skinny
+//! `m × d` products of the factorizations, and NMF's `D · Y` and
+//! `(Dᵀ) · X` (`k = 1024` on the paper's matrix). It reads `A` in place
+//! (row stride `lda`) and `B` unpacked (8 KiB at `k = 64`, 20 KiB per
+//! `KC` panel at `n = 10`, so a panel stays in L1), keeps an `8 × n`
+//! accumulator tile in registers across one `KC` panel, software-
+//! prefetches the next 8 rows of `A`, and stores the finished tile
+//! straight into `out` — or, for `k > KC`, adds each panel's tile into
+//! `out` in ascending panel order, as the packed driver does. The last
+//! `m mod 8` rows, and a lone join's single row, run the same vector tile
+//! with fewer rows. The shape alone picks the driver; there is nothing to
+//! set.
 //!
 //! # Micro-kernel back ends and runtime dispatch
 //!
@@ -76,7 +80,9 @@
 //! underflowed zero: the packed driver adds its tile into a zeroed `out`,
 //! turning `-0.0` into `+0.0`; the unpacked tile stores `-0.0`, as the
 //! textbook loop does.) For `k > KC` the packed driver adds one chain per
-//! panel into `out`, which rounds differently, so that shape stays packed.
+//! panel into a zeroed `out`, and the unpacked driver does the same: one
+//! chain per `KC` panel, summed as `((0.0 + t₀) + t₁) + …`, so there the
+//! two agree to the last bit, the sign of zero included.
 //!
 //! # `parallel` feature
 //!
@@ -357,7 +363,7 @@ fn gemm_serial(
     k: usize,
     bufs: &mut Buffers,
 ) {
-    if a_op == Op::NoTrans && b_op == Op::NoTrans && n <= NARROW_N && k <= KC {
+    if a_op == Op::NoTrans && b_op == Op::NoTrans && n <= NARROW_N {
         return gemm_narrow(isa, &a[row0 * lda..], lda, b, ldb, out_band, rows, n, k);
     }
     out_band.fill(0.0);
@@ -399,10 +405,13 @@ fn gemm_serial(
     }
 }
 
-/// The unpacked driver: `out = A · B` for `1 ≤ n ≤ NARROW_N`,
-/// `1 ≤ k ≤ KC`, `m ≥ 1`, with `A` read in place at row stride `lda` and
-/// `B` at `ldb`. Each block of up to [`MR`] rows is one register tile,
-/// accumulated over all of `k` from `+0.0` and stored into `out`.
+/// The unpacked driver: `out = A · B` for `1 ≤ n ≤ NARROW_N`, `k ≥ 1`,
+/// `m ≥ 1`, with `A` read in place at row stride `lda` and `B` at `ldb`.
+/// Each block of up to [`MR`] rows is one register tile per `KC` panel,
+/// accumulated over the panel from `+0.0`. With one panel the tile is
+/// stored into `out`; with more, `out` is zeroed and each panel's tile is
+/// added into it in ascending order — the packed driver's exact sequence
+/// of roundings, down to the sign of a zero.
 #[allow(clippy::too_many_arguments)]
 fn gemm_narrow(
     isa: Isa,
@@ -421,19 +430,52 @@ fn gemm_narrow(
     for (i0, out) in (0..m).step_by(MR).zip(out[..m * n].chunks_mut(MR * n)) {
         let rows = MR.min(m - i0);
         let a = &a[i0 * lda..][..span(rows, k, lda)];
-        match isa {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            // SAFETY: `isa` only holds these variants when `available_isas`
-            // reported the feature; `a`, `b` and `out` were sliced to the
-            // `rows × k`, `k × n` and `rows × n` extents the tile reads and
-            // writes, with `1 ≤ rows ≤ MR` and `1 ≤ n ≤ NARROW_N`.
-            #[allow(unsafe_code)]
-            Isa::Avx2Fma => unsafe { x86::narrow_avx2(a, lda, b, ldb, out, rows, n, k) },
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            #[allow(unsafe_code)]
-            Isa::Avx512 => unsafe { x86::narrow_avx512(a, lda, b, ldb, out, rows, n, k) },
-            _ => narrow_scalar(a, lda, b, ldb, out, rows, n, k),
+        if k <= KC {
+            narrow_tile(isa, a, lda, b, ldb, out, rows, n, k);
+            continue;
         }
+        out.fill(0.0);
+        let mut panel = [0.0f64; MR * NARROW_N];
+        let panel = &mut panel[..rows * n];
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            narrow_tile(isa, &a[pc..], lda, &b[pc * ldb..], ldb, panel, rows, n, kc);
+            for (o, &t) in out.iter_mut().zip(panel.iter()) {
+                *o += t;
+            }
+        }
+    }
+}
+
+/// One unpacked register tile on the selected back end: `out` (row stride
+/// `n`) gets the `rows × n` product of `rows` rows of `k` values of `a` and
+/// `k` rows of `n` values of `b`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn narrow_tile(
+    isa: Isa,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    out: &mut [f64],
+    rows: usize,
+    n: usize,
+    k: usize,
+) {
+    match isa {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        // SAFETY: `isa` only holds these variants when `available_isas`
+        // reported the feature. `a` starts a `rows × k` block at stride
+        // `lda` and `b` a `k × n` block at stride `ldb`, both inside the
+        // extents `gemm_narrow` sliced; `out` holds `rows × n` values;
+        // `1 ≤ rows ≤ MR` and `1 ≤ n ≤ NARROW_N`.
+        #[allow(unsafe_code)]
+        Isa::Avx2Fma => unsafe { x86::narrow_avx2(a, lda, b, ldb, out, rows, n, k) },
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[allow(unsafe_code)]
+        Isa::Avx512 => unsafe { x86::narrow_avx512(a, lda, b, ldb, out, rows, n, k) },
+        _ => narrow_scalar(a, lda, b, ldb, out, rows, n, k),
     }
 }
 
@@ -1425,10 +1467,10 @@ mod tests {
     #[test]
     fn shapes_past_the_narrow_bounds_stay_packed() {
         // `n = 17` at `k ≤ KC` is packed, and the packed driver's one chain
-        // per element still equals the textbook loop. At `k = KC + 1` the
-        // packed driver adds one chain per KC panel into `out`: the result
-        // is that two-panel sum on every back end, not the single chain an
-        // unpacked tile would compute.
+        // per element still equals the textbook loop. At `k = KC + 1` both
+        // drivers add one chain per KC panel into `out`: the result is that
+        // two-panel sum on every back end, not the single chain across all
+        // of `k` that the textbook loop computes.
         for &(m, n, k) in &[(37, NARROW_N + 1, 64), (37, NARROW_N, KC + 1)] {
             let a = det_matrix(m, k, (m * 7 + k) as u64);
             let b = det_matrix(k, n, (n * 13 + k) as u64);
@@ -1462,6 +1504,77 @@ mod tests {
                     k,
                 );
                 assert!(same_bits(&out, want.as_slice()), "{isa:?} ({m},{n},{k})");
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_driver_past_kc_matches_panel_sums_on_every_isa() {
+        // Past KC the unpacked driver must reproduce the packed driver's
+        // sum of one fused chain per KC panel, `((0.0 + t₀) + t₁) + …`, bit
+        // for bit on every back end, with `A` and `B` read at strides wider
+        // than their rows (NaN padding). Row 0, last column is planted so
+        // that every panel's chain underflows to -0.0: the panel sum is then
+        // +0.0, while a first panel stored as is, or one chain across all
+        // of `k`, would leave -0.0.
+        let isas = available_isas();
+        for k in [KC + 1, 2 * KC, 2 * KC + 9, 1024] {
+            for n in [1, 10, NARROW_N] {
+                for m in [1, 7, 37] {
+                    let (lda, ldb) = (k + 5, n + 2);
+                    let src_a = det_matrix(m, k, (m * 7 + k) as u64);
+                    let src_b = det_matrix(k, n, (n * 13 + k) as u64);
+                    let mut a = vec![f64::NAN; m * lda];
+                    let mut b = vec![f64::NAN; k * ldb];
+                    for i in 0..m {
+                        a[i * lda..i * lda + k].copy_from_slice(src_a.row(i));
+                    }
+                    for p in 0..k {
+                        b[p * ldb..p * ldb + n].copy_from_slice(src_b.row(p));
+                        b[p * ldb + n - 1] = b[p * ldb + n - 1].abs();
+                    }
+                    a[..k].fill(-0.0);
+                    for pc in (0..k).step_by(KC) {
+                        a[pc] = -1e-300;
+                        b[pc * ldb + n - 1] = 1e-300;
+                    }
+                    let am = Matrix::from_fn(m, k, |i, p| a[i * lda + p]);
+                    let bm = Matrix::from_fn(k, n, |p, j| b[p * ldb + j]);
+                    let mut want = Matrix::zeros(m, n);
+                    for pc in (0..k).step_by(KC) {
+                        let kc = KC.min(k - pc);
+                        let pa = Matrix::from_fn(m, kc, |i, p| am[(i, pc + p)]);
+                        let pb = Matrix::from_fn(kc, n, |p, j| bm[(pc + p, j)]);
+                        let t = reference::matmul_fused(&pa, &pb).unwrap();
+                        want = Matrix::from_fn(m, n, |i, j| want[(i, j)] + t[(i, j)]);
+                    }
+                    let single = reference::matmul_fused(&am, &bm).unwrap();
+                    assert_eq!(want[(0, n - 1)].to_bits(), 0.0f64.to_bits());
+                    assert_eq!(single[(0, n - 1)].to_bits(), (-0.0f64).to_bits());
+                    if m * n >= 70 {
+                        assert_ne!(want, single, "the data must tell the two orders apart");
+                    }
+                    for &isa in &isas {
+                        let mut out = vec![12345.0; m * n];
+                        gemm_with_isa(
+                            isa,
+                            &a,
+                            Op::NoTrans,
+                            lda,
+                            &b,
+                            Op::NoTrans,
+                            ldb,
+                            &mut out,
+                            m,
+                            n,
+                            k,
+                        );
+                        assert!(
+                            same_bits(&out, want.as_slice()),
+                            "{isa:?} ({m},{n},{k}) lda {lda} ldb {ldb}"
+                        );
+                    }
+                }
             }
         }
     }

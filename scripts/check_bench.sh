@@ -23,6 +23,18 @@
 #                        to avx2), so the floor sits below the first spread
 #                        and above the second: it catches the rejoin shape
 #                        falling back to packing
+#   matmul/narrow_deep   NMF's D * Y at the paper's shape (1024 x 1024
+#                        times 1024 x 10) on the unpacked n <= 16 driver,
+#                        which sums one chain per KC panel in the packed
+#                        driver's order, >= 1.6 x the same product through
+#                        an Op::Trans operand (narrow_deep_packed), which
+#                        only the packed driver takes. Same bits, same
+#                        process, so the ratio is the driver choice itself.
+#                        On the 2-vCPU reference host, six alternating runs
+#                        read 2.26-2.78x with the unpacked driver past KC and
+#                        0.87-1.06x before it, when k > KC stayed
+#                        packed, so the floor catches that shape falling
+#                        back to packing
 #   cholesky_solve_rows/16  lane-blocked multi-row Cholesky solve >=
 #                        MIN_SOLVE_ROWS_RATIO (default 2.0) x a loop over
 #                        the single-row solve at 65 536 rows — same
@@ -218,6 +230,10 @@ check_abs matmul "blocked/512" "blocked_scalar/512" "${MIN_SIMD_SPEEDUP:-1.5}" \
 # GFLOPS on one back end, so it needs no baseline from another host.
 check_abs matmul "rejoin/131072x64x16" "blocked/512" 0.6 \
     "matmul/rejoin (131072x64x16 host-join product vs blocked/512 rate)"
+# NMF's deep narrow product against the same bits through the packed
+# driver: within-run, no baseline.
+check_abs matmul "narrow_deep/1024x1024x10" "narrow_deep_packed/1024x1024x10" 1.6 \
+    "matmul/narrow_deep (1024x1024x10 D*Y on the unpacked vs the packed driver)"
 # The lane-blocked multi-row solve against its in-process control: a
 # loop over the one-row instance of the same routine. Without vector
 # lanes (a baseline x86-64 build) the blocking still hides the subtract

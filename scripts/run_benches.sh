@@ -120,7 +120,8 @@ mv "$out.tmp" "$out"
 echo "wrote $out" >&2
 
 # Surface the headline numbers: blocked vs naive matmul at 512, the
-# host-join GEMM shape's rate against the square shape's, the truncated
+# host-join GEMM shape's rate against the square shape's, NMF's deep
+# narrow product on the unpacked vs the packed driver, the truncated
 # vs exact SVD at 512, the lane-blocked vs per-row Cholesky solve at
 # 65 536 rows, the batched vs per-host join speedup at 500 hosts, the per-epoch
 # incremental update vs full refit at 500 hosts, the absorb-tier landmark
@@ -150,6 +151,12 @@ jq -r '.benches.kernels // [] | map(select(.group == "matmul" and .gflops)) |
        if (."rejoin/131072x64x16") and (."blocked/512") then
          "matmul/rejoin 131072x64x16 (host-join shape): \(."rejoin/131072x64x16" * 10 | round / 10) GFLOPS, " +
          "\((."rejoin/131072x64x16" / ."blocked/512") * 100 | round / 100)x the blocked/512 rate"
+       else empty end' "$out" >&2 || true
+jq -r '.benches.kernels // [] | map(select(.group == "matmul" and .gflops)) |
+       map({(.bench): .gflops}) | add // {} |
+       if (."narrow_deep/1024x1024x10") and (."narrow_deep_packed/1024x1024x10") then
+         "matmul/narrow_deep 1024x1024x10 (NMF D*Y shape): \(."narrow_deep/1024x1024x10" * 10 | round / 10) GFLOPS unpacked, " +
+         "\((."narrow_deep/1024x1024x10" / ."narrow_deep_packed/1024x1024x10") * 100 | round / 100)x the packed driver"
        else empty end' "$out" >&2 || true
 jq -r '.benches.kernels // [] | map(select(.group == "svd")) |
        map({(.bench): .median_ns}) | add // {} |
