@@ -1,7 +1,8 @@
-//! NMF iteration-budget ablation (DESIGN.md §5): the paper claims "two
-//! hundred iterations suffice". This bench times NMF at several iteration
-//! budgets and init strategies so the time/accuracy trade-off can be read
-//! off together with the error traces from the fig3 experiment.
+//! NMF sweep-budget ablation (DESIGN.md §5): the paper claims "two hundred
+//! iterations suffice". This bench times NMF at several fixed sweep budgets
+//! (early stopping off) and init strategies so the time/accuracy trade-off
+//! can be read off together with the error traces from the fig3
+//! experiment.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -12,30 +13,21 @@ fn bench_nmf(c: &mut Criterion) {
     let ds = nlanr_like(110, 66).expect("dataset");
     let mut group = c.benchmark_group("nmf");
     group.sample_size(10);
-    for iterations in [50usize, 200, 500] {
-        group.bench_with_input(
-            BenchmarkId::new("svd_init", iterations),
-            &iterations,
-            |b, &iterations| {
+    for sweeps in [50usize, 200, 500] {
+        for (label, init) in [
+            ("svd_init_sweeps", NmfInit::Svd),
+            ("random_init_sweeps", NmfInit::Random),
+        ] {
+            group.bench_with_input(BenchmarkId::new(label, sweeps), &sweeps, |b, &sweeps| {
                 let cfg = NmfConfig {
-                    iterations,
+                    iterations: sweeps,
+                    tolerance: 0.0,
+                    init,
                     ..NmfConfig::new(10)
                 };
                 b.iter(|| fit(&ds.matrix, cfg).expect("nmf fit"))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("random_init", iterations),
-            &iterations,
-            |b, &iterations| {
-                let cfg = NmfConfig {
-                    iterations,
-                    init: NmfInit::Random,
-                    ..NmfConfig::new(10)
-                };
-                b.iter(|| fit(&ds.matrix, cfg).expect("nmf fit"))
-            },
-        );
+            });
+        }
     }
     group.finish();
 }

@@ -5,8 +5,8 @@
 //! 2. **Landmark selection**: random (paper) vs greedy k-center spread.
 //! 3. **Relaxed architecture**: accuracy vs the number of reference nodes
 //!    `k` an ordinary host measures (k ≥ d; larger k → better joins).
-//! 4. **NMF iteration budget**: error after {25, 50, 100, 200, 400}
-//!    multiplicative updates, random vs SVD warm start.
+//! 4. **NMF sweep budget**: error after {25, 50, 100, 200, 400} sweeps
+//!    (early stopping off), random vs SVD warm start.
 //!
 //! Usage: `ablations [solver|landmarks|relaxed|nmf]` (default: all).
 
@@ -124,19 +124,20 @@ fn relaxed_ablation() {
 }
 
 fn nmf_ablation() {
-    println!("\n== NMF iteration/init ablation (NLANR-like, d=10) ==");
+    println!("\n== NMF sweep/init ablation (NLANR-like, d=10, fixed sweep budgets) ==");
     let ds = Dataset::Nlanr.generate(seed());
     let norm = ds.matrix.values().frobenius_norm();
     for init in [NmfInit::Svd, NmfInit::Random] {
-        for iterations in [25usize, 50, 100, 200, 400] {
+        for sweeps in [25usize, 50, 100, 200, 400] {
             let cfg = NmfConfig {
-                iterations,
+                iterations: sweeps,
+                tolerance: 0.0,
                 init,
                 ..NmfConfig::new(10)
             };
             let fit = nmf::fit(&ds.matrix, cfg).expect("nmf fit");
             let rel = fit.error_trace.last().unwrap().sqrt() / norm;
-            println!("  init={init:?} iters={iterations:<4} relative-F error {rel:.5}");
+            println!("  init={init:?} sweeps={sweeps:<4} relative-F error {rel:.5}");
         }
     }
 }

@@ -56,18 +56,12 @@ fn run(dataset: Dataset) {
         let nmf_handle = s.spawn(|| {
             dims.iter()
                 .map(|&d| {
-                    // Large matrices: trim the budget (the SVD warm start
-                    // converges in a few dozen updates) and thin the grid at
-                    // large d where the curve has flattened.
-                    let iterations = if n > 500 { 30 } else { 200 };
+                    // Large matrices: thin the grid at large d where the
+                    // curve has flattened.
                     if n > 500 && d > 40 && d != *dims.last().expect("nonempty") {
                         return (d, f64::NAN); // skipped point, filtered below
                     }
-                    let cfg = NmfConfig {
-                        iterations,
-                        ..NmfConfig::new(d)
-                    };
-                    let fit = nmf::fit(&data, cfg).expect("nmf fit");
+                    let fit = nmf::fit(&data, NmfConfig::new(d)).expect("nmf fit");
                     (
                         d,
                         Cdf::new(reconstruction_errors(&fit.model, &data)).median(),

@@ -48,8 +48,12 @@ fn main() {
 
         let nmf_fit = nmf::fit(
             &masked,
+            // A fixed budget of the masked multiplicative updates from
+            // the SVD warm start: the curve this prints is that setup's.
             nmf::NmfConfig {
                 iterations: 150,
+                tolerance: 0.0,
+                init: nmf::NmfInit::Svd,
                 ..nmf::NmfConfig::new(dim)
             },
         )

@@ -260,7 +260,7 @@ impl Default for StalenessPolicy {
 ///   [`StreamingServer::with_config`]) refresh through
 ///   [`ides_mf::als::refine`];
 /// * NMF-family servers ([`StreamingServer::with_nmf_config`]) refresh
-///   through the warm multiplicative updates of [`ides_mf::nmf::refine`],
+///   through the warm NMF sweeps of [`ides_mf::nmf::refine`],
 ///   which keep the factors nonnegative. The absorb tier follows the same
 ///   split: ALS-family servers join drifted landmarks to the current
 ///   model (unconstrained least squares through the cached Grams),
@@ -271,7 +271,8 @@ impl Default for StalenessPolicy {
 pub enum RefreshStrategy {
     /// Warm ALS sweeps from the current factors.
     Als(AlsConfig),
-    /// Warm Lee–Seung multiplicative updates from the current factors.
+    /// Warm NMF sweeps from the current factors (HALS on a complete
+    /// landmark matrix, multiplicative updates on a masked one).
     Nmf(NmfConfig),
 }
 
@@ -294,8 +295,7 @@ pub struct EpochOutcome {
     /// True when the staleness policy triggered a warm partial refit
     /// (more than `refresh_row_fraction` of the landmark rows were hot).
     pub refreshed: bool,
-    /// Warm sweeps (ALS) or multiplicative iterations (NMF) spent by this
-    /// call (0 on the absorb tier).
+    /// Warm sweeps (ALS or NMF) spent by this call (0 on the absorb tier).
     pub sweeps: usize,
 }
 
@@ -377,7 +377,7 @@ impl StreamingServer {
     }
 
     /// Builds an **NMF-family** server: cold [`ides_mf::nmf::fit`], with
-    /// the refresh tier running warm [`ides_mf::nmf::refine`] iterations
+    /// the refresh tier running warm [`ides_mf::nmf::refine`] sweeps
     /// instead of ALS sweeps, so refreshed factors stay nonnegative.
     pub fn with_nmf_config(
         landmarks: &DistanceMatrix,

@@ -34,7 +34,8 @@ pub struct IdesConfig {
     pub dim: usize,
     /// Factorization algorithm.
     pub algorithm: Algorithm,
-    /// NMF iteration budget (ignored for SVD).
+    /// NMF sweep cap (ignored for SVD); the fit may stop earlier on
+    /// [`NmfConfig::new`]'s tolerance.
     pub nmf_iterations: usize,
     /// Options for ordinary-host joins.
     pub join: JoinOptions,

@@ -2,8 +2,8 @@
 //!
 //! The paper's two learners each have a gap: SVD is the global optimum of
 //! Eq. 7 but cannot handle missing entries; NMF handles missing entries
-//! but is constrained nonnegative and converges to local minima by slow
-//! multiplicative updates. ALS fills the gap discussed in the paper's
+//! but is constrained nonnegative and converges only to local minima.
+//! ALS fills the gap discussed in the paper's
 //! §4.2: minimize the same squared error, unconstrained, by alternating
 //! exact least-squares solves —
 //!
@@ -469,8 +469,8 @@ mod tests {
 
     #[test]
     fn converges_faster_than_nmf_in_sweeps() {
-        // ALS's exact half-steps should need far fewer passes than NMF's
-        // multiplicative updates to reach the same error on clean data.
+        // ALS's unconstrained half-steps should need fewer passes than
+        // NMF's nonnegative sweeps to reach the same error on clean data.
         let d = DistanceMatrix::full("lr", low_rank(15)).unwrap();
         let als = fit(
             &d,

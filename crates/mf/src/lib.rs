@@ -9,8 +9,9 @@
 //!
 //! * [`svd_model`] — SVD factorization (Eqs. 5–6), the global optimum of
 //!   the squared error (Eq. 7).
-//! * [`nmf`] — nonnegative matrix factorization by Lee–Seung multiplicative
-//!   updates, including the masked variant (Eqs. 8–9) for missing data.
+//! * [`nmf`] — nonnegative matrix factorization: HALS sweeps on complete
+//!   data, the paper's Lee–Seung multiplicative updates in their masked
+//!   variant (Eqs. 8–9) for missing data.
 //! * [`als`] / [`nmf`] both expose warm-start partial refits
 //!   ([`als::refine`], [`nmf::refine`]): a bounded number of
 //!   deterministic update sweeps from existing factors, the
