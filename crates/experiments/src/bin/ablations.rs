@@ -18,7 +18,7 @@ use ides::system::{
 };
 use ides_experiments::{arg1, seed, Dataset};
 use ides_mf::metrics::{modified_relative_error, Cdf};
-use ides_mf::nmf::{self, NmfConfig, NmfInit};
+use ides_mf::nmf::{self, NmfConfig};
 
 fn solver_ablation() {
     println!("\n== join-solver ablation (NLANR-like, 20 landmarks, d=8) ==");
@@ -124,21 +124,18 @@ fn relaxed_ablation() {
 }
 
 fn nmf_ablation() {
-    println!("\n== NMF sweep/init ablation (NLANR-like, d=10, fixed sweep budgets) ==");
+    println!("\n== NMF sweep ablation (NLANR-like, d=10, fixed sweep budgets) ==");
     let ds = Dataset::Nlanr.generate(seed());
     let norm = ds.matrix.values().frobenius_norm();
-    for init in [NmfInit::Svd, NmfInit::Random] {
-        for sweeps in [25usize, 50, 100, 200, 400] {
-            let cfg = NmfConfig {
-                iterations: sweeps,
-                tolerance: 0.0,
-                init,
-                ..NmfConfig::new(10)
-            };
-            let fit = nmf::fit(&ds.matrix, cfg).expect("nmf fit");
-            let rel = fit.error_trace.last().unwrap().sqrt() / norm;
-            println!("  init={init:?} sweeps={sweeps:<4} relative-F error {rel:.5}");
-        }
+    for sweeps in [25usize, 50, 100, 200, 400] {
+        let cfg = NmfConfig {
+            iterations: sweeps,
+            tolerance: 0.0,
+            ..NmfConfig::new(10)
+        };
+        let fit = nmf::fit(&ds.matrix, cfg).expect("nmf fit");
+        let rel = fit.error_trace.last().unwrap().sqrt() / norm;
+        println!("  sweeps={sweeps:<4} relative-F error {rel:.5}");
     }
 }
 

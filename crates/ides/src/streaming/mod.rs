@@ -271,8 +271,7 @@ impl Default for StalenessPolicy {
 pub enum RefreshStrategy {
     /// Warm ALS sweeps from the current factors.
     Als(AlsConfig),
-    /// Warm NMF sweeps from the current factors (HALS on a complete
-    /// landmark matrix, multiplicative updates on a masked one).
+    /// Warm NMF sweeps (HALS) from the current factors.
     Nmf(NmfConfig),
 }
 
@@ -589,6 +588,7 @@ mod tests {
 
     #[test]
     fn update_queue_orders_by_epoch_then_insertion() {
+        // Engine contract.
         let mut q = UpdateQueue::new();
         assert!(q.is_empty());
         let u = |epoch: f64| EpochUpdate {
@@ -630,6 +630,7 @@ mod tests {
 
     #[test]
     fn a_bad_staleness_policy_is_rejected_when_the_server_is_built() {
+        // Engine contract.
         let ds = ides_datasets::generators::gnp_like(10, 3).unwrap();
         let spoiled = |spoil: fn(&mut StalenessPolicy)| {
             let mut policy = StalenessPolicy::default();
@@ -686,6 +687,7 @@ mod tests {
 
     #[test]
     fn one_pass_tier_gate_matches_the_three_walks_bitwise() {
+        // History oracle.
         // Drift accumulating over 12 epochs (never refreshing), with three
         // co-located pairs at 0 ms (no positive baseline: they count
         // nowhere). The one pass must report the three walks' deviation
@@ -745,6 +747,7 @@ mod tests {
 
     #[test]
     fn an_als_absorb_is_a_join_on_the_epoch_start_model() {
+        // Engine contract.
         // At the served shape (k = 64, d = 16), moving every landmark and
         // moving three: the absorbed factor rows are bit-equal to
         // `join_batch(D, Dᵀ)` on the model the epoch started from, and the
@@ -790,6 +793,7 @@ mod tests {
 
     #[test]
     fn apply_epoch_validates_deltas() {
+        // Engine contract.
         let ds = ides_datasets::generators::gnp_like(10, 3).unwrap();
         let mut server = StreamingServer::new(&ds.matrix, 4, StalenessPolicy::default()).unwrap();
         let bad_idx = EpochUpdate {
@@ -822,6 +826,7 @@ mod tests {
 
     #[test]
     fn a_rejected_landmark_step_changes_nothing() {
+        // Engine contract.
         // Every landmark RTT set to 0: validation accepts the deltas, but
         // the factors they lead to are rank-deficient. On the refresh tier
         // (default policy: every row is hot) and on the absorb tier alike,
@@ -866,6 +871,7 @@ mod tests {
 
     #[test]
     fn small_drift_absorbs_large_drift_refreshes() {
+        // Engine contract.
         let ds = ides_datasets::generators::gnp_like(15, 7).unwrap();
         let policy = StalenessPolicy {
             deviation_threshold: 0.05,
@@ -924,6 +930,7 @@ mod tests {
 
     #[test]
     fn absorb_tracks_refactored_grams() {
+        // Engine contract.
         // After several absorb epochs, the served Grams must be bit-equal
         // to a from-scratch factorization of the current factors.
         let ds = ides_datasets::generators::p2psim_like(20, 11).unwrap();
@@ -965,6 +972,7 @@ mod tests {
 
     #[test]
     fn cached_join_matches_batched_normal_equations_bitwise() {
+        // Engine contract.
         // On the built model and after each of three absorb epochs (ALS
         // family, with a ridge), a cached join is bit-identical to the
         // one-shot batched normal-equation join against the current factors.
@@ -1027,6 +1035,7 @@ mod tests {
 
     #[test]
     fn rejoin_affected_scatters_and_preserves() {
+        // Engine contract.
         let ds = ides_datasets::generators::p2psim_like(40, 9).unwrap();
         let sub: Vec<usize> = (0..15).collect();
         let lm = ds.matrix.submatrix(&sub, &sub);
@@ -1079,6 +1088,7 @@ mod tests {
 
     #[test]
     fn mismatched_measurement_tables_are_rejected_before_anything_changes() {
+        // Engine contract.
         // `d_in` one row short of `d_out`, or one column narrow: the
         // rejoin must refuse the tables before the first coordinate write.
         let ds = ides_datasets::generators::p2psim_like(30, 9).unwrap();
@@ -1124,6 +1134,7 @@ mod tests {
 
     #[test]
     fn a_bad_observed_set_is_rejected_before_anything_changes() {
+        // Engine contract.
         // One host's subset is out of range, empty, or missing: the rejoin
         // must be refused with the coordinate table bit-unchanged — also
         // the rows of the hosts listed before the bad one.

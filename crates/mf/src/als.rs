@@ -16,21 +16,23 @@
 //! being solved are the hosts, the fixed factor is the landmark design,
 //! and consecutive rows that observe the same columns (every row, on
 //! complete data) share one Gram, one Cholesky factorization and one GEMM
-//! of right-hand sides through [`solve::lstsq_ridge_multi_with`]. So ALS is
-//! also the natural "re-fit everything" operation for a long-running IDES
-//! deployment. Each row's bits are those of a one-row ridge solve while
-//! its system has at most 256 observed entries (the GEMM's `KC` depth);
-//! past that the right-hand side is summed in 256-deep panels and may move
-//! in its last bits.
+//! of right-hand sides. So ALS is also the natural "re-fit everything"
+//! operation for a long-running IDES deployment. The sweeps run on the
+//! loop NMF shares (`crate::sweeps`); only the per-row solve differs. Each
+//! row's bits are those of a one-row ridge solve while its system has at
+//! most 256 observed entries (the GEMM's `KC` depth); past that the
+//! right-hand side is summed in 256-deep panels and may move in its last
+//! bits.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use ides_datasets::DistanceMatrix;
-use ides_linalg::{random, solve, Matrix};
+use ides_linalg::{random, LinalgError, Matrix};
 
-use crate::error::{MfError, Result};
+use crate::error::Result;
 use crate::model::FactorModel;
+use crate::sweeps::{self, Step};
 
 /// Per-entry weighting of the squared error.
 ///
@@ -112,26 +114,21 @@ pub struct AlsFit {
     pub error_trace: Vec<f64>,
 }
 
-/// Factors a (possibly incomplete) distance matrix by ALS.
+/// Factors a (possibly incomplete) distance matrix by ALS; a missing entry
+/// is never read.
 pub fn fit(data: &DistanceMatrix, config: AlsConfig) -> Result<AlsFit> {
-    let (m, n) = data.shape();
-    if m == 0 || n == 0 {
-        return Err(MfError::InvalidInput("empty matrix".into()));
-    }
-    if config.dim == 0 {
-        return Err(MfError::InvalidInput("dimension must be at least 1".into()));
-    }
+    sweeps::validate(data.values(), config.dim)?;
     let (x, y) = initial_factors(data, config);
-    run_sweeps(data, x, y, config)
+    sweep(data, x, y, config)
 }
 
-/// [`fit`]'s starting factors: scale-aware and random from `config.seed`
-/// (sign-free: ALS is unconstrained).
+/// [`fit`]'s starting factors: scaled to the observed cells and random
+/// from `config.seed` (sign-free: ALS is unconstrained).
 fn initial_factors(data: &DistanceMatrix, config: AlsConfig) -> (Matrix, Matrix) {
     let (m, n) = data.shape();
     let k = config.dim.min(m).min(n);
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let scale = (data.values().mean().abs().max(1e-12) / k as f64).sqrt();
+    let scale = sweeps::start_scale(data.values(), Some(data.mask()), k);
     let x = random::uniform(m, k, 0.1 * scale, scale, &mut rng);
     let y = random::uniform(n, k, 0.1 * scale, scale, &mut rng);
     (x, y)
@@ -150,140 +147,28 @@ fn initial_factors(data: &DistanceMatrix, config: AlsConfig) -> (Matrix, Matrix)
 /// lets `ides`' `apply_epoch` promise joins bit-identical to a manual
 /// refit with the same budget. `config.dim` and `config.seed` are ignored
 /// in favor of the model's own dimensionality. Runs the same
-/// allocation-free half-steps (batched solves, banded error pass) as
-/// [`fit`].
+/// allocation-free sweeps as [`fit`].
 pub fn refine(data: &DistanceMatrix, model: &FactorModel, config: AlsConfig) -> Result<AlsFit> {
-    let (m, n) = data.shape();
-    if m == 0 || n == 0 {
-        return Err(MfError::InvalidInput("empty matrix".into()));
-    }
-    if model.x().rows() != m || model.y().rows() != n {
-        return Err(MfError::DimensionMismatch {
-            x: model.x().shape(),
-            y: model.y().shape(),
-        });
-    }
-    run_sweeps(data, model.x().clone(), model.y().clone(), config)
+    sweeps::check_model(data.values(), model)?;
+    sweep(data, model.x().clone(), model.y().clone(), config)
 }
 
-/// The shared ALS sweep loop: alternates the two half-steps from the
-/// given starting factors until the sweep budget or tolerance is
-/// exhausted.
-fn run_sweeps(
-    data: &DistanceMatrix,
-    mut x: Matrix,
-    mut y: Matrix,
-    config: AlsConfig,
-) -> Result<AlsFit> {
-    let (m, n) = data.shape();
-    let d = data.values();
-    let mask = data.mask();
-
-    // Observed index lists per row and per column, and the transposed
-    // data the Y half-step reads its targets from.
-    let rows_obs: Vec<Vec<usize>> = (0..m)
-        .map(|i| (0..n).filter(|&j| mask[(i, j)] == 1.0).collect())
-        .collect();
-    let cols_obs: Vec<Vec<usize>> = (0..n)
-        .map(|j| (0..m).filter(|&i| mask[(i, j)] == 1.0).collect())
-        .collect();
-    let dt = d.transpose();
-
-    let mut scratch = HalfStep::default();
-    let mut recon_band = Matrix::zeros(crate::banded::ERROR_BAND_ROWS.min(m.max(1)), n);
-    let mut error_trace = Vec::with_capacity(config.sweeps);
-    let mut prev = f64::INFINITY;
-    for _sweep in 0..config.sweeps {
-        half_step(d, &rows_obs, &y, &mut x, config, &mut scratch)?;
-        half_step(&dt, &cols_obs, &x, &mut y, config, &mut scratch)?;
-        let err = crate::banded::banded_sq_error(d, Some(mask), &x, &y, &mut recon_band);
-        error_trace.push(err);
-        if config.tolerance > 0.0 && prev.is_finite() {
-            let impr = (prev - err) / prev.max(1e-300);
-            if impr >= 0.0 && impr < config.tolerance {
-                break;
-            }
-        }
-        prev = err;
+/// Runs the shared sweep loop with the ridge step.
+fn sweep(data: &DistanceMatrix, x: Matrix, y: Matrix, config: AlsConfig) -> Result<AlsFit> {
+    if config.ridge < 0.0 {
+        return Err(LinalgError::InvalidArgument("ridge lambda must be nonnegative").into());
     }
-
-    Ok(AlsFit {
-        model: FactorModel::new(x, y)?,
-        error_trace,
-    })
-}
-
-/// Scratch of the half-steps: the gathered design (rows of the fixed
-/// factor), the right-hand sides, the solutions and the normal-equation
-/// workspace. Reused by every run of every sweep, so the sweeps allocate
-/// nothing once the buffers reach their high-water mark.
-#[derive(Default)]
-struct HalfStep {
-    design: Matrix,
-    rhs: Matrix,
-    solved: Matrix,
-    ws: solve::NormalEqWorkspace,
-}
-
-/// One ALS half-step: row `i` of `out` becomes the ridge least-squares
-/// solution of `fixed[obs[i]] · u ≈ targets[i, obs[i]]`, weighted per
-/// `config.weights`. That is a batched host join (Eqs. 13–14): under
-/// uniform weights each run of consecutive rows sharing an observed set is
-/// one [`solve::lstsq_ridge_multi_with`] call — one Gram, one Cholesky and
-/// one GEMM — so complete data costs one of each per half-step. A weighted
-/// row scales its own design, so it is a run of one. Rows with nothing
-/// observed keep their value.
-fn half_step(
-    targets: &Matrix,
-    obs: &[Vec<usize>],
-    fixed: &Matrix,
-    out: &mut Matrix,
-    config: AlsConfig,
-    s: &mut HalfStep,
-) -> Result<()> {
-    let uniform = config.weights == WeightScheme::Uniform;
-    let mut i = 0;
-    while i < obs.len() {
-        let cols = &obs[i];
-        let run = if uniform {
-            obs[i..].iter().take_while(|o| *o == cols).count()
-        } else {
-            1
-        };
-        if !cols.is_empty() {
-            // Complete data under uniform weights is one run, and it reads
-            // both operands in place.
-            let whole = uniform && run == targets.rows() && cols.len() == targets.cols();
-            if !whole {
-                fixed.select_rows_into(cols, &mut s.design);
-                s.rhs.reset_shape(run, cols.len());
-                for r in 0..run {
-                    let src = targets.row(i + r);
-                    for (dst, &j) in s.rhs.row_mut(r).iter_mut().zip(cols) {
-                        *dst = src[j];
-                    }
-                }
-                if !uniform {
-                    apply_weights(&mut s.design, s.rhs.row_mut(0), config.weights);
-                }
-            }
-            let (design, rhs) = if whole {
-                (fixed, targets)
-            } else {
-                (&s.design, &s.rhs)
-            };
-            solve::lstsq_ridge_multi_with(design, rhs, config.ridge, &mut s.ws, &mut s.solved)?;
-            for r in 0..run {
-                out.set_row(i + r, s.solved.row(r));
-            }
-        }
-        i += run;
-    }
-    Ok(())
+    let step = Step::Ridge {
+        lambda: config.ridge,
+        weights: config.weights,
+    };
+    let (d, mask) = (data.values(), sweeps::observed(data));
+    let (model, error_trace) = sweeps::run(d, mask, x, y, step, config.sweeps, config.tolerance)?;
+    Ok(AlsFit { model, error_trace })
 }
 
 /// Scales LS rows/targets in place by the square-root weight of the target.
-fn apply_weights(a: &mut Matrix, b: &mut [f64], scheme: WeightScheme) {
+pub(crate) fn apply_weights(a: &mut Matrix, b: &mut [f64], scheme: WeightScheme) {
     for (r, target) in b.iter_mut().enumerate() {
         let w = scheme.sqrt_weight(*target);
         for c in 0..a.cols() {
@@ -298,6 +183,7 @@ mod tests {
     use super::*;
     use crate::model::DistanceEstimator;
     use crate::nmf::{self, NmfConfig};
+    use ides_linalg::solve;
 
     fn low_rank(n: usize) -> Matrix {
         let b = Matrix::from_fn(n, 3, |i, j| 1.0 + ((i * 3 + j) as f64 * 0.41).sin());
@@ -360,6 +246,7 @@ mod tests {
 
     #[test]
     fn batched_half_steps_match_per_row_solves_bitwise() {
+        // History oracle.
         // Every system here has at most 256 observed entries, so each row
         // must carry the bits of its own one-row solve: on complete data
         // (one run per half-step) at d <= 16 and past it, on masked data
@@ -405,6 +292,7 @@ mod tests {
 
     #[test]
     fn batched_half_steps_past_256_entries_stay_within_1e9() {
+        // History oracle.
         // 300 x 300 complete P2PSim-like data at the paper's d = 10: each
         // system has 300 rows, so the right-hand sides are summed in
         // 256-deep panels and may move in their last bits — never by more
@@ -426,6 +314,7 @@ mod tests {
 
     #[test]
     fn recovers_exact_low_rank() {
+        // Engine contract.
         let d = DistanceMatrix::full("lr", low_rank(14)).unwrap();
         let fit = fit(&d, AlsConfig::new(3)).unwrap();
         let rel =
@@ -435,6 +324,7 @@ mod tests {
 
     #[test]
     fn error_monotone_per_sweep() {
+        // Engine contract.
         let d = DistanceMatrix::full("lr", low_rank(12)).unwrap();
         let fit = fit(
             &d,
@@ -452,6 +342,7 @@ mod tests {
 
     #[test]
     fn handles_missing_entries_and_imputes() {
+        // Engine contract.
         let base = low_rank(12);
         let mut corrupted = base.clone();
         corrupted[(2, 7)] = 0.0;
@@ -469,6 +360,7 @@ mod tests {
 
     #[test]
     fn converges_faster_than_nmf_in_sweeps() {
+        // Engine contract.
         // ALS's unconstrained half-steps should need fewer passes than
         // NMF's nonnegative sweeps to reach the same error on clean data.
         let d = DistanceMatrix::full("lr", low_rank(15)).unwrap();
@@ -485,7 +377,6 @@ mod tests {
             &d,
             NmfConfig {
                 iterations: 5,
-                init: crate::nmf::NmfInit::Random,
                 ..NmfConfig::new(3)
             },
         )
@@ -500,6 +391,7 @@ mod tests {
 
     #[test]
     fn asymmetric_matrices_supported() {
+        // Engine contract.
         let mut d = low_rank(10);
         // Make it asymmetric: the factorization must not care.
         d[(0, 5)] *= 3.0;
@@ -518,6 +410,7 @@ mod tests {
 
     #[test]
     fn relative_weighting_prioritizes_small_distances() {
+        // Engine contract.
         // A matrix with a wide dynamic range: relative weighting must trade
         // absolute accuracy on large entries for relative accuracy on small
         // ones, compared to the uniform fit at the same rank.
@@ -576,6 +469,7 @@ mod tests {
 
     #[test]
     fn refine_is_deterministic_and_improves_on_drifted_data() {
+        // Engine contract.
         let base = low_rank(14);
         let data = DistanceMatrix::full("base", base.clone()).unwrap();
         let cold = fit(&data, AlsConfig::new(3)).unwrap();
@@ -630,6 +524,7 @@ mod tests {
 
     #[test]
     fn refine_rejects_mismatched_model() {
+        // Engine contract.
         let data = DistanceMatrix::full("lr", low_rank(10)).unwrap();
         let other = fit(
             &DistanceMatrix::full("s", low_rank(8)).unwrap(),
@@ -641,6 +536,7 @@ mod tests {
 
     #[test]
     fn weight_scheme_sqrt_weights() {
+        // Engine contract.
         assert_eq!(WeightScheme::Uniform.sqrt_weight(100.0), 1.0);
         assert!((WeightScheme::InverseDistance.sqrt_weight(4.0) - 0.5).abs() < 1e-12);
         assert!((WeightScheme::InverseSquare.sqrt_weight(4.0) - 0.25).abs() < 1e-12);
@@ -650,6 +546,7 @@ mod tests {
 
     #[test]
     fn early_stop_and_validation() {
+        // Engine contract.
         let d = DistanceMatrix::full("lr", low_rank(10)).unwrap();
         assert!(fit(&d, AlsConfig::new(0)).is_err());
         let short = fit(

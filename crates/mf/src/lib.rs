@@ -9,9 +9,10 @@
 //!
 //! * [`svd_model`] — SVD factorization (Eqs. 5–6), the global optimum of
 //!   the squared error (Eq. 7).
-//! * [`nmf`] — nonnegative matrix factorization: HALS sweeps on complete
-//!   data, the paper's Lee–Seung multiplicative updates in their masked
-//!   variant (Eqs. 8–9) for missing data.
+//! * [`nmf`] — nonnegative matrix factorization by HALS sweeps, on
+//!   complete data and, over the observed entries only (Eqs. 8–9's masked
+//!   objective), on missing data. NMF and [`als`] run one alternating
+//!   sweep loop and differ only in the per-row solve.
 //! * [`als`] / [`nmf`] both expose warm-start partial refits
 //!   ([`als::refine`], [`nmf::refine`]): a bounded number of
 //!   deterministic update sweeps from existing factors, the
@@ -47,6 +48,7 @@ pub mod model;
 pub mod nmf;
 pub mod optimizer;
 pub mod svd_model;
+mod sweeps;
 
 pub use error::{MfError, Result};
 pub use model::{BatchEmbed, DistanceEstimator, EuclideanModel, FactorModel};

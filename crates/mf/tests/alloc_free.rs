@@ -14,7 +14,7 @@ use std::cell::Cell;
 use ides_datasets::DistanceMatrix;
 use ides_linalg::Matrix;
 use ides_mf::als::{self, AlsConfig};
-use ides_mf::nmf::{self, NmfConfig, NmfInit};
+use ides_mf::nmf::{self, NmfConfig};
 
 struct CountingAllocator;
 
@@ -76,7 +76,6 @@ fn nmf_complete_iterations_allocate_nothing() {
     let d = low_rank_nonneg(256);
     let cfg = |iterations| NmfConfig {
         iterations,
-        init: NmfInit::Random,
         tolerance: 0.0,
         ..NmfConfig::new(10)
     };
@@ -114,7 +113,6 @@ fn nmf_masked_iterations_allocate_nothing() {
     let data = DistanceMatrix::with_mask("alloc", values, mask).unwrap();
     let cfg = |iterations| NmfConfig {
         iterations,
-        init: NmfInit::Random,
         tolerance: 0.0,
         ..NmfConfig::new(8)
     };
