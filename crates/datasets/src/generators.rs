@@ -30,13 +30,6 @@ pub struct GeneratedDataset {
     pub col_hosts: Vec<usize>,
 }
 
-impl GeneratedDataset {
-    /// Ground-truth (noise-free) RTT between matrix row `i` and column `j`.
-    pub fn true_rtt(&self, i: usize, j: usize) -> f64 {
-        self.topology.host_rtt(self.row_hosts[i], self.col_hosts[j])
-    }
-}
-
 /// Measurement style: symmetric data sets measure each unordered pair once
 /// and mirror it (RTT is a round trip); King-style data sets measure each
 /// ordered pair at a different time, so the matrix picks up measurement
@@ -396,9 +389,6 @@ mod tests {
     fn p2psim_filtering_tracks_kept_hosts() {
         let ds = p2psim_like(50, 4).unwrap();
         assert_eq!(ds.matrix.rows(), ds.row_hosts.len());
-        // true_rtt must be callable for any surviving cell.
-        let r = ds.true_rtt(0, 1);
-        assert!(r > 0.0 && r.is_finite());
     }
 
     #[test]

@@ -139,11 +139,13 @@ impl BatchHostVectors {
     }
 
     /// The `hosts x d` outgoing-vector matrix.
+    #[cfg(test)]
     pub fn outgoing_matrix(&self) -> &Matrix {
         &self.outgoing
     }
 
     /// The `hosts x d` incoming-vector matrix.
+    #[cfg(test)]
     pub fn incoming_matrix(&self) -> &Matrix {
         &self.incoming
     }

@@ -186,8 +186,8 @@ impl LatencyHistogram {
     }
 }
 
-/// Counter snapshot of a [`crate::service::ShardedEngine`] (or of one of
-/// its shards: [`crate::service::ShardedEngine::shard_stats`]).
+/// Counter snapshot of a [`crate::service::ShardedEngine`] or of one of
+/// its shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Pair estimates served.

@@ -551,6 +551,7 @@ impl ShardedEngine {
     /// Per-shard write-side counter snapshots (shard imbalance
     /// observability; `queries` and `epochs` are engine-level and read 0
     /// here).
+    #[cfg(test)]
     pub fn shard_stats(&self) -> Vec<ServiceStats> {
         self.shards.iter().map(Shard::stats).collect()
     }

@@ -38,7 +38,7 @@ use ides_linalg::Matrix;
 use std::sync::Arc;
 
 use super::tile::{check_rows, scatter_tile, HostRows, TileSink};
-use super::{EpochOutcome, EpochUpdate, LandmarkModel, RefreshStrategy, StreamingServer};
+use super::{EpochOutcome, EpochUpdate, LandmarkModel, StreamingServer};
 use crate::error::{IdesError, Result};
 use crate::projection::{
     join_hosts_subset_into, BatchHostVectors, JoinOptions, JoinSolver, JoinWorkspace,
@@ -311,43 +311,28 @@ impl StreamingServer {
     /// its factors (the solve), which is then factored into the epoch's new
     /// model (the commit). Reads `&self` only.
     ///
-    /// For ALS-family servers the solve is a host join: each changed
-    /// landmark joins the epoch-start model with its drifted row of the
-    /// landmark matrix as outgoing and its column (its row of the
-    /// transpose) as incoming measurements, one [`LandmarkModel::join_into`]
-    /// call for all of them. NMF-family servers solve each landmark by
-    /// ridge-augmented NNLS instead, so their factors stay nonnegative
-    /// between refreshes too.
+    /// The solve is a host join: each changed landmark joins the
+    /// epoch-start model with its drifted row of the landmark matrix as
+    /// outgoing and its column (its row of the transpose) as incoming
+    /// measurements, one [`LandmarkModel::join_into`] call for all of them.
     fn absorb(&self, landmarks: &[usize]) -> Result<LandmarkModel> {
         let solve_span = tm::span(tm::Stage::AbsorbSolve);
         let mut candidate = self.model().clone();
-        if matches!(self.refit, RefreshStrategy::Nmf(_)) {
-            // min ‖Y x − D[l, :]‖² + λ‖x‖² s.t. x ≥ 0, and the mirrored
-            // incoming problem against X and D[:, l].
-            let (model, ridge) = (self.model(), self.policy.ridge);
-            for &l in landmarks {
-                let x = super::nnls_ridge(model.y(), self.landmarks.row(l), ridge)?;
-                let y = super::nnls_ridge(model.x(), &self.landmarks.col(l), ridge)?;
-                candidate.set_outgoing(l, &x);
-                candidate.set_incoming(l, &y);
+        // Row `r` of the two tables is landmark `landmarks[r]`'s row and
+        // column of the landmark matrix.
+        let d_out = self.landmarks.select_rows(landmarks);
+        let d_in = Matrix::from_fn(landmarks.len(), self.landmark_count(), |r, i| {
+            self.landmarks[(i, landmarks[r])]
+        });
+        let sink = &mut |rows: &HostRows<'_>, tile: &BatchHostVectors| {
+            for (i, r) in rows.iter().enumerate() {
+                candidate.set_outgoing(landmarks[r], tile.outgoing(i));
+                candidate.set_incoming(landmarks[r], tile.incoming(i));
             }
-        } else {
-            // Row `r` of the two tables is landmark `landmarks[r]`'s row and
-            // column of the landmark matrix.
-            let d_out = self.landmarks.select_rows(landmarks);
-            let d_in = Matrix::from_fn(landmarks.len(), self.landmark_count(), |r, i| {
-                self.landmarks[(i, landmarks[r])]
-            });
-            let sink = &mut |rows: &HostRows<'_>, tile: &BatchHostVectors| {
-                for (i, r) in rows.iter().enumerate() {
-                    candidate.set_outgoing(landmarks[r], tile.outgoing(i));
-                    candidate.set_incoming(landmarks[r], tile.incoming(i));
-                }
-            };
-            let rows = HostRows::range(0..landmarks.len());
-            self.model
-                .join_into(d_out.as_slice(), d_in.as_slice(), &rows, sink)?;
-        }
+        };
+        let rows = HostRows::range(0..landmarks.len());
+        self.model
+            .join_into(d_out.as_slice(), d_in.as_slice(), &rows, sink)?;
         drop(solve_span);
         let _span = tm::span(tm::Stage::AbsorbCommit);
         LandmarkModel::factor(candidate, self.policy.ridge)

@@ -16,13 +16,11 @@
 //!     `O(k d + d²)` each — and the two join Grams are factored once from
 //!     the new factors;
 //!   - **refresh** (deviation above the threshold): a warm-start partial
-//!     refit runs a bounded number of sweeps from the current factors —
-//!     [`ides_mf::als::refine`] for ALS-family servers,
-//!     [`ides_mf::nmf::refine`] for NMF-family ones
-//!     ([`StreamingServer::with_nmf_config`]), both reusing the
-//!     allocation-free workspaces of the batch fit (an ALS half-step is
-//!     itself a batched join) — and the Grams are factored once. See
-//!     [`RefreshStrategy`].
+//!     refit runs a bounded number of ALS sweeps from the current factors
+//!     ([`ides_mf::als::refine`], reusing the allocation-free workspaces
+//!     of the batch fit — an ALS half-step is itself a batched join), and
+//!     the Grams are factored once. See
+//!     [`StreamingServer::refresh_config`].
 //! * Joins keep being served from the cached factorizations with **no
 //!   factorization on the query path**: [`LandmarkModel::join_batch`] is
 //!   one GEMM plus two triangular solves per host — bit-identical to the
@@ -73,38 +71,12 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use ides_datasets::DistanceMatrix;
-use ides_linalg::nnls::nnls;
 use ides_linalg::solve::CachedGram;
 use ides_linalg::Matrix;
 use ides_mf::als::{self, AlsConfig};
-use ides_mf::nmf::{self, NmfConfig};
 use ides_mf::FactorModel;
 
 use crate::error::{IdesError, Result};
-
-/// Ridge-regularized NNLS: `min ‖A x − b‖² + λ‖x‖²` s.t. `x ≥ 0`, solved
-/// by Lawson–Hanson on the augmented system `[A; √λ·I] x = [b; 0]` (the
-/// textbook reduction — with `λ = 0` it is plain [`nnls`] on `A` itself,
-/// no augmentation built).
-fn nnls_ridge(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>> {
-    if lambda == 0.0 {
-        return Ok(nnls(a, b)?);
-    }
-    let (k, d) = a.shape();
-    let sqrt_l = lambda.sqrt();
-    let aug = Matrix::from_fn(k + d, d, |i, j| {
-        if i < k {
-            a[(i, j)]
-        } else if i - k == j {
-            sqrt_l
-        } else {
-            0.0
-        }
-    });
-    let mut rhs = b.to_vec();
-    rhs.resize(k + d, 0.0);
-    Ok(nnls(&aug, &rhs)?)
-}
 
 /// One changed landmark-to-landmark measurement: the RTT from landmark
 /// `from` to landmark `to` is now `rtt` (indices into the landmark set).
@@ -253,28 +225,6 @@ impl Default for StalenessPolicy {
     }
 }
 
-/// Which factorization family the refresh tier refits with — the warm
-/// counterpart of the cold fit the server was built from.
-///
-/// * ALS-family servers ([`StreamingServer::new`] /
-///   [`StreamingServer::with_config`]) refresh through
-///   [`ides_mf::als::refine`];
-/// * NMF-family servers ([`StreamingServer::with_nmf_config`]) refresh
-///   through the warm NMF sweeps of [`ides_mf::nmf::refine`],
-///   which keep the factors nonnegative. The absorb tier follows the same
-///   split: ALS-family servers join drifted landmarks to the current
-///   model (unconstrained least squares through the cached Grams),
-///   NMF-family servers solve them by [`ides_linalg::nnls`] so the factors
-///   stay nonnegative **between** refreshes too (either way the Grams are
-///   then factored from the new factors).
-#[derive(Debug, Clone, Copy)]
-pub enum RefreshStrategy {
-    /// Warm ALS sweeps from the current factors.
-    Als(AlsConfig),
-    /// Warm NMF sweeps (HALS) from the current factors.
-    Nmf(NmfConfig),
-}
-
 /// What one [`StreamingServer::apply_epoch`] call did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochOutcome {
@@ -294,7 +244,7 @@ pub struct EpochOutcome {
     /// True when the staleness policy triggered a warm partial refit
     /// (more than `refresh_row_fraction` of the landmark rows were hot).
     pub refreshed: bool,
-    /// Warm sweeps (ALS or NMF) spent by this call (0 on the absorb tier).
+    /// Warm ALS sweeps spent by this call (0 on the absorb tier).
     pub sweeps: usize,
 }
 
@@ -349,9 +299,9 @@ pub struct StreamingServer {
     /// step.
     model: Arc<LandmarkModel>,
     policy: StalenessPolicy,
-    /// The cold-fit family and configuration (initial build, `full_refit`,
-    /// and the warm counterpart the refresh tier budgets down).
-    refit: RefreshStrategy,
+    /// The cold-fit ALS configuration (initial build, `full_refit`, and
+    /// the warm counterpart the refresh tier budgets down).
+    refit: AlsConfig,
     epoch: f64,
     refreshes: usize,
     absorbed_total: usize,
@@ -372,21 +322,7 @@ impl StreamingServer {
     ) -> Result<Self> {
         crate::system::validate_landmark_dims(landmarks.rows(), landmarks.cols(), als.dim)?;
         let fit = als::fit(landmarks, als)?;
-        StreamingServer::from_fit(landmarks, fit.model, RefreshStrategy::Als(als), policy)
-    }
-
-    /// Builds an **NMF-family** server: cold [`ides_mf::nmf::fit`], with
-    /// the refresh tier running warm [`ides_mf::nmf::refine`] sweeps
-    /// instead of ALS sweeps, so refreshed factors stay nonnegative.
-    pub fn with_nmf_config(
-        landmarks: &DistanceMatrix,
-        config: NmfConfig,
-        policy: StalenessPolicy,
-    ) -> Result<Self> {
-        crate::system::validate_landmark_dims(landmarks.rows(), landmarks.cols(), config.dim)?;
-        let fit =
-            nmf::fit(landmarks, config).map_err(|e| IdesError::InvalidInput(e.to_string()))?;
-        StreamingServer::from_fit(landmarks, fit.model, RefreshStrategy::Nmf(config), policy)
+        StreamingServer::from_fit(landmarks, fit.model, als, policy)
     }
 
     /// Shared constructor tail: check the policy and cache the join Grams
@@ -394,7 +330,7 @@ impl StreamingServer {
     fn from_fit(
         landmarks: &DistanceMatrix,
         model: FactorModel,
-        refit: RefreshStrategy,
+        refit: AlsConfig,
         policy: StalenessPolicy,
     ) -> Result<Self> {
         for (field, value) in [
@@ -470,23 +406,15 @@ impl StreamingServer {
         self.absorbed_total
     }
 
-    /// The exact family and configuration
-    /// [`StreamingServer::apply_epoch`]'s refresh tier hands to
-    /// [`ides_mf::als::refine`] / [`ides_mf::nmf::refine`] (sweep budget
-    /// applied, early stopping disabled) — exposed so callers (and the
-    /// bit-identity tests) can reproduce a refresh externally.
-    pub fn refresh_strategy(&self) -> RefreshStrategy {
-        match self.refit {
-            RefreshStrategy::Als(als) => RefreshStrategy::Als(AlsConfig {
-                sweeps: self.policy.sweep_budget,
-                tolerance: 0.0,
-                ..als
-            }),
-            RefreshStrategy::Nmf(cfg) => RefreshStrategy::Nmf(NmfConfig {
-                iterations: self.policy.sweep_budget,
-                tolerance: 0.0,
-                ..cfg
-            }),
+    /// The exact configuration [`StreamingServer::apply_epoch`]'s refresh
+    /// tier hands to [`ides_mf::als::refine`] (sweep budget applied, early
+    /// stopping disabled) — exposed so callers (and the bit-identity
+    /// tests) can reproduce a refresh externally.
+    pub fn refresh_config(&self) -> AlsConfig {
+        AlsConfig {
+            sweeps: self.policy.sweep_budget,
+            tolerance: 0.0,
+            ..self.refit
         }
     }
 
@@ -541,25 +469,17 @@ impl StreamingServer {
         (deviation, hot.count())
     }
 
-    /// Refits the current landmark matrix with the server's own family
-    /// (ALS or NMF) and factors the result into a new model: `warm` is the
-    /// refresh tier's bounded sweeps from the current factors
-    /// ([`StreamingServer::refresh_strategy`]), otherwise a cold fit.
-    /// Reads `&self` only.
+    /// Refits the current landmark matrix by ALS and factors the result
+    /// into a new model: `warm` is the refresh tier's bounded sweeps from
+    /// the current factors ([`StreamingServer::refresh_config`]),
+    /// otherwise a cold fit. Reads `&self` only.
     fn refit_model(&self, warm: bool) -> Result<LandmarkModel> {
         let data = DistanceMatrix::full("streaming", self.landmarks.clone())
             .map_err(|e| IdesError::InvalidInput(e.to_string()))?;
-        let nmf_model = |fit: ides_mf::Result<nmf::NmfFit>| {
-            fit.map(|f| f.model)
-                .map_err(|e| IdesError::InvalidInput(e.to_string()))
-        };
-        let fitted = match (warm, self.refresh_strategy(), self.refit) {
-            (true, RefreshStrategy::Als(cfg), _) => als::refine(&data, self.model(), cfg)?.model,
-            (true, RefreshStrategy::Nmf(cfg), _) => {
-                nmf_model(nmf::refine(&data, self.model(), cfg))?
-            }
-            (false, _, RefreshStrategy::Als(cfg)) => als::fit(&data, cfg)?.model,
-            (false, _, RefreshStrategy::Nmf(cfg)) => nmf_model(nmf::fit(&data, cfg))?,
+        let fitted = if warm {
+            als::refine(&data, self.model(), self.refresh_config())?.model
+        } else {
+            als::fit(&data, self.refit)?.model
         };
         LandmarkModel::factor(fitted, self.policy.ridge)
     }
@@ -567,8 +487,7 @@ impl StreamingServer {
     /// Cold full refit from the current landmark matrix — the expensive
     /// control the `streaming_update` bench compares the incremental tiers
     /// against (and the recovery path if the model ever degenerates).
-    /// Refits with the server's own family (ALS or NMF). On an error the
-    /// server is unchanged.
+    /// On an error the server is unchanged.
     pub fn full_refit(&mut self) -> Result<()> {
         self.model = Arc::new(self.refit_model(false)?);
         self.baseline = self.landmarks.clone();

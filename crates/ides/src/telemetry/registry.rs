@@ -322,28 +322,6 @@ impl Registry {
             timers,
         }
     }
-
-    /// Zeroes every cell (bench harness hygiene between phases; not
-    /// linearizable against concurrent recorders).
-    pub fn reset(&self) {
-        for s in &self.counters {
-            for c in &s.cells {
-                c.store(0, Ordering::Relaxed);
-            }
-        }
-        for g in &self.gauges {
-            g.store(0, Ordering::Relaxed);
-        }
-        for t in &self.timers {
-            for s in &t.stripes {
-                for b in &s.buckets {
-                    b.store(0, Ordering::Relaxed);
-                }
-                s.sum_ns.store(0, Ordering::Relaxed);
-                s.max_ns.store(0, Ordering::Relaxed);
-            }
-        }
-    }
 }
 
 impl Default for Registry {

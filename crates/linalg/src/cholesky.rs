@@ -233,21 +233,6 @@ impl Cholesky {
     pub fn solve_rows_in_place(&self, rhs: &mut Matrix) -> Result<()> {
         solve_cholesky_rows_in_place(&self.l, rhs)
     }
-
-    /// Solves `A X = B`: the columns of `B` are the rows of `Bᵀ`, solved in
-    /// place by [`solve_cholesky_rows_in_place`].
-    pub fn solve_multi(&self, b: &Matrix) -> Result<Matrix> {
-        if b.rows() != self.l.rows() {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (self.l.rows(), 0),
-                got: b.shape(),
-                op: "cholesky_solve_multi",
-            });
-        }
-        let mut xt = b.transpose();
-        solve_cholesky_rows_in_place(&self.l, &mut xt)?;
-        Ok(xt.transpose())
-    }
 }
 
 #[cfg(test)]
@@ -403,8 +388,11 @@ mod tests {
         let b = Matrix::from_fn(4, 3, |i, j| ((i + j) as f64 * 0.4).cos());
         let g = &b.matmul_tr(&b).unwrap() + &Matrix::identity(4).scale(0.5);
         let c = cholesky(&g).unwrap();
+        // `A X = B` through the row solve: the columns of `B` are the rows
+        // of `Bᵀ`.
         let rhs = Matrix::from_fn(4, 2, |i, j| (i as f64 + 1.0) * (j as f64 - 0.5));
-        let x = c.solve_multi(&rhs).unwrap();
-        assert!(g.matmul(&x).unwrap().approx_eq(&rhs, 1e-10));
+        let mut xt = rhs.transpose();
+        c.solve_rows_in_place(&mut xt).unwrap();
+        assert!(g.matmul(&xt.transpose()).unwrap().approx_eq(&rhs, 1e-10));
     }
 }

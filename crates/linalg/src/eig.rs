@@ -10,7 +10,7 @@
 //! Jacobi method, kept as [`symmetric_eig_jacobi`] — also the accuracy
 //! oracle of the blocked property suite.
 
-use crate::error::{LinalgError, Result};
+use crate::error::{ensure_finite, LinalgError, Result};
 use crate::matrix::Matrix;
 
 /// Result of a symmetric eigendecomposition `A = Q Λ Qᵀ`.
@@ -37,7 +37,8 @@ const MAX_SWEEPS: usize = 100;
 /// Computes all eigenvalues and eigenvectors of a symmetric matrix.
 ///
 /// The input must be symmetric; only the symmetric part is used. Returns
-/// [`LinalgError::NotSquare`] for non-square input. Dispatches to the
+/// [`LinalgError::NotSquare`] for non-square input and
+/// [`LinalgError::NonFinite`] for a NaN or infinite entry. Dispatches to the
 /// blocked tridiagonalization path above [`crate::factor::SMALL`] (with
 /// cyclic Jacobi as the defensive non-convergence fallback) and to cyclic
 /// Jacobi at small sizes. Repeated large-matrix callers should hold a
@@ -68,6 +69,7 @@ pub fn symmetric_eig_jacobi(a: &Matrix) -> Result<SymmetricEig> {
             op: "symmetric_eig",
         });
     }
+    ensure_finite(a, "symmetric_eig")?;
     let n = a.rows();
     if n == 0 {
         return Ok(SymmetricEig {
@@ -161,6 +163,31 @@ pub fn symmetric_eig_jacobi(a: &Matrix) -> Result<SymmetricEig> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::factor::{symmetric_eig_with, FactorWorkspace};
+    use crate::pca;
+
+    #[test]
+    fn non_finite_input_is_an_error_not_a_panic() {
+        // Engine contract.
+        // Every eigensolver entry point, and PCA through them, refuses a
+        // NaN or infinite entry at a Jacobi size (5) and a blocked one (40).
+        for n in [5, 40] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut a = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 7) as f64 * 0.1).sin());
+                a[(1, 3)] = bad;
+                let non_finite = |r: Result<()>| matches!(r, Err(LinalgError::NonFinite { .. }));
+                assert!(non_finite(symmetric_eig(&a).map(drop)), "n = {n}, {bad}");
+                assert!(non_finite(symmetric_eig_jacobi(&a).map(drop)));
+                let mut ws = FactorWorkspace::new();
+                let mut out = SymmetricEig::default();
+                assert!(non_finite(symmetric_eig_with(&a, &mut ws, &mut out)));
+                let mut data = Matrix::from_fn(n + 3, n, |i, j| ((i * n + j) as f64).cos());
+                data[(2, 1)] = bad;
+                assert!(non_finite(pca::fit(&data, 2).map(drop)));
+                assert!(non_finite(pca::fit_with(&data, 2, &mut ws).map(drop)));
+            }
+        }
+    }
 
     #[test]
     fn eig_diagonal() {

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::matrix::Matrix;
+
 /// Result alias using [`LinalgError`].
 pub type Result<T> = std::result::Result<T, LinalgError>;
 
@@ -72,6 +74,14 @@ impl fmt::Display for LinalgError {
 }
 
 impl std::error::Error for LinalgError {}
+
+/// Rejects a matrix with a NaN or infinite entry as
+/// [`LinalgError::NonFinite`]: no decomposition of it exists.
+pub(crate) fn ensure_finite(a: &Matrix, op: &'static str) -> Result<()> {
+    a.all_finite()
+        .then_some(())
+        .ok_or(LinalgError::NonFinite { op })
+}
 
 #[cfg(test)]
 mod tests {

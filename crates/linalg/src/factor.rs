@@ -72,7 +72,7 @@
 //! off.
 
 use crate::eig::SymmetricEig;
-use crate::error::{LinalgError, Result};
+use crate::error::{ensure_finite, LinalgError, Result};
 use crate::kernels::{self, Op};
 use crate::matrix::Matrix;
 use crate::qr::Qr;
@@ -697,7 +697,7 @@ fn bidiagonalize_streamed(ws: &mut FactorWorkspace, m: usize, n: usize, k_start:
 /// via short fused dot products; the `Y`/`X` columns themselves are
 /// corrected for the panel's earlier reflectors through the `u1/u2/v1/v2`
 /// coefficient vectors (LAPACK `dlabrd`'s five GEMV shapes, here as fused
-/// row sweeps on [`kernels::dot`]/[`kernels::axpy`]). This moves roughly
+/// row sweeps on [`kernels::dot`]/[`kernels::axpy_with_isa`]). This moves roughly
 /// half of the bidiagonalization's flops — the trailing update — onto the
 /// blocked GEMM kernel; the other half (the `Y`/`X` products) streams
 /// through the SIMD dot/axpy primitives.
@@ -1107,6 +1107,7 @@ fn bidiag_qr(ws: &mut FactorWorkspace, u: &mut Matrix, v: &mut Matrix) -> Result
 ///
 /// Only the symmetric part of `a` is read (the input is symmetrized into
 /// the working copy, like the Jacobi path). Returns
+/// [`LinalgError::NonFinite`] for a NaN or infinite entry and
 /// [`LinalgError::NoConvergence`] if the QL iteration stalls (the
 /// dispatching entry point falls back to Jacobi); `out` is unspecified on
 /// error.
@@ -1121,6 +1122,7 @@ pub fn symmetric_eig_with(
             op: "symmetric_eig",
         });
     }
+    ensure_finite(a, "symmetric_eig")?;
     let n = a.rows();
     if n == 0 {
         out.eigenvalues.clear();

@@ -39,7 +39,7 @@
 //!
 //! # Micro-kernel back ends and runtime dispatch
 //!
-//! The micro-kernels and the vector primitives ([`dot`], [`axpy`],
+//! The micro-kernels and the vector primitives ([`dot`], [`axpy_with_isa`],
 //! [`gemv`], [`gemv_t`]) have three interchangeable back ends, one per
 //! [`Isa`]:
 //!
@@ -917,7 +917,7 @@ mod x86 {
         total
     }
 
-    /// AVX-512 [`super::axpy`]: elementwise fused `y[i] += alpha * x[i]`.
+    /// AVX-512 [`super::axpy_with_isa`]: elementwise fused `y[i] += alpha * x[i]`.
     ///
     /// # Safety
     /// Requires AVX-512F at runtime.
@@ -941,7 +941,7 @@ mod x86 {
         }
     }
 
-    /// AVX2+FMA [`super::axpy`].
+    /// AVX2+FMA [`super::axpy_with_isa`].
     ///
     /// # Safety
     /// Requires AVX2 and FMA at runtime.
@@ -1128,14 +1128,8 @@ fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
     total
 }
 
-/// Fused `y[i] += alpha * x[i]` over the common length. Elementwise, so
-/// bit-identical across back ends by construction.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    axpy_with_isa(active_isa(), alpha, x, y)
-}
-
-/// [`axpy`] pinned to one back end (test/bench hook; same bits regardless).
+/// Fused `y[i] += alpha * x[i]` over the common length, on back end `isa`.
+/// Elementwise, so bit-identical across back ends by construction.
 pub fn axpy_with_isa(isa: Isa, alpha: f64, x: &[f64], y: &mut [f64]) {
     match isa {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]

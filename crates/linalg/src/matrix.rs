@@ -120,6 +120,7 @@ impl Matrix {
     }
 
     /// Builds a diagonal matrix from the given diagonal entries.
+    #[cfg(test)]
     pub fn from_diag(diag: &[f64]) -> Self {
         let n = diag.len();
         let mut m = Matrix::zeros(n, n);
@@ -134,15 +135,6 @@ impl Matrix {
         Matrix {
             rows: v.len(),
             cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
-    /// Builds a row vector (`1 x n`) from a slice.
-    pub fn row_vector(v: &[f64]) -> Self {
-        Matrix {
-            rows: 1,
-            cols: v.len(),
             data: v.to_vec(),
         }
     }
@@ -210,14 +202,6 @@ impl Matrix {
     pub fn col(&self, j: usize) -> Vec<f64> {
         debug_assert!(j < self.cols);
         (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
-    /// Overwrites column `j` with the entries of `v`.
-    pub fn set_col(&mut self, j: usize, v: &[f64]) {
-        debug_assert_eq!(v.len(), self.rows);
-        for (i, &x) in v.iter().enumerate() {
-            self[(i, j)] = x;
-        }
     }
 
     /// Overwrites row `i` with the entries of `v`.
@@ -409,21 +393,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Elementwise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, "hadamard", |a, b| a * b)
-    }
-
-    /// Elementwise division; entries where `other` is zero map to zero
-    /// (the convention used by masked NMF updates).
-    pub fn hadamard_div_or_zero(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(
-            other,
-            "hadamard_div",
-            |a, b| if b == 0.0 { 0.0 } else { a / b },
-        )
-    }
-
     fn zip_with(
         &self,
         other: &Matrix,
@@ -585,23 +554,6 @@ impl Matrix {
     pub fn block(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Matrix {
         debug_assert!(r0 <= r1 && r1 <= self.rows && c0 <= c1 && c1 <= self.cols);
         Matrix::from_fn(r1 - r0, c1 - c0, |i, j| self[(r0 + i, c0 + j)])
-    }
-
-    /// Horizontally concatenates `self` and `other` (same row count).
-    pub fn hcat(&self, other: &Matrix) -> Result<Matrix> {
-        if self.rows != other.rows {
-            return Err(LinalgError::ShapeMismatch {
-                expected: (self.rows, 0),
-                got: other.shape(),
-                op: "hcat",
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(other.row(i));
-        }
-        Ok(out)
     }
 
     /// Vertically concatenates `self` and `other` (same column count).
@@ -873,17 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_and_div() {
-        let a = m2x2(1.0, 2.0, 3.0, 4.0);
-        let b = m2x2(2.0, 0.0, 0.5, 4.0);
-        assert_eq!(a.hadamard(&b).unwrap(), m2x2(2.0, 0.0, 1.5, 16.0));
-        assert_eq!(
-            a.hadamard_div_or_zero(&b).unwrap(),
-            m2x2(0.5, 0.0, 6.0, 1.0)
-        );
-    }
-
-    #[test]
     fn norms_and_reductions() {
         let a = m2x2(3.0, -4.0, 0.0, 0.0);
         assert_eq!(a.frobenius_norm(), 5.0);
@@ -912,14 +853,10 @@ mod tests {
     fn concat() {
         let a = Matrix::identity(2);
         let b = Matrix::filled(2, 1, 7.0);
-        let h = a.hcat(&b).unwrap();
-        assert_eq!(h.shape(), (2, 3));
-        assert_eq!(h[(1, 2)], 7.0);
         let c = Matrix::filled(1, 2, 9.0);
         let v = a.vcat(&c).unwrap();
         assert_eq!(v.shape(), (3, 2));
         assert_eq!(v[(2, 0)], 9.0);
-        assert!(a.hcat(&c).is_err());
         assert!(a.vcat(&b).is_err());
     }
 

@@ -6,7 +6,7 @@
 //! projection.
 
 use crate::eig::{symmetric_eig, symmetric_eig_jacobi, SymmetricEig};
-use crate::error::{LinalgError, Result};
+use crate::error::{ensure_finite, LinalgError, Result};
 use crate::factor::{symmetric_eig_with, FactorWorkspace};
 use crate::matrix::Matrix;
 
@@ -22,7 +22,8 @@ pub struct Pca {
 }
 
 /// Fits PCA on the rows of `data` (`n` samples × `p` features), retaining
-/// the top `d` components.
+/// the top `d` components. A NaN or infinite entry is
+/// [`LinalgError::NonFinite`].
 ///
 /// Uses the eigendecomposition of the `p x p` covariance matrix, which is
 /// the formulation in the ICS paper and efficient when `p` (number of
@@ -43,6 +44,7 @@ pub fn fit_with(data: &Matrix, d: usize, ws: &mut FactorWorkspace) -> Result<Pca
     if n == 0 || p == 0 {
         return Err(LinalgError::InvalidArgument("pca: empty data"));
     }
+    ensure_finite(data, "pca")?;
     let d = d.min(p);
     // Column means.
     let mut mean = vec![0.0; p];
@@ -92,14 +94,6 @@ impl Pca {
         let centered =
             Matrix::from_fn(data.rows(), data.cols(), |i, j| data[(i, j)] - self.mean[j]);
         centered.matmul(&self.components)
-    }
-
-    /// Projects a single row vector.
-    pub fn transform_row(&self, row: &[f64]) -> Result<Vec<f64>> {
-        let mut scratch = Vec::new();
-        let mut out = vec![0.0; self.dim()];
-        self.transform_row_into(row, &mut scratch, &mut out)?;
-        Ok(out)
     }
 
     /// Projects a single row into a preallocated `out` (length [`Pca::dim`]),
@@ -185,8 +179,10 @@ mod tests {
         let data = Matrix::from_fn(12, 3, |i, j| ((i * 3 + j) as f64 * 0.53).cos());
         let pca = fit(&data, 2).unwrap();
         let all = pca.transform(&data).unwrap();
+        let (mut scratch, mut row) = (Vec::new(), vec![0.0; 2]);
         for i in 0..12 {
-            let row = pca.transform_row(data.row(i)).unwrap();
+            pca.transform_row_into(data.row(i), &mut scratch, &mut row)
+                .unwrap();
             for j in 0..2 {
                 assert!((row[j] - all[(i, j)]).abs() < 1e-12);
             }
@@ -205,6 +201,8 @@ mod tests {
         assert!(fit(&Matrix::zeros(0, 3), 1).is_err());
         let pca = fit(&Matrix::from_fn(4, 2, |i, j| (i + j) as f64), 1).unwrap();
         assert!(pca.transform(&Matrix::zeros(2, 3)).is_err());
-        assert!(pca.transform_row(&[1.0]).is_err());
+        assert!(pca
+            .transform_row_into(&[1.0], &mut Vec::new(), &mut [0.0])
+            .is_err());
     }
 }

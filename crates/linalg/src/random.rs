@@ -10,15 +10,6 @@ pub fn uniform(rows: usize, cols: usize, lo: f64, hi: f64, rng: &mut StdRng) -> 
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(lo..hi))
 }
 
-/// Standard-normal random matrix (Box–Muller from uniform draws).
-pub fn gaussian(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
-    Matrix::from_fn(rows, cols, |_, _| {
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    })
-}
-
 /// Convenience: a seeded RNG for reproducible experiments.
 pub fn seeded_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
@@ -36,21 +27,6 @@ mod tests {
         let b = uniform(10, 10, 2.0, 5.0, &mut r2);
         assert_eq!(a, b);
         assert!(a.as_slice().iter().all(|&x| (2.0..5.0).contains(&x)));
-    }
-
-    #[test]
-    fn gaussian_moments() {
-        let mut rng = seeded_rng(7);
-        let g = gaussian(200, 200, &mut rng);
-        let mean = g.mean();
-        let var = g
-            .as_slice()
-            .iter()
-            .map(|&x| (x - mean) * (x - mean))
-            .sum::<f64>()
-            / (g.as_slice().len() as f64);
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
     }
 
     #[test]

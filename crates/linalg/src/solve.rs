@@ -58,35 +58,6 @@ pub fn lstsq_normal(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
     }
 }
 
-/// Ridge-regularized least squares: `x = (AᵀA + λI)⁻¹ Aᵀ b`.
-///
-/// With `lambda > 0` the system is always SPD, so this never fails for
-/// finite input. Used by the robust host-join path when very few landmarks
-/// are observed.
-pub fn lstsq_ridge(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>> {
-    if a.rows() != b.len() {
-        return Err(LinalgError::ShapeMismatch {
-            expected: (a.rows(), 1),
-            got: (b.len(), 1),
-            op: "lstsq_ridge",
-        });
-    }
-    if lambda < 0.0 {
-        return Err(LinalgError::InvalidArgument(
-            "ridge lambda must be nonnegative",
-        ));
-    }
-    let mut ata = a.tr_matmul(a)?;
-    for i in 0..ata.rows() {
-        ata[(i, i)] += lambda;
-    }
-    let atb = a.tr_matvec(b)?;
-    match cholesky(&ata) {
-        Ok(c) => c.solve(&atb),
-        Err(_) => lstsq_normal(a, b),
-    }
-}
-
 /// Reusable scratch space for [`lstsq_ridge_multi_with`]: the `AᵀA` Gram
 /// matrix and its Cholesky factor. Reused across solves of the same width
 /// (the ALS half-steps and host joins solve many systems of one fixed
@@ -119,15 +90,16 @@ impl NormalEqWorkspace {
 /// separately through the same batched path — the property the evaluation
 /// sharding relies on.
 ///
-/// Each row's bits are those of [`lstsq_ridge`] on that row alone while
-/// `a` has at most 256 rows (the GEMM's `KC` depth: `Aᵀbₕ` is then summed
-/// in one pass, in `lstsq_ridge`'s order); past that `B·A` is summed in
-/// 256-deep panels and may differ in the last bits.
+/// Each row's bits are those of the one-row ridge solve (`AᵀA + λI`
+/// factored by [`cholesky`], `Aᵀbₕ` by [`Matrix::tr_matvec`]) while `a` has
+/// at most 256 rows (the GEMM's `KC` depth: `Aᵀbₕ` is then summed in one
+/// pass, in `tr_matvec`'s order); past that `B·A` is summed in 256-deep
+/// panels and may differ in the last bits.
 ///
 /// Falls back to the per-row [`lstsq_normal`] pseudo-inverse path when
 /// `AᵀA + λI` is numerically indefinite (rank-deficient input with
-/// `lambda = 0`), mirroring [`lstsq_ridge`]. Steady-state allocation is
-/// zero once `ws` and `out` have reached their high-water shapes.
+/// `lambda = 0`). Steady-state allocation is zero once `ws` and `out` have
+/// reached their high-water shapes.
 pub fn lstsq_ridge_multi_with(
     a: &Matrix,
     b: &Matrix,
@@ -271,6 +243,28 @@ impl CachedGram {
 mod tests {
     use super::*;
 
+    /// The one-row ridge solve `x = (AᵀA + λI)⁻¹ Aᵀ b`, kept as the oracle
+    /// of [`lstsq_ridge_multi_with`]'s per-row bits.
+    fn lstsq_ridge(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>> {
+        let mut ata = a.tr_matmul(a)?;
+        for i in 0..ata.rows() {
+            ata[(i, i)] += lambda;
+        }
+        let atb = a.tr_matvec(b)?;
+        match cholesky(&ata) {
+            Ok(c) => c.solve(&atb),
+            Err(_) => lstsq_normal(a, b),
+        }
+    }
+
+    /// [`lstsq_ridge_multi_with`] on the single right-hand side `b`.
+    fn ridge_one(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>> {
+        let rhs = Matrix::from_vec(1, b.len(), b.to_vec())?;
+        let mut out = Matrix::zeros(0, 0);
+        lstsq_ridge_multi_with(a, &rhs, lambda, &mut NormalEqWorkspace::default(), &mut out)?;
+        Ok(out.row(0).to_vec())
+    }
+
     #[test]
     fn pinv_of_invertible_is_inverse() {
         let a = Matrix::from_vec(2, 2, vec![4.0, 7.0, 2.0, 6.0]).unwrap();
@@ -321,20 +315,20 @@ mod tests {
     fn ridge_shrinks_towards_zero() {
         let a = Matrix::identity(3);
         let b = vec![1.0, 2.0, 3.0];
-        let x0 = lstsq_ridge(&a, &b, 0.0).unwrap();
-        let x1 = lstsq_ridge(&a, &b, 1.0).unwrap();
+        let x0 = ridge_one(&a, &b, 0.0).unwrap();
+        let x1 = ridge_one(&a, &b, 1.0).unwrap();
         for i in 0..3 {
             assert!((x0[i] - b[i]).abs() < 1e-12);
             assert!((x1[i] - b[i] / 2.0).abs() < 1e-12); // (I + I)⁻¹ b
         }
-        assert!(lstsq_ridge(&a, &b, -1.0).is_err());
+        assert!(ridge_one(&a, &b, -1.0).is_err());
     }
 
     #[test]
     fn dimension_mismatches_rejected() {
         let a = Matrix::zeros(3, 2);
         assert!(lstsq_normal(&a, &[1.0]).is_err());
-        assert!(lstsq_ridge(&a, &[1.0], 0.1).is_err());
+        assert!(ridge_one(&a, &[1.0], 0.1).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   (the common case in distance-matrix factorization). Its per-iteration
 //!   re-orthonormalization rides the blocked QR.
 
-use crate::error::{LinalgError, Result};
+use crate::error::{ensure_finite, LinalgError, Result};
 use crate::matrix::Matrix;
 
 /// Result of a singular value decomposition `A = U S Vᵀ`.
@@ -86,12 +86,6 @@ pub fn svd(a: &Matrix) -> Result<Svd> {
     let mut out = Svd::default();
     small_svd(a, &mut crate::factor::FactorWorkspace::new(), &mut out)?;
     Ok(out)
-}
-
-/// Rejects a matrix with a NaN or infinite entry: no SVD of it exists.
-fn ensure_finite(a: &Matrix, op: &'static str) -> Result<()> {
-    let finite = a.as_slice().iter().all(|x| x.is_finite());
-    finite.then_some(()).ok_or(LinalgError::NonFinite { op })
 }
 
 /// Computes the full SVD of `a` by one-sided Jacobi rotations — the

@@ -95,14 +95,6 @@ impl AlsConfig {
             weights: WeightScheme::Uniform,
         }
     }
-
-    /// Relative-error objective (weights `1/D²`).
-    pub fn relative(dim: usize) -> Self {
-        AlsConfig {
-            weights: WeightScheme::InverseSquare,
-            ..AlsConfig::new(dim)
-        }
-    }
 }
 
 /// Result of an ALS fit.
@@ -183,12 +175,26 @@ mod tests {
     use super::*;
     use crate::model::DistanceEstimator;
     use crate::nmf::{self, NmfConfig};
-    use ides_linalg::solve;
+    use ides_linalg::{cholesky, solve};
 
     fn low_rank(n: usize) -> Matrix {
         let b = Matrix::from_fn(n, 3, |i, j| 1.0 + ((i * 3 + j) as f64 * 0.41).sin());
         let c = Matrix::from_fn(3, n, |i, j| 1.0 + ((i * 5 + j) as f64 * 0.23).cos());
         b.matmul(&c).unwrap()
+    }
+
+    /// Ridge least squares of one row, `x = (AᵀA + λI)⁻¹ Aᵀ b`, falling
+    /// back to the pseudo-inverse when the Gram is indefinite.
+    fn lstsq_ridge(a: &Matrix, b: &[f64], lambda: f64) -> Vec<f64> {
+        let mut ata = a.tr_matmul(a).unwrap();
+        for i in 0..ata.rows() {
+            ata[(i, i)] += lambda;
+        }
+        let atb = a.tr_matvec(b).unwrap();
+        match cholesky::cholesky(&ata) {
+            Ok(c) => c.solve(&atb).unwrap(),
+            Err(_) => solve::lstsq_normal(a, b).unwrap(),
+        }
     }
 
     /// The per-row ALS the batched half-steps replaced, kept as the
@@ -208,7 +214,7 @@ mod tests {
                     let mut a = fixed.select_rows(&obs);
                     let mut b: Vec<f64> = obs.iter().map(|&j| d[(i, j)]).collect();
                     apply_weights(&mut a, &mut b, config.weights);
-                    out.set_row(i, &solve::lstsq_ridge(&a, &b, config.ridge).unwrap());
+                    out.set_row(i, &lstsq_ridge(&a, &b, config.ridge));
                 }
             }
         };
@@ -443,7 +449,8 @@ mod tests {
             &data,
             AlsConfig {
                 sweeps: 40,
-                ..AlsConfig::relative(1)
+                weights: WeightScheme::InverseSquare,
+                ..AlsConfig::new(1)
             },
         )
         .unwrap();

@@ -13,11 +13,10 @@
 //!   complete data and, over the observed entries only (Eqs. 8–9's masked
 //!   objective), on missing data. NMF and [`als`] run one alternating
 //!   sweep loop and differ only in the per-row solve.
-//! * [`als`] / [`nmf`] both expose warm-start partial refits
-//!   ([`als::refine`], [`nmf::refine`]): a bounded number of
-//!   deterministic update sweeps from existing factors, the
-//!   recompute-free maintenance step behind `ides`' streaming update
-//!   subsystem.
+//! * [`als`] also exposes a warm-start partial refit ([`als::refine`]):
+//!   a bounded number of deterministic update sweeps from existing
+//!   factors, the recompute-free maintenance step behind `ides`'
+//!   streaming update subsystem.
 //! * [`lipschitz`] — the ICS / Virtual Landmark baseline (Lipschitz
 //!   embedding + PCA + linear normalization).
 //! * [`gnp`] — the GNP baseline (Euclidean embedding by Simplex Downhill).

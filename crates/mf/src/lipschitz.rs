@@ -262,7 +262,7 @@ mod tests {
         // land on host 4's coordinates.
         let row: Vec<f64> = (0..12).map(|j| data.get(4, j).unwrap()).collect();
         let emb = model.embed(&row).unwrap();
-        let train = model.model().coord(4);
+        let train = model.model().coords().row(4);
         for (a, b) in emb.iter().zip(train.iter()) {
             assert!((a - b).abs() < 1e-9, "{emb:?} vs {train:?}");
         }

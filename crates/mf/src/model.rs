@@ -159,11 +159,6 @@ impl EuclideanModel {
         &self.coords
     }
 
-    /// Coordinates of host `i`.
-    pub fn coord(&self, i: usize) -> &[f64] {
-        self.coords.row(i)
-    }
-
     /// Euclidean distance between two coordinate vectors.
     pub fn distance(a: &[f64], b: &[f64]) -> f64 {
         a.iter()

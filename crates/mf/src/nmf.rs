@@ -33,7 +33,7 @@ use ides_linalg::{random, Matrix};
 
 use crate::error::{MfError, Result};
 use crate::model::FactorModel;
-use crate::sweeps::{self, Step, EPS};
+use crate::sweeps::{self, Step};
 
 /// Configuration for the NMF factorizer.
 #[derive(Debug, Clone, Copy)]
@@ -130,27 +130,6 @@ fn initial_factors(d: &Matrix, mask: Option<&Matrix>, config: NmfConfig) -> (Mat
 /// `×1`, where a higher start only costs sweeps.
 const MASKED_START: f64 = 3.0;
 
-/// Warm-start **partial refit**: continues the HALS sweeps of [`fit`] from
-/// an existing nonnegative factor model instead of a fresh initialization,
-/// running at most `config.iterations` sweeps.
-///
-/// The streaming counterpart of [`fit`]: when a slab of the (possibly
-/// masked) distance matrix drifts, a handful of sweeps from the current
-/// factors re-converges far cheaper than a cold fit, because the start
-/// point is already near the local optimum. Deterministic (no RNG) and
-/// allocation-free once warm, like [`fit`]. Factor entries below `EPS`
-/// (`1e-12`) are raised to it, the floor every HALS step keeps;
-/// `config.dim` and `config.seed` are ignored in favor of the model's own
-/// factors.
-pub fn refine(data: &DistanceMatrix, model: &FactorModel, config: NmfConfig) -> Result<NmfFit> {
-    sweeps::check_model(data.values(), model)?;
-    let mut x = model.x().clone();
-    let mut y = model.y().clone();
-    x.map_inplace(|v| v.max(EPS));
-    y.map_inplace(|v| v.max(EPS));
-    sweep(data.values(), sweeps::observed(data), x, y, config)
-}
-
 /// Runs the shared sweep loop with the HALS step.
 fn sweep(
     d: &Matrix,
@@ -177,6 +156,7 @@ mod tests {
 
     use super::*;
     use crate::model::DistanceEstimator;
+    use crate::sweeps::EPS;
     use ides_linalg::kernels;
 
     fn low_rank_nonneg(n: usize) -> Matrix {
@@ -913,68 +893,5 @@ mod tests {
         // Engine contract.
         let d = low_rank_nonneg(4);
         assert!(fit_matrix(&d, NmfConfig::new(0)).is_err());
-    }
-
-    #[test]
-    fn refine_recovers_from_drift_in_few_iterations() {
-        // Engine contract.
-        let base = low_rank_nonneg(12);
-        let data = DistanceMatrix::full("b", base.clone()).unwrap();
-        let cold = fit(&data, NmfConfig::new(2)).unwrap();
-        // Drift the matrix a few percent, then refine with a small budget.
-        let mut drifted = base.clone();
-        for (i, j, v) in base.iter_entries() {
-            drifted[(i, j)] = v * (1.0 + 0.04 * ((i * 12 + j) as f64 * 0.9).cos());
-        }
-        let ddata = DistanceMatrix::full("d", drifted.clone()).unwrap();
-        let budget = NmfConfig {
-            iterations: 10,
-            tolerance: 0.0,
-            ..NmfConfig::new(2)
-        };
-        let warm = refine(&ddata, &cold.model, budget).unwrap();
-        assert_eq!(warm.error_trace.len(), 10);
-        // Warm refit beats both the stale model and a cold fit with the
-        // same tiny budget.
-        let stale_err: f64 = {
-            let recon = cold.model.reconstruct();
-            drifted
-                .iter_entries()
-                .map(|(i, j, v)| (v - recon[(i, j)]) * (v - recon[(i, j)]))
-                .sum()
-        };
-        let cold_budget = fit(&ddata, budget).unwrap();
-        let warm_err = *warm.error_trace.last().unwrap();
-        assert!(warm_err < stale_err, "{warm_err} vs stale {stale_err}");
-        assert!(
-            warm_err < *cold_budget.error_trace.last().unwrap(),
-            "warm {warm_err} vs cold-10-iter {}",
-            cold_budget.error_trace.last().unwrap()
-        );
-        // Factors stay nonnegative through the refit.
-        assert!(warm.model.x().is_nonnegative(0.0));
-        assert!(warm.model.y().is_nonnegative(0.0));
-    }
-
-    #[test]
-    fn refine_runs_a_zero_dimension_model() {
-        // Engine contract.
-        // A model without columns has nothing to sweep: the error stays
-        // `‖D‖²` and no step divides by a zero-width row.
-        let d = low_rank_nonneg(6);
-        let data = DistanceMatrix::full("z", d.clone()).unwrap();
-        let empty = FactorModel::new(Matrix::zeros(6, 0), Matrix::zeros(6, 0)).unwrap();
-        let fit = refine(&data, &empty, NmfConfig::new(1)).unwrap();
-        let d_sq = kernels::dot(d.as_slice(), d.as_slice());
-        assert!(fit.error_trace.iter().all(|&e| e == d_sq));
-        assert_eq!(fit.model.dim(), 0);
-    }
-
-    #[test]
-    fn refine_rejects_mismatched_model() {
-        // Engine contract.
-        let data = DistanceMatrix::full("b", low_rank_nonneg(9)).unwrap();
-        let other = fit_matrix(&low_rank_nonneg(5), NmfConfig::new(2)).unwrap();
-        assert!(refine(&data, &other.model, NmfConfig::new(2)).is_err());
     }
 }

@@ -409,7 +409,11 @@ mod tests {
         let fits: [(&str, Fit); 3] = [
             ("als", |d| Ok(als::fit(d, als::AlsConfig::new(4))?.model)),
             ("als relative", |d| {
-                Ok(als::fit(d, als::AlsConfig::relative(4))?.model)
+                let config = als::AlsConfig {
+                    weights: WeightScheme::InverseSquare,
+                    ..als::AlsConfig::new(4)
+                };
+                Ok(als::fit(d, config)?.model)
             }),
             ("nmf", |d| Ok(nmf::fit(d, nmf::NmfConfig::new(4))?.model)),
         ];

@@ -75,14 +75,6 @@ impl Region {
             rng.gen_range(self.lon_range.0..self.lon_range.1),
         )
     }
-
-    /// The region's center point.
-    pub fn center(&self) -> GeoPoint {
-        GeoPoint::new(
-            (self.lat_range.0 + self.lat_range.1) / 2.0,
-            (self.lon_range.0 + self.lon_range.1) / 2.0,
-        )
-    }
 }
 
 /// North America (contiguous US / southern Canada band).
@@ -192,9 +184,15 @@ mod tests {
     #[test]
     fn regions_are_far_apart() {
         // Sanity: inter-region distances dominate intra-region ones.
-        let na = NORTH_AMERICA.center();
-        let eu = EUROPE.center();
-        let asia = ASIA.center();
+        let center = |r: &Region| {
+            GeoPoint::new(
+                (r.lat_range.0 + r.lat_range.1) / 2.0,
+                (r.lon_range.0 + r.lon_range.1) / 2.0,
+            )
+        };
+        let na = center(&NORTH_AMERICA);
+        let eu = center(&EUROPE);
+        let asia = center(&ASIA);
         assert!(na.distance_km(&eu) > 5000.0);
         assert!(na.distance_km(&asia) > 8000.0);
         assert!(eu.distance_km(&asia) > 7000.0);

@@ -81,11 +81,6 @@ impl Graph {
         &self.adj[u]
     }
 
-    /// Total number of directed edges.
-    pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(|e| e.len()).sum()
-    }
-
     /// Single-source shortest path delays (Dijkstra). Unreachable nodes get
     /// `f64::INFINITY`.
     pub fn dijkstra(&self, src: NodeId) -> Vec<f64> {
@@ -275,7 +270,7 @@ mod tests {
         let b = g.add_node();
         g.add_link(a, b, 1.0);
         assert_eq!(g.len(), 2);
-        assert_eq!(g.edge_count(), 2);
         assert_eq!(g.edges(a).len(), 1);
+        assert_eq!(g.edges(b).len(), 1);
     }
 }

@@ -49,16 +49,6 @@ impl MeasurementParams {
             loss_prob: 0.02,
         }
     }
-
-    /// Single clean probe (used by the IDES host-join protocol simulation).
-    pub fn single_probe() -> Self {
-        MeasurementParams {
-            probes: 3,
-            jitter_frac: 0.1,
-            floor_jitter_ms: 0.1,
-            loss_prob: 0.0,
-        }
-    }
 }
 
 impl Default for MeasurementParams {
@@ -87,46 +77,15 @@ pub fn measure_rtt(base_ms: f64, params: &MeasurementParams, rng: &mut StdRng) -
     Some(best)
 }
 
-/// Measures the full host-to-host RTT matrix of a topology.
-///
-/// Returns `(matrix, mask)` where `mask[(i,j)] == 1.0` marks an observed
-/// entry; missing entries are `0.0` in both. Diagonal entries are observed
-/// zeros.
-pub fn measure_matrix(
-    topo: &TransitStubTopology,
-    params: &MeasurementParams,
-    rng: &mut StdRng,
-) -> (Matrix, Matrix) {
-    let n = topo.host_count();
-    let mut d = Matrix::zeros(n, n);
-    let mut mask = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                mask[(i, j)] = 1.0;
-                continue;
-            }
-            match measure_rtt(topo.host_rtt(i, j), params, rng) {
-                Some(v) => {
-                    d[(i, j)] = v;
-                    mask[(i, j)] = 1.0;
-                }
-                None => {
-                    mask[(i, j)] = 0.0;
-                }
-            }
-        }
-    }
-    (d, mask)
-}
-
 /// Measures a rectangular matrix of RTTs from `rows` hosts to `cols` hosts
 /// (for AGNP-style asymmetric data sets the two host sets differ).
 ///
-/// Unlike the square all-pairs case, entries here are **one-way-pair**
-/// measurements of `rtt(row, col)`; if the same pair appears transposed in
-/// another call, jitter makes the two measurements differ, which is one of
-/// the sources of observed asymmetry in real data.
+/// Returns `(matrix, mask)` where `mask[(r, c)] == 1.0` marks an observed
+/// entry; lost entries are `0.0` in both, and a host against itself is an
+/// observed zero. Entries are **one-way-pair** measurements of
+/// `rtt(row, col)`; if the same pair appears transposed in another call,
+/// jitter makes the two measurements differ, which is one of the sources
+/// of observed asymmetry in real data.
 pub fn measure_submatrix(
     topo: &TransitStubTopology,
     rows: &[usize],
@@ -240,8 +199,9 @@ mod tests {
             loss_prob: 0.1,
             ..MeasurementParams::king_style()
         };
-        let (d, mask) = measure_matrix(&t, &p, &mut rng);
         let n = t.host_count();
+        let all: Vec<usize> = (0..n).collect();
+        let (d, mask) = measure_submatrix(&t, &all, &all, &p, &mut rng);
         assert_eq!(d.shape(), (n, n));
         let mut missing = 0;
         for i in 0..n {
