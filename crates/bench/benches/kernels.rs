@@ -268,6 +268,26 @@ fn bench_cholesky_solve_rows(c: &mut Criterion) {
             rhs[(0, 0)]
         })
     });
+    // A lone host join's solve: one right-hand-side row at the same d.
+    // The multi-row entry point must cost what the one-row solve does
+    // (`scripts/check_bench.sh` caps `blocked/1` at 1.2x `per_row/1`), not
+    // a 16-lane block of mostly zeros.
+    let one = Matrix::from_rows(&[source.row(0).to_vec()]).unwrap();
+    let mut rhs = one.clone();
+    group.bench_function(BenchmarkId::new("blocked", 1), |b| {
+        b.iter(|| {
+            rhs.as_mut_slice().copy_from_slice(one.as_slice());
+            solve_cholesky_rows_in_place(&l, &mut rhs).unwrap();
+            rhs[(0, 0)]
+        })
+    });
+    group.bench_function(BenchmarkId::new("per_row", 1), |b| {
+        b.iter(|| {
+            rhs.as_mut_slice().copy_from_slice(one.as_slice());
+            solve_cholesky_in_place(&l, rhs.as_mut_slice()).unwrap();
+            rhs[(0, 0)]
+        })
+    });
     group.finish();
 }
 

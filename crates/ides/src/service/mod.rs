@@ -33,16 +33,18 @@
 //!   private core (`ReadPath::serve` around `pair_estimate`) that also
 //!   carries the per-query RMW budget; there is no estimate cache in
 //!   front of it — at `d = 16` the dot costs less than a cache probe.
-//! * **Chunk-tree publish.** The snapshot's coordinate table and live-set
-//!   are [`ChunkedRows`] — persistent chunk trees whose clone cost tracks
-//!   the spine length, not the row count. Publishing after a join flush
-//!   therefore costs `O(changed chunks)`: at a million admitted hosts a
-//!   single-host churn publish clones ~tens of `Arc` pointers where the
-//!   flat table used to copy hundreds of megabytes. Published snapshots
-//!   stay immutable under the writer's copy-on-write mutations — and
-//!   under a drift epoch, which rewrites every row and therefore installs
-//!   each rejoined 256-slot tile as a *fresh* chunk
-//!   ([`ChunkedRows::replace_chunk`]) instead of copying chunks it is
+//! * **Chunk-tree publish.** The snapshot's coordinate table is a
+//!   [`ChunkedRows`] — a persistent chunk tree whose clone is `O(1)` and
+//!   whose row flags mark the live slots. Publishing after a join flush
+//!   therefore costs `O(changed leaves)`: the writer copies the path to
+//!   each row it writes and that row's 64-row leaf, so at a million
+//!   admitted hosts a single-host churn publish copies ~100 `Arc` pointers
+//!   and one 16 KiB leaf where the flat table used to copy hundreds of
+//!   megabytes; a leave flips a flag and copies no leaf at all. Published
+//!   snapshots stay immutable under the writer's copy-on-write mutations —
+//!   and under a drift epoch, which rewrites every row and therefore
+//!   installs each rejoined 256-slot tile as four *fresh* leaves
+//!   ([`ChunkedRows::replace_chunk`]) instead of copying leaves it is
 //!   about to overwrite whole.
 //! * **Group commit.** Concurrent [`ShardedEngine::join`] calls append
 //!   their rows to their shard's pending *generation*. The first joiner
@@ -96,7 +98,7 @@ use ides_mf::{DistanceEstimator, FactorModel};
 use parking_lot::Mutex;
 
 use crate::error::{IdesError, Result};
-use crate::streaming::{HostRows, LandmarkModel};
+use crate::streaming::{HostRows, LandmarkModel, TileScratch};
 use crate::telemetry as tm;
 
 pub use metrics::{LatencyHistogram, ServiceStats};
@@ -130,18 +132,17 @@ pub struct ServiceConfig {}
 ///
 /// The coordinate table is a persistent chunk tree ([`ChunkedRows`]):
 /// each slot's row stores `[outgoing d | incoming d]` interleaved, and
-/// the live-set is a one-column `bool` table. Publishing clones both
-/// trees — `O(spine)` `Arc` bumps plus the chunks the writer has touched
-/// since the last publish, independent of how many hosts are admitted.
+/// the row's flag marks a live slot. Publishing clones the tree — `O(1)`,
+/// and the writer then copies only the paths and leaves it touches,
+/// independent of how many hosts are admitted.
 #[derive(Debug)]
 pub struct Snapshot {
     version: u64,
     epoch: f64,
     landmarks: Arc<LandmarkModel>,
-    /// Slot-major rows of `2 * dim` columns: `[outgoing | incoming]`.
+    /// Slot-major rows of `2 * dim` columns: `[outgoing | incoming]`,
+    /// flagged while the slot's host is live.
     coords: ChunkedRows<f64>,
-    /// One-column liveness flags, slot-indexed.
-    live: ChunkedRows<bool>,
     /// Live-row count, maintained by the writer (so [`Snapshot::host_count`]
     /// is O(1), not a scan).
     live_count: usize,
@@ -193,9 +194,9 @@ impl Snapshot {
     }
 
     /// The admitted-host coordinate chunk tree (slot-major rows of
-    /// `[outgoing dim | incoming dim]`; consult [`Snapshot::is_live`]
-    /// before trusting a row). Exposed so tests can assert chunk sharing
-    /// between consecutive publishes.
+    /// `[outgoing dim | incoming dim]`, flagged while live; consult
+    /// [`Snapshot::is_live`] before trusting a row). Exposed so tests can
+    /// assert chunk sharing between consecutive publishes.
     pub fn coords(&self) -> &ChunkedRows<f64> {
         &self.coords
     }
@@ -213,23 +214,30 @@ impl Snapshot {
 
     /// True when host slot `s` holds a live (admitted, not departed) host.
     pub fn is_live(&self, slot: usize) -> bool {
-        slot < self.live.len() && self.live.row(slot)[0]
+        self.coords.flagged_row(slot).is_some()
+    }
+
+    /// Endpoint `n`'s row: a landmark's `[outgoing | incoming]` pair, or a
+    /// live host's coordinate row, liveness and cells read in one lookup.
+    fn endpoint(&self, n: NodeId) -> Result<(&[f64], &[f64])> {
+        let d = self.dim();
+        let row = match n {
+            NodeId::Landmark(i) if i < self.landmark_count() => {
+                return Ok((self.model().outgoing(i), self.model().incoming(i)));
+            }
+            NodeId::Host(s) => self.coords.flagged_row(s),
+            NodeId::Landmark(_) => None,
+        };
+        row.map(|row| row.split_at(d))
+            .ok_or_else(|| unknown_node(n))
     }
 
     pub(crate) fn outgoing_of(&self, n: NodeId) -> Result<&[f64]> {
-        match n {
-            NodeId::Landmark(i) if i < self.landmark_count() => Ok(self.model().outgoing(i)),
-            NodeId::Host(s) if self.is_live(s) => Ok(self.host_outgoing(s)),
-            _ => Err(unknown_node(n)),
-        }
+        Ok(self.endpoint(n)?.0)
     }
 
     pub(crate) fn incoming_of(&self, n: NodeId) -> Result<&[f64]> {
-        match n {
-            NodeId::Landmark(i) if i < self.landmark_count() => Ok(self.model().incoming(i)),
-            NodeId::Host(s) if self.is_live(s) => Ok(self.host_incoming(s)),
-            _ => Err(unknown_node(n)),
-        }
+        Ok(self.endpoint(n)?.1)
     }
 
     /// Estimated distance from `a` to `b` (dot product of `a`'s outgoing
@@ -335,6 +343,8 @@ struct WriterState {
     /// ping-pong, so steady-state joins allocate no staging.
     spare_out: Vec<f64>,
     spare_in: Vec<f64>,
+    /// The flush's tile scratch, reused across flushes.
+    tile: TileScratch,
 }
 
 /// The writer's slot-indexed host tables — apart from the model, so a
@@ -348,11 +358,10 @@ struct HostTable {
     meas_out: Matrix,
     meas_in: Matrix,
     /// Slot-indexed coordinate chunk tree (`[outgoing d | incoming d]`
-    /// rows) — the same persistent structure the snapshots publish, so a
-    /// publish is a clone that shares every untouched chunk.
+    /// rows, flagged while live) — the same persistent structure the
+    /// snapshots publish, so a publish is a clone that shares every
+    /// untouched chunk.
     coords: ChunkedRows<f64>,
-    /// Slot-indexed liveness flags (one-column chunk tree).
-    live: ChunkedRows<bool>,
     live_count: usize,
     /// Retired slots awaiting reuse (LIFO).
     free: Vec<usize>,
@@ -361,7 +370,7 @@ struct HostTable {
 impl HostTable {
     /// True when host slot `slot` is allocated and live.
     fn is_live(&self, slot: usize) -> bool {
-        slot < self.live.len() && self.live.row(slot)[0]
+        self.coords.flagged_row(slot).is_some()
     }
 
     /// Assigns a slot for one admitted host (free list first, growth
@@ -381,7 +390,6 @@ impl HostTable {
             self.coords.push_default_rows(1);
             self.meas_out.push_row(d_out);
             self.meas_in.push_row(d_in);
-            self.live.push_row(&[false]);
             self.coords.len() - 1
         });
         self.meas_out.set_row(slot, d_out);
@@ -389,7 +397,7 @@ impl HostTable {
         let row = self.coords.row_mut(slot);
         row[..d].copy_from_slice(outgoing);
         row[d..].copy_from_slice(incoming);
-        self.live.row_mut(slot)[0] = true;
+        self.coords.set_flag(slot, true);
         self.live_count += 1;
         slot
     }
@@ -543,7 +551,7 @@ impl Shard {
     fn new(model: Arc<LandmarkModel>, epoch: f64) -> Self {
         let k = model.factors().n_from();
         let d = model.factors().dim();
-        let writer = WriterState {
+        let mut writer = WriterState {
             model,
             epoch,
             hosts: HostTable {
@@ -551,15 +559,15 @@ impl Shard {
                 meas_out: Matrix::zeros(0, k),
                 meas_in: Matrix::zeros(0, k),
                 coords: ChunkedRows::new(2 * d),
-                live: ChunkedRows::new(1),
                 live_count: 0,
                 free: Vec::new(),
             },
             version: 0,
             spare_out: Vec::new(),
             spare_in: Vec::new(),
+            tile: TileScratch::default(),
         };
-        let initial = Arc::new(Self::build_snapshot(&writer));
+        let initial = Arc::new(Self::build_snapshot(&mut writer));
         Shard {
             snapshot: ArcSwap::new(initial),
             writer: Mutex::new(writer),
@@ -653,7 +661,7 @@ impl Shard {
         let hosts = &mut w.hosts;
         let before = hosts.free.len();
         for slot in slots {
-            hosts.live.row_mut(slot)[0] = false;
+            hosts.coords.set_flag(slot, false);
             hosts.free.push(slot);
         }
         let retired = hosts.free.len() - before;
@@ -674,41 +682,40 @@ impl Shard {
     /// stored measurement rows, so however many landmark steps produced
     /// `model`, one call brings the shard up to date.
     ///
-    /// The rejoin reads the measurement tables in place, 256 slots — one
-    /// leaf chunk — per tile, and each finished tile is installed as a
-    /// **fresh** chunk of `[outgoing | incoming]` rows
-    /// ([`ChunkedRows::replace_chunk`]): an epoch rewrites every row, so
-    /// nothing of the old chunk is worth copying, and the published
-    /// snapshots keep the old chunks untouched. One call allocates one
-    /// coordinate table's worth of chunks and nothing proportional to
-    /// `slots × k`.
+    /// The rejoin reads the measurement tables in place, 256 slots per
+    /// tile, and each finished tile is installed as four **fresh** leaves
+    /// of `[outgoing | incoming]` rows ([`ChunkedRows::replace_chunk`],
+    /// straight from the tile, liveness flags untouched): an epoch rewrites
+    /// every row, so nothing of an old leaf is worth copying, and the
+    /// published snapshots keep the old leaves untouched. One call
+    /// allocates one coordinate table's worth of leaves and nothing
+    /// proportional to `slots × k`.
     fn rejoin_all(&self, model: &Arc<LandmarkModel>, epoch: f64) -> Result<()> {
         let mut w = self.writer.lock();
         w.model = Arc::clone(model);
         w.epoch = epoch;
         let HostTable {
-            dim,
             meas_out,
             meas_in,
             coords,
             ..
         } = &mut w.hosts;
-        let (slots, d) = (coords.len(), *dim);
+        let slots = coords.len();
         let rejoin_span = tm::span(tm::Stage::Rejoin);
         model.join_into(
             meas_out.as_slice(),
             meas_in.as_slice(),
             &HostRows::range(0..slots),
             &mut |rows, tile| {
-                // Tiles of `0..slots` are cut at multiples of CHUNK_ROWS.
+                // Tiles of `0..slots` are cut at multiples of TILE_ROWS,
+                // itself a multiple of CHUNK_ROWS: a tile is whole leaves.
                 let first = rows.get(0);
                 debug_assert_eq!(first % CHUNK_ROWS, 0);
-                let mut chunk = Vec::with_capacity(CHUNK_ROWS * 2 * d);
-                for i in 0..tile.len() {
-                    chunk.extend_from_slice(tile.outgoing(i));
-                    chunk.extend_from_slice(tile.incoming(i));
+                for lo in (0..tile.len()).step_by(CHUNK_ROWS) {
+                    let leaf = lo..tile.len().min(lo + CHUNK_ROWS);
+                    let pieces = leaf.flat_map(|i| [tile.outgoing(i), tile.incoming(i)]);
+                    coords.replace_chunk((first + lo) / CHUNK_ROWS, pieces);
                 }
-                coords.replace_chunk(first / CHUNK_ROWS, chunk);
             },
         )?;
         drop(rejoin_span);
@@ -770,13 +777,15 @@ impl Shard {
         let t0 = tm::enabled().then(Instant::now);
         let k = self.k;
         let mut slots = Vec::with_capacity(batch.rows.len());
-        let WriterState { model, hosts, .. } = &mut *w;
-        // One worker: slots must be assigned in batch order.
-        model.join_tiles(
+        let WriterState {
+            model, hosts, tile, ..
+        } = &mut *w;
+        // Inline: slots must be assigned in batch order.
+        model.join_inline(
             batch.d_out,
             batch.d_in,
             &batch.rows,
-            1,
+            tile,
             &mut |rows, tile| {
                 for (i, r) in rows.iter().enumerate() {
                     let at = r * k..(r + 1) * k;
@@ -798,27 +807,26 @@ impl Shard {
     }
 
     /// Publishes the writer's current state as a fresh snapshot: bump the
-    /// version, share the landmark model (an `Arc` bump), clone the
-    /// coordinate chunk trees (sharing every chunk the writer hasn't
-    /// touched since the last publish — `O(changed chunks)`, not
-    /// `O(hosts)`), and swap the pointer. Readers never wait: the swap is
-    /// an atomic store.
+    /// version, share the landmark model (an `Arc` bump), fork the
+    /// coordinate chunk tree (one `Arc` bump; the writer's later writes
+    /// copy what they touch, so every untouched leaf stays shared —
+    /// `O(changed leaves)`, not `O(hosts)`), and swap the pointer. Readers
+    /// never wait: the swap is an atomic store.
     fn publish(&self, w: &mut WriterState) {
         let _span = tm::span(tm::Stage::Publish);
         let t0 = Instant::now();
         w.version += 1;
-        let snap = Arc::new(Self::build_snapshot(w));
         // Chunk-share gauge: how much of the coordinate chunk tree this
-        // publish reused from the snapshot it replaces (pointer-equality
-        // walk, O(chunks)) — the direct measure of the copy-on-write
-        // publish-cost claim.
-        let prev = self.snapshot.load();
-        self.chunk_shared.store(
-            snap.coords.shared_chunks_with(&prev.coords) as u64,
-            Ordering::Relaxed,
-        );
+        // publish reuses from the snapshot it replaces — the direct
+        // measure of the copy-on-write publish-cost claim. The table
+        // counted the leaves it diverged from that snapshot as it copied
+        // them, so this reads two counters, not the tree.
+        let coords = &w.hosts.coords;
+        self.chunk_shared
+            .store(coords.shared_with_fork() as u64, Ordering::Relaxed);
         self.chunk_total
-            .store(snap.coords.chunk_count() as u64, Ordering::Relaxed);
+            .store(coords.chunk_count() as u64, Ordering::Relaxed);
+        let snap = Arc::new(Self::build_snapshot(w));
         self.snapshot.store(snap);
         let elapsed = t0.elapsed();
         self.publish_hist.lock().record(elapsed);
@@ -826,13 +834,14 @@ impl Shard {
         tm::count(tm::Counter::Publishes);
     }
 
-    fn build_snapshot(w: &WriterState) -> Snapshot {
+    /// The writer's state as a snapshot: the chunk tree is forked, so the
+    /// next publish's gauge counts against this one.
+    fn build_snapshot(w: &mut WriterState) -> Snapshot {
         Snapshot {
             version: w.version,
             epoch: w.epoch,
             landmarks: Arc::clone(&w.model),
-            coords: w.hosts.coords.clone(),
-            live: w.hosts.live.clone(),
+            coords: w.hosts.coords.fork(),
             live_count: w.hosts.live_count,
         }
     }
@@ -1232,6 +1241,73 @@ mod tests {
             "epoch must move the estimate for this test to bite"
         );
         assert_eq!(e.stats().epochs, 1);
+    }
+
+    #[test]
+    fn a_pinned_snapshot_keeps_its_bits_through_copy_on_write_churn() {
+        // Five full leaves and a ragged sixth. A snapshot pinned before a
+        // burst of leaves and joins into every one of its leaves — slots
+        // retired, recycled and grown, one at a time and in batches — must
+        // read exactly what it read before, row bits and liveness alike.
+        let k = 12;
+        let hosts = 5 * CHUNK_ROWS + 9;
+        let e = engine(k, 4);
+        for h in 0..hosts as u64 {
+            e.join_direct(&meas(k, h), &meas(k, 9000 + h)).unwrap();
+        }
+        e.leave_many(&[NodeId::Host(2), NodeId::Host(CHUNK_ROWS + 1)])
+            .unwrap();
+        let pinned = snapshot(&e);
+        let seen = |snap: &Snapshot| -> Vec<(Vec<u64>, bool)> {
+            (0..hosts)
+                .map(|s| (bits(snap.coords().row(s)), snap.is_live(s)))
+                .collect()
+        };
+        let before = seen(&pinned);
+        let mut salt = 50_000u64;
+        for round in 0..3 {
+            let gone: Vec<NodeId> = (round..hosts)
+                .step_by(5)
+                .filter(|&s| s != 2 && s != CHUNK_ROWS + 1)
+                .map(NodeId::Host)
+                .collect();
+            e.leave_many(&gone).unwrap();
+            for _ in 0..gone.len() / 2 {
+                salt += 1;
+                e.join(&meas(k, salt), &meas(k, salt + 7)).unwrap();
+            }
+            let rest = gone.len() - gone.len() / 2 + 3;
+            let batch = |seed: u64| {
+                Matrix::from_rows(
+                    &(0..rest as u64)
+                        .map(|i| meas(k, seed + i))
+                        .collect::<Vec<_>>(),
+                )
+                .unwrap()
+            };
+            e.join_many(&batch(salt), &batch(salt + 500)).unwrap();
+            salt += 1_000;
+        }
+        assert!(
+            snapshot(&e).slot_count() > hosts,
+            "the burst must grow the table too"
+        );
+        assert_eq!(pinned.slot_count(), hosts);
+        assert_eq!(seen(&pinned), before, "a pinned snapshot changed");
+
+        // One join after a publish diverges exactly one coordinate leaf
+        // (the recycled slot's), and the counted gauge says so — the value
+        // the pointer walk gives.
+        e.leave(NodeId::Host(3)).unwrap();
+        let published = snapshot(&e);
+        let id = e.join(&meas(k, 1), &meas(k, 2)).unwrap();
+        assert_eq!(id, NodeId::Host(3));
+        let stats = e.stats();
+        assert_eq!(stats.chunk_shared, stats.chunk_total - 1);
+        assert_eq!(
+            stats.chunk_shared as usize,
+            snapshot(&e).coords().shared_chunks_with(published.coords())
+        );
     }
 
     #[test]

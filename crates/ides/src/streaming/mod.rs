@@ -64,7 +64,7 @@ mod tile;
 
 pub use executor::RejoinTables;
 
-pub(crate) use tile::HostRows;
+pub(crate) use tile::{HostRows, TileScratch};
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

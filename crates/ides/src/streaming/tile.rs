@@ -46,10 +46,13 @@ use crate::error::{IdesError, Result};
 use crate::eval::{eval_threads, shard_ranges};
 use crate::projection::BatchHostVectors;
 
-/// Hosts per tile: one leaf chunk of the serving engine's coordinate tree,
-/// so a tile of the engine's `0..slots` rejoin *is* one chunk. At `d = 16`
-/// a tile's two right-hand-side blocks are 64 KiB together.
-const TILE_ROWS: usize = CHUNK_ROWS;
+/// Hosts per tile. At `d = 16` a tile's two right-hand-side blocks are
+/// 64 KiB together, and its GEMM reads 256 measurement rows per pass. A
+/// multiple of the serving engine's leaf chunk, so a tile of the engine's
+/// `0..slots` rejoin is a run of whole leaves (four at 64 rows), each
+/// installed fresh.
+const TILE_ROWS: usize = 256;
+const _: () = assert!(TILE_ROWS.is_multiple_of(CHUNK_ROWS));
 
 /// Minimum tiles per worker before [`LandmarkModel::join_into`] fans out.
 /// Sized from what a second worker costs on the 2-vCPU benchmark host: a
@@ -196,16 +199,18 @@ pub(crate) fn scatter_tile(
 }
 
 /// One worker's reusable tile: the solved coordinates and, for scattered
-/// rows only, the gathered measurement rows.
-#[derive(Default)]
-struct TileScratch {
+/// rows only, the gathered measurement rows. A serving shard's writer keeps
+/// one, so a lone flush allocates no tile.
+#[derive(Debug, Default)]
+pub(crate) struct TileScratch {
     tile: BatchHostVectors,
     gathered: Vec<f64>,
 }
 
 impl TileScratch {
     /// Joins `rows` into `self.tile`: per direction, one GEMM to assemble
-    /// the right-hand sides and one multi-row triangular solve (Eqs. 13–14).
+    /// the right-hand sides and one multi-row triangular solve (Eqs. 13–14);
+    /// a one-row tile solves both directions together.
     fn join(
         &mut self,
         lm: &LandmarkModel,
@@ -220,9 +225,9 @@ impl TileScratch {
         }
         let in_place = rows.as_range();
         let (out_m, in_m) = tile.matrices_mut();
-        for (meas, factor, gram, rhs) in [
-            (d_out, lm.model.y(), &lm.gram_y, out_m),
-            (d_in, lm.model.x(), &lm.gram_x, in_m),
+        for (meas, factor, rhs) in [
+            (d_out, lm.model.y(), &mut *out_m),
+            (d_in, lm.model.x(), &mut *in_m),
         ] {
             let k = factor.rows();
             let a = match &in_place {
@@ -247,7 +252,14 @@ impl TileScratch {
                 d,
                 k,
             );
-            gram.solve_rows_in_place(rhs)?;
+        }
+        if len == 1 {
+            // A lone host: its two one-row solves, interleaved.
+            let (out_row, in_row) = (out_m.as_mut_slice(), in_m.as_mut_slice());
+            lm.gram_y.solve_pair_in_place(out_row, &lm.gram_x, in_row)?;
+        } else {
+            lm.gram_y.solve_rows_in_place(out_m)?;
+            lm.gram_x.solve_rows_in_place(in_m)?;
         }
         Ok(())
     }
@@ -272,8 +284,9 @@ impl LandmarkModel {
 
     /// [`LandmarkModel::join_into`] on exactly `workers` workers (never
     /// more than tiles; one runs on the calling thread), each taking a
-    /// contiguous run of tiles. One worker delivers the tiles in join
-    /// order. The coordinates handed over are bit-identical at any count.
+    /// contiguous run of tiles. One worker is
+    /// [`LandmarkModel::join_inline`]. The coordinates handed over are
+    /// bit-identical at any count.
     pub(crate) fn join_tiles(
         &self,
         d_out: &[f64],
@@ -282,8 +295,11 @@ impl LandmarkModel {
         workers: usize,
         sink: &mut TileSink<'_>,
     ) -> Result<()> {
-        check_rows(d_out, d_in, self.model.x().rows(), rows)?;
         let tiles = rows.len().div_ceil(TILE_ROWS);
+        if workers <= 1 || tiles <= 1 {
+            return self.join_inline(d_out, d_in, rows, &mut TileScratch::default(), sink);
+        }
+        check_rows(d_out, d_in, self.model.x().rows(), rows)?;
         let sink = Mutex::new(sink);
         let run = |tiles: Range<usize>| -> Result<()> {
             let mut scratch = TileScratch::default();
@@ -295,7 +311,7 @@ impl LandmarkModel {
             }
             Ok(())
         };
-        let shares = shard_ranges(tiles, workers.max(1));
+        let shares = shard_ranges(tiles, workers);
         let (&(lo, hi), spawned) = shares.split_first().expect("at least one share");
         std::thread::scope(|scope| {
             let run = &run;
@@ -307,6 +323,26 @@ impl LandmarkModel {
                 done.and(worker.join().expect("rejoin worker panicked"))
             })
         })
+    }
+
+    /// The cached join of `rows` on the calling thread — no scope, no sink
+    /// lock — through the caller's `scratch`: tiles reach `sink` in join
+    /// order.
+    pub(crate) fn join_inline(
+        &self,
+        d_out: &[f64],
+        d_in: &[f64],
+        rows: &HostRows<'_>,
+        scratch: &mut TileScratch,
+        sink: &mut TileSink<'_>,
+    ) -> Result<()> {
+        check_rows(d_out, d_in, self.model.x().rows(), rows)?;
+        for lo in (0..rows.len()).step_by(TILE_ROWS) {
+            let tile_rows = rows.slice(lo..rows.len().min(lo + TILE_ROWS));
+            scratch.join(self, d_out, d_in, &tile_rows)?;
+            sink(&tile_rows, &scratch.tile);
+        }
+        Ok(())
     }
 
     /// Joins a dense batch of ordinary hosts through the **cached**

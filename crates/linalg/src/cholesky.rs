@@ -91,6 +91,11 @@ const LANES: usize = 16;
 /// row in place — same bits, and still no heap allocation.
 const MAX_LANE_DIM: usize = 64;
 
+/// Systems up to this dimension (every served model's `d`) get a scratch
+/// of this many entries per lane (2 KiB at 16 lanes) instead of
+/// [`MAX_LANE_DIM`].
+const SMALL_LANE_DIM: usize = 16;
+
 /// The one triangular-solve body: solves `L Lᵀ x = b` for `LANES`
 /// independent right-hand sides at once. `x` is lane-major — entry `i` of
 /// lane `t` lives at `x[i * LANES + t]` — so a single row is the `LANES = 1`
@@ -147,6 +152,51 @@ pub fn solve_cholesky_in_place(l: &Matrix, b: &mut [f64]) -> Result<()> {
     Ok(())
 }
 
+/// Solves the two one-row systems `La Laᵀ x = a` and `Lb Lbᵀ y = b` in
+/// place, step by step together — a lone host join's outgoing and
+/// incoming solve. One row's substitution is a chain of dependent
+/// subtractions; two independent chains interleaved keep twice the work in
+/// flight, so the pair costs about two thirds of two solves in a row. Each
+/// system runs exactly the arithmetic of [`solve_cholesky_in_place`] — the
+/// same unfused multiply, subtract and division in the same order — so the
+/// bits are those of two separate calls.
+pub fn solve_cholesky_pair_in_place(
+    la: &Matrix,
+    a: &mut [f64],
+    lb: &Matrix,
+    b: &mut [f64],
+) -> Result<()> {
+    let n = check_factor_and_vec(la, a, "cholesky_solve_pair")?;
+    if check_factor_and_vec(lb, b, "cholesky_solve_pair")? != n {
+        solve_lanes::<1>(la, a);
+        solve_lanes::<1>(lb, b);
+        return Ok(());
+    }
+    let (la, lb) = (la.as_slice(), lb.as_slice());
+    // Forward solves L y = rhs (y overwrites rhs).
+    for i in 0..n {
+        let (ra, rb) = (&la[i * n..(i + 1) * n], &lb[i * n..(i + 1) * n]);
+        let (mut s, mut t) = (a[i], b[i]);
+        for j in 0..i {
+            s -= ra[j] * a[j];
+            t -= rb[j] * b[j];
+        }
+        a[i] = s / ra[i];
+        b[i] = t / rb[i];
+    }
+    // Back solves Lᵀ x = y (x overwrites y).
+    for i in (0..n).rev() {
+        let (mut s, mut t) = (a[i], b[i]);
+        for j in (i + 1)..n {
+            s -= la[j * n + i] * a[j];
+            t -= lb[j * n + i] * b[j];
+        }
+        a[i] = s / la[i * n + i];
+        b[i] = t / lb[i * n + i];
+    }
+    Ok(())
+}
+
 /// Solves `A xᵀ = bᵀ` for **every row** of `rhs` in place, given a factored
 /// lower triangle `l`: row `h` of `rhs` enters holding one right-hand side
 /// and leaves holding the corresponding solution.
@@ -161,8 +211,12 @@ pub fn solve_cholesky_in_place(l: &Matrix, b: &mut [f64]) -> Result<()> {
 /// independent, so they are solved 16 at a time with one SIMD lane per row:
 /// a block is transposed into lane-major stack scratch, the forward and
 /// back substitution run once with every step applied to all lanes, and the
-/// block is transposed back. A ragged last block pads its unused lanes with
-/// zeros.
+/// block is transposed back. A ragged tail of `r < 16` rows runs on the
+/// narrowest of 1, 2, 4, 8 or 16 lanes that holds it, with its idle lanes
+/// solving zeros; a lone row (a single host join) is solved in place, with
+/// no scratch at all. The tail stays one block: a substitution costs about
+/// the same on one lane as on sixteen, so splitting it would only add
+/// latency chains.
 ///
 /// **Bit-identity.** Each lane performs exactly the arithmetic of
 /// [`solve_cholesky_in_place`] — the same unfused multiply, subtract and
@@ -192,26 +246,55 @@ pub fn solve_cholesky_rows_in_place(l: &Matrix, rhs: &mut Matrix) -> Result<()> 
         }
         return Ok(());
     }
-    let mut scratch = [0.0f64; LANES * MAX_LANE_DIM];
-    let lanes = &mut scratch[..LANES * n];
-    for block in rows.chunks_mut(LANES * n) {
-        if block.len() < LANES * n {
-            // Ragged tail: idle lanes solve zeros, not the last block's rows.
-            lanes.fill(0.0);
+    let (blocks, tail) = rows.split_at_mut(rows.len() / (LANES * n) * (LANES * n));
+    if !blocks.is_empty() {
+        solve_on_lanes::<LANES>(l, blocks);
+    }
+    match tail.len() / n {
+        0 => {}
+        1 => solve_lanes::<1>(l, tail),
+        2 => solve_on_lanes::<2>(l, tail),
+        3..=4 => solve_on_lanes::<4>(l, tail),
+        5..=8 => solve_on_lanes::<8>(l, tail),
+        _ => solve_on_lanes::<LANES>(l, tail),
+    }
+    Ok(())
+}
+
+/// Solves `rows` (whole rows of `n = l.rows() ≤ MAX_LANE_DIM`) `W` at a
+/// time on `W` lanes of stack scratch; a last group of fewer than `W` rows
+/// leaves its idle lanes solving zeros.
+#[inline(always)]
+fn solve_on_lanes<const W: usize>(l: &Matrix, rows: &mut [f64]) {
+    if l.rows() <= SMALL_LANE_DIM {
+        solve_on_lanes_in::<W, SMALL_LANE_DIM>(l, rows);
+    } else {
+        solve_on_lanes_in::<W, MAX_LANE_DIM>(l, rows);
+    }
+}
+
+/// [`solve_on_lanes`] with `D ≥ n` scratch entries per lane.
+fn solve_on_lanes_in<const W: usize, const D: usize>(l: &Matrix, rows: &mut [f64]) {
+    let n = l.rows();
+    let mut scratch = [[0.0f64; W]; D];
+    let lanes = &mut scratch[..n];
+    for block in rows.chunks_mut(W * n) {
+        if block.len() < W * n {
+            // Ragged group: idle lanes solve zeros, not an earlier group's rows.
+            lanes.fill([0.0; W]);
         }
         for (t, row) in block.chunks_exact(n).enumerate() {
-            for (i, &v) in row.iter().enumerate() {
-                lanes[i * LANES + t] = v;
+            for (lane, &v) in lanes.iter_mut().zip(row) {
+                lane[t] = v;
             }
         }
-        solve_lanes::<LANES>(l, lanes);
+        solve_lanes::<W>(l, lanes.as_flattened_mut());
         for (t, row) in block.chunks_exact_mut(n).enumerate() {
-            for (i, v) in row.iter_mut().enumerate() {
-                *v = lanes[i * LANES + t];
+            for (lane, v) in lanes.iter().zip(row) {
+                *v = lane[t];
             }
         }
     }
-    Ok(())
 }
 
 impl Cholesky {
@@ -287,13 +370,21 @@ mod tests {
         let b = Matrix::from_fn(5, 3, |i, j| ((i * 2 + j) as f64 * 0.7).sin());
         let g = &b.tr_matmul(&b).unwrap() + &Matrix::identity(3).scale(0.3);
         let c = cholesky(&g).unwrap();
-        let mut rhs = Matrix::from_fn(4, 3, |i, j| (i + j) as f64 - 1.5);
-        let expected: Vec<Vec<f64>> = (0..4).map(|h| c.solve(rhs.row(h)).unwrap()).collect();
-        c.solve_rows_in_place(&mut rhs).unwrap();
-        for h in 0..4 {
-            for j in 0..3 {
-                // Bitwise: the row solve is the same arithmetic.
-                assert_eq!(rhs[(h, j)].to_bits(), expected[h][j].to_bits());
+        // Every tail lane width (1, 2, 4, 8, 16), a full block, and full
+        // blocks followed by a tail.
+        for rows in [4usize, 1, 2, 3, 5, 9, 15, 16, 17, 33] {
+            let mut rhs = Matrix::from_fn(rows, 3, |i, j| (i + j) as f64 - 1.5);
+            let expected: Vec<Vec<f64>> = (0..rows).map(|h| c.solve(rhs.row(h)).unwrap()).collect();
+            c.solve_rows_in_place(&mut rhs).unwrap();
+            for h in 0..rows {
+                for j in 0..3 {
+                    // Bitwise: the row solve is the same arithmetic.
+                    assert_eq!(
+                        rhs[(h, j)].to_bits(),
+                        expected[h][j].to_bits(),
+                        "{rows} rows: row {h} col {j}"
+                    );
+                }
             }
         }
         // Shape mismatch rejected.
@@ -305,6 +396,37 @@ mod tests {
     fn spd(n: usize, alpha: f64) -> Matrix {
         let b = Matrix::from_fn(n + 2, n, |i, j| ((i * n + j) as f64 * 0.53).sin());
         &b.tr_matmul(&b).unwrap() + &Matrix::identity(n).scale(alpha)
+    }
+
+    #[test]
+    fn pair_solve_matches_two_single_solves_bitwise() {
+        for d in [1usize, 2, 5, 16, 33] {
+            let (la, lb) = (
+                cholesky(&spd(d, 0.7)).unwrap().l().clone(),
+                cholesky(&spd(d, 2.5)).unwrap().l().clone(),
+            );
+            let a0: Vec<f64> = (0..d).map(|j| (j as f64 * 0.41).sin() * 3.0).collect();
+            let b0: Vec<f64> = (0..d).map(|j| (j as f64 * 0.77).cos() - 0.5).collect();
+            let (mut a, mut b) = (a0.clone(), b0.clone());
+            solve_cholesky_pair_in_place(&la, &mut a, &lb, &mut b).unwrap();
+            let (mut a1, mut b1) = (a0, b0);
+            solve_cholesky_in_place(&la, &mut a1).unwrap();
+            solve_cholesky_in_place(&lb, &mut b1).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&a1), "d={d}: first system");
+            assert_eq!(bits(&b), bits(&b1), "d={d}: second system");
+        }
+        // Systems of different sizes are solved one after the other.
+        let (l2, l3) = (
+            cholesky(&spd(2, 1.0)).unwrap(),
+            cholesky(&spd(3, 1.0)).unwrap(),
+        );
+        let (mut a, mut b) = (vec![1.0, 2.0], vec![1.0, 2.0, 3.0]);
+        solve_cholesky_pair_in_place(l2.l(), &mut a, l3.l(), &mut b).unwrap();
+        assert_eq!(a, l2.solve(&[1.0, 2.0]).unwrap());
+        assert_eq!(b, l3.solve(&[1.0, 2.0, 3.0]).unwrap());
+        // A right-hand side of the wrong length is an error.
+        assert!(solve_cholesky_pair_in_place(l2.l(), &mut [0.0; 3], l3.l(), &mut b).is_err());
     }
 
     #[test]

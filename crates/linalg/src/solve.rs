@@ -237,6 +237,20 @@ impl CachedGram {
     pub fn solve_rows_in_place(&self, rhs: &mut Matrix) -> Result<()> {
         crate::cholesky::solve_cholesky_rows_in_place(&self.l, rhs)
     }
+
+    /// Solves one right-hand-side row `row` against this cache and one,
+    /// `other_row`, against `other`, interleaved
+    /// ([`crate::cholesky::solve_cholesky_pair_in_place`]): a lone host
+    /// join's two directions. Each row gets the bits of
+    /// [`CachedGram::solve_rows_in_place`] on that row alone.
+    pub fn solve_pair_in_place(
+        &self,
+        row: &mut [f64],
+        other: &CachedGram,
+        other_row: &mut [f64],
+    ) -> Result<()> {
+        crate::cholesky::solve_cholesky_pair_in_place(&self.l, row, &other.l, other_row)
+    }
 }
 
 #[cfg(test)]

@@ -172,8 +172,10 @@ struct Workspace {
     dy: Matrix,
     dtx: Matrix,
     /// Masked path, one run: the fixed factor's observed rows (scaled under
-    /// weights), the run's targets, their Gram and their product.
+    /// weights) and their transpose, the run's targets, their Gram and
+    /// their product.
     design: Matrix,
+    design_t: Matrix,
     targets: Matrix,
     gram: Matrix,
     prod: Matrix,
@@ -191,6 +193,7 @@ impl Workspace {
             dy: Matrix::zeros(pm, k),
             dtx: Matrix::zeros(pn, k),
             design: Matrix::default(),
+            design_t: Matrix::default(),
             targets: Matrix::default(),
             gram: Matrix::default(),
             prod: Matrix::default(),
@@ -235,8 +238,19 @@ impl Workspace {
                 if weights != WeightScheme::Uniform {
                     apply_weights(&mut self.design, self.targets.row_mut(0), weights);
                 }
+                // The Gram as `(Fᵀ)·F` from the transposed design: a plain
+                // product of width `k`, which takes the unpacked narrow GEMM
+                // driver where `FᵀF` packed a transposed operand — the same
+                // bits, and a masked run is mostly that Gram.
+                let (design, design_t) = (&self.design, &mut self.design_t);
+                design_t.reset_shape(k, design.rows());
+                for (i, row) in (0..design.rows()).map(|i| (i, design.row(i))) {
+                    for (j, &v) in row.iter().enumerate() {
+                        design_t[(j, i)] = v;
+                    }
+                }
                 self.gram.reset_shape(k, k);
-                self.design.tr_matmul_into(&self.design, &mut self.gram)?;
+                self.design_t.matmul_into(&self.design, &mut self.gram)?;
                 self.prod.reset_shape(run, k);
                 self.targets.matmul_into(&self.design, &mut self.prod)?;
                 let rows = &mut out.as_mut_slice()[i * k..(i + run) * k];

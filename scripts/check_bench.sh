@@ -40,6 +40,13 @@
 #                        the single-row solve at 65 536 rows — same
 #                        arithmetic, same process, so the ratio is the
 #                        lane blocking itself (measured ~6x with AVX2)
+#   cholesky_solve_rows/1   the same multi-row solve handed one row (a lone
+#                        host join) <= 1.2 x the single-row solve of that
+#                        row (blocked/1 vs per_row/1; within-run). A one-row
+#                        call runs the one-lane solve in place (1.04x on
+#                        the 2-vCPU reference host); the 16-lane block it
+#                        replaced zeroed an 8 KiB scratch and solved
+#                        fifteen zero rows beside the real one (2.09x)
 #   factor/512           blocked (Golub-Kahan) SVD vs one-sided Jacobi
 #   svd/512              the truncated d = 10 SVD >= 2.0 x the exact blocked
 #                        SVD of the same P2PSim-like 512 x 512 matrix
@@ -240,6 +247,10 @@ check_abs matmul "narrow_deep/1024x1024x10" "narrow_deep_packed/1024x1024x10" 1.
 # latency across rows, so the floor holds there too.
 check_abs cholesky_solve_rows "blocked/16" "per_row/16" "${MIN_SOLVE_ROWS_RATIO:-2.0}" \
     "cholesky_solve_rows/16 (lane-blocked vs per-row solve, 65536 rows)"
+# One row through the multi-row entry point against the one-row solve: a
+# ragged tail must run on as few lanes as it needs.
+check_abs_max cholesky_solve_rows "blocked/1" "per_row/1" 1.2 \
+    "cholesky_solve_rows/1 (multi-row solve of one row vs the one-row solve)"
 check factor           "svd_blocked/512" "svd_jacobi/512"   "factor/512 (blocked SVD vs one-sided Jacobi)"
 check_abs svd "truncated_d10_p2psim/512" "exact_blocked/512" 2.0 \
     "svd/512 (truncated d=10 vs exact blocked SVD, P2PSim-like matrix)"
