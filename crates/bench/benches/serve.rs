@@ -20,6 +20,15 @@
 //!   drift does not stall readers (acceptance: p99 within 2x, measured
 //!   with full histograms by the `serve_load` experiment; here the
 //!   medians must tell the same story).
+//! * `admit/5000` vs `cached_join/5000` — bulk admission against its own
+//!   solve: one iteration of `admit` is a fresh one-shard engine (built
+//!   and dropped inside the timing) admitting 5 000 hosts with one
+//!   `ShardedEngine::join_many`; `cached_join` is
+//!   `LandmarkModel::join_batch` of the same rows, the tiled solve
+//!   admission runs, with nothing stored. The ratio is what admission
+//!   pays beyond that solve — growing the measurement tables and the
+//!   coordinate chunk tree, and the publish. CI gates it with a
+//!   within-run ceiling (`scripts/check_bench.sh`).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -27,13 +36,17 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use ides::projection::BatchHostVectors;
 use ides::service::load::{self, ServeScenario};
-use ides::service::NodeId;
-use ides::streaming::StalenessPolicy;
+use ides::service::{NodeId, ServiceConfig, ShardedEngine};
+use ides::streaming::{StalenessPolicy, StreamingServer};
+use ides_linalg::Matrix;
 
 const LANDMARKS: usize = 64;
 const DIM: usize = 16;
 const HOSTS: usize = 500;
+/// Hosts per bulk admission in `admit` / `cached_join`.
+const ADMITTED: usize = 5000;
 const SEED: u64 = 20041025;
 
 /// The shared deployment on one shard (global host ids are its slots).
@@ -96,6 +109,40 @@ fn bench_serve(c: &mut Criterion) {
             });
             shutdown.store(true, Ordering::Relaxed);
             start.wait();
+        });
+    }
+
+    // Bulk admission into a fresh engine vs the cached join of the same
+    // rows. The measurement rows are synthetic RTTs in 1..81 ms: their
+    // values do not change the cost of either side.
+    {
+        let ds = ides_datasets::generators::p2psim_like(LANDMARKS + 20, SEED).expect("dataset");
+        let sub: Vec<usize> = (0..LANDMARKS).collect();
+        let lm = ds.matrix.submatrix(&sub, &sub);
+        let server =
+            StreamingServer::new(&lm, DIM, StalenessPolicy::default()).expect("landmark model");
+        let mut state = SEED;
+        let rows = Matrix::from_fn(ADMITTED, LANDMARKS, |_, _| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64 * 80.0 + 1.0
+        });
+        group.bench_function(BenchmarkId::new("admit", ADMITTED), |b| {
+            b.iter(|| {
+                let engine = ShardedEngine::new(server.clone(), 1, ServiceConfig::default())
+                    .expect("engine");
+                engine.join_many(&rows, &rows).expect("bulk admission")
+            })
+        });
+        let mut coords = BatchHostVectors::new();
+        group.bench_function(BenchmarkId::new("cached_join", ADMITTED), |b| {
+            b.iter(|| {
+                server
+                    .landmark_model()
+                    .join_batch(&rows, &rows, &mut coords)
+                    .expect("cached join")
+            })
         });
     }
 

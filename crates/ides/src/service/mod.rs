@@ -64,6 +64,14 @@
 //!   the reverse — `join` releases the state lock before it blocks on the
 //!   writer and re-takes it under the writer; `leave_many` and `stats`
 //!   only ever hold one of the two.
+//! * **Bulk admission.** [`ShardedEngine::join_many`] hands each shard
+//!   its rows as one flush. Rows that find a retired slot overwrite it in
+//!   place; the others append fresh slots — measurement rows copied once
+//!   into room reserved once per flush, coordinates appended as whole
+//!   leaves straight from each solved tile
+//!   ([`ChunkedRows::extend_rows`]) — so admitting a batch costs its
+//!   tiled solve plus one copy of each row, not a table growth step per
+//!   host.
 //! * **Churn.** [`ShardedEngine::leave`] retires a host's row to a free
 //!   list (the table never reallocates on leave; the slot is recycled by
 //!   the next admission), and [`ShardedEngine::apply_epoch`] feeds drift
@@ -87,6 +95,7 @@ pub mod metrics;
 pub mod replay;
 pub mod shard;
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
@@ -98,6 +107,7 @@ use ides_mf::{DistanceEstimator, FactorModel};
 use parking_lot::Mutex;
 
 use crate::error::{IdesError, Result};
+use crate::projection::BatchHostVectors;
 use crate::streaming::{HostRows, LandmarkModel, TileScratch};
 use crate::telemetry as tm;
 
@@ -349,6 +359,14 @@ struct WriterState {
 
 /// The writer's slot-indexed host tables — apart from the model, so a
 /// join can read the model while its tiles land here.
+///
+/// A slot is taken one of two ways, both in batch order (see
+/// [`Shard::flush_locked`]): a retired slot is **reused** — its
+/// measurement rows and its coordinate row overwritten in place, its flag
+/// set — or the tables **grow**: a run of fresh slots `len .. len + m`
+/// gets its measurement rows appended once, into room the flush reserved,
+/// and its coordinates appended as whole leaves
+/// ([`ChunkedRows::extend_rows`]).
 #[derive(Debug)]
 struct HostTable {
     /// Model dimensionality `d` (immutable; cached off the model).
@@ -373,10 +391,10 @@ impl HostTable {
         self.coords.flagged_row(slot).is_some()
     }
 
-    /// Assigns a slot for one admitted host (free list first, growth
-    /// otherwise) and writes its measurements and coordinates into the
-    /// tables. Returns the slot.
-    fn assign_slot(
+    /// Gives one admitted host the most recently retired slot and writes
+    /// its measurements and coordinates there. Returns the slot. The free
+    /// list must not be empty.
+    fn reuse_slot(
         &mut self,
         d_out: &[f64],
         d_in: &[f64],
@@ -384,14 +402,7 @@ impl HostTable {
         incoming: &[f64],
     ) -> usize {
         let d = self.dim;
-        let slot = self.free.pop().unwrap_or_else(|| {
-            // Fresh slot: grow the tables (amortized, capacity retained
-            // across churn).
-            self.coords.push_default_rows(1);
-            self.meas_out.push_row(d_out);
-            self.meas_in.push_row(d_in);
-            self.coords.len() - 1
-        });
+        let slot = self.free.pop().expect("a retired slot to reuse");
         self.meas_out.set_row(slot, d_out);
         self.meas_in.set_row(slot, d_in);
         let row = self.coords.row_mut(slot);
@@ -400,6 +411,31 @@ impl HostTable {
         self.coords.set_flag(slot, true);
         self.live_count += 1;
         slot
+    }
+
+    /// Gives tile rows `fresh` (of a tile of `batch` rows `rows`) the fresh
+    /// slots `len ..`, in order: each measurement row is appended once,
+    /// and the coordinates go in as whole live leaves. Returns the slots.
+    fn append_slots(
+        &mut self,
+        batch: &RowBatch<'_>,
+        rows: &HostRows<'_>,
+        tile: &BatchHostVectors,
+        fresh: Range<usize>,
+    ) -> Range<usize> {
+        let k = self.meas_out.cols();
+        for i in fresh.clone() {
+            let (d_out, d_in) = batch.row(rows.get(i), k);
+            self.meas_out.push_row(d_out);
+            self.meas_in.push_row(d_in);
+        }
+        let first = self.coords.len();
+        let cells = fresh
+            .clone()
+            .flat_map(|i| [tile.outgoing(i), tile.incoming(i)]);
+        self.coords.extend_rows(fresh.len(), cells, true);
+        self.live_count += fresh.len();
+        first..self.coords.len()
     }
 }
 
@@ -507,6 +543,12 @@ struct RowBatch<'a> {
 }
 
 impl<'a> RowBatch<'a> {
+    /// Measurement row `r` (`k` wide) of the flattened batch, out and in.
+    fn row(&self, r: usize, k: usize) -> (&'a [f64], &'a [f64]) {
+        let at = r * k..(r + 1) * k;
+        (&self.d_out[at.clone()], &self.d_in[at])
+    }
+
     /// The first `rows` rows of the flattened batch, in order.
     fn contiguous(rows: usize, d_out: &'a [f64], d_in: &'a [f64]) -> Self {
         RowBatch {
@@ -628,7 +670,12 @@ impl Shard {
         let mut batch_out = std::mem::replace(&mut st.d_out, std::mem::take(&mut w.spare_out));
         let mut batch_in = std::mem::replace(&mut st.d_in, std::mem::take(&mut w.spare_in));
         st.count = 0;
-        st.slot = Arc::new(GenSlot::default());
+        if rows > 1 {
+            // Followers hold this slot and wait for its outcome: the next
+            // generation gets its own. A lone leader's slot was never
+            // handed out and stays empty, so the next generation keeps it.
+            st.slot = Arc::new(GenSlot::default());
+        }
         st.leader_active = false;
         drop(st);
         drop(wait);
@@ -768,10 +815,17 @@ impl Shard {
 
     /// Joins the batch's measurement rows through the tiled cached join —
     /// read straight out of the caller's batch, no staging copy — assigns
-    /// each solved tile's slots in batch order (free list first), updates
-    /// the writer tables `w` (the caller holds the writer lock), and
-    /// publishes. Returns the assigned slots in batch order. Bit-identical
-    /// per row however the rows were batched.
+    /// each solved tile's slots in batch order, updates the writer tables
+    /// `w` (the caller holds the writer lock), and publishes. Returns the
+    /// assigned slots in batch order. Bit-identical per row however the
+    /// rows were batched.
+    ///
+    /// The batch's first `min(free, rows)` rows reuse retired slots, most
+    /// recently retired first — every churn join's path. The rest take
+    /// fresh slots at the end of the tables: the measurement tables
+    /// reserve room for all of them once, here, and each tile appends its
+    /// share ([`HostTable::append_slots`]), so a bulk admission costs its
+    /// solve plus one copy of each row.
     fn flush_locked(&self, w: &mut WriterState, batch: RowBatch<'_>) -> Result<Vec<usize>> {
         let _span = tm::span(tm::Stage::Flush);
         let t0 = tm::enabled().then(Instant::now);
@@ -780,6 +834,10 @@ impl Shard {
         let WriterState {
             model, hosts, tile, ..
         } = &mut *w;
+        let reused = hosts.free.len().min(batch.rows.len());
+        let grown = batch.rows.len() - reused;
+        hosts.meas_out.reserve_rows(grown);
+        hosts.meas_in.reserve_rows(grown);
         // Inline: slots must be assigned in batch order.
         model.join_inline(
             batch.d_out,
@@ -787,15 +845,12 @@ impl Shard {
             &batch.rows,
             tile,
             &mut |rows, tile| {
-                for (i, r) in rows.iter().enumerate() {
-                    let at = r * k..(r + 1) * k;
-                    slots.push(hosts.assign_slot(
-                        &batch.d_out[at.clone()],
-                        &batch.d_in[at],
-                        tile.outgoing(i),
-                        tile.incoming(i),
-                    ));
+                let recycled = reused.saturating_sub(slots.len()).min(rows.len());
+                for (i, r) in rows.iter().enumerate().take(recycled) {
+                    let (d_out, d_in) = batch.row(r, k);
+                    slots.push(hosts.reuse_slot(d_out, d_in, tile.outgoing(i), tile.incoming(i)));
                 }
+                slots.extend(hosts.append_slots(&batch, rows, tile, recycled..rows.len()));
             },
         )?;
         self.count_admission(slots.len() as u64);

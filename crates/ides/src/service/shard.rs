@@ -363,8 +363,12 @@ impl ShardedEngine {
     /// publishes instead of 10⁶. Row `r` goes to shard `r % N`; each
     /// shard reads its rows straight out of the batch, solves them with
     /// **one** batched cached solve and publishes **once**, all shards
-    /// concurrently. Bit-identical per row to
-    /// [`ShardedEngine::join_direct`]. The whole batch is validated
+    /// concurrently. Within a shard the first rows reuse its retired slots
+    /// and the rest grow its tables, with one reservation per measurement
+    /// table and the coordinates appended as whole leaves, so the bulk
+    /// path costs its tiled solve plus one copy of each row. Bit-identical
+    /// per row — slots and coordinates — to as many
+    /// [`ShardedEngine::join_direct`] calls. The whole batch is validated
     /// first: on any bad value no shard admits anything. Returns global
     /// ids in row order.
     pub fn join_many(&self, d_out: &Matrix, d_in: &Matrix) -> Result<Vec<NodeId>> {
@@ -694,6 +698,83 @@ mod tests {
             // Bulk admission cost: one flush per involved shard.
             assert_eq!(bulk.stats().flushes, shards as u64);
             assert_eq!(bulk.stats().joins, rows as u64);
+        }
+    }
+
+    #[test]
+    fn a_bulk_join_mixing_reuse_and_growth_matches_individual_joins() {
+        // Each shard starts with a partial last leaf and three retired
+        // slots, so one batch reuses slots (most recently retired first)
+        // and then grows its tables across leaf boundaries. Ids, their
+        // order and every coordinate bit must be those of one
+        // `join_direct` per row; snapshots pinned before the batch must
+        // keep every row and flag.
+        use ides_linalg::chunked::CHUNK_ROWS;
+        let (k, rows) = (10, 150);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let out_rows: Vec<Vec<f64>> = (0..rows).map(|i| meas(k, 3000 + i as u64)).collect();
+        let in_rows: Vec<Vec<f64>> = (0..rows).map(|i| meas(k, 4000 + i as u64)).collect();
+        let d_out = Matrix::from_rows(&out_rows).unwrap();
+        let d_in = Matrix::from_rows(&in_rows).unwrap();
+        for shards in [1, 2] {
+            let (bulk, single) = (engine(k, 4, shards), engine(k, 4, shards));
+            let resident = shards * (CHUNK_ROWS + 9);
+            for e in [&bulk, &single] {
+                let ids: Vec<NodeId> = (0..resident as u64)
+                    .map(|h| e.join_direct(&meas(k, h), &meas(k, 500 + h)).unwrap())
+                    .collect();
+                // Three retired slots per shard, the last of them first in
+                // line for reuse.
+                let gone = [3, CHUNK_ROWS + 2, 1].map(|i| i * shards);
+                let gone: Vec<NodeId> = gone
+                    .iter()
+                    .flat_map(|&i| ids[i..i + shards].iter().copied())
+                    .collect();
+                e.leave_many(&gone).unwrap();
+            }
+            let pinned = bulk.snapshots();
+            let seen = |snaps: &[Arc<Snapshot>]| -> Vec<Vec<(Vec<u64>, bool)>> {
+                snaps
+                    .iter()
+                    .map(|snap| {
+                        (0..CHUNK_ROWS + 9)
+                            .map(|s| (bits(snap.coords().row(s)), snap.is_live(s)))
+                            .collect()
+                    })
+                    .collect()
+            };
+            let before = seen(&pinned);
+
+            let ids = bulk.join_many(&d_out, &d_in).unwrap();
+            let one_by_one: Vec<NodeId> = (0..rows)
+                .map(|i| single.join_direct(&out_rows[i], &in_rows[i]).unwrap())
+                .collect();
+            assert_eq!(ids, one_by_one, "{shards} shards");
+            for id in &ids {
+                let (got, want) = (
+                    bulk.host_coords(*id).unwrap(),
+                    single.host_coords(*id).unwrap(),
+                );
+                assert_eq!(
+                    bits(&got.0),
+                    bits(&want.0),
+                    "{shards} shards: {id:?} outgoing"
+                );
+                assert_eq!(
+                    bits(&got.1),
+                    bits(&want.1),
+                    "{shards} shards: {id:?} incoming"
+                );
+            }
+            for (now, then) in bulk.snapshots().iter().zip(&pinned) {
+                assert_eq!(now.slot_count(), then.slot_count() + rows / shards - 3);
+                assert_eq!(now.host_count(), then.host_count() + rows / shards);
+            }
+            assert_eq!(
+                seen(&pinned),
+                before,
+                "{shards} shards: a pinned snapshot changed"
+            );
         }
     }
 

@@ -35,11 +35,17 @@
 //! its last fork as it copies them, so [`ChunkedRows::shared_with_fork`]
 //! reads what the fork still shares without comparing a single pointer.
 //!
+//! The table grows through one path, [`ChunkedRows::extend_rows`]: the
+//! rows that fit the partial last leaf are written into it like any other
+//! row write (copy-on-write, so a fork never sees them), and every further
+//! leaf is allocated and written whole, straight from the caller's rows,
+//! its flags set as one word. [`ChunkedRows::push_row`] is its one-row
+//! case; nothing zeroes a leaf only to overwrite it.
+//!
 //! Reads go through [`ChunkedRows::row`] (a contiguous `&[T]` — rows
 //! never straddle leaves). The element type is `Copy + Default`, which
 //! keeps leaf copies `memcpy`-cheap.
 
-use std::iter;
 use std::mem::MaybeUninit;
 use std::sync::Arc;
 
@@ -79,6 +85,48 @@ type Group<T> = Node<Block<T>>;
 /// cannot grow in place.
 fn appended<C: Clone>(node: &Node<C>, child: C) -> Node<C> {
     node.iter().cloned().chain([child]).collect()
+}
+
+/// Values drawn in order from the concatenation of a caller's pieces, so
+/// a write can take rows given as several slices (a host's outgoing and
+/// incoming halves) without collecting them first.
+struct Cells<'a, T, I> {
+    run: &'a [T],
+    pieces: I,
+}
+
+impl<'a, T, I: Iterator<Item = &'a [T]>> Cells<'a, T, I> {
+    fn new(pieces: impl IntoIterator<Item = &'a [T], IntoIter = I>) -> Self {
+        Cells {
+            run: &[],
+            pieces: pieces.into_iter(),
+        }
+    }
+
+    /// Hands the next `n` values to `write` as `(offset, run)` pairs, the
+    /// offsets consecutive from 0 and each run out of one piece. Panics
+    /// when the pieces run out first.
+    fn copy_next(&mut self, n: usize, mut write: impl FnMut(usize, &'a [T])) {
+        let mut at = 0;
+        while at < n {
+            if self.run.is_empty() {
+                self.run = self.pieces.next().expect("chunk row count mismatch");
+                continue;
+            }
+            let (head, tail) = self.run.split_at(self.run.len().min(n - at));
+            write(at, head);
+            self.run = tail;
+            at += head.len();
+        }
+    }
+
+    /// Panics unless every value has been drawn.
+    fn finish(mut self) {
+        assert!(
+            self.run.is_empty() && self.pieces.all(|p| p.is_empty()),
+            "chunk row count mismatch"
+        );
+    }
 }
 
 /// A copy-on-write table of fixed-width rows (see the [module
@@ -157,7 +205,7 @@ impl<T: Copy + Default> ChunkedRows<T> {
                 && c < self.spine[g][b].len()
                 && (r + 1) * cols <= self.spine[g][b][c].0.len()
         );
-        // SAFETY: the tree is dense. `push_row` is the only way a leaf,
+        // SAFETY: the tree is dense. `push_leaf` is the only way a leaf,
         // block or group comes into being, and it fills every node but the
         // last of its level to `FANOUT` children before opening the next;
         // `clear` empties the whole tree; every other write keeps each
@@ -225,17 +273,17 @@ impl<T: Copy + Default> ChunkedRows<T> {
         &mut Arc::make_mut(&mut group[b])[c]
     }
 
-    /// The slot of leaf `chunk`, about to be written or replaced, in a
-    /// writable block (see [`ChunkedRows::entry_mut`]). The leaf counts as
-    /// diverged from the last fork when that fork still shares it. No
-    /// `Weak` to a leaf ever exists, so a strong count above one is
-    /// exactly the sharing the write undoes.
-    fn leaf_slot(&mut self, chunk: usize) -> &mut Leaf<T> {
-        let slot = &mut Self::entry_mut(&mut self.spine, chunk).0;
-        if chunk < self.forked && Arc::strong_count(slot) > 1 {
+    /// The entry of leaf `chunk`, whose leaf is about to be written or
+    /// replaced, in a writable block (see [`ChunkedRows::entry_mut`]). The
+    /// leaf counts as diverged from the last fork when that fork still
+    /// shares it. No `Weak` to a leaf ever exists, so a strong count above
+    /// one is exactly the sharing the write undoes.
+    fn entry_to_write(&mut self, chunk: usize) -> &mut Entry<T> {
+        let entry = Self::entry_mut(&mut self.spine, chunk);
+        if chunk < self.forked && Arc::strong_count(&entry.0) > 1 {
             self.diverged += 1;
         }
-        slot
+        entry
     }
 
     /// Mutable access to row `row`, copying the row's leaf and the path to
@@ -245,7 +293,7 @@ impl<T: Copy + Default> ChunkedRows<T> {
             out_of_range(row, self.len);
         }
         let (r, cols) = (row % CHUNK_ROWS, self.cols);
-        let leaf = Arc::make_mut(self.leaf_slot(row / CHUNK_ROWS));
+        let leaf = Arc::make_mut(&mut self.entry_to_write(row / CHUNK_ROWS).0);
         &mut leaf[r * cols..(r + 1) * cols]
     }
 
@@ -270,6 +318,31 @@ impl<T: Copy + Default> ChunkedRows<T> {
         self.row_mut(row).copy_from_slice(values);
     }
 
+    /// A new leaf whose first `rows` rows are the next values of `cells`
+    /// and whose other cells are default, written once: the cells start
+    /// uninitialized, so nothing is zeroed only to be overwritten. Panics
+    /// when `cells` runs out first.
+    fn fresh_leaf<'a, I>(&self, rows: usize, cells: &mut Cells<'a, T, I>) -> Leaf<T>
+    where
+        I: Iterator<Item = &'a [T]>,
+    {
+        let held = rows * self.cols;
+        let mut fresh = Arc::<[T]>::new_uninit_slice(CHUNK_ROWS * self.cols);
+        let out = Arc::get_mut(&mut fresh).expect("a new leaf is unique");
+        cells.copy_next(held, |at, run| {
+            out[at..at + run.len()].write_copy_of_slice(run);
+        });
+        out[held..].fill(MaybeUninit::new(T::default()));
+        // SAFETY: every cell is initialized — `..held` by `copy_next`,
+        // which hands over exactly `held` values at consecutive offsets
+        // from 0 or panics, `held..` by the fill — and `fresh` is the only
+        // handle to them.
+        #[allow(unsafe_code)]
+        unsafe {
+            fresh.assume_init()
+        }
+    }
+
     /// Replaces leaf chunk `chunk` (rows `chunk * CHUNK_ROWS ..`) wholesale
     /// with the concatenation of `pieces`, which must cover exactly the
     /// rows the leaf holds now. The new leaf is written once, straight from
@@ -287,58 +360,80 @@ impl<T: Copy + Default> ChunkedRows<T> {
             "chunk {chunk} out of range ({} chunks)",
             self.chunk_count()
         );
-        let held = CHUNK_ROWS.min(self.len - chunk * CHUNK_ROWS) * self.cols;
-        let mut fresh = Arc::<[T]>::new_uninit_slice(CHUNK_ROWS * self.cols);
-        let cells = Arc::get_mut(&mut fresh).expect("a new leaf is unique");
-        let mut at = 0;
-        for piece in pieces {
-            assert!(at + piece.len() <= held, "chunk row count mismatch");
-            cells[at..at + piece.len()].write_copy_of_slice(piece);
-            at += piece.len();
-        }
-        assert_eq!(at, held, "chunk row count mismatch");
-        cells[held..].fill(MaybeUninit::new(T::default()));
-        // SAFETY: every cell is initialized — `..held` by the pieces (the
-        // assert above pins that they covered it exactly), `held..` by the
-        // fill — and `fresh` is the only handle to them.
-        #[allow(unsafe_code)]
-        let fresh = unsafe { fresh.assume_init() };
-        *self.leaf_slot(chunk) = fresh;
+        let mut cells = Cells::new(pieces);
+        let fresh = self.fresh_leaf(CHUNK_ROWS.min(self.len - chunk * CHUNK_ROWS), &mut cells);
+        cells.finish();
+        self.entry_to_write(chunk).0 = fresh;
     }
 
-    /// Appends a row (must be `cols` long), growing the tree as needed.
+    /// Appends `rows` rows, the concatenation of `pieces` (`rows * cols`
+    /// values), flagged when `flag` is set — the one way the table grows.
+    /// The rows that fit the partial last leaf are written into it in
+    /// place, through copy-on-write, so a fork taken earlier never sees
+    /// them; every further leaf is written whole, straight from the
+    /// pieces ([`ChunkedRows::replace_chunk`]'s fresh leaf), with its flags
+    /// set as one word. A node grows by rebuilding its slice: once per
+    /// `CHUNK_ROWS` rows at most. Panics when the pieces cover a different
+    /// number of values (a surplus is found only after the rows are in).
+    pub fn extend_rows<'a>(
+        &mut self,
+        rows: usize,
+        pieces: impl IntoIterator<Item = &'a [T]>,
+        flag: bool,
+    ) where
+        T: 'a,
+    {
+        let (cols, end) = (self.cols, self.len + rows);
+        let flags = |n: usize| {
+            if flag {
+                u64::MAX >> (u64::BITS as usize - n)
+            } else {
+                0
+            }
+        };
+        let mut cells = Cells::new(pieces);
+        let r = self.len % CHUNK_ROWS;
+        if r > 0 && rows > 0 {
+            let n = rows.min(CHUNK_ROWS - r);
+            let (leaf, bits) = self.entry_to_write(self.len / CHUNK_ROWS);
+            let tail = &mut Arc::make_mut(leaf)[r * cols..(r + n) * cols];
+            cells.copy_next(n * cols, |at, run| {
+                tail[at..at + run.len()].copy_from_slice(run);
+            });
+            *bits |= flags(n) << r;
+            self.len += n;
+        }
+        while self.len < end {
+            let n = CHUNK_ROWS.min(end - self.len);
+            let leaf = self.fresh_leaf(n, &mut cells);
+            self.push_leaf((leaf, flags(n)));
+            self.len += n;
+        }
+        cells.finish();
+    }
+
+    /// Appends `entry` as leaf `chunk_count()` (the table's rows fill its
+    /// leaves exactly), opening a new block and group when the last ones
+    /// are full — the order that keeps the tree dense (see `lookup`).
+    fn push_leaf(&mut self, entry: Entry<T>) {
+        let [g, b, c, _] = Self::locate(self.len);
+        debug_assert_eq!(self.len % CHUNK_ROWS, 0);
+        if c > 0 {
+            let group = Arc::make_mut(&mut Arc::make_mut(&mut self.spine)[g]);
+            group[b] = appended(&group[b], entry);
+        } else if b > 0 {
+            let spine = Arc::make_mut(&mut self.spine);
+            spine[g] = appended(&spine[g], Arc::new([entry]));
+        } else {
+            self.spine = appended(&self.spine, Arc::new([Arc::new([entry])]));
+        }
+    }
+
+    /// Appends a row (must be `cols` long), unflagged: a one-row
+    /// [`ChunkedRows::extend_rows`].
     pub fn push_row(&mut self, values: &[T]) {
         assert_eq!(values.len(), self.cols, "row width mismatch");
-        let [g, b, c, r] = Self::locate(self.len);
-        if r == 0 {
-            // A new leaf, allocated whole, opening a new block and group
-            // when the last ones are full — the order that keeps the tree
-            // dense (see `row`). A node grows by rebuilding its slice: once
-            // per `CHUNK_ROWS` rows at most.
-            let leaf: Entry<T> = (
-                iter::repeat_n(T::default(), CHUNK_ROWS * self.cols).collect(),
-                0,
-            );
-            if c > 0 {
-                let group = Arc::make_mut(&mut Arc::make_mut(&mut self.spine)[g]);
-                group[b] = appended(&group[b], leaf);
-            } else if b > 0 {
-                let spine = Arc::make_mut(&mut self.spine);
-                spine[g] = appended(&spine[g], Arc::new([leaf]));
-            } else {
-                self.spine = appended(&self.spine, Arc::new([Arc::new([leaf])]));
-            }
-        }
-        self.len += 1;
-        self.row_mut(self.len - 1).copy_from_slice(values);
-    }
-
-    /// Appends `n` default-valued rows.
-    pub fn push_default_rows(&mut self, n: usize) {
-        let zero = vec![T::default(); self.cols];
-        for _ in 0..n {
-            self.push_row(&zero);
-        }
+        self.extend_rows(1, [values], false);
     }
 
     /// Drops all rows, keeping the column width. Leaves are released (a
@@ -547,6 +642,96 @@ mod tests {
         assert_eq!(t.shared_with_fork(), t.shared_chunks_with(&fork));
     }
 
+    /// Cell `j` of row `i` in the append tests: distinct per cell.
+    fn cell(i: usize, j: usize) -> f64 {
+        (i * 7 + j) as f64 + 0.25
+    }
+
+    #[test]
+    fn extend_rows_matches_a_push_row_oracle() {
+        // Appends onto a partial leaf, from and to exact leaf boundaries,
+        // and across a block (`FANOUT` leaves) and a group (`FANOUT²`
+        // leaves) boundary, the rows cut into uneven pieces. Every cell
+        // and flag must read as a `push_row` + `set_flag` oracle's; a fork
+        // taken before the append keeps its bits; and the counted share
+        // equals the pointer walk.
+        let cols = 3;
+        let row = |i: usize| -> Vec<f64> { (0..cols).map(|j| cell(i, j)).collect() };
+        let block = CHUNK_ROWS * FANOUT;
+        let group = block * FANOUT;
+        let cases = [
+            (0, 1),
+            (5, 20),
+            (5, CHUNK_ROWS - 5),
+            (CHUNK_ROWS, CHUNK_ROWS),
+            (CHUNK_ROWS - 1, 2 * CHUNK_ROWS + 2),
+            (block - 10, 100),
+            (block, 3 * CHUNK_ROWS),
+            (group - CHUNK_ROWS - 7, 2 * CHUNK_ROWS + 20),
+            (group, 1),
+            (7, 0),
+        ];
+        for (case, (start, rows)) in cases.into_iter().enumerate() {
+            let flag = case % 2 == 0;
+            let mut t = ChunkedRows::new(cols);
+            let mut oracle = ChunkedRows::new(cols);
+            for i in 0..start {
+                t.push_row(&row(i));
+            }
+            for i in 0..start + rows {
+                oracle.push_row(&row(i));
+                oracle.set_flag(i, flag && i >= start);
+            }
+            // A flag already set in the partial leaf must survive.
+            if start > 0 {
+                t.set_flag(start - 1, true);
+                oracle.set_flag(start - 1, true);
+            }
+            let fork = t.fork();
+            let frozen = fork.clone();
+            let values: Vec<f64> = (start..start + rows).flat_map(row).collect();
+            let mut pieces = Vec::new();
+            let mut lo = 0;
+            for cut in [1, 2, 7, 64, 200].into_iter().cycle() {
+                if lo == values.len() {
+                    break;
+                }
+                let hi = values.len().min(lo + cut);
+                pieces.push(&values[lo..hi]);
+                lo = hi;
+            }
+            t.extend_rows(rows, pieces, flag);
+            assert!(t == oracle, "case {case}: cells or flags differ");
+            assert!(fork == frozen, "case {case}: the fork changed");
+            assert_eq!(fork.len(), start);
+            assert_eq!(
+                t.shared_with_fork(),
+                t.shared_chunks_with(&fork),
+                "case {case}"
+            );
+            let copied = usize::from(rows > 0 && start % CHUNK_ROWS != 0);
+            assert_eq!(
+                t.shared_with_fork(),
+                fork.chunk_count() - copied,
+                "case {case}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk row count mismatch")]
+    fn extend_rows_rejects_a_short_batch() {
+        let (mut t, _) = filled(CHUNK_ROWS - 2, 2);
+        t.extend_rows(5, [&[0.0; 4 * 2][..]], true);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk row count mismatch")]
+    fn extend_rows_rejects_a_surplus() {
+        let (mut t, _) = filled(3, 2);
+        t.extend_rows(2, [&[0.0; 2 * 2][..], &[1.0]], true);
+    }
+
     #[test]
     fn clones_are_immutable_under_source_mutation() {
         let (mut t, shadow) = filled(CHUNK_ROWS * 3, 3);
@@ -619,7 +804,7 @@ mod tests {
     #[test]
     fn bool_rows_work() {
         let mut t: ChunkedRows<bool> = ChunkedRows::new(1);
-        t.push_default_rows(300);
+        t.extend_rows(300, [&[false; 300][..]], false);
         assert!(!t.row(299)[0]);
         t.row_mut(299)[0] = true;
         assert!(t.row(299)[0]);

@@ -518,6 +518,15 @@ impl Matrix {
         self.rows += 1;
     }
 
+    /// Reserves room for at least `rows` more rows, so the next `rows`
+    /// [`Matrix::push_row`] calls do not reallocate. Amortized like
+    /// `Vec::reserve`: growing by a batch at a time still at least doubles
+    /// the capacity, where an exact reservation per batch would reallocate
+    /// (and leave a freed copy of the table behind) on every batch.
+    pub fn reserve_rows(&mut self, rows: usize) {
+        self.data.reserve(rows * self.cols);
+    }
+
     /// Swaps rows `i` and `j` in place (`O(cols)`, no allocation).
     pub fn swap_rows(&mut self, i: usize, j: usize) {
         if i == j {

@@ -92,6 +92,16 @@
 #                        control; that ratio swung 4.05-7.96x across
 #                        three back-to-back runs of one commit, wider
 #                        than MAX_REGRESSION_PCT allows.)
+#   serve/admit          bulk admission of 5 000 hosts into a fresh
+#                        one-shard engine <= 2.5 x the cached join of the
+#                        same rows (admit/5000 vs cached_join/5000, k = 64,
+#                        d = 16; within-run, no baseline): what admission
+#                        pays beyond its solve. On the 2-vCPU reference
+#                        host, nine alternating runs read 1.53-1.95x with
+#                        fresh slots appended as whole leaves into reserved
+#                        measurement rows and 3.02-4.43x with the per-row
+#                        slot growth it replaced, so the ceiling catches
+#                        per-row growth coming back
 #   serve_sharded        publish churn at 10x hosts <= MAX_PUBLISH_GROWTH
 #                        (default 2.0) x the 1x cost — the chunk-tree
 #                        publish-cost-independence claim — and each
@@ -262,6 +272,8 @@ check_abs_max streaming_update "refresh/64x16" "absorb/64x16_all" 5.0 \
     "streaming_update/refresh (refresh-tier step vs absorbing all 64, k=64 d=16)"
 check_abs serve "coalesced_join/500" "direct_join/500" 0.7 \
     "serve/500 (group-commit vs uncoalesced admission, 500-thread wave)"
+check_abs_max serve "admit/5000" "cached_join/5000" 2.5 \
+    "serve/admit (bulk admission of 5000 hosts vs the cached join of the same rows)"
 check_abs_max serve_sharded "publish_churn/10x" "publish_churn/1x" "${MAX_PUBLISH_GROWTH:-2.0}" \
     "serve_sharded (publish churn at 10x hosts vs 1x — chunk-tree publish)"
 check_abs serve_sharded "qps/shards2" "qps/shards1" "${MIN_SHARD_QPS_RATIO:-0.7}" \
