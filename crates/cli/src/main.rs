@@ -491,7 +491,12 @@ fn cmd_serve(args: &Args) {
             let text = ides::telemetry::render_prometheus(
                 &snap,
                 &[("query_latency_ns", &query_hist)],
-                &[("chunk_share_ratio", summary.stats.chunk_share_ratio())],
+                &[
+                    ("chunk_share_ratio", summary.stats.chunk_share_ratio()),
+                    // An integer below 2^53: the exposition prints it
+                    // exactly, the same digits as `--json`.
+                    ("measurement_bytes", summary.stats.measurement_bytes as f64),
+                ],
             );
             if let Err(e) = std::fs::write(path, text) {
                 eprintln!("error: cannot write --metrics-out {path}: {e}");
@@ -544,9 +549,10 @@ fn cmd_serve(args: &Args) {
         config.shards
     );
     println!(
-        "gauges:              coalescer depth {}, snapshot chunk share {:.1}%",
+        "gauges:              coalescer depth {}, snapshot chunk share {:.1}%, measurements {} B",
         summary.stats.coalescer_depth,
-        summary.stats.chunk_share_ratio() * 100.0
+        summary.stats.chunk_share_ratio() * 100.0,
+        summary.stats.measurement_bytes
     );
     if config.shards > 1 {
         for (i, h) in summary.quiescent.per_shard_latency.iter().enumerate() {

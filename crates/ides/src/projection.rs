@@ -189,63 +189,6 @@ impl BatchHostVectors {
         (&mut self.outgoing, &mut self.incoming)
     }
 
-    /// Appends one host's vectors to the batch. The first push fixes the
-    /// batch dimensionality; later pushes must match it.
-    ///
-    /// Growth is amortized through the matrices' retained capacity, so a
-    /// long-lived host table that churns (push / [`swap_remove_host`]) at a
-    /// bounded high-water mark stops allocating once warm.
-    ///
-    /// [`swap_remove_host`]: BatchHostVectors::swap_remove_host
-    pub fn push_host(&mut self, outgoing: &[f64], incoming: &[f64]) -> Result<()> {
-        if outgoing.len() != incoming.len() {
-            return Err(IdesError::InvalidInput(format!(
-                "outgoing/incoming dimensions disagree: {} vs {}",
-                outgoing.len(),
-                incoming.len()
-            )));
-        }
-        if !self.is_empty() && outgoing.len() != self.dim() {
-            return Err(IdesError::InvalidInput(format!(
-                "cannot push a {}-dimensional host into a batch of dimension {}",
-                outgoing.len(),
-                self.dim()
-            )));
-        }
-        self.outgoing.push_row(outgoing);
-        self.incoming.push_row(incoming);
-        Ok(())
-    }
-
-    /// Retires host `i` by moving the **last** host's vectors into its row
-    /// and shrinking the batch by one — `O(d)`, no reallocation, the
-    /// classic swap-remove. Returns the index of the host that now lives
-    /// at `i` (`None` when `i` was the last row), so callers keeping an
-    /// external id → row map can patch the single moved entry.
-    ///
-    /// # Panics
-    /// Panics when `i` is out of range (a stale id must not silently
-    /// retire a different host).
-    pub fn swap_remove_host(&mut self, i: usize) -> Option<usize> {
-        assert!(
-            i < self.len(),
-            "swap_remove_host: index {i} out of range for {} hosts",
-            self.len()
-        );
-        let last = self.len() - 1;
-        let moved = if i < last {
-            let (out_m, in_m) = (&mut self.outgoing, &mut self.incoming);
-            out_m.swap_rows(i, last);
-            in_m.swap_rows(i, last);
-            Some(last)
-        } else {
-            None
-        };
-        self.outgoing.truncate_rows(last);
-        self.incoming.truncate_rows(last);
-        moved
-    }
-
     /// Appends another batch's hosts (same dimensionality) — how sharded
     /// evaluation merges per-shard join results in deterministic order.
     pub fn extend_from(&mut self, other: &BatchHostVectors) -> Result<()> {
@@ -827,36 +770,5 @@ mod tests {
         assert!(join_host(&x, &y, &[0.0; 4], &[0.0; 4], JoinOptions::default()).is_err());
         let y = Matrix::zeros(4, 2);
         assert!(join_host(&x, &y, &[0.0; 3], &[0.0; 4], JoinOptions::default()).is_err());
-    }
-
-    #[test]
-    fn push_and_swap_remove_hosts() {
-        let mut b = BatchHostVectors::new();
-        b.push_host(&[1.0, 2.0], &[3.0, 4.0]).unwrap();
-        b.push_host(&[5.0, 6.0], &[7.0, 8.0]).unwrap();
-        b.push_host(&[9.0, 10.0], &[11.0, 12.0]).unwrap();
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.dim(), 2);
-        // Dimension mismatches rejected.
-        assert!(b.push_host(&[1.0], &[2.0]).is_err());
-        assert!(b.push_host(&[1.0, 2.0], &[3.0]).is_err());
-        // Retire the first host: the last moves into its row.
-        assert_eq!(b.swap_remove_host(0), Some(2));
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.outgoing(0), &[9.0, 10.0]);
-        assert_eq!(b.incoming(0), &[11.0, 12.0]);
-        assert_eq!(b.outgoing(1), &[5.0, 6.0]);
-        // Removing the last row moves nothing.
-        assert_eq!(b.swap_remove_host(1), None);
-        assert_eq!(b.len(), 1);
-        assert_eq!(b.outgoing(0), &[9.0, 10.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn swap_remove_out_of_range_panics() {
-        let mut b = BatchHostVectors::new();
-        b.push_host(&[1.0], &[2.0]).unwrap();
-        b.swap_remove_host(5);
     }
 }

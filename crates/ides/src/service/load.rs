@@ -616,7 +616,8 @@ pub struct ServeSummary {
     /// Publish latency across both phases (merged over shards).
     pub publish: LatencyHistogram,
     /// End-of-run engine counters and gauges (summed over shards):
-    /// coalescer queue depth, snapshot chunk sharing.
+    /// coalescer queue depth, snapshot chunk sharing, stored measurement
+    /// bytes.
     pub stats: ServiceStats,
 }
 
@@ -740,6 +741,7 @@ impl ServeSummary {
              \"drift_batch\": {}, \
              \"telemetry_query_count\": {}, \"telemetry_query_sum_ns\": {}, \
              \"coalescer_depth\": {}, \"chunk_share_ratio\": {:.4}, \
+             \"measurement_bytes\": {}, \
              \"per_shard\": [{}]}}",
             self.config.landmarks,
             self.config.hosts,
@@ -772,6 +774,7 @@ impl ServeSummary {
             self.query_latency_merged().sum_ns(),
             self.stats.coalescer_depth,
             self.stats.chunk_share_ratio(),
+            self.stats.measurement_bytes,
             per_shard.join(", "),
         )
     }

@@ -220,6 +220,11 @@ pub struct ServiceStats {
     /// Total coordinate-table chunks in the latest published snapshot —
     /// the denominator of [`ServiceStats::chunk_share_ratio`].
     pub chunk_total: u64,
+    /// Bytes held by the stored host measurement rows as of the latest
+    /// publish: slots (live and retired) × landmarks × 8 per table held —
+    /// one table while every stored row is symmetric, two after the
+    /// first asymmetric one. Summed across shards.
+    pub measurement_bytes: u64,
 }
 
 impl ServiceStats {
@@ -355,6 +360,7 @@ mod tests {
             coalescer_depth: 0,
             chunk_shared: 0,
             chunk_total: 0,
+            measurement_bytes: 0,
         };
         assert_eq!(s.chunk_share_ratio(), 0.0, "empty table: no ratio");
         s.chunk_shared = 3;

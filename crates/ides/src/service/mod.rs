@@ -71,7 +71,9 @@
 //!   leaves straight from each solved tile
 //!   ([`ChunkedRows::extend_rows`]) — so admitting a batch costs its
 //!   tiled solve plus one copy of each row, not a table growth step per
-//!   host.
+//!   host. A shard stores a host's measurements once when its out- and
+//!   in-rows are bit-equal (round-trip times), and keeps a second table
+//!   only from the first asymmetric row on.
 //! * **Churn.** [`ShardedEngine::leave`] retires a host's row to a free
 //!   list (the table never reallocates on leave; the slot is recycled by
 //!   the next admission), and [`ShardedEngine::apply_epoch`] feeds drift
@@ -367,14 +369,25 @@ struct WriterState {
 /// gets its measurement rows appended once, into room the flush reserved,
 /// and its coordinates appended as whole leaves
 /// ([`ChunkedRows::extend_rows`]).
+///
+/// **Measurement layout.** Round-trip times make a host's out- and
+/// in-rows the same numbers, so the table keeps **one** measurement table
+/// while every row it has stored is symmetric (`d_out` and `d_in`
+/// bit-equal): `meas_in` is then absent and `meas_out` serves both
+/// directions. The first asymmetric row — through [`HostTable::reuse_slot`]
+/// or [`HostTable::append_slots`] alike — copies `meas_out` into a real
+/// `meas_in` once ([`HostTable::meas_in_for`]), and the table keeps two
+/// from then on. A join reads the same values either way, so the layout
+/// never moves a coordinate bit.
 #[derive(Debug)]
 struct HostTable {
     /// Model dimensionality `d` (immutable; cached off the model).
     dim: usize,
     /// Per-slot measured distances to (`meas_out`) / from (`meas_in`) the
     /// landmarks — kept so a drift epoch can re-join every admitted host.
+    /// `meas_in` is `None` while it would equal `meas_out` bit for bit.
     meas_out: Matrix,
-    meas_in: Matrix,
+    meas_in: Option<Matrix>,
     /// Slot-indexed coordinate chunk tree (`[outgoing d | incoming d]`
     /// rows, flagged while live) — the same persistent structure the
     /// snapshots publish, so a publish is a clone that shares every
@@ -391,6 +404,24 @@ impl HostTable {
         self.coords.flagged_row(slot).is_some()
     }
 
+    /// The table `d_in` is to be written into: the real `meas_in`, or
+    /// `None` while it is absent and the row is symmetric (`meas_out`
+    /// holds it). The first asymmetric row copies `meas_out` — as it
+    /// stands, before this row's write — into `meas_in`, the one
+    /// transition the layout has. Call before writing `d_out`.
+    fn meas_in_for(&mut self, d_out: &[f64], d_in: &[f64]) -> Option<&mut Matrix> {
+        if self.meas_in.is_none() && !bit_equal(d_out, d_in) {
+            self.meas_in = Some(self.meas_out.clone());
+        }
+        self.meas_in.as_mut()
+    }
+
+    /// Bytes of measurement rows stored: slots × `k` × 8 per table held.
+    fn measurement_bytes(&self) -> u64 {
+        let tables = 1 + self.meas_in.is_some() as usize;
+        (std::mem::size_of_val(self.meas_out.as_slice()) * tables) as u64
+    }
+
     /// Gives one admitted host the most recently retired slot and writes
     /// its measurements and coordinates there. Returns the slot. The free
     /// list must not be empty.
@@ -403,8 +434,10 @@ impl HostTable {
     ) -> usize {
         let d = self.dim;
         let slot = self.free.pop().expect("a retired slot to reuse");
+        if let Some(meas_in) = self.meas_in_for(d_out, d_in) {
+            meas_in.set_row(slot, d_in);
+        }
         self.meas_out.set_row(slot, d_out);
-        self.meas_in.set_row(slot, d_in);
         let row = self.coords.row_mut(slot);
         row[..d].copy_from_slice(outgoing);
         row[d..].copy_from_slice(incoming);
@@ -426,8 +459,10 @@ impl HostTable {
         let k = self.meas_out.cols();
         for i in fresh.clone() {
             let (d_out, d_in) = batch.row(rows.get(i), k);
+            if let Some(meas_in) = self.meas_in_for(d_out, d_in) {
+                meas_in.push_row(d_in);
+            }
             self.meas_out.push_row(d_out);
-            self.meas_in.push_row(d_in);
         }
         let first = self.coords.len();
         let cells = fresh
@@ -437,6 +472,15 @@ impl HostTable {
         self.live_count += fresh.len();
         first..self.coords.len()
     }
+}
+
+/// True when the equal-length rows `a` and `b` hold the same bits — so
+/// `0.0` and `-0.0` differ. Branch-free (no early exit), like the engine's
+/// value check, so it vectorizes.
+fn bit_equal(a: &[f64], b: &[f64]) -> bool {
+    a.iter()
+        .zip(b)
+        .fold(true, |same, (x, y)| same & (x.to_bits() == y.to_bits()))
 }
 
 /// A flush's outcome as shared with its followers: the assigned slots in
@@ -583,6 +627,9 @@ struct Shard {
     /// table's total chunks (recorded inside [`Shard::publish`]).
     chunk_shared: AtomicU64,
     chunk_total: AtomicU64,
+    /// Bytes of stored measurement rows as of the latest publish
+    /// ([`HostTable::measurement_bytes`]).
+    measurement_bytes: AtomicU64,
     /// Landmark count, immutable for the shard's lifetime.
     k: usize,
 }
@@ -599,7 +646,7 @@ impl Shard {
             hosts: HostTable {
                 dim: d,
                 meas_out: Matrix::zeros(0, k),
-                meas_in: Matrix::zeros(0, k),
+                meas_in: None,
                 coords: ChunkedRows::new(2 * d),
                 live_count: 0,
                 free: Vec::new(),
@@ -618,6 +665,7 @@ impl Shard {
             publish_hist: Mutex::new(LatencyHistogram::new()),
             chunk_shared: AtomicU64::new(0),
             chunk_total: AtomicU64::new(0),
+            measurement_bytes: AtomicU64::new(0),
             k,
         }
     }
@@ -736,7 +784,10 @@ impl Shard {
     /// every row, so nothing of an old leaf is worth copying, and the
     /// published snapshots keep the old leaves untouched. One call
     /// allocates one coordinate table's worth of leaves and nothing
-    /// proportional to `slots × k`.
+    /// proportional to `slots × k`. While the shard holds one measurement
+    /// table (every stored row symmetric, see [`HostTable`]) `meas_out` is
+    /// passed as both directions' rows: the in-direction GEMM then
+    /// re-reads each tile's rows from cache instead of a second table.
     fn rejoin_all(&self, model: &Arc<LandmarkModel>, epoch: f64) -> Result<()> {
         let mut w = self.writer.lock();
         w.model = Arc::clone(model);
@@ -747,6 +798,8 @@ impl Shard {
             coords,
             ..
         } = &mut w.hosts;
+        // An absent in-table means every stored row is symmetric.
+        let meas_in = meas_in.as_ref().unwrap_or(meas_out);
         let slots = coords.len();
         let rejoin_span = tm::span(tm::Stage::Rejoin);
         model.join_into(
@@ -785,6 +838,7 @@ impl Shard {
             coalescer_depth,
             chunk_shared: self.chunk_shared.load(Ordering::Relaxed),
             chunk_total: self.chunk_total.load(Ordering::Relaxed),
+            measurement_bytes: self.measurement_bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -822,10 +876,14 @@ impl Shard {
     ///
     /// The batch's first `min(free, rows)` rows reuse retired slots, most
     /// recently retired first — every churn join's path. The rest take
-    /// fresh slots at the end of the tables: the measurement tables
-    /// reserve room for all of them once, here, and each tile appends its
-    /// share ([`HostTable::append_slots`]), so a bulk admission costs its
-    /// solve plus one copy of each row.
+    /// fresh slots at the end of the tables: the measurement tables that
+    /// exist reserve room for all of them once, here, and each tile
+    /// appends its share ([`HostTable::append_slots`]), so a bulk admission
+    /// costs its solve plus one copy of each row. The join reads the
+    /// caller's batch, so the measurement layout ([`HostTable`]) never
+    /// touches its arithmetic; a row that is the first asymmetric one the
+    /// shard stores makes the table copy `meas_out` once, here, under the
+    /// writer lock.
     fn flush_locked(&self, w: &mut WriterState, batch: RowBatch<'_>) -> Result<Vec<usize>> {
         let _span = tm::span(tm::Stage::Flush);
         let t0 = tm::enabled().then(Instant::now);
@@ -837,7 +895,9 @@ impl Shard {
         let reused = hosts.free.len().min(batch.rows.len());
         let grown = batch.rows.len() - reused;
         hosts.meas_out.reserve_rows(grown);
-        hosts.meas_in.reserve_rows(grown);
+        if let Some(meas_in) = &mut hosts.meas_in {
+            meas_in.reserve_rows(grown);
+        }
         // Inline: slots must be assigned in batch order.
         model.join_inline(
             batch.d_out,
@@ -881,6 +941,8 @@ impl Shard {
             .store(coords.shared_with_fork() as u64, Ordering::Relaxed);
         self.chunk_total
             .store(coords.chunk_count() as u64, Ordering::Relaxed);
+        self.measurement_bytes
+            .store(w.hosts.measurement_bytes(), Ordering::Relaxed);
         let snap = Arc::new(Self::build_snapshot(w));
         self.snapshot.store(snap);
         let elapsed = t0.elapsed();

@@ -23,7 +23,8 @@
 //!   and snapshot cell, so joins/leaves on different shards never
 //!   contend. Bulk admissions and drift epochs fan out across shards
 //!   (`fan_out`: one shard on the calling thread, the others on scoped
-//!   threads — one shard never spawns).
+//!   threads — one shard never spawns, and a bulk admission runs only
+//!   the shards its rows are dealt to).
 //! * **Validates at the boundary**: measurements and ids are checked for
 //!   the whole call before any shard mutates, so a rejected batch leaves
 //!   every shard exactly as it was.
@@ -278,10 +279,12 @@ impl ShardedEngine {
         })
     }
 
-    /// Runs `work` once per shard and returns the results in shard order:
-    /// shard 0 on the calling thread, the other `N − 1` concurrently on
-    /// scoped threads — so an engine with one shard never spawns.
-    fn fan_out<R: Send>(&self, work: impl Fn(usize, &Shard) -> R + Sync) -> Vec<R> {
+    /// Runs `work` once on each of the first `shards` shards (at least
+    /// one) and returns the results in shard order: shard 0 on the calling
+    /// thread, the other `shards − 1` concurrently on scoped threads — so
+    /// a one-shard call never spawns, and shards left out cost nothing.
+    fn fan_out<R: Send>(&self, shards: usize, work: impl Fn(usize, &Shard) -> R + Sync) -> Vec<R> {
+        debug_assert!((1..=self.shards.len()).contains(&shards));
         let run = |i: usize| {
             let prev = tm::set_shard(i as u32);
             let r = work(i, &self.shards[i]);
@@ -290,9 +293,7 @@ impl ShardedEngine {
         };
         std::thread::scope(|scope| {
             let run = &run;
-            let rest: Vec<_> = (1..self.shards.len())
-                .map(|i| scope.spawn(move || run(i)))
-                .collect();
+            let rest: Vec<_> = (1..shards).map(|i| scope.spawn(move || run(i))).collect();
             std::iter::once(run(0))
                 .chain(rest.into_iter().map(|h| h.join().expect("shard panicked")))
                 .collect()
@@ -382,7 +383,12 @@ impl ShardedEngine {
         }
         Self::check_values(d_out.as_slice(), d_in.as_slice())?;
         let (rows, n) = (d_out.rows(), self.shards.len());
-        let per_shard = self.fan_out(|first, shard| {
+        if rows == 0 {
+            return Ok(Vec::new());
+        }
+        // Row `r` is dealt to shard `r % n`: only the first `rows` shards
+        // of a short batch have work, and only they run.
+        let per_shard = self.fan_out(rows.min(n), |first, shard| {
             shard.flush_rows(RowBatch {
                 d_out: d_out.as_slice(),
                 d_in: d_in.as_slice(),
@@ -501,7 +507,7 @@ impl ShardedEngine {
             let (model, epoch) = (server.landmark_model(), server.epoch());
             // The epoch label rides into each shard's thread, so its
             // rejoin and publish spans carry the epoch they publish.
-            let rejoined = self.fan_out(|_, shard| {
+            let rejoined = self.fan_out(self.shards.len(), |_, shard| {
                 let prev = tm::set_epoch(epoch);
                 let done = shard.rejoin_all(model, epoch);
                 tm::set_epoch(prev);
@@ -530,10 +536,10 @@ impl ShardedEngine {
     }
 
     /// Counter snapshot plus the instantaneous gauges: queries served;
-    /// joins, flushes, leaves, coalescer queue depth and the latest
-    /// publishes' chunk sharing summed across shards; `epochs` counts the
-    /// engine's landmark steps; `version` sums the shards' snapshot
-    /// versions (total publishes).
+    /// joins, flushes, leaves, coalescer queue depth, the latest
+    /// publishes' chunk sharing and the stored measurement bytes summed
+    /// across shards; `epochs` counts the engine's landmark steps;
+    /// `version` sums the shards' snapshot versions (total publishes).
     pub fn stats(&self) -> ServiceStats {
         let mut total = ServiceStats {
             queries: self.reads.queries(),
@@ -548,6 +554,7 @@ impl ShardedEngine {
             total.coalescer_depth += st.coalescer_depth;
             total.chunk_shared += st.chunk_shared;
             total.chunk_total += st.chunk_total;
+            total.measurement_bytes += st.measurement_bytes;
         }
         total
     }
@@ -558,6 +565,14 @@ impl ShardedEngine {
     #[cfg(test)]
     pub fn shard_stats(&self) -> Vec<ServiceStats> {
         self.shards.iter().map(Shard::stats).collect()
+    }
+
+    /// Measurement tables each shard holds: 1 while every row it stored
+    /// was symmetric, 2 after the first asymmetric one.
+    #[cfg(test)]
+    fn measurement_tables(&self) -> Vec<usize> {
+        let tables = |s: &Shard| 1 + s.writer.lock().hosts.meas_in.is_some() as usize;
+        self.shards.iter().map(tables).collect()
     }
 
     /// Publish-latency histogram (one sample per snapshot publish: join
@@ -574,7 +589,7 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streaming::StalenessPolicy;
+    use crate::streaming::{MeasurementDelta, StalenessPolicy};
 
     fn server(k: usize, dim: usize) -> StreamingServer {
         let ds = ides_datasets::generators::p2psim_like(k + 20, 7).expect("dataset");
@@ -901,25 +916,282 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One host's measurement rows: (out, in).
+    type Row = (Vec<f64>, Vec<f64>);
+
+    /// `rows` as the two `rows × k` batch matrices.
+    fn batch(rows: &[Row]) -> (Matrix, Matrix) {
+        let side = |pick: fn(&Row) -> &Vec<f64>| {
+            Matrix::from_rows(&rows.iter().map(|r| pick(r).clone()).collect::<Vec<_>>()).unwrap()
+        };
+        (side(|r| &r.0), side(|r| &r.1))
+    }
+
+    /// A symmetric row (round-trip times: out and in are the same bits).
+    fn rtt(k: usize, seed: u64) -> Row {
+        let row = meas(k, seed);
+        (row.clone(), row)
+    }
+
+    /// The gauge's exact value for `e`: each shard's slots × `k` × 8 per
+    /// measurement table it holds.
+    fn expected_bytes(e: &ShardedEngine) -> u64 {
+        let slots = e
+            .snapshots()
+            .iter()
+            .map(|s| s.slot_count())
+            .collect::<Vec<_>>();
+        let tables = e.measurement_tables();
+        let per_shard = slots.iter().zip(&tables).map(|(s, t)| s * e.k * 8 * t);
+        per_shard.sum::<usize>() as u64
+    }
+
+    #[test]
+    fn symmetric_admission_keeps_one_measurement_table() {
+        // Every admission path — `join_direct`, a lone `join`, joins
+        // coalesced from four threads, a `join_many` that grows and one
+        // that reuses retired slots — stores symmetric rows in one table,
+        // and the gauge counts it exactly. The first asymmetric row makes
+        // its shard (only that one) hold two.
+        let k = 10;
+        for shards in [1, 2] {
+            let e = engine(k, 4, shards);
+            assert_eq!(e.stats().measurement_bytes, 0, "{shards} shards: empty");
+            let mut ids: Vec<NodeId> = (0..5u64)
+                .map(|h| {
+                    let (o, i) = rtt(k, h);
+                    e.join_direct(&o, &i).unwrap()
+                })
+                .collect();
+            let (o, i) = rtt(k, 50);
+            ids.push(e.join(&o, &i).unwrap());
+            std::thread::scope(|scope| {
+                for t in 0..4u64 {
+                    let e = &e;
+                    scope.spawn(move || {
+                        for j in 0..5 {
+                            let (o, i) = rtt(k, 100 + 10 * t + j);
+                            e.join(&o, &i).unwrap();
+                        }
+                    });
+                }
+            });
+            let grown: Vec<_> = (0..7).map(|h| rtt(k, 200 + h)).collect();
+            let (d_out, d_in) = batch(&grown);
+            ids.extend(e.join_many(&d_out, &d_in).unwrap());
+            e.leave_many(&ids[..2 * shards]).unwrap();
+            let mixed: Vec<_> = (0..3 * shards as u64).map(|h| rtt(k, 300 + h)).collect();
+            let (d_out, d_in) = batch(&mixed);
+            e.join_many(&d_out, &d_in).unwrap();
+
+            let slots: usize = e.snapshots().iter().map(|s| s.slot_count()).sum();
+            assert_eq!(slots, 5 + 1 + 20 + 7 + shards, "{shards} shards");
+            assert_eq!(e.measurement_tables(), vec![1; shards], "{shards} shards");
+            assert_eq!(
+                e.stats().measurement_bytes,
+                (slots * k * 8) as u64,
+                "{shards} shards: one table"
+            );
+
+            // The next join lands on shard `next % shards`, in a fresh slot.
+            let owner = e.next.load(Ordering::Relaxed) % shards;
+            let (o, mut i) = rtt(k, 400);
+            i[0] += 1.0;
+            e.join_direct(&o, &i).unwrap();
+            let mut want = vec![1; shards];
+            want[owner] = 2;
+            assert_eq!(e.measurement_tables(), want, "{shards} shards");
+            let per_shard: Vec<usize> = e.snapshots().iter().map(|s| s.slot_count()).collect();
+            let bytes = (0..shards)
+                .map(|s| per_shard[s] * k * 8 * want[s])
+                .sum::<usize>();
+            assert_eq!(e.stats().measurement_bytes, bytes as u64, "{shards} shards");
+        }
+    }
+
+    #[test]
+    fn an_asymmetric_host_after_symmetric_ones_matches_fresh_engines() {
+        // Symmetric hosts, some retired, then one asymmetric host: either
+        // alone into a retired slot, or inside a `join_many` that reuses
+        // every retired slot and then grows — as its shard's first fresh
+        // row, with more rows after it in the same flush. Every live host
+        // must hold the bits a fresh engine gives its rows, before and
+        // after an epoch: an in-table that lost the symmetric rows stored
+        // before the transition shows up in the epoch's rejoin.
+        let k = 10;
+        let drift = EpochUpdate {
+            epoch: 1.0,
+            deltas: vec![MeasurementDelta {
+                from: 2,
+                to: 7,
+                rtt: 14.0,
+            }],
+        };
+        let mut asym = meas(k, 900);
+        asym[4] = 3.5;
+        let asym = (meas(k, 900), asym);
+        for shards in [1, 2] {
+            for into_retired in [true, false] {
+                let label = format!("{shards} shards, into a retired slot: {into_retired}");
+                let e = engine(k, 4, shards);
+                let mut live: Vec<(NodeId, Row)> = Vec::new();
+                let first: Vec<_> = (0..20).map(|h| rtt(k, h)).collect();
+                let (d_out, d_in) = batch(&first);
+                let ids = e.join_many(&d_out, &d_in).unwrap();
+                live.extend(ids.into_iter().zip(first));
+                // Three retired slots per shard.
+                let gone: Vec<NodeId> = live.drain(..3 * shards).map(|(id, _)| id).collect();
+                e.leave_many(&gone).unwrap();
+                let arrivals = if into_retired {
+                    vec![asym.clone()]
+                } else {
+                    // Rows `0 .. 3 · shards` reuse; row `3 · shards` is
+                    // shard 0's first fresh slot, and `4 · shards` follows it.
+                    let mut rows: Vec<_> =
+                        (0..5 * shards as u64).map(|h| rtt(k, 500 + h)).collect();
+                    rows[3 * shards] = asym.clone();
+                    rows
+                };
+                let ids = if into_retired {
+                    vec![e.join(&asym.0, &asym.1).unwrap()]
+                } else {
+                    let (d_out, d_in) = batch(&arrivals);
+                    e.join_many(&d_out, &d_in).unwrap()
+                };
+                // Retired slots are reused first, so a host that did not
+                // get one got a fresh slot.
+                let asym_id = ids[if into_retired { 0 } else { 3 * shards }];
+                assert_eq!(gone.contains(&asym_id), into_retired, "{label}");
+                live.extend(ids.into_iter().zip(arrivals));
+                assert!(e.measurement_tables().contains(&2), "{label}");
+
+                let check = |epoch: Option<&EpochUpdate>, when: &str| {
+                    let fresh = engine(k, 4, 1);
+                    let want: Vec<NodeId> = live
+                        .iter()
+                        .map(|(_, (o, i))| fresh.join_direct(o, i).unwrap())
+                        .collect();
+                    if let Some(update) = epoch {
+                        fresh.apply_epoch(update).unwrap();
+                    }
+                    for ((id, _), w) in live.iter().zip(want) {
+                        let (got, want) =
+                            (e.host_coords(*id).unwrap(), fresh.host_coords(w).unwrap());
+                        assert_eq!(bits(&got.0), bits(&want.0), "{label} {when}: {id:?} out");
+                        assert_eq!(bits(&got.1), bits(&want.1), "{label} {when}: {id:?} in");
+                    }
+                };
+                check(None, "admitted");
+                e.apply_epoch(&drift).unwrap();
+                check(Some(&drift), "after the epoch");
+                assert_eq!(e.stats().measurement_bytes, expected_bytes(&e), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_snapshot_pinned_before_the_transition_keeps_its_bits() {
+        let k = 10;
+        let e = engine(k, 4, 2);
+        let first: Vec<_> = (0..40).map(|h| rtt(k, h)).collect();
+        let (d_out, d_in) = batch(&first);
+        let ids = e.join_many(&d_out, &d_in).unwrap();
+        e.leave_many(&ids[..4]).unwrap();
+        let pinned = e.snapshots();
+        let seen = |snaps: &[Arc<Snapshot>]| -> Vec<(Vec<u64>, bool)> {
+            snaps
+                .iter()
+                .flat_map(|snap| {
+                    (0..snap.slot_count()).map(|s| (bits(snap.coords().row(s)), snap.is_live(s)))
+                })
+                .collect()
+        };
+        let before = seen(&pinned);
+        // Both shards go asymmetric: one through a retired slot, one
+        // through a bulk batch that reuses and grows; then an epoch
+        // rewrites every row.
+        let (o, mut i) = rtt(k, 77);
+        i[1] += 2.0;
+        e.join(&o, &i).unwrap();
+        let mut rows: Vec<_> = (0..6).map(|h| rtt(k, 600 + h)).collect();
+        rows[5].1[0] += 1.0;
+        let (d_out, d_in) = batch(&rows);
+        e.join_many(&d_out, &d_in).unwrap();
+        assert_eq!(e.measurement_tables(), vec![2, 2]);
+        e.apply_epoch(&EpochUpdate {
+            epoch: 1.0,
+            deltas: vec![MeasurementDelta {
+                from: 1,
+                to: 4,
+                rtt: 11.0,
+            }],
+        })
+        .unwrap();
+        assert_ne!(seen(&e.snapshots()), before, "the writes must move rows");
+        assert_eq!(seen(&pinned), before, "a pinned snapshot changed");
+    }
+
+    #[test]
+    fn signed_zeros_are_stored_as_asymmetric() {
+        // `0.0 == -0.0`, but they are different bits: a row pair that
+        // differs only there is asymmetric, and the in-table keeps the
+        // `-0.0` it was given. A row with the same zero both ways is not.
+        let k = 10;
+        let e = engine(k, 4, 1);
+        let (mut o, mut i) = rtt(k, 5);
+        (o[3], i[3]) = (0.0, 0.0);
+        e.join_direct(&o, &i).unwrap();
+        assert_eq!(e.measurement_tables(), vec![1]);
+        i[3] = -0.0;
+        e.join_direct(&o, &i).unwrap();
+        assert_eq!(e.measurement_tables(), vec![2]);
+        let w = e.shards[0].writer.lock();
+        let meas_in = w.hosts.meas_in.as_ref().expect("an in-table");
+        assert_eq!(meas_in.row(1)[3].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(meas_in.row(0)[3].to_bits(), 0.0f64.to_bits());
+        assert_eq!(w.hosts.meas_out.row(1)[3].to_bits(), 0.0f64.to_bits());
+    }
+
     /// `fan_out` holds this file's only `thread::scope` and is the only
     /// way `join_many`, `apply_epoch` and `apply_epochs` reach a shard, so
     /// what it does with threads is what they do: shard 0's work runs on
-    /// the caller, and an engine with one shard spawns nothing.
+    /// the caller, an engine with one shard spawns nothing, and a call
+    /// restricted to the first `r` shards spawns `r − 1` threads and
+    /// leaves the idle shards alone.
     #[test]
     fn fan_out_runs_shard_zero_on_the_caller_and_spawns_only_the_rest() {
         for shards in SHARD_COUNTS {
             let e = engine(10, 4, shards);
             let caller = std::thread::current().id();
-            let ran = e.fan_out(|i, _| (i, std::thread::current().id()));
-            assert_eq!(ran.len(), shards);
-            for (at, (shard, thread)) in ran.into_iter().enumerate() {
-                assert_eq!(shard, at, "results come back in shard order");
-                assert_eq!(
-                    thread == caller,
-                    shard == 0,
-                    "{shards} shards, shard {shard}"
-                );
+            for active in 1..=shards {
+                let ran = e.fan_out(active, |i, _| (i, std::thread::current().id()));
+                assert_eq!(ran.len(), active, "{shards} shards, {active} active");
+                let threads: std::collections::HashSet<_> =
+                    ran.iter().map(|&(_, thread)| thread).collect();
+                for (at, (shard, thread)) in ran.into_iter().enumerate() {
+                    assert_eq!(shard, at, "results come back in shard order");
+                    assert_eq!(
+                        thread == caller,
+                        shard == 0,
+                        "{shards} shards, {active} active, shard {shard}"
+                    );
+                }
+                // One thread per active shard: the caller plus `active − 1`
+                // spawned, none for the idle shards.
+                assert_eq!(threads.len(), active, "{shards} shards, {active} active");
             }
+            // A bulk admission shorter than the shard count touches only
+            // the shards its rows are dealt to.
+            let rows = Matrix::from_rows(&[meas(10, 1)]).unwrap();
+            e.join_many(&rows, &rows).unwrap();
+            let flushed: Vec<u64> = e.shard_stats().iter().map(|s| s.flushes).collect();
+            let mut want = vec![0; shards];
+            want[0] = 1;
+            assert_eq!(flushed, want, "{shards} shards");
         }
     }
 }

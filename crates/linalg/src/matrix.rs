@@ -527,27 +527,6 @@ impl Matrix {
         self.data.reserve(rows * self.cols);
     }
 
-    /// Swaps rows `i` and `j` in place (`O(cols)`, no allocation).
-    pub fn swap_rows(&mut self, i: usize, j: usize) {
-        if i == j {
-            return;
-        }
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        let (a, b) = self.data.split_at_mut(hi * self.cols);
-        a[lo * self.cols..(lo + 1) * self.cols].swap_with_slice(&mut b[..self.cols]);
-    }
-
-    /// Keeps the first `rows` rows and drops every row at or after index
-    /// `rows`, preserving the column count and the underlying capacity
-    /// (no reallocation). A no-op when the matrix already has at most
-    /// `rows` rows.
-    pub fn truncate_rows(&mut self, rows: usize) {
-        if rows < self.rows {
-            self.rows = rows;
-            self.data.truncate(rows * self.cols);
-        }
-    }
-
     /// Extracts the sub-matrix of the given columns and all rows.
     pub fn select_cols(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(self.rows, indices.len());
@@ -910,34 +889,23 @@ mod tests {
     }
 
     #[test]
-    fn push_swap_truncate_rows() {
+    fn push_row_appends_into_reserved_rows() {
         let mut m = Matrix::zeros(0, 0);
         m.push_row(&[1.0, 2.0]); // empty matrix adopts the width
         m.push_row(&[3.0, 4.0]);
         m.push_row(&[5.0, 6.0]);
         assert_eq!(m.shape(), (3, 2));
-        m.swap_rows(0, 2);
-        assert_eq!(m.row(0), &[5.0, 6.0]);
-        assert_eq!(m.row(2), &[1.0, 2.0]);
-        m.swap_rows(1, 1); // self-swap is a no-op
-        assert_eq!(m.row(1), &[3.0, 4.0]);
-        m.truncate_rows(2);
-        assert_eq!(m.shape(), (2, 2));
-        assert_eq!(m.row(1), &[3.0, 4.0]);
-        m.truncate_rows(5); // growing truncate is a no-op
-        assert_eq!(m.shape(), (2, 2));
-        // Churn at a bounded high-water mark allocates nothing further:
-        // capacity for 3 rows was retained above.
-        let cap = {
-            m.push_row(&[7.0, 8.0]);
-            m.truncate_rows(2);
-            m.data.capacity()
-        };
-        for _ in 0..10 {
-            m.push_row(&[9.0, 9.0]);
-            m.truncate_rows(2);
+        assert_eq!(m.row(0), &[1.0, 2.0]);
+        assert_eq!(m.row(2), &[5.0, 6.0]);
+        // Rows reserved up front are pushed without a reallocation.
+        m.reserve_rows(10);
+        let (cap, at) = (m.data.capacity(), m.data.as_ptr());
+        for i in 0..10 {
+            m.push_row(&[i as f64, 9.0]);
         }
-        assert_eq!(m.data.capacity(), cap);
+        assert_eq!((m.data.capacity(), m.data.as_ptr()), (cap, at));
+        assert_eq!(m.shape(), (13, 2));
+        assert_eq!(m.row(12), &[9.0, 9.0]);
     }
 
     #[test]

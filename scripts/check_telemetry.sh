@@ -15,7 +15,11 @@
 #      _count/_sum equal the --json telemetry_query_count /
 #      telemetry_query_sum_ns byte-for-byte (both are integers rendered
 #      from the same merged histogram; any drift means the exporter and
-#      the load report disagree about what was measured).
+#      the load report disagree about what was measured), and
+#      ides_measurement_bytes equals the --json measurement_bytes. The
+#      serve scenario admits round-trip rows (out = in) without churn,
+#      so the gauge must also read hosts x landmarks x 8: one stored
+#      measurement table per shard, none for the identical in-rows.
 #   4. The Chrome trace is valid JSON, every event carries ts and dur,
 #      and at least 6 distinct stage names were recorded.
 
@@ -32,7 +36,7 @@ fail=0
 for series in \
     ides_queries_total ides_epochs_total \
     ides_publishes_total ides_spans_dropped_total \
-    ides_coalescer_queue_depth ides_chunk_share_ratio \
+    ides_coalescer_queue_depth ides_chunk_share_ratio ides_measurement_bytes \
     ides_publish_latency_ns_count ides_query_latency_ns_bucket \
     ides_query_latency_ns_sum ides_query_latency_ns_count; do
     if ! grep -q "^$series" "$metrics"; then
@@ -59,6 +63,16 @@ if [ "${count:-a}" = "${jcount:-b}" ] && [ "${sum:-a}" = "${jsum:-b}" ]; then
     echo "ok   query histogram reconciles: count $count, sum ${sum}ns" >&2
 else
     echo "FAIL: exposition/_json mismatch: _count $count vs $jcount, _sum $sum vs $jsum" >&2
+    fail=1
+fi
+
+mbytes="$(awk '$1 == "ides_measurement_bytes" { print $2 }' "$metrics")"
+jmbytes="$(jq -r '.measurement_bytes' "$serving")"
+want_mbytes="$(jq -r '.hosts * .landmarks * 8' "$serving")"
+if [ "${mbytes:-a}" = "${jmbytes:-b}" ] && [ "${jmbytes:-b}" = "${want_mbytes:-c}" ]; then
+    echo "ok   measurement gauge reconciles: ${mbytes} B (one table for symmetric rows)" >&2
+else
+    echo "FAIL: measurement bytes: exposition ${mbytes:-missing}, --json ${jmbytes:-missing}, want ${want_mbytes:-?} (hosts x landmarks x 8)" >&2
     fail=1
 fi
 
