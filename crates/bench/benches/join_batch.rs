@@ -77,7 +77,7 @@ fn bench_join_batch(c: &mut Criterion) {
 
 fn bench_eval_sweep(c: &mut Criterion) {
     // End-to-end §6 sweep at a few hundred hosts: landmark fit + batched
-    // joins + O(n²) pair scoring (sharded under `--features parallel`).
+    // joins + O(n²) pair scoring (sharded over the thread budget).
     let n = 300;
     let ds = p2psim_like(n, 43).expect("dataset");
     let (landmarks, ordinary) = split_landmarks(n, 20, 5);

@@ -11,6 +11,7 @@
 
 use ides_datasets::DistanceMatrix;
 use ides_experiments::{arg1, print_summary, seed, Dataset};
+use ides_linalg::kernels;
 use ides_linalg::svd::{svd_truncated, TruncatedSvdOptions};
 use ides_mf::lipschitz::LipschitzPca;
 use ides_mf::metrics::{reconstruction_errors, Cdf};
@@ -43,34 +44,30 @@ fn run(dataset: Dataset) {
     let wide = svd_truncated(data.values(), max_d, TruncatedSvdOptions::default())
         .expect("svd of dataset");
 
-    // The three method sweeps are independent — run them on scoped threads.
-    let (svd_series, nmf_series, lip_series) = std::thread::scope(|s| {
-        let svd_handle = s.spawn(|| {
-            dims.iter()
-                .map(|&d| {
-                    let model = model_from_svd(&wide, d);
-                    (d, Cdf::new(reconstruction_errors(&model, &data)).median())
-                })
-                .collect::<Vec<_>>()
-        });
-        let nmf_handle = s.spawn(|| {
-            dims.iter()
-                .map(|&d| {
-                    // Large matrices: thin the grid at large d where the
-                    // curve has flattened.
-                    if n > 500 && d > 40 && d != *dims.last().expect("nonempty") {
-                        return (d, f64::NAN); // skipped point, filtered below
-                    }
-                    let fit = nmf::fit(&data, NmfConfig::new(d)).expect("nmf fit");
-                    (
-                        d,
-                        Cdf::new(reconstruction_errors(&fit.model, &data)).median(),
-                    )
-                })
-                .filter(|&(_, v)| !v.is_nan())
-                .collect::<Vec<_>>()
-        });
-        let lip_handle = s.spawn(|| {
+    // The three method sweeps are independent — run them side by side.
+    let labels = ["SVD", "NMF", "Lipschitz+PCA"];
+    let series = kernels::fan_out(labels, |label| match label {
+        "SVD" => dims
+            .iter()
+            .map(|&d| {
+                let model = model_from_svd(&wide, d);
+                (d, Cdf::new(reconstruction_errors(&model, &data)).median())
+            })
+            .collect::<Vec<_>>(),
+        "NMF" => dims
+            .iter()
+            // Large matrices: thin the grid at large d where the curve
+            // has flattened.
+            .filter(|&&d| n <= 500 || d <= 40 || d == max_d)
+            .map(|&d| {
+                let fit = nmf::fit(&data, NmfConfig::new(d)).expect("nmf fit");
+                (
+                    d,
+                    Cdf::new(reconstruction_errors(&fit.model, &data)).median(),
+                )
+            })
+            .collect(),
+        _ => {
             // PCA components nest: fit once at the max dimension, truncate.
             let wide = LipschitzPca::fit(&data, max_d).expect("lipschitz fit");
             dims.iter()
@@ -78,20 +75,11 @@ fn run(dataset: Dataset) {
                     let model = wide.truncate(&data, d).expect("lipschitz truncate");
                     (d, Cdf::new(reconstruction_errors(&model, &data)).median())
                 })
-                .collect::<Vec<_>>()
-        });
-        (
-            svd_handle.join().expect("svd sweep"),
-            nmf_handle.join().expect("nmf sweep"),
-            lip_handle.join().expect("lipschitz sweep"),
-        )
+                .collect()
+        }
     });
 
-    for (label, series) in [
-        ("SVD", &svd_series),
-        ("NMF", &nmf_series),
-        ("Lipschitz+PCA", &lip_series),
-    ] {
+    for (label, series) in labels.iter().zip(&series) {
         println!("\n# series: {} / {}", dataset.name(), label);
         println!("# dimension median_relative_error");
         for (d, median) in series {

@@ -10,6 +10,7 @@
 use ides::eval::evaluate_ides_with_failures;
 use ides::system::{split_landmarks, IdesConfig};
 use ides_experiments::{arg1, print_summary, seed, Dataset};
+use ides_linalg::kernels;
 
 fn run(dataset: Dataset, dim: usize) {
     let ds = dataset.generate(seed());
@@ -23,37 +24,24 @@ fn run(dataset: Dataset, dim: usize) {
     let fractions: Vec<f64> = (0..=8).map(|k| k as f64 * 0.1).collect();
 
     let landmark_counts: Vec<usize> = [20usize, 50].into_iter().filter(|&m| m + 2 < n).collect();
-    let series: Vec<(usize, Vec<(f64, f64)>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = landmark_counts
+    let series = kernels::fan_out(landmark_counts, |m| {
+        let (landmarks, ordinary) = split_landmarks(n, m, seed());
+        let points: Vec<(f64, f64)> = fractions
             .iter()
-            .map(|&m| {
-                let data = &data;
-                let fractions = &fractions;
-                s.spawn(move || {
-                    let (landmarks, ordinary) = split_landmarks(n, m, seed());
-                    let points: Vec<(f64, f64)> = fractions
-                        .iter()
-                        .map(|&f| {
-                            let r = evaluate_ides_with_failures(
-                                data,
-                                &landmarks,
-                                &ordinary,
-                                IdesConfig::new(dim),
-                                f,
-                                seed() ^ (m as u64) << 8,
-                            )
-                            .expect("failure evaluation");
-                            (f, r.into_cdf().median())
-                        })
-                        .collect();
-                    (m, points)
-                })
+            .map(|&f| {
+                let r = evaluate_ides_with_failures(
+                    &data,
+                    &landmarks,
+                    &ordinary,
+                    IdesConfig::new(dim),
+                    f,
+                    seed() ^ (m as u64) << 8,
+                )
+                .expect("failure evaluation");
+                (f, r.into_cdf().median())
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep thread"))
-            .collect()
+        (m, points)
     });
 
     for (m, points) in series {

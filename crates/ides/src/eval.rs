@@ -21,19 +21,20 @@
 //! 3. **Score** — the `O(n²)` ordinary-pair sweep reads coordinate rows
 //!    straight out of the batch matrices, with no per-host vector clones.
 //!
-//! With the `parallel` cargo feature, stages 2 and 3 are **sharded over
-//! std scoped threads** (one shard per core; `IDES_LINALG_THREADS`
-//! overrides the count). Sharding is deterministic and bit-identical to
-//! the single-threaded sweep: every host's join/embedding depends only on
-//! its own measurement row plus the shared landmark model, pair errors are
-//! pure per-pair functions, and shard outputs are merged in fixed host
-//! order — so the `errors` vector is byte-for-byte the same at any thread
-//! count (asserted by `tests/parallel_eval.rs`).
+//! Stages 2 and 3 are **sharded over scoped threads**, one shard per
+//! thread of the process's budget ([`ides_linalg::kernels::thread_budget`])
+//! through [`ides_linalg::kernels::fan_out`]. Sharding is deterministic
+//! and bit-identical to the single-threaded sweep: every host's
+//! join/embedding depends only on its own measurement row plus the shared
+//! landmark model, pair errors are pure per-pair functions, and shard
+//! outputs are merged in fixed host order — so the `errors` vector is
+//! byte-for-byte the same at any thread count (asserted by this module's
+//! `sharded_evaluation_is_byte_identical_to_sequential`).
 
 use std::time::Instant;
 
 use ides_datasets::DistanceMatrix;
-use ides_linalg::Matrix;
+use ides_linalg::{kernels, Matrix};
 use ides_mf::gnp::{GnpConfig, GnpModel};
 use ides_mf::lipschitz::LipschitzPca;
 use ides_mf::metrics::{modified_relative_error, Cdf};
@@ -70,26 +71,14 @@ impl PredictionResult {
     }
 }
 
-/// Number of shards the evaluation sweeps fan out to. Always 1 without the
-/// `parallel` feature; with it, one per available core unless
-/// `IDES_LINALG_THREADS` overrides (the same knob the GEMM kernels honor).
-pub(crate) fn eval_threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        std::env::var("IDES_LINALG_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|t| t.get())
-                    .unwrap_or(1)
-            })
+/// Number of shards the evaluation sweeps fan out to: the process's thread
+/// budget.
+fn eval_shards() -> usize {
+    #[cfg(test)]
+    if let Some(shards) = tests::SHARDS.get() {
+        return shards;
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
+    kernels::thread_budget()
 }
 
 /// Splits `n` items into at most `shards` contiguous ranges whose sizes
@@ -108,36 +97,21 @@ pub(crate) fn shard_ranges(n: usize, shards: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Runs `f` over contiguous shards of `items` — on scoped threads when the
-/// `parallel` feature enables more than one shard, inline otherwise — and
-/// returns the per-shard outputs **in shard order**. `f` receives each
-/// shard slice plus its offset into `items`; because shards are contiguous
-/// and merged in order, any per-item-independent `f` yields output
-/// identical to a single-shard run.
-pub(crate) fn map_shards<T, R, F>(items: &[T], f: F) -> Result<Vec<R>>
+/// Runs `f` over contiguous shards of `items`, one per [`eval_shards`]
+/// (never more than items, always at least one), and returns the
+/// per-shard outputs **in shard order**. `f` receives each shard slice
+/// plus its offset into `items`; because shards are contiguous and merged
+/// in order, any per-item-independent `f` yields output identical to a
+/// single-shard run.
+fn map_shards<T, R, F>(items: &[T], f: F) -> Result<Vec<R>>
 where
     T: Sync,
     R: Send,
     F: Fn(&[T], usize) -> Result<R> + Sync,
 {
-    let threads = eval_threads();
-    if threads <= 1 || items.len() <= 1 {
-        return Ok(vec![f(items, 0)?]);
-    }
-    let ranges = shard_ranges(items.len(), threads);
-    let mut slots: Vec<Option<Result<R>>> = Vec::new();
-    slots.resize_with(ranges.len(), || None);
-    std::thread::scope(|scope| {
-        for (slot, &(lo, hi)) in slots.iter_mut().zip(&ranges) {
-            let f = &f;
-            scope.spawn(move || {
-                *slot = Some(f(&items[lo..hi], lo));
-            });
-        }
-    });
-    slots
+    let ranges = shard_ranges(items.len(), eval_shards());
+    kernels::fan_out(ranges, |(lo, hi)| f(&items[lo..hi], lo))
         .into_iter()
-        .map(|s| s.expect("every shard thread ran"))
         .collect()
 }
 
@@ -182,15 +156,17 @@ fn complete_hosts(data: &DistanceMatrix, landmarks: &[usize], ordinary: &[usize]
 /// true distance is observed and positive, in row-major `(i, j)` order.
 /// `dist(i, j)` estimates the distance between batch members `i` and `j`.
 ///
-/// Sharded over the first index under the `parallel` feature and merged in
-/// shard order, so the returned error vector is byte-identical to the
+/// Sharded over the first index and merged in shard order, so the returned error vector is byte-identical to the
 /// sequential sweep.
 fn score_pairs<F>(data: &DistanceMatrix, ids: &[usize], dist: F) -> Result<Vec<f64>>
 where
     F: Fn(usize, usize) -> f64 + Sync,
 {
     let shards = map_shards(ids, |shard, offset| {
-        let mut errors = Vec::new();
+        // One allocation at the shard's bound: the first shard runs on the
+        // caller, and a vector grown by doubling there left the caller's
+        // heap fragmented (`serve_hot` peak RSS +23 MB in 6 of 8 runs).
+        let mut errors = Vec::with_capacity(shard.len() * ids.len().saturating_sub(1));
         for (r, &hi) in shard.iter().enumerate() {
             let i = offset + r;
             for (j, &hj) in ids.iter().enumerate() {
@@ -504,6 +480,12 @@ mod tests {
     use crate::system::split_landmarks;
     use ides_datasets::generators::{gnp_like, nlanr_like};
 
+    thread_local! {
+        /// A test's shard count for sweeps run on its own thread.
+        pub(super) static SHARDS: std::cell::Cell<Option<usize>> =
+            const { std::cell::Cell::new(None) };
+    }
+
     #[test]
     fn ides_beats_ics_on_nlanr_like() {
         // Fig. 6(b): IDES more accurate than ICS on the NLANR-style set.
@@ -616,5 +598,49 @@ mod tests {
             0
         )
         .is_err());
+    }
+
+    /// Running the §6 evaluators at any shard count produces exactly the
+    /// same `PredictionResult` payload (errors bitwise, host and pair
+    /// counts) as one shard: shard boundaries only partition
+    /// per-host-independent work, and shard outputs merge in fixed order.
+    #[test]
+    fn sharded_evaluation_is_byte_identical_to_sequential() {
+        let ds = nlanr_like(60, 33).expect("dataset");
+        let (landmarks, ordinary) = split_landmarks(60, 20, 5);
+        let gnp_cfg = GnpConfig {
+            landmark_evals: 10_000,
+            host_evals: 1_000,
+            ..GnpConfig::new(6)
+        };
+        let run_all = |shards| {
+            let prev = SHARDS.replace(Some(shards));
+            let m = &ds.matrix;
+            let results = [
+                evaluate_ides(m, &landmarks, &ordinary, IdesConfig::new(8)).expect("ides"),
+                evaluate_ides(m, &landmarks, &ordinary, IdesConfig::nmf(8)).expect("nmf"),
+                evaluate_ics(m, &landmarks, &ordinary, 8).expect("ics"),
+                evaluate_gnp(m, &landmarks, &ordinary, gnp_cfg).expect("gnp"),
+                evaluate_ides_with_failures(m, &landmarks, &ordinary, IdesConfig::new(8), 0.3, 17)
+                    .expect("failures"),
+            ];
+            SHARDS.set(prev);
+            results
+        };
+        let sequential = run_all(1);
+        for shards in [2, 4, 7] {
+            let sharded = run_all(shards);
+            for (label, (a, b)) in ["ides/svd", "ides/nmf", "ics", "gnp", "failures"]
+                .iter()
+                .zip(sequential.iter().zip(sharded.iter()))
+            {
+                let context = format!("{label} @ {shards} shards");
+                assert_eq!(a.hosts_joined, b.hosts_joined, "{context}: hosts_joined");
+                assert_eq!(a.pairs_evaluated, b.pairs_evaluated, "{context}: pairs");
+                let bits =
+                    |r: &PredictionResult| r.errors.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "{context}: errors");
+            }
+        }
     }
 }

@@ -19,9 +19,9 @@
 //!   set through one factorization + one GEMM, bit-identical to per-host
 //!   solves.
 //! * [`eval`] — the §6 evaluation harness (IDES vs ICS vs GNP, landmark
-//!   failure injection), batched per shard and — with the `parallel`
-//!   feature — sharded over scoped threads with byte-identical results
-//!   (`IDES_LINALG_THREADS` overrides the thread count).
+//!   failure injection), batched per shard and sharded over scoped
+//!   threads with byte-identical results (`IDES_LINALG_THREADS` sets the
+//!   thread count).
 //! * [`streaming`] — epoch-driven coordinate maintenance under drift:
 //!   [`streaming::StreamingServer`] ingests epoch-stamped measurement
 //!   deltas from an [`streaming::UpdateQueue`] and keeps coordinates fresh

@@ -531,7 +531,7 @@ fn solve_batch(
 ) -> Result<()> {
     let hosts = b.rows();
     let d = a.cols();
-    if opts.ridge > 0.0 {
+    if opts.ridge > 0.0 && opts.solver != JoinSolver::NonNegative {
         solve::lstsq_ridge_multi_with(a, b, opts.ridge, &mut solvers.ne, out)?;
         return Ok(());
     }
@@ -574,10 +574,30 @@ fn solve_batch(
         }
         JoinSolver::NonNegative => {
             // NNLS is an active-set iteration with no shared factorization;
-            // solve per host (the one non-amortized solver).
+            // solve per host (the one non-amortized solver). A ridge λ > 0
+            // keeps the constraint: NNLS on `[A; √λ·I] x ≈ [b; 0]`.
             out.reset_shape(hosts, d);
+            let ridged = if opts.ridge > 0.0 {
+                let root = opts.ridge.sqrt();
+                Some(a.vcat(&Matrix::from_fn(
+                    d,
+                    d,
+                    |i, j| if i == j { root } else { 0.0 },
+                ))?)
+            } else {
+                None
+            };
+            let mut rhs = Vec::new();
             for h in 0..hosts {
-                let x = nnls::nnls(a, b.row(h))?;
+                let x = match &ridged {
+                    None => nnls::nnls(a, b.row(h))?,
+                    Some(aug) => {
+                        rhs.clear();
+                        rhs.extend_from_slice(b.row(h));
+                        rhs.resize(aug.rows(), 0.0);
+                        nnls::nnls(aug, &rhs)?
+                    }
+                };
                 out.row_mut(h).copy_from_slice(&x);
             }
         }
@@ -761,6 +781,66 @@ mod tests {
         for l in 0..8 {
             assert!(host.distance_to(model.incoming(l)) >= 0.0);
         }
+    }
+
+    /// A ridge on the nonnegative solver keeps the constraint: each host
+    /// solves NNLS on `[A; √λ·I] x ≈ [b; 0]`, batched and one at a time
+    /// alike (the `ridge = 1e-6` retry of the failure sweep takes this
+    /// path for an NNLS config).
+    #[test]
+    fn ridged_nonnegative_join_is_nnls_of_the_augmented_system() {
+        let d = figure1_distance_matrix();
+        let model = fit_matrix(
+            &d,
+            SvdConfig {
+                dim: 3,
+                force_exact: true,
+            },
+        )
+        .unwrap();
+        let (x, y) = (model.x(), model.y());
+        let ridge = 0.5;
+        let opts = JoinOptions {
+            solver: JoinSolver::NonNegative,
+            ridge,
+        };
+        // Rows whose unconstrained joins have negative coordinates.
+        let rows = [
+            [0.5, 1.5, 1.5, 2.5],
+            [3.0, 0.2, 2.5, 0.1],
+            [0.1, 2.9, 0.3, 4.0],
+        ];
+        let meas = Matrix::from_rows(&rows.map(|r| r.to_vec())).unwrap();
+        let batched = join_hosts_with(&mut JoinWorkspace::new(), x, y, &meas, &meas, opts).unwrap();
+        let augment = |a: &Matrix| {
+            a.vcat(&Matrix::from_fn(3, 3, |i, j| {
+                if i == j {
+                    ridge.sqrt()
+                } else {
+                    0.0
+                }
+            }))
+            .unwrap()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut negative_unconstrained = false;
+        for (row, got) in rows.iter().zip(&batched) {
+            let one = join_host(x, y, row, row, opts).unwrap();
+            assert_eq!(&one, got, "batched and sequential bits");
+            let rhs: Vec<f64> = row.iter().copied().chain([0.0; 3]).collect();
+            let want_out = nnls::nnls(&augment(y), &rhs).unwrap();
+            let want_in = nnls::nnls(&augment(x), &rhs).unwrap();
+            assert_eq!(bits(&got.outgoing), bits(&want_out));
+            assert_eq!(bits(&got.incoming), bits(&want_in));
+            assert!(got.outgoing.iter().chain(&got.incoming).all(|&v| v >= 0.0));
+            let ridge_only = JoinOptions {
+                solver: JoinSolver::Qr,
+                ridge,
+            };
+            let free = join_host(x, y, row, row, ridge_only).unwrap();
+            negative_unconstrained |= free.outgoing.iter().chain(&free.incoming).any(|&v| v < 0.0);
+        }
+        assert!(negative_unconstrained, "the constraint must bind somewhere");
     }
 
     #[test]

@@ -87,19 +87,6 @@ impl LatencyHistogram {
         self.total
     }
 
-    /// Mean latency (zero when empty).
-    pub fn mean(&self) -> Duration {
-        if self.total == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos((self.sum_ns / self.total as u128) as u64)
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> Duration {
-        Duration::from_nanos(self.max_ns)
-    }
-
     /// Exact sum of all recorded samples in nanoseconds — the
     /// Prometheus `_sum` value (integer, so it reconciles exactly with
     /// the per-sample totals a load report prints).
@@ -274,8 +261,7 @@ mod tests {
         assert!(p99 < 2000.0, "p99 {p99}ns should still be in the 1µs mass");
         let p100 = h.quantile(1.0);
         assert!(p100.as_micros() >= 800, "max-quantile {p100:?}");
-        assert!(h.max() >= Duration::from_micros(999));
-        assert!(h.mean() > Duration::from_micros(1));
+        assert_eq!(h.sum_ns(), 99 * 1_000 + 1_000_000);
     }
 
     #[test]
@@ -295,8 +281,8 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a.count(), whole.count());
-        assert_eq!(a.mean(), whole.mean());
-        assert_eq!(a.max(), whole.max());
+        assert_eq!(a.sum_ns(), whole.sum_ns());
+        assert_eq!(a.quantile(1.0), whole.quantile(1.0));
         for q in [0.1, 0.5, 0.9, 0.99] {
             assert_eq!(a.quantile(q), whole.quantile(q));
         }
@@ -373,6 +359,6 @@ mod tests {
         let h = LatencyHistogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.5), Duration::ZERO);
-        assert_eq!(h.mean(), Duration::ZERO);
+        assert_eq!(h.sum_ns(), 0);
     }
 }

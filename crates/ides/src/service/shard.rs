@@ -22,9 +22,10 @@
 //! * **Writes concurrently**: each shard owns its coalescer, writer lock,
 //!   and snapshot cell, so joins/leaves on different shards never
 //!   contend. Bulk admissions and drift epochs fan out across shards
-//!   (`fan_out`: one shard on the calling thread, the others on scoped
-//!   threads — one shard never spawns, and a bulk admission runs only
-//!   the shards its rows are dealt to).
+//!   (`fan_out`, through [`ides_linalg::kernels::fan_out`]: one shard on
+//!   the calling thread, the others on scoped threads — one shard never
+//!   spawns, and a bulk admission runs only the shards its rows are dealt
+//!   to).
 //! * **Validates at the boundary**: measurements and ids are checked for
 //!   the whole call before any shard mutates, so a rejected batch leaves
 //!   every shard exactly as it was.
@@ -38,7 +39,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use ides_linalg::Matrix;
+use ides_linalg::{kernels, Matrix};
 use parking_lot::Mutex;
 
 use crate::error::{IdesError, Result};
@@ -280,23 +281,17 @@ impl ShardedEngine {
     }
 
     /// Runs `work` once on each of the first `shards` shards (at least
-    /// one) and returns the results in shard order: shard 0 on the calling
-    /// thread, the other `shards − 1` concurrently on scoped threads — so
-    /// a one-shard call never spawns, and shards left out cost nothing.
+    /// one) through [`kernels::fan_out`], returning the results in shard
+    /// order: shard 0 on the calling thread, the other `shards − 1`
+    /// concurrently on scoped threads — so a one-shard call never spawns,
+    /// and shards left out cost nothing.
     fn fan_out<R: Send>(&self, shards: usize, work: impl Fn(usize, &Shard) -> R + Sync) -> Vec<R> {
         debug_assert!((1..=self.shards.len()).contains(&shards));
-        let run = |i: usize| {
+        kernels::fan_out(0..shards, |i| {
             let prev = tm::set_shard(i as u32);
             let r = work(i, &self.shards[i]);
             tm::set_shard(prev);
             r
-        };
-        std::thread::scope(|scope| {
-            let run = &run;
-            let rest: Vec<_> = (1..shards).map(|i| scope.spawn(move || run(i))).collect();
-            std::iter::once(run(0))
-                .chain(rest.into_iter().map(|h| h.join().expect("shard panicked")))
-                .collect()
         })
     }
 
@@ -1156,36 +1151,19 @@ mod tests {
         assert_eq!(w.hosts.meas_out.row(1)[3].to_bits(), 0.0f64.to_bits());
     }
 
-    /// `fan_out` holds this file's only `thread::scope` and is the only
-    /// way `join_many`, `apply_epoch` and `apply_epochs` reach a shard, so
-    /// what it does with threads is what they do: shard 0's work runs on
-    /// the caller, an engine with one shard spawns nothing, and a call
-    /// restricted to the first `r` shards spawns `r − 1` threads and
-    /// leaves the idle shards alone.
+    /// `fan_out` is the only way `join_many`, `apply_epoch` and
+    /// `apply_epochs` reach a shard, and it hands the first `r` shards to
+    /// `kernels::fan_out` (whose thread placement that crate tests): so a
+    /// bulk admission shorter than the shard count touches only the
+    /// shards its rows are dealt to.
     #[test]
-    fn fan_out_runs_shard_zero_on_the_caller_and_spawns_only_the_rest() {
+    fn short_bulk_admission_runs_only_the_dealt_shards() {
         for shards in SHARD_COUNTS {
             let e = engine(10, 4, shards);
-            let caller = std::thread::current().id();
             for active in 1..=shards {
-                let ran = e.fan_out(active, |i, _| (i, std::thread::current().id()));
-                assert_eq!(ran.len(), active, "{shards} shards, {active} active");
-                let threads: std::collections::HashSet<_> =
-                    ran.iter().map(|&(_, thread)| thread).collect();
-                for (at, (shard, thread)) in ran.into_iter().enumerate() {
-                    assert_eq!(shard, at, "results come back in shard order");
-                    assert_eq!(
-                        thread == caller,
-                        shard == 0,
-                        "{shards} shards, {active} active, shard {shard}"
-                    );
-                }
-                // One thread per active shard: the caller plus `active − 1`
-                // spawned, none for the idle shards.
-                assert_eq!(threads.len(), active, "{shards} shards, {active} active");
+                let ran = e.fan_out(active, |i, _| i);
+                assert_eq!(ran, (0..active).collect::<Vec<_>>(), "{shards} shards");
             }
-            // A bulk admission shorter than the shard count touches only
-            // the shards its rows are dealt to.
             let rows = Matrix::from_rows(&[meas(10, 1)]).unwrap();
             e.join_many(&rows, &rows).unwrap();
             let flushed: Vec<u64> = e.shard_stats().iter().map(|s| s.flushes).collect();

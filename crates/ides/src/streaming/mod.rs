@@ -28,8 +28,7 @@
 //!   and [`StreamingServer::rejoin`] re-joins only the hosts whose own
 //!   measurements drifted. Both run the one tiled cached join (256 hosts
 //!   at a time, measurement rows read in place, workers splitting on tile
-//!   boundaries under the `parallel` feature — bit-identical at any tile
-//!   boundary and worker count).
+//!   boundaries — bit-identical at any tile boundary and worker count).
 //!
 //! **The model exists once, and never changes.** [`LandmarkModel`] is the
 //! factors plus the two cached Gram factorizations every join solves
@@ -142,16 +141,6 @@ impl UpdateQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
         UpdateQueue::default()
-    }
-
-    /// Number of pending updates.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Epoch of the earliest pending update.
@@ -509,7 +498,7 @@ mod tests {
     fn update_queue_orders_by_epoch_then_insertion() {
         // Engine contract.
         let mut q = UpdateQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.next_epoch(), None);
         let u = |epoch: f64| EpochUpdate {
             epoch,
             deltas: Vec::new(),
@@ -518,7 +507,7 @@ mod tests {
         q.push(u(1.0));
         q.push(u(1.0));
         q.push(u(3.0));
-        assert_eq!(q.len(), 4);
+        assert_eq!(q.heap.len(), 4);
         assert_eq!(q.next_epoch(), Some(1.0));
         assert_eq!(q.pop().unwrap().epoch, 1.0);
         assert_eq!(q.pop().unwrap().epoch, 1.0);

@@ -26,10 +26,10 @@
 //! lane-independent — so results are **bit-identical at any tile
 //! boundary and any worker count**.
 //!
-//! **Thread policy.** A join fans out only when every worker gets at
-//! least [`MIN_TILES_PER_WORKER`] tiles, and the ambient thread cap is
-//! looked up only for joins that large — see the constant for the
-//! measurements behind the grain.
+//! **Thread policy.** A join fans out, through
+//! [`kernels::fan_out`] and up to the process's thread budget, only when
+//! every worker gets at least [`MIN_TILES_PER_WORKER`] tiles — see the
+//! constant for the measurements behind the grain.
 //!
 //! [`CachedGram::solve_rows_in_place`]: ides_linalg::solve::CachedGram::solve_rows_in_place
 
@@ -43,7 +43,7 @@ use ides_linalg::Matrix;
 
 use super::LandmarkModel;
 use crate::error::{IdesError, Result};
-use crate::eval::{eval_threads, shard_ranges};
+use crate::eval::shard_ranges;
 use crate::projection::BatchHostVectors;
 
 /// Hosts per tile. At `d = 16` a tile's two right-hand-side blocks are
@@ -56,25 +56,19 @@ const _: () = assert!(TILE_ROWS.is_multiple_of(CHUNK_ROWS));
 
 /// Minimum tiles per worker before [`LandmarkModel::join_into`] fans out.
 /// Sized from what a second worker costs on the 2-vCPU benchmark host: a
-/// scoped spawn + join of an idle thread ≈ 16 µs, plus ≈ 11 µs for
-/// `std::thread::available_parallelism()` (it reads cgroup files) when
-/// `IDES_LINALG_THREADS` is unset — ≈ 27 µs of fixed cost. A tile at the
+/// scoped spawn + join of an idle thread ≈ 16 µs. A tile at the
 /// benchmark's `k = 64`, `d = 16` is ≈ 75 µs of GEMM + solves (512 hosts:
 /// 147–154 µs on one thread), so 8 tiles ≈ 0.6 ms of work per worker keeps
 /// that fixed cost under 5 % of the smallest share ever handed to a
-/// thread; below 16 tiles (4 096 hosts) the join runs on the caller and
-/// never asks for the cap.
+/// thread; below 16 tiles (4 096 hosts) the join runs on the caller.
 const MIN_TILES_PER_WORKER: usize = 8;
 
-/// Workers for a join of `tiles` tiles: the ambient cap
-/// ([`eval_threads`]), clamped so each worker gets at least
-/// [`MIN_TILES_PER_WORKER`] tiles. The cap is resolved only when two
-/// workers' worth of tiles are there to split.
+/// Workers for a join of `tiles` tiles: the process's thread budget,
+/// clamped so each worker gets at least [`MIN_TILES_PER_WORKER`] tiles.
 fn tile_workers(tiles: usize) -> usize {
-    if tiles < 2 * MIN_TILES_PER_WORKER {
-        return 1;
-    }
-    eval_threads().min(tiles / MIN_TILES_PER_WORKER)
+    kernels::thread_budget()
+        .min(tiles / MIN_TILES_PER_WORKER)
+        .max(1)
 }
 
 /// Which rows of a measurement table a join covers, in join order.
@@ -283,7 +277,7 @@ impl LandmarkModel {
     }
 
     /// [`LandmarkModel::join_into`] on exactly `workers` workers (never
-    /// more than tiles; one runs on the calling thread), each taking a
+    /// more than tiles) through [`kernels::fan_out`], each taking a
     /// contiguous run of tiles. One worker is
     /// [`LandmarkModel::join_inline`]. The coordinates handed over are
     /// bit-identical at any count.
@@ -311,18 +305,9 @@ impl LandmarkModel {
             }
             Ok(())
         };
-        let shares = shard_ranges(tiles, workers);
-        let (&(lo, hi), spawned) = shares.split_first().expect("at least one share");
-        std::thread::scope(|scope| {
-            let run = &run;
-            let handles: Vec<_> = spawned
-                .iter()
-                .map(|&(lo, hi)| scope.spawn(move || run(lo..hi)))
-                .collect();
-            handles.into_iter().fold(run(lo..hi), |done, worker| {
-                done.and(worker.join().expect("rejoin worker panicked"))
-            })
-        })
+        kernels::fan_out(shard_ranges(tiles, workers), |(lo, hi)| run(lo..hi))
+            .into_iter()
+            .collect()
     }
 
     /// The cached join of `rows` on the calling thread — no scope, no sink

@@ -478,7 +478,6 @@ mod tests {
         let merged = reg.timer_histogram(Timer::Publish);
         assert_eq!(merged.count(), serial.count());
         assert_eq!(merged.sum_ns(), serial.sum_ns());
-        assert_eq!(merged.max(), serial.max());
         for q in [0.1, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(merged.quantile(q), serial.quantile(q));
         }

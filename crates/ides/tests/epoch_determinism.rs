@@ -12,9 +12,10 @@
 //! observed sets, whose grouped subset joins run serially by design.
 //!
 //! The matrix CI lane (`determinism-stress`) runs this suite across
-//! `IDES_LINALG_THREADS` x `IDES_LINALG_KERNEL` configurations. The
-//! tiled join's worker-count invariance is pinned in-crate
-//! (`streaming::tile::tests`), where the worker count can be passed.
+//! `IDES_LINALG_THREADS` x `IDES_LINALG_KERNEL` configurations, each set
+//! before its test process starts. The tiled join's worker-count
+//! invariance is pinned in-crate (`streaming::tile::tests`), where the
+//! worker count can be passed.
 
 use ides::service::{NodeId, ServiceConfig, ShardedEngine};
 use ides::streaming::{
@@ -303,38 +304,6 @@ fn repeated_same_row_deltas_absorb_once() {
     assert_eq!(outcome.applied, 5);
     assert_eq!(outcome.absorbed, 2);
     assert_eq!(srv.absorbed(), 2);
-}
-
-/// Engine-level: a one-shard engine under the ambient `IDES_LINALG_THREADS`
-/// resolution serves bit-identical snapshots at every thread count. Env
-/// mutation is process-global, so every env-touching assertion lives in
-/// this one test (the suite's own process, per CI lane).
-#[test]
-fn engine_epochs_bitwise_across_thread_env() {
-    let k = 12;
-    let hosts = 15;
-    let srv = server(k, 5, 63, 0.5);
-    let meas = meas_table(hosts, k, 64);
-
-    let run = |threads: &str| -> Vec<Vec<f64>> {
-        std::env::set_var("IDES_LINALG_THREADS", threads);
-        let engine = ShardedEngine::new(srv.clone(), 1, ServiceConfig::default()).expect("engine");
-        let ids = engine.join_many(&meas, &meas).expect("admit hosts");
-        for e in 1..=3 {
-            let update = drift_in_range(&srv, e as f64, 4, 0, k, 1.0 + 0.01 * e as f64);
-            engine.apply_epoch(&update).expect("epoch");
-        }
-        served_rows(&engine, &ids)
-    };
-
-    let baseline = run("1");
-    for t in ["2", "4", "7"] {
-        let got = run(t);
-        for (h, (a, b)) in baseline.iter().zip(got.iter()).enumerate() {
-            assert_bits_eq(a, b, &format!("IDES_LINALG_THREADS={t}, host {h}"));
-        }
-    }
-    std::env::remove_var("IDES_LINALG_THREADS");
 }
 
 #[test]

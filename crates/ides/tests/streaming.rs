@@ -125,9 +125,9 @@ fn apply_epoch_then_join_is_bit_identical_to_fresh_partial_refit() {
 
 #[test]
 fn rejoin_affected_is_identical_to_unsharded_join_rows() {
-    // The sharded re-join path (scoped threads under `parallel`, inline
-    // otherwise) must scatter exactly the rows an unsharded batch join
-    // computes — at any shard count, which the parallel CI lane exercises.
+    // The tiled re-join must scatter exactly the rows an unsharded batch
+    // join computes — at any thread budget, which the determinism-stress
+    // CI lane exercises.
     let ds = ides_datasets::generators::p2psim_like(30, 8).expect("dataset");
     let sub: Vec<usize> = (0..16).collect();
     let lm = ds.matrix.submatrix(&sub, &sub);

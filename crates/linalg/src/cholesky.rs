@@ -310,12 +310,6 @@ impl Cholesky {
         solve_cholesky_in_place(&self.l, &mut x)?;
         Ok(x)
     }
-
-    /// Solves `A xᵀ = bᵀ` for every row of `rhs` in place; see
-    /// [`solve_cholesky_rows_in_place`].
-    pub fn solve_rows_in_place(&self, rhs: &mut Matrix) -> Result<()> {
-        solve_cholesky_rows_in_place(&self.l, rhs)
-    }
 }
 
 #[cfg(test)]
@@ -375,7 +369,7 @@ mod tests {
         for rows in [4usize, 1, 2, 3, 5, 9, 15, 16, 17, 33] {
             let mut rhs = Matrix::from_fn(rows, 3, |i, j| (i + j) as f64 - 1.5);
             let expected: Vec<Vec<f64>> = (0..rows).map(|h| c.solve(rhs.row(h)).unwrap()).collect();
-            c.solve_rows_in_place(&mut rhs).unwrap();
+            solve_cholesky_rows_in_place(c.l(), &mut rhs).unwrap();
             for h in 0..rows {
                 for j in 0..3 {
                     // Bitwise: the row solve is the same arithmetic.
@@ -389,7 +383,7 @@ mod tests {
         }
         // Shape mismatch rejected.
         let mut bad = Matrix::zeros(2, 4);
-        assert!(c.solve_rows_in_place(&mut bad).is_err());
+        assert!(solve_cholesky_rows_in_place(c.l(), &mut bad).is_err());
     }
 
     /// Deterministic SPD test matrix `BᵀB + αI`.
@@ -493,14 +487,10 @@ mod tests {
             solve_cholesky_rows_in_place(&l, &mut rhs),
             Err(LinalgError::NotSquare { got: (3, 2), .. })
         ));
-        // The `Cholesky` wrappers reach the same check.
+        // The `Cholesky` wrapper reaches the same check.
         let c = Cholesky { l };
         assert!(matches!(
             c.solve(&[1.0, 2.0, 3.0]),
-            Err(LinalgError::NotSquare { .. })
-        ));
-        assert!(matches!(
-            c.solve_rows_in_place(&mut rhs),
             Err(LinalgError::NotSquare { .. })
         ));
     }
@@ -514,7 +504,7 @@ mod tests {
         // of `Bᵀ`.
         let rhs = Matrix::from_fn(4, 2, |i, j| (i as f64 + 1.0) * (j as f64 - 0.5));
         let mut xt = rhs.transpose();
-        c.solve_rows_in_place(&mut xt).unwrap();
+        solve_cholesky_rows_in_place(c.l(), &mut xt).unwrap();
         assert!(g.matmul(&xt.transpose()).unwrap().approx_eq(&rhs, 1e-10));
     }
 }

@@ -167,11 +167,6 @@ impl<T: Copy + Default> ChunkedRows<T> {
         self.len == 0
     }
 
-    /// Row width.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Number of leaf chunks currently allocated.
     pub fn chunk_count(&self) -> usize {
         self.len.div_ceil(CHUNK_ROWS)
@@ -310,12 +305,6 @@ impl<T: Copy + Default> ChunkedRows<T> {
         } else {
             *flags &= !bit;
         }
-    }
-
-    /// Overwrites row `row` with `values` (must be `cols` long).
-    pub fn set_row(&mut self, row: usize, values: &[T]) {
-        assert_eq!(values.len(), self.cols, "row width mismatch");
-        self.row_mut(row).copy_from_slice(values);
     }
 
     /// A new leaf whose first `rows` rows are the next values of `cells`
@@ -467,7 +456,7 @@ impl<T: Copy + Default> ChunkedRows<T> {
 
     /// Number of leaf chunks physically shared (same allocation) between
     /// `self` and `other` — the observable face of copy-on-write: after
-    /// `let b = a.clone()`, every leaf is shared; after one `set_row`,
+    /// `let b = a.clone()`, every leaf is shared; after one row write,
     /// exactly one leaf has diverged. An `O(leaves)` pointer walk: the
     /// oracle of [`ChunkedRows::shared_with_fork`].
     pub fn shared_chunks_with(&self, other: &ChunkedRows<T>) -> usize {
@@ -518,7 +507,6 @@ mod tests {
         let rows = CHUNK_ROWS * FANOUT * FANOUT + CHUNK_ROWS + 7;
         let (t, shadow) = filled(rows, 3);
         assert_eq!(t.len(), rows);
-        assert_eq!(t.cols(), 3);
         assert_eq!(t.chunk_count(), rows.div_ceil(CHUNK_ROWS));
         for (i, want) in shadow.iter().enumerate() {
             assert_eq!(t.row(i), want.as_slice());
@@ -530,11 +518,11 @@ mod tests {
     #[test]
     fn set_row_and_row_mut_update_in_place() {
         let (mut t, mut shadow) = filled(600, 4);
-        t.set_row(0, &[9.0; 4]);
+        t.row_mut(0).copy_from_slice(&[9.0; 4]);
         shadow[0] = vec![9.0; 4];
         t.row_mut(599)[2] = -1.0;
         shadow[599][2] = -1.0;
-        t.set_row(257, &[7.0; 4]);
+        t.row_mut(257).copy_from_slice(&[7.0; 4]);
         shadow[257] = vec![7.0; 4];
         for (i, want) in shadow.iter().enumerate() {
             assert_eq!(t.row(i), want.as_slice(), "row {i}");
@@ -548,12 +536,12 @@ mod tests {
         let chunks = t.chunk_count();
         assert_eq!(t.shared_chunks_with(&snap), chunks);
         // One row write diverges exactly one chunk.
-        t.set_row(CHUNK_ROWS * 2 + 3, &[1.0, 2.0]);
+        t.row_mut(CHUNK_ROWS * 2 + 3).copy_from_slice(&[1.0, 2.0]);
         assert_eq!(t.shared_chunks_with(&snap), chunks - 1);
         // Writing another row of the SAME chunk diverges nothing more.
-        t.set_row(CHUNK_ROWS * 2 + 4, &[3.0, 4.0]);
+        t.row_mut(CHUNK_ROWS * 2 + 4).copy_from_slice(&[3.0, 4.0]);
         assert_eq!(t.shared_chunks_with(&snap), chunks - 1);
-        t.set_row(0, &[5.0, 6.0]);
+        t.row_mut(0).copy_from_slice(&[5.0, 6.0]);
         assert_eq!(t.shared_chunks_with(&snap), chunks - 2);
     }
 
@@ -618,7 +606,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let pick = (state >> 33) as usize;
             match step % 6 {
-                0 | 1 => t.set_row(pick % t.len(), &[1.0, 2.0]),
+                0 | 1 => t.row_mut(pick % t.len()).copy_from_slice(&[1.0, 2.0]),
                 5 => t.set_flag(pick % t.len(), pick.is_multiple_of(2)),
                 2 => t.push_row(&[3.0, 4.0]),
                 3 => {
@@ -737,7 +725,7 @@ mod tests {
         let (mut t, shadow) = filled(CHUNK_ROWS * 3, 3);
         let frozen = t.clone();
         for i in 0..t.len() {
-            t.set_row(i, &[-1.0, -2.0, -3.0]);
+            t.row_mut(i).copy_from_slice(&[-1.0, -2.0, -3.0]);
         }
         t.push_row(&[0.0; 3]);
         for (i, want) in shadow.iter().enumerate() {
@@ -786,7 +774,7 @@ mod tests {
         assert_eq!(t.flagged_row(rows), None);
         // Flags survive a row write and a whole-leaf replacement, and a
         // cleared flag reads as never set.
-        t.set_row(4, &[9.0, 9.0]);
+        t.row_mut(4).copy_from_slice(&[9.0, 9.0]);
         t.replace_chunk(1, [&vec![-1.0; CHUNK_ROWS * 2][..]]);
         t.set_flag(0, false);
         assert!(!t.flag(0) && t.flag(4) && t.flag(CHUNK_ROWS) && t.flag(CHUNK_ROWS - 1));

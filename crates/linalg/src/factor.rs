@@ -65,11 +65,10 @@
 //!   Cyclic Jacobi ([`crate::eig::symmetric_eig_jacobi`]) remains the
 //!   small-matrix path and fallback.
 //!
-//! Under the `parallel` cargo feature the panel updates fan out exactly
-//! like every other product on the kernel layer — the trailing updates and
-//! block accumulations are plain GEMMs, whose row bands are numerically
-//! independent — so results are **bit-identical** with the feature on or
-//! off.
+//! The panel updates fan out exactly like every other product on the
+//! kernel layer — the trailing updates and block accumulations are plain
+//! GEMMs, whose row bands are numerically independent — so results are
+//! **bit-identical** at any thread budget.
 
 use crate::eig::SymmetricEig;
 use crate::error::{ensure_finite, LinalgError, Result};
@@ -1438,6 +1437,36 @@ mod tests {
                     e_s[i]
                 );
             }
+        }
+    }
+
+    /// The blocked factorizations are bit-identical at any thread budget:
+    /// their panel updates are ordinary kernel-layer GEMMs, whose row
+    /// bands are numerically independent. The shape is large enough that
+    /// the trailing-update GEMMs cross the kernel layer's fan-out gate.
+    #[test]
+    fn parallel_factorizations_are_bit_identical() {
+        let a = det_matrix(1024, 400, 77);
+        let run = |workers| {
+            kernels::with_budget(workers, || {
+                (crate::qr::qr(&a).unwrap(), crate::svd::svd(&a).unwrap())
+            })
+        };
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (qr_seq, svd_seq) = run(1);
+        for workers in [2, 4, 7] {
+            let (qr_par, svd_par) = run(workers);
+            assert_eq!(bits(&qr_par.q), bits(&qr_seq.q), "{workers} workers: Q");
+            assert_eq!(bits(&qr_par.r), bits(&qr_seq.r), "{workers} workers: R");
+            assert_eq!(bits(&svd_par.u), bits(&svd_seq.u), "{workers} workers: U");
+            assert_eq!(bits(&svd_par.v), bits(&svd_seq.v), "{workers} workers: V");
+            let sv = |s: &Svd| {
+                s.singular_values
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(sv(&svd_par), sv(&svd_seq), "{workers} workers: Σ");
         }
     }
 }

@@ -50,12 +50,10 @@
 //! | anything else | portable `f64::mul_add` tile      | portable `f64::mul_add` tile        |
 //!
 //! The back end is chosen **once per process** (`std::sync::OnceLock`) by
-//! `is_x86_feature_detected!`, so binaries built with the (default-on)
-//! `simd` cargo feature run correctly on any x86-64 host — no reliance on
-//! compile-time `target-cpu` flags. Setting `IDES_LINALG_KERNEL` to
-//! `scalar`, `avx2`, or `avx512` forces a back end (requests the CPU cannot
-//! honor fall back to auto-detection); building with
-//! `--no-default-features` compiles the intrinsics out entirely. On
+//! `is_x86_feature_detected!`, so every x86-64 build runs correctly on any
+//! x86-64 host — no reliance on compile-time `target-cpu` flags. Setting
+//! `IDES_LINALG_KERNEL` to `scalar`, `avx2`, or `avx512` forces a back end
+//! (requests the CPU cannot honor fall back to auto-detection). On
 //! non-x86-64 targets the scalar tile is always used, and `f64::mul_add`
 //! lowers to the native FMA instruction wherever one exists.
 //!
@@ -64,8 +62,8 @@
 //! For every output cell the contributions are accumulated in ascending-`k`
 //! order within each `KC` panel, and panels are added in ascending order,
 //! so results are **bit-identical across runs, block sizes permitting**,
-//! and — because row bands are numerically independent — bit-identical with
-//! the `parallel` feature on or off. Every back end performs the *same*
+//! and — because row bands are numerically independent — bit-identical at
+//! any thread count. Every back end performs the *same*
 //! exactly-rounded fused multiply-add per element in the *same* order
 //! (`f64::mul_add` ≡ `vfmadd`), so results are also **bit-identical across
 //! ISAs**: scalar, AVX2, and AVX-512 kernels agree bitwise, which keeps
@@ -84,13 +82,16 @@
 //! chain per `KC` panel, summed as `((0.0 + t₀) + t₁) + …`, so there the
 //! two agree to the last bit, the sign of zero included.
 //!
-//! # `parallel` feature
+//! # Threads
 //!
-//! With the (default-off) `parallel` cargo feature, products large enough
-//! to amortize thread startup are split into row bands executed on std
-//! scoped threads (one per available core, capped by band count). Each band
-//! writes a disjoint slice of the output, so no synchronization is needed
-//! and results do not change: all threads use the one process-wide ISA.
+//! The process has one compute thread budget, [`thread_budget`], resolved
+//! once like the ISA: `IDES_LINALG_THREADS` if it names a positive count,
+//! else the detected core count. Every compute fan-out in the workspace
+//! runs through [`fan_out`]. Here, products large enough to amortize
+//! thread startup (`m ≥ 2·MC` and `m·n·k ≥ 2²³`) are split into row bands,
+//! one per thread of the budget (capped by band count). Each band writes a
+//! disjoint slice of the output, so no synchronization is needed and
+//! results do not change: all threads use the one process-wide ISA.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -125,11 +126,11 @@ thread_local! {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Isa {
     /// Portable fused tile built on `f64::mul_add` — the universal
-    /// fallback, and the only back end compiled without the `simd` feature.
+    /// fallback, and the only back end on non-x86-64 targets.
     Scalar,
-    /// 256-bit AVX2+FMA kernels (x86-64 with the `simd` feature).
+    /// 256-bit AVX2+FMA kernels (x86-64).
     Avx2Fma,
-    /// 512-bit AVX-512F kernels (x86-64 with the `simd` feature).
+    /// 512-bit AVX-512F kernels (x86-64).
     Avx512,
 }
 
@@ -138,7 +139,7 @@ static ACTIVE_ISA: OnceLock<Isa> = OnceLock::new();
 /// The back end every kernel entry point dispatches to, chosen once per
 /// process: the `IDES_LINALG_KERNEL` env var (`scalar` / `avx2` /
 /// `avx512`) if set and supported, otherwise the widest ISA the CPU
-/// reports. Without the `simd` feature this is always [`Isa::Scalar`].
+/// reports. Off x86-64 this is always [`Isa::Scalar`].
 pub fn active_isa() -> Isa {
     *ACTIVE_ISA.get_or_init(|| {
         let forced = std::env::var("IDES_LINALG_KERNEL").ok();
@@ -158,13 +159,85 @@ fn select_isa(forced: Option<&str>) -> Isa {
     }
 }
 
+static THREAD_BUDGET: OnceLock<usize> = OnceLock::new();
+
+/// The compute threads one fan-out may use, resolved once per process:
+/// `IDES_LINALG_THREADS` if it names a positive count, otherwise the
+/// detected core count (`available_parallelism`, which reads cgroup files
+/// — ≈ 11 µs, so it is never asked twice).
+pub fn thread_budget() -> usize {
+    #[cfg(test)]
+    if let Some(workers) = TEST_BUDGET.get() {
+        return workers;
+    }
+    *THREAD_BUDGET.get_or_init(|| {
+        let var = std::env::var("IDES_LINALG_THREADS").ok();
+        parse_budget(var.as_deref(), || {
+            std::thread::available_parallelism().map_or(1, |t| t.get())
+        })
+    })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// A unit test's budget for fan-outs started on its own thread.
+    static TEST_BUDGET: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Runs `f` with [`thread_budget`] reading `workers` on this thread.
+#[cfg(test)]
+pub(crate) fn with_budget<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+    let prev = TEST_BUDGET.replace(Some(workers));
+    let r = f();
+    TEST_BUDGET.set(prev);
+    r
+}
+
+/// A positive count in `var`, or `detect()` when it is unset, zero or not
+/// a number.
+fn parse_budget(var: Option<&str>, detect: impl FnOnce() -> usize) -> usize {
+    var.and_then(|v| v.parse::<usize>().ok())
+        .filter(|&t| t >= 1)
+        .unwrap_or_else(detect)
+}
+
+/// Runs `work` once per item and returns the results in item order: the
+/// first item on the calling thread, every other item on a scoped thread
+/// of its own, spawned before the caller starts. One item spawns nothing.
+/// The caller sizes the item list; this is the only place the workspace's
+/// compute paths start threads.
+pub fn fan_out<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    work: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    let mut rest = items.peekable();
+    if rest.peek().is_none() {
+        return vec![work(first)];
+    }
+    std::thread::scope(|scope| {
+        let work = &work;
+        let spawned: Vec<_> = rest.map(|item| scope.spawn(move || work(item))).collect();
+        std::iter::once(work(first))
+            .chain(
+                spawned
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+            )
+            .collect()
+    })
+}
+
 /// Every back end this build + CPU can run, narrowest first (so the last
 /// element is the auto-detected choice). Used by the bitwise-identity test
 /// suite to exercise each compiled kernel regardless of dispatch.
 pub fn available_isas() -> Vec<Isa> {
     #[allow(unused_mut)]
     let mut isas = vec![Isa::Scalar];
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
             isas.push(Isa::Avx2Fma);
@@ -215,52 +288,27 @@ pub fn gemm(
         out.fill(0.0);
         return;
     }
+    // Only products with substantial per-band work fan out; the size
+    // gate keeps small products (the NMF/ALS inner-loop common case) on
+    // the caller's thread-local buffers, allocation-free.
+    let workers = if m >= 2 * MC && m * n * k >= 1 << 23 {
+        thread_budget()
+    } else {
+        1
+    };
+    // At most `workers` row bands (never more than `m` spans of MC rows),
+    // each a multiple of MR rows and numerically independent of the rest.
     let isa = active_isa();
-
-    // Only products with substantial per-band work consider fanning out;
-    // the size gate comes first so small products (the NMF/ALS inner-loop
-    // common case) skip the env lookup entirely and stay allocation-free.
-    #[cfg(feature = "parallel")]
-    if m >= 2 * MC && m * n * k >= 1 << 23 {
-        // `IDES_LINALG_THREADS` overrides the detected core count (useful
-        // for pinning bench configurations and for testing the parallel
-        // path on single-core machines).
-        let threads = std::env::var("IDES_LINALG_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|t| t.get())
-                    .unwrap_or(1)
-            });
-        if threads > 1 {
-            let bands = threads.min(m.div_ceil(MC));
-            let rows_per_band = m.div_ceil(bands).div_ceil(MR) * MR;
-            std::thread::scope(|scope| {
-                let mut rest = out;
-                let mut row0 = 0usize;
-                while row0 < m {
-                    let rows = rows_per_band.min(m - row0);
-                    let (band, tail) = rest.split_at_mut(rows * n);
-                    rest = tail;
-                    let r0 = row0;
-                    scope.spawn(move || {
-                        let mut bufs = Buffers::default();
-                        gemm_serial(
-                            isa, a, a_op, lda, b, b_op, ldb, band, r0, rows, n, k, &mut bufs,
-                        );
-                    });
-                    row0 += rows;
-                }
-            });
-            return;
-        }
-    }
-
-    BUFFERS.with(|bufs| {
-        let mut bufs = bufs.borrow_mut();
-        gemm_serial(isa, a, a_op, lda, b, b_op, ldb, out, 0, m, n, k, &mut bufs);
+    let rows_per_band = m.div_ceil(workers.min(m.div_ceil(MC))).div_ceil(MR) * MR;
+    let bands = out.chunks_mut(rows_per_band * n).enumerate();
+    fan_out(bands, |(i, band)| {
+        BUFFERS.with(|bufs| {
+            let (row0, rows) = (i * rows_per_band, band.len() / n);
+            let mut bufs = bufs.borrow_mut();
+            gemm_serial(
+                isa, a, a_op, lda, b, b_op, ldb, band, row0, rows, n, k, &mut bufs,
+            );
+        })
     });
 }
 
@@ -464,7 +512,7 @@ fn narrow_tile(
     k: usize,
 ) {
     match isa {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: `isa` only holds these variants when `available_isas`
         // reported the feature. `a` starts a `rows × k` block at stride
         // `lda` and `b` a `k × n` block at stride `ldb`, both inside the
@@ -472,7 +520,7 @@ fn narrow_tile(
         // `1 ≤ rows ≤ MR` and `1 ≤ n ≤ NARROW_N`.
         #[allow(unsafe_code)]
         Isa::Avx2Fma => unsafe { x86::narrow_avx2(a, lda, b, ldb, out, rows, n, k) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
         Isa::Avx512 => unsafe { x86::narrow_avx512(a, lda, b, ldb, out, rows, n, k) },
         _ => narrow_scalar(a, lda, b, ldb, out, rows, n, k),
@@ -511,12 +559,12 @@ fn narrow_scalar(
 #[inline(always)]
 fn micro_kernel(isa: Isa, a_tile: &[f64], b_tile: &[f64], kc: usize, acc: &mut [[f64; NR]; MR]) {
     match isa {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: `isa` only holds these variants when `available_isas`
         // (i.e. `is_x86_feature_detected!`) reported the feature.
         #[allow(unsafe_code)]
         Isa::Avx2Fma => unsafe { x86::micro_kernel_avx2(a_tile, b_tile, kc, acc) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
         Isa::Avx512 => unsafe { x86::micro_kernel_avx512(a_tile, b_tile, kc, acc) },
         _ => micro_kernel_scalar(a_tile, b_tile, kc, acc),
@@ -550,7 +598,7 @@ fn micro_kernel_scalar(a_tile: &[f64], b_tile: &[f64], kc: usize, acc: &mut [[f6
 /// dispatching through [`active_isa`] / [`available_isas`]) and computes
 /// exactly the same fused operations in the same order as the scalar
 /// fallbacks, so results are bitwise interchangeable.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
     use super::{MR, NR};
@@ -1091,12 +1139,12 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 pub fn dot_with_isa(isa: Isa, a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     match isa {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: `isa` only holds these variants when the CPU reported
         // the feature (see `available_isas`).
         #[allow(unsafe_code)]
         Isa::Avx2Fma => unsafe { x86::dot_avx2(a, b) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
         Isa::Avx512 => unsafe { x86::dot_avx512(a, b) },
         _ => dot_scalar(a, b),
@@ -1132,12 +1180,12 @@ fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
 /// Elementwise, so bit-identical across back ends by construction.
 pub fn axpy_with_isa(isa: Isa, alpha: f64, x: &[f64], y: &mut [f64]) {
     match isa {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: `isa` only holds these variants when the CPU reported
         // the feature (see `available_isas`).
         #[allow(unsafe_code)]
         Isa::Avx2Fma => unsafe { x86::axpy_avx2(alpha, x, y) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
         Isa::Avx512 => unsafe { x86::axpy_avx512(alpha, x, y) },
         _ => {
@@ -1668,20 +1716,48 @@ mod tests {
         assert!(c.as_slice().iter().all(|&x| x == 0.0));
     }
 
-    /// With the `parallel` feature, row-band fan-out must be bit-identical
-    /// to the sequential path (bands are numerically independent).
-    #[cfg(feature = "parallel")]
+    /// Row-band fan-out must be bit-identical to one band at any worker
+    /// count (bands are numerically independent), odd counts included.
     #[test]
     fn parallel_is_bit_identical() {
         let m = 2 * MC + 7; // large enough to cross the fan-out threshold
         let a = det_matrix(m, 300, 21);
         let b = det_matrix(300, 150, 22);
-        std::env::set_var("IDES_LINALG_THREADS", "4");
-        let par = a.matmul(&b).unwrap();
-        std::env::set_var("IDES_LINALG_THREADS", "1");
-        let seq = a.matmul(&b).unwrap();
-        std::env::remove_var("IDES_LINALG_THREADS");
-        assert_eq!(par, seq);
+        let run = |workers| {
+            let c = with_budget(workers, || a.matmul(&b).unwrap());
+            c.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let seq = run(1);
+        for workers in [2, 4, 7] {
+            assert_eq!(run(workers), seq, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn thread_budget_parse() {
+        let detect = || 5;
+        assert_eq!(parse_budget(Some("3"), detect), 3);
+        for fallback in [Some("0"), Some("x"), Some(""), None] {
+            assert_eq!(parse_budget(fallback, detect), 5, "{fallback:?}");
+        }
+    }
+
+    /// What [`fan_out`] does with threads is what every compute fan-out
+    /// does: item 0 runs on the caller, one item spawns nothing, and `r`
+    /// items spawn `r − 1` threads, results in item order.
+    #[test]
+    fn fan_out_runs_item_zero_on_the_caller_and_spawns_only_the_rest() {
+        let caller = std::thread::current().id();
+        assert!(fan_out(0..0, |i: usize| i).is_empty());
+        for items in 1..=4usize {
+            let ran = fan_out(0..items, |i| (i, std::thread::current().id()));
+            let threads: std::collections::HashSet<_> = ran.iter().map(|&(_, t)| t).collect();
+            assert_eq!(threads.len(), items, "one thread per item");
+            for (at, (item, thread)) in ran.into_iter().enumerate() {
+                assert_eq!(item, at, "results come back in item order");
+                assert_eq!(thread == caller, item == 0, "{items} items, item {item}");
+            }
+        }
     }
 
     #[test]

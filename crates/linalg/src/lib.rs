@@ -39,8 +39,7 @@
 //! micro-kernel back end — 512-bit AVX-512F, 256-bit AVX2+FMA, or the
 //! portable `f64::mul_add` scalar tile — is chosen **once per process**
 //! by runtime CPU detection ([`kernels::active_isa`]; override with
-//! `IDES_LINALG_KERNEL=scalar|avx2|avx512`, or compile vector kernels
-//! out via `--no-default-features`). Packing
+//! `IDES_LINALG_KERNEL=scalar|avx2|avx512`). Packing
 //! buffers are thread-local and reused, so steady-state products allocate
 //! nothing — the foundation of the allocation-free NMF/ALS iteration
 //! loops in `ides-mf`. Per output cell, contributions accumulate in
@@ -49,13 +48,14 @@
 //! for depths `<= KC` they match a fused textbook dot product bit for
 //! bit.
 //!
-//! ## The `parallel` feature
+//! ## Threads
 //!
-//! The off-by-default `parallel` cargo feature lets large products fan out
-//! across row bands on std scoped threads (thread count from the host, or
-//! the `IDES_LINALG_THREADS` env var). Bands are numerically independent,
-//! so **results are bit-identical with the feature on or off**; small
-//! products stay on the sequential path regardless.
+//! Large products fan out across row bands on std scoped threads through
+//! [`kernels::fan_out`], one band per thread of the process's budget
+//! ([`kernels::thread_budget`]: the `IDES_LINALG_THREADS` env var, or the
+//! host's core count). Bands are numerically independent, so **results are
+//! bit-identical at any thread count**; small products stay on the
+//! calling thread.
 //!
 //! ```
 //! use ides_linalg::{Matrix, svd::svd};
@@ -74,7 +74,7 @@
 
 #![warn(missing_docs)]
 // Unsafe code is denied crate-wide and allowed back in exactly one place:
-// the feature-gated `kernels::x86` module holding the AVX2/AVX-512 FMA
+// the x86-64-only `kernels::x86` module holding the AVX2/AVX-512 FMA
 // intrinsics behind runtime CPU-feature detection.
 #![deny(unsafe_code)]
 

@@ -469,11 +469,6 @@ impl Matrix {
         self.data.iter().copied().reduce(f64::min)
     }
 
-    /// Maximum entry, or `None` for an empty matrix.
-    pub fn max(&self) -> Option<f64> {
-        self.data.iter().copied().reduce(f64::max)
-    }
-
     /// Extracts the sub-matrix of the given rows and all columns.
     pub fn select_rows(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(indices.len(), self.cols);
@@ -820,7 +815,6 @@ mod tests {
         assert_eq!(a.sum(), -1.0);
         assert_eq!(a.mean(), -0.25);
         assert_eq!(a.min(), Some(-4.0));
-        assert_eq!(a.max(), Some(3.0));
     }
 
     #[test]

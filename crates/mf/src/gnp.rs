@@ -14,7 +14,7 @@ use ides_datasets::DistanceMatrix;
 use ides_linalg::Matrix;
 
 use crate::error::{MfError, Result};
-use crate::model::{DistanceEstimator, EuclideanModel};
+use crate::model::DistanceEstimator;
 use crate::optimizer::{nelder_mead, NelderMeadOptions};
 
 /// Configuration for the GNP fit.
@@ -247,19 +247,9 @@ impl GnpModel {
         &self.landmarks
     }
 
-    /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Distance between two coordinate vectors.
     pub fn distance(a: &[f64], b: &[f64]) -> f64 {
         euclid(a, b)
-    }
-
-    /// The Euclidean model over the landmarks themselves.
-    pub fn landmark_model(&self) -> EuclideanModel {
-        EuclideanModel::new(self.landmarks.clone())
     }
 }
 

@@ -71,16 +71,6 @@ impl LipschitzPca {
         })
     }
 
-    /// The calibrated Euclidean model over the training hosts.
-    pub fn model(&self) -> &EuclideanModel {
-        &self.model
-    }
-
-    /// Calibration factor α.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-
     /// Embeds a *new* host from its Lipschitz vector (distances to the same
     /// landmark set used in training), returning calibrated coordinates.
     pub fn embed(&self, distances_to_landmarks: &[f64]) -> Result<Vec<f64>> {
@@ -262,7 +252,7 @@ mod tests {
         // land on host 4's coordinates.
         let row: Vec<f64> = (0..12).map(|j| data.get(4, j).unwrap()).collect();
         let emb = model.embed(&row).unwrap();
-        let train = model.model().coords().row(4);
+        let train = model.model.coords().row(4);
         for (a, b) in emb.iter().zip(train.iter()) {
             assert!((a - b).abs() < 1e-9, "{emb:?} vs {train:?}");
         }
@@ -356,7 +346,7 @@ mod tests {
         let values = Matrix::from_fn(10, 4, |i, j| ((i + 1) * (j + 2)) as f64);
         let data = DistanceMatrix::full("rect", values).unwrap();
         let model = LipschitzPca::fit_landmarks(&data, 2).unwrap();
-        assert_eq!(model.model().coords().shape(), (10, 2));
-        assert_eq!(model.scale(), 1.0);
+        assert_eq!(model.model.coords().shape(), (10, 2));
+        assert_eq!(model.scale, 1.0);
     }
 }

@@ -164,11 +164,6 @@ impl<'a> DriftStream<'a> {
         &self.hosts
     }
 
-    /// The epoch of the last emitted batch.
-    pub fn epoch(&self) -> f64 {
-        self.epoch
-    }
-
     /// The full drifted RTT matrix over the tracked hosts at epoch zero —
     /// the matrix a consumer fits its initial model from.
     pub fn initial_matrix(&self) -> ides_linalg::Matrix {

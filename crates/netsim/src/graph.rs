@@ -34,16 +34,6 @@ impl Graph {
         }
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// True if the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
-    }
-
     /// Adds a node, returning its id.
     pub fn add_node(&mut self) -> NodeId {
         self.adj.push(Vec::new());
@@ -265,11 +255,11 @@ mod tests {
     #[test]
     fn node_and_edge_counts() {
         let mut g = Graph::new(0);
-        assert!(g.is_empty());
+        assert!(g.adj.is_empty());
         let a = g.add_node();
         let b = g.add_node();
         g.add_link(a, b, 1.0);
-        assert_eq!(g.len(), 2);
+        assert_eq!(g.adj.len(), 2);
         assert_eq!(g.edges(a).len(), 1);
         assert_eq!(g.edges(b).len(), 1);
     }

@@ -101,7 +101,9 @@
 #                        fresh slots appended as whole leaves into reserved
 #                        measurement rows and 3.02-4.43x with the per-row
 #                        slot growth it replaced, so the ceiling catches
-#                        per-row growth coming back
+#                        per-row growth coming back. run_benches.sh runs
+#                        `serve` at IDES_LINALG_THREADS=1, so both sides
+#                        stay on one thread as when the ceiling was set
 #   serve_sharded        publish churn at 10x hosts <= MAX_PUBLISH_GROWTH
 #                        (default 2.0) x the 1x cost — the chunk-tree
 #                        publish-cost-independence claim — and each

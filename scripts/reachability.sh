@@ -19,6 +19,24 @@
 # something else is not reported; the sweep can miss dead code, but what
 # it reports is dead.
 #
+# Methods that share a name (`Matrix::push_row` and `ChunkedRows::push_row`
+# count as one name here) need the typed report, run by hand with the
+# nightly toolchain (a report, not a CI gate; CI's toolchain is stable):
+#
+#   for c in ides-linalg ides-netsim ides-datasets ides-mf ides \
+#            ides-experiments ides-bench; do
+#       cargo +nightly rustdoc -p "$c" --lib -- \
+#           -Z unstable-options --output-format json
+#   done
+#
+# Each target/doc/<crate>.json gives every `pub` item's path and span. List
+# the inherent `pub` methods whose name another item also has, then settle
+# each one with the compiler: make it `pub(crate)` and build every target
+# of the workspace and of benchmark/. A use outside the crate fails to
+# compile; a method no code of its own crate calls gets a dead_code
+# warning. The finds that stay are the `# method:` lines at the end of
+# scripts/reachability.allow, each with its reason.
+#
 # scripts/reachability.allow lists the finds that stay, one per line:
 # `<name> <reason>`, where the name is the item's or, to allow every find in
 # one file, the file's path. Blank lines and lines starting with `#` are

@@ -5,16 +5,17 @@
 //! public APIs of every crate together. Re-exports are provided for
 //! convenience.
 //!
-//! # The `parallel` feature and `IDES_LINALG_THREADS`
+//! # Threads and `IDES_LINALG_THREADS`
 //!
-//! The `ides` and `ides-linalg` crates expose an off-by-default `parallel`
-//! cargo feature. In `ides-linalg` it row-band-parallelizes the blocked
-//! GEMM kernels; in `ides` it additionally shards the §6 evaluation sweeps
-//! (batched host joins/embeddings plus O(n²) pair scoring) over std scoped
-//! threads. `IDES_LINALG_THREADS=N` overrides the detected core count for
-//! both. Outputs are bit-identical with the feature on or off and at any
-//! thread count: shards partition per-host-independent work and merge in a
-//! fixed order. See the workspace `README.md` for usage examples.
+//! There is one build. Large blocked GEMMs split into row bands, the §6
+//! evaluation sweeps (batched host joins/embeddings plus O(n²) pair
+//! scoring) split into host shards, and the serving engine's shards run
+//! side by side, all through one helper (`ides_linalg::kernels::fan_out`)
+//! and one thread budget read once per process: `IDES_LINALG_THREADS=N`
+//! if set, else the detected core count. Outputs are bit-identical at any
+//! thread count: bands and shards partition per-row-independent work and
+//! merge in a fixed order. See the workspace `README.md` for usage
+//! examples.
 
 #![forbid(unsafe_code)]
 
