@@ -22,10 +22,10 @@
 //! * **Writes concurrently**: each shard owns its coalescer, writer lock,
 //!   and snapshot cell, so joins/leaves on different shards never
 //!   contend. Bulk admissions and drift epochs fan out across shards
-//!   (`fan_out`, through [`ides_linalg::kernels::fan_out`]: one shard on
-//!   the calling thread, the others on scoped threads — one shard never
-//!   spawns, and a bulk admission runs only the shards its rows are dealt
-//!   to).
+//!   (`fan_out`, through [`ides_linalg::kernels::fan_out`]: one shard
+//!   runs on the calling thread and never spawns, two or more run on
+//!   scoped threads of their own, and a bulk admission runs only the
+//!   shards its rows are dealt to).
 //! * **Validates at the boundary**: measurements and ids are checked for
 //!   the whole call before any shard mutates, so a rejected batch leaves
 //!   every shard exactly as it was.
@@ -282,8 +282,8 @@ impl ShardedEngine {
 
     /// Runs `work` once on each of the first `shards` shards (at least
     /// one) through [`kernels::fan_out`], returning the results in shard
-    /// order: shard 0 on the calling thread, the other `shards − 1`
-    /// concurrently on scoped threads — so a one-shard call never spawns,
+    /// order: one shard on the calling thread, two or more concurrently
+    /// on scoped threads of their own — so a one-shard call never spawns,
     /// and shards left out cost nothing.
     fn fan_out<R: Send>(&self, shards: usize, work: impl Fn(usize, &Shard) -> R + Sync) -> Vec<R> {
         debug_assert!((1..=self.shards.len()).contains(&shards));

@@ -55,8 +55,9 @@ const TILE_ROWS: usize = 256;
 const _: () = assert!(TILE_ROWS.is_multiple_of(CHUNK_ROWS));
 
 /// Minimum tiles per worker before [`LandmarkModel::join_into`] fans out.
-/// Sized from what a second worker costs on the 2-vCPU benchmark host: a
-/// scoped spawn + join of an idle thread ≈ 16 µs. A tile at the
+/// Sized from what a worker costs on the 2-vCPU benchmark host (every
+/// worker of a fan-out is spawned): a scoped spawn + join of an idle
+/// thread ≈ 16 µs. A tile at the
 /// benchmark's `k = 64`, `d = 16` is ≈ 75 µs of GEMM + solves (512 hosts:
 /// 147–154 µs on one thread), so 8 tiles ≈ 0.6 ms of work per worker keeps
 /// that fixed cost under 5 % of the smallest share ever handed to a
