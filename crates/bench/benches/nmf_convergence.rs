@@ -1,6 +1,6 @@
-//! NMF sweep-budget ablation (DESIGN.md §5): the paper claims "two hundred
-//! iterations suffice". This bench times NMF from its random start at
-//! several fixed sweep budgets (early stopping off) so the time/accuracy
+//! NMF sweep-budget ablation (README §"Ablations"): the paper claims "two
+//! hundred iterations suffice". This bench times NMF from its random start
+//! at several fixed sweep budgets (early stopping off) so the time/accuracy
 //! trade-off can be read off together with the error traces from the fig3
 //! experiment.
 

@@ -1,7 +1,7 @@
-//! Host-join solver ablation (DESIGN.md §5): the paper writes the join as
-//! normal equations (Eqs. 13–14); we default to Householder QR. This bench
-//! quantifies the cost of each solver, plus the NNLS variant, at realistic
-//! landmark counts.
+//! Host-join solver ablation (README §"Ablations"): the paper writes the
+//! join as normal equations (Eqs. 13–14); we default to Householder QR.
+//! This bench quantifies the cost of each solver, plus the NNLS variant, at
+//! realistic landmark counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

@@ -5,7 +5,8 @@
 //! below builds a synthetic topology whose *structure* matches what the
 //! paper reports about the corresponding data set (size, geography,
 //! measurement style), then runs the simulated measurement pipeline.
-//! DESIGN.md §2 documents each substitution.
+//! Each generator's doc below states its substitution; the
+//! `datasets_summary` experiment prints the structure each one produces.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -1,21 +1,20 @@
-//! Ablations of the design choices called out in DESIGN.md §5:
+//! Ablations of design choices that live code still makes. README
+//! §"Ablations" holds their readings and the verdicts on the alternatives
+//! that lost and were deleted.
 //!
-//! 1. **Join solver**: QR vs the paper's normal equations vs NNLS —
-//!    accuracy on the same joins.
-//! 2. **Landmark selection**: random (paper) vs greedy k-center spread.
-//! 3. **Relaxed architecture**: accuracy vs the number of reference nodes
+//! 1. **Join solver**: QR vs the paper's normal equations on the SVD
+//!    model, then NNLS vs QR on the NMF model — accuracy on the same
+//!    joins.
+//! 2. **Relaxed architecture**: accuracy vs the number of reference nodes
 //!    `k` an ordinary host measures (k ≥ d; larger k → better joins).
-//! 4. **NMF sweep budget**: error after {25, 50, 100, 200, 400} sweeps
-//!    (early stopping off), random vs SVD warm start.
+//! 3. **NMF sweep budget**: error after {25, 50, 100, 200, 400} sweeps
+//!    from the random start (early stopping off).
 //!
-//! Usage: `ablations [solver|landmarks|relaxed|nmf]` (default: all).
+//! Usage: `ablations [solver|relaxed|nmf]` (default: all).
 
 use ides::eval::evaluate_ides;
 use ides::projection::{JoinOptions, JoinSolver};
-use ides::system::{
-    select_random_landmarks, select_spread_landmarks, split_landmarks, IdesConfig,
-    InformationServer,
-};
+use ides::system::{split_landmarks, IdesConfig, InformationServer};
 use ides_experiments::{arg1, seed, Dataset};
 use ides_mf::metrics::{modified_relative_error, Cdf};
 use ides_mf::nmf::{self, NmfConfig};
@@ -25,12 +24,13 @@ fn solver_ablation() {
     let ds = Dataset::Nlanr.generate(seed());
     let n = ds.matrix.rows();
     let (landmarks, ordinary) = split_landmarks(n, 20.min(n - 2), seed());
-    for (label, solver) in [
-        ("QR", JoinSolver::Qr),
-        ("normal equations (paper)", JoinSolver::NormalEquations),
-        ("NNLS", JoinSolver::NonNegative),
+    let (svd, nmf) = (IdesConfig::new(8), IdesConfig::nmf(8));
+    for (label, mut config, solver) in [
+        ("QR", svd, JoinSolver::Qr),
+        ("normal equations (paper)", svd, JoinSolver::NormalEquations),
+        ("NNLS on NMF", nmf, JoinSolver::NonNegative),
+        ("QR on NMF", nmf, JoinSolver::Qr),
     ] {
-        let mut config = IdesConfig::new(8);
         config.join = JoinOptions { solver, ridge: 0.0 };
         let r = evaluate_ides(&ds.matrix, &landmarks, &ordinary, config).expect("evaluation");
         let build = r.build_seconds;
@@ -40,30 +40,6 @@ fn solver_ablation() {
             cdf.median(),
             cdf.p90(),
         );
-    }
-}
-
-fn landmark_ablation() {
-    println!("\n== landmark-selection ablation (NLANR-like, d=8) ==");
-    let ds = Dataset::Nlanr.generate(seed());
-    let n = ds.matrix.rows();
-    for m in [15usize, 20, 30] {
-        if m + 2 >= n {
-            continue;
-        }
-        let random = select_random_landmarks(n, m, seed());
-        let spread = select_spread_landmarks(&ds.matrix, m);
-        for (label, landmarks) in [("random", random), ("k-center spread", spread)] {
-            let ordinary: Vec<usize> = (0..n).filter(|i| !landmarks.contains(i)).collect();
-            let r = evaluate_ides(&ds.matrix, &landmarks, &ordinary, IdesConfig::new(8))
-                .expect("evaluation");
-            let cdf = r.into_cdf();
-            println!(
-                "  m={m:<3} {label:<16} median {:.4}  p90 {:.4}",
-                cdf.median(),
-                cdf.p90()
-            );
-        }
     }
 }
 
@@ -139,53 +115,20 @@ fn nmf_ablation() {
     }
 }
 
-fn weighting_ablation() {
-    use ides_mf::als::{self, AlsConfig, WeightScheme};
-    use ides_mf::metrics::reconstruction_errors;
-    println!("\n== error-weighting ablation: ALS objective (NLANR-like, d=10) ==");
-    println!("  (uniform = paper's Eq. 7; inverse-square = GNP's relative objective)");
-    let ds = Dataset::Nlanr.generate(seed());
-    for (label, weights) in [
-        ("uniform (Eq. 7)", WeightScheme::Uniform),
-        ("1/D", WeightScheme::InverseDistance),
-        ("1/D^2 (relative)", WeightScheme::InverseSquare),
-    ] {
-        let fit = als::fit(
-            &ds.matrix,
-            AlsConfig {
-                weights,
-                sweeps: 25,
-                ..AlsConfig::new(10)
-            },
-        )
-        .expect("als fit");
-        let cdf = Cdf::new(reconstruction_errors(&fit.model, &ds.matrix));
-        println!(
-            "  {label:<18} median rel-err {:.4}  p90 {:.4}",
-            cdf.median(),
-            cdf.p90()
-        );
-    }
-}
-
 fn main() {
-    println!("# Design-choice ablations (DESIGN.md §5)");
+    println!("# Design-choice ablations (README §\"Ablations\")");
     match arg1().as_deref() {
         Some("solver") => solver_ablation(),
-        Some("landmarks") => landmark_ablation(),
         Some("relaxed") => relaxed_ablation(),
         Some("nmf") => nmf_ablation(),
-        Some("weighting") => weighting_ablation(),
         Some(other) => {
             eprintln!("unknown ablation {other:?}");
             std::process::exit(2);
         }
         None => {
             solver_ablation();
-            landmark_ablation();
             relaxed_ablation();
             nmf_ablation();
-            weighting_ablation();
         }
     }
 }

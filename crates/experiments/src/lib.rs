@@ -1,9 +1,9 @@
 //! Shared harness for the per-figure/per-table experiment binaries.
 //!
 //! Each binary regenerates one table or figure from the paper's evaluation
-//! (§4.3 and §6); see DESIGN.md's experiment index for the mapping. Output
-//! is plain text: one series per block, `x y` rows, suitable for gnuplot or
-//! eyeballing against the paper's plots.
+//! (§4.3 and §6), and its doc comment names which; the rest extend the
+//! paper and say so. Output is plain text: one series per block, `x y`
+//! rows, suitable for gnuplot or eyeballing against the paper's plots.
 
 use ides_datasets::generators::{self, paper_sizes, GeneratedDataset};
 use ides_datasets::stats;

@@ -275,53 +275,6 @@ pub fn select_random_landmarks(n: usize, m: usize, seed: u64) -> Vec<usize> {
     idx
 }
 
-/// Spread-maximizing landmark selection (extension; ablation for DESIGN.md):
-/// greedy k-center on the measured distances — first landmark is the host
-/// with the largest total distance, each next maximizes the minimum
-/// distance to the already chosen set.
-pub fn select_spread_landmarks(data: &DistanceMatrix, m: usize) -> Vec<usize> {
-    let n = data.rows();
-    let m = m.min(n);
-    if m == 0 {
-        return Vec::new();
-    }
-    let dist = |a: usize, b: usize| -> f64 {
-        match (data.get(a, b), data.get(b, a)) {
-            (Some(x), Some(y)) => 0.5 * (x + y),
-            (Some(x), None) | (None, Some(x)) => x,
-            (None, None) => 0.0,
-        }
-    };
-    // Start from the host with the largest row sum (most "peripheral").
-    let first = (0..n)
-        .max_by(|&a, &b| {
-            let sa: f64 = (0..n).map(|j| dist(a, j)).sum();
-            let sb: f64 = (0..n).map(|j| dist(b, j)).sum();
-            sa.partial_cmp(&sb).expect("finite distances")
-        })
-        .expect("nonempty matrix");
-    let mut chosen = vec![first];
-    while chosen.len() < m {
-        let next = (0..n)
-            .filter(|i| !chosen.contains(i))
-            .max_by(|&a, &b| {
-                let da = chosen
-                    .iter()
-                    .map(|&c| dist(a, c))
-                    .fold(f64::INFINITY, f64::min);
-                let db = chosen
-                    .iter()
-                    .map(|&c| dist(b, c))
-                    .fold(f64::INFINITY, f64::min);
-                da.partial_cmp(&db).expect("finite distances")
-            })
-            .expect("hosts remain");
-        chosen.push(next);
-    }
-    chosen.sort_unstable();
-    chosen
-}
-
 /// Convenience used by evaluation code: splits the hosts of a square data
 /// set into `(landmarks, ordinary)` by random selection.
 pub fn split_landmarks(n: usize, m: usize, seed: u64) -> (Vec<usize>, Vec<usize>) {
@@ -483,28 +436,6 @@ mod tests {
         // Deterministic per seed.
         assert_eq!(sel, select_random_landmarks(100, 20, 1));
         assert_ne!(sel, select_random_landmarks(100, 20, 2));
-    }
-
-    #[test]
-    fn spread_selection_covers_clusters() {
-        // Two far-apart clusters: spread selection with m=2 must pick one
-        // host from each.
-        let n = 10;
-        let values = Matrix::from_fn(n, n, |i, j| {
-            let ci = i / 5;
-            let cj = j / 5;
-            if i == j {
-                0.0
-            } else if ci == cj {
-                1.0
-            } else {
-                100.0
-            }
-        });
-        let data = DistanceMatrix::full("clusters", values).unwrap();
-        let sel = select_spread_landmarks(&data, 2);
-        assert_eq!(sel.len(), 2);
-        assert_ne!(sel[0] / 5, sel[1] / 5, "landmarks in same cluster: {sel:?}");
     }
 
     #[test]

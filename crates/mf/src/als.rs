@@ -34,36 +34,6 @@ use crate::error::Result;
 use crate::model::FactorModel;
 use crate::sweeps::{self, Step};
 
-/// Per-entry weighting of the squared error.
-///
-/// `Uniform` minimizes Eq. 7 of the paper (plain squared error).
-/// `InverseSquare` weights each cell by `1/D_ij²`, so the objective
-/// becomes the sum of squared *relative* errors — the kind of objective
-/// GNP's Eq. 3 optimizes by Simplex Downhill, here solved by alternating
-/// closed-form least squares instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WeightScheme {
-    /// All observed entries weighted equally (the paper's Eq. 7).
-    Uniform,
-    /// Weight `1/max(D, ε)` — compromise between absolute and relative.
-    InverseDistance,
-    /// Weight `1/max(D, ε)²` — squared relative error.
-    InverseSquare,
-}
-
-impl WeightScheme {
-    /// The square root of the weight for a cell with value `d` (rows of
-    /// the LS systems are scaled by this).
-    fn sqrt_weight(self, d: f64) -> f64 {
-        const FLOOR: f64 = 1e-3;
-        match self {
-            WeightScheme::Uniform => 1.0,
-            WeightScheme::InverseDistance => 1.0 / d.max(FLOOR).sqrt(),
-            WeightScheme::InverseSquare => 1.0 / d.max(FLOOR),
-        }
-    }
-}
-
 /// Configuration for the ALS factorizer.
 #[derive(Debug, Clone, Copy)]
 pub struct AlsConfig {
@@ -79,12 +49,10 @@ pub struct AlsConfig {
     /// Stop early when the relative error improvement per sweep falls
     /// below this (0 disables).
     pub tolerance: f64,
-    /// Per-entry error weighting.
-    pub weights: WeightScheme,
 }
 
 impl AlsConfig {
-    /// Sensible defaults: 30 sweeps, tiny ridge, uniform weights.
+    /// Sensible defaults: 30 sweeps, tiny ridge.
     pub fn new(dim: usize) -> Self {
         AlsConfig {
             dim,
@@ -92,7 +60,6 @@ impl AlsConfig {
             ridge: 1e-8,
             seed: 4242,
             tolerance: 1e-8,
-            weights: WeightScheme::Uniform,
         }
     }
 }
@@ -152,22 +119,10 @@ fn sweep(data: &DistanceMatrix, x: Matrix, y: Matrix, config: AlsConfig) -> Resu
     }
     let step = Step::Ridge {
         lambda: config.ridge,
-        weights: config.weights,
     };
     let (d, mask) = (data.values(), sweeps::observed(data));
     let (model, error_trace) = sweeps::run(d, mask, x, y, step, config.sweeps, config.tolerance)?;
     Ok(AlsFit { model, error_trace })
-}
-
-/// Scales LS rows/targets in place by the square-root weight of the target.
-pub(crate) fn apply_weights(a: &mut Matrix, b: &mut [f64], scheme: WeightScheme) {
-    for (r, target) in b.iter_mut().enumerate() {
-        let w = scheme.sqrt_weight(*target);
-        for c in 0..a.cols() {
-            a[(r, c)] *= w;
-        }
-        *target *= w;
-    }
 }
 
 #[cfg(test)]
@@ -211,9 +166,8 @@ mod tests {
             for i in 0..d.rows() {
                 let obs: Vec<usize> = (0..d.cols()).filter(|&j| mask[(i, j)] == 1.0).collect();
                 if !obs.is_empty() {
-                    let mut a = fixed.select_rows(&obs);
-                    let mut b: Vec<f64> = obs.iter().map(|&j| d[(i, j)]).collect();
-                    apply_weights(&mut a, &mut b, config.weights);
+                    let a = fixed.select_rows(&obs);
+                    let b: Vec<f64> = obs.iter().map(|&j| d[(i, j)]).collect();
                     out.set_row(i, &lstsq_ridge(&a, &b, config.ridge));
                 }
             }
@@ -255,9 +209,8 @@ mod tests {
         // History oracle.
         // Every system here has at most 256 observed entries, so each row
         // must carry the bits of its own one-row solve: on complete data
-        // (one run per half-step) at d <= 16 and past it, on masked data
-        // (runs broken by rows missing other columns), and under relative
-        // weights (a run of one per row).
+        // (one run per half-step) at d <= 16 and past it, and on masked
+        // data (runs broken by rows missing other columns).
         let complete = ides_datasets::generators::p2psim_like(40, 3)
             .unwrap()
             .matrix;
@@ -274,20 +227,12 @@ mod tests {
             mask[(i, j)] = 0.0;
         }
         let masked = DistanceMatrix::with_mask("masked", complete.values().clone(), mask).unwrap();
-        let (uniform, inverse) = (WeightScheme::Uniform, WeightScheme::InverseSquare);
         for ridge in [0.0, 1e-8, 0.1] {
-            for (data, dim, weights) in [
-                (&complete, 5, uniform),
-                (&complete, 20, uniform),
-                (&masked, 5, uniform),
-                (&complete, 5, inverse),
-                (&masked, 4, WeightScheme::InverseDistance),
-            ] {
+            for (data, dim) in [(&complete, 5), (&complete, 20), (&masked, 5)] {
                 let config = AlsConfig {
                     sweeps: 3,
                     tolerance: 0.0,
                     ridge,
-                    weights,
                     ..AlsConfig::new(dim)
                 };
                 let dev = deviation_from_per_row(data, config);
@@ -415,66 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn relative_weighting_prioritizes_small_distances() {
-        // Engine contract.
-        // A matrix with a wide dynamic range: relative weighting must trade
-        // absolute accuracy on large entries for relative accuracy on small
-        // ones, compared to the uniform fit at the same rank.
-        let n = 16;
-        let base = {
-            let b = Matrix::from_fn(n, 2, |i, j| 1.0 + ((i + j) as f64 * 0.37).sin().abs());
-            let c = Matrix::from_fn(2, n, |i, j| 1.0 + ((i * 3 + j) as f64 * 0.19).cos().abs());
-            let mut m = b.matmul(&c).unwrap();
-            // Inflate one block to create scale contrast and make rank-1
-            // fits imperfect.
-            for i in 0..n {
-                for j in 0..n {
-                    if i >= n / 2 && j >= n / 2 {
-                        m[(i, j)] *= 50.0;
-                    }
-                }
-            }
-            m
-        };
-        let data = DistanceMatrix::full("range", base.clone()).unwrap();
-        let uni = fit(
-            &data,
-            AlsConfig {
-                sweeps: 40,
-                ..AlsConfig::new(1)
-            },
-        )
-        .unwrap();
-        let rel = fit(
-            &data,
-            AlsConfig {
-                sweeps: 40,
-                weights: WeightScheme::InverseSquare,
-                ..AlsConfig::new(1)
-            },
-        )
-        .unwrap();
-        let rel_err_small = |model: &FactorModel| -> f64 {
-            let mut total = 0.0;
-            let mut count = 0;
-            for i in 0..n / 2 {
-                for j in 0..n / 2 {
-                    let actual = base[(i, j)];
-                    total += (model.estimate(i, j) - actual).abs() / actual;
-                    count += 1;
-                }
-            }
-            total / count as f64
-        };
-        let uni_small = rel_err_small(&uni.model);
-        let rel_small = rel_err_small(&rel.model);
-        assert!(
-            rel_small < uni_small,
-            "relative weighting should fit small entries better: {rel_small} vs {uni_small}"
-        );
-    }
-
-    #[test]
     fn refine_is_deterministic_and_improves_on_drifted_data() {
         // Engine contract.
         let base = low_rank(14);
@@ -539,16 +424,6 @@ mod tests {
         )
         .unwrap();
         assert!(refine(&data, &other.model, AlsConfig::new(2)).is_err());
-    }
-
-    #[test]
-    fn weight_scheme_sqrt_weights() {
-        // Engine contract.
-        assert_eq!(WeightScheme::Uniform.sqrt_weight(100.0), 1.0);
-        assert!((WeightScheme::InverseDistance.sqrt_weight(4.0) - 0.5).abs() < 1e-12);
-        assert!((WeightScheme::InverseSquare.sqrt_weight(4.0) - 0.25).abs() < 1e-12);
-        // Floor prevents infinite weights at D = 0.
-        assert!(WeightScheme::InverseSquare.sqrt_weight(0.0).is_finite());
     }
 
     #[test]

@@ -6,18 +6,16 @@
 //! each run gets the Gram `FᵀF` of the fixed factor's observed rows and the
 //! products `T·F` of its targets. The [`Step`] is the one difference: ALS
 //! solves `FᵀF + λI` by Cholesky for every row (a batched host join, Eqs.
-//! 13–14), NMF runs one HALS coordinate pass per row. On complete data
-//! under uniform weights a half-step reads `D`, a `Dᵀ` formed once per
-//! fit, and the factors in place, and `YᵀY` carries from a sweep's end into
-//! the next; masked or weighted data gathers each run (a weighted row
-//! scales its own design, so it is a run of one). Every buffer reaches its
-//! high-water mark in the first sweep, so later sweeps allocate nothing.
+//! 13–14), NMF runs one HALS coordinate pass per row. On complete data a
+//! half-step reads `D`, a `Dᵀ` formed once per fit, and the factors in
+//! place, and `YᵀY` carries from a sweep's end into the next; masked data
+//! gathers each run. Every buffer reaches its high-water mark in the first
+//! sweep, so later sweeps allocate nothing.
 
 use ides_datasets::DistanceMatrix;
 use ides_linalg::cholesky::{cholesky_in_place, solve_cholesky_rows_in_place};
 use ides_linalg::{kernels, solve, Matrix};
 
-use crate::als::{apply_weights, WeightScheme};
 use crate::banded::{banded_sq_error, ERROR_BAND_ROWS};
 use crate::error::{MfError, Result};
 use crate::model::FactorModel;
@@ -33,8 +31,8 @@ const IDENTITY_FLOOR: f64 = 1e-4;
 /// The per-row solve of a half-step, selected by the family.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Step {
-    /// ALS: ridge least squares, each cell weighted per `weights`.
-    Ridge { lambda: f64, weights: WeightScheme },
+    /// ALS: ridge least squares.
+    Ridge { lambda: f64 },
     /// NMF: one HALS coordinate pass per row.
     Hals,
 }
@@ -97,16 +95,6 @@ pub(crate) fn run(
 ) -> Result<(FactorModel, Vec<f64>)> {
     let (m, n) = d.shape();
     let k = x.cols();
-    // A weighted row scales its own design, so weighted complete data runs
-    // the gathering path over an all-ones mask.
-    let ones;
-    let mask = match (mask, step) {
-        (None, Step::Ridge { weights, .. }) if weights != WeightScheme::Uniform => {
-            ones = Matrix::filled(m, n, 1.0);
-            Some(&ones)
-        }
-        _ => mask,
-    };
     let dt = d.transpose();
     let obs = mask.map(|mask| (observed_sets(mask), observed_sets(&mask.transpose())));
     let mut ws = Workspace::new(m, n, k, mask.is_none());
@@ -171,9 +159,8 @@ struct Workspace {
     /// feeds the error identity.
     dy: Matrix,
     dtx: Matrix,
-    /// Masked path, one run: the fixed factor's observed rows (scaled under
-    /// weights) and their transpose, the run's targets, their Gram and
-    /// their product.
+    /// Masked path, one run: the fixed factor's observed rows and their
+    /// transpose, the run's targets, their Gram and their product.
     design: Matrix,
     design_t: Matrix,
     targets: Matrix,
@@ -202,7 +189,7 @@ impl Workspace {
         }
     }
 
-    /// One masked (or weighted) half-step: every row `i` of `out` is
+    /// One masked half-step: every row `i` of `out` is
     /// solved against `fixed[obs[i]]` and `targets[i, obs[i]]`, one run of
     /// rows sharing `obs[i]` at a time. A row with nothing observed keeps
     /// its value.
@@ -215,17 +202,10 @@ impl Workspace {
         out: &mut Matrix,
     ) -> Result<()> {
         let k = fixed.cols();
-        let weights = match step {
-            Step::Ridge { weights, .. } => weights,
-            Step::Hals => WeightScheme::Uniform,
-        };
         let mut i = 0;
         while i < obs.len() {
             let cols = &obs[i];
-            let run = match weights {
-                WeightScheme::Uniform => obs[i..].iter().take_while(|o| *o == cols).count(),
-                _ => 1,
-            };
+            let run = obs[i..].iter().take_while(|o| *o == cols).count();
             if !cols.is_empty() {
                 fixed.select_rows_into(cols, &mut self.design);
                 self.targets.reset_shape(run, cols.len());
@@ -234,9 +214,6 @@ impl Workspace {
                     for (dst, &j) in self.targets.row_mut(r).iter_mut().zip(cols) {
                         *dst = src[j];
                     }
-                }
-                if weights != WeightScheme::Uniform {
-                    apply_weights(&mut self.design, self.targets.row_mut(0), weights);
                 }
                 // The Gram as `(Fᵀ)·F` from the transposed design: a plain
                 // product of width `k`, which takes the unpacked narrow GEMM
@@ -309,7 +286,7 @@ impl Solve {
         }
         match step {
             Step::Hals => hals(rows, prod.as_slice(), gram.as_slice(), k),
-            Step::Ridge { lambda, .. } => {
+            Step::Ridge { lambda } => {
                 self.chol.reset_shape(k, k);
                 self.chol.as_mut_slice().copy_from_slice(gram.as_slice());
                 for i in 0..k {
@@ -420,15 +397,8 @@ mod tests {
         };
         let zero = with(0.0);
         type Fit = fn(&DistanceMatrix) -> crate::Result<FactorModel>;
-        let fits: [(&str, Fit); 3] = [
+        let fits: [(&str, Fit); 2] = [
             ("als", |d| Ok(als::fit(d, als::AlsConfig::new(4))?.model)),
-            ("als relative", |d| {
-                let config = als::AlsConfig {
-                    weights: WeightScheme::InverseSquare,
-                    ..als::AlsConfig::new(4)
-                };
-                Ok(als::fit(d, config)?.model)
-            }),
             ("nmf", |d| Ok(nmf::fit(d, nmf::NmfConfig::new(4))?.model)),
         ];
         for (family, fit) in fits {
