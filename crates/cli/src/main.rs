@@ -418,8 +418,7 @@ fn cmd_predict(args: &Args) {
 /// latency quantiles quiescent and under continuous landmark drift. The
 /// measurement and the `--json` schema live in
 /// `ides::service::load::ServeSummary`, shared with the `serve_load`
-/// experiment so the `serving` object in `BENCH_NNNN.json` cannot drift
-/// between the two producers.
+/// experiment so the two cannot measure different things.
 fn cmd_serve(args: &Args) {
     use ides::service::load::{ServeMeasurementConfig, ServeSummary};
     use std::time::Duration;

@@ -15,9 +15,8 @@
 //!   with a writer thread applying drift epochs continuously — the
 //!   snapshot design's claim is p99 under drift within 2x of quiescent.
 //!
-//! `--json` emits the one-line flat summary; `scripts/run_benches.sh`
-//! merges it into the committed `BENCH_NNNN.json` as the `serving`
-//! object.
+//! The summary prints to stderr; `ides-cli serve --json` emits the same
+//! measurement as one JSON object.
 
 use std::time::Duration;
 
@@ -25,7 +24,6 @@ use ides::service::load::{ServeMeasurementConfig, ServeSummary};
 use ides_experiments::seed;
 
 fn main() {
-    let mut json = false;
     let mut config = ServeMeasurementConfig {
         seed: seed(),
         ..ServeMeasurementConfig::default()
@@ -34,7 +32,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--json" => json = true,
             "--duration-s" => {
                 duration_s = args
                     .next()
@@ -85,8 +82,4 @@ fn main() {
         summary.drifting.epochs
     );
     eprintln!("# p99 drift/quiescent: {:.2}x", summary.p99_ratio());
-
-    if json {
-        println!("{}", summary.to_json());
-    }
 }

@@ -17,10 +17,7 @@
 //!   host, every epoch (upper bound on cost, the accuracy reference).
 //!
 //! Prints one row per epoch (median modified relative error per policy)
-//! plus a cost/accuracy summary; `--json` emits the summary as a JSON
-//! object — `scripts/run_benches.sh` merges it into the committed
-//! `BENCH_NNNN.json` so the accuracy-vs-staleness claim travels with the
-//! timing trajectory.
+//! plus a cost/accuracy summary.
 
 use std::collections::BTreeSet;
 
@@ -42,11 +39,9 @@ const AMPLITUDE: f64 = 0.2;
 
 fn main() {
     let mut epochs = 48usize;
-    let mut json = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--json" => json = true,
             "--epochs" => {
                 epochs = args
                     .next()
@@ -249,22 +244,4 @@ fn main() {
         rejoined_total,
         scored * ordinary.len()
     );
-    if json {
-        println!(
-            "{{\"epochs\": {}, \"drift_amplitude\": {}, \"stale_mean_median\": {:.6}, \
-             \"streaming_mean_median\": {:.6}, \"fresh_mean_median\": {:.6}, \
-             \"streaming_vs_fresh_gap\": {:.6}, \"refreshes\": {}, \"absorbed_rows\": {}, \
-             \"host_rejoins\": {}, \"host_rejoins_possible\": {}}}",
-            scored,
-            AMPLITUDE,
-            stale_mean,
-            streaming_mean,
-            fresh_mean,
-            gap,
-            streaming.refreshes(),
-            streaming.absorbed(),
-            rejoined_total,
-            scored * ordinary.len()
-        );
-    }
 }

@@ -599,10 +599,9 @@ impl Default for ServeMeasurementConfig {
     }
 }
 
-/// The standard serving measurement's results, with one shared JSON
-/// emitter so the CLI smoke and the `serve_load` experiment cannot drift
-/// apart on the `serving` schema that `scripts/run_benches.sh` merges
-/// into `BENCH_NNNN.json`.
+/// The standard serving measurement's results, shared by `ides-cli serve`
+/// and the `serve_load` experiment, with the one JSON emitter behind
+/// `ides-cli serve --json`.
 #[derive(Debug, Clone)]
 pub struct ServeSummary {
     /// The parameters measured under.
@@ -706,8 +705,9 @@ impl ServeSummary {
         }
     }
 
-    /// The flat `serving` JSON object merged into `BENCH_NNNN.json`
-    /// (hand-rendered: the vendored serde_json has no `json!` macro).
+    /// The flat JSON object `ides-cli serve --json` prints, which
+    /// `scripts/check_telemetry.sh` reads (hand-rendered: the vendored
+    /// serde_json has no `json!` macro).
     pub fn to_json(&self) -> String {
         let us = |h: &LatencyHistogram, q: f64| h.quantile(q).as_secs_f64() * 1e6;
         // Per-shard quiescent latency: [{"shard": i, "p50_us": …, "p99_us": …}, …].

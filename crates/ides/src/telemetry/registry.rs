@@ -15,8 +15,9 @@
 //! The whole subsystem sits behind one global enable flag: when
 //! disabled (the default), every recording helper returns after a
 //! single relaxed load, so uninstrumented runs pay one predictable
-//! branch per site. The `telemetry_overhead` bench group and the
-//! `MIN_TELEMETRY_RATIO` CI gate pin the *enabled* cost too.
+//! branch per site. The `telemetry_overhead` bench group and its CI
+//! gate (instrumented throughput ≥ 0.9× disabled) pin the *enabled* cost
+//! too.
 //!
 //! Timers reuse the exact log-bucketed layout of
 //! [`LatencyHistogram`] (4 buckets per
