@@ -1,15 +1,13 @@
-//! The blocked Householder factorization layer: QR, bidiagonal SVD and
-//! tridiagonal symmetric eigendecomposition, all driven by the cache-blocked
-//! GEMM kernels in [`crate::kernels`].
+//! The blocked Householder factorization layer: QR and bidiagonal SVD,
+//! both driven by the cache-blocked GEMM kernels in [`crate::kernels`].
 //!
 //! # Why this layer exists
 //!
 //! After the kernel layer made matrix products ~30x faster, the dense
-//! decompositions — scalar-loop Householder QR, one-sided Jacobi SVD,
-//! cyclic-Jacobi eigendecomposition — became the dominant cost of every
-//! factorization-bound path (SVD coordinates, the Lipschitz+PCA baseline,
-//! QR-backed host joins). This module restructures them the standard
-//! LAPACK way: accumulate `PANEL` Householder reflectors at a time into a
+//! decompositions — scalar-loop Householder QR and one-sided Jacobi SVD —
+//! became the dominant cost of every factorization-bound path (SVD
+//! coordinates, the Lipschitz+PCA baseline, QR-backed host joins). This
+//! module restructures them the standard LAPACK way: accumulate `PANEL` Householder reflectors at a time into a
 //! compact-WY block reflector `I − V T Vᵀ` and apply it with **two GEMMs**
 //! instead of `PANEL` rank-1 updates, so the bulk of the flops runs on the
 //! packed, register-tiled kernel layer.
@@ -19,13 +17,13 @@
 //! Every decomposition comes in two flavors, mirroring
 //! [`crate::solve::lstsq_ridge_multi_with`]:
 //!
-//! * a plain entry point ([`crate::qr::qr`], [`crate::svd::svd`],
-//!   [`crate::eig::symmetric_eig`]) that allocates its own scratch, and
-//! * a `_with` variant ([`qr_with`], [`svd_with`], [`symmetric_eig_with`])
-//!   that runs entirely inside a caller-owned [`FactorWorkspace`] and a
-//!   caller-owned output, so repeated factorizations (batched host joins,
-//!   evaluation sweeps, streaming refreshes) allocate **nothing** once the
-//!   buffers reach their high-water shapes.
+//! * a plain entry point ([`crate::qr::qr`], [`crate::svd::svd`]) that
+//!   allocates its own scratch, and
+//! * a `_with` variant ([`qr_with`], [`svd_with`]) that runs entirely
+//!   inside a caller-owned [`FactorWorkspace`] and a caller-owned output,
+//!   so repeated factorizations (batched host joins, evaluation sweeps,
+//!   streaming refreshes) allocate **nothing** once the buffers reach
+//!   their high-water shapes.
 //!
 //! # Algorithms and blocking parameters
 //!
@@ -56,22 +54,13 @@
 //!   on distance-matrix inputs). One-sided Jacobi
 //!   ([`crate::svd::svd_jacobi`]) is kept as the small-matrix path and
 //!   the accuracy/robustness fallback.
-//! * **Symmetric eig** ([`symmetric_eig_with`]): Householder
-//!   tridiagonalization (symmetric rank-2 updates), blocked accumulation
-//!   of the reflector product, implicit-shift QL (`tql2`) on the
-//!   tridiagonal — with the eigenvector rotations applied on a transposed
-//!   copy of `Z`, same trick as the SVD sweeps — and one final GEMM `Q·Z`
-//!   to assemble the eigenvectors.
-//!   Cyclic Jacobi ([`crate::eig::symmetric_eig_jacobi`]) remains the
-//!   small-matrix path and fallback.
 //!
 //! The panel updates fan out exactly like every other product on the
 //! kernel layer — the trailing updates and block accumulations are plain
 //! GEMMs, whose row bands are numerically independent — so results are
 //! **bit-identical** at any thread budget.
 
-use crate::eig::SymmetricEig;
-use crate::error::{ensure_finite, LinalgError, Result};
+use crate::error::{LinalgError, Result};
 use crate::kernels::{self, Op};
 use crate::matrix::Matrix;
 use crate::qr::Qr;
@@ -83,17 +72,16 @@ use crate::svd::Svd;
 /// update to block).
 pub const PANEL: usize = 32;
 
-/// Below or at this dimension the dispatching entry points
-/// ([`crate::svd::svd`], [`crate::eig::symmetric_eig`]) use the Jacobi
-/// algorithms: at small sizes the O(n³) constant of a Jacobi sweep is
+/// Below or at this dimension the dispatching [`crate::svd::svd`] uses
+/// one-sided Jacobi: at small sizes the O(n³) constant of a Jacobi sweep is
 /// irrelevant and its accuracy on tiny spectra is unbeatable.
 pub const SMALL: usize = 32;
 
-/// Maximum implicit-shift iterations per singular value / eigenvalue.
+/// Maximum implicit-shift iterations per singular value.
 const MAX_SHIFT_ITERS: usize = 50;
 
 /// Reusable scratch for the blocked factorizations. One workspace serves
-/// QR, SVD and symmetric eig interchangeably; buffers grow to their
+/// QR, SVD and truncated SVD interchangeably; buffers grow to their
 /// high-water shapes and are then reused without allocation.
 #[derive(Debug, Default, Clone)]
 pub struct FactorWorkspace {
@@ -104,8 +92,8 @@ pub struct FactorWorkspace {
     vl: Matrix,
     /// `vᵀv` per left reflector.
     vl_n2: Vec<f64>,
-    /// Right-reflector store for the bidiagonalization / tridiagonal
-    /// reduction (`n x n`); column `j`'s support starts at row `j`.
+    /// Right-reflector store for the bidiagonalization (`n x n`); column
+    /// `j`'s support starts at row `j`.
     vr: Matrix,
     /// `vᵀv` per right reflector.
     vr_n2: Vec<f64>,
@@ -117,15 +105,11 @@ pub struct FactorWorkspace {
     w2: Matrix,
     /// Block-apply buffer `P = V W₂` (`m x n`).
     p: Matrix,
-    /// Orthogonal-factor scratch (tridiagonal `Q`, permutation staging).
-    q: Matrix,
-    /// Rotation accumulator for the tridiagonal QL iteration.
-    z: Matrix,
     /// Transposed-input staging for wide (`m < n`) SVD inputs.
     at: Matrix,
-    /// Diagonal of the reduced (bi/tri)diagonal form.
+    /// Diagonal of the bidiagonal form.
     d: Vec<f64>,
-    /// Off-diagonal of the reduced form (shifted NR layout for the SVD).
+    /// Superdiagonal of the bidiagonal form (shifted NR layout).
     e: Vec<f64>,
     /// Length-`max(m, n)` vector scratch.
     small: Vec<f64>,
@@ -1092,262 +1076,6 @@ fn bidiag_qr(ws: &mut FactorWorkspace, u: &mut Matrix, v: &mut Matrix) -> Result
     }
     transpose_into(ut, u);
     transpose_into(vt, v);
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Blocked symmetric eigendecomposition
-// ---------------------------------------------------------------------------
-
-/// Blocked symmetric eigendecomposition into a caller-owned
-/// [`SymmetricEig`] and [`FactorWorkspace`] — the allocation-free
-/// tridiagonalization + implicit-QL path behind
-/// [`crate::eig::symmetric_eig`].
-///
-/// Only the symmetric part of `a` is read (the input is symmetrized into
-/// the working copy, like the Jacobi path). Returns
-/// [`LinalgError::NonFinite`] for a NaN or infinite entry and
-/// [`LinalgError::NoConvergence`] if the QL iteration stalls (the
-/// dispatching entry point falls back to Jacobi); `out` is unspecified on
-/// error.
-pub fn symmetric_eig_with(
-    a: &Matrix,
-    ws: &mut FactorWorkspace,
-    out: &mut SymmetricEig,
-) -> Result<()> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            got: a.shape(),
-            op: "symmetric_eig",
-        });
-    }
-    ensure_finite(a, "symmetric_eig")?;
-    let n = a.rows();
-    if n == 0 {
-        out.eigenvalues.clear();
-        out.eigenvectors.reset_shape(0, 0);
-        return Ok(());
-    }
-
-    // --- Householder tridiagonalization ----------------------------------
-    ws.work.reset_shape(n, n);
-    ws.work.as_mut_slice().copy_from_slice(a.as_slice());
-    ws.work.symmetrize();
-    ws.vr.reset_shape(n, n);
-    ws.vr_n2.clear();
-    ws.vr_n2.resize(n, 0.0);
-    ws.d.clear();
-    ws.d.resize(n, 0.0);
-    // EISPACK layout: e[i] couples d[i], d[i+1]; e[n-1] is iteration
-    // scratch (always zero between steps).
-    ws.e.clear();
-    ws.e.resize(n, 0.0);
-    ws.small.clear();
-    ws.small.resize(n, 0.0);
-    ws.small2.clear();
-    ws.small2.resize(n, 0.0);
-
-    for k in 0..n.saturating_sub(2) {
-        // Reflector zeroing column k below the subdiagonal; stored in vr
-        // column k+1 (support rows k+1..n).
-        let col = k + 1;
-        let alpha = householder_col(&ws.work, k, col, n, &mut ws.vr, &mut ws.vr_n2, col);
-        ws.e[k] = if alpha == 0.0 {
-            ws.work[(col, k)]
-        } else {
-            alpha
-        };
-        if alpha == 0.0 {
-            continue;
-        }
-        let vn = ws.vr_n2[col];
-        let beta = 2.0 / vn;
-        // p = β A v over the trailing block (rows/cols k+1..n).
-        let p = &mut ws.small;
-        let w = &mut ws.small2;
-        for (i, pi) in p.iter_mut().enumerate().take(n).skip(col) {
-            let row = ws.work.row(i);
-            let mut s = 0.0;
-            for (j, &rv) in row.iter().enumerate().skip(col) {
-                s += rv * ws.vr[(j, col)];
-            }
-            *pi = beta * s;
-        }
-        // w = p − (β/2)(pᵀv) v ; A ← A − v wᵀ − w vᵀ.
-        let kdot: f64 = (col..n).map(|i| p[i] * ws.vr[(i, col)]).sum();
-        let half = 0.5 * beta * kdot;
-        for i in col..n {
-            w[i] = p[i] - half * ws.vr[(i, col)];
-        }
-        for i in col..n {
-            let vi = ws.vr[(i, col)];
-            let wi = w[i];
-            let row = ws.work.row_mut(i);
-            for j in col..n {
-                row[j] -= vi * w[j] + wi * ws.vr[(j, col)];
-            }
-        }
-    }
-    for i in 0..n {
-        ws.d[i] = ws.work[(i, i)];
-    }
-    if n >= 2 {
-        ws.e[n - 2] = ws.work[(n - 2, n - 1)];
-    }
-
-    // --- Accumulate the reflector product Q (n x n) -----------------------
-    ws.q.reset_shape(n, n);
-    for j in 0..n {
-        ws.q[(j, j)] = 1.0;
-    }
-    {
-        let vr = std::mem::take(&mut ws.vr);
-        let vr_n2 = std::mem::take(&mut ws.vr_n2);
-        let mut q = std::mem::take(&mut ws.q);
-        let mut scratch = ScratchRefs {
-            t: &mut ws.t,
-            w: &mut ws.w,
-            w2: &mut ws.w2,
-            p: &mut ws.p,
-            tmp: &mut ws.small,
-        };
-        accumulate_reflectors(&vr, &vr_n2, &mut q, &mut scratch);
-        ws.vr = vr;
-        ws.vr_n2 = vr_n2;
-        ws.q = q;
-    }
-
-    // --- Implicit-shift QL on the tridiagonal (tql2) ----------------------
-    ws.z.reset_shape(n, n);
-    for j in 0..n {
-        ws.z[(j, j)] = 1.0;
-    }
-    tql2(ws)?;
-
-    // --- Eigenvectors = Q · Z, sorted descending --------------------------
-    let d = &ws.d;
-    ws.perm.clear();
-    ws.perm.extend(0..n);
-    ws.perm
-        .sort_unstable_by(|&i, &j| d[j].partial_cmp(&d[i]).expect("finite eigenvalues"));
-    out.eigenvalues.clear();
-    out.eigenvalues.extend(ws.perm.iter().map(|&i| ws.d[i]));
-    out.eigenvectors.reset_shape(n, n);
-    kernels::gemm(
-        ws.q.as_slice(),
-        Op::NoTrans,
-        n,
-        ws.z.as_slice(),
-        Op::NoTrans,
-        n,
-        out.eigenvectors.as_mut_slice(),
-        n,
-        n,
-        n,
-    );
-    permute_cols(&mut out.eigenvectors, &ws.perm, &mut ws.p);
-    Ok(())
-}
-
-/// [`rot_rows`] with the QL sign convention of [`tql2`]:
-/// `row_j ← s·row_i + c·row_j`, `row_i ← c·row_i − s·row_j` (old values on
-/// the right), for rows `i < j`.
-#[inline]
-fn rot_rows_ql(mat: &mut Matrix, i: usize, j: usize, c: f64, s: f64) {
-    let cols = mat.cols();
-    let (head, tail) = mat.as_mut_slice().split_at_mut(j * cols);
-    let ra = &mut head[i * cols..(i + 1) * cols];
-    let rb = &mut tail[..cols];
-    for (x, z) in ra.iter_mut().zip(rb.iter_mut()) {
-        let f = *z;
-        *z = s * *x + c * f;
-        *x = c * *x - s * f;
-    }
-}
-
-/// EISPACK `tql2`: implicit-shift QL on the tridiagonal `(ws.d, ws.e)`
-/// with rotations accumulated into `ws.z` (deferred per step and applied
-/// in one row sweep). `ws.e[i]` couples `d[i], d[i+1]`.
-///
-/// Like [`bidiag_qr`], the rotation sweeps run on the **transpose** of the
-/// accumulator (staged in `ws.x`), turning each strided column-pair update
-/// into a vectorizable pass over two contiguous rows with bit-identical
-/// per-element arithmetic; `ws.z` is rebuilt from the transpose on
-/// success.
-fn tql2(ws: &mut FactorWorkspace) -> Result<()> {
-    let n = ws.d.len();
-    let eps = f64::EPSILON;
-    transpose_into(&ws.z, &mut ws.x);
-    for l in 0..n {
-        let mut iter = 0;
-        loop {
-            let mut mm = l;
-            while mm + 1 < n {
-                let dd = ws.d[mm].abs() + ws.d[mm + 1].abs();
-                if ws.e[mm].abs() <= eps * dd {
-                    break;
-                }
-                mm += 1;
-            }
-            if mm == l {
-                break;
-            }
-            iter += 1;
-            if iter > MAX_SHIFT_ITERS {
-                return Err(LinalgError::NoConvergence {
-                    op: "symmetric_eig (implicit QL)",
-                    iterations: MAX_SHIFT_ITERS,
-                });
-            }
-            let mut g = (ws.d[l + 1] - ws.d[l]) / (2.0 * ws.e[l]);
-            let mut r = g.hypot(1.0);
-            let sg = if g >= 0.0 { r.abs() } else { -r.abs() };
-            g = ws.d[mm] - ws.d[l] + ws.e[l] / (g + sg);
-            let mut s = 1.0f64;
-            let mut c = 1.0f64;
-            let mut p = 0.0f64;
-            ws.cs.clear();
-            ws.sn.clear();
-            let mut underflow = false;
-            let mut stop_i = l;
-            for i in (l..mm).rev() {
-                let f = s * ws.e[i];
-                let b = c * ws.e[i];
-                r = f.hypot(g);
-                ws.e[i + 1] = r;
-                if r == 0.0 {
-                    ws.d[i + 1] -= p;
-                    ws.e[mm] = 0.0;
-                    underflow = true;
-                    stop_i = i;
-                    break;
-                }
-                s = f / r;
-                c = g / r;
-                g = ws.d[i + 1] - p;
-                r = (ws.d[i] - g) * s + 2.0 * c * b;
-                p = s * r;
-                ws.d[i + 1] = g + p;
-                g = c * r - b;
-                ws.cs.push(c);
-                ws.sn.push(s);
-            }
-            // Deferred rotation application: pairs (i, i+1) for i from
-            // mm−1 down to the last computed index, in computation order,
-            // as row pairs of the transposed accumulator.
-            let first = if underflow { stop_i + 1 } else { l };
-            for ((&c, &s), i) in ws.cs.iter().zip(ws.sn.iter()).zip((first..mm).rev()) {
-                rot_rows_ql(&mut ws.x, i, i + 1, c, s);
-            }
-            if underflow {
-                continue;
-            }
-            ws.d[l] -= p;
-            ws.e[l] = g;
-            ws.e[mm] = 0.0;
-        }
-    }
-    transpose_into(&ws.x, &mut ws.z);
     Ok(())
 }
 

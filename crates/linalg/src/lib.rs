@@ -11,20 +11,19 @@
 //! * [`kernels`] — the cache-blocked, register-tiled GEMM layer behind
 //!   every matrix product (see below),
 //! * [`factor`] — the blocked Householder factorization layer: compact-WY
-//!   QR, Golub–Kahan bidiagonal SVD, and tridiagonal symmetric eig, all
-//!   GEMM-rich with allocation-free `_with` workspace variants,
+//!   QR and Golub–Kahan bidiagonal SVD, both GEMM-rich with
+//!   allocation-free `_with` workspace variants,
 //! * [`qr`] — Householder QR and QR least squares (blocked; the scalar
 //!   reference survives as `qr::reference`),
 //! * [`svd`] — full SVD (blocked Golub–Kahan above the small cutoff,
 //!   one-sided Jacobi below it / as fallback) plus truncated
 //!   subspace-iteration SVD,
-//! * [`eig`] — symmetric eigendecomposition (blocked tridiagonalization +
-//!   implicit QL, cyclic Jacobi small/fallback; for PCA),
 //! * [`cholesky`] — exact solves for the host-join normal equations
 //!   (the cached form every served join solves through is
 //!   [`solve::CachedGram`]),
 //! * [`nnls`] — Lawson–Hanson nonnegative least squares (§5.1 option),
 //! * [`pca`] — the projection used by the ICS / Virtual Landmark baselines,
+//!   from the SVD of the centered data,
 //! * [`random`] — seeded random matrices for NMF initialization.
 //!
 //! # The kernel layer
@@ -80,7 +79,6 @@
 
 pub mod cholesky;
 pub mod chunked;
-pub mod eig;
 pub mod error;
 pub mod factor;
 pub mod kernels;

@@ -221,17 +221,6 @@ impl Matrix {
         t
     }
 
-    /// Returns the main diagonal as a vector.
-    pub fn diag(&self) -> Vec<f64> {
-        let n = self.rows.min(self.cols);
-        (0..n).map(|i| self[(i, i)]).collect()
-    }
-
-    /// Sum of the diagonal entries.
-    pub fn trace(&self) -> f64 {
-        self.diag().iter().sum()
-    }
-
     /// Validates the inner dimensions for `self * other`.
     pub(crate) fn shape_check_matmul(&self, other: &Matrix) -> Result<()> {
         if self.cols != other.rows {
@@ -586,18 +575,6 @@ impl Matrix {
         self.data.iter().all(|&x| x >= -tol)
     }
 
-    /// Symmetrizes in place: `A <- (A + Aᵀ)/2`. Requires a square matrix.
-    pub fn symmetrize(&mut self) {
-        debug_assert!(self.is_square());
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                let avg = 0.5 * (self[(i, j)] + self[(j, i)]);
-                self[(i, j)] = avg;
-                self[(j, i)] = avg;
-            }
-        }
-    }
-
     /// Iterator over `(i, j, value)` triples in row-major order.
     pub fn iter_entries(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         let cols = self.cols;
@@ -731,7 +708,6 @@ mod tests {
         assert_eq!(z.shape(), (2, 3));
         assert!(z.as_slice().iter().all(|&x| x == 0.0));
         let i = Matrix::identity(3);
-        assert_eq!(i.trace(), 3.0);
         assert_eq!(i[(0, 1)], 0.0);
         assert_eq!(i[(2, 2)], 1.0);
     }
@@ -843,13 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn symmetrize() {
-        let mut a = m2x2(1.0, 4.0, 2.0, 5.0);
-        a.symmetrize();
-        assert_eq!(a, m2x2(1.0, 3.0, 3.0, 5.0));
-    }
-
-    #[test]
     fn operators() {
         let a = m2x2(1.0, 2.0, 3.0, 4.0);
         let b = m2x2(4.0, 3.0, 2.0, 1.0);
@@ -877,8 +846,8 @@ mod tests {
     #[test]
     fn diag_helpers() {
         let d = Matrix::from_diag(&[1.0, 2.0, 3.0]);
-        assert_eq!(d.diag(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(d.trace(), 6.0);
+        let diag: Vec<f64> = (0..3).map(|i| d[(i, i)]).collect();
+        assert_eq!(diag, vec![1.0, 2.0, 3.0]);
         assert_eq!(d[(0, 1)], 0.0);
     }
 

@@ -5,10 +5,9 @@
 //! `d`-dimensional subspace of maximum variance. This module provides that
 //! projection.
 
-use crate::eig::{symmetric_eig, symmetric_eig_jacobi, SymmetricEig};
 use crate::error::{ensure_finite, LinalgError, Result};
-use crate::factor::{symmetric_eig_with, FactorWorkspace};
 use crate::matrix::Matrix;
+use crate::svd::svd;
 
 /// A fitted PCA model.
 #[derive(Debug, Clone)]
@@ -25,27 +24,20 @@ pub struct Pca {
 /// the top `d` components. A NaN or infinite entry is
 /// [`LinalgError::NonFinite`].
 ///
-/// Uses the eigendecomposition of the `p x p` covariance matrix, which is
-/// the formulation in the ICS paper and efficient when `p` (number of
-/// landmarks) is small. The decomposition runs on the blocked
-/// factorization layer once `p` exceeds [`crate::factor::SMALL`]; repeated
-/// fitters (dimension sweeps) should hold a
-/// [`crate::factor::FactorWorkspace`] and call [`fit_with`].
+/// The principal axes are the right singular vectors of the centered
+/// data `X`, and the variance along axis `i` is `σᵢ²/n` — the eigenpairs
+/// of the biased covariance `XᵀX/n` of the ICS formulation, without
+/// forming it. The SVD is [`crate::svd::svd`]: one-sided Jacobi while
+/// `min(n, p)` is at most [`crate::factor::SMALL`], blocked Golub–Kahan
+/// above. The centered data has at most `min(n, p)` axes, so `d` is
+/// clamped to that; with fewer samples than features the remaining axes
+/// would span only the zero-variance null space.
 pub fn fit(data: &Matrix, d: usize) -> Result<Pca> {
-    let mut ws = FactorWorkspace::new();
-    fit_with(data, d, &mut ws)
-}
-
-/// [`fit`] with a caller-owned workspace for the covariance
-/// eigendecomposition — the factorization-layer entry point the IDES
-/// evaluation sweeps share.
-pub fn fit_with(data: &Matrix, d: usize, ws: &mut FactorWorkspace) -> Result<Pca> {
     let (n, p) = data.shape();
     if n == 0 || p == 0 {
         return Err(LinalgError::InvalidArgument("pca: empty data"));
     }
     ensure_finite(data, "pca")?;
-    let d = d.min(p);
     // Column means.
     let mut mean = vec![0.0; p];
     for i in 0..n {
@@ -56,28 +48,17 @@ pub fn fit_with(data: &Matrix, d: usize, ws: &mut FactorWorkspace) -> Result<Pca
     for m in &mut mean {
         *m /= n as f64;
     }
-    // Covariance (biased, 1/n — the scaling does not affect the axes).
     let centered = Matrix::from_fn(n, p, |i, j| data[(i, j)] - mean[j]);
-    let cov = centered.tr_matmul(&centered)?.scale(1.0 / n as f64);
-    // Same dispatch as `symmetric_eig`, but through the caller's workspace
-    // on the blocked path (Jacobi at small sizes / on non-convergence).
-    let eig = if p <= crate::factor::SMALL {
-        symmetric_eig(&cov)?
-    } else {
-        let mut out = SymmetricEig::default();
-        match symmetric_eig_with(&cov, ws, &mut out) {
-            Ok(()) => out,
-            // Straight to Jacobi: re-dispatching through `symmetric_eig`
-            // would rerun the whole blocked path just to fail again.
-            Err(LinalgError::NoConvergence { .. }) => symmetric_eig_jacobi(&cov)?,
-            Err(e) => return Err(e),
-        }
-    };
+    let f = svd(&centered)?;
+    let d = d.min(f.singular_values.len());
     let cols: Vec<usize> = (0..d).collect();
     Ok(Pca {
         mean,
-        components: eig.eigenvectors.select_cols(&cols),
-        explained_variance: eig.eigenvalues[..d].iter().map(|&l| l.max(0.0)).collect(),
+        components: f.v.select_cols(&cols),
+        explained_variance: f.singular_values[..d]
+            .iter()
+            .map(|&s| s * s / n as f64)
+            .collect(),
     })
 }
 
@@ -127,6 +108,85 @@ impl Pca {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::svd::svd_jacobi;
+
+    /// `n x p` pseudo-random data with column `j` scaled by `p - j`, so
+    /// most axes are well separated.
+    fn spread_data(n: usize, p: usize) -> Matrix {
+        let mut state = 12345u64;
+        Matrix::from_fn(n, p, |_, j| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64 - 0.5) * (p - j) as f64 + j as f64
+        })
+    }
+
+    #[test]
+    fn non_finite_input_is_an_error_not_a_panic() {
+        // Engine contract.
+        // PCA refuses a NaN or infinite entry on the Jacobi branch of the
+        // SVD (5 features) and on the Golub–Kahan one (40).
+        for p in [5, 40] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut data = Matrix::from_fn(p + 3, p, |i, j| ((i * p + j) as f64).cos());
+                data[(2, 1)] = bad;
+                let r = fit(&data, 2);
+                assert!(
+                    matches!(r, Err(LinalgError::NonFinite { .. })),
+                    "p = {p}, {bad}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matches_jacobi_svd_of_centered_data() {
+        // Both branches of `svd` (Jacobi at 5 features, Golub–Kahan at 40)
+        // against the one-sided Jacobi oracle: variances to 1e-10 of the
+        // largest, and every axis whose variance is separated from its
+        // neighbours equal up to sign.
+        for p in [5, 40] {
+            let n = 2 * p + 7;
+            let data = spread_data(n, p);
+            let pca = fit(&data, p).unwrap();
+            let centered = Matrix::from_fn(n, p, |i, j| data[(i, j)] - pca.mean[j]);
+            let oracle = svd_jacobi(&centered).unwrap();
+            let var: Vec<f64> = oracle
+                .singular_values
+                .iter()
+                .map(|&s| s * s / n as f64)
+                .collect();
+            assert_eq!(pca.dim(), p);
+            let scale = var[0];
+            for (i, (&got, &want)) in pca.explained_variance.iter().zip(&var).enumerate() {
+                assert!(
+                    (got - want).abs() <= 1e-10 * scale,
+                    "p = {p}: variance {i}: {got} vs {want}"
+                );
+            }
+            let mut checked = 0;
+            for i in 0..p {
+                let neighbours = [i.wrapping_sub(1), i + 1].map(|j| var.get(j));
+                if neighbours
+                    .iter()
+                    .flatten()
+                    .any(|&&v| (var[i] - v).abs() < 1e-3 * scale)
+                {
+                    continue;
+                }
+                let dot: f64 = (0..p)
+                    .map(|r| pca.components[(r, i)] * oracle.v[(r, i)])
+                    .sum();
+                assert!(
+                    (dot.abs() - 1.0).abs() < 1e-8,
+                    "p = {p}: axis {i}: |cos| {dot}"
+                );
+                checked += 1;
+            }
+            assert!(checked >= p / 2, "p = {p}: only {checked} separated axes");
+        }
+    }
 
     #[test]
     fn recovers_dominant_direction() {
@@ -194,6 +254,13 @@ mod tests {
         let data = Matrix::from_fn(5, 2, |i, j| (i * 2 + j) as f64);
         let pca = fit(&data, 10).unwrap();
         assert_eq!(pca.dim(), 2);
+        // Fewer samples than features: the centered data has at most
+        // `min(n, p)` axes, on both branches of the SVD.
+        for (n, p) in [(3, 5), (20, 40)] {
+            let pca = fit(&spread_data(n, p), p).unwrap();
+            assert_eq!(pca.dim(), n, "{n} x {p}");
+            assert_eq!(pca.components.shape(), (p, n));
+        }
     }
 
     #[test]

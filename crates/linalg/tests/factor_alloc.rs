@@ -2,13 +2,12 @@
 //! zero-allocation contract: once the [`FactorWorkspace`], the output
 //! struct, and the thread-local GEMM packing buffers have reached their
 //! high-water shapes, repeated `qr_with` / `svd_with` /
-//! `symmetric_eig_with` calls on same-shaped inputs must not touch the
+//! `svd_truncated_with` calls on same-shaped inputs must not touch the
 //! heap at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ides_linalg::eig::SymmetricEig;
 use ides_linalg::factor::{self, FactorWorkspace};
 use ides_linalg::qr::Qr;
 use ides_linalg::svd::Svd;
@@ -129,23 +128,6 @@ fn svd_truncated_with_allocates_nothing_on_reuse() {
         }
     });
     assert_eq!(calls, 0, "warm svd_truncated_with allocated {calls} times");
-}
-
-#[test]
-fn symmetric_eig_with_allocates_nothing_on_reuse() {
-    let mut a = det_matrix(90, 90, 5);
-    a.symmetrize();
-    let mut b = det_matrix(90, 90, 6);
-    b.symmetrize();
-    let mut ws = FactorWorkspace::new();
-    let mut out = SymmetricEig::default();
-    factor::symmetric_eig_with(&a, &mut ws, &mut out).unwrap();
-    let (calls, ()) = count_allocs(|| {
-        for m in [&a, &b, &a, &b] {
-            factor::symmetric_eig_with(m, &mut ws, &mut out).unwrap();
-        }
-    });
-    assert_eq!(calls, 0, "warm symmetric_eig_with allocated {calls} times");
 }
 
 #[test]

@@ -1,13 +1,12 @@
 //! Property suite for the blocked factorization layer: every blocked
 //! algorithm is pinned against its unblocked reference (scalar Householder
-//! QR, one-sided Jacobi SVD, cyclic Jacobi eig) across shapes straddling
+//! QR, one-sided Jacobi SVD) across shapes straddling
 //! the panel boundaries — square-ish, very tall, rank-deficient — with
 //! orthogonality and reconstruction held to 1e-9, and blocked QR held
 //! **bit-identical** to the unblocked algorithm whenever the matrix has at
 //! most `PANEL` columns (a single panel runs the reference arithmetic end
 //! to end).
 
-use ides_linalg::eig::{symmetric_eig, symmetric_eig_jacobi, SymmetricEig};
 use ides_linalg::factor::{self, FactorWorkspace, PANEL, SMALL};
 use ides_linalg::qr::{self, reference::qr_unblocked, Qr};
 use ides_linalg::svd::{svd, svd_jacobi, Svd};
@@ -257,107 +256,4 @@ fn svd_with_workspace_reuse_matches_dispatch() {
             "{m}x{n}"
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// Symmetric eig
-// ---------------------------------------------------------------------------
-
-fn check_eig_against_jacobi(a: &Matrix, tag: &str) {
-    let blocked = symmetric_eig(a).unwrap();
-    let oracle = symmetric_eig_jacobi(a).unwrap();
-    let n = a.rows();
-    assert_eq!(blocked.eigenvalues.len(), n, "{tag}");
-    let scale = oracle
-        .eigenvalues
-        .iter()
-        .fold(0.0f64, |m, &l| m.max(l.abs()))
-        .max(1e-300);
-    for (i, (b, o)) in blocked
-        .eigenvalues
-        .iter()
-        .zip(oracle.eigenvalues.iter())
-        .enumerate()
-    {
-        assert!(
-            (b - o).abs() <= 1e-9 * scale,
-            "{tag}: eigenvalue {i}: blocked {b} vs jacobi {o}"
-        );
-    }
-    assert_orthonormal_cols(&blocked.eigenvectors, 1e-9, &format!("{tag} Q"));
-    let recon = blocked.reconstruct();
-    assert!(
-        recon.approx_eq(a, 1e-9 * (1.0 + scale)),
-        "{tag}: |QΛQᵀ - A| = {}",
-        recon.max_abs_diff(a)
-    );
-    // Trace preserved.
-    let sum: f64 = blocked.eigenvalues.iter().sum();
-    assert!(
-        (sum - a.trace()).abs() <= 1e-8 * (1.0 + scale),
-        "{tag}: trace"
-    );
-}
-
-#[test]
-fn blocked_eig_matches_jacobi() {
-    for &(n, seed) in &[(SMALL + 1, 51u64), (80, 52), (129, 53), (160, 54)] {
-        let mut a = det_matrix(n, n, seed);
-        a.symmetrize();
-        check_eig_against_jacobi(&a, &format!("eig {n}"));
-    }
-}
-
-#[test]
-fn blocked_eig_psd_and_rank_deficient() {
-    // Gram matrix of a rank-6 factor: PSD with exactly 6 nonzero
-    // eigenvalues — the PCA covariance workload.
-    let b = det_matrix(100, 6, 61);
-    let g = b.matmul_tr(&b).unwrap();
-    let e = symmetric_eig(&g).unwrap();
-    let scale = e.eigenvalues[0];
-    for &l in &e.eigenvalues {
-        assert!(l >= -1e-9 * scale, "negative eigenvalue {l}");
-    }
-    for &l in &e.eigenvalues[6..] {
-        assert!(l.abs() <= 1e-9 * scale, "phantom eigenvalue {l}");
-    }
-    assert!(e.reconstruct().approx_eq(&g, 1e-9 * (1.0 + scale)));
-}
-
-#[test]
-fn blocked_eig_clustered_spectrum() {
-    // Repeated eigenvalues (block diagonal with equal blocks) stress the
-    // QL deflation logic.
-    let n = 90;
-    let a = Matrix::from_fn(n, n, |i, j| {
-        if i / 30 == j / 30 {
-            if i == j {
-                2.0
-            } else {
-                0.5
-            }
-        } else {
-            0.0
-        }
-    });
-    check_eig_against_jacobi(&a, "eig clustered 90");
-}
-
-#[test]
-fn eig_with_workspace_reuse_matches_dispatch() {
-    let mut ws = FactorWorkspace::new();
-    let mut out = SymmetricEig::default();
-    for &(n, seed) in &[(70, 71u64), (110, 72), (40, 73)] {
-        let mut a = det_matrix(n, n, seed);
-        a.symmetrize();
-        factor::symmetric_eig_with(&a, &mut ws, &mut out).unwrap();
-        let oracle = symmetric_eig_jacobi(&a).unwrap();
-        let scale = oracle.eigenvalues[0].abs().max(1e-300);
-        for (b, o) in out.eigenvalues.iter().zip(oracle.eigenvalues.iter()) {
-            assert!((b - o).abs() <= 1e-9 * scale, "n={n}");
-        }
-    }
-    // Non-square rejected.
-    assert!(factor::symmetric_eig_with(&Matrix::zeros(2, 3), &mut ws, &mut out).is_err());
 }

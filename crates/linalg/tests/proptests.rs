@@ -2,7 +2,7 @@
 
 use ides_linalg::qr::{lstsq, qr};
 use ides_linalg::svd::{svd, svd_truncated, TruncatedSvdOptions};
-use ides_linalg::{eig::symmetric_eig, nnls::nnls, solve::pinv, Matrix};
+use ides_linalg::{nnls::nnls, solve::pinv, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a small matrix shape (the matrices themselves are built
@@ -95,16 +95,6 @@ proptest! {
         let err = (&a - &t.reconstruct()).frobenius_norm();
         prop_assert!(err >= optimal - 1e-6, "err {} below optimal {}", err, optimal);
         prop_assert!(err <= optimal * 1.0 + 1e-4 + optimal * 1e-3, "err {} far above optimal {}", err, optimal);
-    }
-
-    #[test]
-    fn eig_reconstructs_symmetric(v in prop::collection::vec(-10.0_f64..10.0, 36)) {
-        let mut a = Matrix::from_vec(6, 6, v).unwrap();
-        a.symmetrize();
-        let e = symmetric_eig(&a).unwrap();
-        prop_assert!(e.reconstruct().approx_eq(&a, 1e-7));
-        let trace_sum: f64 = e.eigenvalues.iter().sum();
-        prop_assert!((trace_sum - a.trace()).abs() < 1e-8 * (1.0 + a.trace().abs()));
     }
 
     #[test]

@@ -47,13 +47,16 @@ matmul  narrow_deep_packed/1024x1024x10  narrow_deep/1024x1024x10  >=  1.6
 # The lane-blocked multi-row Cholesky solve vs a loop over the one-row
 # solve at 65 536 rows of d = 16: the lane blocking itself (~6x on AVX2).
 cholesky_solve_rows  per_row/16  blocked/16  >=  2.0
-# The multi-row solve handed one row vs the one-row solve: 1.04x running
-# one lane in place, 2.09x with the 16-lane block of zero rows it replaced.
+# The multi-row solve handed one row vs the one-row solve, their samples
+# interleaved in one loop: 1.03-1.13x running one lane in place (22
+# runs), 1.73-2.33x with the 16-lane block of zero rows it replaced (14).
 cholesky_solve_rows  blocked/1  per_row/1  <=  1.2
-# The blocked (Golub-Kahan) SVD vs one-sided Jacobi at 512: 36.4-58.6x,
-# 16.1-29.1x with the bidiagonalization at panel width 1 (each reflector
-# applied to the whole trailing block before the next is formed).
-factor  svd_jacobi/512  svd_blocked/512  >=  33
+# The blocked (Golub-Kahan) SVD at 512 vs one-sided Jacobi at 256, the
+# control at half the size to keep its cost under a second: 2.52-3.54x
+# (22 runs), 1.37-2.05x (14) with the bidiagonalization at panel width 1
+# (each reflector applied to the whole trailing block before the next is
+# formed).
+factor  svd_jacobi/256  svd_blocked/512  >=  2.3
 # The truncated d = 10 SVD vs the exact blocked SVD of one P2PSim-like
 # 512^2 matrix: 2.96-3.30x with the Ritz-residual stop, 0.48-0.54x with
 # the column-norm stop it replaced (iteration past convergence).
